@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, List, Tuple
 
 import numpy as np
 
@@ -41,9 +41,6 @@ class Circuit:
             if max(g.qubits) >= self.num_qubits:
                 raise ValueError(f"gate {g.name.value} on {g.qubits} exceeds "
                                  f"{self.num_qubits}-qubit register")
-
-    def extended(self, more: Iterable[GateDef]) -> "Circuit":
-        return Circuit(self.num_qubits, self.gates + tuple(more))
 
     def concat(self, other: "Circuit") -> "Circuit":
         n = max(self.num_qubits, other.num_qubits)
@@ -118,12 +115,6 @@ def _apply_local(tensor: np.ndarray, local: np.ndarray, wires, n: int) -> np.nda
     taxes = [n - 1 - q for q in reversed(wires)]
     out = np.tensordot(g, tensor, axes=(list(range(k, 2 * k)), taxes))
     return np.moveaxis(out, range(k), taxes)
-
-
-def apply_gate_statevector(psi: np.ndarray, g: GateDef, n: int) -> np.ndarray:
-    tensor = psi.reshape([2] * n)
-    tensor = _apply_local(tensor, gate_matrix(g), sorted(g.qubits), n)
-    return tensor.reshape(-1)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

@@ -17,7 +17,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .calibration import ingest_calibration
-from .circuits import Circuit, circuit_unitary
+from .circuits import Circuit
 from .errors import IoError, SchemaError, UsageError
 from .noise import NoiseModel, scale_noise_model
 from .qmath import state_fidelity
@@ -56,6 +56,9 @@ from .version import __version__
 #: single-run state fidelities published for real-device execution; carried in
 #: reports purely for comparison display, never reproduced here
 HARDWARE_REFERENCE_FIDELITY = {"GHZ": 0.56368, "W": 0.63689, "UNIFORM": 0.61161}
+
+#: the only report layout this version writes and reads
+REPORT_SCHEMA_VERSION = 1
 
 DEFAULT_CONTROLS = (0, 1)
 DEFAULT_TARGET = 2
@@ -137,7 +140,7 @@ def _make_report(kind: str, fidelities: Sequence[float], cfg: ExperimentConfig,
     if kind == "qst" and cfg.input_state.value in HARDWARE_REFERENCE_FIDELITY:
         hardware = {cfg.input_state.value: HARDWARE_REFERENCE_FIDELITY[cfg.input_state.value]}
     return Report(
-        schema_version=1,
+        schema_version=REPORT_SCHEMA_VERSION,
         kind=kind,
         fidelities=fids,
         mean_fidelity=mean,
@@ -165,34 +168,51 @@ def _gate_count_summary(toffoli: Circuit, full: Circuit) -> Dict[str, int]:
     }
 
 
-# -- QST -------------------------------------------------------------------------
+# -- measurement ---------------------------------------------------------------
 
-def _qst_repeat(args) -> Tuple[int, float]:
-    (repeat, circuit, nm, cfg_shots, master_seed, exact, apply_readout, rho_ref) = args
+def _setting_counts(circuit: Circuit, nm: Optional[NoiseModel], shots: int,
+                    seeds: Sequence[int], exact: bool,
+                    apply_readout: bool) -> Dict[str, Dict[str, float]]:
+    """Counts of every 3-qubit setting measured after ``circuit``.
+
+    ``seeds`` holds one sampling seed per setting in ``qst_settings`` order;
+    ``exact`` returns the outcome distributions instead of sampled counts.
+    Noise-free runs rotate the exact state vector into each setting's basis;
+    noise-aware runs apply the native rotation circuit and readout relaxation
+    under ``nm``, then read Z with the readout confusion.
+    """
     settings = qst_settings(3)
     readout = nm.readout_confusions() if (nm is not None and apply_readout) else None
-    data = {}
     if nm is None:
         psi = run_statevector(circuit)
-        for j, setting in enumerate(settings):
-            if exact:
-                data[setting] = exact_counts(psi, setting)
-            else:
-                seed = derive_seed(master_seed, repeat, j)
-                data[setting] = sample_counts(psi, setting, cfg_shots, seed).outcomes
+        measured = [(psi, setting) for setting in settings]
     else:
         rho = run_density(circuit, nm)
-        for j, setting in enumerate(settings):
-            rot = measurement_rotation(setting)
-            rho_m = apply_circuit_density(rho, Circuit(3, rot.gates), nm)
-            rho_m = apply_measurement_relaxation(rho_m, nm)
-            if exact:
-                data[setting] = exact_counts(rho_m, "ZZZ", readout)
-            else:
-                seed = derive_seed(master_seed, repeat, j)
-                data[setting] = sample_counts(rho_m, "ZZZ", cfg_shots, seed, readout).outcomes
-    rho_hat = qst_reconstruct(data, 3)
-    return repeat, state_fidelity(rho_hat, rho_ref)
+        measured = [(apply_measurement_relaxation(
+            apply_circuit_density(rho, measurement_rotation(setting), nm), nm), "ZZZ")
+            for setting in settings]
+    if exact:
+        return {setting: exact_counts(state, basis, readout)
+                for setting, (state, basis) in zip(settings, measured)}
+    return {setting: sample_counts(state, basis, shots, seed, readout).outcomes
+            for setting, (state, basis), seed in zip(settings, measured, seeds)}
+
+
+def _run_tasks(fn, tasks: list, workers: int) -> list:
+    """``fn`` over ``tasks`` in order, in ``workers`` processes when more than one."""
+    if workers and workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return list(map(fn, tasks))
+
+
+# -- QST -------------------------------------------------------------------------
+
+def _qst_repeat(args) -> float:
+    (repeat, circuit, nm, shots, master_seed, exact, apply_readout, rho_ref) = args
+    seeds = [derive_seed(master_seed, repeat, j) for j in range(len(qst_settings(3)))]
+    data = _setting_counts(circuit, nm, shots, seeds, exact, apply_readout)
+    return state_fidelity(qst_reconstruct(data, 3), rho_ref)
 
 
 def run_qst_experiment(cfg: ExperimentConfig, workers: int = 0) -> Report:
@@ -209,12 +229,7 @@ def run_qst_experiment(cfg: ExperimentConfig, workers: int = 0) -> Report:
     tasks = [(r, circuit, nm, cfg.shots_per_setting, cfg.master_seed,
               cfg.exact_probabilities, cfg.apply_readout, rho_ref)
              for r in range(cfg.repeats)]
-    if workers and workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_qst_repeat, tasks))
-    else:
-        results = dict(map(_qst_repeat, tasks))
-    fidelities = [results[r] for r in range(cfg.repeats)]
+    fidelities = _run_tasks(_qst_repeat, tasks, workers)
 
     wall = time.perf_counter() - start
     return _make_report("qst", fidelities, cfg, _gate_count_summary(toffoli, circuit),
@@ -223,33 +238,10 @@ def run_qst_experiment(cfg: ExperimentConfig, workers: int = 0) -> Report:
 
 # -- QPT -------------------------------------------------------------------------
 
-def _qpt_probe(args) -> Tuple[Tuple[str, ...], Dict[str, Dict[str, float]]]:
+def _qpt_probe(args) -> Dict[str, Dict[str, float]]:
     (probe, gate_circuit, nm, shots, seeds, exact, apply_readout) = args
-    prep = prepare_state(StateKind.PROBE, probe=probe)
-    settings = qst_settings(3)
-    readout = nm.readout_confusions() if (nm is not None and apply_readout) else None
-    per_setting: Dict[str, Dict[str, float]] = {}
-    if nm is None:
-        base = prep.concat(gate_circuit)
-        psi = run_statevector(base)
-        for setting in settings:
-            if exact:
-                per_setting[setting] = exact_counts(psi, setting)
-            else:
-                per_setting[setting] = sample_counts(
-                    psi, setting, shots, seeds[setting]).outcomes
-    else:
-        rho = run_density(prep.concat(gate_circuit), nm)
-        for setting in settings:
-            rot = measurement_rotation(setting)
-            rho_m = apply_circuit_density(rho, Circuit(3, rot.gates), nm)
-            rho_m = apply_measurement_relaxation(rho_m, nm)
-            if exact:
-                per_setting[setting] = exact_counts(rho_m, "ZZZ", readout)
-            else:
-                per_setting[setting] = sample_counts(
-                    rho_m, "ZZZ", shots, seeds[setting], readout).outcomes
-    return probe, per_setting
+    circuit = prepare_state(StateKind.PROBE, probe=probe).concat(gate_circuit)
+    return _setting_counts(circuit, nm, shots, seeds, exact, apply_readout)
 
 
 def run_qpt_experiment(cfg: ExperimentConfig, workers: int = 0) -> Report:
@@ -266,19 +258,13 @@ def run_qpt_experiment(cfg: ExperimentConfig, workers: int = 0) -> Report:
     for repeat in range(cfg.repeats):
         jobs = qpt_jobs(toffoli, 3, cfg.shots_per_setting, derive_seed(cfg.master_seed, repeat))
         num_jobs = len(jobs)
-        seeds_by_probe: Dict[Tuple[str, ...], Dict[str, int]] = {}
-        for job in jobs:
-            seeds_by_probe.setdefault(job.probe, {})[job.setting] = job.seed
-        tasks = [(probe, toffoli, nm, cfg.shots_per_setting, seeds,
-                  cfg.exact_probabilities, cfg.apply_readout)
-                 for probe, seeds in seeds_by_probe.items()]
-        if workers and workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                collected = dict(pool.map(_qpt_probe, tasks))
-        else:
-            collected = dict(map(_qpt_probe, tasks))
-        data = {(probe, setting): counts
-                for probe, per_setting in collected.items()
+        per_probe = len(qst_settings(3))  # jobs are probe-major, settings in order
+        groups = [jobs[i:i + per_probe] for i in range(0, num_jobs, per_probe)]
+        tasks = [(group[0].probe, toffoli, nm, cfg.shots_per_setting,
+                  [job.seed for job in group], cfg.exact_probabilities, cfg.apply_readout)
+                 for group in groups]
+        data = {(task[0], setting): counts
+                for task, per_setting in zip(tasks, _run_tasks(_qpt_probe, tasks, workers))
                 for setting, counts in per_setting.items()}
         recon = qpt_reconstruct_full(data, 3)
         f_pro = process_fidelity(recon.choi, target_choi)
@@ -301,6 +287,9 @@ def report_to_dict(report: Report) -> dict:
 
 def report_from_dict(payload: dict) -> Report:
     payload = dict(payload)
+    if payload.get("schema_version") != REPORT_SCHEMA_VERSION:
+        raise ValueError(f"unknown schema_version {payload.get('schema_version')!r} "
+                         f"(expected {REPORT_SCHEMA_VERSION})")
     payload["fidelities"] = tuple(payload["fidelities"])
     if payload.get("average_gate_fidelities") is not None:
         payload["average_gate_fidelities"] = tuple(payload["average_gate_fidelities"])

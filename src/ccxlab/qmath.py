@@ -65,10 +65,6 @@ def pauli_string_matrix(letters: str) -> np.ndarray:
     return kron_le([PAULI_1Q[c] for c in letters])
 
 
-def is_hermitian(m: np.ndarray, tol: float = VALIDATION_TOL) -> bool:
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= tol
-
-
 def check_unitary(u: np.ndarray, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -77,14 +73,6 @@ def check_unitary(u: np.ndarray, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
     if dev > tol:
         raise NotUnitaryError(f"U^dag U deviates from identity by {dev:.3e} (tol {tol:g})")
     return u
-
-
-def check_state_vector(psi: np.ndarray, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"state vector norm {norm} deviates from 1 beyond {tol:g}")
-    return psi
 
 
 def check_density_matrix(rho: np.ndarray, *, herm_tol: float = CONSTRUCTION_TOL,

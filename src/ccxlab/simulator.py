@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .circuits import Circuit, _apply_local
-from .errors import InvalidPauliStringError, NonNativeGateError
+from .errors import CcxlabError, InvalidPauliStringError, NonNativeGateError
 from .gates import MAT_H, MAT_S, NATIVE_GATES, Gate, GateDef, gate_matrix
 from .noise import KrausChannel, NoiseModel, depolarizing_channel, thermal_relaxation_channel
 from .qmath import I2, dagger
@@ -52,8 +52,8 @@ def run_statevector(c: Circuit) -> np.ndarray:
     for g in c.gates:
         tensor = _apply_local(tensor, gate_matrix(g), sorted(g.qubits), n)
     psi = tensor.reshape(-1)
-    norm = np.linalg.norm(psi)
-    assert abs(norm - 1.0) < 1e-10, "state norm drifted"
+    if abs(np.linalg.norm(psi) - 1.0) >= 1e-10:
+        raise CcxlabError("state norm drifted")
     return psi
 
 
@@ -105,7 +105,8 @@ def run_density(c: Circuit, nm: Optional[NoiseModel]) -> np.ndarray:
     rho[0, 0] = 1.0
     rho = apply_circuit_density(rho, c, nm)
     tr = np.trace(rho)
-    assert abs(tr - 1.0) < 1e-8, f"density trace drifted to {tr}"
+    if abs(tr - 1.0) >= 1e-8:
+        raise CcxlabError(f"density trace drifted to {tr}")
     return (rho + dagger(rho)) / 2
 
 

@@ -16,9 +16,10 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, apply_gate_statevector
-from .errors import InvalidLabelError
+from .circuits import Circuit
+from .errors import CcxlabError, InvalidLabelError
 from .gates import GateDef, rz, x
+from .simulator import run_statevector
 from .synthesis import cnot_to_ecr, native_h, native_ry, peephole_merge
 
 PI = math.pi
@@ -81,19 +82,11 @@ def probe_state(labels: Sequence[str]) -> np.ndarray:
 
 # -- circuit builders ----------------------------------------------------------
 
-def _simulate(circuit: Circuit) -> np.ndarray:
-    psi = basis_state(0, circuit.num_qubits)
-    for g in circuit.gates:
-        psi = apply_gate_statevector(psi, g, circuit.num_qubits)
-    return psi
-
-
 def _fix_global_phase(circuit: Circuit, target: np.ndarray) -> Circuit:
     """Prepend RZ(2*delta) on qubit 0 (still |0>) to cancel the phase delta."""
-    psi = _simulate(circuit)
-    overlap = np.vdot(target, psi)
+    overlap = np.vdot(target, run_statevector(circuit))
     if abs(abs(overlap) - 1.0) > 1e-9:
-        raise AssertionError("state builder does not reach its target state")
+        raise CcxlabError("state builder does not reach its target state")
     delta = cmath.phase(overlap)
     if abs(delta) < 1e-14:
         return circuit

@@ -1,25 +1,29 @@
 """State and process tomography: experiment generation and reconstruction.
 
-State tomography measures all 3^k Pauli-basis settings. Expectations for
-strings with conceptual identity positions are marginalized from every
-setting that covers them and averaged, then the state is assembled by
-linear inversion, rho = (1/2^k) sum_P <P> P, and projected to the physical
-cone (Hermitian, PSD, unit trace).
+State tomography measures all 3^k Pauli-basis settings. Linear inversion is
+one fixed linear map, ``_estimator(k)``: it takes the 3^k outcome-frequency
+vectors stacked in ``qst_settings`` order to vec(rho) of
+rho = (1/2^k) sum_P <P> P, where <P> is the parity of P's support averaged
+over every setting that covers it (Greenbaum, arXiv:1509.02921). The
+estimate is then projected to the physical cone (Hermitian, PSD, unit
+trace).
 
-Process tomography prepares the 4^k products of {|0>, |1>, |+>, |+i>},
-measures 3^k settings per preparation (12^k circuits), reconstructs each
-output state by *unprojected* linear inversion, solves for the channel in
-the probe-state operator basis, assembles the Choi operator, and replaces
-it by the Frobenius-nearest completely-positive trace-preserving (CPTP)
-Choi operator. That projection is a semismooth Newton method on the
-Lagrange multiplier of the trace-preservation (TP) constraint; it stops at
-a TP residual of ``CPTP_TP_TOL`` and raises ``ProjectionNotConvergedError``
-if ``CPTP_MAX_NEWTON_STEPS`` steps do not get there. The per-probe
-estimates stay unprojected on purpose: projecting them first biases the
-channel estimate like a global depolarization; unbiased probe estimates
-plus a single CPTP projection at the end track the sampling-only fidelity
-loss. The TP deviation of the raw estimate is reported as a diagnostic
-before the projection repairs it.
+Process tomography prepares the 4^k products of {|0>, |1>, |+>, |+i>} and
+measures 3^k settings per preparation (12^k circuits). Each probe's data is
+a state-tomography dataset, so the same map gives every *unprojected*
+output estimate in one product; the constant inverse of the probe-state
+matrix, ``_probe_dual(k)``, turns them into the channel's superoperator,
+which is regrouped into the Choi operator and replaced by the
+Frobenius-nearest completely-positive trace-preserving (CPTP) Choi
+operator. That projection is a semismooth Newton method on the Lagrange
+multiplier of the trace-preservation (TP) constraint; it stops at a TP
+residual of ``CPTP_TP_TOL`` and raises ``ProjectionNotConvergedError`` if
+``CPTP_MAX_NEWTON_STEPS`` steps do not get there. The per-probe estimates
+stay unprojected on purpose: projecting them first biases the channel
+estimate like a global depolarization; unbiased probe estimates plus a
+single CPTP projection at the end track the sampling-only fidelity loss.
+The TP deviation of the raw estimate is reported as a diagnostic before
+the projection repairs it.
 
 Choi convention: block (m, n) of the unnormalized Choi operator holds
 E(|m><n|); the normalized form divides by the dimension 2^k.
@@ -27,9 +31,10 @@ E(|m><n|); the normalized form divides by the dimension 2^k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +51,6 @@ from .gates import GateDef, rz, sx
 from .qmath import (
     check_unitary,
     dagger,
-    kron_le,
     pauli_string_matrix,
     project_to_density,
     state_fidelity,
@@ -112,47 +116,43 @@ def _frequencies(counts: CountsLike, k: int) -> np.ndarray:
     return freq / total
 
 
-def _parity_signs(mask: int, k: int) -> np.ndarray:
-    idx = np.arange(2 ** k)
-    par = np.zeros(2 ** k, dtype=int)
-    for q in range(k):
-        if (mask >> q) & 1:
-            par ^= (idx >> q) & 1
-    return 1 - 2 * par
+def _frequency_table(data: Mapping, keys: Sequence, k: int) -> np.ndarray:
+    """Outcome frequencies of each key's counts, concatenated in key order."""
+    return np.concatenate([_frequencies(data[key], k) for key in keys])
 
 
-def pauli_expectations(data: Mapping[str, CountsLike], k: int) -> Dict[str, float]:
-    """Every <P> over {I,X,Y,Z}^k, marginalizing and averaging covering settings."""
+@functools.lru_cache(maxsize=None)
+def _estimator(k: int) -> np.ndarray:
+    """Linear inversion as a (4^k, 3^k * 2^k) map from stacked frequencies to vec(rho).
+
+    Row-major vec. Row block P of the Pauli-expectation map holds the parity
+    signs of P's support on every setting that covers P, divided by their
+    number; vec(P) / 2^k then assembles the state.
+    """
     settings = qst_settings(k)
-    missing = [s for s in settings if s not in data]
-    if missing:
-        raise MissingSettingError(f"missing settings: {', '.join(missing)}")
-    freqs = {s_: _frequencies(data[s_], k) for s_ in settings}
-    expectations: Dict[str, float] = {}
-    for letters in itertools.product("IXYZ", repeat=k):
-        pstr = "".join(letters)
+    outcomes = np.arange(2 ** k)
+    paulis = ["".join(p) for p in itertools.product("IXYZ", repeat=k)]
+    expectation = np.zeros((len(paulis), len(settings), 2 ** k))
+    for i, pstr in enumerate(paulis):
         support = [q for q in range(k) if pstr[q] != "I"]
-        if not support:
-            expectations[pstr] = 1.0
-            continue
-        mask = sum(1 << q for q in support)
-        signs = _parity_signs(mask, k)
-        covers = [s_ for s_ in settings if all(s_[q] == pstr[q] for q in support)]
-        expectations[pstr] = float(np.mean([signs @ freqs[s_] for s_ in covers]))
-    return expectations
-
-
-def _linear_inversion(data: Mapping[str, CountsLike], k: int) -> np.ndarray:
-    dim = 2 ** k
-    rho = np.zeros((dim, dim), dtype=complex)
-    for pstr, e in pauli_expectations(data, k).items():
-        rho += e * pauli_string_matrix(pstr)
-    return rho / dim
+        parity = sum((outcomes >> q) & 1 for q in support) % 2
+        covers = [all(s[q] == pstr[q] for q in support) for s in settings]
+        expectation[i, covers] = (1 - 2 * parity) / sum(covers)
+    vec_paulis = np.stack([pauli_string_matrix(p).reshape(-1) for p in paulis], axis=1)
+    estimator = vec_paulis @ expectation.reshape(len(paulis), -1) / 2 ** k
+    estimator.setflags(write=False)
+    return estimator
 
 
 def qst_reconstruct(data: Mapping[str, CountsLike], k: int) -> np.ndarray:
     """Density matrix from 3^k Pauli-setting counts (linear inversion + projection)."""
-    return project_to_density(_linear_inversion(data, k))
+    settings = qst_settings(k)
+    missing = [s for s in settings if s not in data]
+    if missing:
+        raise MissingSettingError(f"missing settings: {', '.join(missing)}")
+    dim = 2 ** k
+    return project_to_density((_estimator(k) @ _frequency_table(data, settings, k))
+                              .reshape(dim, dim))
 
 
 # -- process tomography ---------------------------------------------------------
@@ -172,9 +172,13 @@ def qpt_jobs(gate_circuit: Circuit, k: int, shots: int, master_seed: int) -> Lis
     return jobs
 
 
-def _probe_density(probe: Sequence[str]) -> np.ndarray:
-    ket = probe_state(probe)
-    return np.outer(ket, ket.conj())
+@functools.lru_cache(maxsize=None)
+def _probe_dual(k: int) -> np.ndarray:
+    """Inverse of the matrix whose columns are the vectorized probe states."""
+    kets = [probe_state(p) for p in itertools.product(PROBE_LABELS, repeat=k)]
+    dual = np.linalg.inv(np.stack([np.outer(v, v.conj()).reshape(-1) for v in kets], axis=1))
+    dual.setflags(write=False)
+    return dual
 
 
 def choi_of_unitary(u: np.ndarray) -> np.ndarray:
@@ -320,33 +324,17 @@ def qpt_reconstruct_full(data: Mapping[Tuple[Tuple[str, ...], str], CountsLike],
         raise KOutOfRangeError(f"k={k} outside 1..3")
     dim = 2 ** k
     probes = list(itertools.product(PROBE_LABELS, repeat=k))
-    settings = qst_settings(k)
-    missing = [(p, s) for p in probes for s in settings if (p, s) not in data]
+    cells = [(p, s) for p in probes for s in qst_settings(k)]
+    missing = [cell for cell in cells if cell not in data]
     if missing:
         preview = ", ".join(f"{'/'.join(p)}|{s}" for p, s in missing[:5])
         raise MissingCellError(f"{len(missing)} missing cells, e.g. {preview}")
 
-    # unprojected per-probe output estimates (see module docstring)
-    outputs = {}
-    for probe in probes:
-        per_setting = {s: data[(probe, s)] for s in settings}
-        outputs[probe] = _linear_inversion(per_setting, k)
-
-    basis = np.zeros((dim * dim, len(probes)), dtype=complex)
-    images = np.zeros((dim * dim, len(probes)), dtype=complex)
-    for idx, probe in enumerate(probes):
-        basis[:, idx] = _probe_density(probe).reshape(-1)
-        images[:, idx] = outputs[probe].reshape(-1)
-    superop = images @ np.linalg.inv(basis)  # row-major vec convention
-
-    xi = np.zeros((dim * dim, dim * dim), dtype=complex)
-    unit = np.zeros((dim, dim), dtype=complex)
-    for m in range(dim):
-        for n in range(dim):
-            unit[:] = 0.0
-            unit[m, n] = 1.0
-            xi[m * dim:(m + 1) * dim, n * dim:(n + 1) * dim] = \
-                (superop @ unit.reshape(-1)).reshape(dim, dim)
+    # unprojected per-probe output estimates (see module docstring), one per column
+    outputs = _estimator(k) @ _frequency_table(data, cells, k).reshape(len(probes), -1).T
+    superop = outputs @ _probe_dual(k)  # row-major vec convention
+    # superop[(p, q), (m, n)] = E(|m><n|)[p, q] -> Choi block (m, n)
+    xi = superop.reshape((dim,) * 4).transpose(2, 0, 3, 1).reshape(dim * dim, dim * dim)
     sigma_raw = xi / dim
     deviation = tp_deviation(sigma_raw)
     return QptReconstruction(project_to_cptp(sigma_raw), deviation)

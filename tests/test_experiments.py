@@ -1,0 +1,102 @@
+"""End-to-end experiment runs, their determinism, and report files."""
+
+import json
+
+import pytest
+
+from ccxlab import cli
+from ccxlab.calibration import builtin_calibration_path
+from ccxlab.errors import SchemaError
+from ccxlab.experiments import (
+    ExperimentConfig,
+    emit_report,
+    load_report,
+    run_qpt_experiment,
+    run_qst_experiment,
+)
+
+BRISBANE = str(builtin_calibration_path("brisbane_median"))
+
+#: fidelities of two repeats, master seed 7, ECR_NATIVE, default shots
+#: (19000 per QST setting, 11000 per QPT setting); state/mode/sampling -> values
+GOLDEN_QST = {
+    "GHZ/NOISE_FREE/sampled": (0.9848198828944409, 0.9871921840449496),
+    "GHZ/NOISE_FREE/exact": (0.9999999999999997, 0.9999999999999997),
+    "GHZ/NOISE_AWARE/sampled": (0.8089356725146196, 0.8089853801169588),
+    "GHZ/NOISE_AWARE/exact": (0.8085363137362074, 0.8085363137362074),
+    "W/NOISE_FREE/sampled": (0.9833773212962614, 0.9841769695737702),
+    "W/NOISE_FREE/exact": (1.0, 1.0),
+    "W/NOISE_AWARE/sampled": (0.7716237816764138, 0.773391812865497),
+    "W/NOISE_AWARE/exact": (0.7729763699351656, 0.7729763699351656),
+    "UNIFORM/NOISE_FREE/sampled": (0.9847013362494266, 0.9847686672264971),
+    "UNIFORM/NOISE_FREE/exact": (0.9999999999999992, 0.9999999999999992),
+    "UNIFORM/NOISE_AWARE/sampled": (0.8464122807017543, 0.847941520467835),
+    "UNIFORM/NOISE_AWARE/exact": (0.8457903290684488, 0.8457903290684488),
+}
+GOLDEN_QPT_NOISE_FREE = {
+    "sampled": (0.9911777860927103, 0.9905486621046893),
+    "exact": (1.0, 1.0),
+}
+
+
+def _config(mode="NOISE_FREE", state="GHZ", exact=False, repeats=2, **kwargs):
+    return ExperimentConfig(mode=mode, input_state=state, master_seed=7, repeats=repeats,
+                            calibration_path=BRISBANE if mode == "NOISE_AWARE" else None,
+                            exact_probabilities=exact, **kwargs)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_QST))
+def test_qst_fidelities_match_golden_values(key):
+    state, mode, sampling = key.split("/")
+    report = run_qst_experiment(_config(mode, state, sampling == "exact"))
+    assert report.fidelities == pytest.approx(GOLDEN_QST[key], abs=1e-12)
+    assert report.num_jobs == 27
+
+
+@pytest.mark.parametrize("sampling", sorted(GOLDEN_QPT_NOISE_FREE))
+def test_qpt_fidelities_match_golden_values(sampling):
+    report = run_qpt_experiment(_config(exact=sampling == "exact", shots_per_setting=11000))
+    assert report.fidelities == pytest.approx(GOLDEN_QPT_NOISE_FREE[sampling], abs=1e-12)
+    assert report.num_jobs == 1728
+    assert report.tp_deviation_raw < 1e-10
+
+
+def test_qst_parallel_workers_match_serial():
+    cfg = _config("NOISE_AWARE", "W")
+    assert run_qst_experiment(cfg, workers=2).fidelities == run_qst_experiment(cfg).fidelities
+
+
+def test_qpt_parallel_workers_match_serial():
+    cfg = _config(shots_per_setting=11000, repeats=1)
+    assert run_qpt_experiment(cfg, workers=2).fidelities == run_qpt_experiment(cfg).fidelities
+
+
+# -- report files -----------------------------------------------------------------
+
+@pytest.fixture
+def report_file(tmp_path):
+    report = run_qst_experiment(_config(exact=True, repeats=1))
+    return emit_report(report, "json", tmp_path / "report.json")
+
+
+def test_report_round_trip(report_file, tmp_path):
+    again = emit_report(load_report(report_file), "json", tmp_path / "again.json")
+    assert again.read_text() == report_file.read_text()
+
+
+@pytest.mark.parametrize("version", [0, 2, "1", None])
+def test_load_report_rejects_unknown_schema_version(report_file, version):
+    payload = json.loads(report_file.read_text())
+    payload["schema_version"] = version
+    report_file.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError, match="schema_version"):
+        load_report(report_file)
+
+
+def test_cli_report_exit_codes(report_file, capsys):
+    assert cli.main(["report", str(report_file)]) == 0
+    payload = json.loads(report_file.read_text())
+    payload["schema_version"] = 2
+    report_file.write_text(json.dumps(payload))
+    assert cli.main(["report", str(report_file)]) == 3
+    assert "schema_version" in capsys.readouterr().err

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ccxlab.circuits import Circuit
-from ccxlab.errors import NonNativeGateError
-from ccxlab.gates import ccx, cnot, ecr, h, rz, sx, x
+from ccxlab import simulator
+from ccxlab.errors import CcxlabError, NonNativeGateError
+from ccxlab.gates import ccx, cnot, ecr, gate_matrix, h, rz, sx, x
 from ccxlab.noise import NoiseModel, QubitCalibration
 from ccxlab.qmath import state_fidelity
 from ccxlab.simulator import (
@@ -67,6 +68,24 @@ def test_non_native_gates_rejected():
             run_statevector(Circuit(3, (gate,)))
     with pytest.raises(NonNativeGateError):
         run_density(Circuit(2, (h(0),)), None)
+
+
+def _scale_gate_matrices(monkeypatch, factor):
+    monkeypatch.setattr(simulator, "gate_matrix", lambda g: factor * gate_matrix(g))
+
+
+def test_statevector_norm_drift_raises_typed_error(monkeypatch):
+    _scale_gate_matrices(monkeypatch, 1.01)
+    with pytest.raises(CcxlabError, match="state norm drifted") as info:
+        run_statevector(Circuit(1, (sx(0),)))
+    assert info.value.exit_code == 4
+
+
+def test_density_trace_drift_raises_typed_error(monkeypatch):
+    _scale_gate_matrices(monkeypatch, 1.01)
+    with pytest.raises(CcxlabError, match="density trace drifted") as info:
+        run_density(Circuit(1, (sx(0),)), None)
+    assert info.value.exit_code == 4
 
 
 def test_density_at_zero_noise_matches_statevector(rng):

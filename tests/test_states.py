@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ccxlab.errors import InvalidLabelError
+from ccxlab import states
+from ccxlab.errors import CcxlabError, InvalidLabelError
 from ccxlab.simulator import run_statevector
 from ccxlab.states import (
     StateKind,
@@ -69,3 +70,9 @@ def test_prepare_state_dispatch():
     assert np.max(np.abs(psi - probe_state(("1", "0", "+")))) < 1e-10
     with pytest.raises(InvalidLabelError):
         prepare_state(StateKind.PROBE)
+
+
+def test_global_phase_fix_rejects_unreached_target():
+    with pytest.raises(CcxlabError, match="does not reach its target") as info:
+        states._fix_global_phase(ghz_circuit(), w_state())
+    assert info.value.exit_code == 4

@@ -15,7 +15,13 @@ from ccxlab.errors import (
     ProjectionNotConvergedError,
 )
 from ccxlab.gates import rz, sx
-from ccxlab.qmath import check_density_matrix, kron_le, state_fidelity
+from ccxlab.qmath import (
+    check_density_matrix,
+    kron_le,
+    pauli_string_matrix,
+    project_to_density,
+    state_fidelity,
+)
 from ccxlab.simulator import exact_counts, measurement_probabilities, run_statevector, sample_counts
 from ccxlab.states import PROBE_LABELS, ghz_circuit, probe_state
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
@@ -42,22 +48,25 @@ from ccxlab.tomography import (
     unitary_to_superop_pauli,
 )
 
-from conftest import random_cptp_kraus, random_state_vector, random_unitary
+from conftest import random_cptp_kraus, random_density_matrix, random_state_vector, random_unitary
 
 
 def _exact_qst_data(state, k):
     return {s: exact_counts(state, s) for s in qst_settings(k)}
 
 
-def _sampled_toffoli_qpt_data(shots):
-    u = toffoli_unitary((0, 1), 2)
+def _sampled_qpt_data(u, k, shots, master_seed):
     data = {}
-    for i, probe in enumerate(itertools.product(PROBE_LABELS, repeat=3)):
+    for i, probe in enumerate(itertools.product(PROBE_LABELS, repeat=k)):
         psi = u @ probe_state(probe)
-        for j, setting in enumerate(qst_settings(3)):
-            data[(probe, setting)] = sample_counts(psi, setting, shots,
-                                                   seed=derive_seed(0, i, j)).outcomes
+        for j, setting in enumerate(qst_settings(k)):
+            data[(probe, setting)] = sample_counts(
+                psi, setting, shots, seed=derive_seed(master_seed, i, j)).outcomes
     return data
+
+
+def _sampled_toffoli_qpt_data(shots):
+    return _sampled_qpt_data(toffoli_unitary((0, 1), 2), 3, shots, master_seed=0)
 
 
 def _raw_choi(data, k, monkeypatch):
@@ -95,6 +104,62 @@ def _exact_qpt_data(u, k):
         for setting in qst_settings(k):
             data[(probe, setting)] = exact_counts(psi, setting)
     return data
+
+
+def _pauli_expectations_oracle(data, k):
+    """Reference estimator: every <P> over {I,X,Y,Z}^k, one Pauli string at a
+    time, averaging the parity of P's support over the settings covering P."""
+    freqs = {}
+    for s in qst_settings(k):
+        total = sum(data[s].values())
+        freqs[s] = np.zeros(2 ** k)
+        for bits, c in data[s].items():
+            freqs[s][int(bits, 2)] = c / total
+    expectations = {}
+    for letters in itertools.product("IXYZ", repeat=k):
+        pstr = "".join(letters)
+        support = [q for q in range(k) if pstr[q] != "I"]
+        if not support:
+            expectations[pstr] = 1.0
+            continue
+        idx = np.arange(2 ** k)
+        par = np.zeros(2 ** k, dtype=int)
+        for q in support:
+            par ^= (idx >> q) & 1
+        signs = 1 - 2 * par
+        covers = [s for s in freqs if all(s[q] == pstr[q] for q in support)]
+        expectations[pstr] = float(np.mean([signs @ freqs[s] for s in covers]))
+    return expectations
+
+
+def _linear_inversion_oracle(data, k):
+    rho = np.zeros((2 ** k, 2 ** k), dtype=complex)
+    for pstr, e in _pauli_expectations_oracle(data, k).items():
+        rho += e * pauli_string_matrix(pstr)
+    return rho / 2 ** k
+
+
+def _qpt_oracle(data, k):
+    """Reference QPT: per-probe linear inversion, probe-basis solve and a
+    block-by-block Choi assembly; returns (raw TP deviation, projected Choi)."""
+    dim = 2 ** k
+    probes = list(itertools.product(PROBE_LABELS, repeat=k))
+    basis = np.zeros((dim * dim, len(probes)), dtype=complex)
+    images = np.zeros((dim * dim, len(probes)), dtype=complex)
+    for idx, probe in enumerate(probes):
+        ket = probe_state(probe)
+        basis[:, idx] = np.outer(ket, ket.conj()).reshape(-1)
+        per_setting = {s: data[(probe, s)] for s in qst_settings(k)}
+        images[:, idx] = _linear_inversion_oracle(per_setting, k).reshape(-1)
+    superop = images @ np.linalg.inv(basis)
+    xi = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for m in range(dim):
+        for n in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[m, n] = 1.0
+            xi[m * dim:(m + 1) * dim, n * dim:(n + 1) * dim] = \
+                (superop @ unit.reshape(-1)).reshape(dim, dim)
+    return tp_deviation(xi / dim), project_to_cptp(xi / dim)
 
 
 # -- settings and rotations -------------------------------------------------------
@@ -185,6 +250,15 @@ def test_qst_missing_setting_listed():
     del data["Y"]
     with pytest.raises(MissingSettingError, match="Y"):
         qst_reconstruct(data, 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_qst_reconstruct_matches_per_pauli_oracle(rng, k):
+    rho = random_density_matrix(2 ** k, rng)
+    data = {s: sample_counts(rho, s, 200, seed=j).outcomes
+            for j, s in enumerate(qst_settings(k))}
+    expected = project_to_density(_linear_inversion_oracle(data, k))
+    assert np.max(np.abs(qst_reconstruct(data, k) - expected)) < 1e-12
 
 
 # -- process tomography -------------------------------------------------------------
@@ -286,6 +360,23 @@ def test_qpt_sampled_output_is_physical():
     sigma = qpt_reconstruct(data, 3)
     check_density_matrix(sigma, eig_tol=1e-6, trace_tol=1e-8)
     assert tp_deviation(sigma) < 1e-6
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_qpt_reconstruct_matches_per_pauli_oracle(rng, k):
+    data = _sampled_qpt_data(random_unitary(2 ** k, rng), k, 300, master_seed=k)
+    recon = qpt_reconstruct_full(data, k)
+    deviation, choi = _qpt_oracle(data, k)
+    assert np.max(np.abs(recon.choi - choi)) < 1e-12
+    assert abs(recon.tp_deviation_raw - deviation) < 1e-12
+
+
+def test_qpt_reconstruct_matches_per_pauli_oracle_on_sampled_toffoli():
+    data = _sampled_toffoli_qpt_data(1000)
+    recon = qpt_reconstruct_full(data, 3)
+    deviation, choi = _qpt_oracle(data, 3)
+    assert np.max(np.abs(recon.choi - choi)) < 1e-12
+    assert abs(recon.tp_deviation_raw - deviation) < 1e-12
 
 
 def test_qpt_missing_cell():
