@@ -79,7 +79,6 @@ def _add_experiment_flags(p: argparse.ArgumentParser, default_shots: int) -> Non
                    help="bypass sampling; feed exact outcome distributions")
     p.add_argument("--no-readout-error", action="store_true",
                    help="disable readout confusion in noise-aware runs")
-    p.add_argument("--workers", type=int, default=0, help="parallel worker processes")
     p.add_argument("--out", help="output file (default: print JSON)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
 
@@ -134,7 +133,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_qst(args) -> int:
     cfg = _experiment_config(args, default_shots=19000)
-    report = run_qst_experiment(cfg, workers=args.workers)
+    report = run_qst_experiment(cfg)
     _write_or_print(report, args)
     return 0
 
@@ -144,7 +143,7 @@ def _cmd_qpt(args) -> int:
         raise UsageError("full process tomography runs 12^3 = 1728 circuits per repeat; "
                          "pass --accept-job-budget to confirm")
     cfg = _experiment_config(args, default_shots=11000)
-    report = run_qpt_experiment(cfg, workers=args.workers)
+    report = run_qpt_experiment(cfg)
     _write_or_print(report, args)
     return 0
 

@@ -7,16 +7,16 @@ seeded finite-shot counts, reconstructs, and scores against the analytic
 reference.
 
 Determinism: every sampled count depends only on (master_seed, repeat index,
-job index) through a stable seed derivation, so serial and parallel
-execution produce bit-identical fidelity lists.
+job index) through a stable seed derivation, so a run's fidelity list does
+not depend on the order in which its circuits execute. Runs are serial.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -31,12 +31,13 @@ from .errors import IoError, SchemaError, UsageError
 from .noise import NoiseModel, scale_noise_model
 from .qmath import state_fidelity
 from .simulator import (
-    apply_circuit_density,
-    apply_measurement_relaxation,
+    distribution_counts,
     exact_counts,
     run_density,
     run_statevector,
     sample_counts,
+    sample_distribution,
+    setting_distributions,
 )
 from .states import StateKind, prepare_state, target_state
 from .synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
@@ -178,44 +179,33 @@ def _setting_counts(circuit: Circuit, nm: Optional[NoiseModel], shots: int,
     ``seeds`` holds one sampling seed per setting in ``qst_settings`` order;
     ``exact`` returns the outcome distributions instead of sampled counts.
     Noise-free runs rotate the exact state vector into each setting's basis;
-    noise-aware runs apply the native rotation circuit and readout relaxation
-    under ``nm``, then read Z with the readout confusion.
+    noise-aware runs evolve the density matrix under ``nm`` and read every
+    setting's distribution (noisy rotation circuit, readout relaxation,
+    readout confusion) off one compiled map.
     """
     settings = qst_settings(3)
-    readout = nm.readout_confusions() if (nm is not None and apply_readout) else None
     if nm is None:
         psi = run_statevector(circuit)
-        measured = [(psi, setting) for setting in settings]
-    else:
-        rho = run_density(circuit, nm)
-        measured = [(apply_measurement_relaxation(
-            apply_circuit_density(rho, measurement_rotation(setting), nm), nm), "ZZZ")
-            for setting in settings]
+        if exact:
+            return {setting: exact_counts(psi, setting) for setting in settings}
+        return {setting: sample_counts(psi, setting, shots, seed).outcomes
+                for setting, seed in zip(settings, seeds)}
+    probs = setting_distributions(run_density(circuit, nm), _rotations(), nm, apply_readout)
     if exact:
-        return {setting: exact_counts(state, basis, readout)
-                for setting, (state, basis) in zip(settings, measured)}
-    return {setting: sample_counts(state, basis, shots, seed, readout).outcomes
-            for setting, (state, basis), seed in zip(settings, measured, seeds)}
+        return {setting: distribution_counts(p) for setting, p in zip(settings, probs)}
+    return {setting: sample_distribution(p, shots, seed).outcomes
+            for setting, p, seed in zip(settings, probs, seeds)}
 
 
-def _run_tasks(fn, tasks: list, workers: int) -> list:
-    """``fn`` over ``tasks`` in order, in ``workers`` processes when more than one."""
-    if workers and workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return list(map(fn, tasks))
+@functools.lru_cache(maxsize=None)
+def _rotations() -> Tuple[Circuit, ...]:
+    """The native measurement circuit of every 3-qubit setting, in ``qst_settings`` order."""
+    return tuple(measurement_rotation(setting) for setting in qst_settings(3))
 
 
 # -- QST -------------------------------------------------------------------------
 
-def _qst_repeat(args) -> float:
-    (repeat, circuit, nm, shots, master_seed, exact, apply_readout, rho_ref) = args
-    seeds = [derive_seed(master_seed, repeat, j) for j in range(len(qst_settings(3)))]
-    data = _setting_counts(circuit, nm, shots, seeds, exact, apply_readout)
-    return state_fidelity(qst_reconstruct(data, 3), rho_ref)
-
-
-def run_qst_experiment(cfg: ExperimentConfig, workers: int = 0) -> Report:
+def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     """State tomography of the Toffoli output for the configured input state."""
     start = time.perf_counter()
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
@@ -226,30 +216,28 @@ def run_qst_experiment(cfg: ExperimentConfig, workers: int = 0) -> Report:
     psi_ref = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET) @ target_state(cfg.input_state)
     rho_ref = np.outer(psi_ref, psi_ref.conj())
 
-    tasks = [(r, circuit, nm, cfg.shots_per_setting, cfg.master_seed,
-              cfg.exact_probabilities, cfg.apply_readout, rho_ref)
-             for r in range(cfg.repeats)]
-    fidelities = _run_tasks(_qst_repeat, tasks, workers)
+    num_settings = len(qst_settings(3))
+    fidelities = []
+    for repeat in range(cfg.repeats):
+        seeds = [derive_seed(cfg.master_seed, repeat, j) for j in range(num_settings)]
+        data = _setting_counts(circuit, nm, cfg.shots_per_setting, seeds,
+                               cfg.exact_probabilities, cfg.apply_readout)
+        fidelities.append(state_fidelity(qst_reconstruct(data, 3), rho_ref))
 
     wall = time.perf_counter() - start
     return _make_report("qst", fidelities, cfg, _gate_count_summary(toffoli, circuit),
-                        num_jobs=len(qst_settings(3)), wall=wall)
+                        num_jobs=num_settings, wall=wall)
 
 
 # -- QPT -------------------------------------------------------------------------
 
-def _qpt_probe(args) -> Dict[str, Dict[str, float]]:
-    (probe, gate_circuit, nm, shots, seeds, exact, apply_readout) = args
-    circuit = prepare_state(StateKind.PROBE, probe=probe).concat(gate_circuit)
-    return _setting_counts(circuit, nm, shots, seeds, exact, apply_readout)
-
-
-def run_qpt_experiment(cfg: ExperimentConfig, workers: int = 0) -> Report:
+def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     """Process tomography of the configured Toffoli realization (k=3, 1728 jobs)."""
     start = time.perf_counter()
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
     nm = cfg.noise_model(3)
     target_choi = choi_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET))
+    per_probe = len(qst_settings(3))  # jobs are probe-major, settings in order
 
     fidelities: List[float] = []
     agf: List[float] = []
@@ -258,14 +246,15 @@ def run_qpt_experiment(cfg: ExperimentConfig, workers: int = 0) -> Report:
     for repeat in range(cfg.repeats):
         jobs = qpt_jobs(toffoli, 3, cfg.shots_per_setting, derive_seed(cfg.master_seed, repeat))
         num_jobs = len(jobs)
-        per_probe = len(qst_settings(3))  # jobs are probe-major, settings in order
-        groups = [jobs[i:i + per_probe] for i in range(0, num_jobs, per_probe)]
-        tasks = [(group[0].probe, toffoli, nm, cfg.shots_per_setting,
-                  [job.seed for job in group], cfg.exact_probabilities, cfg.apply_readout)
-                 for group in groups]
-        data = {(task[0], setting): counts
-                for task, per_setting in zip(tasks, _run_tasks(_qpt_probe, tasks, workers))
-                for setting, counts in per_setting.items()}
+        data = {}
+        for i in range(0, num_jobs, per_probe):
+            group = jobs[i:i + per_probe]
+            probe = group[0].probe
+            circuit = prepare_state(StateKind.PROBE, probe=probe).concat(toffoli)
+            counts = _setting_counts(circuit, nm, cfg.shots_per_setting,
+                                     [job.seed for job in group], cfg.exact_probabilities,
+                                     cfg.apply_readout)
+            data.update(((probe, setting), c) for setting, c in counts.items())
         recon = qpt_reconstruct_full(data, 3)
         f_pro = process_fidelity(recon.choi, target_choi)
         fidelities.append(f_pro)

@@ -5,14 +5,23 @@ simulator applies the ideal unitary, then a depolarizing channel sized by the
 gate's average error rate on the gate's own qubits, then thermal relaxation
 on each participating qubit for the gate's duration. RZ is a virtual frame
 update and acquires no noise. Idle qubits do not relax (no scheduling model).
+Before a measurement every qubit relaxes for its readout length, and the
+readout confusion then acts on the outcome distribution.
+
+The simulator compiles that sequence into one superoperator per distinct
+gate (see :mod:`ccxlab.simulator`) and keeps it in the model's own cache,
+``NoiseModel.compiled``. The channel builders below therefore run once per
+distinct (gate, wires, parameters) of a model, not once per application; the
+placement order is unchanged. A model built from other numbers, such as a
+``scale_noise_model`` result, starts with an empty cache.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, Mapping, Tuple, TypeVar
 
 import numpy as np
 
@@ -27,6 +36,8 @@ from .qmath import I2, PAULI_1Q, dagger, kron_le
 
 #: fallback durations (ns) when a calibration file does not provide them
 DEFAULT_GATE_DURATIONS_NS = {"ECR": 533.0, "SX": 57.0, "X": 57.0, "RZ": 0.0, "ID": 0.0}
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -132,6 +143,9 @@ class NoiseModel:
     gate_error: Mapping[str, float] = field(default_factory=dict)
     gate_duration: Mapping[str, float] = field(default_factory=dict)
     rz_is_virtual: bool = True
+    #: what the simulator compiled from this model, filled on first use
+    _compiled: Dict[Hashable, object] = field(default_factory=dict, init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gate_error", dict(self.gate_error))
@@ -167,6 +181,16 @@ class NoiseModel:
         if name in self.gate_duration:
             return float(self.gate_duration[name])
         return DEFAULT_GATE_DURATIONS_NS.get(name, 0.0)
+
+    def compiled(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """``build()`` the first time ``key`` is asked for; the stored result after that.
+
+        The cache lives and dies with this instance, so it never outlives the
+        numbers it was compiled from.
+        """
+        if key not in self._compiled:
+            self._compiled[key] = build()
+        return self._compiled[key]
 
     def readout_confusions(self) -> Tuple[Tuple[float, float], ...]:
         """(P(1|0), P(0|1)) per qubit, feeding the confusion matrices."""

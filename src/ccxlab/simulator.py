@@ -6,6 +6,22 @@ arbitrary catalog gates for oracle math). Measurement sampling is seeded and
 deterministic: identical (state, setting, shots, seed, readout) always gives
 the identical counts.
 
+Density matrices evolve as row-major vec(rho), vec(rho)[i * d + j] =
+rho[i, j], under superoperators in the convention of Wood, Biamonte & Cory
+(arXiv:1111.6950): vec(A rho B) = (A (x) B^T) vec(rho), so a Kraus sum is
+sum_k K_k (x) conj(K_k). Each noisy gate compiles to one superoperator: the
+ideal unitary, then depolarizing noise on the gate's qubits, then thermal
+relaxation on each of its qubits, the placement order documented in
+:mod:`ccxlab.noise`. The compiled superoperator is cached on the
+``NoiseModel`` instance, keyed by (gate, register size), so each channel
+builder runs once per distinct gate of a model. On registers of up to
+``DENSE_SUPEROP_MAX_QUBITS`` qubits it is the dense 4^n x 4^n matrix and a
+gate is one matrix-vector product; larger registers keep the 4^k x 4^k
+superoperator on the gate's own k wires and contract it into vec(rho), so
+memory stays O(4^n). ``setting_distributions`` compiles measurement the same
+way: per setting, readout confusion . diagonal . readout relaxation . the
+noisy rotation circuit, stacked into one (settings x 2^n, 4^n) map.
+
 Bitstring convention for counts: the leftmost character is the highest qubit
 index (basis index rendered MSB-first), matching little-endian state order.
 """
@@ -13,15 +29,15 @@ index (basis index rendered MSB-first), matching little-endian state order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .circuits import Circuit, _apply_local
 from .errors import CcxlabError, InvalidPauliStringError, NonNativeGateError
 from .gates import MAT_H, MAT_S, NATIVE_GATES, Gate, GateDef, gate_matrix
-from .noise import KrausChannel, NoiseModel, depolarizing_channel, thermal_relaxation_channel
-from .qmath import I2, dagger
+from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
+from .qmath import I2, dagger, kron_le
 
 #: exact measurement-basis rotations (Z-diagonalizing frame per letter)
 _BASIS_ROT = {
@@ -29,6 +45,11 @@ _BASIS_ROT = {
     "X": MAT_H,
     "Y": MAT_H @ dagger(MAT_S),
 }
+
+#: registers up to this size apply each compiled gate as a dense 4^n x 4^n
+#: superoperator (64 x 64 at three qubits); larger ones contract the gate's
+#: local superoperator into vec(rho) on its own wires
+DENSE_SUPEROP_MAX_QUBITS = 3
 
 
 def _check_native(c: Circuit) -> None:
@@ -57,20 +78,79 @@ def run_statevector(c: Circuit) -> np.ndarray:
     return psi
 
 
-def _apply_unitary_density(rho: np.ndarray, local: np.ndarray, wires, n: int) -> np.ndarray:
-    tensor = rho.reshape([2] * (2 * n))
-    tensor = _apply_local(tensor, local, wires, n)             # left factor
-    tensor = np.moveaxis(tensor, range(n), range(n, 2 * n))    # transpose to act on bras
-    tensor = _apply_local(tensor, local.conj(), wires, n)
-    tensor = np.moveaxis(tensor, range(n), range(n, 2 * n))
-    return tensor.reshape(rho.shape)
+# -- superoperators ------------------------------------------------------------
+
+def _kraus_superop(operators: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-major superoperator of a Kraus sum: sum_k K_k (x) conj(K_k)."""
+    return sum(np.kron(k, k.conj()) for k in operators)
 
 
-def _apply_kraus_density(rho: np.ndarray, channel: KrausChannel, wires, n: int) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for k in channel.operators:
-        out = out + _apply_unitary_density(rho, k, wires, n)
-    return out
+def _vec_wires(wires: Sequence[int], n: int) -> list:
+    """The wires of vec(rho), read as a 2n-qubit vector, that a map on ``wires`` acts on.
+
+    Row-major vec puts the column index in the low n bits and the row index in
+    the high n bits, so a local superoperator indexed (row, column) acts on
+    the column wires and, n above them, the row wires.
+    """
+    return list(wires) + [n + q for q in wires]
+
+
+def _embed(local: np.ndarray, wires: Sequence[int], n: int) -> np.ndarray:
+    """``local`` on the sorted ``wires`` as a full 2^n x 2^n matrix."""
+    dim = 2 ** n
+    eye = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
+    return _apply_local(eye, local, wires, n).reshape(dim, dim)
+
+
+def _compile(superop: np.ndarray, wires: Sequence[int], n: int) -> Tuple[np.ndarray, tuple]:
+    """A local superoperator ready to apply on an n-qubit register, as (matrix, wires).
+
+    Up to ``DENSE_SUPEROP_MAX_QUBITS`` it is embedded into the whole register.
+    """
+    if n <= DENSE_SUPEROP_MAX_QUBITS:
+        superop, wires = _embed(superop, _vec_wires(wires, n), 2 * n), range(n)
+    superop.setflags(write=False)
+    return superop, tuple(wires)
+
+
+def _apply_superop(vecs: np.ndarray, compiled: Tuple[np.ndarray, tuple], n: int) -> np.ndarray:
+    """Apply a compiled superoperator to vec(rho); trailing axes of ``vecs`` are a batch."""
+    superop, wires = compiled
+    if len(wires) == n:
+        return superop @ vecs
+    tensor = vecs.reshape([2] * (2 * n) + list(vecs.shape[1:]))
+    return _apply_local(tensor, superop, _vec_wires(wires, n), 2 * n).reshape(vecs.shape)
+
+
+def _relaxation_superop(duration_ns: float, qubit: int, nm: NoiseModel) -> np.ndarray:
+    cal = nm.calibration(qubit)
+    return _kraus_superop(
+        thermal_relaxation_channel(duration_ns, cal.t1_us, cal.t2_us).operators)
+
+
+def _gate_superop(g: GateDef, nm: Optional[NoiseModel]) -> np.ndarray:
+    """Superoperator of one gate on its sorted wires: unitary, depolarizing, thermal relaxation."""
+    wires = sorted(g.qubits)
+    k = len(wires)
+    superop = _kraus_superop([gate_matrix(g)])
+    if nm is None or (g.name is Gate.RZ and nm.rz_is_virtual):
+        return superop
+    err = nm.error_for(g.name)
+    if err > 0.0:
+        superop = _kraus_superop(depolarizing_channel(err, 2 ** k).operators) @ superop
+    duration = nm.duration_for(g.name)
+    if duration > 0.0:
+        for q in g.qubits:
+            relax = _relaxation_superop(duration, q, nm)
+            superop = _embed(relax, _vec_wires([wires.index(q)], k), 2 * k) @ superop
+    return superop
+
+
+def _compiled_gate(g: GateDef, nm: Optional[NoiseModel], n: int) -> Tuple[np.ndarray, tuple]:
+    def build():
+        return _compile(_gate_superop(g, nm), sorted(g.qubits), n)
+
+    return build() if nm is None else nm.compiled(("gate", g, n), build)
 
 
 def apply_circuit_density(rho: np.ndarray, c: Circuit, nm: Optional[NoiseModel]) -> np.ndarray:
@@ -78,26 +158,16 @@ def apply_circuit_density(rho: np.ndarray, c: Circuit, nm: Optional[NoiseModel])
 
     Per gate: ideal unitary, then depolarizing noise on the gate's qubits,
     then thermal relaxation on each participating qubit for the gate's
-    duration. ``nm=None`` runs noiselessly.
+    duration, applied as the gate's compiled superoperator (cached on ``nm``).
+    ``nm=None`` runs noiselessly.
     """
     _check_native(c)
     n = c.num_qubits
+    rho = np.asarray(rho, dtype=complex)
+    vec = rho.reshape(-1)
     for g in c.gates:
-        wires = sorted(g.qubits)
-        rho = _apply_unitary_density(rho, gate_matrix(g), wires, n)
-        if nm is None or (g.name is Gate.RZ and nm.rz_is_virtual):
-            continue
-        err = nm.error_for(g.name)
-        if err > 0.0:
-            channel = depolarizing_channel(err, 2 ** len(wires))
-            rho = _apply_kraus_density(rho, channel, wires, n)
-        duration = nm.duration_for(g.name)
-        if duration > 0.0:
-            for q in g.qubits:
-                cal = nm.calibration(q)
-                channel = thermal_relaxation_channel(duration, cal.t1_us, cal.t2_us)
-                rho = _apply_kraus_density(rho, channel, [q], n)
-    return rho
+        vec = _apply_superop(vec, _compiled_gate(g, nm, n), n)
+    return vec.reshape(rho.shape)
 
 
 def run_density(c: Circuit, nm: Optional[NoiseModel]) -> np.ndarray:
@@ -110,15 +180,52 @@ def run_density(c: Circuit, nm: Optional[NoiseModel]) -> np.ndarray:
     return (rho + dagger(rho)) / 2
 
 
-def apply_measurement_relaxation(rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
-    """Thermal relaxation during readout (per-qubit readout_length)."""
-    n = int(np.log2(rho.shape[0]))
-    for q in range(n):
-        cal = nm.calibration(q)
-        if cal.readout_length_ns > 0:
-            channel = thermal_relaxation_channel(cal.readout_length_ns, cal.t1_us, cal.t2_us)
-            rho = _apply_kraus_density(rho, channel, [q], n)
-    return rho
+def _readout_map(rotations: Sequence[Circuit], nm: NoiseModel,
+                 apply_readout: bool) -> np.ndarray:
+    """Stacked rows readout confusion . diagonal . readout relaxation . rotation, per setting.
+
+    Built transposed: the columns of each block's transpose evolve under the
+    transposed superoperators, last map first, so every step is a product
+    with a (4^n, 2^n) matrix.
+    """
+    n = rotations[0].num_qubits
+    dim = 2 ** n
+    diagonal = np.zeros((dim * dim, dim), dtype=complex)
+    diagonal[np.arange(dim) * (dim + 1), np.arange(dim)] = 1.0
+    for q in reversed(range(n)):
+        length = nm.calibration(q).readout_length_ns
+        if length > 0:
+            superop, wires = _compile(_relaxation_superop(length, q, nm), [q], n)
+            diagonal = _apply_superop(diagonal, (superop.T, wires), n)
+    confusion = _confusion_matrix(nm.readout_confusions(), n) if apply_readout else np.eye(dim)
+    blocks = []
+    for rotation in rotations:
+        block = diagonal
+        for g in reversed(rotation.gates):
+            superop, wires = _compiled_gate(g, nm, n)
+            block = _apply_superop(block, (superop.T, wires), n)
+        blocks.append(confusion @ block.T)
+    table = np.concatenate(blocks)
+    table.setflags(write=False)
+    return table
+
+
+def setting_distributions(rho: np.ndarray, rotations: Sequence[Circuit], nm: NoiseModel,
+                          apply_readout: bool) -> np.ndarray:
+    """Outcome distributions of every measurement setting, shape (len(rotations), 2^n).
+
+    Setting s applies the native circuit ``rotations[s]`` under ``nm``, thermal
+    relaxation of every qubit for its readout length, and a Z measurement,
+    with the readout confusion when ``apply_readout``. The stacked map from
+    vec(rho) to all distributions is compiled once per model, rotations and
+    readout flag; each distribution is clipped at 0 and normalized.
+    """
+    rotations = tuple(rotations)
+    table = nm.compiled(("readout", rotations, apply_readout),
+                        lambda: _readout_map(rotations, nm, apply_readout))
+    rho = np.asarray(rho, dtype=complex)
+    probs = np.clip(np.real(table @ rho.reshape(-1)).reshape(len(rotations), -1), 0.0, None)
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 # -- measurement ----------------------------------------------------------------
@@ -167,12 +274,12 @@ def measurement_probabilities(state: np.ndarray, setting: str,
     n = int(np.log2(dim))
     _validate_setting(setting, n)
     if is_density:
-        rho = state
+        vec = state.reshape(-1)
         for q in range(n):
             rot = _BASIS_ROT[setting[q]]
             if rot is not I2:
-                rho = _apply_unitary_density(rho, rot, [q], n)
-        probs = np.real(np.diag(rho)).copy()
+                vec = _apply_superop(vec, (_kraus_superop([rot]), (q,)), n)
+        probs = np.real(vec[::dim + 1]).copy()
     else:
         tensor = state.reshape([2] * n)
         for q in range(n):
@@ -187,6 +294,12 @@ def measurement_probabilities(state: np.ndarray, setting: str,
     return probs
 
 
+def _confusion_matrix(confusions: Sequence[Tuple[float, float]], n: int) -> np.ndarray:
+    """Column-stochastic 2^n x 2^n readout confusion; qubits past ``confusions`` read perfectly."""
+    return kron_le([np.array([[1 - p10, p01], [p10, 1 - p01]]) for p10, p01 in confusions[:n]]
+                   + [np.eye(2)] * (n - len(confusions[:n])))
+
+
 def apply_readout_confusion(probs: np.ndarray,
                             confusions: Sequence[Tuple[float, float]]) -> np.ndarray:
     """Mix the distribution with per-qubit confusion matrices.
@@ -194,34 +307,33 @@ def apply_readout_confusion(probs: np.ndarray,
     Each entry is (P(1|0), P(0|1)); columns index the true state.
     """
     n = int(np.log2(len(probs)))
-    tensor = np.asarray(probs, dtype=float).reshape([2] * n)
-    for q, (p10, p01) in enumerate(confusions[:n]):
-        if p10 == 0.0 and p01 == 0.0:
-            continue
-        conf = np.array([[1 - p10, p01], [p10, 1 - p01]])
-        axis = n - 1 - q
-        tensor = np.tensordot(conf, tensor, axes=([1], [axis]))
-        tensor = np.moveaxis(tensor, 0, axis)
-    out = tensor.reshape(-1)
+    out = np.real(_confusion_matrix(confusions, n) @ np.asarray(probs, dtype=float))
     return out / out.sum()
+
+
+def sample_distribution(probs: np.ndarray, shots: int, seed: int) -> CountsMap:
+    """Seeded multinomial counts of ``shots`` draws from a distribution over bitstrings."""
+    if shots <= 0:
+        raise ValueError("shots must be positive")
+    n = int(np.log2(len(probs)))
+    draws = np.random.default_rng(seed).multinomial(shots, probs)
+    return CountsMap({index_to_bitstring(i, n): int(c) for i, c in enumerate(draws) if c > 0},
+                     shots)
+
+
+def distribution_counts(probs: np.ndarray) -> Dict[str, float]:
+    """Sampling-free 'counts': the nonzero probabilities of a distribution by bitstring."""
+    n = int(np.log2(len(probs)))
+    return {index_to_bitstring(i, n): float(p) for i, p in enumerate(probs) if p > 0}
 
 
 def sample_counts(state: np.ndarray, setting: str, shots: int, seed: int,
                   readout: Optional[Sequence[Tuple[float, float]]] = None) -> CountsMap:
     """Draw seeded i.i.d. measurement outcomes in the requested Pauli basis."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    probs = measurement_probabilities(state, setting, readout)
-    n = int(np.log2(len(probs)))
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    outcomes = {index_to_bitstring(i, n): int(c) for i, c in enumerate(draws) if c > 0}
-    return CountsMap(outcomes, shots)
+    return sample_distribution(measurement_probabilities(state, setting, readout), shots, seed)
 
 
 def exact_counts(state: np.ndarray, setting: str,
                  readout: Optional[Sequence[Tuple[float, float]]] = None) -> Dict[str, float]:
     """Sampling-free 'counts': the exact outcome distribution as frequencies."""
-    probs = measurement_probabilities(state, setting, readout)
-    n = int(np.log2(len(probs)))
-    return {index_to_bitstring(i, n): float(p) for i, p in enumerate(probs) if p > 0}
+    return distribution_counts(measurement_probabilities(state, setting, readout))

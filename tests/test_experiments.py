@@ -37,6 +37,11 @@ GOLDEN_QPT_NOISE_FREE = {
     "sampled": (0.9911777860927103, 0.9905486621046893),
     "exact": (1.0, 1.0),
 }
+#: the same under NOISE_AWARE with builtin:brisbane_median and readout confusion on
+GOLDEN_QPT_NOISE_AWARE = {
+    "sampled": (0.7980440698488499, 0.7970873520731603),
+    "exact": (0.7999530056455366, 0.7999530056455366),
+}
 
 
 def _config(mode="NOISE_FREE", state="GHZ", exact=False, repeats=2, **kwargs):
@@ -61,14 +66,13 @@ def test_qpt_fidelities_match_golden_values(sampling):
     assert report.tp_deviation_raw < 1e-10
 
 
-def test_qst_parallel_workers_match_serial():
-    cfg = _config("NOISE_AWARE", "W")
-    assert run_qst_experiment(cfg, workers=2).fidelities == run_qst_experiment(cfg).fidelities
-
-
-def test_qpt_parallel_workers_match_serial():
-    cfg = _config(shots_per_setting=11000, repeats=1)
-    assert run_qpt_experiment(cfg, workers=2).fidelities == run_qpt_experiment(cfg).fidelities
+@pytest.mark.parametrize("sampling", sorted(GOLDEN_QPT_NOISE_AWARE))
+def test_noise_aware_qpt_fidelities_match_golden_values(sampling):
+    report = run_qpt_experiment(_config("NOISE_AWARE", exact=sampling == "exact",
+                                        shots_per_setting=11000))
+    assert report.fidelities == pytest.approx(GOLDEN_QPT_NOISE_AWARE[sampling], abs=1e-12)
+    assert report.num_jobs == 1728
+    assert report.tp_deviation_raw < 1e-10
 
 
 # -- report files -----------------------------------------------------------------
