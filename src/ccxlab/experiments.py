@@ -14,7 +14,6 @@ not depend on the order in which its circuits execute. Runs are serial.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import time
 from dataclasses import asdict, dataclass
@@ -33,6 +32,7 @@ from .qmath import state_fidelity
 from .simulator import (
     distribution_counts,
     exact_counts,
+    readout_map,
     run_density,
     run_statevector,
     sample_counts,
@@ -171,9 +171,17 @@ def _gate_count_summary(toffoli: Circuit, full: Circuit) -> Dict[str, int]:
 
 # -- measurement ---------------------------------------------------------------
 
-def _setting_counts(circuit: Circuit, nm: Optional[NoiseModel], shots: int,
-                    seeds: Sequence[int], exact: bool,
-                    apply_readout: bool) -> Dict[str, Dict[str, float]]:
+def _readout_map(nm: Optional[NoiseModel], apply_readout: bool) -> Optional[np.ndarray]:
+    """The stacked noise-aware measurement map of every 3-qubit setting; None without noise."""
+    if nm is None:
+        return None
+    return readout_map([measurement_rotation(setting) for setting in qst_settings(3)], nm,
+                       apply_readout)
+
+
+def _setting_counts(circuit: Circuit, nm: Optional[NoiseModel], readout: Optional[np.ndarray],
+                    shots: int, seeds: Sequence[int],
+                    exact: bool) -> Dict[str, Dict[str, float]]:
     """Counts of every 3-qubit setting measured after ``circuit``.
 
     ``seeds`` holds one sampling seed per setting in ``qst_settings`` order;
@@ -181,7 +189,7 @@ def _setting_counts(circuit: Circuit, nm: Optional[NoiseModel], shots: int,
     Noise-free runs rotate the exact state vector into each setting's basis;
     noise-aware runs evolve the density matrix under ``nm`` and read every
     setting's distribution (noisy rotation circuit, readout relaxation,
-    readout confusion) off one compiled map.
+    readout confusion) off ``readout``, the run's ``_readout_map``.
     """
     settings = qst_settings(3)
     if nm is None:
@@ -190,17 +198,11 @@ def _setting_counts(circuit: Circuit, nm: Optional[NoiseModel], shots: int,
             return {setting: exact_counts(psi, setting) for setting in settings}
         return {setting: sample_counts(psi, setting, shots, seed).outcomes
                 for setting, seed in zip(settings, seeds)}
-    probs = setting_distributions(run_density(circuit, nm), _rotations(), nm, apply_readout)
+    probs = setting_distributions(run_density(circuit, nm), readout)
     if exact:
         return {setting: distribution_counts(p) for setting, p in zip(settings, probs)}
     return {setting: sample_distribution(p, shots, seed).outcomes
             for setting, p, seed in zip(settings, probs, seeds)}
-
-
-@functools.lru_cache(maxsize=None)
-def _rotations() -> Tuple[Circuit, ...]:
-    """The native measurement circuit of every 3-qubit setting, in ``qst_settings`` order."""
-    return tuple(measurement_rotation(setting) for setting in qst_settings(3))
 
 
 # -- QST -------------------------------------------------------------------------
@@ -212,6 +214,7 @@ def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     prep = prepare_state(cfg.input_state)
     circuit = prep.concat(toffoli)
     nm = cfg.noise_model(3)
+    readout = _readout_map(nm, cfg.apply_readout)
 
     psi_ref = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET) @ target_state(cfg.input_state)
     rho_ref = np.outer(psi_ref, psi_ref.conj())
@@ -220,8 +223,8 @@ def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     fidelities = []
     for repeat in range(cfg.repeats):
         seeds = [derive_seed(cfg.master_seed, repeat, j) for j in range(num_settings)]
-        data = _setting_counts(circuit, nm, cfg.shots_per_setting, seeds,
-                               cfg.exact_probabilities, cfg.apply_readout)
+        data = _setting_counts(circuit, nm, readout, cfg.shots_per_setting, seeds,
+                               cfg.exact_probabilities)
         fidelities.append(state_fidelity(qst_reconstruct(data, 3), rho_ref))
 
     wall = time.perf_counter() - start
@@ -236,6 +239,7 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     start = time.perf_counter()
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
     nm = cfg.noise_model(3)
+    readout = _readout_map(nm, cfg.apply_readout)
     target_choi = choi_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET))
     per_probe = len(qst_settings(3))  # jobs are probe-major, settings in order
 
@@ -251,9 +255,8 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
             group = jobs[i:i + per_probe]
             probe = group[0].probe
             circuit = prepare_state(StateKind.PROBE, probe=probe).concat(toffoli)
-            counts = _setting_counts(circuit, nm, cfg.shots_per_setting,
-                                     [job.seed for job in group], cfg.exact_probabilities,
-                                     cfg.apply_readout)
+            counts = _setting_counts(circuit, nm, readout, cfg.shots_per_setting,
+                                     [job.seed for job in group], cfg.exact_probabilities)
             data.update(((probe, setting), c) for setting, c in counts.items())
         recon = qpt_reconstruct_full(data, 3)
         f_pro = process_fidelity(recon.choi, target_choi)

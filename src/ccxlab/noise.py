@@ -11,8 +11,9 @@ readout confusion then acts on the outcome distribution.
 The simulator compiles that sequence into one superoperator per distinct
 gate (see :mod:`ccxlab.simulator`) and keeps it in the model's own cache,
 ``NoiseModel.compiled``. The channel builders below therefore run once per
-distinct (gate, wires, parameters) of a model, not once per application; the
-placement order is unchanged. A model built from other numbers, such as a
+distinct (gate, wires, parameters) of a model, not once per application, and
+readout relaxation once per qubit for each readout map the simulator builds;
+the placement order is unchanged. A model built from other numbers, such as a
 ``scale_noise_model`` result, starts with an empty cache.
 """
 

@@ -3,7 +3,7 @@
 Both backends accept the native gate set {ECR, ID, RZ, SX, X} only; compile
 everything else first (``circuit_unitary`` in :mod:`ccxlab.circuits` handles
 arbitrary catalog gates for oracle math). Measurement sampling is seeded and
-deterministic: identical (state, setting, shots, seed, readout) always gives
+deterministic: identical (state, setting, shots, seed) always gives
 the identical counts.
 
 Density matrices evolve as row-major vec(rho), vec(rho)[i * d + j] =
@@ -15,12 +15,13 @@ relaxation on each of its qubits, the placement order documented in
 :mod:`ccxlab.noise`. The compiled superoperator is cached on the
 ``NoiseModel`` instance, keyed by (gate, register size), so each channel
 builder runs once per distinct gate of a model. On registers of up to
-``DENSE_SUPEROP_MAX_QUBITS`` qubits it is the dense 4^n x 4^n matrix and a
+``_DENSE_SUPEROP_MAX_QUBITS`` qubits it is the dense 4^n x 4^n matrix and a
 gate is one matrix-vector product; larger registers keep the 4^k x 4^k
 superoperator on the gate's own k wires and contract it into vec(rho), so
-memory stays O(4^n). ``setting_distributions`` compiles measurement the same
-way: per setting, readout confusion . diagonal . readout relaxation . the
-noisy rotation circuit, stacked into one (settings x 2^n, 4^n) map.
+memory stays O(4^n). ``readout_map`` compiles measurement the same way: per
+setting, readout confusion . diagonal . readout relaxation . the noisy
+rotation circuit, stacked into one (settings x 2^n, 4^n) map that
+``setting_distributions`` applies to vec(rho).
 
 Bitstring convention for counts: the leftmost character is the highest qubit
 index (basis index rendered MSB-first), matching little-endian state order.
@@ -48,8 +49,10 @@ _BASIS_ROT = {
 
 #: registers up to this size apply each compiled gate as a dense 4^n x 4^n
 #: superoperator (64 x 64 at three qubits); larger ones contract the gate's
-#: local superoperator into vec(rho) on its own wires
-DENSE_SUPEROP_MAX_QUBITS = 3
+#: local superoperator into vec(rho) on its own wires. Per gate application
+#: (one BLAS thread): 3 qubits ~4 us dense vs ~25 us local; 4 qubits ~18 vs
+#: ~25-30 us, at 1 MB per dense gate; 5 qubits ~0.9 ms vs ~38 us.
+_DENSE_SUPEROP_MAX_QUBITS = 3
 
 
 def _check_native(c: Circuit) -> None:
@@ -105,9 +108,9 @@ def _embed(local: np.ndarray, wires: Sequence[int], n: int) -> np.ndarray:
 def _compile(superop: np.ndarray, wires: Sequence[int], n: int) -> Tuple[np.ndarray, tuple]:
     """A local superoperator ready to apply on an n-qubit register, as (matrix, wires).
 
-    Up to ``DENSE_SUPEROP_MAX_QUBITS`` it is embedded into the whole register.
+    Up to ``_DENSE_SUPEROP_MAX_QUBITS`` it is embedded into the whole register.
     """
-    if n <= DENSE_SUPEROP_MAX_QUBITS:
+    if n <= _DENSE_SUPEROP_MAX_QUBITS:
         superop, wires = _embed(superop, _vec_wires(wires, n), 2 * n), range(n)
     superop.setflags(write=False)
     return superop, tuple(wires)
@@ -180,12 +183,15 @@ def run_density(c: Circuit, nm: Optional[NoiseModel]) -> np.ndarray:
     return (rho + dagger(rho)) / 2
 
 
-def _readout_map(rotations: Sequence[Circuit], nm: NoiseModel,
-                 apply_readout: bool) -> np.ndarray:
-    """Stacked rows readout confusion . diagonal . readout relaxation . rotation, per setting.
+def readout_map(rotations: Sequence[Circuit], nm: NoiseModel, apply_readout: bool) -> np.ndarray:
+    """The stacked map from vec(rho) to the outcome distribution of every setting.
 
-    Built transposed: the columns of each block's transpose evolve under the
-    transposed superoperators, last map first, so every step is a product
+    Setting s applies the native circuit ``rotations[s]`` under ``nm``, thermal
+    relaxation of every qubit for its readout length, and a Z measurement,
+    with the readout confusion when ``apply_readout``: rows readout confusion
+    . diagonal . readout relaxation . rotation, shape (len(rotations) * 2^n,
+    4^n). Built transposed: the columns of each block's transpose evolve under
+    the transposed superoperators, last map first, so every step is a product
     with a (4^n, 2^n) matrix.
     """
     n = rotations[0].num_qubits
@@ -210,21 +216,14 @@ def _readout_map(rotations: Sequence[Circuit], nm: NoiseModel,
     return table
 
 
-def setting_distributions(rho: np.ndarray, rotations: Sequence[Circuit], nm: NoiseModel,
-                          apply_readout: bool) -> np.ndarray:
-    """Outcome distributions of every measurement setting, shape (len(rotations), 2^n).
+def setting_distributions(rho: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Outcome distributions of every setting of a ``readout_map``, shape (settings, 2^n).
 
-    Setting s applies the native circuit ``rotations[s]`` under ``nm``, thermal
-    relaxation of every qubit for its readout length, and a Z measurement,
-    with the readout confusion when ``apply_readout``. The stacked map from
-    vec(rho) to all distributions is compiled once per model, rotations and
-    readout flag; each distribution is clipped at 0 and normalized.
+    One product of the stacked map with vec(rho); each distribution is
+    clipped at 0 and normalized.
     """
-    rotations = tuple(rotations)
-    table = nm.compiled(("readout", rotations, apply_readout),
-                        lambda: _readout_map(rotations, nm, apply_readout))
     rho = np.asarray(rho, dtype=complex)
-    probs = np.clip(np.real(table @ rho.reshape(-1)).reshape(len(rotations), -1), 0.0, None)
+    probs = np.clip(np.real(table @ rho.reshape(-1)).reshape(-1, rho.shape[0]), 0.0, None)
     return probs / probs.sum(axis=1, keepdims=True)
 
 
@@ -259,14 +258,11 @@ def _validate_setting(setting: str, num_qubits: int) -> str:
     return setting
 
 
-def measurement_probabilities(state: np.ndarray, setting: str,
-                              readout: Optional[Sequence[Tuple[float, float]]] = None
-                              ) -> np.ndarray:
-    """Outcome distribution after rotating into the setting's basis.
+def measurement_probabilities(state: np.ndarray, setting: str) -> np.ndarray:
+    """Exact outcome distribution after rotating into the setting's basis.
 
-    ``state`` is a state vector or density matrix. ``readout`` holds optional
-    per-qubit (P(1|0), P(0|1)) pairs applied as confusion matrices to the
-    distribution, qubit 0 first.
+    ``state`` is a state vector or density matrix; readout errors are applied
+    only by a ``readout_map``.
     """
     state = np.asarray(state, dtype=complex)
     is_density = state.ndim == 2
@@ -289,26 +285,17 @@ def measurement_probabilities(state: np.ndarray, setting: str,
         probs = np.abs(tensor.reshape(-1)) ** 2
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    if readout is not None:
-        probs = apply_readout_confusion(probs, readout)
     return probs
 
 
 def _confusion_matrix(confusions: Sequence[Tuple[float, float]], n: int) -> np.ndarray:
-    """Column-stochastic 2^n x 2^n readout confusion; qubits past ``confusions`` read perfectly."""
+    """Column-stochastic 2^n x 2^n readout confusion; qubits past ``confusions`` read perfectly.
+
+    Each entry is (P(1|0), P(0|1)) of one qubit, qubit 0 first; columns index
+    the true outcome.
+    """
     return kron_le([np.array([[1 - p10, p01], [p10, 1 - p01]]) for p10, p01 in confusions[:n]]
                    + [np.eye(2)] * (n - len(confusions[:n])))
-
-
-def apply_readout_confusion(probs: np.ndarray,
-                            confusions: Sequence[Tuple[float, float]]) -> np.ndarray:
-    """Mix the distribution with per-qubit confusion matrices.
-
-    Each entry is (P(1|0), P(0|1)); columns index the true state.
-    """
-    n = int(np.log2(len(probs)))
-    out = np.real(_confusion_matrix(confusions, n) @ np.asarray(probs, dtype=float))
-    return out / out.sum()
 
 
 def sample_distribution(probs: np.ndarray, shots: int, seed: int) -> CountsMap:
@@ -327,13 +314,11 @@ def distribution_counts(probs: np.ndarray) -> Dict[str, float]:
     return {index_to_bitstring(i, n): float(p) for i, p in enumerate(probs) if p > 0}
 
 
-def sample_counts(state: np.ndarray, setting: str, shots: int, seed: int,
-                  readout: Optional[Sequence[Tuple[float, float]]] = None) -> CountsMap:
+def sample_counts(state: np.ndarray, setting: str, shots: int, seed: int) -> CountsMap:
     """Draw seeded i.i.d. measurement outcomes in the requested Pauli basis."""
-    return sample_distribution(measurement_probabilities(state, setting, readout), shots, seed)
+    return sample_distribution(measurement_probabilities(state, setting), shots, seed)
 
 
-def exact_counts(state: np.ndarray, setting: str,
-                 readout: Optional[Sequence[Tuple[float, float]]] = None) -> Dict[str, float]:
+def exact_counts(state: np.ndarray, setting: str) -> Dict[str, float]:
     """Sampling-free 'counts': the exact outcome distribution as frequencies."""
-    return distribution_counts(measurement_probabilities(state, setting, readout))
+    return distribution_counts(measurement_probabilities(state, setting))

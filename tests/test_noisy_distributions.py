@@ -15,7 +15,7 @@ from ccxlab.gates import NATIVE_GATES, Gate, ecr, rz, sx, x
 from ccxlab.noise import NoiseModel, QubitCalibration, scale_noise_model
 from ccxlab.states import PROBE_LABELS, StateKind, prepare_state
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli
-from ccxlab.tomography import qst_settings
+from ccxlab.tomography import measurement_rotation, qst_settings
 
 CALIBRATIONS = ("brisbane_median", "sherbrooke_median")
 TOL = 1e-12
@@ -39,11 +39,10 @@ def _probe_circuits(toffoli):
             for p in itertools.product(PROBE_LABELS, repeat=3)]
 
 
-def _distributions(circuit, nm, apply_readout=True):
+def _distributions(circuit, nm, readout):
     """The exact (settings x outcomes) table the experiments feed to tomography."""
     settings = qst_settings(3)
-    table = experiments._setting_counts(circuit, nm, 1, [0] * len(settings), True,
-                                        apply_readout)
+    table = experiments._setting_counts(circuit, nm, readout, 1, [0] * len(settings), True)
     return np.array([[table[s].get(format(i, "03b"), 0.0) for i in range(8)]
                      for s in settings])
 
@@ -63,7 +62,9 @@ def test_qpt_distributions_match_kraus_oracle(strategy, calibration):
     batch = kraus_oracle.evolve(batch, toffoli, nm)
     batch = (batch + batch.conj().transpose(1, 0, 2)) / 2
     expected = kraus_oracle.setting_distributions(batch, nm)
-    actual = np.stack([_distributions(prep.concat(toffoli), nm) for prep in preps], axis=2)
+    readout = experiments._readout_map(nm, True)
+    actual = np.stack([_distributions(prep.concat(toffoli), nm, readout) for prep in preps],
+                      axis=2)
     assert actual.shape == expected.shape == (27, 8, 64)
     assert np.max(np.abs(actual - expected)) < TOL
 
@@ -71,9 +72,10 @@ def test_qpt_distributions_match_kraus_oracle(strategy, calibration):
 @pytest.mark.parametrize("calibration", CALIBRATIONS)
 @pytest.mark.parametrize("strategy", OTHER_STRATEGIES)
 def test_non_native_strategies_are_rejected_under_noise(strategy, calibration):
+    nm = _noise_model(calibration)
     with pytest.raises(NonNativeGateError):
-        _distributions(prepare_state(StateKind.GHZ).concat(_toffoli(strategy)),
-                       _noise_model(calibration))
+        _distributions(prepare_state(StateKind.GHZ).concat(_toffoli(strategy)), nm,
+                       experiments._readout_map(nm, True))
 
 
 @pytest.mark.parametrize("apply_readout", [True, False])
@@ -84,7 +86,8 @@ def test_qst_distributions_match_kraus_oracle(state, calibration, apply_readout)
     nm = _noise_model(calibration)
     expected = kraus_oracle.setting_distributions(kraus_oracle.run_density(circuit, nm), nm,
                                                   apply_readout)
-    assert np.max(np.abs(_distributions(circuit, nm, apply_readout) - expected)) < TOL
+    actual = _distributions(circuit, nm, experiments._readout_map(nm, apply_readout))
+    assert np.max(np.abs(actual - expected)) < TOL
 
 
 @pytest.mark.parametrize("state", ["GHZ", "W"])
@@ -100,7 +103,8 @@ def test_distributions_match_kraus_oracle_with_uneven_qubits(state):
                     {"ECR": 500.0, "SX": 40.0, "X": 60.0})
     circuit = prepare_state(state).concat(_toffoli())
     expected = kraus_oracle.setting_distributions(kraus_oracle.run_density(circuit, nm), nm)
-    assert np.max(np.abs(_distributions(circuit, nm) - expected)) < TOL
+    actual = _distributions(circuit, nm, experiments._readout_map(nm, True))
+    assert np.max(np.abs(actual - expected)) < TOL
 
 
 def test_channel_builders_run_once_per_distinct_noisy_gate(monkeypatch):
@@ -111,15 +115,16 @@ def test_channel_builders_run_once_per_distinct_noisy_gate(monkeypatch):
             return _build(*args)
         monkeypatch.setattr(simulator, name, counted)
     nm = _noise_model()
+    readout = experiments._readout_map(nm, True)
     circuits = _probe_circuits(_toffoli())
     for circuit in circuits:
-        _distributions(circuit, nm)
-    noisy = {g for c in circuits + list(experiments._rotations()) for g in c.gates
-             if g.name is not Gate.RZ}
+        _distributions(circuit, nm, readout)
+    rotations = [measurement_rotation(setting) for setting in qst_settings(3)]
+    noisy = {g for c in circuits + rotations for g in c.gates if g.name is not Gate.RZ}
     # per noisy gate one depolarizing and one relaxation per qubit; one readout relaxation per qubit
     assert len(builds) == sum(1 + len(g.qubits) for g in noisy) + 3 == 21
     for circuit in circuits:
-        _distributions(circuit, nm)
+        _distributions(circuit, nm, readout)
     assert len(builds) == 21
 
 
@@ -130,7 +135,7 @@ def test_scaled_models_get_their_own_distributions():
     for scale in (1.0, 2.0, 0.0, 1.0):
         nm = base if scale == 1.0 else scale_noise_model(base, scale)
         expected = kraus_oracle.setting_distributions(kraus_oracle.run_density(circuit, nm), nm)
-        tables[scale] = _distributions(circuit, nm)
+        tables[scale] = _distributions(circuit, nm, experiments._readout_map(nm, True))
         assert np.max(np.abs(tables[scale] - expected)) < TOL, scale
     assert np.max(np.abs(tables[2.0] - tables[1.0])) > 1e-3
     assert np.max(np.abs(tables[0.0] - tables[1.0])) > 1e-3
@@ -174,7 +179,7 @@ def _random_native_circuit(num_qubits, rng, length=30):
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
 def test_density_evolution_matches_kraus_oracle_on_every_register_size(num_qubits, rng):
-    # registers above DENSE_SUPEROP_MAX_QUBITS contract local superoperators instead
+    # registers above _DENSE_SUPEROP_MAX_QUBITS contract local superoperators instead
     circuit = _random_native_circuit(num_qubits, rng)
     nm = ingest_calibration(builtin_calibration_path("brisbane_median")).noise_model(num_qubits)
     rho = simulator.run_density(circuit, nm)

@@ -11,7 +11,6 @@ from ccxlab.noise import NoiseModel, QubitCalibration
 from ccxlab.qmath import state_fidelity
 from ccxlab.simulator import (
     CountsMap,
-    apply_readout_confusion,
     exact_counts,
     measurement_probabilities,
     run_density,
@@ -153,8 +152,10 @@ def test_ghz_zzz_binomial_band():
 
 
 def test_readout_confusion_flip_rate():
-    psi = run_statevector(Circuit(1))
-    counts = sample_counts(psi, "Z", 20000, seed=5, readout=[(0.1, 0.0)])
+    nm = NoiseModel((QubitCalibration(t1_us=100.0, t2_us=100.0, prob_meas1_prep0=0.1),), {}, {})
+    table = simulator.readout_map([Circuit(1)], nm, apply_readout=True)
+    probs = simulator.setting_distributions(run_density(Circuit(1), nm), table)[0]
+    counts = simulator.sample_distribution(probs, 20000, seed=5)
     frac_one = counts.outcomes.get("1", 0) / 20000
     sigma = math.sqrt(0.1 * 0.9 / 20000)
     assert abs(frac_one - 0.1) < 4 * sigma
@@ -162,7 +163,7 @@ def test_readout_confusion_flip_rate():
 
 def test_readout_confusion_matrix_is_columnwise():
     probs = np.array([1.0, 0.0, 0.0, 0.0])
-    mixed = apply_readout_confusion(probs, [(0.2, 0.0), (0.0, 0.0)])
+    mixed = simulator._confusion_matrix([(0.2, 0.0), (0.0, 0.0)], 2) @ probs
     # qubit 0 misreads 1 with prob 0.2: outcome index 1 gains that weight
     assert mixed[1] == pytest.approx(0.2)
     assert mixed[0] == pytest.approx(0.8)
