@@ -37,7 +37,6 @@ from .tomography import (
     measurement_rotation,
     process_fidelity,
     process_fidelity_superop,
-    qpt_jobs,
     qpt_reconstruct,
     qst_reconstruct,
     qst_settings,

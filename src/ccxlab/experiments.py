@@ -1,26 +1,33 @@
 """End-to-end tomography experiments and machine-readable reports.
 
-A run prepares an input state, applies the chosen Toffoli realization,
-executes the tomography circuits on the requested backend (exact state
-vector, or density matrix under a calibration-derived noise model), samples
-seeded finite-shot counts, reconstructs, and scores against the analytic
-reference.
+A run builds its circuits once: the configured input state followed by the
+chosen Toffoli realization (state tomography), or each of the 64 probe
+preparations followed by it (process tomography). It simulates each circuit
+once, on the exact state vector or as a density matrix under a
+calibration-derived noise model, into a table of exact outcome distributions,
+one per (circuit, measurement setting) cell. Only the sampling differs from one
+repeat to the next: a repeat draws seeded finite-shot counts from that table,
+reconstructs, and scores against the analytic reference.
 
 Determinism: every sampled count depends only on (master_seed, repeat index,
-job index) through a stable seed derivation, so a run's fidelity list does
-not depend on the order in which its circuits execute. Runs are serial.
+job index) through ``derive_seed``, so a run's fidelity list does not depend
+on the order in which its cells are sampled. State tomography seeds setting j
+of repeat r with derive_seed(master_seed, r, j); process tomography seeds job i
+of repeat r, counted probe-major, with derive_seed(derive_seed(master_seed,
+r), i). Runs are serial.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,15 +38,14 @@ from .noise import NoiseModel, scale_noise_model
 from .qmath import state_fidelity
 from .simulator import (
     distribution_counts,
-    exact_counts,
+    measurement_probabilities,
     readout_map,
     run_density,
     run_statevector,
-    sample_counts,
     sample_distribution,
     setting_distributions,
 )
-from .states import StateKind, prepare_state, target_state
+from .states import PROBE_LABELS, StateKind, prepare_state, target_state
 from .synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from .tomography import (
     average_gate_fidelity,
@@ -47,7 +53,6 @@ from .tomography import (
     derive_seed,
     measurement_rotation,
     process_fidelity,
-    qpt_jobs,
     qpt_reconstruct_full,
     qst_reconstruct,
     qst_settings,
@@ -171,38 +176,39 @@ def _gate_count_summary(toffoli: Circuit, full: Circuit) -> Dict[str, int]:
 
 # -- measurement ---------------------------------------------------------------
 
-def _readout_map(nm: Optional[NoiseModel], apply_readout: bool) -> Optional[np.ndarray]:
-    """The stacked noise-aware measurement map of every 3-qubit setting; None without noise."""
-    if nm is None:
-        return None
-    return readout_map([measurement_rotation(setting) for setting in qst_settings(3)], nm,
-                       apply_readout)
+def _distributions(circuits: Sequence[Circuit], nm: Optional[NoiseModel],
+                   apply_readout: bool) -> np.ndarray:
+    """Exact outcome distributions, shape (circuits, 27 settings, 8 outcomes).
 
-
-def _setting_counts(circuit: Circuit, nm: Optional[NoiseModel], readout: Optional[np.ndarray],
-                    shots: int, seeds: Sequence[int],
-                    exact: bool) -> Dict[str, Dict[str, float]]:
-    """Counts of every 3-qubit setting measured after ``circuit``.
-
-    ``seeds`` holds one sampling seed per setting in ``qst_settings`` order;
-    ``exact`` returns the outcome distributions instead of sampled counts.
-    Noise-free runs rotate the exact state vector into each setting's basis;
-    noise-aware runs evolve the density matrix under ``nm`` and read every
-    setting's distribution (noisy rotation circuit, readout relaxation,
-    readout confusion) off ``readout``, the run's ``_readout_map``.
+    Settings are in ``qst_settings`` order. Noise-free runs rotate each
+    circuit's exact state vector into every setting's basis; noise-aware runs
+    evolve the density matrix under ``nm`` and read every setting's
+    distribution (noisy rotation circuit, readout relaxation, readout
+    confusion when ``apply_readout``) off one ``readout_map``.
     """
     settings = qst_settings(3)
     if nm is None:
-        psi = run_statevector(circuit)
-        if exact:
-            return {setting: exact_counts(psi, setting) for setting in settings}
-        return {setting: sample_counts(psi, setting, shots, seed).outcomes
-                for setting, seed in zip(settings, seeds)}
-    probs = setting_distributions(run_density(circuit, nm), readout)
-    if exact:
-        return {setting: distribution_counts(p) for setting, p in zip(settings, probs)}
-    return {setting: sample_distribution(p, shots, seed).outcomes
-            for setting, p, seed in zip(settings, probs, seeds)}
+        return np.array([[measurement_probabilities(psi, setting) for setting in settings]
+                         for psi in map(run_statevector, circuits)])
+    table = readout_map([measurement_rotation(setting) for setting in settings], nm,
+                        apply_readout)
+    return np.array([setting_distributions(run_density(circuit, nm), table)
+                     for circuit in circuits])
+
+
+def _counts(distributions: np.ndarray, cfg: ExperimentConfig,
+            seeds: Iterable[int]) -> List[Dict[str, float]]:
+    """One repeat's counts of every cell of ``distributions``, in row-major order.
+
+    Cell i draws ``cfg.shots_per_setting`` shots with the i-th of ``seeds``;
+    ``cfg.exact_probabilities`` returns the distributions themselves and never
+    asks for a seed.
+    """
+    cells = distributions.reshape(-1, distributions.shape[-1])
+    if cfg.exact_probabilities:
+        return [distribution_counts(p) for p in cells]
+    return [sample_distribution(p, cfg.shots_per_setting, seed).outcomes
+            for p, seed in zip(cells, seeds)]
 
 
 # -- QST -------------------------------------------------------------------------
@@ -211,63 +217,58 @@ def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     """State tomography of the Toffoli output for the configured input state."""
     start = time.perf_counter()
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
-    prep = prepare_state(cfg.input_state)
-    circuit = prep.concat(toffoli)
-    nm = cfg.noise_model(3)
-    readout = _readout_map(nm, cfg.apply_readout)
+    circuit = prepare_state(cfg.input_state).concat(toffoli)
+    distributions = _distributions([circuit], cfg.noise_model(3), cfg.apply_readout)
 
     psi_ref = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET) @ target_state(cfg.input_state)
     rho_ref = np.outer(psi_ref, psi_ref.conj())
 
-    num_settings = len(qst_settings(3))
+    settings = qst_settings(3)
     fidelities = []
     for repeat in range(cfg.repeats):
-        seeds = [derive_seed(cfg.master_seed, repeat, j) for j in range(num_settings)]
-        data = _setting_counts(circuit, nm, readout, cfg.shots_per_setting, seeds,
-                               cfg.exact_probabilities)
+        seeds = (derive_seed(cfg.master_seed, repeat, j) for j in range(len(settings)))
+        data = dict(zip(settings, _counts(distributions, cfg, seeds)))
         fidelities.append(state_fidelity(qst_reconstruct(data, 3), rho_ref))
 
     wall = time.perf_counter() - start
     return _make_report("qst", fidelities, cfg, _gate_count_summary(toffoli, circuit),
-                        num_jobs=num_settings, wall=wall)
+                        num_jobs=len(settings), wall=wall)
 
 
 # -- QPT -------------------------------------------------------------------------
 
 def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
-    """Process tomography of the configured Toffoli realization (k=3, 1728 jobs)."""
+    """Process tomography of the configured Toffoli realization (k=3, 1728 jobs).
+
+    The jobs are the (probe, setting) cells, probe-major: the 64 probes in
+    ``itertools.product(PROBE_LABELS, repeat=3)`` order, each with the 27
+    settings in ``qst_settings`` order. Job i of repeat r is sampled with
+    derive_seed(derive_seed(master_seed, r), i).
+    """
     start = time.perf_counter()
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
-    nm = cfg.noise_model(3)
-    readout = _readout_map(nm, cfg.apply_readout)
+    probes = list(itertools.product(PROBE_LABELS, repeat=3))
+    circuits = [prepare_state(StateKind.PROBE, probe=probe).concat(toffoli) for probe in probes]
+    distributions = _distributions(circuits, cfg.noise_model(3), cfg.apply_readout)
     target_choi = choi_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET))
-    per_probe = len(qst_settings(3))  # jobs are probe-major, settings in order
+    cells = [(probe, setting) for probe in probes for setting in qst_settings(3)]
 
     fidelities: List[float] = []
     agf: List[float] = []
     tp_dev_last: Optional[float] = None
-    num_jobs = 0
     for repeat in range(cfg.repeats):
-        jobs = qpt_jobs(toffoli, 3, cfg.shots_per_setting, derive_seed(cfg.master_seed, repeat))
-        num_jobs = len(jobs)
-        data = {}
-        for i in range(0, num_jobs, per_probe):
-            group = jobs[i:i + per_probe]
-            probe = group[0].probe
-            circuit = prepare_state(StateKind.PROBE, probe=probe).concat(toffoli)
-            counts = _setting_counts(circuit, nm, readout, cfg.shots_per_setting,
-                                     [job.seed for job in group], cfg.exact_probabilities)
-            data.update(((probe, setting), c) for setting, c in counts.items())
-        recon = qpt_reconstruct_full(data, 3)
+        repeat_seed = derive_seed(cfg.master_seed, repeat)
+        seeds = (derive_seed(repeat_seed, i) for i in range(len(cells)))
+        recon = qpt_reconstruct_full(dict(zip(cells, _counts(distributions, cfg, seeds))), 3)
         f_pro = process_fidelity(recon.choi, target_choi)
         fidelities.append(f_pro)
         agf.append(average_gate_fidelity(f_pro, 3))
         tp_dev_last = recon.tp_deviation_raw
 
     wall = time.perf_counter() - start
-    full = toffoli  # probe preps vary per job; report the gate under test
-    return _make_report("qpt", fidelities, cfg, _gate_count_summary(toffoli, full),
-                        num_jobs=num_jobs, wall=wall,
+    # probe preparations vary per job; report the gate under test
+    return _make_report("qpt", fidelities, cfg, _gate_count_summary(toffoli, toffoli),
+                        num_jobs=len(cells), wall=wall,
                         average_gate_fidelities=agf, tp_deviation_raw=tp_dev_last)
 
 

@@ -143,7 +143,6 @@ class NoiseModel:
     qubit_cal: Tuple[QubitCalibration, ...]
     gate_error: Mapping[str, float] = field(default_factory=dict)
     gate_duration: Mapping[str, float] = field(default_factory=dict)
-    rz_is_virtual: bool = True
     #: what the simulator compiled from this model, filled on first use
     _compiled: Dict[Hashable, object] = field(default_factory=dict, init=False, repr=False,
                                               compare=False)
@@ -197,11 +196,6 @@ class NoiseModel:
         """(P(1|0), P(0|1)) per qubit, feeding the confusion matrices."""
         return tuple((c.prob_meas1_prep0, c.prob_meas0_prep1) for c in self.qubit_cal)
 
-    @staticmethod
-    def noiseless(num_qubits: int) -> "NoiseModel":
-        cal = QubitCalibration(t1_us=math.inf, t2_us=math.inf)
-        return NoiseModel(tuple([cal] * num_qubits), {}, dict(DEFAULT_GATE_DURATIONS_NS))
-
 
 def scale_noise_model(nm: NoiseModel, factor: float) -> NoiseModel:
     """Scale all error rates and the relaxation rates 1/T1, 1/T2 by ``factor``.
@@ -236,4 +230,4 @@ def scale_noise_model(nm: NoiseModel, factor: float) -> NoiseModel:
     for name, v in errors.items():
         if v >= 1.0:
             raise ErrTooLargeError(f"scaled gate error {name}={v} >= 1")
-    return NoiseModel(cal, errors, dict(nm.gate_duration), nm.rz_is_virtual)
+    return NoiseModel(cal, errors, dict(nm.gate_duration))

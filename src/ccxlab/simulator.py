@@ -36,7 +36,7 @@ import numpy as np
 
 from .circuits import Circuit, _apply_local
 from .errors import CcxlabError, InvalidPauliStringError, NonNativeGateError
-from .gates import MAT_H, MAT_S, NATIVE_GATES, Gate, GateDef, gate_matrix
+from .gates import MAT_H, MAT_S, NATIVE_GATES, GateDef, gate_matrix
 from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
 from .qmath import I2, dagger, kron_le
 
@@ -136,7 +136,7 @@ def _gate_superop(g: GateDef, nm: Optional[NoiseModel]) -> np.ndarray:
     wires = sorted(g.qubits)
     k = len(wires)
     superop = _kraus_superop([gate_matrix(g)])
-    if nm is None or (g.name is Gate.RZ and nm.rz_is_virtual):
+    if nm is None:
         return superop
     err = nm.error_for(g.name)
     if err > 0.0:

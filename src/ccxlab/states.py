@@ -155,38 +155,36 @@ def probe_circuit(labels: Sequence[str]) -> Circuit:
     return _fix_global_phase(c, probe_state(labels))
 
 
-def prepare_state(kind: StateKind | str, *, basis_index: int = 0,
-                  probe: Sequence[str] | None = None) -> Circuit:
-    """Dispatcher used by experiment configs and the CLI."""
-    kind = StateKind(kind)
-    if kind is StateKind.GHZ:
-        return ghz_circuit()
-    if kind is StateKind.W:
-        return w_circuit()
-    if kind is StateKind.UNIFORM:
-        return uniform_circuit()
+#: per kind, the native circuit builder and the exact target vector it prepares;
+#: BASIS entries take the basis index, PROBE entries the per-qubit labels
+_STATES = {
+    StateKind.GHZ: (ghz_circuit, ghz_state),
+    StateKind.W: (w_circuit, w_state),
+    StateKind.UNIFORM: (uniform_circuit, uniform_state),
+    StateKind.BASIS: (basis_circuit, basis_state),
+    StateKind.PROBE: (probe_circuit, probe_state),
+}
+
+
+def _state_args(kind: StateKind, basis_index: int, probe: Sequence[str] | None) -> tuple:
     if kind is StateKind.BASIS:
-        return basis_circuit(basis_index)
+        return (basis_index,)
     if kind is StateKind.PROBE:
         if probe is None:
-            raise InvalidLabelError("PROBE preparation needs per-qubit labels")
-        return probe_circuit(probe)
-    raise InvalidLabelError(f"unknown state kind {kind!r}")
+            raise InvalidLabelError("PROBE states need per-qubit labels")
+        return (probe,)
+    return ()
+
+
+def prepare_state(kind: StateKind | str, *, basis_index: int = 0,
+                  probe: Sequence[str] | None = None) -> Circuit:
+    """Native circuit preparing ``kind`` from |0...0>."""
+    kind = StateKind(kind)
+    return _STATES[kind][0](*_state_args(kind, basis_index, probe))
 
 
 def target_state(kind: StateKind | str, *, basis_index: int = 0,
                  probe: Sequence[str] | None = None) -> np.ndarray:
+    """Exact state vector that ``prepare_state`` prepares for the same arguments."""
     kind = StateKind(kind)
-    if kind is StateKind.GHZ:
-        return ghz_state()
-    if kind is StateKind.W:
-        return w_state()
-    if kind is StateKind.UNIFORM:
-        return uniform_state()
-    if kind is StateKind.BASIS:
-        return basis_state(basis_index)
-    if kind is StateKind.PROBE:
-        if probe is None:
-            raise InvalidLabelError("PROBE target needs per-qubit labels")
-        return probe_state(probe)
-    raise InvalidLabelError(f"unknown state kind {kind!r}")
+    return _STATES[kind][1](*_state_args(kind, basis_index, probe))

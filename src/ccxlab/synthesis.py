@@ -11,7 +11,8 @@ phase:
   CNOTs total.
 * ``LNN_9CNOT_RZSX`` — nearest-neighbor, single-qubit gates restricted to
   {RZ, SX}. Uses a nine-CNOT walk over the same parities. Exhaustive search
-  (see scripts/find_lnn9_word.py) shows 9 is the shortest odd-length
+  (``test_nine_cnots_is_the_shortest_odd_parity_walk`` in
+  tests/test_synthesis.py) shows 9 is the shortest odd-length
   nearest-neighbor CNOT word that restores the wires while visiting every
   parity, so no CNOT here is a removable pair.
 * ``ECR_NATIVE`` — the eight-CNOT form mapped onto the device gate set

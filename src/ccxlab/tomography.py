@@ -61,20 +61,6 @@ from .synthesis import PI
 CountsLike = Mapping[str, Union[int, float]]
 
 
-@dataclass(frozen=True)
-class TomographyJob:
-    """One circuit to execute: preparation, measurement setting, shots, seed."""
-
-    probe: Tuple[str, ...]
-    setting: str
-    shots: int
-    seed: int
-
-    def __post_init__(self):
-        if self.shots <= 0:
-            raise ValueError("shots must be positive")
-
-
 def derive_seed(master_seed: int, *indices: int) -> int:
     """Stable per-task seed from a master seed and task coordinates."""
     ss = np.random.SeedSequence((int(master_seed),) + tuple(int(i) for i in indices))
@@ -156,21 +142,6 @@ def qst_reconstruct(data: Mapping[str, CountsLike], k: int) -> np.ndarray:
 
 
 # -- process tomography ---------------------------------------------------------
-
-def qpt_jobs(gate_circuit: Circuit, k: int, shots: int, master_seed: int) -> List[TomographyJob]:
-    """The 12^k jobs (4^k probes x 3^k settings), probe-major, seeded per job."""
-    if not 1 <= k <= 3:
-        raise KOutOfRangeError(f"k={k} outside 1..3")
-    if gate_circuit.num_qubits != k:
-        raise ValueError(f"gate circuit acts on {gate_circuit.num_qubits} qubits, expected {k}")
-    jobs: List[TomographyJob] = []
-    index = 0
-    for probe in itertools.product(PROBE_LABELS, repeat=k):
-        for setting in qst_settings(k):
-            jobs.append(TomographyJob(probe, setting, shots, derive_seed(master_seed, index)))
-            index += 1
-    return jobs
-
 
 @functools.lru_cache(maxsize=None)
 def _probe_dual(k: int) -> np.ndarray:

@@ -46,7 +46,7 @@ def evolve(rho, circuit, nm):
     for g in circuit.gates:
         wires = sorted(g.qubits)
         rho = _apply_unitary(rho, gate_matrix(g), wires, n)
-        if nm is None or (g.name is Gate.RZ and nm.rz_is_virtual):
+        if nm is None or g.name is Gate.RZ:
             continue
         err = nm.error_for(g.name)
         if err > 0.0:

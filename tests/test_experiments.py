@@ -1,10 +1,11 @@
 """End-to-end experiment runs, their determinism, and report files."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from ccxlab import cli
+from ccxlab import cli, experiments
 from ccxlab.calibration import builtin_calibration_path
 from ccxlab.errors import SchemaError
 from ccxlab.experiments import (
@@ -73,6 +74,26 @@ def test_noise_aware_qpt_fidelities_match_golden_values(sampling):
     assert report.fidelities == pytest.approx(GOLDEN_QPT_NOISE_AWARE[sampling], abs=1e-12)
     assert report.num_jobs == 1728
     assert report.tp_deviation_raw < 1e-10
+
+
+@pytest.mark.parametrize("repeats", [1, 3])
+@pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
+@pytest.mark.parametrize("run, circuits", [(run_qst_experiment, 1), (run_qpt_experiment, 64)])
+def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, run, circuits, mode,
+                                                          repeats):
+    calls = Counter()
+    for name in ("prepare_state", "run_statevector", "run_density", "readout_map"):
+        def counted(*args, _call=getattr(experiments, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    report = run(_config(mode, repeats=repeats, shots_per_setting=1000))
+    assert len(report.fidelities) == repeats
+    simulate = "run_statevector" if mode == "NOISE_FREE" else "run_density"
+    expected = {"prepare_state": circuits, simulate: circuits}
+    if mode == "NOISE_AWARE":
+        expected["readout_map"] = 1
+    assert calls == expected
 
 
 # -- report files -----------------------------------------------------------------

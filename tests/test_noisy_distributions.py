@@ -39,12 +39,9 @@ def _probe_circuits(toffoli):
             for p in itertools.product(PROBE_LABELS, repeat=3)]
 
 
-def _distributions(circuit, nm, readout):
+def _distributions(circuit, nm, apply_readout=True):
     """The exact (settings x outcomes) table the experiments feed to tomography."""
-    settings = qst_settings(3)
-    table = experiments._setting_counts(circuit, nm, readout, 1, [0] * len(settings), True)
-    return np.array([[table[s].get(format(i, "03b"), 0.0) for i in range(8)]
-                     for s in settings])
+    return experiments._distributions([circuit], nm, apply_readout)[0]
 
 
 def test_ecr_native_is_the_native_strategy():
@@ -62,9 +59,8 @@ def test_qpt_distributions_match_kraus_oracle(strategy, calibration):
     batch = kraus_oracle.evolve(batch, toffoli, nm)
     batch = (batch + batch.conj().transpose(1, 0, 2)) / 2
     expected = kraus_oracle.setting_distributions(batch, nm)
-    readout = experiments._readout_map(nm, True)
-    actual = np.stack([_distributions(prep.concat(toffoli), nm, readout) for prep in preps],
-                      axis=2)
+    actual = experiments._distributions([prep.concat(toffoli) for prep in preps], nm,
+                                        True).transpose(1, 2, 0)
     assert actual.shape == expected.shape == (27, 8, 64)
     assert np.max(np.abs(actual - expected)) < TOL
 
@@ -74,8 +70,7 @@ def test_qpt_distributions_match_kraus_oracle(strategy, calibration):
 def test_non_native_strategies_are_rejected_under_noise(strategy, calibration):
     nm = _noise_model(calibration)
     with pytest.raises(NonNativeGateError):
-        _distributions(prepare_state(StateKind.GHZ).concat(_toffoli(strategy)), nm,
-                       experiments._readout_map(nm, True))
+        _distributions(prepare_state(StateKind.GHZ).concat(_toffoli(strategy)), nm)
 
 
 @pytest.mark.parametrize("apply_readout", [True, False])
@@ -86,7 +81,7 @@ def test_qst_distributions_match_kraus_oracle(state, calibration, apply_readout)
     nm = _noise_model(calibration)
     expected = kraus_oracle.setting_distributions(kraus_oracle.run_density(circuit, nm), nm,
                                                   apply_readout)
-    actual = _distributions(circuit, nm, experiments._readout_map(nm, apply_readout))
+    actual = _distributions(circuit, nm, apply_readout)
     assert np.max(np.abs(actual - expected)) < TOL
 
 
@@ -103,7 +98,7 @@ def test_distributions_match_kraus_oracle_with_uneven_qubits(state):
                     {"ECR": 500.0, "SX": 40.0, "X": 60.0})
     circuit = prepare_state(state).concat(_toffoli())
     expected = kraus_oracle.setting_distributions(kraus_oracle.run_density(circuit, nm), nm)
-    actual = _distributions(circuit, nm, experiments._readout_map(nm, True))
+    actual = _distributions(circuit, nm)
     assert np.max(np.abs(actual - expected)) < TOL
 
 
@@ -115,17 +110,16 @@ def test_channel_builders_run_once_per_distinct_noisy_gate(monkeypatch):
             return _build(*args)
         monkeypatch.setattr(simulator, name, counted)
     nm = _noise_model()
-    readout = experiments._readout_map(nm, True)
     circuits = _probe_circuits(_toffoli())
-    for circuit in circuits:
-        _distributions(circuit, nm, readout)
+    experiments._distributions(circuits, nm, True)
     rotations = [measurement_rotation(setting) for setting in qst_settings(3)]
     noisy = {g for c in circuits + rotations for g in c.gates if g.name is not Gate.RZ}
     # per noisy gate one depolarizing and one relaxation per qubit; one readout relaxation per qubit
     assert len(builds) == sum(1 + len(g.qubits) for g in noisy) + 3 == 21
-    for circuit in circuits:
-        _distributions(circuit, nm, readout)
-    assert len(builds) == 21
+    # a second table reuses every compiled gate; only its readout map relaxes the qubits again
+    experiments._distributions(circuits, nm, True)
+    assert builds[21:] == [(cal.readout_length_ns, cal.t1_us, cal.t2_us)
+                           for cal in reversed(nm.qubit_cal)]
 
 
 def test_scaled_models_get_their_own_distributions():
@@ -135,7 +129,7 @@ def test_scaled_models_get_their_own_distributions():
     for scale in (1.0, 2.0, 0.0, 1.0):
         nm = base if scale == 1.0 else scale_noise_model(base, scale)
         expected = kraus_oracle.setting_distributions(kraus_oracle.run_density(circuit, nm), nm)
-        tables[scale] = _distributions(circuit, nm, experiments._readout_map(nm, True))
+        tables[scale] = _distributions(circuit, nm)
         assert np.max(np.abs(tables[scale] - expected)) < TOL, scale
     assert np.max(np.abs(tables[2.0] - tables[1.0])) > 1e-3
     assert np.max(np.abs(tables[0.0] - tables[1.0])) > 1e-3

@@ -63,13 +63,16 @@ def test_probe_invalid_label():
 
 
 def test_prepare_state_dispatch():
-    for kind in ("GHZ", "W", "UNIFORM"):
-        psi = run_statevector(prepare_state(kind))
-        assert np.max(np.abs(psi - target_state(kind))) < 1e-10
-    psi = run_statevector(prepare_state(StateKind.PROBE, probe=("1", "0", "+")))
-    assert np.max(np.abs(psi - probe_state(("1", "0", "+")))) < 1e-10
+    for kind, kwargs in [("GHZ", {}), ("W", {}), ("UNIFORM", {}), ("BASIS", {"basis_index": 5}),
+                         ("PROBE", {"probe": ("1", "0", "+")})]:
+        psi = run_statevector(prepare_state(kind, **kwargs))
+        assert np.max(np.abs(psi - target_state(kind, **kwargs))) < 1e-10
+    assert np.max(np.abs(target_state(StateKind.PROBE, probe=("1", "0", "+"))
+                         - probe_state(("1", "0", "+")))) < 1e-10
     with pytest.raises(InvalidLabelError):
         prepare_state(StateKind.PROBE)
+    with pytest.raises(InvalidLabelError):
+        target_state(StateKind.PROBE)
 
 
 def test_global_phase_fix_rejects_unreached_target():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from ccxlab.errors import DimensionMismatchError, NonPathQubitsError
 from ccxlab.gates import Gate, ccx, cnot, gate_matrix, rz, sx
 from ccxlab.synthesis import (
     DecompositionStrategy,
+    _ccz_8cnot,
+    _ccz_9cnot,
     certify_toffoli,
     cnot_to_ecr,
     decompose_toffoli,
@@ -61,6 +64,43 @@ def test_ecr_native_count_stable():
     assert first == second
     assert first.count(Gate.ECR) == 8
     assert first.count(Gate.CNOT) == 0
+
+
+#: the four directed nearest-neighbour CNOTs on the line 0-1-2, as (control, target)
+LINE_CNOTS = ((0, 1), (1, 0), (1, 2), (2, 1))
+
+
+def _parity_walks(max_len):
+    """Every CNOT word over ``LINE_CNOTS`` of at most ``max_len`` CNOTs, by length, that
+    restores the wires and puts each of the 7 nonzero parities of three bits on some wire.
+
+    Wire q starts with the parity mask 1 << q; CNOT(c, t) XORs the control's mask into
+    the target's.
+    """
+    walks = defaultdict(list)
+
+    def extend(wires, seen, word):
+        if word and wires == (1, 2, 4) and len(seen) == 7:
+            walks[len(word)].append(word)
+        if len(word) < max_len:
+            for c, t in LINE_CNOTS:
+                after = list(wires)
+                after[t] ^= wires[c]
+                extend(tuple(after), seen | {after[t]}, word + ((c, t),))
+
+    extend((1, 2, 4), frozenset((1, 2, 4)), ())
+    return walks
+
+
+def test_nine_cnots_is_the_shortest_odd_parity_walk():
+    walks = _parity_walks(9)
+    assert {length: len(words) for length, words in walks.items()} == {8: 4, 9: 84}
+
+    def word(gates):
+        return tuple(g.qubits for g in gates if g.name is Gate.CNOT)
+
+    assert word(_ccz_8cnot(0, 1, 2)) in walks[8]
+    assert word(_ccz_9cnot(0, 1, 2)) in walks[9]
 
 
 def test_full_6cnot_single_qubit_gate_set():

@@ -26,7 +26,6 @@ from ccxlab.simulator import exact_counts, measurement_probabilities, run_statev
 from ccxlab.states import PROBE_LABELS, ghz_circuit, probe_state
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from ccxlab.tomography import (
-    TomographyJob,
     average_gate_fidelity,
     choi_apply,
     choi_of_unitary,
@@ -39,7 +38,6 @@ from ccxlab.tomography import (
     process_fidelity,
     process_fidelity_superop,
     project_to_cptp,
-    qpt_jobs,
     qpt_reconstruct,
     qpt_reconstruct_full,
     qst_reconstruct,
@@ -262,25 +260,6 @@ def test_qst_reconstruct_matches_per_pauli_oracle(rng, k):
 
 
 # -- process tomography -------------------------------------------------------------
-
-def test_qpt_job_counts():
-    toffoli = decompose_toffoli(DecompositionStrategy.ECR_NATIVE, (0, 1), 2)
-    jobs = qpt_jobs(toffoli, 3, 11000, master_seed=5)
-    assert len(jobs) == 1728
-    assert sum(j.shots for j in jobs) == 19008000
-    assert len({(j.probe, j.setting) for j in jobs}) == 1728
-    # probe-major ordering with lexicographic settings inside
-    assert jobs[0].probe == ("0", "0", "0") and jobs[0].setting == "XXX"
-    assert jobs[26].probe == ("0", "0", "0") and jobs[26].setting == "ZZZ"
-    assert jobs[27].probe == ("0", "0", "1")
-
-
-def test_qpt_jobs_k1():
-    circ = Circuit(1, (sx(0),))
-    jobs = qpt_jobs(circ, 1, 100, master_seed=0)
-    assert len(jobs) == 12
-    assert len({j.seed for j in jobs}) == 12
-
 
 def test_seed_derivation_stable():
     assert derive_seed(5, 3) == derive_seed(5, 3)
@@ -532,7 +511,3 @@ def test_dataset_round_trip(tmp_path, rng):
     after = qpt_reconstruct(loaded, 1)
     assert np.max(np.abs(before - after)) < 1e-12
 
-
-def test_tomography_job_validation():
-    with pytest.raises(ValueError):
-        TomographyJob(("0",), "Z", 0, 1)
