@@ -20,7 +20,7 @@ from .noise import (
     thermal_relaxation_channel,
 )
 from .qmath import kron, matrix_sqrt_psd, project_to_density, state_fidelity
-from .simulator import CountsMap, run_density, run_statevector, sample_counts
+from .simulator import run_density, run_statevector
 from .states import StateKind, prepare_state, target_state
 from .synthesis import (
     DecompositionStrategy,

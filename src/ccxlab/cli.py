@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,12 @@ from .experiments import (
     run_qpt_experiment,
     run_qst_experiment,
 )
-from .simulator import run_statevector, run_density, sample_counts
+from .simulator import (
+    measurement_probabilities,
+    run_density,
+    run_statevector,
+    sample_distribution,
+)
 from .states import StateKind
 from .synthesis import DecompositionStrategy, certify_toffoli, decompose_toffoli
 from .version import __version__
@@ -124,9 +128,12 @@ def _cmd_simulate(args) -> int:
                "amplitudes": [[float(a.real), float(a.imag)] for a in psi]}
         state = psi
     if args.shots:
-        counts = sample_counts(state, "Z" * circuit.num_qubits, args.shots, args.seed)
-        out["counts"] = counts.outcomes
-        out["shots"] = counts.shots
+        n = circuit.num_qubits
+        draws = sample_distribution(measurement_probabilities(state, "Z" * n),
+                                    args.shots, args.seed)
+        # MSB-first bitstrings: the highest qubit leftmost, qubit 0 rightmost
+        out["counts"] = {format(i, f"0{n}b"): int(c) for i, c in enumerate(draws) if c > 0}
+        out["shots"] = args.shots
     print(json.dumps(out, indent=2))
     return 0
 

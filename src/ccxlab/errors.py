@@ -30,11 +30,11 @@ class ParseError(SchemaError):
 
 
 class CoherenceViolation(SchemaError):
-    """Calibration record with t2 > 2*t1 (or otherwise unphysical times)."""
+    """T1/T2 outside 0 < T2 <= 2*T1, in a calibration record or a relaxation channel."""
 
 
 class IoError(SchemaError):
-    """Report/dataset file could not be written or read."""
+    """Report file could not be written or read."""
 
 
 # -- numerical / linear-algebra domain errors (exit code 4) ------------------
@@ -60,10 +60,6 @@ class ZeroTraceError(CcxlabError):
 
 
 class ErrTooLargeError(CcxlabError):
-    pass
-
-
-class InvalidCoherenceError(CcxlabError):
     pass
 
 
@@ -98,14 +94,6 @@ class InvalidPauliStringError(UsageError):
 
 
 class KOutOfRangeError(UsageError):
-    pass
-
-
-class MissingSettingError(UsageError):
-    pass
-
-
-class MissingCellError(UsageError):
     pass
 
 

@@ -37,7 +37,6 @@ from .errors import IoError, SchemaError, UsageError
 from .noise import NoiseModel, scale_noise_model
 from .qmath import state_fidelity
 from .simulator import (
-    distribution_counts,
     measurement_probabilities,
     readout_map,
     run_density,
@@ -197,18 +196,19 @@ def _distributions(circuits: Sequence[Circuit], nm: Optional[NoiseModel],
 
 
 def _counts(distributions: np.ndarray, cfg: ExperimentConfig,
-            seeds: Iterable[int]) -> List[Dict[str, float]]:
-    """One repeat's counts of every cell of ``distributions``, in row-major order.
+            seeds: Iterable[int]) -> np.ndarray:
+    """One repeat's outcome frequencies of every cell of ``distributions``, same shape.
 
-    Cell i draws ``cfg.shots_per_setting`` shots with the i-th of ``seeds``;
-    ``cfg.exact_probabilities`` returns the distributions themselves and never
-    asks for a seed.
+    Cell i, in row-major order, draws ``cfg.shots_per_setting`` shots with the
+    i-th of ``seeds``; ``cfg.exact_probabilities`` returns the distributions
+    themselves and never asks for a seed.
     """
-    cells = distributions.reshape(-1, distributions.shape[-1])
     if cfg.exact_probabilities:
-        return [distribution_counts(p) for p in cells]
-    return [sample_distribution(p, cfg.shots_per_setting, seed).outcomes
-            for p, seed in zip(cells, seeds)]
+        return distributions
+    cells = distributions.reshape(-1, distributions.shape[-1])
+    draws = np.array([sample_distribution(p, cfg.shots_per_setting, seed)
+                      for p, seed in zip(cells, seeds)])
+    return (draws / cfg.shots_per_setting).reshape(distributions.shape)
 
 
 # -- QST -------------------------------------------------------------------------
@@ -227,8 +227,8 @@ def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     fidelities = []
     for repeat in range(cfg.repeats):
         seeds = (derive_seed(cfg.master_seed, repeat, j) for j in range(len(settings)))
-        data = dict(zip(settings, _counts(distributions, cfg, seeds)))
-        fidelities.append(state_fidelity(qst_reconstruct(data, 3), rho_ref))
+        frequencies = _counts(distributions, cfg, seeds)[0]
+        fidelities.append(state_fidelity(qst_reconstruct(frequencies, 3), rho_ref))
 
     wall = time.perf_counter() - start
     return _make_report("qst", fidelities, cfg, _gate_count_summary(toffoli, circuit),
@@ -251,15 +251,15 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     circuits = [prepare_state(StateKind.PROBE, probe=probe).concat(toffoli) for probe in probes]
     distributions = _distributions(circuits, cfg.noise_model(3), cfg.apply_readout)
     target_choi = choi_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET))
-    cells = [(probe, setting) for probe in probes for setting in qst_settings(3)]
+    num_jobs = len(probes) * len(qst_settings(3))
 
     fidelities: List[float] = []
     agf: List[float] = []
     tp_dev_last: Optional[float] = None
     for repeat in range(cfg.repeats):
         repeat_seed = derive_seed(cfg.master_seed, repeat)
-        seeds = (derive_seed(repeat_seed, i) for i in range(len(cells)))
-        recon = qpt_reconstruct_full(dict(zip(cells, _counts(distributions, cfg, seeds))), 3)
+        seeds = (derive_seed(repeat_seed, i) for i in range(num_jobs))
+        recon = qpt_reconstruct_full(_counts(distributions, cfg, seeds), 3)
         f_pro = process_fidelity(recon.choi, target_choi)
         fidelities.append(f_pro)
         agf.append(average_gate_fidelity(f_pro, 3))
@@ -268,7 +268,7 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     wall = time.perf_counter() - start
     # probe preparations vary per job; report the gate under test
     return _make_report("qpt", fidelities, cfg, _gate_count_summary(toffoli, toffoli),
-                        num_jobs=len(cells), wall=wall,
+                        num_jobs=num_jobs, wall=wall,
                         average_gate_fidelities=agf, tp_deviation_raw=tp_dev_last)
 
 

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     CoherenceViolation,
     ErrTooLargeError,
-    InvalidCoherenceError,
     MissingCalibrationError,
 )
 from .gates import Gate
@@ -72,7 +71,7 @@ def thermal_relaxation_channel(duration_ns: float, t1_us: float, t2_us: float) -
     if duration_ns < 0:
         raise ValueError("duration must be nonnegative")
     if not (0 < t2_us <= 2 * t1_us) and not (math.isinf(t1_us) and math.isinf(t2_us)):
-        raise InvalidCoherenceError(f"need 0 < T2 <= 2*T1, got T1={t1_us}, T2={t2_us}")
+        raise CoherenceViolation(f"need 0 < T2 <= 2*T1, got T1={t1_us}, T2={t2_us}")
     t_us = duration_ns / 1000.0
     gamma = 1.0 - math.exp(-t_us / t1_us) if not math.isinf(t1_us) else 0.0
     rate_phi = (1.0 / t2_us if not math.isinf(t2_us) else 0.0) \

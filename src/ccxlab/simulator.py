@@ -3,8 +3,8 @@
 Both backends accept the native gate set {ECR, ID, RZ, SX, X} only; compile
 everything else first (``circuit_unitary`` in :mod:`ccxlab.circuits` handles
 arbitrary catalog gates for oracle math). Measurement sampling is seeded and
-deterministic: identical (state, setting, shots, seed) always gives
-the identical counts.
+deterministic: identical (distribution, shots, seed) always gives the
+identical counts.
 
 Density matrices evolve as row-major vec(rho), vec(rho)[i * d + j] =
 rho[i, j], under superoperators in the convention of Wood, Biamonte & Cory
@@ -23,14 +23,13 @@ setting, readout confusion . diagonal . readout relaxation . the noisy
 rotation circuit, stacked into one (settings x 2^n, 4^n) map that
 ``setting_distributions`` applies to vec(rho).
 
-Bitstring convention for counts: the leftmost character is the highest qubit
-index (basis index rendered MSB-first), matching little-endian state order.
+Outcome distributions and counts are arrays indexed by basis state: bit q of
+the index is the outcome of qubit q, the little-endian order of states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,10 +59,6 @@ def _check_native(c: Circuit) -> None:
         if g.name not in NATIVE_GATES:
             raise NonNativeGateError(
                 f"gate {g.name.value} is not in the native set; synthesize it first")
-
-
-def index_to_bitstring(index: int, num_qubits: int) -> str:
-    return format(index, f"0{num_qubits}b")
 
 
 def run_statevector(c: Circuit) -> np.ndarray:
@@ -229,28 +224,6 @@ def setting_distributions(rho: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 # -- measurement ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CountsMap:
-    """Measurement statistics: bitstring -> count, plus the shot total."""
-
-    outcomes: Mapping[str, int]
-    shots: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "outcomes", dict(self.outcomes))
-        if self.shots <= 0:
-            raise ValueError("shots must be positive")
-        total = sum(self.outcomes.values())
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, expected {self.shots}")
-        lengths = {len(b) for b in self.outcomes}
-        if len(lengths) > 1:
-            raise ValueError("inconsistent bitstring lengths")
-
-    def frequencies(self) -> Dict[str, float]:
-        return {b: c / self.shots for b, c in self.outcomes.items()}
-
-
 def _validate_setting(setting: str, num_qubits: int) -> str:
     if len(setting) != num_qubits or any(ch not in "XYZ" for ch in setting):
         raise InvalidPauliStringError(
@@ -298,27 +271,8 @@ def _confusion_matrix(confusions: Sequence[Tuple[float, float]], n: int) -> np.n
                    + [np.eye(2)] * (n - len(confusions[:n])))
 
 
-def sample_distribution(probs: np.ndarray, shots: int, seed: int) -> CountsMap:
-    """Seeded multinomial counts of ``shots`` draws from a distribution over bitstrings."""
+def sample_distribution(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Seeded multinomial counts of ``shots`` draws from ``probs``, indexed by basis state."""
     if shots <= 0:
         raise ValueError("shots must be positive")
-    n = int(np.log2(len(probs)))
-    draws = np.random.default_rng(seed).multinomial(shots, probs)
-    return CountsMap({index_to_bitstring(i, n): int(c) for i, c in enumerate(draws) if c > 0},
-                     shots)
-
-
-def distribution_counts(probs: np.ndarray) -> Dict[str, float]:
-    """Sampling-free 'counts': the nonzero probabilities of a distribution by bitstring."""
-    n = int(np.log2(len(probs)))
-    return {index_to_bitstring(i, n): float(p) for i, p in enumerate(probs) if p > 0}
-
-
-def sample_counts(state: np.ndarray, setting: str, shots: int, seed: int) -> CountsMap:
-    """Draw seeded i.i.d. measurement outcomes in the requested Pauli basis."""
-    return sample_distribution(measurement_probabilities(state, setting), shots, seed)
-
-
-def exact_counts(state: np.ndarray, setting: str) -> Dict[str, float]:
-    """Sampling-free 'counts': the exact outcome distribution as frequencies."""
-    return distribution_counts(measurement_probabilities(state, setting))
+    return np.random.default_rng(seed).multinomial(shots, probs)

@@ -25,11 +25,10 @@ circuit X(c), ECR(c,t), SX(t), RZ(pi/2)(c).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -1,19 +1,22 @@
 """State and process tomography: experiment generation and reconstruction.
 
-State tomography measures all 3^k Pauli-basis settings. Linear inversion is
-one fixed linear map, ``_estimator(k)``: it takes the 3^k outcome-frequency
-vectors stacked in ``qst_settings`` order to vec(rho) of
+State tomography measures all 3^k Pauli-basis settings. Its data is a
+(3^k, 2^k) array of outcome frequencies: row j is setting j in
+``qst_settings`` order, column b is basis outcome b, whose bit q is the
+outcome of qubit q. Linear inversion is one fixed linear map,
+``_estimator(k)``: it takes those rows, stacked, to vec(rho) of
 rho = (1/2^k) sum_P <P> P, where <P> is the parity of P's support averaged
 over every setting that covers it (Greenbaum, arXiv:1509.02921). The
 estimate is then projected to the physical cone (Hermitian, PSD, unit
 trace).
 
 Process tomography prepares the 4^k products of {|0>, |1>, |+>, |+i>} and
-measures 3^k settings per preparation (12^k circuits). Each probe's data is
-a state-tomography dataset, so the same map gives every *unprojected*
-output estimate in one product; the constant inverse of the probe-state
-matrix, ``_probe_dual(k)``, turns them into the channel's superoperator,
-which is regrouped into the Choi operator and replaced by the
+measures 3^k settings per preparation (12^k circuits). Its data is a
+(4^k, 3^k, 2^k) array, one state-tomography array per probe, probes in
+``itertools.product(PROBE_LABELS, repeat=k)`` order. So the same map gives
+every *unprojected* output estimate in one product; the constant inverse of
+the probe-state matrix, ``_probe_dual(k)``, turns them into the channel's
+superoperator, which is regrouped into the Choi operator and replaced by the
 Frobenius-nearest completely-positive trace-preserving (CPTP) Choi
 operator. That projection is a semismooth Newton method on the Lagrange
 multiplier of the trace-preservation (TP) constraint; it stops at a TP
@@ -34,17 +37,15 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .circuits import Circuit, serialize_circuit, parse_circuit
+from .circuits import Circuit
 from .errors import (
     DimensionMismatchError,
     InvalidPauliStringError,
     KOutOfRangeError,
-    MissingCellError,
-    MissingSettingError,
     ProjectionNotConvergedError,
 )
 from .gates import GateDef, rz, sx
@@ -57,8 +58,6 @@ from .qmath import (
 )
 from .states import PROBE_LABELS, probe_state
 from .synthesis import PI
-
-CountsLike = Mapping[str, Union[int, float]]
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -90,21 +89,12 @@ def measurement_rotation(setting: str) -> Circuit:
     return Circuit(k, tuple(gates))
 
 
-def _frequencies(counts: CountsLike, k: int) -> np.ndarray:
-    total = float(sum(counts.values()))
-    if total <= 0:
-        raise ValueError("empty counts")
-    freq = np.zeros(2 ** k)
-    for bits, c in counts.items():
-        if len(bits) != k:
-            raise ValueError(f"bitstring {bits!r} has wrong length for k={k}")
-        freq[int(bits, 2)] = float(c)
-    return freq / total
-
-
-def _frequency_table(data: Mapping, keys: Sequence, k: int) -> np.ndarray:
-    """Outcome frequencies of each key's counts, concatenated in key order."""
-    return np.concatenate([_frequencies(data[key], k) for key in keys])
+def _checked(frequencies: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    frequencies = np.asarray(frequencies, dtype=float)
+    if frequencies.shape != shape:
+        raise DimensionMismatchError(
+            f"frequencies must have shape {shape}, got {frequencies.shape}")
+    return frequencies
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,15 +120,15 @@ def _estimator(k: int) -> np.ndarray:
     return estimator
 
 
-def qst_reconstruct(data: Mapping[str, CountsLike], k: int) -> np.ndarray:
-    """Density matrix from 3^k Pauli-setting counts (linear inversion + projection)."""
-    settings = qst_settings(k)
-    missing = [s for s in settings if s not in data]
-    if missing:
-        raise MissingSettingError(f"missing settings: {', '.join(missing)}")
+def qst_reconstruct(frequencies: np.ndarray, k: int) -> np.ndarray:
+    """Density matrix from Pauli-setting frequencies (linear inversion + projection).
+
+    ``frequencies`` has shape (3^k, 2^k): row j holds the outcome frequencies
+    of ``qst_settings(k)[j]``, indexed by basis outcome (bit q = qubit q).
+    """
     dim = 2 ** k
-    return project_to_density((_estimator(k) @ _frequency_table(data, settings, k))
-                              .reshape(dim, dim))
+    frequencies = _checked(frequencies, (3 ** k, dim))
+    return project_to_density((_estimator(k) @ frequencies.reshape(-1)).reshape(dim, dim))
 
 
 # -- process tomography ---------------------------------------------------------
@@ -289,20 +279,20 @@ class QptReconstruction:
     tp_deviation_raw: float
 
 
-def qpt_reconstruct_full(data: Mapping[Tuple[Tuple[str, ...], str], CountsLike],
-                         k: int) -> QptReconstruction:
+def qpt_reconstruct_full(frequencies: np.ndarray, k: int) -> QptReconstruction:
+    """CPTP Choi estimate, and the raw estimate's TP deviation, from probe frequencies.
+
+    ``frequencies`` has shape (4^k, 3^k, 2^k): probe i in
+    ``itertools.product(PROBE_LABELS, repeat=k)`` order, setting j in
+    ``qst_settings(k)`` order, basis outcome b (bit q = qubit q).
+    """
     if not 1 <= k <= 3:
         raise KOutOfRangeError(f"k={k} outside 1..3")
     dim = 2 ** k
-    probes = list(itertools.product(PROBE_LABELS, repeat=k))
-    cells = [(p, s) for p in probes for s in qst_settings(k)]
-    missing = [cell for cell in cells if cell not in data]
-    if missing:
-        preview = ", ".join(f"{'/'.join(p)}|{s}" for p, s in missing[:5])
-        raise MissingCellError(f"{len(missing)} missing cells, e.g. {preview}")
+    frequencies = _checked(frequencies, (4 ** k, 3 ** k, dim))
 
     # unprojected per-probe output estimates (see module docstring), one per column
-    outputs = _estimator(k) @ _frequency_table(data, cells, k).reshape(len(probes), -1).T
+    outputs = _estimator(k) @ frequencies.reshape(4 ** k, -1).T
     superop = outputs @ _probe_dual(k)  # row-major vec convention
     # superop[(p, q), (m, n)] = E(|m><n|)[p, q] -> Choi block (m, n)
     xi = superop.reshape((dim,) * 4).transpose(2, 0, 3, 1).reshape(dim * dim, dim * dim)
@@ -311,8 +301,9 @@ def qpt_reconstruct_full(data: Mapping[Tuple[Tuple[str, ...], str], CountsLike],
     return QptReconstruction(project_to_cptp(sigma_raw), deviation)
 
 
-def qpt_reconstruct(data: Mapping[Tuple[Tuple[str, ...], str], CountsLike], k: int) -> np.ndarray:
-    return qpt_reconstruct_full(data, k).choi
+def qpt_reconstruct(frequencies: np.ndarray, k: int) -> np.ndarray:
+    """The CPTP Choi estimate of ``qpt_reconstruct_full``."""
+    return qpt_reconstruct_full(frequencies, k).choi
 
 
 # -- fidelity metrics ------------------------------------------------------------
@@ -390,41 +381,3 @@ def kraus_to_choi(operators: Iterable[np.ndarray]) -> np.ndarray:
             xi[m * d:(m + 1) * d, n * d:(n + 1) * d] = image
     return xi / d
 
-
-# -- dataset files ----------------------------------------------------------------
-
-DATASET_SCHEMA_VERSION = 1
-
-
-def dataset_to_dict(kind: str, k: int, shots: int, master_seed: int,
-                    gate_circuit: Optional[Circuit],
-                    data: Mapping, per_setting: bool) -> dict:
-    if per_setting:
-        encoded = {setting: dict(counts) for setting, counts in data.items()}
-    else:
-        encoded = {f"{','.join(probe)}|{setting}": dict(counts)
-                   for (probe, setting), counts in data.items()}
-    return {
-        "schema_version": DATASET_SCHEMA_VERSION,
-        "kind": kind,
-        "k": k,
-        "shots": shots,
-        "master_seed": master_seed,
-        "gate_circuit": serialize_circuit(gate_circuit) if gate_circuit is not None else None,
-        "data": encoded,
-    }
-
-
-def dataset_from_dict(payload: Mapping) -> Tuple[str, int, dict, Optional[Circuit]]:
-    kind = payload["kind"]
-    k = int(payload["k"])
-    circ = parse_circuit(payload["gate_circuit"]) if payload.get("gate_circuit") else None
-    raw = payload["data"]
-    if kind == "qst":
-        data = {setting: counts for setting, counts in raw.items()}
-    else:
-        data = {}
-        for key, counts in raw.items():
-            probe_part, setting = key.split("|")
-            data[(tuple(probe_part.split(",")), setting)] = counts
-    return kind, k, data, circ

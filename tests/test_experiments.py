@@ -1,20 +1,29 @@
 """End-to-end experiment runs, their determinism, and report files."""
 
+import itertools
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ccxlab import cli, experiments
 from ccxlab.calibration import builtin_calibration_path
+from ccxlab.circuits import Circuit, serialize_circuit
 from ccxlab.errors import SchemaError
 from ccxlab.experiments import (
+    DEFAULT_CONTROLS,
+    DEFAULT_TARGET,
     ExperimentConfig,
     emit_report,
     load_report,
     run_qpt_experiment,
     run_qst_experiment,
 )
+from ccxlab.gates import sx, x
+from ccxlab.states import PROBE_LABELS, StateKind, prepare_state
+from ccxlab.synthesis import decompose_toffoli
+from ccxlab.tomography import derive_seed
 
 BRISBANE = str(builtin_calibration_path("brisbane_median"))
 
@@ -94,6 +103,83 @@ def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, run, circ
     if mode == "NOISE_AWARE":
         expected["readout_map"] = 1
     assert calls == expected
+
+
+@pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
+def test_qst_seed_layout(monkeypatch, mode):
+    # setting j of repeat r draws from default_rng(derive_seed(master_seed, r, j))
+    seen = []
+
+    def captured(frequencies, k):
+        seen.append(frequencies)
+        return reconstruct(frequencies, k)
+
+    reconstruct = experiments.qst_reconstruct
+    monkeypatch.setattr(experiments, "qst_reconstruct", captured)
+    cfg = _config(mode, "W", repeats=3, shots_per_setting=1000)
+    run_qst_experiment(cfg)
+    toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
+    circuit = prepare_state(cfg.input_state).concat(toffoli)
+    table = experiments._distributions([circuit], cfg.noise_model(3), cfg.apply_readout)[0]
+    assert len(seen) == 3
+    for r, frequencies in enumerate(seen):
+        expected = [np.random.default_rng(derive_seed(cfg.master_seed, r, j))
+                    .multinomial(cfg.shots_per_setting, p) / cfg.shots_per_setting
+                    for j, p in enumerate(table)]
+        assert np.array_equal(frequencies, expected)
+
+
+def test_qpt_seed_layout(monkeypatch):
+    # job i of repeat r, probe-major, draws from default_rng(derive_seed(derive_seed(seed, r), i))
+    seen = []
+
+    def captured(frequencies, k):
+        seen.append(frequencies)
+        return reconstruct(frequencies, k)
+
+    reconstruct = experiments.qpt_reconstruct_full
+    monkeypatch.setattr(experiments, "qpt_reconstruct_full", captured)
+    cfg = _config(repeats=2, shots_per_setting=1000)
+    run_qpt_experiment(cfg)
+    toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
+    circuits = [prepare_state(StateKind.PROBE, probe=probe).concat(toffoli)
+                for probe in itertools.product(PROBE_LABELS, repeat=3)]
+    table = experiments._distributions(circuits, None, cfg.apply_readout).reshape(-1, 8)
+    assert len(seen) == 2
+    for r, frequencies in enumerate(seen):
+        repeat_seed = derive_seed(cfg.master_seed, r)
+        expected = [np.random.default_rng(derive_seed(repeat_seed, i))
+                    .multinomial(cfg.shots_per_setting, p) / cfg.shots_per_setting
+                    for i, p in enumerate(table)]
+        assert np.array_equal(frequencies, np.reshape(expected, (64, 27, 8)))
+
+
+# -- ccxlab simulate ----------------------------------------------------------------
+
+def _simulate(tmp_path, capsys, circuit, *flags):
+    path = tmp_path / "circuit.txt"
+    path.write_text(serialize_circuit(circuit))
+    code = cli.main(["simulate", str(path), *flags])
+    return code, capsys.readouterr().out
+
+
+def test_cli_simulate_shots_counts_are_msb_first_bitstrings(tmp_path, capsys):
+    code, out = _simulate(tmp_path, capsys, Circuit(3, (x(0),)), "--shots", "500")
+    assert code == 0
+    payload = json.loads(out)
+    # qubit 0 is the rightmost character
+    assert payload["counts"] == {"001": 500}
+    assert payload["shots"] == 500
+
+
+@pytest.mark.parametrize("noise", [[], ["--noise", "builtin:brisbane_median"]])
+def test_cli_simulate_shots_are_seeded(tmp_path, capsys, noise):
+    circuit = Circuit(3, (sx(0), sx(1), x(2)))
+    code, first = _simulate(tmp_path, capsys, circuit, "--shots", "700", "--seed", "5", *noise)
+    assert code == 0
+    assert sum(json.loads(first)["counts"].values()) == 700
+    assert _simulate(tmp_path, capsys, circuit, "--shots", "700", "--seed", "5", *noise) \
+        == (0, first)
 
 
 # -- report files -----------------------------------------------------------------

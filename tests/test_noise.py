@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ccxlab.errors import CoherenceViolation, ErrTooLargeError, InvalidCoherenceError
+from ccxlab.errors import CoherenceViolation, ErrTooLargeError
 from ccxlab.noise import (
     DEFAULT_GATE_DURATIONS_NS,
     KrausChannel,
@@ -56,8 +56,9 @@ def test_thermal_trace_preserving_grid():
 
 
 def test_thermal_rejects_t2_above_2t1():
-    with pytest.raises(InvalidCoherenceError):
+    with pytest.raises(CoherenceViolation) as info:
         thermal_relaxation_channel(100.0, 50.0, 150.1)
+    assert info.value.exit_code == 3
 
 
 def test_depolarizing_zero_error_identity(rng):

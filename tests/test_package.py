@@ -15,3 +15,26 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_no_unused_imports():
+    # every name a module imports is read somewhere in it; __init__ re-exports
+    sources = sorted(path for path in Path(ccxlab.__file__).parent.glob("*.py")
+                     if path.name != "__init__.py")
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for line, name in _imported_names(tree)
+                   if name not in read]
+    assert unused == []

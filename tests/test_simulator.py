@@ -10,12 +10,10 @@ from ccxlab.gates import ccx, cnot, ecr, gate_matrix, h, rz, sx, x
 from ccxlab.noise import NoiseModel, QubitCalibration
 from ccxlab.qmath import state_fidelity
 from ccxlab.simulator import (
-    CountsMap,
-    exact_counts,
     measurement_probabilities,
     run_density,
     run_statevector,
-    sample_counts,
+    sample_distribution,
 )
 from ccxlab.states import basis_circuit, ghz_circuit, uniform_state
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, native_h
@@ -129,34 +127,43 @@ def test_purity_bounded():
 
 # -- sampling ----------------------------------------------------------------------
 
+def _sample(state, setting, shots, seed):
+    return sample_distribution(measurement_probabilities(state, setting), shots, seed)
+
+
 def test_ground_state_z_sampling_deterministic_outcome():
-    counts = sample_counts(run_statevector(Circuit(1)), "Z", 1000, seed=3)
-    assert counts.outcomes == {"0": 1000}
+    counts = _sample(run_statevector(Circuit(1)), "Z", 1000, seed=3)
+    assert counts.tolist() == [1000, 0]
 
 
 def test_sampling_seed_determinism():
     psi = run_statevector(ghz_circuit())
-    a = sample_counts(psi, "XYZ", 5000, seed=42)
-    b = sample_counts(psi, "XYZ", 5000, seed=42)
-    assert a == b
-    c = sample_counts(psi, "XYZ", 5000, seed=43)
-    assert a != c
+    a = _sample(psi, "XYZ", 5000, seed=42)
+    b = _sample(psi, "XYZ", 5000, seed=42)
+    assert np.array_equal(a, b)
+    c = _sample(psi, "XYZ", 5000, seed=43)
+    assert not np.array_equal(a, c)
+
+
+def test_sampling_rejects_nonpositive_shots():
+    with pytest.raises(ValueError, match="shots"):
+        sample_distribution(np.array([1.0, 0.0]), 0, seed=1)
 
 
 def test_ghz_zzz_binomial_band():
     psi = run_statevector(ghz_circuit())
-    counts = sample_counts(psi, "ZZZ", 19000, seed=11)
-    assert set(counts.outcomes) <= {"000", "111"}
+    counts = _sample(psi, "ZZZ", 19000, seed=11)
+    assert set(np.flatnonzero(counts)) <= {0, 7}
     sigma = math.sqrt(19000 * 0.25)
-    assert abs(counts.outcomes["000"] - 9500) < 4 * sigma
+    assert abs(counts[0] - 9500) < 4 * sigma
 
 
 def test_readout_confusion_flip_rate():
     nm = NoiseModel((QubitCalibration(t1_us=100.0, t2_us=100.0, prob_meas1_prep0=0.1),), {}, {})
     table = simulator.readout_map([Circuit(1)], nm, apply_readout=True)
     probs = simulator.setting_distributions(run_density(Circuit(1), nm), table)[0]
-    counts = simulator.sample_distribution(probs, 20000, seed=5)
-    frac_one = counts.outcomes.get("1", 0) / 20000
+    counts = sample_distribution(probs, 20000, seed=5)
+    frac_one = counts[1] / 20000
     sigma = math.sqrt(0.1 * 0.9 / 20000)
     assert abs(frac_one - 0.1) < 4 * sigma
 
@@ -176,35 +183,17 @@ def test_empirical_tvd_convergence(rng):
     psi = random_state_vector(8, np.random.default_rng(0))
     probs = measurement_probabilities(psi, "XYZ")
     for seed in range(100):
-        counts = sample_counts(psi, "XYZ", shots, seed=seed)
-        emp = np.zeros(8)
-        for bits, c in counts.outcomes.items():
-            emp[int(bits, 2)] = c / shots
+        emp = sample_distribution(probs, shots, seed=seed) / shots
         tvd = 0.5 * np.sum(np.abs(emp - probs))
         if tvd > bound:
             failures += 1
     assert failures <= 1  # 99% of seeded runs inside the bound
 
 
-def test_exact_counts_match_probabilities():
-    psi = run_statevector(ghz_circuit())
-    exact = exact_counts(psi, "ZZZ")
-    assert exact == {"000": pytest.approx(0.5), "111": pytest.approx(0.5)}
-
-
 def test_density_sampling_matches_statevector_sampling():
     circ = ghz_circuit()
     psi = run_statevector(circ)
     rho = run_density(circ, None)
-    a = sample_counts(psi, "XXZ", 2000, seed=9)
-    b = sample_counts(rho, "XXZ", 2000, seed=9)
-    assert a == b
-
-
-def test_counts_map_validation():
-    with pytest.raises(ValueError):
-        CountsMap({"00": 5}, shots=6)
-    with pytest.raises(ValueError):
-        CountsMap({"00": 5, "1": 1}, shots=6)
-    with pytest.raises(ValueError):
-        CountsMap({}, shots=0)
+    a = _sample(psi, "XXZ", 2000, seed=9)
+    b = _sample(rho, "XXZ", 2000, seed=9)
+    assert np.array_equal(a, b)

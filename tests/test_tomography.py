@@ -1,20 +1,17 @@
 import itertools
-import json
 import math
 
 import numpy as np
 import pytest
 
-from ccxlab.circuits import Circuit, circuit_unitary
+from ccxlab.circuits import circuit_unitary
 from ccxlab import tomography
 from ccxlab.errors import (
+    DimensionMismatchError,
     KOutOfRangeError,
-    MissingCellError,
-    MissingSettingError,
     NotUnitaryError,
     ProjectionNotConvergedError,
 )
-from ccxlab.gates import rz, sx
 from ccxlab.qmath import (
     check_density_matrix,
     kron_le,
@@ -22,7 +19,7 @@ from ccxlab.qmath import (
     project_to_density,
     state_fidelity,
 )
-from ccxlab.simulator import exact_counts, measurement_probabilities, run_statevector, sample_counts
+from ccxlab.simulator import measurement_probabilities, run_statevector, sample_distribution
 from ccxlab.states import PROBE_LABELS, ghz_circuit, probe_state
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from ccxlab.tomography import (
@@ -30,8 +27,6 @@ from ccxlab.tomography import (
     choi_apply,
     choi_of_unitary,
     choi_to_superop_pauli,
-    dataset_from_dict,
-    dataset_to_dict,
     derive_seed,
     kraus_to_choi,
     measurement_rotation,
@@ -50,17 +45,24 @@ from conftest import random_cptp_kraus, random_density_matrix, random_state_vect
 
 
 def _exact_qst_data(state, k):
-    return {s: exact_counts(state, s) for s in qst_settings(k)}
+    return np.array([measurement_probabilities(state, s) for s in qst_settings(k)])
+
+
+def _sampled_frequencies(state, setting, shots, seed):
+    return sample_distribution(measurement_probabilities(state, setting), shots, seed) / shots
+
+
+def _sampled_qst_data(state, k, shots):
+    # setting j is drawn with seed j
+    return np.array([_sampled_frequencies(state, s, shots, seed=j)
+                     for j, s in enumerate(qst_settings(k))])
 
 
 def _sampled_qpt_data(u, k, shots, master_seed):
-    data = {}
-    for i, probe in enumerate(itertools.product(PROBE_LABELS, repeat=k)):
-        psi = u @ probe_state(probe)
-        for j, setting in enumerate(qst_settings(k)):
-            data[(probe, setting)] = sample_counts(
-                psi, setting, shots, seed=derive_seed(master_seed, i, j)).outcomes
-    return data
+    return np.array([[_sampled_frequencies(u @ probe_state(probe), setting, shots,
+                                           seed=derive_seed(master_seed, i, j))
+                      for j, setting in enumerate(qst_settings(k))]
+                     for i, probe in enumerate(itertools.product(PROBE_LABELS, repeat=k))])
 
 
 def _sampled_toffoli_qpt_data(shots):
@@ -96,23 +98,14 @@ def _dykstra_cptp(choi, tol=1e-14, max_iter=20000):
 
 
 def _exact_qpt_data(u, k):
-    data = {}
-    for probe in itertools.product(PROBE_LABELS, repeat=k):
-        psi = u @ probe_state(probe)
-        for setting in qst_settings(k):
-            data[(probe, setting)] = exact_counts(psi, setting)
-    return data
+    return np.array([_exact_qst_data(u @ probe_state(probe), k)
+                     for probe in itertools.product(PROBE_LABELS, repeat=k)])
 
 
 def _pauli_expectations_oracle(data, k):
     """Reference estimator: every <P> over {I,X,Y,Z}^k, one Pauli string at a
     time, averaging the parity of P's support over the settings covering P."""
-    freqs = {}
-    for s in qst_settings(k):
-        total = sum(data[s].values())
-        freqs[s] = np.zeros(2 ** k)
-        for bits, c in data[s].items():
-            freqs[s][int(bits, 2)] = c / total
+    freqs = dict(zip(qst_settings(k), data))
     expectations = {}
     for letters in itertools.product("IXYZ", repeat=k):
         pstr = "".join(letters)
@@ -147,8 +140,7 @@ def _qpt_oracle(data, k):
     for idx, probe in enumerate(probes):
         ket = probe_state(probe)
         basis[:, idx] = np.outer(ket, ket.conj()).reshape(-1)
-        per_setting = {s: data[(probe, s)] for s in qst_settings(k)}
-        images[:, idx] = _linear_inversion_oracle(per_setting, k).reshape(-1)
+        images[:, idx] = _linear_inversion_oracle(data[idx], k).reshape(-1)
     superop = images @ np.linalg.inv(basis)
     xi = np.zeros((dim * dim, dim * dim), dtype=complex)
     for m in range(dim):
@@ -235,26 +227,22 @@ def test_qst_random_pure_states_exact(rng):
 
 def test_qst_sampled_output_is_physical(rng):
     psi = run_statevector(ghz_circuit())
-    data = {s: sample_counts(psi, s, 500, seed=i).outcomes
-            for i, s in enumerate(qst_settings(3))}
-    rho = qst_reconstruct(data, 3)
+    rho = qst_reconstruct(_sampled_qst_data(psi, 3, 500), 3)
     check_density_matrix(rho)
 
 
-def test_qst_missing_setting_listed():
+def test_qst_missing_setting_is_a_shape_error():
     psi = np.zeros(2, dtype=complex)
     psi[0] = 1.0
-    data = _exact_qst_data(psi, 1)
-    del data["Y"]
-    with pytest.raises(MissingSettingError, match="Y"):
+    data = _exact_qst_data(psi, 1)[:2]
+    with pytest.raises(DimensionMismatchError, match=r"shape \(3, 2\), got \(2, 2\)"):
         qst_reconstruct(data, 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_qst_reconstruct_matches_per_pauli_oracle(rng, k):
     rho = random_density_matrix(2 ** k, rng)
-    data = {s: sample_counts(rho, s, 200, seed=j).outcomes
-            for j, s in enumerate(qst_settings(k))}
+    data = _sampled_qst_data(rho, k, 200)
     expected = project_to_density(_linear_inversion_oracle(data, k))
     assert np.max(np.abs(qst_reconstruct(data, k) - expected)) < 1e-12
 
@@ -317,26 +305,13 @@ def test_qpt_toffoli_exact():
 def test_qpt_raw_estimate_is_trace_preserving(rng):
     # per-probe linear inversion fixes <I> = 1, so the unprojected Choi is TP
     u = random_unitary(2, rng)
-    data = {}
-    for i, probe in enumerate(itertools.product(PROBE_LABELS, repeat=1)):
-        psi = u @ probe_state(probe)
-        for j, setting in enumerate(qst_settings(1)):
-            data[(probe, setting)] = sample_counts(psi, setting, 300,
-                                                   seed=derive_seed(1, i, j)).outcomes
-    recon = qpt_reconstruct_full(data, 1)
+    recon = qpt_reconstruct_full(_sampled_qpt_data(u, 1, 300, master_seed=1), 1)
     assert recon.tp_deviation_raw < 1e-10
     check_density_matrix(recon.choi, eig_tol=1e-6, trace_tol=1e-8)
 
 
 def test_qpt_sampled_output_is_physical():
-    u = toffoli_unitary((0, 1), 2)
-    data = {}
-    for i, probe in enumerate(itertools.product(PROBE_LABELS, repeat=3)):
-        psi = u @ probe_state(probe)
-        for j, setting in enumerate(qst_settings(3)):
-            data[(probe, setting)] = sample_counts(psi, setting, 50,
-                                                   seed=derive_seed(0, i, j)).outcomes
-    sigma = qpt_reconstruct(data, 3)
+    sigma = qpt_reconstruct(_sampled_toffoli_qpt_data(50), 3)
     check_density_matrix(sigma, eig_tol=1e-6, trace_tol=1e-8)
     assert tp_deviation(sigma) < 1e-6
 
@@ -358,11 +333,12 @@ def test_qpt_reconstruct_matches_per_pauli_oracle_on_sampled_toffoli():
     assert abs(recon.tp_deviation_raw - deviation) < 1e-12
 
 
-def test_qpt_missing_cell():
+def test_qpt_missing_cell_is_a_shape_error():
     data = _exact_qpt_data(np.eye(2), 1)
-    del data[(("+",), "Z")]
-    with pytest.raises(MissingCellError):
-        qpt_reconstruct(data, 1)
+    with pytest.raises(DimensionMismatchError, match=r"shape \(4, 3, 2\), got \(3, 3, 2\)"):
+        qpt_reconstruct(data[:3], 1)
+    with pytest.raises(DimensionMismatchError, match=r"got \(4, 2, 2\)"):
+        qpt_reconstruct(data[:, :2], 1)
 
 
 def test_qpt_product_channel_matches_tensor_product(rng):
@@ -489,25 +465,4 @@ def test_superop_and_choi_paths_agree(rng):
         f_choi = process_fidelity(sigma, choi_of_unitary(u))
         f_superop = process_fidelity_superop(choi_to_superop_pauli(sigma), u)
         assert abs(f_choi - f_superop) < 1e-8
-
-
-# -- dataset files --------------------------------------------------------------------
-
-def test_dataset_round_trip(tmp_path, rng):
-    u = random_unitary(2, rng)
-    data = {}
-    for i, probe in enumerate(itertools.product(PROBE_LABELS, repeat=1)):
-        psi = u @ probe_state(probe)
-        for j, setting in enumerate(qst_settings(1)):
-            data[(probe, setting)] = sample_counts(psi, setting, 400,
-                                                   seed=derive_seed(9, i, j)).outcomes
-    circ = Circuit(1, (sx(0), rz(0.25, 0)))
-    payload = dataset_to_dict("qpt", 1, 400, 9, circ, data, per_setting=False)
-    path = tmp_path / "dataset.json"
-    path.write_text(json.dumps(payload))
-    kind, k, loaded, circ2 = dataset_from_dict(json.loads(path.read_text()))
-    assert kind == "qpt" and k == 1 and circ2 == circ
-    before = qpt_reconstruct(data, 1)
-    after = qpt_reconstruct(loaded, 1)
-    assert np.max(np.abs(before - after)) < 1e-12
 
