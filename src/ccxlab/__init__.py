@@ -29,6 +29,7 @@ from .synthesis import (
     cnot_to_ecr,
     decompose_toffoli,
     equivalent_up_to_global_phase,
+    to_native,
     toffoli_unitary,
 )
 from .tomography import (
@@ -36,7 +37,6 @@ from .tomography import (
     choi_of_unitary,
     measurement_rotation,
     process_fidelity,
-    process_fidelity_superop,
     qpt_reconstruct,
     qst_reconstruct,
     qst_settings,

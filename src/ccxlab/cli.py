@@ -89,9 +89,14 @@ def _add_experiment_flags(p: argparse.ArgumentParser, default_shots: int) -> Non
 
 def _cmd_synth(args) -> int:
     strategy = DecompositionStrategy(args.strategy)
-    controls = tuple(int(q) for q in args.controls.split(","))
+    try:
+        controls = tuple(int(q) for q in args.controls.split(","))
+    except ValueError:
+        raise UsageError(f"--controls takes qubit indices, got {args.controls!r}") from None
     if len(controls) != 2:
         raise UsageError("--controls takes exactly two comma-separated qubits")
+    if len({*controls, args.target}) != 3 or min(*controls, args.target) < 0:
+        raise UsageError("--controls and --target must be three distinct non-negative qubits")
     circuit = decompose_toffoli(strategy, controls, args.target)
     report = certify_toffoli(circuit, controls, args.target)
     violations = validate_connectivity(circuit, path_graph(circuit.num_qubits))
@@ -113,6 +118,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.shots < 0:
+        raise UsageError("--shots must be positive, or 0 to skip sampling")
     text = Path(args.circuit).read_text()
     circuit = parse_circuit(text)
     if args.noise:

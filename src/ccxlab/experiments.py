@@ -100,10 +100,11 @@ class ExperimentConfig:
         if self.noise_scale < 0:
             raise UsageError("noise_scale must be nonnegative")
 
-    def noise_model(self, num_qubits: int = 3) -> Optional[NoiseModel]:
+    def noise_model(self) -> Optional[NoiseModel]:
+        """The three-qubit noise model of a noise-aware run; None when noise-free."""
         if self.mode is Mode.NOISE_FREE:
             return None
-        nm = ingest_calibration(self.calibration_path).noise_model(num_qubits)
+        nm = ingest_calibration(self.calibration_path).noise_model(3)
         if self.noise_scale != 1.0:
             nm = scale_noise_model(nm, self.noise_scale)
         return nm
@@ -218,7 +219,7 @@ def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     start = time.perf_counter()
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
     circuit = prepare_state(cfg.input_state).concat(toffoli)
-    distributions = _distributions([circuit], cfg.noise_model(3), cfg.apply_readout)
+    distributions = _distributions([circuit], cfg.noise_model(), cfg.apply_readout)
 
     psi_ref = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET) @ target_state(cfg.input_state)
     rho_ref = np.outer(psi_ref, psi_ref.conj())
@@ -249,7 +250,7 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
     probes = list(itertools.product(PROBE_LABELS, repeat=3))
     circuits = [prepare_state(StateKind.PROBE, probe=probe).concat(toffoli) for probe in probes]
-    distributions = _distributions(circuits, cfg.noise_model(3), cfg.apply_readout)
+    distributions = _distributions(circuits, cfg.noise_model(), cfg.apply_readout)
     target_choi = choi_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET))
     num_jobs = len(probes) * len(qst_settings(3))
 

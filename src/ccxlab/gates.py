@@ -36,13 +36,9 @@ MAT_ECR_ASC = np.array([
     [0, 1j * _SQ2, 0, _SQ2],
     [-1j * _SQ2, 0, _SQ2, 0],
 ], dtype=complex)
-# control on the higher wire index
-MAT_ECR_DESC = np.array([
-    [0, 0, _SQ2, 1j * _SQ2],
-    [0, 0, 1j * _SQ2, _SQ2],
-    [_SQ2, -1j * _SQ2, 0, 0],
-    [-1j * _SQ2, _SQ2, 0, 0],
-], dtype=complex)
+# control on the higher wire index: SWAP . ECR_ASC . SWAP, an exact reindexing
+_SWAP_ORDER = [0, 2, 1, 3]
+MAT_ECR_DESC = MAT_ECR_ASC[np.ix_(_SWAP_ORDER, _SWAP_ORDER)]
 
 
 class Gate(str, Enum):
@@ -145,48 +141,33 @@ def ccx(control1: int, control2: int, target: int) -> GateDef:
     return GateDef(Gate.CCX, (control1, control2, target))
 
 
-def _permutation_matrix(k: int, control_positions, target_position) -> np.ndarray:
-    """Classical controlled-X on k local wires (positions in sorted order)."""
-    dim = 2 ** k
+def _controlled_x(g: GateDef) -> np.ndarray:
+    """Classical controlled-X permutation; the last wire of ``g`` is the target."""
+    order = sorted(g.qubits)
+    *controls, target = (order.index(q) for q in g.qubits)
+    dim = 2 ** len(order)
     m = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
-        j = i
-        if all((i >> p) & 1 for p in control_positions):
-            j = i ^ (1 << target_position)
+        j = i ^ (1 << target) if all((i >> p) & 1 for p in controls) else i
         m[j, i] = 1.0
     return m
 
 
+def _rz(g: GateDef) -> np.ndarray:
+    return np.diag([np.exp(-1j * g.params[0] / 2), np.exp(1j * g.params[0] / 2)]).astype(complex)
+
+
+_FIXED_MATRICES = {Gate.X: MAT_X, Gate.SX: MAT_SX, Gate.H: MAT_H, Gate.T: MAT_T,
+                   Gate.TDG: MAT_TDG, Gate.S: MAT_S, Gate.SDG: MAT_SDG, Gate.ID: I2}
+_MATRIX_BUILDERS = {
+    Gate.RZ: _rz,
+    Gate.ECR: lambda g: (MAT_ECR_ASC if g.qubits[0] < g.qubits[1] else MAT_ECR_DESC).copy(),
+    Gate.CNOT: _controlled_x,
+    Gate.CCX: _controlled_x,
+}
+
+
 def gate_matrix(g: GateDef) -> np.ndarray:
     """Unitary of ``g`` on its own wires, sorted ascending, little-endian."""
-    if g.name is Gate.X:
-        return MAT_X.copy()
-    if g.name is Gate.SX:
-        return MAT_SX.copy()
-    if g.name is Gate.H:
-        return MAT_H.copy()
-    if g.name is Gate.T:
-        return MAT_T.copy()
-    if g.name is Gate.TDG:
-        return MAT_TDG.copy()
-    if g.name is Gate.S:
-        return MAT_S.copy()
-    if g.name is Gate.SDG:
-        return MAT_SDG.copy()
-    if g.name is Gate.ID:
-        return I2.copy()
-    if g.name is Gate.RZ:
-        theta = g.params[0]
-        return np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)]).astype(complex)
-    if g.name is Gate.CNOT:
-        control, target = g.qubits
-        order = sorted(g.qubits)
-        return _permutation_matrix(2, (order.index(control),), order.index(target))
-    if g.name is Gate.ECR:
-        control, target = g.qubits
-        return MAT_ECR_ASC.copy() if control < target else MAT_ECR_DESC.copy()
-    if g.name is Gate.CCX:
-        c1, c2, target = g.qubits
-        order = sorted(g.qubits)
-        return _permutation_matrix(3, (order.index(c1), order.index(c2)), order.index(target))
-    raise UnknownGateError(f"no matrix for gate {g.name!r}")
+    fixed = _FIXED_MATRICES.get(g.name)
+    return fixed.copy() if fixed is not None else _MATRIX_BUILDERS[g.name](g)

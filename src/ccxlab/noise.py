@@ -55,13 +55,6 @@ class KrausChannel:
         if dev > 1e-8:
             raise ValueError(f"Kraus operators are not trace preserving (dev {dev:.3e})")
 
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return sum(k @ rho @ dagger(k) for k in self.operators)
-
 
 def thermal_relaxation_channel(duration_ns: float, t1_us: float, t2_us: float) -> KrausChannel:
     """Amplitude damping for T1 composed with pure dephasing for T2.
@@ -169,14 +162,10 @@ class NoiseModel:
 
     def error_for(self, gate: Gate | str) -> float:
         name = gate.value if isinstance(gate, Gate) else gate
-        if name == "RZ":
-            return 0.0
         return float(self.gate_error.get(name, 0.0))
 
     def duration_for(self, gate: Gate | str) -> float:
         name = gate.value if isinstance(gate, Gate) else gate
-        if name == "RZ":
-            return 0.0
         if name in self.gate_duration:
             return float(self.gate_duration[name])
         return DEFAULT_GATE_DURATIONS_NS.get(name, 0.0)

@@ -29,22 +29,24 @@ the index is the outcome of qubit q, the little-endian order of states.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .circuits import Circuit, _apply_local
 from .errors import CcxlabError, InvalidPauliStringError, NonNativeGateError
-from .gates import MAT_H, MAT_S, NATIVE_GATES, GateDef, gate_matrix
+from .gates import NATIVE_GATES, GateDef, gate_matrix, h, sdg
 from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
 from .qmath import I2, dagger, kron_le
 
-#: exact measurement-basis rotations (Z-diagonalizing frame per letter)
-_BASIS_ROT = {
-    "Z": I2,
-    "X": MAT_H,
-    "Y": MAT_H @ dagger(MAT_S),
-}
+#: per Pauli letter, the logical gates (in application order, as constructors
+#: of one wire) that rotate its eigenbasis onto Z before a Z measurement
+MEASUREMENT_BASES = {"X": (h,), "Y": (sdg, h), "Z": ()}
+
+#: exact measurement-basis rotations; "Z" stays the ``I2`` object, which is skipped
+_BASIS_ROT = {letter: reduce(lambda m, gate: gate_matrix(gate(0)) @ m, word, I2)
+              for letter, word in MEASUREMENT_BASES.items()}
 
 #: registers up to this size apply each compiled gate as a dense 4^n x 4^n
 #: superoperator (64 x 64 at three qubits); larger ones contract the gate's

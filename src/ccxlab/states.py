@@ -1,10 +1,11 @@
 """Benchmark input states and tomography probe preparations.
 
-All builders emit circuits over the native gate set only, so they run on
-either simulator backend unchanged. A leading RZ on a wire still in |0> is
-prepended to cancel the global phase accumulated by the RZ/SX rewrites;
-the produced state then matches the target amplitudes exactly, not merely
-up to phase.
+Builders write logical circuits (H, S, X, CNOT, and the native RY words of
+the W state) and lower them with ``synthesis.to_native``, so every prepared
+circuit is over the native gate set and runs on either simulator backend
+unchanged. A leading RZ on a wire still in |0> is prepended to cancel the
+global phase accumulated by the RZ/SX rewrites; the produced state then
+matches the target amplitudes exactly, not merely up to phase.
 """
 
 from __future__ import annotations
@@ -12,15 +13,15 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .circuits import Circuit
 from .errors import CcxlabError, InvalidLabelError
-from .gates import GateDef, rz, x
+from .gates import cnot, h, rz, s, x
 from .simulator import run_statevector
-from .synthesis import cnot_to_ecr, native_h, native_ry, peephole_merge
+from .synthesis import native_ry, to_native
 
 PI = math.pi
 
@@ -32,6 +33,8 @@ _PROBE_KETS = {
     "+": np.array([1, 1], dtype=complex) / math.sqrt(2),
     "+i": np.array([1, 1j], dtype=complex) / math.sqrt(2),
 }
+#: the logical gates preparing each probe from |0>; |+i> = S H |0>
+_PROBE_GATES = {"0": (), "1": (x,), "+": (h,), "+i": (h, s)}
 
 
 class StateKind(str, Enum):
@@ -95,38 +98,22 @@ def _fix_global_phase(circuit: Circuit, target: np.ndarray) -> Circuit:
 
 
 def ghz_circuit() -> Circuit:
-    gates: List[GateDef] = []
-    gates += native_h(0)
-    gates += cnot_to_ecr(0, 1).gates
-    gates += cnot_to_ecr(1, 2).gates
-    c = peephole_merge(Circuit(3, tuple(gates)))
+    c = to_native(Circuit(3, (h(0), cnot(0, 1), cnot(1, 2))))
     return _fix_global_phase(c, ghz_state())
 
 
 def w_circuit() -> Circuit:
     """Split amplitude 1/sqrt(3) onto qubit 2, a Bell-like pair on (1, 0)."""
     theta = 2 * math.acos(math.sqrt(2.0 / 3.0))
-    gates: List[GateDef] = []
-    gates += native_ry(theta, 2)
     # rotate qubit 1 by pi/2 only when qubit 2 is |0>: X-conjugated controlled-RY
-    gates += [x(2)]
-    gates += native_ry(PI / 4, 1)
-    gates += cnot_to_ecr(2, 1).gates
-    gates += native_ry(-PI / 4, 1)
-    gates += cnot_to_ecr(2, 1).gates
-    gates += [x(2)]
-    gates += cnot_to_ecr(1, 0).gates
-    gates += cnot_to_ecr(2, 0).gates
-    gates += [x(0)]
-    c = peephole_merge(Circuit(3, tuple(gates)))
+    gates = (native_ry(theta, 2) + [x(2)] + native_ry(PI / 4, 1) + [cnot(2, 1)]
+             + native_ry(-PI / 4, 1) + [cnot(2, 1), x(2), cnot(1, 0), cnot(2, 0), x(0)])
+    c = to_native(Circuit(3, tuple(gates)))
     return _fix_global_phase(c, w_state())
 
 
 def uniform_circuit() -> Circuit:
-    gates: List[GateDef] = []
-    for q in range(3):
-        gates += native_h(q)
-    c = peephole_merge(Circuit(3, tuple(gates)))
+    c = to_native(Circuit(3, tuple(h(q) for q in range(3))))
     return _fix_global_phase(c, uniform_state())
 
 
@@ -136,23 +123,9 @@ def basis_circuit(index: int, num_qubits: int = 3) -> Circuit:
 
 
 def probe_circuit(labels: Sequence[str]) -> Circuit:
-    labels = list(labels)
-    gates: List[GateDef] = []
-    for q, lab in enumerate(labels):
-        if lab == "0":
-            continue
-        elif lab == "1":
-            gates.append(x(q))
-        elif lab == "+":
-            gates += native_h(q)
-        elif lab == "+i":
-            # |+i> = S H |0>; the trailing RZ folds into the H rewrite
-            gates += native_h(q)
-            gates.append(rz(PI / 2, q))
-        else:
-            raise InvalidLabelError(f"probe label {lab!r} not in {PROBE_LABELS}")
-    c = peephole_merge(Circuit(len(labels), tuple(gates)))
-    return _fix_global_phase(c, probe_state(labels))
+    target = probe_state(labels)  # raises InvalidLabelError on an unknown label
+    gates = tuple(gate(q) for q, lab in enumerate(labels) for gate in _PROBE_GATES[lab])
+    return _fix_global_phase(to_native(Circuit(len(labels), gates)), target)
 
 
 #: per kind, the native circuit builder and the exact target vector it prepares;

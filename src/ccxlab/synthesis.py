@@ -1,4 +1,4 @@
-"""Toffoli decomposition strategies and equivalence certification.
+"""Toffoli decomposition strategies, the lowering pass, and equivalence certification.
 
 Four builders produce circuits that all realize the doubly-controlled-X
 permutation, certified against the dense reference unitary up to a global
@@ -15,10 +15,12 @@ phase:
   tests/test_synthesis.py) shows 9 is the shortest odd-length
   nearest-neighbor CNOT word that restores the wires while visiting every
   parity, so no CNOT here is a removable pair.
-* ``ECR_NATIVE`` — the eight-CNOT form mapped onto the device gate set
-  {ECR, RZ, SX, X, ID}, one ECR per CNOT, then peephole-merged.
+* ``ECR_NATIVE`` — ``to_native(LNN_8CNOT)``, one ECR per CNOT.
 
-The CNOT-to-ECR translation is exact (global phase 1):
+``to_native`` is the one lowering pass to the device gate set {ECR, RZ, SX,
+X, ID}: it rewrites each gate through a rule table (H, T, TDG, S, SDG to
+RZ/SX words; CNOT to one ECR), then ``peephole_merge``s. The CNOT rule is
+exact (global phase 1):
 ``CX(c,t) = RZ(pi/2)_c . SX_t . ECR(c,t) . X_c`` as matrices, i.e. the
 circuit X(c), ECR(c,t), SX(t), RZ(pi/2)(c).
 """
@@ -147,6 +149,37 @@ def peephole_merge(circuit: Circuit) -> Circuit:
     return Circuit(circuit.num_qubits, tuple(cleaned))
 
 
+#: each logical single-qubit gate as a word over {RZ, SX}
+_RZ_SX_RULES = {
+    Gate.H: native_h,
+    Gate.T: lambda q: [rz(PI / 4, q)],
+    Gate.TDG: lambda q: [rz(-PI / 4, q)],
+    Gate.S: lambda q: [rz(PI / 2, q)],
+    Gate.SDG: lambda q: [rz(-PI / 2, q)],
+}
+#: every logical gate that ``to_native`` rewrites
+_NATIVE_RULES = {**_RZ_SX_RULES,
+                 Gate.CNOT: lambda control, target: cnot_to_ecr(control, target).gates}
+
+
+def _lower(circuit: Circuit, rules) -> Circuit:
+    """Substitute each gate named in ``rules`` by its word, then ``peephole_merge``."""
+    seq: List[GateDef] = []
+    for g in circuit.gates:
+        rule = rules.get(g.name)
+        seq.extend(rule(*g.qubits) if rule else (g,))
+    return peephole_merge(Circuit(circuit.num_qubits, tuple(seq)))
+
+
+def to_native(circuit: Circuit) -> Circuit:
+    """``circuit`` over the device gate set {ECR, RZ, SX, X}, equal up to global phase.
+
+    A CCX has no rule and passes through; synthesize it with
+    ``decompose_toffoli`` first.
+    """
+    return _lower(circuit, _NATIVE_RULES)
+
+
 # -- path handling -------------------------------------------------------------
 
 def _path_order(controls: Sequence[int], target: int,
@@ -173,7 +206,8 @@ def _path_order(controls: Sequence[int], target: int,
 
 # -- strategy builders ---------------------------------------------------------
 
-def _full_6cnot(c1: int, c2: int, tgt: int) -> Circuit:
+def _full_6cnot(controls, tgt, _coupling) -> Circuit:
+    c1, c2 = controls
     n = max(c1, c2, tgt) + 1
     seq = [
         h(tgt),
@@ -226,51 +260,21 @@ def _ccz_9cnot(p0: int, p1: int, p2: int) -> List[GateDef]:
     ]
 
 
-def _lnn_8cnot(controls, target, coupling) -> Circuit:
+def _lnn(ccz, controls, target, coupling) -> Circuit:
+    """H on the target around a CCZ core laid on the coupling path."""
     p0, p1, p2 = _path_order(controls, target, coupling)
-    n = max(p0, p1, p2) + 1
-    seq = [h(target)] + _ccz_8cnot(p0, p1, p2) + [h(target)]
-    return Circuit(n, tuple(seq))
+    seq = [h(target)] + ccz(p0, p1, p2) + [h(target)]
+    return Circuit(max(p0, p1, p2) + 1, tuple(seq))
 
 
-def _to_rz_sx(g: GateDef) -> List[GateDef]:
-    q = g.qubits[0]
-    if g.name is Gate.H:
-        return native_h(q)
-    if g.name is Gate.T:
-        return [rz(PI / 4, q)]
-    if g.name is Gate.TDG:
-        return [rz(-PI / 4, q)]
-    if g.name is Gate.S:
-        return [rz(PI / 2, q)]
-    if g.name is Gate.SDG:
-        return [rz(-PI / 2, q)]
-    raise ValueError(f"no RZ/SX rewrite for {g.name.value}")
-
-
-def _lnn_9cnot_rzsx(controls, target, coupling) -> Circuit:
-    p0, p1, p2 = _path_order(controls, target, coupling)
-    n = max(p0, p1, p2) + 1
-    seq: List[GateDef] = []
-    for g in [h(target)] + _ccz_9cnot(p0, p1, p2) + [h(target)]:
-        if g.name in (Gate.H, Gate.T, Gate.TDG):
-            seq.extend(_to_rz_sx(g))
-        else:
-            seq.append(g)
-    return peephole_merge(Circuit(n, tuple(seq)))
-
-
-def _ecr_native(controls, target, coupling) -> Circuit:
-    base = _lnn_8cnot(controls, target, coupling)
-    seq: List[GateDef] = []
-    for g in base.gates:
-        if g.name is Gate.CNOT:
-            seq.extend(cnot_to_ecr(*g.qubits).gates)
-        elif g.name in (Gate.H, Gate.T, Gate.TDG, Gate.S, Gate.SDG):
-            seq.extend(_to_rz_sx(g))
-        else:
-            seq.append(g)
-    return peephole_merge(Circuit(base.num_qubits, tuple(seq)))
+_STRATEGY_BUILDERS = {
+    DecompositionStrategy.FULL_6CNOT: _full_6cnot,
+    DecompositionStrategy.LNN_8CNOT: lambda *roles: _lnn(_ccz_8cnot, *roles),
+    # keeps its CNOTs: only the single-qubit gates are lowered
+    DecompositionStrategy.LNN_9CNOT_RZSX:
+        lambda *roles: _lower(_lnn(_ccz_9cnot, *roles), _RZ_SX_RULES),
+    DecompositionStrategy.ECR_NATIVE: lambda *roles: to_native(_lnn(_ccz_8cnot, *roles)),
+}
 
 
 def decompose_toffoli(strategy: DecompositionStrategy, controls: Sequence[int],
@@ -283,13 +287,4 @@ def decompose_toffoli(strategy: DecompositionStrategy, controls: Sequence[int],
     controls = tuple(controls)
     if len(set(controls) | {target}) != 3:
         raise ValueError("controls and target must be three distinct qubits")
-    strategy = DecompositionStrategy(strategy)
-    if strategy is DecompositionStrategy.FULL_6CNOT:
-        return _full_6cnot(controls[0], controls[1], target)
-    if strategy is DecompositionStrategy.LNN_8CNOT:
-        return _lnn_8cnot(controls, target, coupling)
-    if strategy is DecompositionStrategy.LNN_9CNOT_RZSX:
-        return _lnn_9cnot_rzsx(controls, target, coupling)
-    if strategy is DecompositionStrategy.ECR_NATIVE:
-        return _ecr_native(controls, target, coupling)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _STRATEGY_BUILDERS[DecompositionStrategy(strategy)](controls, target, coupling)

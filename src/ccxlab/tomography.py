@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .errors import (
     KOutOfRangeError,
     ProjectionNotConvergedError,
 )
-from .gates import GateDef, rz, sx
 from .qmath import (
     check_unitary,
     dagger,
@@ -56,8 +55,9 @@ from .qmath import (
     project_to_density,
     state_fidelity,
 )
+from .simulator import MEASUREMENT_BASES
 from .states import PROBE_LABELS, probe_state
-from .synthesis import PI
+from .synthesis import to_native
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -78,15 +78,8 @@ def measurement_rotation(setting: str) -> Circuit:
     k = len(setting)
     if k == 0 or any(ch not in "XYZ" for ch in setting):
         raise InvalidPauliStringError(f"setting {setting!r} must be letters over X/Y/Z")
-    gates: List[GateDef] = []
-    for q, letter in enumerate(setting):
-        if letter == "Z":
-            continue
-        if letter == "X":
-            gates += [rz(PI / 2, q), sx(q), rz(PI / 2, q)]
-        else:  # Y: S-dagger then Hadamard, merged over {RZ, SX}
-            gates += [sx(q), rz(PI / 2, q)]
-    return Circuit(k, tuple(gates))
+    return to_native(Circuit(k, tuple(gate(q) for q, letter in enumerate(setting)
+                                      for gate in MEASUREMENT_BASES[letter])))
 
 
 def _checked(frequencies: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -151,13 +144,6 @@ def choi_of_unitary(u: np.ndarray) -> np.ndarray:
     for i in range(dim):
         ket[i * dim:(i + 1) * dim] = u[:, i]
     return np.outer(ket, ket.conj()) / dim
-
-
-def choi_apply(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Channel action from the normalized Choi matrix."""
-    d = rho.shape[0]
-    blocks = (choi * d).reshape(d, d, d, d)  # [m, p, n, q] -> E(|m><n|)[p, q]
-    return np.einsum("mn,mpnq->pq", rho, blocks)
 
 
 def _partial_trace_out(xi: np.ndarray, d: int) -> np.ndarray:
@@ -323,61 +309,3 @@ def average_gate_fidelity(f_pro: float, k: int) -> float:
         raise ValueError(f"process fidelity {f_pro} outside [0, 1]")
     gamma = 2 ** k
     return (gamma * f_pro + 1.0) / (gamma + 1.0)
-
-
-def _normalized_paulis(k: int) -> List[np.ndarray]:
-    gamma = 2 ** k
-    return [pauli_string_matrix("".join(p)) / np.sqrt(gamma)
-            for p in itertools.product("IXYZ", repeat=k)]
-
-
-def choi_to_superop_pauli(choi: np.ndarray) -> np.ndarray:
-    """Transfer matrix in the normalized Pauli basis, S[i,j] = Tr(P_i E(P_j))."""
-    d = int(round(np.sqrt(choi.shape[0])))
-    k = int(round(np.log2(d)))
-    paulis = _normalized_paulis(k)
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for j, pj in enumerate(paulis):
-        image = choi_apply(choi, pj)
-        for i, pi in enumerate(paulis):
-            s[i, j] = np.trace(dagger(pi) @ image)
-    return s
-
-
-def unitary_to_superop_pauli(u: np.ndarray) -> np.ndarray:
-    u = check_unitary(np.asarray(u, dtype=complex), tol=1e-10)
-    d = u.shape[0]
-    k = int(round(np.log2(d)))
-    paulis = _normalized_paulis(k)
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for j, pj in enumerate(paulis):
-        image = u @ pj @ dagger(u)
-        for i, pi in enumerate(paulis):
-            s[i, j] = np.trace(dagger(pi) @ image)
-    return s
-
-
-def process_fidelity_superop(channel_superop: np.ndarray, target_unitary: np.ndarray) -> float:
-    """Tr(S_target^dag S_channel) / Gamma^2; the superoperator-path cross-check."""
-    s_chan = np.asarray(channel_superop, dtype=complex)
-    s_tgt = unitary_to_superop_pauli(target_unitary)
-    if s_chan.shape != s_tgt.shape:
-        raise DimensionMismatchError(f"superoperator shapes differ: {s_chan.shape} vs {s_tgt.shape}")
-    gamma_sq = s_chan.shape[0]
-    return float(np.real(np.trace(dagger(s_tgt) @ s_chan)) / gamma_sq)
-
-
-def kraus_to_choi(operators: Iterable[np.ndarray]) -> np.ndarray:
-    """Normalized Choi matrix of an operator-sum channel (testing utility)."""
-    ops = [np.asarray(kk, dtype=complex) for kk in operators]
-    d = ops[0].shape[0]
-    xi = np.zeros((d * d, d * d), dtype=complex)
-    unit = np.zeros((d, d), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            unit[:] = 0.0
-            unit[m, n] = 1.0
-            image = sum(kk @ unit @ dagger(kk) for kk in ops)
-            xi[m * d:(m + 1) * d, n * d:(n + 1) * d] = image
-    return xi / d
-

@@ -120,7 +120,7 @@ def test_qst_seed_layout(monkeypatch, mode):
     run_qst_experiment(cfg)
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
     circuit = prepare_state(cfg.input_state).concat(toffoli)
-    table = experiments._distributions([circuit], cfg.noise_model(3), cfg.apply_readout)[0]
+    table = experiments._distributions([circuit], cfg.noise_model(), cfg.apply_readout)[0]
     assert len(seen) == 3
     for r, frequencies in enumerate(seen):
         expected = [np.random.default_rng(derive_seed(cfg.master_seed, r, j))

@@ -4,10 +4,11 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccxlab.circuits import Circuit, CouplingGraph, circuit_unitary, path_graph, validate_connectivity
 from ccxlab.errors import DimensionMismatchError, NonPathQubitsError
-from ccxlab.gates import Gate, ccx, cnot, gate_matrix, rz, sx
+from ccxlab.gates import NATIVE_GATES, Gate, GateDef, ccx, cnot, gate_matrix, rz, sx
 from ccxlab.synthesis import (
     DecompositionStrategy,
     _ccz_8cnot,
@@ -19,6 +20,7 @@ from ccxlab.synthesis import (
     native_h,
     native_u3,
     peephole_merge,
+    to_native,
     toffoli_unitary,
 )
 
@@ -243,3 +245,31 @@ def test_peephole_does_not_merge_across_blockers():
     c = Circuit(1, (rz(0.3, 0), sx(0), rz(0.4, 0)))
     merged = peephole_merge(c)
     assert [g.name for g in merged.gates] == [Gate.RZ, Gate.SX, Gate.RZ]
+
+
+# -- the lowering pass ---------------------------------------------------------------
+
+_QUBIT = st.integers(0, 2)
+_LOGICAL_GATES = st.one_of(
+    st.builds(lambda name, q: GateDef(name, (q,)),
+              st.sampled_from([Gate.H, Gate.T, Gate.TDG, Gate.S, Gate.SDG, Gate.X, Gate.SX]),
+              _QUBIT),
+    st.builds(rz, st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False), _QUBIT),
+    st.permutations(range(3)).map(lambda wires: cnot(wires[0], wires[1])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LOGICAL_GATES, max_size=30))
+def test_to_native_keeps_the_unitary_on_the_native_gate_set(gates):
+    circuit = Circuit(3, tuple(gates))
+    out = to_native(circuit)
+    assert {g.name for g in out.gates} <= NATIVE_GATES
+    report = equivalent_up_to_global_phase(circuit_unitary(out), circuit_unitary(circuit), 1e-10)
+    assert report.equivalent, report.max_abs_error
+
+
+@pytest.mark.parametrize("controls,target", ALL_ROLES)
+def test_ecr_native_is_the_lowered_8cnot_form(controls, target):
+    lnn = decompose_toffoli(DecompositionStrategy.LNN_8CNOT, controls, target)
+    assert decompose_toffoli(DecompositionStrategy.ECR_NATIVE, controls, target) == to_native(lnn)

@@ -24,23 +24,25 @@ from ccxlab.states import PROBE_LABELS, ghz_circuit, probe_state
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from ccxlab.tomography import (
     average_gate_fidelity,
-    choi_apply,
     choi_of_unitary,
-    choi_to_superop_pauli,
     derive_seed,
-    kraus_to_choi,
     measurement_rotation,
     process_fidelity,
-    process_fidelity_superop,
     project_to_cptp,
     qpt_reconstruct,
     qpt_reconstruct_full,
     qst_reconstruct,
     qst_settings,
     tp_deviation,
-    unitary_to_superop_pauli,
 )
 
+from channel_oracle import (
+    choi_apply,
+    choi_to_superop_pauli,
+    kraus_to_choi,
+    process_fidelity_superop,
+    unitary_to_superop_pauli,
+)
 from conftest import random_cptp_kraus, random_density_matrix, random_state_vector, random_unitary
 
 
