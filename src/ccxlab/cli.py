@@ -24,12 +24,7 @@ from .experiments import (
     run_qpt_experiment,
     run_qst_experiment,
 )
-from .simulator import (
-    measurement_probabilities,
-    run_density,
-    run_statevector,
-    sample_distribution,
-)
+from .simulator import run_density, run_statevector, sample_distribution
 from .states import StateKind
 from .synthesis import DecompositionStrategy, certify_toffoli, decompose_toffoli
 from .version import __version__
@@ -125,19 +120,20 @@ def _cmd_simulate(args) -> int:
     if args.noise:
         table = ingest_calibration(_resolve_noise_path(args.noise))
         nm = table.noise_model(circuit.num_qubits)
-        state = run_density(circuit, nm)
-        purity = float(np.real(np.trace(state @ state)))
+        rho = run_density(circuit, nm)
+        purity = float(np.real(np.trace(rho @ rho)))
+        probs = np.real(np.diag(rho))
         out = {"backend": "density", "purity": purity,
-               "populations": [float(np.real(state[i, i])) for i in range(state.shape[0])]}
+               "populations": [float(p) for p in probs]}
     else:
         psi = run_statevector(circuit)
         out = {"backend": "statevector",
                "amplitudes": [[float(a.real), float(a.imag)] for a in psi]}
-        state = psi
+        probs = np.abs(psi) ** 2
     if args.shots:
         n = circuit.num_qubits
-        draws = sample_distribution(measurement_probabilities(state, "Z" * n),
-                                    args.shots, args.seed)
+        probs = np.clip(probs, 0.0, None)
+        draws = sample_distribution(probs / probs.sum(), args.shots, args.seed)
         # MSB-first bitstrings: the highest qubit leftmost, qubit 0 rightmost
         out["counts"] = {format(i, f"0{n}b"): int(c) for i, c in enumerate(draws) if c > 0}
         out["shots"] = args.shots
@@ -253,7 +249,7 @@ def main(argv=None) -> int:
     except CcxlabError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a user file that cannot be read or written
         print(f"error[schema]: {exc}", file=sys.stderr)
         return 3
 

@@ -2,12 +2,14 @@
 
 A run builds its circuits once: the configured input state followed by the
 chosen Toffoli realization (state tomography), or each of the 64 probe
-preparations followed by it (process tomography). It simulates each circuit
-once, on the exact state vector or as a density matrix under a
-calibration-derived noise model, into a table of exact outcome distributions,
-one per (circuit, measurement setting) cell. Only the sampling differs from one
-repeat to the next: a repeat draws seeded finite-shot counts from that table,
-reconstructs, and scores against the analytic reference.
+preparations followed by it (process tomography). It evolves each circuit's
+density matrix once under the run's noise model, a calibration-derived one
+when noise-aware and ``NOISELESS`` when noise-free, and reads every
+measurement setting off one readout map into a table of exact outcome
+distributions, one per (circuit, setting) cell. The two modes differ only in
+the model. Only the sampling differs from one repeat to the next: a repeat
+draws seeded finite-shot counts from that table, reconstructs, and scores
+against the analytic reference.
 
 Determinism: every sampled count depends only on (master_seed, repeat index,
 job index) through ``derive_seed``, so a run's fidelity list does not depend
@@ -34,16 +36,9 @@ import numpy as np
 from .calibration import ingest_calibration
 from .circuits import Circuit
 from .errors import IoError, SchemaError, UsageError
-from .noise import NoiseModel, scale_noise_model
+from .noise import NOISELESS, NoiseModel, scale_noise_model
 from .qmath import state_fidelity
-from .simulator import (
-    measurement_probabilities,
-    readout_map,
-    run_density,
-    run_statevector,
-    sample_distribution,
-    setting_distributions,
-)
+from .simulator import readout_map, run_density, sample_distribution, setting_distributions
 from .states import PROBE_LABELS, StateKind, prepare_state, target_state
 from .synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from .tomography import (
@@ -95,15 +90,17 @@ class ExperimentConfig:
             raise UsageError("shots_per_setting must be positive")
         if self.repeats < 1:
             raise UsageError("repeats must be >= 1")
+        if self.master_seed < 0:
+            raise UsageError("master_seed must be nonnegative")
         if self.mode is Mode.NOISE_AWARE and not self.calibration_path:
             raise UsageError("NOISE_AWARE mode requires a calibration path")
         if self.noise_scale < 0:
             raise UsageError("noise_scale must be nonnegative")
 
-    def noise_model(self) -> Optional[NoiseModel]:
-        """The three-qubit noise model of a noise-aware run; None when noise-free."""
+    def noise_model(self) -> NoiseModel:
+        """The three-qubit noise model of a noise-aware run; ``NOISELESS`` when noise-free."""
         if self.mode is Mode.NOISE_FREE:
-            return None
+            return NOISELESS
         nm = ingest_calibration(self.calibration_path).noise_model(3)
         if self.noise_scale != 1.0:
             nm = scale_noise_model(nm, self.noise_scale)
@@ -176,21 +173,16 @@ def _gate_count_summary(toffoli: Circuit, full: Circuit) -> Dict[str, int]:
 
 # -- measurement ---------------------------------------------------------------
 
-def _distributions(circuits: Sequence[Circuit], nm: Optional[NoiseModel],
+def _distributions(circuits: Sequence[Circuit], nm: NoiseModel,
                    apply_readout: bool) -> np.ndarray:
     """Exact outcome distributions, shape (circuits, 27 settings, 8 outcomes).
 
-    Settings are in ``qst_settings`` order. Noise-free runs rotate each
-    circuit's exact state vector into every setting's basis; noise-aware runs
-    evolve the density matrix under ``nm`` and read every setting's
-    distribution (noisy rotation circuit, readout relaxation, readout
-    confusion when ``apply_readout``) off one ``readout_map``.
+    Settings are in ``qst_settings`` order. Each circuit's density matrix
+    evolves once under ``nm``, and every setting's distribution (rotation
+    circuit, readout relaxation, readout confusion when ``apply_readout``) is
+    read off one ``readout_map``.
     """
-    settings = qst_settings(3)
-    if nm is None:
-        return np.array([[measurement_probabilities(psi, setting) for setting in settings]
-                         for psi in map(run_statevector, circuits)])
-    table = readout_map([measurement_rotation(setting) for setting in settings], nm,
+    table = readout_map([measurement_rotation(setting) for setting in qst_settings(3)], nm,
                         apply_readout)
     return np.array([setting_distributions(run_density(circuit, nm), table)
                      for circuit in circuits])

@@ -8,13 +8,19 @@ update and acquires no noise. Idle qubits do not relax (no scheduling model).
 Before a measurement every qubit relaxes for its readout length, and the
 readout confusion then acts on the outcome distribution.
 
+Noise-free is not a separate backend: it is ``NOISELESS``, the model with no
+relaxation, no gate error, zero durations and perfect readout, so every
+channel above is the identity and the simulator runs one evolution and one
+measurement map in both modes.
+
 The simulator compiles that sequence into one superoperator per distinct
 gate (see :mod:`ccxlab.simulator`) and keeps it in the model's own cache,
 ``NoiseModel.compiled``. The channel builders below therefore run once per
 distinct (gate, wires, parameters) of a model, not once per application, and
 readout relaxation once per qubit for each readout map the simulator builds;
 the placement order is unchanged. A model built from other numbers, such as a
-``scale_noise_model`` result, starts with an empty cache.
+``scale_noise_model`` result, starts with an empty cache; ``NOISELESS`` is one
+constant, so its cache lives as long as the process.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from typing import Callable, Dict, Hashable, Mapping, Tuple, TypeVar
 
 import numpy as np
 
+from .circuits import MAX_QUBITS
 from .errors import (
     CoherenceViolation,
     ErrTooLargeError,
@@ -183,6 +190,12 @@ class NoiseModel:
     def readout_confusions(self) -> Tuple[Tuple[float, float], ...]:
         """(P(1|0), P(0|1)) per qubit, feeding the confusion matrices."""
         return tuple((c.prob_meas1_prep0, c.prob_meas0_prep1) for c in self.qubit_cal)
+
+
+#: the model of a noise-free run: T1 = T2 = inf, no gate error, zero gate and
+#: readout durations and perfect readout on every qubit a circuit can have
+NOISELESS = NoiseModel((QubitCalibration(t1_us=math.inf, t2_us=math.inf),) * MAX_QUBITS,
+                       gate_duration={name: 0.0 for name in DEFAULT_GATE_DURATIONS_NS})
 
 
 def scale_noise_model(nm: NoiseModel, factor: float) -> NoiseModel:

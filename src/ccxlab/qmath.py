@@ -10,8 +10,7 @@ Conventions
 * ``kron_le(ops)`` takes one single-qubit operator per qubit, qubit 0 first,
   and returns the full operator under that convention.
 
-Tolerances: 1e-10 at construction time, 1e-6 for input validation, 1e-8 for
-algebraic identities.
+Tolerances: 1e-10 at construction time, 1e-6 for input validation.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .errors import (
 
 CONSTRUCTION_TOL = 1e-10
 VALIDATION_TOL = 1e-6
-IDENTITY_TOL = 1e-8
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,16 +1,19 @@
-"""State-vector and density-matrix execution of native circuits, plus sampling.
+"""Execution of native circuits: density evolution, readout maps and sampling.
 
-Both backends accept the native gate set {ECR, ID, RZ, SX, X} only; compile
-everything else first (``circuit_unitary`` in :mod:`ccxlab.circuits` handles
-arbitrary catalog gates for oracle math). Measurement sampling is seeded and
-deterministic: identical (distribution, shots, seed) always gives the
-identical counts.
+Only the native gate set {ECR, ID, RZ, SX, X} runs; compile everything else
+first (``circuit_unitary`` in :mod:`ccxlab.circuits` handles arbitrary
+catalog gates for oracle math). There is one evolution for every mode: a
+noise-free run is a run under ``noise.NOISELESS``, whose channels are all
+the identity. ``run_statevector`` stays as the exact pure-state reference
+that the state builders and ``ccxlab simulate`` use. Measurement sampling is
+seeded and deterministic: identical (distribution, shots, seed) always gives
+the identical counts.
 
 Density matrices evolve as row-major vec(rho), vec(rho)[i * d + j] =
 rho[i, j], under superoperators in the convention of Wood, Biamonte & Cory
 (arXiv:1111.6950): vec(A rho B) = (A (x) B^T) vec(rho), so a Kraus sum is
-sum_k K_k (x) conj(K_k). Each noisy gate compiles to one superoperator: the
-ideal unitary, then depolarizing noise on the gate's qubits, then thermal
+sum_k K_k (x) conj(K_k). Each gate compiles to one superoperator: the ideal
+unitary, then depolarizing noise on the gate's qubits, then thermal
 relaxation on each of its qubits, the placement order documented in
 :mod:`ccxlab.noise`. The compiled superoperator is cached on the
 ``NoiseModel`` instance, keyed by (gate, register size), so each channel
@@ -19,8 +22,8 @@ builder runs once per distinct gate of a model. On registers of up to
 gate is one matrix-vector product; larger registers keep the 4^k x 4^k
 superoperator on the gate's own k wires and contract it into vec(rho), so
 memory stays O(4^n). ``readout_map`` compiles measurement the same way: per
-setting, readout confusion . diagonal . readout relaxation . the noisy
-rotation circuit, stacked into one (settings x 2^n, 4^n) map that
+setting, readout confusion . diagonal . readout relaxation . the rotation
+circuit, stacked into one (settings x 2^n, 4^n) map that
 ``setting_distributions`` applies to vec(rho).
 
 Outcome distributions and counts are arrays indexed by basis state: bit q of
@@ -29,24 +32,15 @@ the index is the outcome of qubit q, the little-endian order of states.
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .circuits import Circuit, _apply_local
-from .errors import CcxlabError, InvalidPauliStringError, NonNativeGateError
-from .gates import NATIVE_GATES, GateDef, gate_matrix, h, sdg
+from .errors import CcxlabError, NonNativeGateError
+from .gates import NATIVE_GATES, GateDef, gate_matrix
 from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
-from .qmath import I2, dagger, kron_le
-
-#: per Pauli letter, the logical gates (in application order, as constructors
-#: of one wire) that rotate its eigenbasis onto Z before a Z measurement
-MEASUREMENT_BASES = {"X": (h,), "Y": (sdg, h), "Z": ()}
-
-#: exact measurement-basis rotations; "Z" stays the ``I2`` object, which is skipped
-_BASIS_ROT = {letter: reduce(lambda m, gate: gate_matrix(gate(0)) @ m, word, I2)
-              for letter, word in MEASUREMENT_BASES.items()}
+from .qmath import dagger, kron_le
 
 #: registers up to this size apply each compiled gate as a dense 4^n x 4^n
 #: superoperator (64 x 64 at three qubits); larger ones contract the gate's
@@ -128,13 +122,11 @@ def _relaxation_superop(duration_ns: float, qubit: int, nm: NoiseModel) -> np.nd
         thermal_relaxation_channel(duration_ns, cal.t1_us, cal.t2_us).operators)
 
 
-def _gate_superop(g: GateDef, nm: Optional[NoiseModel]) -> np.ndarray:
+def _gate_superop(g: GateDef, nm: NoiseModel) -> np.ndarray:
     """Superoperator of one gate on its sorted wires: unitary, depolarizing, thermal relaxation."""
     wires = sorted(g.qubits)
     k = len(wires)
     superop = _kraus_superop([gate_matrix(g)])
-    if nm is None:
-        return superop
     err = nm.error_for(g.name)
     if err > 0.0:
         superop = _kraus_superop(depolarizing_channel(err, 2 ** k).operators) @ superop
@@ -146,20 +138,17 @@ def _gate_superop(g: GateDef, nm: Optional[NoiseModel]) -> np.ndarray:
     return superop
 
 
-def _compiled_gate(g: GateDef, nm: Optional[NoiseModel], n: int) -> Tuple[np.ndarray, tuple]:
-    def build():
-        return _compile(_gate_superop(g, nm), sorted(g.qubits), n)
-
-    return build() if nm is None else nm.compiled(("gate", g, n), build)
+def _compiled_gate(g: GateDef, nm: NoiseModel, n: int) -> Tuple[np.ndarray, tuple]:
+    return nm.compiled(("gate", g, n),
+                       lambda: _compile(_gate_superop(g, nm), sorted(g.qubits), n))
 
 
-def apply_circuit_density(rho: np.ndarray, c: Circuit, nm: Optional[NoiseModel]) -> np.ndarray:
+def apply_circuit_density(rho: np.ndarray, c: Circuit, nm: NoiseModel) -> np.ndarray:
     """Evolve a density matrix through a native circuit under ``nm``.
 
     Per gate: ideal unitary, then depolarizing noise on the gate's qubits,
     then thermal relaxation on each participating qubit for the gate's
     duration, applied as the gate's compiled superoperator (cached on ``nm``).
-    ``nm=None`` runs noiselessly.
     """
     _check_native(c)
     n = c.num_qubits
@@ -170,7 +159,7 @@ def apply_circuit_density(rho: np.ndarray, c: Circuit, nm: Optional[NoiseModel])
     return vec.reshape(rho.shape)
 
 
-def run_density(c: Circuit, nm: Optional[NoiseModel]) -> np.ndarray:
+def run_density(c: Circuit, nm: NoiseModel) -> np.ndarray:
     rho = np.zeros((2 ** c.num_qubits,) * 2, dtype=complex)
     rho[0, 0] = 1.0
     rho = apply_circuit_density(rho, c, nm)
@@ -222,45 +211,6 @@ def setting_distributions(rho: np.ndarray, table: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     probs = np.clip(np.real(table @ rho.reshape(-1)).reshape(-1, rho.shape[0]), 0.0, None)
     return probs / probs.sum(axis=1, keepdims=True)
-
-
-# -- measurement ----------------------------------------------------------------
-
-def _validate_setting(setting: str, num_qubits: int) -> str:
-    if len(setting) != num_qubits or any(ch not in "XYZ" for ch in setting):
-        raise InvalidPauliStringError(
-            f"setting {setting!r} must be {num_qubits} letters over X/Y/Z")
-    return setting
-
-
-def measurement_probabilities(state: np.ndarray, setting: str) -> np.ndarray:
-    """Exact outcome distribution after rotating into the setting's basis.
-
-    ``state`` is a state vector or density matrix; readout errors are applied
-    only by a ``readout_map``.
-    """
-    state = np.asarray(state, dtype=complex)
-    is_density = state.ndim == 2
-    dim = state.shape[0]
-    n = int(np.log2(dim))
-    _validate_setting(setting, n)
-    if is_density:
-        vec = state.reshape(-1)
-        for q in range(n):
-            rot = _BASIS_ROT[setting[q]]
-            if rot is not I2:
-                vec = _apply_superop(vec, (_kraus_superop([rot]), (q,)), n)
-        probs = np.real(vec[::dim + 1]).copy()
-    else:
-        tensor = state.reshape([2] * n)
-        for q in range(n):
-            rot = _BASIS_ROT[setting[q]]
-            if rot is not I2:
-                tensor = _apply_local(tensor, rot, [q], n)
-        probs = np.abs(tensor.reshape(-1)) ** 2
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return probs
 
 
 def _confusion_matrix(confusions: Sequence[Tuple[float, float]], n: int) -> np.ndarray:

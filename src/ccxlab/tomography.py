@@ -48,6 +48,7 @@ from .errors import (
     KOutOfRangeError,
     ProjectionNotConvergedError,
 )
+from .gates import h, sdg
 from .qmath import (
     check_unitary,
     dagger,
@@ -55,9 +56,13 @@ from .qmath import (
     project_to_density,
     state_fidelity,
 )
-from .simulator import MEASUREMENT_BASES
 from .states import PROBE_LABELS, probe_state
 from .synthesis import to_native
+
+
+#: per Pauli letter, the logical gates (in application order, as constructors
+#: of one wire) that rotate its eigenbasis onto Z before a Z measurement
+MEASUREMENT_BASES = {"X": (h,), "Y": (sdg, h), "Z": ()}
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -73,8 +78,13 @@ def qst_settings(k: int) -> List[str]:
     return ["".join(p) for p in itertools.product("XYZ", repeat=k)]
 
 
+@functools.lru_cache(maxsize=None)
 def measurement_rotation(setting: str) -> Circuit:
-    """Native circuit rotating each qubit so a Z measurement reads the setting."""
+    """Native circuit rotating each qubit so a Z measurement reads the setting.
+
+    Built once per setting and process: a circuit is immutable, and lowering
+    it costs far more than reading every setting's distribution off a map.
+    """
     k = len(setting)
     if k == 0 or any(ch not in "XYZ" for ch in setting):
         raise InvalidPauliStringError(f"setting {setting!r} must be letters over X/Y/Z")

@@ -27,3 +27,20 @@ def test_simulate_with_negative_shots_is_a_run(tmp_path, capsys, noise):
     code, err = _run(["simulate", str(path), "--shots", "-5", *noise], capsys)
     assert code == 2
     assert err.startswith("error[usage]: ")
+
+
+@pytest.mark.parametrize("command", [["qst"], ["qpt", "--accept-job-budget"]])
+def test_negative_seed_is_a_usage_error(command, capsys):
+    code, err = _run([*command, "--seed", "-1", "--repeats", "1", "--shots", "10"], capsys)
+    assert code == 2
+    assert err.startswith("error[usage]: ") and "master_seed" in err
+
+
+@pytest.mark.parametrize("argv", [["simulate", "{dir}"], ["calib-summary", "{dir}"],
+                                  ["qst", "--noise", "{dir}", "--repeats", "1"],
+                                  ["simulate", "{dir}/missing.txt"],
+                                  ["synth", "--strategy", "ECR_NATIVE", "--out", "{dir}"]])
+def test_unreadable_or_unwritable_user_file_is_a_schema_error(argv, tmp_path, capsys):
+    code, err = _run([arg.format(dir=tmp_path) for arg in argv], capsys)
+    assert code == 3
+    assert err.startswith("error[schema]: ") and str(tmp_path) in err

@@ -6,8 +6,6 @@ import pytest
 from ccxlab.gates import (
     Gate,
     GateDef,
-    MAT_ECR_ASC,
-    MAT_ECR_DESC,
     ccx,
     cnot,
     ecr,

@@ -1,4 +1,10 @@
-"""Noise-aware outcome distributions against the Kraus-sum reference in ``kraus_oracle``."""
+"""Outcome distributions against independent references.
+
+Noise-aware tables are checked against the Kraus-sum evolution in
+``kraus_oracle``; noise-free tables, which run the same code under
+``NOISELESS``, against the per-setting state-vector measurement in
+``measurement_oracle``.
+"""
 
 import itertools
 import json
@@ -7,12 +13,13 @@ import numpy as np
 import pytest
 
 import kraus_oracle
+import measurement_oracle
 from ccxlab import cli, experiments, simulator
 from ccxlab.calibration import builtin_calibration_path, ingest_calibration
 from ccxlab.circuits import Circuit, serialize_circuit
 from ccxlab.errors import NonNativeGateError
 from ccxlab.gates import NATIVE_GATES, Gate, ecr, rz, sx, x
-from ccxlab.noise import NoiseModel, QubitCalibration, scale_noise_model
+from ccxlab.noise import NOISELESS, NoiseModel, QubitCalibration, scale_noise_model
 from ccxlab.states import PROBE_LABELS, StateKind, prepare_state
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli
 from ccxlab.tomography import measurement_rotation, qst_settings
@@ -62,6 +69,18 @@ def test_qpt_distributions_match_kraus_oracle(strategy, calibration):
     actual = experiments._distributions([prep.concat(toffoli) for prep in preps], nm,
                                         True).transpose(1, 2, 0)
     assert actual.shape == expected.shape == (27, 8, 64)
+    assert np.max(np.abs(actual - expected)) < TOL
+
+
+@pytest.mark.parametrize("inputs", ["GHZ", "W", "UNIFORM", "PROBES"])
+def test_noise_free_distributions_match_statevector_oracle(inputs):
+    toffoli = _toffoli()
+    circuits = (_probe_circuits(toffoli) if inputs == "PROBES"
+                else [prepare_state(inputs).concat(toffoli)])
+    expected = [measurement_oracle.setting_distributions(simulator.run_statevector(c), 3)
+                for c in circuits]
+    actual = experiments._distributions(circuits, NOISELESS, True)
+    assert actual.shape == (len(circuits), 27, 8)
     assert np.max(np.abs(actual - expected)) < TOL
 
 
@@ -179,7 +198,5 @@ def test_density_evolution_matches_kraus_oracle_on_every_register_size(num_qubit
     rho = simulator.run_density(circuit, nm)
     assert np.max(np.abs(rho - kraus_oracle.run_density(circuit, nm))) < TOL
     psi = simulator.run_statevector(circuit)
-    setting = "XYZXY"[:num_qubits]
-    assert np.max(np.abs(
-        simulator.measurement_probabilities(simulator.run_density(circuit, None), setting)
-        - simulator.measurement_probabilities(psi, setting))) < TOL
+    pure = simulator.run_density(circuit, NOISELESS)
+    assert np.max(np.abs(pure - np.outer(psi, psi.conj()))) < TOL

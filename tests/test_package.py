@@ -28,13 +28,14 @@ def _imported_names(tree):
 
 
 def test_no_unused_imports():
-    # every name a module imports is read somewhere in it; __init__ re-exports
+    # every name a package or test module imports is read somewhere in it; __init__ re-exports
     sources = sorted(path for path in Path(ccxlab.__file__).parent.glob("*.py")
                      if path.name != "__init__.py")
+    sources += sorted(Path(__file__).parent.glob("*.py"))
     unused = []
     for path in sources:
         tree = ast.parse(path.read_text(), filename=str(path))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{line} {name}" for line, name in _imported_names(tree)
-                   if name not in read]
+        unused += [f"{path.parent.name}/{path.name}:{line} {name}"
+                   for line, name in _imported_names(tree) if name not in read]
     assert unused == []

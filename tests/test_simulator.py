@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,18 +8,15 @@ from ccxlab.circuits import Circuit
 from ccxlab import simulator
 from ccxlab.errors import CcxlabError, NonNativeGateError
 from ccxlab.gates import ccx, cnot, ecr, gate_matrix, h, rz, sx, x
-from ccxlab.noise import NoiseModel, QubitCalibration
+from ccxlab.noise import NOISELESS, NoiseModel, QubitCalibration
 from ccxlab.qmath import state_fidelity
-from ccxlab.simulator import (
-    measurement_probabilities,
-    run_density,
-    run_statevector,
-    sample_distribution,
-)
+from ccxlab.simulator import run_density, run_statevector, sample_distribution
 from ccxlab.states import basis_circuit, ghz_circuit, uniform_state
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, native_h
+from ccxlab.tomography import measurement_rotation
 
-from conftest import random_state_vector
+from conftest import random_density_matrix, random_state_vector
+from measurement_oracle import measurement_probabilities
 
 
 def _toffoli_native():
@@ -64,7 +62,7 @@ def test_non_native_gates_rejected():
         with pytest.raises(NonNativeGateError):
             run_statevector(Circuit(3, (gate,)))
     with pytest.raises(NonNativeGateError):
-        run_density(Circuit(2, (h(0),)), None)
+        run_density(Circuit(2, (h(0),)), NOISELESS)
 
 
 def _scale_gate_matrices(monkeypatch, factor):
@@ -80,8 +78,9 @@ def test_statevector_norm_drift_raises_typed_error(monkeypatch):
 
 def test_density_trace_drift_raises_typed_error(monkeypatch):
     _scale_gate_matrices(monkeypatch, 1.01)
+    # a model of its own: the drifted gate must not enter NOISELESS's shared cache
     with pytest.raises(CcxlabError, match="density trace drifted") as info:
-        run_density(Circuit(1, (sx(0),)), None)
+        run_density(Circuit(1, (sx(0),)), dataclasses.replace(NOISELESS))
     assert info.value.exit_code == 4
 
 
@@ -102,7 +101,7 @@ def test_density_at_zero_noise_matches_statevector(rng):
                 gates.append(ecr(q, q2))
         circ = Circuit(3, tuple(gates))
         psi = run_statevector(circ)
-        rho = run_density(circ, None)
+        rho = run_density(circ, NOISELESS)
         assert state_fidelity(rho, np.outer(psi, psi.conj())) > 1 - 1e-9
 
 
@@ -119,7 +118,7 @@ def test_noisy_toffoli_on_ghz_degrades():
 
 def test_purity_bounded():
     circ = ghz_circuit()
-    rho = run_density(circ, None)
+    rho = run_density(circ, NOISELESS)
     assert np.real(np.trace(rho @ rho)) == pytest.approx(1.0, abs=1e-10)
     rho = run_density(circ, _noise_model())
     assert np.real(np.trace(rho @ rho)) <= 1.0 + 1e-10
@@ -190,10 +189,10 @@ def test_empirical_tvd_convergence(rng):
     assert failures <= 1  # 99% of seeded runs inside the bound
 
 
-def test_density_sampling_matches_statevector_sampling():
-    circ = ghz_circuit()
-    psi = run_statevector(circ)
-    rho = run_density(circ, None)
-    a = _sample(psi, "XXZ", 2000, seed=9)
-    b = _sample(rho, "XXZ", 2000, seed=9)
-    assert np.array_equal(a, b)
+def test_noiseless_readout_map_matches_oracle_on_mixed_states(rng):
+    settings = ["XYZ", "YYX", "ZZZ", "XXY"]
+    table = simulator.readout_map([measurement_rotation(s) for s in settings], NOISELESS, True)
+    for _ in range(5):
+        rho = random_density_matrix(8, rng)
+        expected = [measurement_probabilities(rho, s) for s in settings]
+        assert np.max(np.abs(simulator.setting_distributions(rho, table) - expected)) < 1e-12

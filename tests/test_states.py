@@ -11,13 +11,11 @@ from ccxlab.states import (
     basis_circuit,
     basis_state,
     ghz_circuit,
-    ghz_state,
     prepare_state,
     probe_circuit,
     probe_state,
     target_state,
     uniform_circuit,
-    uniform_state,
     w_circuit,
     w_state,
 )

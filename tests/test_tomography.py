@@ -19,7 +19,7 @@ from ccxlab.qmath import (
     project_to_density,
     state_fidelity,
 )
-from ccxlab.simulator import measurement_probabilities, run_statevector, sample_distribution
+from ccxlab.simulator import run_statevector, sample_distribution
 from ccxlab.states import PROBE_LABELS, ghz_circuit, probe_state
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from ccxlab.tomography import (
@@ -44,6 +44,7 @@ from channel_oracle import (
     unitary_to_superop_pauli,
 )
 from conftest import random_cptp_kraus, random_density_matrix, random_state_vector, random_unitary
+from measurement_oracle import measurement_probabilities
 
 
 def _exact_qst_data(state, k):
