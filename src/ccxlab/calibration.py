@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from .errors import CoherenceViolation, SchemaError
+from .errors import CoherenceViolation, ErrTooLargeError, SchemaError
 from .noise import NoiseModel, QubitCalibration
 
 _QUBIT_FIELDS = {
@@ -131,9 +131,12 @@ def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
         except ValueError as exc:
             raise SchemaError(f"{loc} (qubit {qubit_id}): {exc}") from exc
 
+    raw_gates = payload.get("gates", [])
+    if not isinstance(raw_gates, list):
+        raise SchemaError(f"{path}: 'gates' must be an array")
     gate_error: Dict[str, float] = {}
     gate_duration: Dict[str, float] = {}
-    for i, entry in enumerate(payload.get("gates", [])):
+    for i, entry in enumerate(raw_gates):
         loc = f"{path}: gates[{i}]"
         if not isinstance(entry, dict) or "name" not in entry:
             raise SchemaError(f"{loc}: expected an object with a 'name'")
@@ -146,6 +149,6 @@ def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
     table = CalibrationTable(tuple(records), gate_error, gate_duration, str(path))
     try:
         table.noise_model(1)  # validate gate maps eagerly
-    except ValueError as exc:
+    except (ValueError, ErrTooLargeError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     return table

@@ -133,7 +133,7 @@ def _cmd_simulate(args) -> int:
     if args.shots:
         n = circuit.num_qubits
         probs = np.clip(probs, 0.0, None)
-        draws = sample_distribution(probs / probs.sum(), args.shots, args.seed)
+        draws = sample_distribution(probs / probs.sum(), args.shots, (args.seed,))
         # MSB-first bitstrings: the highest qubit leftmost, qubit 0 rightmost
         out["counts"] = {format(i, f"0{n}b"): int(c) for i, c in enumerate(draws) if c > 0}
         out["shots"] = args.shots

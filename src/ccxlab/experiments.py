@@ -11,12 +11,11 @@ the model. Only the sampling differs from one repeat to the next: a repeat
 draws seeded finite-shot counts from that table, reconstructs, and scores
 against the analytic reference.
 
-Determinism: every sampled count depends only on (master_seed, repeat index,
-job index) through ``derive_seed``, so a run's fidelity list does not depend
-on the order in which its cells are sampled. State tomography seeds setting j
-of repeat r with derive_seed(master_seed, r, j); process tomography seeds job i
-of repeat r, counted probe-major, with derive_seed(derive_seed(master_seed,
-r), i). Runs are serial.
+Determinism: repeat r of any run draws every cell of its table, in
+row-major order, from one generator seeded (master_seed, r) by
+``simulator.sample_distribution``. So repeat r does not depend on how many
+repeats run, and state and process tomography share one seed layout. Runs
+are serial.
 """
 
 from __future__ import annotations
@@ -24,12 +23,13 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from .tomography import (
     average_gate_fidelity,
     choi_of_unitary,
-    derive_seed,
     measurement_rotation,
     process_fidelity,
     qpt_reconstruct_full,
@@ -86,16 +85,17 @@ class ExperimentConfig:
         object.__setattr__(self, "mode", Mode(self.mode))
         object.__setattr__(self, "input_state", StateKind(self.input_state))
         object.__setattr__(self, "strategy", DecompositionStrategy(self.strategy))
-        if self.shots_per_setting <= 0:
-            raise UsageError("shots_per_setting must be positive")
-        if self.repeats < 1:
-            raise UsageError("repeats must be >= 1")
-        if self.master_seed < 0:
-            raise UsageError("master_seed must be nonnegative")
+        for name, least in (("shots_per_setting", 1), ("repeats", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise UsageError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.mode is Mode.NOISE_AWARE and not self.calibration_path:
             raise UsageError("NOISE_AWARE mode requires a calibration path")
         if self.noise_scale < 0:
             raise UsageError("noise_scale must be nonnegative")
+        if self.mode is Mode.NOISE_FREE and (self.noise_scale != 1.0 or not self.apply_readout):
+            raise UsageError("noise_scale and apply_readout apply only to NOISE_AWARE runs")
 
     def noise_model(self) -> NoiseModel:
         """The three-qubit noise model of a noise-aware run; ``NOISELESS`` when noise-free."""
@@ -188,20 +188,16 @@ def _distributions(circuits: Sequence[Circuit], nm: NoiseModel,
                      for circuit in circuits])
 
 
-def _counts(distributions: np.ndarray, cfg: ExperimentConfig,
-            seeds: Iterable[int]) -> np.ndarray:
-    """One repeat's outcome frequencies of every cell of ``distributions``, same shape.
+def _frequencies(distributions: np.ndarray, cfg: ExperimentConfig, repeat: int) -> np.ndarray:
+    """Repeat ``repeat``'s outcome frequencies of every cell of ``distributions``, same shape.
 
-    Cell i, in row-major order, draws ``cfg.shots_per_setting`` shots with the
-    i-th of ``seeds``; ``cfg.exact_probabilities`` returns the distributions
-    themselves and never asks for a seed.
+    The distributions themselves when ``cfg.exact_probabilities``; otherwise
+    one ``sample_distribution`` draw of the whole table seeded (master_seed, repeat).
     """
     if cfg.exact_probabilities:
         return distributions
-    cells = distributions.reshape(-1, distributions.shape[-1])
-    draws = np.array([sample_distribution(p, cfg.shots_per_setting, seed)
-                      for p, seed in zip(cells, seeds)])
-    return (draws / cfg.shots_per_setting).reshape(distributions.shape)
+    shots = cfg.shots_per_setting
+    return sample_distribution(distributions, shots, (cfg.master_seed, repeat)) / shots
 
 
 # -- QST -------------------------------------------------------------------------
@@ -216,16 +212,14 @@ def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     psi_ref = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET) @ target_state(cfg.input_state)
     rho_ref = np.outer(psi_ref, psi_ref.conj())
 
-    settings = qst_settings(3)
     fidelities = []
     for repeat in range(cfg.repeats):
-        seeds = (derive_seed(cfg.master_seed, repeat, j) for j in range(len(settings)))
-        frequencies = _counts(distributions, cfg, seeds)[0]
+        frequencies = _frequencies(distributions, cfg, repeat)[0]
         fidelities.append(state_fidelity(qst_reconstruct(frequencies, 3), rho_ref))
 
     wall = time.perf_counter() - start
     return _make_report("qst", fidelities, cfg, _gate_count_summary(toffoli, circuit),
-                        num_jobs=len(settings), wall=wall)
+                        num_jobs=len(qst_settings(3)), wall=wall)
 
 
 # -- QPT -------------------------------------------------------------------------
@@ -235,8 +229,9 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
 
     The jobs are the (probe, setting) cells, probe-major: the 64 probes in
     ``itertools.product(PROBE_LABELS, repeat=3)`` order, each with the 27
-    settings in ``qst_settings`` order. Job i of repeat r is sampled with
-    derive_seed(derive_seed(master_seed, r), i).
+    settings in ``qst_settings`` order. Repeat r draws every job, in that
+    order, from one generator seeded (master_seed, r), so repeat r does not
+    depend on how many repeats run.
     """
     start = time.perf_counter()
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
@@ -250,9 +245,7 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     agf: List[float] = []
     tp_dev_last: Optional[float] = None
     for repeat in range(cfg.repeats):
-        repeat_seed = derive_seed(cfg.master_seed, repeat)
-        seeds = (derive_seed(repeat_seed, i) for i in range(num_jobs))
-        recon = qpt_reconstruct_full(_counts(distributions, cfg, seeds), 3)
+        recon = qpt_reconstruct_full(_frequencies(distributions, cfg, repeat), 3)
         f_pro = process_fidelity(recon.choi, target_choi)
         fidelities.append(f_pro)
         agf.append(average_gate_fidelity(f_pro, 3))

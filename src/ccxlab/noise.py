@@ -38,7 +38,7 @@ from .errors import (
     ErrTooLargeError,
     MissingCalibrationError,
 )
-from .gates import Gate
+from .gates import GATE_ARITY, Gate
 from .qmath import I2, PAULI_1Q, dagger, kron_le
 
 #: fallback durations (ns) when a calibration file does not provide them
@@ -150,8 +150,13 @@ class NoiseModel:
         object.__setattr__(self, "gate_error", dict(self.gate_error))
         object.__setattr__(self, "gate_duration", dict(self.gate_duration))
         for name, v in self.gate_error.items():
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"gate error {name}={v} outside [0, 1)")
+            if v < 0.0:
+                raise ValueError(f"gate error {name}={v} negative")
+            # the depolarizing channel of a k-qubit gate realises errors below 1 - 1/2^k
+            bound = 1 - 0.5 ** GATE_ARITY[name] if name in GATE_ARITY else 1.0
+            if v >= bound:
+                raise ErrTooLargeError(f"gate error {name}={v} >= {bound}, which no "
+                                       "depolarizing channel on the gate realises")
         for name, v in self.gate_duration.items():
             if v < 0:
                 raise ValueError(f"gate duration {name}={v} negative")
@@ -228,7 +233,4 @@ def scale_noise_model(nm: NoiseModel, factor: float) -> NoiseModel:
         for c in nm.qubit_cal
     )
     errors = {name: v * factor for name, v in nm.gate_error.items()}
-    for name, v in errors.items():
-        if v >= 1.0:
-            raise ErrTooLargeError(f"scaled gate error {name}={v} >= 1")
     return NoiseModel(cal, errors, dict(nm.gate_duration))

@@ -6,8 +6,8 @@ catalog gates for oracle math). There is one evolution for every mode: a
 noise-free run is a run under ``noise.NOISELESS``, whose channels are all
 the identity. ``run_statevector`` stays as the exact pure-state reference
 that the state builders and ``ccxlab simulate`` use. Measurement sampling is
-seeded and deterministic: identical (distribution, shots, seed) always gives
-the identical counts.
+seeded and deterministic: identical (table, shots, seed) always gives the
+identical counts.
 
 Density matrices evolve as row-major vec(rho), vec(rho)[i * d + j] =
 rho[i, j], under superoperators in the convention of Wood, Biamonte & Cory
@@ -223,8 +223,13 @@ def _confusion_matrix(confusions: Sequence[Tuple[float, float]], n: int) -> np.n
                    + [np.eye(2)] * (n - len(confusions[:n])))
 
 
-def sample_distribution(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Seeded multinomial counts of ``shots`` draws from ``probs``, indexed by basis state."""
+def sample_distribution(distributions: np.ndarray, shots: int, seed: Tuple[int, ...]) -> np.ndarray:
+    """Seeded multinomial counts of ``shots`` draws from each distribution of a table.
+
+    Outcomes are on the last axis, indexed by basis state. Every cell draws,
+    row-major, from one generator seeded with the tuple ``seed``: the only
+    random generator the package builds.
+    """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    return np.random.default_rng(seed).multinomial(shots, probs)
+    return np.random.default_rng(seed).multinomial(shots, distributions)

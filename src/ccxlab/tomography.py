@@ -65,12 +65,6 @@ from .synthesis import to_native
 MEASUREMENT_BASES = {"X": (h,), "Y": (sdg, h), "Z": ()}
 
 
-def derive_seed(master_seed: int, *indices: int) -> int:
-    """Stable per-task seed from a master seed and task coordinates."""
-    ss = np.random.SeedSequence((int(master_seed),) + tuple(int(i) for i in indices))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def qst_settings(k: int) -> List[str]:
     """All 3^k measurement settings in lexicographic order (X < Y < Z)."""
     if not 1 <= k <= 4:

@@ -44,3 +44,16 @@ def test_unreadable_or_unwritable_user_file_is_a_schema_error(argv, tmp_path, ca
     code, err = _run([arg.format(dir=tmp_path) for arg in argv], capsys)
     assert code == 3
     assert err.startswith("error[schema]: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("flags", [["--noise-scale", "3"], ["--no-readout-error"]])
+def test_noise_options_without_noise_are_a_usage_error(flags, capsys):
+    code, err = _run(["qst", "--repeats", "1", "--shots", "10", *flags], capsys)
+    assert code == 2
+    assert err.startswith("error[usage]: ") and "NOISE_AWARE" in err
+
+
+def test_qpt_without_job_budget_is_a_usage_error(capsys):
+    code, err = _run(["qpt", "--repeats", "1", "--shots", "10"], capsys)
+    assert code == 2
+    assert err.startswith("error[usage]: ") and "--accept-job-budget" in err

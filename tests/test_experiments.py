@@ -1,5 +1,6 @@
 """End-to-end experiment runs, their determinism, and report files."""
 
+import dataclasses
 import itertools
 import json
 from collections import Counter
@@ -10,7 +11,7 @@ import pytest
 from ccxlab import cli, experiments, simulator, tomography
 from ccxlab.calibration import builtin_calibration_path
 from ccxlab.circuits import Circuit, serialize_circuit
-from ccxlab.errors import SchemaError
+from ccxlab.errors import SchemaError, UsageError
 from ccxlab.experiments import (
     DEFAULT_CONTROLS,
     DEFAULT_TARGET,
@@ -22,35 +23,36 @@ from ccxlab.experiments import (
 )
 from ccxlab.gates import sx, x
 from ccxlab.noise import NOISELESS
-from ccxlab.states import PROBE_LABELS, StateKind, prepare_state
-from ccxlab.synthesis import decompose_toffoli
-from ccxlab.tomography import derive_seed
+from ccxlab.qmath import state_fidelity
+from ccxlab.states import PROBE_LABELS, StateKind, prepare_state, target_state
+from ccxlab.synthesis import decompose_toffoli, toffoli_unitary
+from ccxlab.tomography import qst_reconstruct
 
 BRISBANE = str(builtin_calibration_path("brisbane_median"))
 
 #: fidelities of two repeats, master seed 7, ECR_NATIVE, default shots
 #: (19000 per QST setting, 11000 per QPT setting); state/mode/sampling -> values
 GOLDEN_QST = {
-    "GHZ/NOISE_FREE/sampled": (0.9832029673338978, 0.9837257027801501),
+    "GHZ/NOISE_FREE/sampled": (0.9845135858868738, 0.9864519228777465),
     "GHZ/NOISE_FREE/exact": (0.9999999999999997, 0.9999999999999997),
-    "GHZ/NOISE_AWARE/sampled": (0.8089356725146196, 0.8089853801169588),
+    "GHZ/NOISE_AWARE/sampled": (0.8076652046783622, 0.8096038011695902),
     "GHZ/NOISE_AWARE/exact": (0.8085363137362074, 0.8085363137362074),
-    "W/NOISE_FREE/sampled": (0.9821899126754869, 0.985558548808279),
+    "W/NOISE_FREE/sampled": (0.9868511829222828, 0.9845268024996088),
     "W/NOISE_FREE/exact": (1.0, 1.0),
-    "W/NOISE_AWARE/sampled": (0.7716237816764138, 0.773391812865497),
+    "W/NOISE_AWARE/sampled": (0.7753031189083823, 0.7743791423001951),
     "W/NOISE_AWARE/exact": (0.7729763699351656, 0.7729763699351656),
-    "UNIFORM/NOISE_FREE/sampled": (0.9857132199861102, 0.9863174373391905),
+    "UNIFORM/NOISE_FREE/sampled": (0.9892128211662585, 0.9873740587300577),
     "UNIFORM/NOISE_FREE/exact": (0.9999999999999992, 0.9999999999999992),
-    "UNIFORM/NOISE_AWARE/sampled": (0.8464122807017543, 0.847941520467835),
+    "UNIFORM/NOISE_AWARE/sampled": (0.8470307017543849, 0.8468362573099412),
     "UNIFORM/NOISE_AWARE/exact": (0.8457903290684488, 0.8457903290684488),
 }
 GOLDEN_QPT_NOISE_FREE = {
-    "sampled": (0.9905680702117031, 0.9888733491547483),
+    "sampled": (0.9906021106424603, 0.9898581415190267),
     "exact": (1.0, 1.0),
 }
 #: the same under NOISE_AWARE with builtin:brisbane_median and readout confusion on
 GOLDEN_QPT_NOISE_AWARE = {
-    "sampled": (0.7980440698488499, 0.7970873520731603),
+    "sampled": (0.7962435800727266, 0.797691787816224),
     "exact": (0.7999530056455366, 0.7999530056455366),
 }
 
@@ -122,54 +124,117 @@ def test_a_second_noise_free_run_compiles_nothing(monkeypatch, run):
     assert NOISELESS._compiled == compiled and compiled
 
 
-@pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
-def test_qst_seed_layout(monkeypatch, mode):
-    # setting j of repeat r draws from default_rng(derive_seed(master_seed, r, j))
+def _captured(monkeypatch, name):
+    """The frequencies each repeat hands to ``experiments.<name>``, in call order."""
     seen = []
+    reconstruct = getattr(experiments, name)
 
     def captured(frequencies, k):
         seen.append(frequencies)
         return reconstruct(frequencies, k)
 
-    reconstruct = experiments.qst_reconstruct
-    monkeypatch.setattr(experiments, "qst_reconstruct", captured)
-    cfg = _config(mode, "W", repeats=3, shots_per_setting=1000)
-    run_qst_experiment(cfg)
+    monkeypatch.setattr(experiments, name, captured)
+    return seen
+
+
+def _qst_table(cfg):
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
     circuit = prepare_state(cfg.input_state).concat(toffoli)
-    table = experiments._distributions([circuit], cfg.noise_model(), cfg.apply_readout)[0]
+    return experiments._distributions([circuit], cfg.noise_model(), cfg.apply_readout)
+
+
+@pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
+def test_qst_seed_layout(monkeypatch, mode):
+    # repeat r draws the whole (1, 27, 8) table from one generator seeded (master_seed, r)
+    seen = _captured(monkeypatch, "qst_reconstruct")
+    cfg = _config(mode, "W", repeats=3, shots_per_setting=1000)
+    run_qst_experiment(cfg)
+    table = _qst_table(cfg)
     assert len(seen) == 3
     for r, frequencies in enumerate(seen):
-        expected = [np.random.default_rng(derive_seed(cfg.master_seed, r, j))
-                    .multinomial(cfg.shots_per_setting, p) / cfg.shots_per_setting
-                    for j, p in enumerate(table)]
-        assert np.array_equal(frequencies, expected)
+        draws = simulator.sample_distribution(table, 1000, (cfg.master_seed, r))
+        assert np.array_equal(frequencies, draws[0] / 1000)
 
 
 def test_qpt_seed_layout(monkeypatch):
-    # job i of repeat r, probe-major, draws from default_rng(derive_seed(derive_seed(seed, r), i))
-    seen = []
-
-    def captured(frequencies, k):
-        seen.append(frequencies)
-        return reconstruct(frequencies, k)
-
-    reconstruct = experiments.qpt_reconstruct_full
-    monkeypatch.setattr(experiments, "qpt_reconstruct_full", captured)
+    # repeat r draws the whole (64, 27, 8) table, probe-major, from one generator
+    # seeded (master_seed, r)
+    seen = _captured(monkeypatch, "qpt_reconstruct_full")
     cfg = _config(repeats=2, shots_per_setting=1000)
     run_qpt_experiment(cfg)
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
     circuits = [prepare_state(StateKind.PROBE, probe=probe).concat(toffoli)
                 for probe in itertools.product(PROBE_LABELS, repeat=3)]
-    table = experiments._distributions(circuits, cfg.noise_model(),
-                                        cfg.apply_readout).reshape(-1, 8)
+    table = experiments._distributions(circuits, cfg.noise_model(), cfg.apply_readout)
     assert len(seen) == 2
     for r, frequencies in enumerate(seen):
-        repeat_seed = derive_seed(cfg.master_seed, r)
-        expected = [np.random.default_rng(derive_seed(repeat_seed, i))
-                    .multinomial(cfg.shots_per_setting, p) / cfg.shots_per_setting
-                    for i, p in enumerate(table)]
-        assert np.array_equal(frequencies, np.reshape(expected, (64, 27, 8)))
+        draws = simulator.sample_distribution(table, 1000, (cfg.master_seed, r))
+        assert np.array_equal(frequencies, draws / 1000)
+
+
+@pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
+def test_a_repeat_does_not_depend_on_how_many_repeats_run(run):
+    one = run(_config(repeats=1, shots_per_setting=1000)).fidelities
+    three = run(_config(repeats=3, shots_per_setting=1000)).fidelities
+    assert three[0] == one[0]
+    assert len(set(three)) == 3
+
+
+def _per_cell_layout_fidelities(cfg):
+    """QST fidelities under the retired seed layout, kept as an oracle: setting j of
+    repeat r drew from its own generator, seeded with the first uint64 word of
+    SeedSequence((master_seed, r, j))."""
+    table = _qst_table(cfg)[0]
+    psi = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET) @ target_state(cfg.input_state)
+    rho_ref = np.outer(psi, psi.conj())
+    fidelities = []
+    for r in range(cfg.repeats):
+        seeds = [np.random.SeedSequence((cfg.master_seed, r, j)).generate_state(1, np.uint64)[0]
+                 for j in range(len(table))]
+        frequencies = [np.random.default_rng(int(seed)).multinomial(cfg.shots_per_setting, p)
+                       for seed, p in zip(seeds, table)]
+        fidelities.append(state_fidelity(
+            qst_reconstruct(np.array(frequencies) / cfg.shots_per_setting, 3), rho_ref))
+    return fidelities
+
+
+def _ks_pvalue(a, b):
+    """Asymptotic two-sample Kolmogorov-Smirnov p-value (Numerical Recipes, 3rd ed., 14.3.3)."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    d = np.max(np.abs(np.searchsorted(a, both, side="right") / len(a)
+                      - np.searchsorted(b, both, side="right") / len(b)))
+    en = np.sqrt(len(a) * len(b) / (len(a) + len(b)))
+    lam = (en + 0.12 + 0.11 / en) * d
+    k = np.arange(1, 101)
+    return float(np.clip(2 * np.sum((-1.0) ** (k - 1) * np.exp(-2 * (k * lam) ** 2)), 0, 1))
+
+
+def test_one_draw_per_repeat_matches_the_per_cell_layout_in_distribution():
+    # both layouts draw exact multinomials, so their fidelity distributions agree. At 1000
+    # shots the projection's bias depends on the shot count, so the same test tells a run
+    # that draws half the shots apart.
+    cfg = _config("NOISE_AWARE", "W", repeats=300, shots_per_setting=1000)
+    per_cell = _per_cell_layout_fidelities(cfg)
+    assert _ks_pvalue(per_cell, run_qst_experiment(cfg).fidelities) > 0.01
+    half = dataclasses.replace(cfg, shots_per_setting=500)
+    assert _ks_pvalue(per_cell, run_qst_experiment(half).fidelities) < 1e-6
+
+
+@pytest.mark.parametrize("field, value", [("master_seed", 1.5), ("master_seed", True),
+                                          ("shots_per_setting", 100.7),
+                                          ("shots_per_setting", "100"), ("repeats", 2.0),
+                                          ("repeats", False)])
+def test_integer_config_fields_reject_other_types(field, value):
+    with pytest.raises(UsageError, match=field) as error:
+        ExperimentConfig(**{field: value})
+    assert error.value.exit_code == 2
+
+
+def test_integer_config_fields_accept_numpy_integers():
+    cfg = ExperimentConfig(master_seed=np.uint32(5), repeats=np.int64(2))
+    assert (cfg.master_seed, cfg.repeats) == (5, 2)
+    assert type(cfg.master_seed) is int and type(cfg.repeats) is int
 
 
 # -- ccxlab simulate ----------------------------------------------------------------

@@ -39,3 +39,43 @@ def test_no_unused_imports():
         unused += [f"{path.parent.name}/{path.name}:{line} {name}"
                    for line, name in _imported_names(tree) if name not in read]
     assert unused == []
+
+
+#: names of numpy's and Python's random machinery
+_RANDOM_NAMES = {"random", "default_rng", "SeedSequence", "Generator", "RandomState",
+                 "BitGenerator", "PCG64"}
+
+
+def _random_uses(tree):
+    """(enclosing function or None, line) of every mention of a name in ``_RANDOM_NAMES``."""
+    uses = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.alias):
+            names = set(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names = set((node.module or "").split("."))
+        else:
+            names = set()
+        if names & _RANDOM_NAMES:
+            uses.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return uses
+
+
+def test_only_sample_distribution_builds_a_random_generator():
+    # one way to turn probabilities into counts: every seeded draw goes through it
+    found = {}
+    for path in sorted(Path(ccxlab.__file__).parent.glob("*.py")):
+        for function, line in _random_uses(ast.parse(path.read_text(), filename=str(path))):
+            found.setdefault((path.stem, function), []).append(line)
+    assert list(found) == [("simulator", "sample_distribution")]

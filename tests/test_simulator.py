@@ -127,7 +127,7 @@ def test_purity_bounded():
 # -- sampling ----------------------------------------------------------------------
 
 def _sample(state, setting, shots, seed):
-    return sample_distribution(measurement_probabilities(state, setting), shots, seed)
+    return sample_distribution(measurement_probabilities(state, setting), shots, (seed,))
 
 
 def test_ground_state_z_sampling_deterministic_outcome():
@@ -146,7 +146,18 @@ def test_sampling_seed_determinism():
 
 def test_sampling_rejects_nonpositive_shots():
     with pytest.raises(ValueError, match="shots"):
-        sample_distribution(np.array([1.0, 0.0]), 0, seed=1)
+        sample_distribution(np.array([1.0, 0.0]), 0, seed=(1,))
+
+
+def test_a_table_draws_every_cell_row_major_from_one_generator():
+    table = np.random.default_rng(3).dirichlet(np.ones(8), size=(4, 3))
+    counts = sample_distribution(table, 500, (7, 2))
+    assert counts.shape == (4, 3, 8) and np.all(counts.sum(axis=-1) == 500)
+    rng = np.random.default_rng((7, 2))
+    assert np.array_equal(counts.reshape(-1, 8),
+                          [rng.multinomial(500, p) for p in table.reshape(-1, 8)])
+    # so the first cells of a table draw the same counts whatever its length
+    assert np.array_equal(sample_distribution(table[:1], 500, (7, 2)), counts[:1])
 
 
 def test_ghz_zzz_binomial_band():
@@ -161,7 +172,7 @@ def test_readout_confusion_flip_rate():
     nm = NoiseModel((QubitCalibration(t1_us=100.0, t2_us=100.0, prob_meas1_prep0=0.1),), {}, {})
     table = simulator.readout_map([Circuit(1)], nm, apply_readout=True)
     probs = simulator.setting_distributions(run_density(Circuit(1), nm), table)[0]
-    counts = sample_distribution(probs, 20000, seed=5)
+    counts = sample_distribution(probs, 20000, seed=(5,))
     frac_one = counts[1] / 20000
     sigma = math.sqrt(0.1 * 0.9 / 20000)
     assert abs(frac_one - 0.1) < 4 * sigma
@@ -182,7 +193,7 @@ def test_empirical_tvd_convergence(rng):
     psi = random_state_vector(8, np.random.default_rng(0))
     probs = measurement_probabilities(psi, "XYZ")
     for seed in range(100):
-        emp = sample_distribution(probs, shots, seed=seed) / shots
+        emp = sample_distribution(probs, shots, seed=(seed,)) / shots
         tvd = 0.5 * np.sum(np.abs(emp - probs))
         if tvd > bound:
             failures += 1

@@ -25,7 +25,6 @@ from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, toffoli_u
 from ccxlab.tomography import (
     average_gate_fidelity,
     choi_of_unitary,
-    derive_seed,
     measurement_rotation,
     process_fidelity,
     project_to_cptp,
@@ -51,21 +50,18 @@ def _exact_qst_data(state, k):
     return np.array([measurement_probabilities(state, s) for s in qst_settings(k)])
 
 
-def _sampled_frequencies(state, setting, shots, seed):
-    return sample_distribution(measurement_probabilities(state, setting), shots, seed) / shots
+def _exact_qpt_data(u, k):
+    return np.array([_exact_qst_data(u @ probe_state(probe), k)
+                     for probe in itertools.product(PROBE_LABELS, repeat=k)])
 
 
 def _sampled_qst_data(state, k, shots):
-    # setting j is drawn with seed j
-    return np.array([_sampled_frequencies(state, s, shots, seed=j)
-                     for j, s in enumerate(qst_settings(k))])
+    # the whole table is one draw, as in an experiment repeat
+    return sample_distribution(_exact_qst_data(state, k), shots, (0,)) / shots
 
 
 def _sampled_qpt_data(u, k, shots, master_seed):
-    return np.array([[_sampled_frequencies(u @ probe_state(probe), setting, shots,
-                                           seed=derive_seed(master_seed, i, j))
-                      for j, setting in enumerate(qst_settings(k))]
-                     for i, probe in enumerate(itertools.product(PROBE_LABELS, repeat=k))])
+    return sample_distribution(_exact_qpt_data(u, k), shots, (master_seed,)) / shots
 
 
 def _sampled_toffoli_qpt_data(shots):
@@ -98,11 +94,6 @@ def _dykstra_cptp(choi, tol=1e-14, max_iter=20000):
             return x_new / d
         x = x_new
     raise RuntimeError("Dykstra oracle did not converge")
-
-
-def _exact_qpt_data(u, k):
-    return np.array([_exact_qst_data(u @ probe_state(probe), k)
-                     for probe in itertools.product(PROBE_LABELS, repeat=k)])
 
 
 def _pauli_expectations_oracle(data, k):
@@ -251,12 +242,6 @@ def test_qst_reconstruct_matches_per_pauli_oracle(rng, k):
 
 
 # -- process tomography -------------------------------------------------------------
-
-def test_seed_derivation_stable():
-    assert derive_seed(5, 3) == derive_seed(5, 3)
-    assert derive_seed(5, 3) != derive_seed(5, 4)
-    assert derive_seed(5, 3) != derive_seed(6, 3)
-
 
 def test_choi_of_identity_single_qubit():
     sigma = choi_of_unitary(np.eye(2))
