@@ -115,6 +115,8 @@ def _cmd_synth(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.shots < 0:
         raise UsageError("--shots must be positive, or 0 to skip sampling")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     text = Path(args.circuit).read_text()
     circuit = parse_circuit(text)
     if args.noise:

@@ -1,15 +1,15 @@
 """End-to-end tomography experiments and machine-readable reports.
 
-A run builds its circuits once: the configured input state followed by the
-chosen Toffoli realization (state tomography), or each of the 64 probe
-preparations followed by it (process tomography). It evolves each circuit's
-density matrix once under the run's noise model, a calibration-derived one
-when noise-aware and ``NOISELESS`` when noise-free, and reads every
-measurement setting off one readout map into a table of exact outcome
-distributions, one per (circuit, setting) cell. The two modes differ only in
-the model. Only the sampling differs from one repeat to the next: a repeat
-draws seeded finite-shot counts from that table, reconstructs, and scores
-against the analytic reference.
+A run simulates once, under its noise model: a calibration-derived one when
+noise-aware and ``NOISELESS`` when noise-free. It evolves the configured
+input state (state tomography), or each of the 64 probe preparations
+(process tomography), from |0><0|, pushes the stack of prepared states
+through the chosen Toffoli realization once, and reads every measurement
+setting off one readout map into a table of exact outcome distributions, one
+per (preparation, setting) cell. The two modes differ only in the model.
+Only the sampling differs from one repeat to the next: a repeat draws seeded
+finite-shot counts from that table, reconstructs, and scores against the
+analytic reference.
 
 Determinism: repeat r of any run draws every cell of its table, in
 row-major order, from one generator seeded (master_seed, r) by
@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass
@@ -92,8 +93,11 @@ class ExperimentConfig:
             object.__setattr__(self, name, int(value))
         if self.mode is Mode.NOISE_AWARE and not self.calibration_path:
             raise UsageError("NOISE_AWARE mode requires a calibration path")
-        if self.noise_scale < 0:
-            raise UsageError("noise_scale must be nonnegative")
+        scale = self.noise_scale
+        if (isinstance(scale, bool) or not isinstance(scale, numbers.Real)
+                or not 0 <= scale < math.inf):
+            raise UsageError(f"noise_scale must be a finite real >= 0, got {scale!r}")
+        object.__setattr__(self, "noise_scale", float(scale))
         if self.mode is Mode.NOISE_FREE and (self.noise_scale != 1.0 or not self.apply_readout):
             raise UsageError("noise_scale and apply_readout apply only to NOISE_AWARE runs")
 
@@ -173,19 +177,20 @@ def _gate_count_summary(toffoli: Circuit, full: Circuit) -> Dict[str, int]:
 
 # -- measurement ---------------------------------------------------------------
 
-def _distributions(circuits: Sequence[Circuit], nm: NoiseModel,
+def _distributions(preparations: Sequence[Circuit], gate: Circuit, nm: NoiseModel,
                    apply_readout: bool) -> np.ndarray:
-    """Exact outcome distributions, shape (circuits, 27 settings, 8 outcomes).
+    """Exact outcome distributions of ``gate`` after each preparation, shape
+    (preparations, 27 settings, 8 outcomes), settings in ``qst_settings`` order.
 
-    Settings are in ``qst_settings`` order. Each circuit's density matrix
-    evolves once under ``nm``, and every setting's distribution (rotation
-    circuit, readout relaxation, readout confusion when ``apply_readout``) is
-    read off one ``readout_map``.
+    One ``run_density`` evolves every preparation from |0><0| under ``nm``
+    and then ``gate`` once on their stack. Every setting's distribution
+    (rotation circuit, readout relaxation, readout confusion when
+    ``apply_readout``) is read off one ``readout_map``, cached on ``nm``.
     """
     table = readout_map([measurement_rotation(setting) for setting in qst_settings(3)], nm,
                         apply_readout)
-    return np.array([setting_distributions(run_density(circuit, nm), table)
-                     for circuit in circuits])
+    rhos = run_density(gate, nm, preparations)
+    return np.array([setting_distributions(rho, table) for rho in np.moveaxis(rhos, -1, 0)])
 
 
 def _frequencies(distributions: np.ndarray, cfg: ExperimentConfig, repeat: int) -> np.ndarray:
@@ -206,8 +211,8 @@ def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     """State tomography of the Toffoli output for the configured input state."""
     start = time.perf_counter()
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
-    circuit = prepare_state(cfg.input_state).concat(toffoli)
-    distributions = _distributions([circuit], cfg.noise_model(), cfg.apply_readout)
+    preparation = prepare_state(cfg.input_state)
+    distributions = _distributions([preparation], toffoli, cfg.noise_model(), cfg.apply_readout)
 
     psi_ref = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET) @ target_state(cfg.input_state)
     rho_ref = np.outer(psi_ref, psi_ref.conj())
@@ -218,7 +223,8 @@ def run_qst_experiment(cfg: ExperimentConfig) -> Report:
         fidelities.append(state_fidelity(qst_reconstruct(frequencies, 3), rho_ref))
 
     wall = time.perf_counter() - start
-    return _make_report("qst", fidelities, cfg, _gate_count_summary(toffoli, circuit),
+    return _make_report("qst", fidelities, cfg,
+                        _gate_count_summary(toffoli, preparation.concat(toffoli)),
                         num_jobs=len(qst_settings(3)), wall=wall)
 
 
@@ -236,8 +242,8 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     start = time.perf_counter()
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
     probes = list(itertools.product(PROBE_LABELS, repeat=3))
-    circuits = [prepare_state(StateKind.PROBE, probe=probe).concat(toffoli) for probe in probes]
-    distributions = _distributions(circuits, cfg.noise_model(), cfg.apply_readout)
+    preparations = [prepare_state(StateKind.PROBE, probe=probe) for probe in probes]
+    distributions = _distributions(preparations, toffoli, cfg.noise_model(), cfg.apply_readout)
     target_choi = choi_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET))
     num_jobs = len(probes) * len(qst_settings(3))
 

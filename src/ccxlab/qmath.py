@@ -73,20 +73,6 @@ def check_unitary(u: np.ndarray, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
     return u
 
 
-def check_density_matrix(rho: np.ndarray, *, herm_tol: float = CONSTRUCTION_TOL,
-                         eig_tol: float = 1e-9, trace_tol: float = 1e-9) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - dagger(rho))) > herm_tol:
-        raise NotHermitianError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -eig_tol:
-        raise NotPSDError("density matrix has a negative eigenvalue")
-    return rho
-
-
 def _psd_eigh(h: np.ndarray, name: str, validate_tol: float) -> tuple:
     """Ascending eigenpairs of a Hermitian PSD matrix, negatives within tolerance clipped."""
     h = np.asarray(h, dtype=complex)

@@ -19,12 +19,15 @@ relaxation on each of its qubits, the placement order documented in
 ``NoiseModel`` instance, keyed by (gate, register size), so each channel
 builder runs once per distinct gate of a model. On registers of up to
 ``_DENSE_SUPEROP_MAX_QUBITS`` qubits it is the dense 4^n x 4^n matrix and a
-gate is one matrix-vector product; larger registers keep the 4^k x 4^k
+gate is one matrix product; larger registers keep the 4^k x 4^k
 superoperator on the gate's own k wires and contract it into vec(rho), so
-memory stays O(4^n). ``readout_map`` compiles measurement the same way: per
-setting, readout confusion . diagonal . readout relaxation . the rotation
-circuit, stacked into one (settings x 2^n, 4^n) map that
-``setting_distributions`` applies to vec(rho).
+memory stays O(4^n). A channel is linear, so a stack of states, as the
+columns of one (4^n, batch) array, goes through each gate in one product:
+``run_density`` evolves many preparations through a shared circuit that way.
+``readout_map`` compiles measurement the same way, and caches the result on
+the model too: per setting, readout confusion . diagonal . readout
+relaxation . the rotation circuit, stacked into one (settings x 2^n, 4^n)
+map that ``setting_distributions`` applies to vec(rho).
 
 Outcome distributions and counts are arrays indexed by basis state: bit q of
 the index is the outcome of qubit q, the little-endian order of states.
@@ -32,7 +35,7 @@ the index is the outcome of qubit q, the little-endian order of states.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +43,7 @@ from .circuits import Circuit, _apply_local
 from .errors import CcxlabError, NonNativeGateError
 from .gates import NATIVE_GATES, GateDef, gate_matrix
 from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
-from .qmath import dagger, kron_le
+from .qmath import kron_le
 
 #: registers up to this size apply each compiled gate as a dense 4^n x 4^n
 #: superoperator (64 x 64 at three qubits); larger ones contract the gate's
@@ -144,29 +147,36 @@ def _compiled_gate(g: GateDef, nm: NoiseModel, n: int) -> Tuple[np.ndarray, tupl
 
 
 def apply_circuit_density(rho: np.ndarray, c: Circuit, nm: NoiseModel) -> np.ndarray:
-    """Evolve a density matrix through a native circuit under ``nm``.
+    """Evolve a density matrix, or a (2^n, 2^n, batch) stack of them, through a native circuit.
 
     Per gate: ideal unitary, then depolarizing noise on the gate's qubits,
     then thermal relaxation on each participating qubit for the gate's
-    duration, applied as the gate's compiled superoperator (cached on ``nm``).
+    duration, applied as the gate's compiled superoperator (cached on ``nm``)
+    to the stack's columns at once.
     """
     _check_native(c)
     n = c.num_qubits
     rho = np.asarray(rho, dtype=complex)
-    vec = rho.reshape(-1)
+    vecs = rho.reshape((4 ** n,) + rho.shape[2:])
     for g in c.gates:
-        vec = _apply_superop(vec, _compiled_gate(g, nm, n), n)
-    return vec.reshape(rho.shape)
+        vecs = _apply_superop(vecs, _compiled_gate(g, nm, n), n)
+    return vecs.reshape(rho.shape)
 
 
-def run_density(c: Circuit, nm: NoiseModel) -> np.ndarray:
-    rho = np.zeros((2 ** c.num_qubits,) * 2, dtype=complex)
-    rho[0, 0] = 1.0
-    rho = apply_circuit_density(rho, c, nm)
+def run_density(c: Circuit, nm: NoiseModel,
+                preparations: Optional[Sequence[Circuit]] = None) -> np.ndarray:
+    """The density matrix of ``c`` run on |0...0> under ``nm``, checked for trace drift and
+    made exactly Hermitian. Given ``preparations``, the (2^n, 2^n, P) stack of ``c`` run
+    after each of them: ``c`` evolves the P prepared states at once."""
+    start = np.zeros((2 ** c.num_qubits,) * 2, dtype=complex)
+    start[0, 0] = 1.0
+    if preparations is not None:
+        start = np.stack([apply_circuit_density(start, p, nm) for p in preparations], axis=-1)
+    rho = apply_circuit_density(start, c, nm)
     tr = np.trace(rho)
-    if abs(tr - 1.0) >= 1e-8:
+    if np.max(np.abs(tr - 1.0)) >= 1e-8:
         raise CcxlabError(f"density trace drifted to {tr}")
-    return (rho + dagger(rho)) / 2
+    return (rho + rho.swapaxes(0, 1).conj()) / 2
 
 
 def readout_map(rotations: Sequence[Circuit], nm: NoiseModel, apply_readout: bool) -> np.ndarray:
@@ -176,10 +186,19 @@ def readout_map(rotations: Sequence[Circuit], nm: NoiseModel, apply_readout: boo
     relaxation of every qubit for its readout length, and a Z measurement,
     with the readout confusion when ``apply_readout``: rows readout confusion
     . diagonal . readout relaxation . rotation, shape (len(rotations) * 2^n,
-    4^n). Built transposed: the columns of each block's transpose evolve under
-    the transposed superoperators, last map first, so every step is a product
-    with a (4^n, 2^n) matrix.
+    4^n). The map is cached on ``nm`` next to its compiled gates, keyed by
+    (rotations, apply_readout), so a model builds it once per distinct key
+    (``NOISELESS`` once per process).
     """
+    rotations = tuple(rotations)
+    return nm.compiled(("readout", rotations, apply_readout),
+                       lambda: _readout_map(rotations, nm, apply_readout))
+
+
+def _readout_map(rotations: Tuple[Circuit, ...], nm: NoiseModel,
+                 apply_readout: bool) -> np.ndarray:
+    # built transposed: the columns of each block's transpose evolve under the transposed
+    # superoperators, last map first, so every step is a product with a (4^n, 2^n) matrix
     n = rotations[0].num_qubits
     dim = 2 ** n
     diagonal = np.zeros((dim * dim, dim), dtype=complex)

@@ -5,15 +5,18 @@ the W state) and lower them with ``synthesis.to_native``, so every prepared
 circuit is over the native gate set and runs on either simulator backend
 unchanged. A leading RZ on a wire still in |0> is prepended to cancel the
 global phase accumulated by the RZ/SX rewrites; the produced state then
-matches the target amplitudes exactly, not merely up to phase.
+matches the target amplitudes exactly, not merely up to phase. That check
+runs a state vector, so each probe circuit, which process tomography needs
+64 of per run, is built once per process; circuits are immutable.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from enum import Enum
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -122,7 +125,8 @@ def basis_circuit(index: int, num_qubits: int = 3) -> Circuit:
     return Circuit(num_qubits, gates)
 
 
-def probe_circuit(labels: Sequence[str]) -> Circuit:
+@functools.lru_cache(maxsize=None)
+def probe_circuit(labels: Tuple[str, ...]) -> Circuit:
     target = probe_state(labels)  # raises InvalidLabelError on an unknown label
     gates = tuple(gate(q) for q, lab in enumerate(labels) for gate in _PROBE_GATES[lab])
     return _fix_global_phase(to_native(Circuit(len(labels), gates)), target)
@@ -145,7 +149,7 @@ def _state_args(kind: StateKind, basis_index: int, probe: Sequence[str] | None) 
     if kind is StateKind.PROBE:
         if probe is None:
             raise InvalidLabelError("PROBE states need per-qubit labels")
-        return (probe,)
+        return (tuple(probe),)
     return ()
 
 

@@ -1,4 +1,4 @@
-"""Shared seeded random-object helpers for the test suite."""
+"""Shared seeded random-object helpers and a density-matrix check for the test suite."""
 
 import numpy as np
 import pytest
@@ -32,6 +32,16 @@ def random_cptp_kraus(dim, rng, n_kraus=3):
     q = q * (np.diag(r) / np.abs(np.diag(r)))
     iso = q[:, :dim]
     return [iso[i * dim:(i + 1) * dim, :] for i in range(n_kraus)]
+
+
+def check_density_matrix(rho, *, herm_tol=1e-10, eig_tol=1e-9, trace_tol=1e-9):
+    """Assert that ``rho`` is a square, Hermitian, unit-trace, positive semidefinite matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    assert rho.ndim == 2 and rho.shape[0] == rho.shape[1], rho.shape
+    assert np.max(np.abs(rho - rho.conj().T)) <= herm_tol
+    assert abs(np.trace(rho) - 1.0) <= trace_tol, np.trace(rho)
+    assert np.min(np.linalg.eigvalsh(rho)) >= -eig_tol, np.linalg.eigvalsh(rho)
+    return rho
 
 
 @pytest.fixture

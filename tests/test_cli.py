@@ -57,3 +57,20 @@ def test_qpt_without_job_budget_is_a_usage_error(capsys):
     code, err = _run(["qpt", "--repeats", "1", "--shots", "10"], capsys)
     assert code == 2
     assert err.startswith("error[usage]: ") and "--accept-job-budget" in err
+
+
+@pytest.mark.parametrize("noise", [[], ["--noise", "builtin:brisbane_median"]])
+def test_simulate_with_negative_seed_is_a_usage_error(tmp_path, capsys, noise):
+    path = tmp_path / "circuit.txt"
+    path.write_text(serialize_circuit(Circuit(3, (x(0),))))
+    code, err = _run(["simulate", str(path), "--shots", "10", "--seed", "-1", *noise], capsys)
+    assert code == 2
+    assert err.startswith("error[usage]: ") and "--seed" in err
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-0.5"])
+def test_noise_scale_that_is_not_finite_and_nonnegative_is_a_usage_error(scale, capsys):
+    code, err = _run(["qst", "--noise", "builtin:brisbane_median", f"--noise-scale={scale}",
+                      "--repeats", "1", "--shots", "10"], capsys)
+    assert code == 2
+    assert err.startswith("error[usage]: ") and "noise_scale" in err

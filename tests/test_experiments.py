@@ -3,12 +3,14 @@
 import dataclasses
 import itertools
 import json
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ccxlab import cli, experiments, simulator, tomography
+from ccxlab import cli, experiments, simulator, states, tomography
 from ccxlab.calibration import builtin_calibration_path
 from ccxlab.circuits import Circuit, serialize_circuit
 from ccxlab.errors import SchemaError, UsageError
@@ -93,28 +95,61 @@ def test_noise_aware_qpt_fidelities_match_golden_values(sampling):
 @pytest.mark.parametrize("run, circuits", [(run_qst_experiment, 1), (run_qpt_experiment, 64)])
 def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, run, circuits, mode,
                                                           repeats):
-    # both modes take the one path: noise-free is a run under NOISELESS
+    # both modes take the one path: noise-free is a run under NOISELESS. One run_density
+    # evolves every preparation once and then the Toffoli once, on the whole stack.
     calls = Counter()
-    for name in ("prepare_state", "run_density", "readout_map"):
-        def counted(*args, _call=getattr(experiments, name), _name=name, **kwargs):
+    for module, name in ((experiments, "prepare_state"), (experiments, "run_density"),
+                         (experiments, "readout_map"), (simulator, "apply_circuit_density")):
+        def counted(*args, _call=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _call(*args, **kwargs)
-        monkeypatch.setattr(experiments, name, counted)
+        monkeypatch.setattr(module, name, counted)
     report = run(_config(mode, repeats=repeats, shots_per_setting=1000))
     assert len(report.fidelities) == repeats
-    assert calls == {"prepare_state": circuits, "run_density": circuits, "readout_map": 1}
+    assert calls == {"prepare_state": circuits, "run_density": 1,
+                     "apply_circuit_density": circuits + 1, "readout_map": 1}
+
+
+@pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
+def test_a_qpt_run_applies_the_toffoli_once_to_all_preparations(monkeypatch, mode):
+    # each preparation's gates act on its own state, then each Toffoli gate acts once on
+    # the stack of all 64, not 64 times over whole circuits. Products the readout map
+    # makes while it is built are not gate applications, so they are set apart.
+    applied = Counter()
+
+    def apply(*args, _call=simulator._apply_superop):
+        applied["all"] += 1
+        return _call(*args)
+
+    def readout(*args, _call=experiments.readout_map):
+        before = applied["all"]
+        table = _call(*args)
+        applied["readout"] += applied["all"] - before
+        return table
+
+    monkeypatch.setattr(simulator, "_apply_superop", apply)
+    monkeypatch.setattr(experiments, "readout_map", readout)
+    cfg = _config(mode, repeats=1, shots_per_setting=100)
+    run_qpt_experiment(cfg)
+    toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
+    preparations = [prepare_state(StateKind.PROBE, probe=probe)
+                    for probe in itertools.product(PROBE_LABELS, repeat=3)]
+    assert applied["all"] - applied["readout"] == (sum(len(p.gates) for p in preparations)
+                                                   + len(toffoli.gates))
 
 
 @pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
 def test_a_second_noise_free_run_compiles_nothing(monkeypatch, run):
-    # NOISELESS keeps its compiled gates and the rotation circuits are built once per
-    # process, so only the first noise-free run pays for either
+    # NOISELESS keeps its compiled gates and readout map, and the rotation and probe
+    # circuits are built once per process, so only the first noise-free run pays for any
+    # of them. A probe build starts with states.probe_state, which runs call nowhere else.
     cfg = _config(repeats=1, shots_per_setting=100)
     run(cfg)
     assert cfg.noise_model() is NOISELESS
     compiled = dict(NOISELESS._compiled)
     builds = Counter()
-    for module, name in ((simulator, "_gate_superop"), (tomography, "to_native")):
+    for module, name in ((simulator, "_gate_superop"), (simulator, "_readout_map"),
+                         (tomography, "to_native"), (states, "probe_state")):
         def counted(*args, _call=getattr(module, name), _name=name):
             builds[_name] += 1
             return _call(*args)
@@ -139,8 +174,8 @@ def _captured(monkeypatch, name):
 
 def _qst_table(cfg):
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
-    circuit = prepare_state(cfg.input_state).concat(toffoli)
-    return experiments._distributions([circuit], cfg.noise_model(), cfg.apply_readout)
+    return experiments._distributions([prepare_state(cfg.input_state)], toffoli,
+                                      cfg.noise_model(), cfg.apply_readout)
 
 
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
@@ -163,9 +198,10 @@ def test_qpt_seed_layout(monkeypatch):
     cfg = _config(repeats=2, shots_per_setting=1000)
     run_qpt_experiment(cfg)
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
-    circuits = [prepare_state(StateKind.PROBE, probe=probe).concat(toffoli)
-                for probe in itertools.product(PROBE_LABELS, repeat=3)]
-    table = experiments._distributions(circuits, cfg.noise_model(), cfg.apply_readout)
+    preparations = [prepare_state(StateKind.PROBE, probe=probe)
+                    for probe in itertools.product(PROBE_LABELS, repeat=3)]
+    table = experiments._distributions(preparations, toffoli, cfg.noise_model(),
+                                       cfg.apply_readout)
     assert len(seen) == 2
     for r, frequencies in enumerate(seen):
         draws = simulator.sample_distribution(table, 1000, (cfg.master_seed, r))
@@ -235,6 +271,20 @@ def test_integer_config_fields_accept_numpy_integers():
     cfg = ExperimentConfig(master_seed=np.uint32(5), repeats=np.int64(2))
     assert (cfg.master_seed, cfg.repeats) == (5, 2)
     assert type(cfg.master_seed) is int and type(cfg.repeats) is int
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, "3", True, None, 1j])
+def test_noise_scale_must_be_a_finite_nonnegative_real(value):
+    with pytest.raises(UsageError, match="noise_scale") as error:
+        ExperimentConfig(mode="NOISE_AWARE", calibration_path=BRISBANE, noise_scale=value)
+    assert error.value.exit_code == 2
+
+
+@pytest.mark.parametrize("value, expected", [(0, 0.0), (2, 2.0), (np.float32(0.5), 0.5),
+                                             (Fraction(3, 2), 1.5)])
+def test_noise_scale_accepts_finite_nonnegative_reals(value, expected):
+    cfg = ExperimentConfig(mode="NOISE_AWARE", calibration_path=BRISBANE, noise_scale=value)
+    assert cfg.noise_scale == expected and type(cfg.noise_scale) is float
 
 
 # -- ccxlab simulate ----------------------------------------------------------------

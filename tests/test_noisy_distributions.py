@@ -41,14 +41,24 @@ def _noise_model(calibration="brisbane_median"):
     return ingest_calibration(builtin_calibration_path(calibration)).noise_model(3)
 
 
-def _probe_circuits(toffoli):
-    return [prepare_state(StateKind.PROBE, probe=p).concat(toffoli)
+def _probe_preparations():
+    return [prepare_state(StateKind.PROBE, probe=p)
             for p in itertools.product(PROBE_LABELS, repeat=3)]
 
 
-def _distributions(circuit, nm, apply_readout=True):
+def _distributions(state, nm, apply_readout=True, strategy=DecompositionStrategy.ECR_NATIVE):
     """The exact (settings x outcomes) table the experiments feed to tomography."""
-    return experiments._distributions([circuit], nm, apply_readout)[0]
+    return experiments._distributions([prepare_state(state)], _toffoli(strategy), nm,
+                                      apply_readout)[0]
+
+
+def _per_circuit_distributions(preparations, gate, nm, apply_readout=True):
+    """The table as the experiments built it before the preparations shared one
+    evolution of ``gate``: one ``run_density`` per whole circuit, kept as an oracle."""
+    table = simulator.readout_map([measurement_rotation(s) for s in qst_settings(3)], nm,
+                                  apply_readout)
+    return np.array([simulator.setting_distributions(
+        simulator.run_density(prep.concat(gate), nm), table) for prep in preparations])
 
 
 def test_ecr_native_is_the_native_strategy():
@@ -59,15 +69,14 @@ def test_ecr_native_is_the_native_strategy():
 @pytest.mark.parametrize("strategy", NATIVE_STRATEGIES)
 def test_qpt_distributions_match_kraus_oracle(strategy, calibration):
     toffoli, nm = _toffoli(strategy), _noise_model(calibration)
-    preps = _probe_circuits(Circuit(3))
+    preps = _probe_preparations()
     ground = np.zeros((8, 8), dtype=complex)
     ground[0, 0] = 1.0
     batch = np.stack([kraus_oracle.evolve(ground, prep, nm) for prep in preps], axis=2)
     batch = kraus_oracle.evolve(batch, toffoli, nm)
     batch = (batch + batch.conj().transpose(1, 0, 2)) / 2
     expected = kraus_oracle.setting_distributions(batch, nm)
-    actual = experiments._distributions([prep.concat(toffoli) for prep in preps], nm,
-                                        True).transpose(1, 2, 0)
+    actual = experiments._distributions(preps, toffoli, nm, True).transpose(1, 2, 0)
     assert actual.shape == expected.shape == (27, 8, 64)
     assert np.max(np.abs(actual - expected)) < TOL
 
@@ -75,12 +84,11 @@ def test_qpt_distributions_match_kraus_oracle(strategy, calibration):
 @pytest.mark.parametrize("inputs", ["GHZ", "W", "UNIFORM", "PROBES"])
 def test_noise_free_distributions_match_statevector_oracle(inputs):
     toffoli = _toffoli()
-    circuits = (_probe_circuits(toffoli) if inputs == "PROBES"
-                else [prepare_state(inputs).concat(toffoli)])
-    expected = [measurement_oracle.setting_distributions(simulator.run_statevector(c), 3)
-                for c in circuits]
-    actual = experiments._distributions(circuits, NOISELESS, True)
-    assert actual.shape == (len(circuits), 27, 8)
+    preparations = _probe_preparations() if inputs == "PROBES" else [prepare_state(inputs)]
+    expected = [measurement_oracle.setting_distributions(
+        simulator.run_statevector(prep.concat(toffoli)), 3) for prep in preparations]
+    actual = experiments._distributions(preparations, toffoli, NOISELESS, True)
+    assert actual.shape == (len(preparations), 27, 8)
     assert np.max(np.abs(actual - expected)) < TOL
 
 
@@ -89,7 +97,7 @@ def test_noise_free_distributions_match_statevector_oracle(inputs):
 def test_non_native_strategies_are_rejected_under_noise(strategy, calibration):
     nm = _noise_model(calibration)
     with pytest.raises(NonNativeGateError):
-        _distributions(prepare_state(StateKind.GHZ).concat(_toffoli(strategy)), nm)
+        _distributions(StateKind.GHZ, nm, strategy=strategy)
 
 
 @pytest.mark.parametrize("apply_readout", [True, False])
@@ -100,12 +108,11 @@ def test_qst_distributions_match_kraus_oracle(state, calibration, apply_readout)
     nm = _noise_model(calibration)
     expected = kraus_oracle.setting_distributions(kraus_oracle.run_density(circuit, nm), nm,
                                                   apply_readout)
-    actual = _distributions(circuit, nm, apply_readout)
+    actual = _distributions(state, nm, apply_readout)
     assert np.max(np.abs(actual - expected)) < TOL
 
 
-@pytest.mark.parametrize("state", ["GHZ", "W"])
-def test_distributions_match_kraus_oracle_with_uneven_qubits(state):
+def _uneven_noise_model():
     # the packaged calibrations are one symmetric record broadcast to every qubit;
     # here each qubit has its own relaxation, readout length and asymmetric confusion
     cals = tuple(QubitCalibration(t1_us=t1, t2_us=t2, prob_meas1_prep0=p10,
@@ -113,12 +120,34 @@ def test_distributions_match_kraus_oracle_with_uneven_qubits(state):
                  for t1, t2, p10, p01, length in ((100.0, 150.0, 0.01, 0.05, 1000.0),
                                                   (200.0, 120.0, 0.03, 0.002, 1500.0),
                                                   (80.0, 60.0, 0.0, 0.08, 700.0)))
-    nm = NoiseModel(cals, {"ECR": 0.01, "SX": 0.001, "X": 0.002},
-                    {"ECR": 500.0, "SX": 40.0, "X": 60.0})
+    return NoiseModel(cals, {"ECR": 0.01, "SX": 0.001, "X": 0.002},
+                      {"ECR": 500.0, "SX": 40.0, "X": 60.0})
+
+
+@pytest.mark.parametrize("state", ["GHZ", "W"])
+def test_distributions_match_kraus_oracle_with_uneven_qubits(state):
+    nm = _uneven_noise_model()
     circuit = prepare_state(state).concat(_toffoli())
     expected = kraus_oracle.setting_distributions(kraus_oracle.run_density(circuit, nm), nm)
-    actual = _distributions(circuit, nm)
+    actual = _distributions(state, nm)
     assert np.max(np.abs(actual - expected)) < TOL
+
+
+@pytest.mark.parametrize("model", ["NOISELESS", *CALIBRATIONS, "uneven"])
+@pytest.mark.parametrize("inputs", ["GHZ", "W", "UNIFORM", "PROBES"])
+def test_one_shared_evolution_matches_the_per_circuit_path(inputs, model):
+    # the gate under test evolves all preparations as one stack; the per-circuit path
+    # evolves each whole circuit on its own. Noise-free, both give the same bits.
+    nm = {"NOISELESS": NOISELESS, "uneven": _uneven_noise_model()}.get(model)
+    nm = nm or _noise_model(model)
+    preparations = _probe_preparations() if inputs == "PROBES" else [prepare_state(inputs)]
+    expected = _per_circuit_distributions(preparations, _toffoli(), nm)
+    actual = experiments._distributions(preparations, _toffoli(), nm, True)
+    assert actual.shape == expected.shape == (len(preparations), 27, 8)
+    if nm is NOISELESS:
+        assert np.array_equal(actual, expected)
+    else:
+        assert np.max(np.abs(actual - expected)) <= 1e-15
 
 
 def test_channel_builders_run_once_per_distinct_noisy_gate(monkeypatch):
@@ -128,17 +157,16 @@ def test_channel_builders_run_once_per_distinct_noisy_gate(monkeypatch):
             builds.append(args)
             return _build(*args)
         monkeypatch.setattr(simulator, name, counted)
-    nm = _noise_model()
-    circuits = _probe_circuits(_toffoli())
-    experiments._distributions(circuits, nm, True)
+    nm, toffoli, preparations = _noise_model(), _toffoli(), _probe_preparations()
+    experiments._distributions(preparations, toffoli, nm, True)
     rotations = [measurement_rotation(setting) for setting in qst_settings(3)]
-    noisy = {g for c in circuits + rotations for g in c.gates if g.name is not Gate.RZ}
+    noisy = {g for c in preparations + [toffoli] + rotations for g in c.gates
+             if g.name is not Gate.RZ}
     # per noisy gate one depolarizing and one relaxation per qubit; one readout relaxation per qubit
     assert len(builds) == sum(1 + len(g.qubits) for g in noisy) + 3 == 21
-    # a second table reuses every compiled gate; only its readout map relaxes the qubits again
-    experiments._distributions(circuits, nm, True)
-    assert builds[21:] == [(cal.readout_length_ns, cal.t1_us, cal.t2_us)
-                           for cal in reversed(nm.qubit_cal)]
+    # a second table reuses every compiled gate and the readout map, all cached on the model
+    experiments._distributions(preparations, toffoli, nm, True)
+    assert len(builds) == 21
 
 
 def test_scaled_models_get_their_own_distributions():
@@ -148,7 +176,7 @@ def test_scaled_models_get_their_own_distributions():
     for scale in (1.0, 2.0, 0.0, 1.0):
         nm = base if scale == 1.0 else scale_noise_model(base, scale)
         expected = kraus_oracle.setting_distributions(kraus_oracle.run_density(circuit, nm), nm)
-        tables[scale] = _distributions(circuit, nm)
+        tables[scale] = _distributions("W", nm)
         assert np.max(np.abs(tables[scale] - expected)) < TOL, scale
     assert np.max(np.abs(tables[2.0] - tables[1.0])) > 1e-3
     assert np.max(np.abs(tables[0.0] - tables[1.0])) > 1e-3
@@ -197,6 +225,13 @@ def test_density_evolution_matches_kraus_oracle_on_every_register_size(num_qubit
     nm = ingest_calibration(builtin_calibration_path("brisbane_median")).noise_model(num_qubits)
     rho = simulator.run_density(circuit, nm)
     assert np.max(np.abs(rho - kraus_oracle.run_density(circuit, nm))) < TOL
+    # a stack of prepared states evolves through the circuit as each would on its own
+    preparations = [_random_native_circuit(num_qubits, rng, length=5) for _ in range(3)]
+    stack = simulator.run_density(circuit, nm, preparations)
+    assert stack.shape == rho.shape + (3,)
+    for i, prep in enumerate(preparations):
+        alone = simulator.run_density(prep.concat(circuit), nm)
+        assert np.max(np.abs(stack[..., i] - alone)) < TOL
     psi = simulator.run_statevector(circuit)
     pure = simulator.run_density(circuit, NOISELESS)
     assert np.max(np.abs(pure - np.outer(psi, psi.conj()))) < TOL

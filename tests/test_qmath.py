@@ -11,7 +11,6 @@ from ccxlab.qmath import (
     I2,
     X,
     Z,
-    check_density_matrix,
     kron,
     matrix_sqrt_psd,
     pauli_string_matrix,
@@ -19,7 +18,12 @@ from ccxlab.qmath import (
     state_fidelity,
 )
 
-from conftest import random_density_matrix, random_state_vector, random_unitary
+from conftest import (
+    check_density_matrix,
+    random_density_matrix,
+    random_state_vector,
+    random_unitary,
+)
 
 
 def test_kron_identity():

@@ -13,7 +13,6 @@ from ccxlab.errors import (
     ProjectionNotConvergedError,
 )
 from ccxlab.qmath import (
-    check_density_matrix,
     kron_le,
     pauli_string_matrix,
     project_to_density,
@@ -42,7 +41,13 @@ from channel_oracle import (
     process_fidelity_superop,
     unitary_to_superop_pauli,
 )
-from conftest import random_cptp_kraus, random_density_matrix, random_state_vector, random_unitary
+from conftest import (
+    check_density_matrix,
+    random_cptp_kraus,
+    random_density_matrix,
+    random_state_vector,
+    random_unitary,
+)
 from measurement_oracle import measurement_probabilities
 
 
