@@ -21,12 +21,18 @@ Frobenius-nearest completely-positive trace-preserving (CPTP) Choi
 operator. That projection is a semismooth Newton method on the Lagrange
 multiplier of the trace-preservation (TP) constraint; it stops at a TP
 residual of ``CPTP_TP_TOL`` and raises ``ProjectionNotConvergedError`` if
-``CPTP_MAX_NEWTON_STEPS`` steps do not get there. The per-probe estimates
-stay unprojected on purpose: projecting them first biases the channel
-estimate like a global depolarization; unbiased probe estimates plus a
-single CPTP projection at the end track the sampling-only fidelity loss.
-The TP deviation of the raw estimate is reported as a diagnostic before
-the projection repairs it.
+``CPTP_MAX_NEWTON_STEPS`` steps do not get there. Each step solves its
+Jacobian system by conjugate gradients, to a forcing tolerance floored at
+0.1 * ``CPTP_TP_TOL``. Each Jacobian product touches only the r eigenvectors
+of positive eigenvalue: two r x n x n matrix products (n = 4^k) and no
+Kronecker product. On 3-qubit Toffoli data r falls from ~33 to 6-8 over
+the steps noise-free, and stays near 33 under calibration noise.
+
+The per-probe estimates stay unprojected on purpose: projecting them first
+biases the channel estimate like a global depolarization; unbiased probe
+estimates plus a single CPTP projection at the end track the sampling-only
+fidelity loss. The TP deviation of the raw estimate is reported as a
+diagnostic before the projection repairs it.
 
 Choi convention: block (m, n) of the unnormalized Choi operator holds
 E(|m><n|); the normalized form divides by the dimension 2^k.
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -46,6 +53,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidPauliStringError,
     KOutOfRangeError,
+    NotHermitianError,
     ProjectionNotConvergedError,
 )
 from .gates import h, sdg
@@ -154,9 +162,21 @@ def _partial_trace_out(xi: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("mpnp->mn", xi.reshape(d, d, d, d))
 
 
+def _choi_dim(choi: np.ndarray) -> int:
+    """The d of a d^2 x d^2 Choi matrix; rejects other shapes and non-finite entries."""
+    shape = choi.shape
+    d = math.isqrt(shape[0]) if choi.ndim == 2 else 0
+    if choi.ndim != 2 or shape[0] != shape[1] or d == 0 or d * d != shape[0]:
+        raise DimensionMismatchError(f"a Choi matrix must be d^2 x d^2, got shape {shape}")
+    if not np.all(np.isfinite(choi)):
+        raise NotHermitianError("a Choi matrix must have finite entries")
+    return d
+
+
 def tp_deviation(choi: np.ndarray) -> float:
     """Max-abs deviation of Tr_out(Choi * d) from the identity."""
-    d = int(round(np.sqrt(choi.shape[0])))
+    choi = np.asarray(choi)
+    d = _choi_dim(choi)
     return float(np.max(np.abs(_partial_trace_out(choi * d, d) - np.eye(d))))
 
 
@@ -167,26 +187,53 @@ CPTP_TP_TOL = 1e-11
 CPTP_MAX_NEWTON_STEPS = 50
 
 
-def _dual(c: np.ndarray, lam: np.ndarray, eye: np.ndarray) -> tuple:
+def _dual(c: np.ndarray, lam: np.ndarray) -> tuple:
     """Spectrum of C + Lam (x) I and the dual objective 1/2 ||[.]_+||^2 - Tr Lam."""
-    w, v = np.linalg.eigh(c + np.kron(lam, eye))
+    d = lam.shape[0]
+    shifted = c.copy()
+    diagonal = np.arange(d)
+    # Lam (x) I adds Lam[m, n] to entry ((m, p), (n, p)) for every output index p
+    shifted.reshape(d, d, d, d)[:, diagonal, :, diagonal] += lam
+    w, v = np.linalg.eigh(shifted)
     return w, v, 0.5 * np.sum(np.clip(w, 0.0, None) ** 2) - np.trace(lam).real
 
 
 def _jacobian_weights(w: np.ndarray) -> np.ndarray:
-    """First divided differences of max(w, 0) over pairs of eigenvalues."""
-    pos = w > 0
-    mixed = pos[:, None] != pos[None, :]
-    diff = np.where(mixed, w[:, None] - w[None, :], 1.0)
-    wp = np.where(pos, w, 0.0)
-    return np.where(mixed, (wp[:, None] - wp[None, :]) / diff, pos[:, None] & pos[None, :])
+    """The rows of the positive eigenvalues in Qi & Sun's divided-difference matrix.
+
+    ``w`` is ascending, as ``eigh`` returns it, so its r positive entries
+    are the last r. Row i holds w_i / (w_i - w_j) against each non-positive
+    w_j and 1/2 against each positive one: half the full matrix's weight 1,
+    because ``_tp_jacobian`` adds the Hermitian conjugate of that block.
+    Rows of non-positive eigenvalues carry weight only against positive
+    ones, so the conjugate covers them too. Shape (r, len(w)).
+    """
+    low = len(w) - np.count_nonzero(w > 0)
+    positive = w[low:, None]
+    weights = np.full((len(w) - low, len(w)), 0.5)
+    weights[:, :low] = positive / (positive - w[None, :low])
+    return weights
 
 
-def _tp_jacobian(h: np.ndarray, v: np.ndarray, weights: np.ndarray,
-                 eye: np.ndarray) -> np.ndarray:
-    """Generalized Jacobian of Lam -> Tr_out [C + Lam (x) I]_+ applied to h."""
-    rotated = dagger(v) @ np.kron(h, eye) @ v
-    return _partial_trace_out(v @ (weights * rotated) @ dagger(v), eye.shape[0])
+def _tp_jacobian(h: np.ndarray, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Generalized Jacobian of Lam -> Tr_out [C + Lam (x) I]_+ applied to h.
+
+    That is Tr_out V (Omega o V^H (h (x) I) V) V^H for the divided
+    differences Omega, computed as Tr_out P + (Tr_out P)^H with P = V_a B and
+    B = (Omega_a o V_a^H (h (x) I) V) V^H: V_a is the last r columns of V and
+    Omega_a the r rows ``_jacobian_weights`` gives. B takes two r x n x n
+    products, where the dense form costs four n x n x n ones, and Tr_out P
+    needs only a d x rd x d one; r = 0 gives 0.
+    """
+    n = v.shape[0]
+    d = h.shape[0]
+    r = weights.shape[0]
+    va = v[:, n - r:]
+    hv = (h @ v.reshape(d, -1)).reshape(n, n)  # (h (x) I) V
+    b = (weights * (dagger(va) @ hv)) @ dagger(v)
+    # Tr_out(V_a B)[m, k] = sum over output s and column j of V_a[(m, s), j] B[j, (k, s)]
+    t = va.reshape(d, d * r) @ b.reshape(r, d, d).transpose(2, 0, 1).reshape(d * r, d)
+    return t + dagger(t)
 
 
 def _conjugate_gradient(apply, b: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -221,39 +268,51 @@ def project_to_cptp(choi: np.ndarray) -> np.ndarray:
     the generalized Jacobian system by matrix-free conjugate gradients and
     is damped by an Armijo line search on the dual.
 
+    Only the r positive eigenvalues of C + Lam (x) I carry weight in that
+    Jacobian, so each product costs two r x n x n matrix products (n = d^2)
+    and no Kronecker product; see ``_tp_jacobian``. Conjugate gradients stop
+    at the usual forcing term min(0.1, |g|) |g| of the gradient's Frobenius
+    norm |g|, but not below 0.1 * ``CPTP_TP_TOL``: a last step asking for
+    less than the products' round-off would only run to the iteration cap.
+
     The result is PSD to round-off and trace preserving to ``CPTP_TP_TOL``
     (max-abs entry of the residual). ``ProjectionNotConvergedError`` names
-    the residual if ``CPTP_MAX_NEWTON_STEPS`` steps do not reach it.
+    the residual if ``CPTP_MAX_NEWTON_STEPS`` steps do not reach it. A
+    ``choi`` that is not d^2 x d^2 raises ``DimensionMismatchError``, and one
+    with a non-finite entry ``NotHermitianError``.
     """
-    d = int(round(np.sqrt(choi.shape[0])))
+    choi = np.asarray(choi)
+    d = _choi_dim(choi)
+    n = d * d
     eye = np.eye(d)
     c = choi * d
     c = (c + dagger(c)) / 2
     lam = (eye - _partial_trace_out(c, d)) / d  # makes C + Lam (x) I trace preserving
-    w, v, dual = _dual(c, lam, eye)
+    w, v, dual = _dual(c, lam)
     for steps in range(CPTP_MAX_NEWTON_STEPS + 1):
-        x = (v * np.clip(w, 0.0, None)) @ dagger(v)
+        weights = _jacobian_weights(w)
+        low = n - len(weights)  # x is built from the positive eigenpairs only
+        x = (v[:, low:] * w[low:]) @ dagger(v[:, low:])
         grad = _partial_trace_out(x, d) - eye
         residual = float(np.max(np.abs(grad)))
         if residual <= CPTP_TP_TOL:
             return (x + dagger(x)) / (2 * d)
         if steps == CPTP_MAX_NEWTON_STEPS:
             break
-        weights = _jacobian_weights(w)
         norm = np.linalg.norm(grad)
         # keeps the system positive definite where the Jacobian is singular;
         # it shrinks with the residual, so convergence stays quadratic
         reg = 1e-3 * min(1.0, norm)
         step = _conjugate_gradient(
-            lambda h: _tp_jacobian(h, v, weights, eye) + reg * h,
-            -grad, min(0.1, norm) * norm, 2 * d * d)
+            lambda h: _tp_jacobian(h, v, weights) + reg * h,
+            -grad, max(min(0.1, norm) * norm, 0.1 * CPTP_TP_TOL), 2 * n)
         slope = np.vdot(grad, step).real
         # the dual's round-off, which the Armijo test must not demand to beat
-        noise = c.shape[0] * np.finfo(float).eps * np.sum(w ** 2)
+        noise = n * np.finfo(float).eps * np.sum(w ** 2)
         t = 1.0
         for _ in range(40):
             lam_t = lam + t * step
-            w_t, v_t, dual_t = _dual(c, lam_t, eye)
+            w_t, v_t, dual_t = _dual(c, lam_t)
             if dual_t <= dual + 1e-4 * t * slope + noise:
                 break
             t /= 2

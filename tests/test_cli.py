@@ -1,10 +1,12 @@
-"""CLI exit codes: bad arguments print ``error[usage]: ...`` and exit 2, not a traceback."""
+"""CLI exit codes: 0 on success; bad arguments print ``error[usage]: ...`` and exit 2,
+bad files ``error[schema]: ...`` and exit 3, never a traceback."""
 
 import pytest
 
 from ccxlab import cli
 from ccxlab.circuits import Circuit, serialize_circuit
 from ccxlab.gates import x
+from ccxlab.synthesis import DecompositionStrategy
 
 
 def _run(argv, capsys):
@@ -74,3 +76,34 @@ def test_noise_scale_that_is_not_finite_and_nonnegative_is_a_usage_error(scale, 
                       "--repeats", "1", "--shots", "10"], capsys)
     assert code == 2
     assert err.startswith("error[usage]: ") and "noise_scale" in err
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in DecompositionStrategy])
+def test_synth_with_each_strategy_exits_zero(strategy, capsys):
+    code, err = _run(["synth", "--strategy", strategy], capsys)
+    assert code == 0 and err == ""
+
+
+def test_report_with_unknown_format_exits_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["report", str(tmp_path / "report.json"), "--format", "xml"])
+    assert info.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, '{"qubits": [', '{"qubits": []}'])
+def test_calib_summary_of_a_missing_or_malformed_file_is_a_schema_error(text, tmp_path, capsys):
+    path = tmp_path / "calibration.json"
+    if text is not None:
+        path.write_text(text)
+    code, err = _run(["calib-summary", str(path)], capsys)
+    assert code == 3
+    assert err.startswith("error[schema]: ") and str(path) in err
+
+
+def test_qst_with_a_calibration_that_is_not_json_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "calibration.json"
+    path.write_text('{"qubits": [')
+    code, err = _run(["qst", "--noise", str(path), "--repeats", "1", "--shots", "10"], capsys)
+    assert code == 3
+    assert err.startswith("error[schema]: ") and "not valid JSON" in err

@@ -1,14 +1,18 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from ccxlab.calibration import builtin_calibration_path, ingest_calibration
 from ccxlab.circuits import circuit_unitary
-from ccxlab import tomography
+from ccxlab import experiments, tomography
+from ccxlab.noise import NOISELESS
 from ccxlab.errors import (
     DimensionMismatchError,
     KOutOfRangeError,
+    NotHermitianError,
     NotUnitaryError,
     ProjectionNotConvergedError,
 )
@@ -19,7 +23,7 @@ from ccxlab.qmath import (
     state_fidelity,
 )
 from ccxlab.simulator import run_statevector, sample_distribution
-from ccxlab.states import PROBE_LABELS, ghz_circuit, probe_state
+from ccxlab.states import PROBE_LABELS, StateKind, ghz_circuit, prepare_state, probe_state
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from ccxlab.tomography import (
     average_gate_fidelity,
@@ -396,6 +400,96 @@ def test_project_to_cptp_raises_at_step_cap(rng, monkeypatch):
         project_to_cptp(sigma + (noise + noise.conj().T) / 2)
     assert info.value.exit_code == 4
 
+
+
+def _dense_tp_jacobian(h, v, w):
+    """Oracle: Tr_out V (Omega o V^H (h (x) I) V) V^H with the full n x n matrix
+    Omega of divided differences of max(w, 0)."""
+    d = h.shape[0]
+    pos = w > 0
+    mixed = pos[:, None] != pos[None, :]
+    diff = np.where(mixed, w[:, None] - w[None, :], 1.0)
+    wp = np.where(pos, w, 0.0)
+    omega = np.where(mixed, (wp[:, None] - wp[None, :]) / diff, pos[:, None] & pos[None, :])
+    rotated = v.conj().T @ np.kron(h, np.eye(d)) @ v
+    return np.einsum("mpnp->mn", (v @ (omega * rotated) @ v.conj().T).reshape(d, d, d, d))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("rank", ["0", "1", "n/2", "n"])
+def test_rank_aware_jacobian_matches_dense_product(rng, k, rank):
+    d = 2 ** k
+    n = d * d
+    r = {"0": 0, "1": 1, "n/2": n // 2, "n": n}[rank]
+    # ascending, as eigh returns it: n - r non-positive values (one exactly 0), then r positive
+    w = np.concatenate([np.sort(-rng.uniform(0.0, 1.0, n - r)), np.sort(rng.uniform(0.1, 1.0, r))])
+    if r < n:
+        w[n - r - 1] = 0.0
+    v = random_unitary(n, rng)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = (g + g.conj().T) / 2
+    fast = tomography._tp_jacobian(h, v, tomography._jacobian_weights(w))
+    if r == 0:
+        assert np.array_equal(fast, np.zeros((d, d)))
+    assert np.max(np.abs(fast - _dense_tp_jacobian(h, v, w))) < 1e-13
+
+
+@functools.lru_cache(maxsize=None)
+def _toffoli_qpt_table(calibration):
+    """Exact (64, 27, 8) QPT table of the ECR_NATIVE Toffoli, noise-free or under a calibration."""
+    nm = NOISELESS if calibration is None else \
+        ingest_calibration(builtin_calibration_path(calibration)).noise_model(3)
+    toffoli = decompose_toffoli(DecompositionStrategy.ECR_NATIVE, (0, 1), 2)
+    preparations = [prepare_state(StateKind.PROBE, probe=probe)
+                    for probe in itertools.product(PROBE_LABELS, repeat=3)]
+    return experiments._distributions(preparations, toffoli, nm, True)
+
+
+@pytest.mark.parametrize("calibration", [None, "brisbane_median"])
+@pytest.mark.parametrize("shots", [50, 1000, 11000])
+def test_projection_conjugate_gradients_stay_under_their_cap(calibration, shots, monkeypatch):
+    # a CG tolerance below the Jacobian product's round-off runs every last
+    # Newton step to the 2 d^2 cap; the forcing floor keeps it well short
+    solve = tomography._conjugate_gradient
+    iterations = []
+
+    def counted(apply, b, tol, max_iter):
+        iterations.append(0)
+
+        def product(h):
+            iterations[-1] += 1
+            return apply(h)
+        return solve(product, b, tol, max_iter)
+
+    monkeypatch.setattr(tomography, "_conjugate_gradient", counted)
+    table = _toffoli_qpt_table(calibration)
+    for seed in range(4):
+        iterations.clear()
+        sigma = qpt_reconstruct(sample_distribution(table, shots, (seed,)) / shots, 3)
+        assert tp_deviation(sigma) <= tomography.CPTP_TP_TOL
+        assert 0 < len(iterations) <= 8
+        assert max(iterations) < 2 * 8 * 8
+
+
+@pytest.mark.parametrize("bad", [np.eye(63), np.ones((4, 16)), np.ones(16), np.ones((2, 2, 2))])
+@pytest.mark.parametrize("function", [project_to_cptp, tp_deviation])
+def test_choi_of_wrong_shape_is_a_dimension_error(function, bad):
+    with pytest.raises(DimensionMismatchError, match="d\\^2 x d\\^2"):
+        function(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("function", [project_to_cptp, tp_deviation])
+def test_choi_with_non_finite_entries_is_rejected_before_eigh(function, value, monkeypatch):
+    def no_eigh(*args):
+        raise AssertionError("eigh called on a non-finite Choi matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    choi = np.eye(16, dtype=complex) / 16
+    choi[3, 5] = value
+    with pytest.raises(NotHermitianError, match="finite") as info:
+        function(choi)
+    assert info.value.exit_code == 4
 
 # -- fidelity metrics ----------------------------------------------------------------
 
