@@ -12,7 +12,6 @@ from .circuits import (
 from .errors import CcxlabError
 from .gates import Gate, GateDef, gate_matrix
 from .noise import (
-    KrausChannel,
     NoiseModel,
     QubitCalibration,
     depolarizing_channel,

@@ -95,7 +95,10 @@ def _require(entry: dict, field: str, path: str) -> float:
     value = entry[field]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SchemaError(f"{path}.{field}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise SchemaError(f"{path}.{field}: number too large for a float") from None
 
 
 def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
@@ -104,7 +107,7 @@ def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
         raise SchemaError(f"calibration file not found: {path}")
     try:
         payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or UTF-8, or an integer literal too long to read
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "qubits" not in payload:
         raise SchemaError(f"{path}: top-level object with a 'qubits' array required")

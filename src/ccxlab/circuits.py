@@ -16,6 +16,7 @@ Angles render with 17 significant digits so parsing is bit-exact.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Tuple
@@ -179,6 +180,8 @@ def parse_circuit(text: str) -> Circuit:
                 params = tuple(float(p) for p in m.group("params").split(",") if p.strip())
             except ValueError:
                 raise ParseError(lineno, f"bad parameter list {m.group('params')!r}") from None
+            if not all(math.isfinite(p) for p in params):
+                raise ParseError(lineno, f"non-finite parameter in {m.group('params')!r}")
         qubits = tuple(int(q) for q in re.findall(r"q\[(\d+)\]", m.group("qubits")))
         if len(qubits) != GATE_ARITY[gate_name]:
             raise ParseError(lineno, f"{name} takes {GATE_ARITY[gate_name]} qubit(s), got {len(qubits)}")

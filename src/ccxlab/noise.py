@@ -1,4 +1,4 @@
-"""Calibration-driven noise: Kraus channels and the device noise model.
+"""Calibration-driven noise: closed-form channel superoperators and the device noise model.
 
 Channel placement convention (documented, deterministic): for every gate the
 simulator applies the ideal unitary, then a depolarizing channel sized by the
@@ -8,38 +8,41 @@ update and acquires no noise. Idle qubits do not relax (no scheduling model).
 Before a measurement every qubit relaxes for its readout length, and the
 readout confusion then acts on the outcome distribution.
 
+The simulator only uses a channel as its row-major superoperator (Wood,
+Biamonte & Cory, arXiv:1111.6950), so each builder below returns that matrix
+in closed form and checks that it preserves the trace. The operator-sum
+(Kraus) forms of the same channels live in the test suite, as their oracle.
+
 Noise-free is not a separate backend: it is ``NOISELESS``, the model with no
 relaxation, no gate error, zero durations and perfect readout, so every
 channel above is the identity and the simulator runs one evolution and one
 measurement map in both modes.
 
-The simulator compiles that sequence into one superoperator per distinct
-gate (see :mod:`ccxlab.simulator`) and keeps it in the model's own cache,
-``NoiseModel.compiled``. The channel builders below therefore run once per
-distinct (gate, wires, parameters) of a model, not once per application, and
-readout relaxation once per qubit for each readout map, which the model
-caches as well; the placement order is unchanged. A model built from other numbers, such as a
-``scale_noise_model`` result, starts with an empty cache; ``NOISELESS`` is one
-constant, so its cache lives as long as the process.
+The simulator compiles each distinct gate of a model to one superoperator,
+and each readout map to one matrix, and keeps them in the model's own cache,
+``NoiseModel.compiled``; the placement order is unchanged. The builders
+therefore run once per distinct (gate, wires, parameters) of a model, and
+readout relaxation once per qubit per readout map. A model built from other
+numbers, such as a ``scale_noise_model`` result, starts with an empty cache;
+``NOISELESS`` is one constant, so its cache lives as long as the process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, Dict, Hashable, Mapping, Tuple, TypeVar
 
 import numpy as np
 
 from .circuits import MAX_QUBITS
 from .errors import (
+    CcxlabError,
     CoherenceViolation,
     ErrTooLargeError,
     MissingCalibrationError,
 )
 from .gates import GATE_ARITY, Gate
-from .qmath import I2, PAULI_1Q, dagger, kron_le
 
 #: fallback durations (ns) when a calibration file does not provide them
 DEFAULT_GATE_DURATIONS_NS = {"ECR": 533.0, "SX": 57.0, "X": 57.0, "RZ": 0.0, "ID": 0.0}
@@ -47,69 +50,54 @@ DEFAULT_GATE_DURATIONS_NS = {"ECR": 533.0, "SX": 57.0, "X": 57.0, "RZ": 0.0, "ID
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class KrausChannel:
-    """Operator-sum map; operators must resolve the identity within 1e-8."""
-
-    operators: Tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
-        object.__setattr__(self, "operators", ops)
-        dim = ops[0].shape[0]
-        total = sum(dagger(k) @ k for k in ops)
-        dev = np.max(np.abs(total - np.eye(dim)))
-        if dev > 1e-8:
-            raise ValueError(f"Kraus operators are not trace preserving (dev {dev:.3e})")
+def _check_trace_preserving(superop: np.ndarray) -> np.ndarray:
+    """``superop``, if it is finite and vec(I)^T S = vec(I)^T (Tr E(rho) = Tr rho) within 1e-8."""
+    dim = math.isqrt(superop.shape[0])
+    # vec(I) is 1 at the indices i * (dim + 1) and 0 elsewhere
+    dev = np.max(np.abs(superop[::dim + 1].sum(axis=0) - np.eye(dim).reshape(-1)))
+    if not (dev <= 1e-8 and np.isfinite(superop).all()):
+        raise CcxlabError(f"channel is not trace preserving (dev {dev:.3e})")
+    return superop
 
 
-def thermal_relaxation_channel(duration_ns: float, t1_us: float, t2_us: float) -> KrausChannel:
-    """Amplitude damping for T1 composed with pure dephasing for T2.
+def thermal_relaxation_channel(duration_ns: float, t1_us: float, t2_us: float) -> np.ndarray:
+    """Superoperator of amplitude damping for T1 composed with pure dephasing for T2.
 
-    gamma = 1 - exp(-t/T1); the pure dephasing rate is 1/T2 - 1/(2 T1).
+    gamma = 1 - exp(-t/T1); pure dephasing at rate 1/T2 - 1/(2 T1) flips the
+    phase with probability p_z. The coherences keep sqrt(1 - gamma) (1 - 2 p_z).
     """
-    if duration_ns < 0:
-        raise ValueError("duration must be nonnegative")
+    if not 0 <= duration_ns < math.inf:
+        raise ValueError(f"duration must be finite and nonnegative, got {duration_ns}")
     if not (0 < t2_us <= 2 * t1_us) and not (math.isinf(t1_us) and math.isinf(t2_us)):
         raise CoherenceViolation(f"need 0 < T2 <= 2*T1, got T1={t1_us}, T2={t2_us}")
     t_us = duration_ns / 1000.0
     gamma = 1.0 - math.exp(-t_us / t1_us) if not math.isinf(t1_us) else 0.0
     rate_phi = (1.0 / t2_us if not math.isinf(t2_us) else 0.0) \
         - (0.5 / t1_us if not math.isinf(t1_us) else 0.0)
-    rate_phi = max(rate_phi, 0.0)
-    p_z = (1.0 - math.exp(-t_us * rate_phi)) / 2.0
-
-    ad = [np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex),
-          np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)]
-    deph = [math.sqrt(1 - p_z) * I2, math.sqrt(p_z) * PAULI_1Q["Z"]]
-    ops = [a @ d for a in ad for d in deph]
-    ops = [k for k in ops if np.max(np.abs(k)) > 1e-16] or [I2.copy()]
-    return KrausChannel(tuple(ops))
+    p_z = (1.0 - math.exp(-t_us * max(rate_phi, 0.0))) / 2.0
+    coherence = math.sqrt(1 - gamma) * (1 - 2 * p_z)
+    # row-major vec: index 0 is |0><0|, 1 and 2 the coherences, 3 is |1><1|
+    superop = np.diag(np.array([1.0, coherence, coherence, 1.0 - gamma], dtype=complex))
+    superop[0, 3] = gamma
+    return _check_trace_preserving(superop)
 
 
-def depolarizing_channel(err: float, dim: int) -> KrausChannel:
-    """Depolarizing channel whose average gate fidelity equals 1 - err.
+def depolarizing_channel(err: float, dim: int) -> np.ndarray:
+    """Superoperator of the depolarizing channel whose average gate fidelity equals 1 - err.
 
-    E(rho) = (1-lam) rho + lam I/dim with lam = err * dim / (dim - 1).
+    E(rho) = (1-lam) rho + lam Tr(rho) I/dim with lam = err * dim / (dim - 1),
+    so S = (1-lam) I + (lam/dim) vec(I) vec(I)^T.
     """
-    if err < 0:
-        raise ValueError("error rate must be nonnegative")
+    if not err >= 0:
+        raise ValueError(f"error rate must be nonnegative, got {err}")
     if err >= 1 - 1 / dim:
         raise ErrTooLargeError(f"err {err} >= 1 - 1/dim for dim {dim}")
     lam = err * dim / (dim - 1)
-    k = int(round(math.log2(dim)))
-    if 2 ** k != dim:
+    if dim < 2 or dim & (dim - 1):
         raise ValueError("dim must be a power of two")
-    if lam == 0.0:
-        return KrausChannel((np.eye(dim, dtype=complex),))
-    d2 = dim * dim
-    ops = [math.sqrt(1 - lam * (d2 - 1) / d2) * np.eye(dim, dtype=complex)]
-    for letters in product("IXYZ", repeat=k):
-        if all(c == "I" for c in letters):
-            continue
-        p = kron_le([PAULI_1Q[c] for c in letters])
-        ops.append(math.sqrt(lam) / dim * p)
-    return KrausChannel(tuple(ops))
+    superop = (1 - lam) * np.eye(dim * dim, dtype=complex)
+    superop[::dim + 1, ::dim + 1] += lam / dim  # vec(I) vec(I)^T: the indices i * (dim + 1)
+    return _check_trace_preserving(superop)
 
 
 @dataclass(frozen=True)
@@ -131,8 +119,9 @@ class QubitCalibration:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
-        if self.readout_length_ns < 0:
-            raise ValueError("readout_length_ns must be nonnegative")
+        if not 0 <= self.readout_length_ns < math.inf:
+            raise ValueError(f"readout_length_ns={self.readout_length_ns} is not finite "
+                             "and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -150,22 +139,18 @@ class NoiseModel:
         object.__setattr__(self, "gate_error", dict(self.gate_error))
         object.__setattr__(self, "gate_duration", dict(self.gate_duration))
         for name, v in self.gate_error.items():
-            if v < 0.0:
-                raise ValueError(f"gate error {name}={v} negative")
+            if not v >= 0.0:  # also NaN, which no bound below would catch
+                raise ValueError(f"gate error {name}={v} is not a nonnegative number")
             # the depolarizing channel of a k-qubit gate realises errors below 1 - 1/2^k
             bound = 1 - 0.5 ** GATE_ARITY[name] if name in GATE_ARITY else 1.0
             if v >= bound:
                 raise ErrTooLargeError(f"gate error {name}={v} >= {bound}, which no "
                                        "depolarizing channel on the gate realises")
         for name, v in self.gate_duration.items():
-            if v < 0:
-                raise ValueError(f"gate duration {name}={v} negative")
+            if not 0 <= v < math.inf:
+                raise ValueError(f"gate duration {name}={v} is not finite and nonnegative")
         if self.gate_error.get("RZ", 0.0) != 0.0 or self.gate_duration.get("RZ", 0.0) != 0.0:
             raise ValueError("RZ is virtual: zero duration and zero error")
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.qubit_cal)
 
     def calibration(self, qubit: int) -> QubitCalibration:
         if qubit >= len(self.qubit_cal):
@@ -208,8 +193,8 @@ def scale_noise_model(nm: NoiseModel, factor: float) -> NoiseModel:
 
     ``factor=0`` yields a noiseless model; ``factor>1`` degrades everything.
     """
-    if factor < 0:
-        raise ValueError("scale factor must be nonnegative")
+    if not factor >= 0:
+        raise ValueError(f"scale factor must be nonnegative, got {factor}")
 
     def scale_time(t_us: float) -> float:
         if factor == 0.0:

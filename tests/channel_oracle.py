@@ -18,7 +18,7 @@ from ccxlab.qmath import check_unitary, dagger, pauli_string_matrix
 
 
 def apply_channel(channel, rho: np.ndarray) -> np.ndarray:
-    """Operator-sum action of a ``ccxlab.noise.KrausChannel``."""
+    """Operator-sum action of a ``kraus_oracle.KrausChannel``."""
     return sum(k @ rho @ dagger(k) for k in channel.operators)
 
 
@@ -84,3 +84,13 @@ def process_fidelity_superop(channel_superop: np.ndarray, target_unitary: np.nda
         raise DimensionMismatchError(f"superoperator shapes differ: {s_chan.shape} vs {s_tgt.shape}")
     gamma_sq = s_chan.shape[0]
     return float(np.real(np.trace(dagger(s_tgt) @ s_chan)) / gamma_sq)
+
+
+def superop_to_choi(superop: np.ndarray) -> np.ndarray:
+    """Normalized Choi matrix of a row-major superoperator.
+
+    Column m * d + n of the superoperator is vec(E(|m><n|)), so block (m, n)
+    of the Choi matrix is that column reshaped to d x d, divided by d.
+    """
+    d = int(round(np.sqrt(superop.shape[0])))
+    return superop.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d) / d

@@ -10,14 +10,70 @@ readout confusion on the Z-basis distribution.
 
 Density matrices may carry one trailing batch axis, shape (d, d, B), so many
 inputs evolve through the same circuit together.
+
+The channels are built here as Kraus operators, independently of the
+closed-form superoperators in ``ccxlab.noise``: ``KrausChannel`` checks that
+its operators resolve the identity, and ``depolarizing_kraus`` and
+``thermal_relaxation_kraus`` are the operator-sum forms those superoperators
+must equal.
 """
+
+import math
+from dataclasses import dataclass
+from itertools import product
+from typing import Tuple
 
 import numpy as np
 
 from ccxlab.circuits import _apply_local
 from ccxlab.gates import Gate, gate_matrix
-from ccxlab.noise import depolarizing_channel, thermal_relaxation_channel
+from ccxlab.qmath import I2, PAULI_1Q, dagger, kron_le
 from ccxlab.tomography import measurement_rotation, qst_settings
+
+
+@dataclass(frozen=True)
+class KrausChannel:
+    """Operator-sum map; operators must resolve the identity within 1e-8."""
+
+    operators: Tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
+        object.__setattr__(self, "operators", ops)
+        dim = ops[0].shape[0]
+        total = sum(dagger(k) @ k for k in ops)
+        dev = np.max(np.abs(total - np.eye(dim)))
+        if dev > 1e-8:
+            raise ValueError(f"Kraus operators are not trace preserving (dev {dev:.3e})")
+
+    def superop(self):
+        """Row-major superoperator, sum_k K_k (x) conj(K_k)."""
+        return sum(np.kron(k, k.conj()) for k in self.operators)
+
+
+def thermal_relaxation_kraus(duration_ns, t1_us, t2_us):
+    """Amplitude damping (gamma = 1 - exp(-t/T1)) after pure dephasing at 1/T2 - 1/(2 T1)."""
+    t_us = duration_ns / 1000.0
+    gamma = 1.0 - math.exp(-t_us / t1_us) if not math.isinf(t1_us) else 0.0
+    rate_phi = (1.0 / t2_us if not math.isinf(t2_us) else 0.0) \
+        - (0.5 / t1_us if not math.isinf(t1_us) else 0.0)
+    p_z = (1.0 - math.exp(-t_us * max(rate_phi, 0.0))) / 2.0
+    ad = [np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex),
+          np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)]
+    deph = [math.sqrt(1 - p_z) * I2, math.sqrt(p_z) * PAULI_1Q["Z"]]
+    return KrausChannel(tuple(a @ d for a in ad for d in deph))
+
+
+def depolarizing_kraus(err, dim):
+    """(1 - lam) rho + lam I/dim, lam = err dim / (dim - 1), as the identity and every
+    non-identity Pauli product on log2(dim) qubits."""
+    lam = err * dim / (dim - 1)
+    d2 = dim * dim
+    ops = [math.sqrt(1 - lam * (d2 - 1) / d2) * np.eye(dim, dtype=complex)]
+    for letters in product("IXYZ", repeat=int(round(math.log2(dim)))):
+        if set(letters) != {"I"}:
+            ops.append(math.sqrt(lam) / dim * kron_le([PAULI_1Q[c] for c in letters]))
+    return KrausChannel(tuple(ops))
 
 
 def _num_qubits(rho):
@@ -50,12 +106,12 @@ def evolve(rho, circuit, nm):
             continue
         err = nm.error_for(g.name)
         if err > 0.0:
-            rho = _apply_kraus(rho, depolarizing_channel(err, 2 ** len(wires)), wires, n)
+            rho = _apply_kraus(rho, depolarizing_kraus(err, 2 ** len(wires)), wires, n)
         duration = nm.duration_for(g.name)
         if duration > 0.0:
             for q in g.qubits:
                 cal = nm.calibration(q)
-                channel = thermal_relaxation_channel(duration, cal.t1_us, cal.t2_us)
+                channel = thermal_relaxation_kraus(duration, cal.t1_us, cal.t2_us)
                 rho = _apply_kraus(rho, channel, [q], n)
     return rho
 
@@ -88,7 +144,7 @@ def readout_relaxation(rho, nm):
     for q in range(n):
         cal = nm.calibration(q)
         if cal.readout_length_ns > 0:
-            channel = thermal_relaxation_channel(cal.readout_length_ns, cal.t1_us, cal.t2_us)
+            channel = thermal_relaxation_kraus(cal.readout_length_ns, cal.t1_us, cal.t2_us)
             rho = _apply_kraus(rho, channel, [q], n)
     return rho
 

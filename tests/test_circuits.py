@@ -98,6 +98,13 @@ def test_parse_rejects_unknown_gate():
         parse_circuit("qubits 1\nFOO q[0]\n")
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-Infinity"])
+def test_parse_rejects_non_finite_parameters(angle):
+    with pytest.raises(ParseError, match="non-finite parameter") as exc:
+        parse_circuit(f"qubits 1\nSX q[0]\nRZ({angle}) q[0]\n")
+    assert exc.value.line_number == 3
+
+
 def test_parse_requires_header():
     with pytest.raises(ParseError):
         parse_circuit("X q[0]\n")

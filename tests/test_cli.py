@@ -107,3 +107,15 @@ def test_qst_with_a_calibration_that_is_not_json_is_a_schema_error(tmp_path, cap
     code, err = _run(["qst", "--noise", str(path), "--repeats", "1", "--shots", "10"], capsys)
     assert code == 3
     assert err.startswith("error[schema]: ") and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("shots", [[], ["--shots", "100"]])
+def test_simulate_with_a_non_finite_gate_parameter_is_a_schema_error(tmp_path, capsys, angle,
+                                                                     shots):
+    # NaN amplitudes used to print, or reach the sampler and end in numpy's pvals traceback
+    path = tmp_path / "circuit.txt"
+    path.write_text(f"qubits 1\nRZ({angle}) q[0]\nSX q[0]\n")
+    code, err = _run(["simulate", str(path), *shots], capsys)
+    assert code == 3
+    assert err.startswith("error[schema]: line 2: non-finite parameter")

@@ -1,5 +1,6 @@
 """End-to-end experiment runs, their determinism, and report files."""
 
+import csv
 import dataclasses
 import itertools
 import json
@@ -326,6 +327,31 @@ def report_file(tmp_path):
 def test_report_round_trip(report_file, tmp_path):
     again = emit_report(load_report(report_file), "json", tmp_path / "again.json")
     assert again.read_text() == report_file.read_text()
+
+
+@pytest.fixture(scope="module", params=["qst", "qpt"])
+def sampled_report(request):
+    # noise-aware sampled repeats, so every fidelity carries all 17 digits
+    run = run_qst_experiment if request.param == "qst" else run_qpt_experiment
+    return run(_config("NOISE_AWARE", "W", repeats=3, shots_per_setting=500))
+
+
+def test_a_json_report_loads_back_equal(sampled_report, tmp_path):
+    assert load_report(emit_report(sampled_report, "json", tmp_path / "r.json")) == sampled_report
+
+
+def test_csv_rows_reproduce_the_fidelities_exactly(sampled_report, tmp_path):
+    path = emit_report(sampled_report, "csv", tmp_path / "r.csv")
+    header, *rows = list(csv.reader(path.open(newline="")))
+    agf = sampled_report.average_gate_fidelities
+    assert header == ["repeat", "fidelity"] + (["average_gate_fidelity"] if agf else [])
+    assert [int(row[0]) for row in rows] == list(range(3))
+    assert tuple(float(row[1]) for row in rows) == sampled_report.fidelities
+    assert [row[1] for row in rows] == [repr(f) for f in sampled_report.fidelities]
+    if agf is not None:
+        assert tuple(float(row[2]) for row in rows) == agf
+    else:
+        assert all(len(row) == 2 for row in rows)
 
 
 @pytest.mark.parametrize("version", [0, 2, "1", None])

@@ -1,10 +1,11 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ccxlab.circuits import Circuit
+from ccxlab.circuits import Circuit, _apply_local
 from ccxlab import simulator
 from ccxlab.errors import CcxlabError, NonNativeGateError
 from ccxlab.gates import ccx, cnot, ecr, gate_matrix, h, rz, sx, x
@@ -207,3 +208,37 @@ def test_noiseless_readout_map_matches_oracle_on_mixed_states(rng):
         rho = random_density_matrix(8, rng)
         expected = [measurement_probabilities(rho, s) for s in settings]
         assert np.max(np.abs(simulator.setting_distributions(rho, table) - expected)) < 1e-12
+
+
+def _tensordot_embed(local, wires, n):
+    """Oracle: ``local`` on the sorted ``wires`` of n, contracted into the 2^n identity."""
+    dim = 2 ** n
+    eye = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
+    return _apply_local(eye, local, wires, n).reshape(dim, dim)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_embedding_copies_exactly_what_the_tensordot_contraction_gives(num_qubits, rng):
+    # every sorted subset of the 2n wires of vec(rho) on an n-qubit register
+    n = 2 * num_qubits
+    for size in range(1, n + 1):
+        for wires in itertools.combinations(range(n), size):
+            local = rng.normal(size=(2 ** size,) * 2) + 1j * rng.normal(size=(2 ** size,) * 2)
+            assert np.array_equal(simulator._embed(local, wires, n),
+                                  _tensordot_embed(local, wires, n)), wires
+
+
+def test_a_nan_trace_is_a_drift(monkeypatch):
+    # a NaN in a compiled map fails the trace check instead of slipping past it
+    def nan_gate(g, nm):
+        k = len(g.qubits)
+        return np.full((4 ** k, 4 ** k), np.nan, dtype=complex)
+    monkeypatch.setattr(simulator, "_gate_superop", nan_gate)
+    nm = dataclasses.replace(NOISELESS)  # a fresh cache, so nothing compiled is reused
+    with pytest.raises(CcxlabError, match="trace drifted"):
+        run_density(Circuit(1, (sx(0),)), nm)
+
+
+def test_a_nan_norm_is_a_drift():
+    with pytest.raises(CcxlabError, match="norm drifted"):
+        run_statevector(Circuit(1, (rz(math.nan, 0), sx(0))))
