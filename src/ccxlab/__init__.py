@@ -18,7 +18,7 @@ from .noise import (
     scale_noise_model,
     thermal_relaxation_channel,
 )
-from .qmath import kron, matrix_sqrt_psd, project_to_density, state_fidelity
+from .qmath import matrix_sqrt_psd, state_fidelity
 from .simulator import run_density, run_statevector
 from .states import StateKind, prepare_state, target_state
 from .synthesis import (

@@ -55,10 +55,6 @@ class DimensionMismatchError(CcxlabError):
     pass
 
 
-class ZeroTraceError(CcxlabError):
-    pass
-
-
 class ErrTooLargeError(CcxlabError):
     pass
 

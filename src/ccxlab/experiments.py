@@ -189,8 +189,7 @@ def _distributions(preparations: Sequence[Circuit], gate: Circuit, nm: NoiseMode
     """
     table = readout_map([measurement_rotation(setting) for setting in qst_settings(3)], nm,
                         apply_readout)
-    rhos = run_density(gate, nm, preparations)
-    return np.array([setting_distributions(rho, table) for rho in np.moveaxis(rhos, -1, 0)])
+    return setting_distributions(run_density(gate, nm, preparations), table)
 
 
 def _frequencies(distributions: np.ndarray, cfg: ExperimentConfig, repeat: int) -> np.ndarray:

@@ -125,10 +125,6 @@ def sdg(q: int) -> GateDef:
     return GateDef(Gate.SDG, (q,))
 
 
-def idle(q: int) -> GateDef:
-    return GateDef(Gate.ID, (q,))
-
-
 def cnot(control: int, target: int) -> GateDef:
     return GateDef(Gate.CNOT, (control, target))
 

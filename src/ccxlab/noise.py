@@ -122,6 +122,9 @@ class QubitCalibration:
         if not 0 <= self.readout_length_ns < math.inf:
             raise ValueError(f"readout_length_ns={self.readout_length_ns} is not finite "
                              "and nonnegative")
+        for name in ("frequency_ghz", "anharmonicity_ghz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)} is not finite")
 
 
 @dataclass(frozen=True)

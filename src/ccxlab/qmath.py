@@ -24,7 +24,6 @@ from .errors import (
     NotHermitianError,
     NotPSDError,
     NotUnitaryError,
-    ZeroTraceError,
 )
 
 CONSTRUCTION_TOL = 1e-10
@@ -40,11 +39,6 @@ PAULI_1Q = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def kron_le(ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -127,20 +121,3 @@ def state_fidelity(rho: np.ndarray, lam: np.ndarray) -> float:
         wi[wi < RANK_TOL * wi[-1]] = 0.0
         f = float(np.sum(np.sqrt(wi)) ** 2)
     return min(max(f, 0.0), 1.0)
-
-
-def project_to_density(h: np.ndarray) -> np.ndarray:
-    """Nearest-in-spirit physical state: Hermitize, clip negatives, renormalize.
-
-    Idempotent on valid density matrices.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
-    herm = (h + dagger(h)) / 2
-    w, v = np.linalg.eigh(herm)
-    w = np.clip(w, 0.0, None)
-    total = float(np.sum(w))
-    if total <= 0.0:
-        raise ZeroTraceError("all eigenvalues clipped to zero")
-    return (v * (w / total)) @ dagger(v)

@@ -233,12 +233,18 @@ def _readout_map(rotations: Tuple[Circuit, ...], nm: NoiseModel,
 def setting_distributions(rho: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Outcome distributions of every setting of a ``readout_map``, shape (settings, 2^n).
 
-    One product of the stacked map with vec(rho); each distribution is
-    clipped at 0 and normalized.
+    One matrix-vector product of the stacked map with vec(rho); each
+    distribution is clipped at 0 and normalized. Trailing axes of ``rho`` are
+    a batch: a (2^n, 2^n, batch) stack gives (batch, settings, 2^n) from one
+    matmul that keeps one matrix-vector product per state, so every state
+    reads bit for bit what it reads alone. A matrix-matrix product would move
+    round-off zeros of the table, and seeded counts turn on those.
     """
     rho = np.asarray(rho, dtype=complex)
-    probs = np.clip(np.real(table @ rho.reshape(-1)).reshape(-1, rho.shape[0]), 0.0, None)
-    return probs / probs.sum(axis=1, keepdims=True)
+    dim = rho.shape[0]
+    vecs = np.ascontiguousarray(rho.reshape(dim * dim, -1).T)[..., None]  # (batch, 4^n, 1)
+    probs = np.clip(np.real(table @ vecs).reshape(rho.shape[2:] + (-1, dim)), 0.0, None)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def _confusion_matrix(confusions: Sequence[Tuple[float, float]], n: int) -> np.ndarray:

@@ -7,8 +7,7 @@ outcome of qubit q. Linear inversion is one fixed linear map,
 ``_estimator(k)``: it takes those rows, stacked, to vec(rho) of
 rho = (1/2^k) sum_P <P> P, where <P> is the parity of P's support averaged
 over every setting that covers it (Greenbaum, arXiv:1509.02921). The
-estimate is then projected to the physical cone (Hermitian, PSD, unit
-trace).
+estimate is then replaced by the Frobenius-nearest density matrix.
 
 Process tomography prepares the 4^k products of {|0>, |1>, |+>, |+i>} and
 measures 3^k settings per preparation (12^k circuits). Its data is a
@@ -18,15 +17,14 @@ every *unprojected* output estimate in one product; the constant inverse of
 the probe-state matrix, ``_probe_dual(k)``, turns them into the channel's
 superoperator, which is regrouped into the Choi operator and replaced by the
 Frobenius-nearest completely-positive trace-preserving (CPTP) Choi
-operator. That projection is a semismooth Newton method on the Lagrange
-multiplier of the trace-preservation (TP) constraint; it stops at a TP
-residual of ``CPTP_TP_TOL`` and raises ``ProjectionNotConvergedError`` if
-``CPTP_MAX_NEWTON_STEPS`` steps do not get there. Each step solves its
-Jacobian system by conjugate gradients, to a forcing tolerance floored at
-0.1 * ``CPTP_TP_TOL``. Each Jacobian product touches only the r eigenvectors
-of positive eigenvalue: two r x n x n matrix products (n = 4^k) and no
-Kronecker product. On 3-qubit Toffoli data r falls from ~33 to 6-8 over
-the steps noise-free, and stays near 33 under calibration noise.
+operator.
+
+Both estimators end in one projection, ``project_to_cptp(choi, d_in)``: a
+state is the Choi matrix of a channel with a one-dimensional input, so the
+nearest density matrix is the nearest CPTP point at d_in = 1, and process
+tomography projects at d_in = 2^k. Linear inversion followed by one such
+projection is the estimator Surawy-Stepney, Kahn, Kueng & Guta analyse
+(arXiv:2107.01060).
 
 The per-probe estimates stay unprojected on purpose: projecting them first
 biases the channel estimate like a global depolarization; unbiased probe
@@ -35,14 +33,14 @@ fidelity loss. The TP deviation of the raw estimate is reported as a
 diagnostic before the projection repairs it.
 
 Choi convention: block (m, n) of the unnormalized Choi operator holds
-E(|m><n|); the normalized form divides by the dimension 2^k.
+E(|m><n|), one d_out x d_out block per pair of input indices; the normalized
+form divides by the input dimension d_in.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -61,7 +59,6 @@ from .qmath import (
     check_unitary,
     dagger,
     pauli_string_matrix,
-    project_to_density,
     state_fidelity,
 )
 from .states import PROBE_LABELS, probe_state
@@ -130,10 +127,12 @@ def qst_reconstruct(frequencies: np.ndarray, k: int) -> np.ndarray:
 
     ``frequencies`` has shape (3^k, 2^k): row j holds the outcome frequencies
     of ``qst_settings(k)[j]``, indexed by basis outcome (bit q = qubit q).
+    The linear-inversion estimate is replaced by the Frobenius-nearest
+    density matrix: ``project_to_cptp`` at input dimension 1.
     """
     dim = 2 ** k
     frequencies = _checked(frequencies, (3 ** k, dim))
-    return project_to_density((_estimator(k) @ frequencies.reshape(-1)).reshape(dim, dim))
+    return project_to_cptp((_estimator(k) @ frequencies.reshape(-1)).reshape(dim, dim), 1)
 
 
 # -- process tomography ---------------------------------------------------------
@@ -158,26 +157,27 @@ def choi_of_unitary(u: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj()) / dim
 
 
-def _partial_trace_out(xi: np.ndarray, d: int) -> np.ndarray:
-    return np.einsum("mpnp->mn", xi.reshape(d, d, d, d))
+def _partial_trace_out(xi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    return np.einsum("mpnp->mn", xi.reshape(d_in, d_out, d_in, d_out))
 
 
-def _choi_dim(choi: np.ndarray) -> int:
-    """The d of a d^2 x d^2 Choi matrix; rejects other shapes and non-finite entries."""
+def _choi_dims(choi: np.ndarray, d_in: int) -> Tuple[int, int]:
+    """(d_in, d_out) of a Choi matrix of side d_in * d_out; rejects other shapes and NaN/inf."""
     shape = choi.shape
-    d = math.isqrt(shape[0]) if choi.ndim == 2 else 0
-    if choi.ndim != 2 or shape[0] != shape[1] or d == 0 or d * d != shape[0]:
-        raise DimensionMismatchError(f"a Choi matrix must be d^2 x d^2, got shape {shape}")
+    if choi.ndim != 2 or shape[0] != shape[1] or shape[0] == 0 or d_in < 1 or shape[0] % d_in:
+        raise DimensionMismatchError(
+            f"a Choi matrix must be (d_in * d_out) x (d_in * d_out) with d_in = {d_in}, "
+            f"got shape {shape}")
     if not np.all(np.isfinite(choi)):
         raise NotHermitianError("a Choi matrix must have finite entries")
-    return d
+    return d_in, shape[0] // d_in
 
 
-def tp_deviation(choi: np.ndarray) -> float:
-    """Max-abs deviation of Tr_out(Choi * d) from the identity."""
+def tp_deviation(choi: np.ndarray, d_in: int) -> float:
+    """Max-abs deviation of Tr_out(choi * d_in) from the d_in x d_in identity."""
     choi = np.asarray(choi)
-    d = _choi_dim(choi)
-    return float(np.max(np.abs(_partial_trace_out(choi * d, d) - np.eye(d))))
+    d_in, d_out = _choi_dims(choi, d_in)
+    return float(np.max(np.abs(_partial_trace_out(choi * d_in, d_in, d_out) - np.eye(d_in))))
 
 
 #: max-abs TP residual at which ``project_to_cptp`` stops; its round-off
@@ -189,11 +189,12 @@ CPTP_MAX_NEWTON_STEPS = 50
 
 def _dual(c: np.ndarray, lam: np.ndarray) -> tuple:
     """Spectrum of C + Lam (x) I and the dual objective 1/2 ||[.]_+||^2 - Tr Lam."""
-    d = lam.shape[0]
+    d_in = lam.shape[0]
+    d_out = c.shape[0] // d_in
     shifted = c.copy()
-    diagonal = np.arange(d)
+    diagonal = np.arange(d_out)
     # Lam (x) I adds Lam[m, n] to entry ((m, p), (n, p)) for every output index p
-    shifted.reshape(d, d, d, d)[:, diagonal, :, diagonal] += lam
+    shifted.reshape(d_in, d_out, d_in, d_out)[:, diagonal, :, diagonal] += lam
     w, v = np.linalg.eigh(shifted)
     return w, v, 0.5 * np.sum(np.clip(w, 0.0, None) ** 2) - np.trace(lam).real
 
@@ -223,16 +224,18 @@ def _tp_jacobian(h: np.ndarray, v: np.ndarray, weights: np.ndarray) -> np.ndarra
     B = (Omega_a o V_a^H (h (x) I) V) V^H: V_a is the last r columns of V and
     Omega_a the r rows ``_jacobian_weights`` gives. B takes two r x n x n
     products, where the dense form costs four n x n x n ones, and Tr_out P
-    needs only a d x rd x d one; r = 0 gives 0.
+    needs only a d_in x r d_out x d_in one; r = 0 gives 0.
     """
     n = v.shape[0]
-    d = h.shape[0]
+    d_in = h.shape[0]
+    d_out = n // d_in
     r = weights.shape[0]
     va = v[:, n - r:]
-    hv = (h @ v.reshape(d, -1)).reshape(n, n)  # (h (x) I) V
+    hv = (h @ v.reshape(d_in, -1)).reshape(n, n)  # (h (x) I) V
     b = (weights * (dagger(va) @ hv)) @ dagger(v)
     # Tr_out(V_a B)[m, k] = sum over output s and column j of V_a[(m, s), j] B[j, (k, s)]
-    t = va.reshape(d, d * r) @ b.reshape(r, d, d).transpose(2, 0, 1).reshape(d * r, d)
+    t = va.reshape(d_in, d_out * r) @ \
+        b.reshape(r, d_in, d_out).transpose(2, 0, 1).reshape(d_out * r, d_in)
     return t + dagger(t)
 
 
@@ -255,48 +258,66 @@ def _conjugate_gradient(apply, b: np.ndarray, tol: float, max_iter: int) -> np.n
     return h
 
 
-def project_to_cptp(choi: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest CPTP Choi matrix to a normalized Choi estimate.
+def project_to_cptp(choi: np.ndarray, d_in: int) -> np.ndarray:
+    """Frobenius-nearest CPTP Choi matrix to a normalized Choi estimate of input dimension d_in.
 
-    With X = d * choi and C its Hermitian part, the nearest CPTP point is
-    X = [C + Lam (x) I]_+ for the Hermitian d x d multiplier Lam of the TP
+    ``choi`` is n x n, n = d_in * d_out. With X = d_in * choi and C its
+    Hermitian part, the nearest CPTP point is X = [C + Lam (x) I]_+ for the
+    Hermitian d_in x d_in multiplier Lam of the trace-preservation (TP)
     constraint Tr_out X = I; [.]_+ keeps the non-negative part of the
     spectrum. Lam minimizes the dual 1/2 ||[C + Lam (x) I]_+||^2 - Tr Lam,
-    whose gradient is the TP residual Tr_out X - I. It is found by the
-    semismooth Newton method of Qi & Sun (SIAM J. Matrix Anal. Appl. 28, 360
-    (2006)) with a partial trace in place of their diagonal. Each step solves
-    the generalized Jacobian system by matrix-free conjugate gradients and
-    is damped by an Armijo line search on the dual.
+    whose gradient is the TP residual Tr_out X - I.
 
-    Only the r positive eigenvalues of C + Lam (x) I carry weight in that
-    Jacobian, so each product costs two r x n x n matrix products (n = d^2)
-    and no Kronecker product; see ``_tp_jacobian``. Conjugate gradients stop
-    at the usual forcing term min(0.1, |g|) |g| of the gradient's Frobenius
-    norm |g|, but not below 0.1 * ``CPTP_TP_TOL``: a last step asking for
-    less than the products' round-off would only run to the iteration cap.
+    At d_in = 1 ``choi`` is a state and the result its nearest density
+    matrix. Lam is a scalar, so C + Lam I keeps C's eigenvectors, and Lam is
+    the water-filling level of Smolin, Gambetta & Smith (PRL 108, 070502
+    (2012)): with C's eigenvalues w_1 >= w_2 >= ..., Lam is the least of
+    (1 - w_1 - ... - w_r) / r over r, reached at the number of eigenvalues
+    that stay positive. One ``eigh`` suffices.
+
+    At d_in > 1 Lam is found by the semismooth Newton method of Qi & Sun
+    (SIAM J. Matrix Anal. Appl. 28, 360 (2006)) with a partial trace in
+    place of their diagonal. Each step solves the generalized Jacobian
+    system by matrix-free conjugate gradients and is damped by an Armijo
+    line search on the dual. Only the r positive eigenvalues of
+    C + Lam (x) I carry weight in that Jacobian, so each product costs two
+    r x n x n matrix products and no Kronecker product; see
+    ``_tp_jacobian``. On 3-qubit Toffoli data r falls from ~33 to 6-8 over
+    the steps noise-free, and stays near 33 under calibration noise.
+    Conjugate gradients stop at the usual forcing term min(0.1, |g|) |g| of
+    the gradient's Frobenius norm |g|, but not below 0.1 * ``CPTP_TP_TOL``:
+    a last step asking for less than the products' round-off would only run
+    to the iteration cap.
 
     The result is PSD to round-off and trace preserving to ``CPTP_TP_TOL``
     (max-abs entry of the residual). ``ProjectionNotConvergedError`` names
     the residual if ``CPTP_MAX_NEWTON_STEPS`` steps do not reach it. A
-    ``choi`` that is not d^2 x d^2 raises ``DimensionMismatchError``, and one
-    with a non-finite entry ``NotHermitianError``.
+    ``choi`` that is not square, or whose side d_in does not divide, raises
+    ``DimensionMismatchError``, and one with a non-finite entry
+    ``NotHermitianError``.
     """
     choi = np.asarray(choi)
-    d = _choi_dim(choi)
-    n = d * d
-    eye = np.eye(d)
-    c = choi * d
-    c = (c + dagger(c)) / 2
-    lam = (eye - _partial_trace_out(c, d)) / d  # makes C + Lam (x) I trace preserving
+    d_in, d_out = _choi_dims(choi, d_in)
+    n = d_in * d_out
+    c = (choi + dagger(choi)) * (d_in / 2)  # Hermitian part of X
+    if d_in == 1:
+        w, v = np.linalg.eigh(c)
+        # the water-filling level, over Python floats: at n <= 64 numpy's per-call cost dominates
+        w = w + min((1.0 - s) / r for r, s in enumerate(itertools.accumulate(w[::-1].tolist()), 1))
+        low = n - np.count_nonzero(w > 0)
+        x = (v[:, low:] * w[low:]) @ dagger(v[:, low:])
+        return (x + dagger(x)) / 2
+    eye = np.eye(d_in)
+    lam = (eye - _partial_trace_out(c, d_in, d_out)) / d_out  # makes C + Lam (x) I TP
     w, v, dual = _dual(c, lam)
     for steps in range(CPTP_MAX_NEWTON_STEPS + 1):
         weights = _jacobian_weights(w)
         low = n - len(weights)  # x is built from the positive eigenpairs only
         x = (v[:, low:] * w[low:]) @ dagger(v[:, low:])
-        grad = _partial_trace_out(x, d) - eye
+        grad = _partial_trace_out(x, d_in, d_out) - eye
         residual = float(np.max(np.abs(grad)))
         if residual <= CPTP_TP_TOL:
-            return (x + dagger(x)) / (2 * d)
+            return (x + dagger(x)) / (2 * d_in)
         if steps == CPTP_MAX_NEWTON_STEPS:
             break
         norm = np.linalg.norm(grad)
@@ -346,8 +367,8 @@ def qpt_reconstruct_full(frequencies: np.ndarray, k: int) -> QptReconstruction:
     # superop[(p, q), (m, n)] = E(|m><n|)[p, q] -> Choi block (m, n)
     xi = superop.reshape((dim,) * 4).transpose(2, 0, 3, 1).reshape(dim * dim, dim * dim)
     sigma_raw = xi / dim
-    deviation = tp_deviation(sigma_raw)
-    return QptReconstruction(project_to_cptp(sigma_raw), deviation)
+    deviation = tp_deviation(sigma_raw, dim)
+    return QptReconstruction(project_to_cptp(sigma_raw, dim), deviation)
 
 
 def qpt_reconstruct(frequencies: np.ndarray, k: int) -> np.ndarray:

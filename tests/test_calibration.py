@@ -80,7 +80,8 @@ def _with_value(tmp_path, where, field, value):
 
 @pytest.mark.parametrize("where, field, named", [
     ("qubits", "readout_length_ns", "readout_length_ns="), ("gates", "error", "gate error ECR="),
-    ("gates", "duration_ns", "gate duration ECR=")])
+    ("gates", "duration_ns", "gate duration ECR="), ("qubits", "frequency_ghz", "frequency_ghz="),
+    ("qubits", "anharmonicity_ghz", "anharmonicity_ghz=")])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("command", [["calib-summary"], ["qst", "--repeats", "1", "--noise"]])
 def test_a_non_finite_calibration_value_is_a_schema_error_naming_the_path(
@@ -159,6 +160,7 @@ def test_a_mutated_calibration_ingests_or_is_a_typed_error_naming_the_path(paylo
     # what ingests is finite where the simulator reads it, and builds its channels
     for cal in table.qubits:
         assert 0 <= cal.readout_length_ns < math.inf
+        assert math.isfinite(cal.frequency_ghz) and math.isfinite(cal.anharmonicity_ghz)
         for duration in (cal.readout_length_ns, *table.gate_duration.values()):
             try:
                 thermal_relaxation_channel(duration, cal.t1_us, cal.t2_us)

@@ -18,7 +18,6 @@ from ccxlab.gates import (
     t,
     tdg,
     x,
-    idle,
 )
 from ccxlab.qmath import check_unitary
 
@@ -99,7 +98,7 @@ def test_ccx_other_roles():
 
 
 def test_catalog_unitarity(rng):
-    catalog = [x(0), sx(0), h(0), t(0), tdg(0), s(0), sdg(0), idle(0),
+    catalog = [x(0), sx(0), h(0), t(0), tdg(0), s(0), sdg(0), GateDef(Gate.ID, (0,)),
                cnot(0, 1), cnot(1, 0), ecr(0, 1), ecr(1, 0), ccx(0, 1, 2), ccx(2, 0, 1)]
     for g in catalog:
         check_unitary(gate_matrix(g), tol=1e-10)

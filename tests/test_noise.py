@@ -166,6 +166,17 @@ def test_qubit_calibration_rejects_a_readout_length_that_is_not_finite_and_nonne
         QubitCalibration(t1_us=100.0, t2_us=80.0, readout_length_ns=length)
 
 
+@pytest.mark.parametrize("name", ["frequency_ghz", "anharmonicity_ghz"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_qubit_calibration_rejects_a_non_finite_frequency(name, value):
+    with pytest.raises(ValueError, match=f"{name}={value} is not finite"):
+        QubitCalibration(t1_us=100.0, t2_us=80.0, **{name: value})
+
+
+def test_qubit_calibration_accepts_a_negative_anharmonicity():
+    assert QubitCalibration(t1_us=100.0, t2_us=80.0, anharmonicity_ghz=-0.31).anharmonicity_ghz < 0
+
+
 def test_qubit_calibration_accepts_infinite_coherence_times():
     cal = QubitCalibration(t1_us=math.inf, t2_us=math.inf)
     assert np.array_equal(thermal_relaxation_channel(533.0, cal.t1_us, cal.t2_us), np.eye(4))

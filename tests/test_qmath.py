@@ -5,47 +5,21 @@ from ccxlab.errors import (
     DimensionMismatchError,
     NotHermitianError,
     NotPSDError,
-    ZeroTraceError,
 )
 from ccxlab.qmath import (
     I2,
     X,
     Z,
-    kron,
     matrix_sqrt_psd,
     pauli_string_matrix,
-    project_to_density,
     state_fidelity,
 )
 
 from conftest import (
-    check_density_matrix,
     random_density_matrix,
     random_state_vector,
     random_unitary,
 )
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-
-
-def test_kron_double_bitflip():
-    psi00 = np.array([1, 0, 0, 0], dtype=complex)
-    psi11 = np.array([0, 0, 0, 1], dtype=complex)
-    assert np.allclose(kron(X, X) @ psi00, psi11)
-
-
-def test_kron_zz_diagonal_matches_expansion():
-    # oracle: expand the definition entry by entry
-    expected = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    expected[2 * i + k, 2 * j + l] = Z[i, j] * Z[k, l]
-    assert np.allclose(kron(Z, Z), expected)
-    assert np.allclose(np.diag(kron(Z, Z)), [1, -1, -1, 1])
 
 
 def test_sqrt_identity():
@@ -137,29 +111,6 @@ def test_fidelity_validates_both_arguments():
         state_fidelity(np.eye(2) / 2, np.diag([1.5, -0.5]))
     with pytest.raises(NotHermitianError):
         state_fidelity(np.array([[1, 1], [0, 0]], dtype=complex), np.eye(2) / 2)
-
-
-def test_project_idempotent_on_valid_state(rng):
-    rho = random_density_matrix(8, rng)
-    assert np.max(np.abs(project_to_density(rho) - rho)) < 1e-12
-
-
-def test_project_clips_and_renormalizes():
-    out = project_to_density(np.diag([1.1, -0.1]))
-    assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_project_zero_trace():
-    with pytest.raises(ZeroTraceError):
-        project_to_density(np.diag([-1.0, -2.0]))
-
-
-def test_project_output_always_valid(rng):
-    for _ in range(50):
-        noise = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        herm = noise + noise.conj().T
-        out = project_to_density(herm + 4 * np.eye(8))
-        check_density_matrix(out)
 
 
 def test_pauli_string_matrix_ordering():

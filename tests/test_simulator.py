@@ -210,6 +210,22 @@ def test_noiseless_readout_map_matches_oracle_on_mixed_states(rng):
         assert np.max(np.abs(simulator.setting_distributions(rho, table) - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("noisy", [False, True])
+def test_a_stack_of_states_reads_each_state_bit_for_bit(rng, noisy):
+    # seeded counts turn on which probabilities are exactly 0, so a batched read must give
+    # each state's distributions to the last bit, not merely to round-off
+    nm = _noise_model(p10=0.02, p01=0.03, readout_len=1200.0) if noisy else NOISELESS
+    table = simulator.readout_map([measurement_rotation(s) for s in ("XYZ", "ZZZ", "YXX")],
+                                  nm, True)
+    preparations = [basis_circuit(b) for b in range(8)] + [ghz_circuit()]
+    stack = np.concatenate([run_density(_toffoli_native(), nm, preparations),
+                            np.stack([random_density_matrix(8, rng) for _ in range(4)], -1)], -1)
+    batched = simulator.setting_distributions(stack, table)
+    assert batched.shape == (13, 3, 8)
+    for i in range(13):
+        assert np.array_equal(batched[i], simulator.setting_distributions(stack[..., i], table))
+
+
 def _tensordot_embed(local, wires, n):
     """Oracle: ``local`` on the sorted ``wires`` of n, contracted into the 2^n identity."""
     dim = 2 ** n

@@ -16,14 +16,16 @@ from ccxlab.errors import (
     NotUnitaryError,
     ProjectionNotConvergedError,
 )
-from ccxlab.qmath import (
-    kron_le,
-    pauli_string_matrix,
-    project_to_density,
-    state_fidelity,
-)
+from ccxlab.qmath import kron_le, pauli_string_matrix, state_fidelity
 from ccxlab.simulator import run_statevector, sample_distribution
-from ccxlab.states import PROBE_LABELS, StateKind, ghz_circuit, prepare_state, probe_state
+from ccxlab.states import (
+    PROBE_LABELS,
+    StateKind,
+    ghz_circuit,
+    prepare_state,
+    probe_state,
+    target_state,
+)
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from ccxlab.tomography import (
     average_gate_fidelity,
@@ -77,30 +79,32 @@ def _sampled_toffoli_qpt_data(shots):
     return _sampled_qpt_data(toffoli_unitary((0, 1), 2), 3, shots, master_seed=0)
 
 
-def _raw_choi(data, k, monkeypatch):
-    # the linear-inversion Choi estimate that qpt_reconstruct hands to the projection
+def _unprojected(reconstruct, data, k, monkeypatch):
+    # the linear-inversion estimate that a reconstruction hands to the projection
     with monkeypatch.context() as m:
-        m.setattr(tomography, "project_to_cptp", lambda choi: choi)
-        return qpt_reconstruct(data, k)
+        m.setattr(tomography, "project_to_cptp", lambda choi, d_in: choi)
+        return reconstruct(data, k)
 
 
-def _dykstra_cptp(choi, tol=1e-14, max_iter=20000):
+def _dykstra_cptp(choi, d_in, tol=1e-14, max_iter=20000):
     """Oracle: Dykstra alternating projections onto the PSD cone and the TP
-    subspace, run until an iteration moves no entry by more than ``tol``."""
-    d = int(round(np.sqrt(choi.shape[0])))
-    x = choi * d
+    subspace Tr_out X = I, for a normalized Choi matrix of input dimension
+    ``d_in`` (a state at d_in = 1), run until an iteration moves no entry by
+    more than ``tol``."""
+    d_out = choi.shape[0] // d_in
+    x = choi * d_in
     correction = np.zeros_like(x)
-    eye = np.eye(d)
+    eye = np.eye(d_in)
     for _ in range(max_iter):
         z = x + correction
         z = (z + z.conj().T) / 2
         w, v = np.linalg.eigh(z)
         y = (v * np.clip(w, 0.0, None)) @ v.conj().T
         correction = z - y
-        partial = np.einsum("mpnp->mn", y.reshape(d, d, d, d))
-        x_new = y - np.kron(partial - eye, eye) / d
+        partial = np.einsum("mpnp->mn", y.reshape(d_in, d_out, d_in, d_out))
+        x_new = y - np.kron(partial - eye, np.eye(d_out)) / d_out
         if np.max(np.abs(x_new - x)) < tol:
-            return x_new / d
+            return x_new / d_in
         x = x_new
     raise RuntimeError("Dykstra oracle did not converge")
 
@@ -152,7 +156,7 @@ def _qpt_oracle(data, k):
             unit[m, n] = 1.0
             xi[m * dim:(m + 1) * dim, n * dim:(n + 1) * dim] = \
                 (superop @ unit.reshape(-1)).reshape(dim, dim)
-    return tp_deviation(xi / dim), project_to_cptp(xi / dim)
+    return tp_deviation(xi / dim, dim), project_to_cptp(xi / dim, dim)
 
 
 # -- settings and rotations -------------------------------------------------------
@@ -246,8 +250,43 @@ def test_qst_missing_setting_is_a_shape_error():
 def test_qst_reconstruct_matches_per_pauli_oracle(rng, k):
     rho = random_density_matrix(2 ** k, rng)
     data = _sampled_qst_data(rho, k, 200)
-    expected = project_to_density(_linear_inversion_oracle(data, k))
+    expected = _dykstra_cptp(_linear_inversion_oracle(data, k), 1)
     assert np.max(np.abs(qst_reconstruct(data, k) - expected)) < 1e-12
+
+
+def test_state_projection_is_idempotent_on_valid_states(rng):
+    rho = random_density_matrix(8, rng)
+    assert np.max(np.abs(project_to_cptp(rho, 1) - rho)) < 1e-12
+
+
+def test_state_projection_clips_to_the_nearest_state():
+    out = project_to_cptp(np.diag([1.1, -0.1]), 1)
+    assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
+
+
+def test_state_projection_without_a_positive_eigenvalue_keeps_the_largest():
+    # water-filling lifts the largest eigenvalue -1 to 1; clip-and-renormalize had nothing left
+    out = project_to_cptp(np.diag([-1.0, -2.0]), 1)
+    assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
+
+
+def test_state_projection_output_is_always_a_density_matrix(rng):
+    for _ in range(50):
+        noise = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        herm = noise + noise.conj().T
+        check_density_matrix(project_to_cptp(herm + 4 * np.eye(8), 1))
+
+
+def test_state_projection_takes_one_eigh_and_no_newton_step(monkeypatch):
+    # at d_in = 1 the multiplier is a scalar, so the water-filling level is exact at once
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    monkeypatch.setattr(tomography, "_conjugate_gradient", None)
+    psi = toffoli_unitary((0, 1), 2) @ target_state(StateKind.W)
+    rho = qst_reconstruct(_sampled_qst_data(psi, 3, 19000), 3)
+    assert calls == [(8, 8)]
+    check_density_matrix(rho)
 
 
 # -- process tomography -------------------------------------------------------------
@@ -310,7 +349,7 @@ def test_qpt_raw_estimate_is_trace_preserving(rng):
 def test_qpt_sampled_output_is_physical():
     sigma = qpt_reconstruct(_sampled_toffoli_qpt_data(50), 3)
     check_density_matrix(sigma, eig_tol=1e-6, trace_tol=1e-8)
-    assert tp_deviation(sigma) < 1e-6
+    assert tp_deviation(sigma, 8) < 1e-6
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -360,34 +399,49 @@ def test_project_to_cptp_fixes_noise(rng):
     sigma = choi_of_unitary(random_unitary(2, rng))
     noise = rng.normal(scale=0.01, size=(4, 4)) + 1j * rng.normal(scale=0.01, size=(4, 4))
     noisy = sigma + (noise + noise.conj().T) / 2
-    fixed = project_to_cptp(noisy)
+    fixed = project_to_cptp(noisy, 2)
     check_density_matrix(fixed, eig_tol=1e-6, trace_tol=1e-8)
-    assert tp_deviation(fixed) < 1e-6
+    assert tp_deviation(fixed, 2) < 1e-6
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_project_to_cptp_matches_dykstra_oracle(rng, k):
+@pytest.mark.parametrize("k, d_in", [(1, 2), (2, 4), (1, 1), (2, 1), (3, 1)])
+def test_project_to_cptp_matches_dykstra_oracle(rng, k, d_in):
+    # d_in = 2^k: noisy Choi matrices of k-qubit channels; d_in = 1: Hermitian
+    # trace-one matrices of dimension 2^k near a full-rank and a pure state
     dim = 2 ** k
+    bases = ((choi_of_unitary(random_unitary(dim, rng)),
+              kraus_to_choi(random_cptp_kraus(dim, rng))) if d_in > 1 else
+             (random_density_matrix(dim, rng), random_density_matrix(dim, rng, rank=1)))
     for scale in (0.01, 0.1):
-        for base in (choi_of_unitary(random_unitary(dim, rng)),
-                     kraus_to_choi(random_cptp_kraus(dim, rng))):
+        for base in bases:
             noise = rng.normal(scale=scale, size=base.shape) \
                 + 1j * rng.normal(scale=scale, size=base.shape)
             noisy = base + (noise + noise.conj().T) / 2
-            assert np.max(np.abs(project_to_cptp(noisy) - _dykstra_cptp(noisy))) < 1e-9
+            if d_in == 1:
+                noisy += (1 - np.trace(noisy)) * np.eye(dim) / dim
+            oracle = _dykstra_cptp(noisy, d_in)
+            assert np.max(np.abs(project_to_cptp(noisy, d_in) - oracle)) < 1e-9
 
 
-def test_project_to_cptp_matches_dykstra_oracle_on_sampled_toffoli(monkeypatch):
-    raw = _raw_choi(_sampled_toffoli_qpt_data(50), 3, monkeypatch)
-    oracle = _dykstra_cptp(raw)
-    assert tp_deviation(oracle) < 1e-12
-    assert np.max(np.abs(project_to_cptp(raw) - oracle)) < 1e-9
+@pytest.mark.parametrize("estimate", ["choi", "GHZ", "W", "UNIFORM"])
+def test_project_to_cptp_matches_dykstra_oracle_on_sampled_toffoli(estimate, monkeypatch):
+    # the 50-shot QPT estimate, or a 19000-shot QST estimate of the Toffoli's output state
+    if estimate == "choi":
+        d_in = 8
+        raw = _unprojected(qpt_reconstruct, _sampled_toffoli_qpt_data(50), 3, monkeypatch)
+    else:
+        psi = toffoli_unitary((0, 1), 2) @ target_state(StateKind(estimate))
+        d_in = 1
+        raw = _unprojected(qst_reconstruct, _sampled_qst_data(psi, 3, 19000), 3, monkeypatch)
+    oracle = _dykstra_cptp(raw, d_in)
+    assert tp_deviation(oracle, d_in) < 1e-12
+    assert np.max(np.abs(project_to_cptp(raw, d_in) - oracle)) < 1e-9
 
 
 @pytest.mark.parametrize("shots", [50, 1000, 11000])
 def test_projected_toffoli_choi_is_cptp(shots):
     sigma = qpt_reconstruct(_sampled_toffoli_qpt_data(shots), 3)
-    assert tp_deviation(sigma) < 1e-9
+    assert tp_deviation(sigma, 8) < 1e-9
     assert np.min(np.linalg.eigvalsh(sigma)) > -1e-12
     assert abs(np.trace(sigma) - 1.0) < 1e-10
 
@@ -397,7 +451,7 @@ def test_project_to_cptp_raises_at_step_cap(rng, monkeypatch):
     sigma = choi_of_unitary(random_unitary(4, rng))
     noise = rng.normal(scale=0.1, size=sigma.shape) + 1j * rng.normal(scale=0.1, size=sigma.shape)
     with pytest.raises(ProjectionNotConvergedError, match=r"TP residual \d") as info:
-        project_to_cptp(sigma + (noise + noise.conj().T) / 2)
+        project_to_cptp(sigma + (noise + noise.conj().T) / 2, 4)
     assert info.value.exit_code == 4
 
 
@@ -405,21 +459,25 @@ def test_project_to_cptp_raises_at_step_cap(rng, monkeypatch):
 def _dense_tp_jacobian(h, v, w):
     """Oracle: Tr_out V (Omega o V^H (h (x) I) V) V^H with the full n x n matrix
     Omega of divided differences of max(w, 0)."""
-    d = h.shape[0]
+    d_in = h.shape[0]
+    d_out = len(w) // d_in
     pos = w > 0
     mixed = pos[:, None] != pos[None, :]
     diff = np.where(mixed, w[:, None] - w[None, :], 1.0)
     wp = np.where(pos, w, 0.0)
     omega = np.where(mixed, (wp[:, None] - wp[None, :]) / diff, pos[:, None] & pos[None, :])
-    rotated = v.conj().T @ np.kron(h, np.eye(d)) @ v
-    return np.einsum("mpnp->mn", (v @ (omega * rotated) @ v.conj().T).reshape(d, d, d, d))
+    rotated = v.conj().T @ np.kron(h, np.eye(d_out)) @ v
+    return np.einsum("mpnp->mn",
+                     (v @ (omega * rotated) @ v.conj().T).reshape(d_in, d_out, d_in, d_out))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("rank", ["0", "1", "n/2", "n"])
-def test_rank_aware_jacobian_matches_dense_product(rng, k, rank):
-    d = 2 ** k
-    n = d * d
+@pytest.mark.parametrize("d_in", ["2^k", "1"])
+def test_rank_aware_jacobian_matches_dense_product(rng, k, rank, d_in):
+    # d_in x d_in multipliers on n x n Choi matrices, n = 4^k: a channel, or a state at d_in = 1
+    n = 4 ** k
+    d = 2 ** k if d_in == "2^k" else 1
     r = {"0": 0, "1": 1, "n/2": n // 2, "n": n}[rank]
     # ascending, as eigh returns it: n - r non-positive values (one exactly 0), then r positive
     w = np.concatenate([np.sort(-rng.uniform(0.0, 1.0, n - r)), np.sort(rng.uniform(0.1, 1.0, r))])
@@ -466,21 +524,25 @@ def test_projection_conjugate_gradients_stay_under_their_cap(calibration, shots,
     for seed in range(4):
         iterations.clear()
         sigma = qpt_reconstruct(sample_distribution(table, shots, (seed,)) / shots, 3)
-        assert tp_deviation(sigma) <= tomography.CPTP_TP_TOL
+        assert tp_deviation(sigma, 8) <= tomography.CPTP_TP_TOL
         assert 0 < len(iterations) <= 8
         assert max(iterations) < 2 * 8 * 8
 
 
-@pytest.mark.parametrize("bad", [np.eye(63), np.ones((4, 16)), np.ones(16), np.ones((2, 2, 2))])
+@pytest.mark.parametrize("bad, d_in", [
+    (np.eye(63), 8), (np.eye(8), 3), (np.eye(16), 0), (np.zeros((0, 0)), 1),
+    (np.ones((4, 16)), 4), (np.ones(16), 4), (np.ones((2, 2, 2)), 1)])
 @pytest.mark.parametrize("function", [project_to_cptp, tp_deviation])
-def test_choi_of_wrong_shape_is_a_dimension_error(function, bad):
-    with pytest.raises(DimensionMismatchError, match="d\\^2 x d\\^2"):
-        function(bad)
+def test_choi_of_wrong_shape_is_a_dimension_error(function, bad, d_in):
+    with pytest.raises(DimensionMismatchError, match=r"\(d_in \* d_out\) x \(d_in \* d_out\)"):
+        function(bad, d_in)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("d_in", [1, 4])
 @pytest.mark.parametrize("function", [project_to_cptp, tp_deviation])
-def test_choi_with_non_finite_entries_is_rejected_before_eigh(function, value, monkeypatch):
+def test_choi_with_non_finite_entries_is_rejected_before_eigh(function, d_in, value,
+                                                              monkeypatch):
     def no_eigh(*args):
         raise AssertionError("eigh called on a non-finite Choi matrix")
 
@@ -488,8 +550,19 @@ def test_choi_with_non_finite_entries_is_rejected_before_eigh(function, value, m
     choi = np.eye(16, dtype=complex) / 16
     choi[3, 5] = value
     with pytest.raises(NotHermitianError, match="finite") as info:
-        function(choi)
+        function(choi, d_in)
     assert info.value.exit_code == 4
+
+
+def test_qst_estimate_with_a_nan_is_rejected_before_eigh(monkeypatch):
+    def no_eigh(*args):
+        raise AssertionError("eigh called on a non-finite state estimate")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    data = np.full((27, 8), 1 / 8)
+    data[4, 2] = np.nan
+    with pytest.raises(NotHermitianError, match="finite"):
+        qst_reconstruct(data, 3)
 
 # -- fidelity metrics ----------------------------------------------------------------
 
