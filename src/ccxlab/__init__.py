@@ -35,10 +35,10 @@ from .tomography import (
     average_gate_fidelity,
     choi_of_unitary,
     measurement_rotation,
-    process_fidelity,
     qpt_reconstruct,
     qst_reconstruct,
     qst_settings,
+    tp_deviation,
 )
 from .experiments import (
     ExperimentConfig,

@@ -77,7 +77,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser, default_shots: int) -> Non
     p.add_argument("--exact-probabilities", action="store_true",
                    help="bypass sampling; feed exact outcome distributions")
     p.add_argument("--no-readout-error", action="store_true",
-                   help="disable readout confusion in noise-aware runs")
+                   help="noise-aware runs read out with zero readout confusion")
     p.add_argument("--out", help="output file (default: print JSON)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
 

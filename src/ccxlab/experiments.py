@@ -1,15 +1,17 @@
 """End-to-end tomography experiments and machine-readable reports.
 
 A run simulates once, under its noise model: a calibration-derived one when
-noise-aware and ``NOISELESS`` when noise-free. It evolves the configured
-input state (state tomography), or each of the 64 probe preparations
-(process tomography), from |0><0|, pushes the stack of prepared states
-through the chosen Toffoli realization once, and reads every measurement
-setting off one readout map into a table of exact outcome distributions, one
-per (preparation, setting) cell. The two modes differ only in the model.
-Only the sampling differs from one repeat to the next: a repeat draws seeded
-finite-shot counts from that table, reconstructs, and scores against the
-analytic reference.
+noise-aware (with zero readout confusion when readout error is off) and
+``NOISELESS`` when noise-free. It evolves the configured input state (state
+tomography), or each of the 64 probe preparations (process tomography), from
+|0><0|, pushes the stack of prepared states through the chosen Toffoli
+realization once, and reads every measurement setting off one readout map
+into a table of exact outcome distributions, one per (preparation, setting)
+cell. The two modes differ only in the model. Only the sampling differs from
+one repeat to the next: a repeat draws seeded finite-shot counts from that
+table, reconstructs, and scores against the analytic reference. State and
+process tomography differ only in the preparations, estimator and reference
+they hand to that one run, ``_run``.
 
 Determinism: repeat r of any run draws every cell of its table, in
 row-major order, from one generator seeded (master_seed, r) by
@@ -26,11 +28,11 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,8 +48,7 @@ from .tomography import (
     average_gate_fidelity,
     choi_of_unitary,
     measurement_rotation,
-    process_fidelity,
-    qpt_reconstruct_full,
+    qpt_reconstruct,
     qst_reconstruct,
     qst_settings,
 )
@@ -57,8 +58,9 @@ from .version import __version__
 #: reports purely for comparison display, never reproduced here
 HARDWARE_REFERENCE_FIDELITY = {"GHZ": 0.56368, "W": 0.63689, "UNIFORM": 0.61161}
 
-#: the only report layout this version writes and reads
-REPORT_SCHEMA_VERSION = 1
+#: the report layout this version writes; it also reads layout 1, which carried
+#: the last repeat's raw TP deviation as well
+REPORT_SCHEMA_VERSION = 2
 
 DEFAULT_CONTROLS = (0, 1)
 DEFAULT_TARGET = 2
@@ -102,12 +104,18 @@ class ExperimentConfig:
             raise UsageError("noise_scale and apply_readout apply only to NOISE_AWARE runs")
 
     def noise_model(self) -> NoiseModel:
-        """The three-qubit noise model of a noise-aware run; ``NOISELESS`` when noise-free."""
+        """The three-qubit noise model of a noise-aware run; ``NOISELESS`` when noise-free.
+
+        Without ``apply_readout`` every qubit of it has zero readout confusion.
+        """
         if self.mode is Mode.NOISE_FREE:
             return NOISELESS
         nm = ingest_calibration(self.calibration_path).noise_model(3)
         if self.noise_scale != 1.0:
             nm = scale_noise_model(nm, self.noise_scale)
+        if not self.apply_readout:
+            nm = replace(nm, qubit_cal=tuple(replace(c, prob_meas0_prep1=0.0, prob_meas1_prep0=0.0)
+                                             for c in nm.qubit_cal))
         return nm
 
 
@@ -119,7 +127,6 @@ class Report:
     mean_fidelity: float
     std_fidelity: float
     average_gate_fidelities: Optional[Tuple[float, ...]]
-    tp_deviation_raw: Optional[float]
     gate_counts: Dict[str, int]
     num_jobs: int
     total_measurements: int
@@ -137,8 +144,7 @@ class Report:
 
 def _make_report(kind: str, fidelities: Sequence[float], cfg: ExperimentConfig,
                  gate_counts: Dict[str, int], num_jobs: int, wall: float,
-                 average_gate_fidelities: Optional[Sequence[float]] = None,
-                 tp_deviation_raw: Optional[float] = None) -> Report:
+                 average_gate_fidelities: Optional[Sequence[float]] = None) -> Report:
     fids = tuple(float(f) for f in fidelities)
     mean = float(np.mean(fids))
     std = float(np.std(fids, ddof=1)) if len(fids) > 1 else 0.0
@@ -154,7 +160,6 @@ def _make_report(kind: str, fidelities: Sequence[float], cfg: ExperimentConfig,
         std_fidelity=std,
         average_gate_fidelities=(tuple(float(f) for f in average_gate_fidelities)
                                  if average_gate_fidelities is not None else None),
-        tp_deviation_raw=tp_deviation_raw,
         gate_counts=gate_counts,
         num_jobs=num_jobs,
         total_measurements=num_jobs * cfg.shots_per_setting,
@@ -177,18 +182,16 @@ def _gate_count_summary(toffoli: Circuit, full: Circuit) -> Dict[str, int]:
 
 # -- measurement ---------------------------------------------------------------
 
-def _distributions(preparations: Sequence[Circuit], gate: Circuit, nm: NoiseModel,
-                   apply_readout: bool) -> np.ndarray:
+def _distributions(preparations: Sequence[Circuit], gate: Circuit, nm: NoiseModel) -> np.ndarray:
     """Exact outcome distributions of ``gate`` after each preparation, shape
     (preparations, 27 settings, 8 outcomes), settings in ``qst_settings`` order.
 
     One ``run_density`` evolves every preparation from |0><0| under ``nm``
     and then ``gate`` once on their stack. Every setting's distribution
-    (rotation circuit, readout relaxation, readout confusion when
-    ``apply_readout``) is read off one ``readout_map``, cached on ``nm``.
+    (rotation circuit, readout relaxation, readout confusion) is read off
+    one ``readout_map``, cached on ``nm``.
     """
-    table = readout_map([measurement_rotation(setting) for setting in qst_settings(3)], nm,
-                        apply_readout)
+    table = readout_map([measurement_rotation(setting) for setting in qst_settings(3)], nm)
     return setting_distributions(run_density(gate, nm, preparations), table)
 
 
@@ -204,63 +207,50 @@ def _frequencies(distributions: np.ndarray, cfg: ExperimentConfig, repeat: int) 
     return sample_distribution(distributions, shots, (cfg.master_seed, repeat)) / shots
 
 
-# -- QST -------------------------------------------------------------------------
+def _run(cfg: ExperimentConfig, preparations: Sequence[Circuit],
+         estimate: Callable[[np.ndarray], np.ndarray],
+         reference: np.ndarray) -> Tuple[Circuit, List[float]]:
+    """The Toffoli under test and every repeat's fidelity of ``estimate`` against ``reference``.
+
+    Repeat r hands its ``_frequencies`` of the run's ``_distributions`` table,
+    shape (preparations, 27, 8), to ``estimate`` and scores the result, a
+    state or a Choi matrix, with ``state_fidelity``.
+    """
+    toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
+    distributions = _distributions(preparations, toffoli, cfg.noise_model())
+    return toffoli, [state_fidelity(estimate(_frequencies(distributions, cfg, repeat)), reference)
+                     for repeat in range(cfg.repeats)]
+
 
 def run_qst_experiment(cfg: ExperimentConfig) -> Report:
-    """State tomography of the Toffoli output for the configured input state."""
+    """State tomography of the Toffoli output for the configured input state (27 jobs)."""
     start = time.perf_counter()
-    toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
     preparation = prepare_state(cfg.input_state)
-    distributions = _distributions([preparation], toffoli, cfg.noise_model(), cfg.apply_readout)
-
-    psi_ref = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET) @ target_state(cfg.input_state)
-    rho_ref = np.outer(psi_ref, psi_ref.conj())
-
-    fidelities = []
-    for repeat in range(cfg.repeats):
-        frequencies = _frequencies(distributions, cfg, repeat)[0]
-        fidelities.append(state_fidelity(qst_reconstruct(frequencies, 3), rho_ref))
-
-    wall = time.perf_counter() - start
+    psi = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET) @ target_state(cfg.input_state)
+    toffoli, fidelities = _run(cfg, [preparation], lambda f: qst_reconstruct(f[0], 3),
+                               np.outer(psi, psi.conj()))
     return _make_report("qst", fidelities, cfg,
                         _gate_count_summary(toffoli, preparation.concat(toffoli)),
-                        num_jobs=len(qst_settings(3)), wall=wall)
+                        num_jobs=len(qst_settings(3)), wall=time.perf_counter() - start)
 
-
-# -- QPT -------------------------------------------------------------------------
 
 def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     """Process tomography of the configured Toffoli realization (k=3, 1728 jobs).
 
     The jobs are the (probe, setting) cells, probe-major: the 64 probes in
     ``itertools.product(PROBE_LABELS, repeat=3)`` order, each with the 27
-    settings in ``qst_settings`` order. Repeat r draws every job, in that
-    order, from one generator seeded (master_seed, r), so repeat r does not
-    depend on how many repeats run.
+    settings in ``qst_settings`` order.
     """
     start = time.perf_counter()
-    toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
-    probes = list(itertools.product(PROBE_LABELS, repeat=3))
-    preparations = [prepare_state(StateKind.PROBE, probe=probe) for probe in probes]
-    distributions = _distributions(preparations, toffoli, cfg.noise_model(), cfg.apply_readout)
-    target_choi = choi_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET))
-    num_jobs = len(probes) * len(qst_settings(3))
-
-    fidelities: List[float] = []
-    agf: List[float] = []
-    tp_dev_last: Optional[float] = None
-    for repeat in range(cfg.repeats):
-        recon = qpt_reconstruct_full(_frequencies(distributions, cfg, repeat), 3)
-        f_pro = process_fidelity(recon.choi, target_choi)
-        fidelities.append(f_pro)
-        agf.append(average_gate_fidelity(f_pro, 3))
-        tp_dev_last = recon.tp_deviation_raw
-
-    wall = time.perf_counter() - start
+    preparations = [prepare_state(StateKind.PROBE, probe=probe)
+                    for probe in itertools.product(PROBE_LABELS, repeat=3)]
+    toffoli, fidelities = _run(cfg, preparations, lambda f: qpt_reconstruct(f, 3),
+                               choi_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET)))
     # probe preparations vary per job; report the gate under test
     return _make_report("qpt", fidelities, cfg, _gate_count_summary(toffoli, toffoli),
-                        num_jobs=num_jobs, wall=wall,
-                        average_gate_fidelities=agf, tp_deviation_raw=tp_dev_last)
+                        num_jobs=len(preparations) * len(qst_settings(3)),
+                        wall=time.perf_counter() - start,
+                        average_gate_fidelities=[average_gate_fidelity(f, 3) for f in fidelities])
 
 
 # -- report files ------------------------------------------------------------------
@@ -271,9 +261,14 @@ def report_to_dict(report: Report) -> dict:
 
 def report_from_dict(payload: dict) -> Report:
     payload = dict(payload)
-    if payload.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise ValueError(f"unknown schema_version {payload.get('schema_version')!r} "
-                         f"(expected {REPORT_SCHEMA_VERSION})")
+    version = payload.get("schema_version")
+    # an integer, not merely equal to one: True == 1 in Python
+    if type(version) is not int or version not in (1, REPORT_SCHEMA_VERSION):
+        raise ValueError(f"unknown schema_version {version!r} "
+                         f"(expected 1 or {REPORT_SCHEMA_VERSION})")
+    if version == 1:  # keep the fields a report still has: all but the raw TP deviation
+        payload = {f.name: payload[f.name] for f in fields(Report)}
+        payload["schema_version"] = REPORT_SCHEMA_VERSION
     payload["fidelities"] = tuple(payload["fidelities"])
     if payload.get("average_gate_fidelities") is not None:
         payload["average_gate_fidelities"] = tuple(payload["average_gate_fidelities"])

@@ -133,10 +133,6 @@ def ecr(control: int, target: int) -> GateDef:
     return GateDef(Gate.ECR, (control, target))
 
 
-def ccx(control1: int, control2: int, target: int) -> GateDef:
-    return GateDef(Gate.CCX, (control1, control2, target))
-
-
 def _controlled_x(g: GateDef) -> np.ndarray:
     """Classical controlled-X permutation; the last wire of ``g`` is the target."""
     order = sorted(g.qubits)

@@ -6,7 +6,9 @@ gate's average error rate on the gate's own qubits, then thermal relaxation
 on each participating qubit for the gate's duration. RZ is a virtual frame
 update and acquires no noise. Idle qubits do not relax (no scheduling model).
 Before a measurement every qubit relaxes for its readout length, and the
-readout confusion then acts on the outcome distribution.
+readout confusion then acts on the outcome distribution. A model whose
+qubits have zero confusion, P(1|0) = P(0|1) = 0, reads out perfectly: that
+is how a run without readout error is modelled, not a switch in the simulator.
 
 The simulator only uses a channel as its row-major superoperator (Wood,
 Biamonte & Cory, arXiv:1111.6950), so each builder below returns that matrix
@@ -88,13 +90,13 @@ def depolarizing_channel(err: float, dim: int) -> np.ndarray:
     E(rho) = (1-lam) rho + lam Tr(rho) I/dim with lam = err * dim / (dim - 1),
     so S = (1-lam) I + (lam/dim) vec(I) vec(I)^T.
     """
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"dim must be a power of two >= 2, got {dim}")
     if not err >= 0:
         raise ValueError(f"error rate must be nonnegative, got {err}")
     if err >= 1 - 1 / dim:
         raise ErrTooLargeError(f"err {err} >= 1 - 1/dim for dim {dim}")
     lam = err * dim / (dim - 1)
-    if dim < 2 or dim & (dim - 1):
-        raise ValueError("dim must be a power of two")
     superop = (1 - lam) * np.eye(dim * dim, dtype=complex)
     superop[::dim + 1, ::dim + 1] += lam / dim  # vec(I) vec(I)^T: the indices i * (dim + 1)
     return _check_trace_preserving(superop)

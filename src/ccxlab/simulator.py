@@ -187,24 +187,23 @@ def run_density(c: Circuit, nm: NoiseModel,
     return (rho + rho.swapaxes(0, 1).conj()) / 2
 
 
-def readout_map(rotations: Sequence[Circuit], nm: NoiseModel, apply_readout: bool) -> np.ndarray:
+def readout_map(rotations: Sequence[Circuit], nm: NoiseModel) -> np.ndarray:
     """The stacked map from vec(rho) to the outcome distribution of every setting.
 
     Setting s applies the native circuit ``rotations[s]`` under ``nm``, thermal
-    relaxation of every qubit for its readout length, and a Z measurement,
-    with the readout confusion when ``apply_readout``: rows readout confusion
-    . diagonal . readout relaxation . rotation, shape (len(rotations) * 2^n,
-    4^n). The map is cached on ``nm`` next to its compiled gates, keyed by
-    (rotations, apply_readout), so a model builds it once per distinct key
-    (``NOISELESS`` once per process).
+    relaxation of every qubit for its readout length, a Z measurement and the
+    readout confusion of ``nm``: rows readout confusion . diagonal . readout
+    relaxation . rotation, shape (len(rotations) * 2^n, 4^n). A model with
+    zero confusion, such as ``NOISELESS``, reads out perfectly: its confusion
+    matrix is exactly the identity. The map is cached on ``nm`` next to its
+    compiled gates, keyed by the rotations, so a model builds it once per
+    distinct list of rotations (``NOISELESS`` once per process).
     """
     rotations = tuple(rotations)
-    return nm.compiled(("readout", rotations, apply_readout),
-                       lambda: _readout_map(rotations, nm, apply_readout))
+    return nm.compiled(("readout", rotations), lambda: _readout_map(rotations, nm))
 
 
-def _readout_map(rotations: Tuple[Circuit, ...], nm: NoiseModel,
-                 apply_readout: bool) -> np.ndarray:
+def _readout_map(rotations: Tuple[Circuit, ...], nm: NoiseModel) -> np.ndarray:
     # built transposed: the columns of each block's transpose evolve under the transposed
     # superoperators, last map first, so every step is a product with a (4^n, 2^n) matrix
     n = rotations[0].num_qubits
@@ -217,7 +216,7 @@ def _readout_map(rotations: Tuple[Circuit, ...], nm: NoiseModel,
             relax = thermal_relaxation_channel(cal.readout_length_ns, cal.t1_us, cal.t2_us)
             superop, wires = _compile(relax, [q], n)
             diagonal = _apply_superop(diagonal, (superop.T, wires), n)
-    confusion = _confusion_matrix(nm.readout_confusions(), n) if apply_readout else np.eye(dim)
+    confusion = _confusion_matrix(nm.readout_confusions(), n)
     blocks = []
     for rotation in rotations:
         block = diagonal

@@ -6,8 +6,7 @@ State tomography measures all 3^k Pauli-basis settings. Its data is a
 outcome of qubit q. Linear inversion is one fixed linear map,
 ``_estimator(k)``: it takes those rows, stacked, to vec(rho) of
 rho = (1/2^k) sum_P <P> P, where <P> is the parity of P's support averaged
-over every setting that covers it (Greenbaum, arXiv:1509.02921). The
-estimate is then replaced by the Frobenius-nearest density matrix.
+over every setting that covers it (Greenbaum, arXiv:1509.02921).
 
 Process tomography prepares the 4^k products of {|0>, |1>, |+>, |+i>} and
 measures 3^k settings per preparation (12^k circuits). Its data is a
@@ -19,18 +18,18 @@ superoperator, which is regrouped into the Choi operator and replaced by the
 Frobenius-nearest completely-positive trace-preserving (CPTP) Choi
 operator.
 
-Both estimators end in one projection, ``project_to_cptp(choi, d_in)``: a
-state is the Choi matrix of a channel with a one-dimensional input, so the
-nearest density matrix is the nearest CPTP point at d_in = 1, and process
-tomography projects at d_in = 2^k. Linear inversion followed by one such
-projection is the estimator Surawy-Stepney, Kahn, Kueng & Guta analyse
-(arXiv:2107.01060).
+State tomography is the case of zero input qubits: one preparation, whose
+dual ``_probe_dual(0)`` is [[1]], and a Choi matrix of input dimension 1,
+which is a state. So both estimators are one function, ``_reconstruct``:
+linear inversion, the dual, the regroup and one projection,
+``project_to_cptp(choi, d_in)``, whose result at d_in = 1 is the nearest
+density matrix. Linear inversion followed by one such projection is the
+estimator Surawy-Stepney, Kahn, Kueng & Guta analyse (arXiv:2107.01060).
 
 The per-probe estimates stay unprojected on purpose: projecting them first
 biases the channel estimate like a global depolarization; unbiased probe
 estimates plus a single CPTP projection at the end track the sampling-only
-fidelity loss. The TP deviation of the raw estimate is reported as a
-diagnostic before the projection repairs it.
+fidelity loss.
 
 Choi convention: block (m, n) of the unnormalized Choi operator holds
 E(|m><n|), one d_out x d_out block per pair of input indices; the normalized
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import math
 from typing import List, Tuple
 
 import numpy as np
@@ -59,7 +58,6 @@ from .qmath import (
     check_unitary,
     dagger,
     pauli_string_matrix,
-    state_fidelity,
 )
 from .states import PROBE_LABELS, probe_state
 from .synthesis import to_native
@@ -130,16 +128,14 @@ def qst_reconstruct(frequencies: np.ndarray, k: int) -> np.ndarray:
     The linear-inversion estimate is replaced by the Frobenius-nearest
     density matrix: ``project_to_cptp`` at input dimension 1.
     """
-    dim = 2 ** k
-    frequencies = _checked(frequencies, (3 ** k, dim))
-    return project_to_cptp((_estimator(k) @ frequencies.reshape(-1)).reshape(dim, dim), 1)
+    return _reconstruct(_checked(frequencies, (3 ** k, 2 ** k)), k, _probe_dual(0))
 
 
 # -- process tomography ---------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
 def _probe_dual(k: int) -> np.ndarray:
-    """Inverse of the matrix whose columns are the vectorized probe states."""
+    """Inverse of the matrix whose columns are the vectorized probe states; [[1]] at k = 0."""
     kets = [probe_state(p) for p in itertools.product(PROBE_LABELS, repeat=k)]
     dual = np.linalg.inv(np.stack([np.outer(v, v.conj()).reshape(-1) for v in kets], axis=1))
     dual.setflags(write=False)
@@ -343,14 +339,8 @@ def project_to_cptp(choi: np.ndarray, d_in: int) -> np.ndarray:
         f"with TP residual {residual:.3e} (tolerance {CPTP_TP_TOL:g})")
 
 
-@dataclass(frozen=True)
-class QptReconstruction:
-    choi: np.ndarray
-    tp_deviation_raw: float
-
-
-def qpt_reconstruct_full(frequencies: np.ndarray, k: int) -> QptReconstruction:
-    """CPTP Choi estimate, and the raw estimate's TP deviation, from probe frequencies.
+def qpt_reconstruct(frequencies: np.ndarray, k: int) -> np.ndarray:
+    """CPTP Choi estimate from probe frequencies (linear inversion + projection).
 
     ``frequencies`` has shape (4^k, 3^k, 2^k): probe i in
     ``itertools.product(PROBE_LABELS, repeat=k)`` order, setting j in
@@ -358,34 +348,26 @@ def qpt_reconstruct_full(frequencies: np.ndarray, k: int) -> QptReconstruction:
     """
     if not 1 <= k <= 3:
         raise KOutOfRangeError(f"k={k} outside 1..3")
-    dim = 2 ** k
-    frequencies = _checked(frequencies, (4 ** k, 3 ** k, dim))
+    return _reconstruct(_checked(frequencies, (4 ** k, 3 ** k, 2 ** k)), k, _probe_dual(k))
 
-    # unprojected per-probe output estimates (see module docstring), one per column
-    outputs = _estimator(k) @ frequencies.reshape(4 ** k, -1).T
-    superop = outputs @ _probe_dual(k)  # row-major vec convention
+
+def _reconstruct(frequencies: np.ndarray, k: int, dual: np.ndarray) -> np.ndarray:
+    """The projected Choi estimate from the frequencies of P preparations and their ``dual``.
+
+    ``frequencies`` holds P state-tomography arrays of k qubits, and ``dual``
+    is ``_probe_dual`` of the m input qubits, P = 4^m: m = 0 for a state.
+    """
+    d_in, d_out = math.isqrt(dual.shape[1]), 2 ** k
+    # unprojected per-preparation output estimates (see module docstring), one per column
+    outputs = _estimator(k) @ frequencies.reshape(len(dual), -1).T
+    superop = outputs @ dual  # row-major vec convention
     # superop[(p, q), (m, n)] = E(|m><n|)[p, q] -> Choi block (m, n)
-    xi = superop.reshape((dim,) * 4).transpose(2, 0, 3, 1).reshape(dim * dim, dim * dim)
-    sigma_raw = xi / dim
-    deviation = tp_deviation(sigma_raw, dim)
-    return QptReconstruction(project_to_cptp(sigma_raw, dim), deviation)
-
-
-def qpt_reconstruct(frequencies: np.ndarray, k: int) -> np.ndarray:
-    """The CPTP Choi estimate of ``qpt_reconstruct_full``."""
-    return qpt_reconstruct_full(frequencies, k).choi
+    xi = superop.reshape(d_out, d_out, d_in, d_in).transpose(2, 0, 3, 1) \
+        .reshape(d_in * d_out, d_in * d_out)
+    return project_to_cptp(xi / d_in, d_in)
 
 
 # -- fidelity metrics ------------------------------------------------------------
-
-def process_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """State fidelity between two normalized Choi matrices."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"Choi shapes differ: {a.shape} vs {b.shape}")
-    return state_fidelity(a, b)
-
 
 def average_gate_fidelity(f_pro: float, k: int) -> float:
     """(Gamma * F_pro + 1) / (Gamma + 1) with Gamma = 2^k."""

@@ -1,7 +1,10 @@
-"""Shared seeded random-object helpers and a density-matrix check for the test suite."""
+"""Shared seeded random-object helpers, a density-matrix check and the unprojected
+estimate of a reconstruction, for the test suite."""
 
 import numpy as np
 import pytest
+
+from ccxlab import tomography
 
 
 def _ginibre(dim, rng):
@@ -42,6 +45,13 @@ def check_density_matrix(rho, *, herm_tol=1e-10, eig_tol=1e-9, trace_tol=1e-9):
     assert abs(np.trace(rho) - 1.0) <= trace_tol, np.trace(rho)
     assert np.min(np.linalg.eigvalsh(rho)) >= -eig_tol, np.linalg.eigvalsh(rho)
     return rho
+
+
+def unprojected(reconstruct, data, k, monkeypatch):
+    """The linear-inversion estimate that ``reconstruct`` hands to the projection."""
+    with monkeypatch.context() as m:
+        m.setattr(tomography, "project_to_cptp", lambda choi, d_in: choi)
+        return reconstruct(data, k)
 
 
 @pytest.fixture

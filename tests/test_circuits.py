@@ -14,7 +14,7 @@ from ccxlab.circuits import (
     validate_connectivity,
 )
 from ccxlab.errors import ParseError, TooManyQubitsError
-from ccxlab.gates import Gate, ccx, cnot, ecr, h, rz, sx, t, x
+from ccxlab.gates import Gate, GateDef, cnot, ecr, h, rz, sx, t, x
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli
 
 
@@ -75,7 +75,7 @@ def test_single_qubit_circuit_never_violates():
 
 
 def test_ccx_always_flagged():
-    c = Circuit(3, (ccx(0, 1, 2),))
+    c = Circuit(3, (GateDef(Gate.CCX, (0, 1, 2)),))
     graph = CouplingGraph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
     assert len(validate_connectivity(c, graph)) == 1
 

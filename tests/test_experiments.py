@@ -31,6 +31,8 @@ from ccxlab.states import PROBE_LABELS, StateKind, prepare_state, target_state
 from ccxlab.synthesis import decompose_toffoli, toffoli_unitary
 from ccxlab.tomography import qst_reconstruct
 
+from conftest import unprojected
+
 BRISBANE = str(builtin_calibration_path("brisbane_median"))
 
 #: fidelities of two repeats, master seed 7, ECR_NATIVE, default shots
@@ -74,21 +76,30 @@ def test_qst_fidelities_match_golden_values(key):
     assert report.num_jobs == 27
 
 
+def _assert_unprojected_estimates_are_trace_preserving(seen, monkeypatch):
+    # per-probe linear inversion fixes <I> = 1, so each repeat's raw Choi is TP to round-off
+    for frequencies in seen:
+        raw = unprojected(tomography.qpt_reconstruct, frequencies, 3, monkeypatch)
+        assert tomography.tp_deviation(raw, 8) < 1e-10
+
+
 @pytest.mark.parametrize("sampling", sorted(GOLDEN_QPT_NOISE_FREE))
-def test_qpt_fidelities_match_golden_values(sampling):
+def test_qpt_fidelities_match_golden_values(sampling, monkeypatch):
+    seen = _captured(monkeypatch, "qpt_reconstruct")
     report = run_qpt_experiment(_config(exact=sampling == "exact", shots_per_setting=11000))
     assert report.fidelities == pytest.approx(GOLDEN_QPT_NOISE_FREE[sampling], abs=1e-12)
     assert report.num_jobs == 1728
-    assert report.tp_deviation_raw < 1e-10
+    _assert_unprojected_estimates_are_trace_preserving(seen, monkeypatch)
 
 
 @pytest.mark.parametrize("sampling", sorted(GOLDEN_QPT_NOISE_AWARE))
-def test_noise_aware_qpt_fidelities_match_golden_values(sampling):
+def test_noise_aware_qpt_fidelities_match_golden_values(sampling, monkeypatch):
+    seen = _captured(monkeypatch, "qpt_reconstruct")
     report = run_qpt_experiment(_config("NOISE_AWARE", exact=sampling == "exact",
                                         shots_per_setting=11000))
     assert report.fidelities == pytest.approx(GOLDEN_QPT_NOISE_AWARE[sampling], abs=1e-12)
     assert report.num_jobs == 1728
-    assert report.tp_deviation_raw < 1e-10
+    _assert_unprojected_estimates_are_trace_preserving(seen, monkeypatch)
 
 
 @pytest.mark.parametrize("repeats", [1, 3])
@@ -176,7 +187,7 @@ def _captured(monkeypatch, name):
 def _qst_table(cfg):
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
     return experiments._distributions([prepare_state(cfg.input_state)], toffoli,
-                                      cfg.noise_model(), cfg.apply_readout)
+                                      cfg.noise_model())
 
 
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
@@ -195,14 +206,13 @@ def test_qst_seed_layout(monkeypatch, mode):
 def test_qpt_seed_layout(monkeypatch):
     # repeat r draws the whole (64, 27, 8) table, probe-major, from one generator
     # seeded (master_seed, r)
-    seen = _captured(monkeypatch, "qpt_reconstruct_full")
+    seen = _captured(monkeypatch, "qpt_reconstruct")
     cfg = _config(repeats=2, shots_per_setting=1000)
     run_qpt_experiment(cfg)
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
     preparations = [prepare_state(StateKind.PROBE, probe=probe)
                     for probe in itertools.product(PROBE_LABELS, repeat=3)]
-    table = experiments._distributions(preparations, toffoli, cfg.noise_model(),
-                                       cfg.apply_readout)
+    table = experiments._distributions(preparations, toffoli, cfg.noise_model())
     assert len(seen) == 2
     for r, frequencies in enumerate(seen):
         draws = simulator.sample_distribution(table, 1000, (cfg.master_seed, r))
@@ -356,7 +366,7 @@ def test_csv_rows_reproduce_the_fidelities_exactly(sampled_report, tmp_path):
         assert all(len(row) == 2 for row in rows)
 
 
-@pytest.mark.parametrize("version", [0, 2, "1", None])
+@pytest.mark.parametrize("version", [0, 3, "1", None, True, 1.0])
 def test_load_report_rejects_unknown_schema_version(report_file, version):
     payload = json.loads(report_file.read_text())
     payload["schema_version"] = version
@@ -368,7 +378,22 @@ def test_load_report_rejects_unknown_schema_version(report_file, version):
 def test_cli_report_exit_codes(report_file, capsys):
     assert cli.main(["report", str(report_file)]) == 0
     payload = json.loads(report_file.read_text())
-    payload["schema_version"] = 2
+    payload["schema_version"] = 3
     report_file.write_text(json.dumps(payload))
     assert cli.main(["report", str(report_file)]) == 3
     assert "schema_version" in capsys.readouterr().err
+
+
+def test_a_version_1_report_loads_as_the_same_report_at_version_2(sampled_report, tmp_path,
+                                                                 capsys):
+    # layout 1 also carried tp_deviation_raw: None for state tomography, and for process
+    # tomography the last repeat's raw TP deviation, round-off by construction
+    payload = experiments.report_to_dict(sampled_report)
+    assert payload["schema_version"] == 2
+    payload["schema_version"] = 1
+    payload["tp_deviation_raw"] = None if sampled_report.kind == "qst" else 7.6e-16
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(payload))
+    assert load_report(path) == sampled_report
+    assert cli.main(["report", str(path)]) == 0
+    assert "mean fidelity" in capsys.readouterr().out

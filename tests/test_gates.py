@@ -6,7 +6,6 @@ import pytest
 from ccxlab.gates import (
     Gate,
     GateDef,
-    ccx,
     cnot,
     ecr,
     gate_matrix,
@@ -84,11 +83,11 @@ def test_ccx_matches_block_permutation():
     # controls on wires 1 and 2, target wire 0: permutation swapping |110>,|111>
     expected = np.eye(8)
     expected[[6, 7]] = expected[[7, 6]]
-    assert np.array_equal(gate_matrix(ccx(1, 2, 0)), expected)
+    assert np.array_equal(gate_matrix(GateDef(Gate.CCX, (1, 2, 0))), expected)
 
 
 def test_ccx_other_roles():
-    m = gate_matrix(ccx(0, 1, 2))
+    m = gate_matrix(GateDef(Gate.CCX, (0, 1, 2)))
     psi = np.zeros(8, dtype=complex)
     psi[3] = 1  # qubits 0,1 set
     assert abs((m @ psi)[7]) == pytest.approx(1.0)
@@ -99,7 +98,8 @@ def test_ccx_other_roles():
 
 def test_catalog_unitarity(rng):
     catalog = [x(0), sx(0), h(0), t(0), tdg(0), s(0), sdg(0), GateDef(Gate.ID, (0,)),
-               cnot(0, 1), cnot(1, 0), ecr(0, 1), ecr(1, 0), ccx(0, 1, 2), ccx(2, 0, 1)]
+               cnot(0, 1), cnot(1, 0), ecr(0, 1), ecr(1, 0),
+               GateDef(Gate.CCX, (0, 1, 2)), GateDef(Gate.CCX, (2, 0, 1))]
     for g in catalog:
         check_unitary(gate_matrix(g), tol=1e-10)
     for _ in range(100):

@@ -13,8 +13,8 @@ from ccxlab.noise import (
     scale_noise_model,
     thermal_relaxation_channel,
 )
-from ccxlab.qmath import dagger
-from ccxlab.tomography import average_gate_fidelity, choi_of_unitary, process_fidelity
+from ccxlab.qmath import dagger, state_fidelity
+from ccxlab.tomography import average_gate_fidelity, choi_of_unitary
 
 from channel_oracle import kraus_to_choi, superop_to_choi
 from kraus_oracle import KrausChannel, depolarizing_kraus, thermal_relaxation_kraus
@@ -93,7 +93,7 @@ def test_depolarizing_average_fidelity_round_trip():
     for dim, k in ((2, 1), (4, 2)):
         err = 0.00756
         choi = superop_to_choi(depolarizing_channel(err, dim))
-        f_pro = process_fidelity(choi, choi_of_unitary(np.eye(dim)))
+        f_pro = state_fidelity(choi, choi_of_unitary(np.eye(dim)))
         assert average_gate_fidelity(f_pro, k) == pytest.approx(1 - err, abs=1e-10)
 
 
@@ -115,6 +115,13 @@ def test_depolarizing_monotone():
 def test_depolarizing_err_too_large():
     with pytest.raises(ErrTooLargeError):
         depolarizing_channel(0.52, 2)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 3])
+def test_depolarizing_rejects_a_dimension_that_is_not_a_power_of_two(dim):
+    # checked before the error bound, which divides by dim and names 1 - 1/dim
+    with pytest.raises(ValueError, match=rf"dim must be a power of two >= 2, got {dim}$"):
+        depolarizing_channel(0.0, dim)
 
 
 @pytest.mark.parametrize("err", [-0.1, math.nan])

@@ -18,6 +18,7 @@ from ccxlab import cli, experiments, simulator
 from ccxlab.calibration import builtin_calibration_path, ingest_calibration
 from ccxlab.circuits import Circuit, serialize_circuit
 from ccxlab.errors import NonNativeGateError
+from ccxlab.experiments import ExperimentConfig
 from ccxlab.gates import NATIVE_GATES, Gate, ecr, rz, sx, x
 from ccxlab.noise import NOISELESS, NoiseModel, QubitCalibration, scale_noise_model
 from ccxlab.states import PROBE_LABELS, StateKind, prepare_state
@@ -46,17 +47,15 @@ def _probe_preparations():
             for p in itertools.product(PROBE_LABELS, repeat=3)]
 
 
-def _distributions(state, nm, apply_readout=True, strategy=DecompositionStrategy.ECR_NATIVE):
+def _distributions(state, nm, strategy=DecompositionStrategy.ECR_NATIVE):
     """The exact (settings x outcomes) table the experiments feed to tomography."""
-    return experiments._distributions([prepare_state(state)], _toffoli(strategy), nm,
-                                      apply_readout)[0]
+    return experiments._distributions([prepare_state(state)], _toffoli(strategy), nm)[0]
 
 
-def _per_circuit_distributions(preparations, gate, nm, apply_readout=True):
+def _per_circuit_distributions(preparations, gate, nm):
     """The table as the experiments built it before the preparations shared one
     evolution of ``gate``: one ``run_density`` per whole circuit, kept as an oracle."""
-    table = simulator.readout_map([measurement_rotation(s) for s in qst_settings(3)], nm,
-                                  apply_readout)
+    table = simulator.readout_map([measurement_rotation(s) for s in qst_settings(3)], nm)
     return np.array([simulator.setting_distributions(
         simulator.run_density(prep.concat(gate), nm), table) for prep in preparations])
 
@@ -76,7 +75,7 @@ def test_qpt_distributions_match_kraus_oracle(strategy, calibration):
     batch = kraus_oracle.evolve(batch, toffoli, nm)
     batch = (batch + batch.conj().transpose(1, 0, 2)) / 2
     expected = kraus_oracle.setting_distributions(batch, nm)
-    actual = experiments._distributions(preps, toffoli, nm, True).transpose(1, 2, 0)
+    actual = experiments._distributions(preps, toffoli, nm).transpose(1, 2, 0)
     assert actual.shape == expected.shape == (27, 8, 64)
     assert np.max(np.abs(actual - expected)) < TOL
 
@@ -87,7 +86,7 @@ def test_noise_free_distributions_match_statevector_oracle(inputs):
     preparations = _probe_preparations() if inputs == "PROBES" else [prepare_state(inputs)]
     expected = [measurement_oracle.setting_distributions(
         simulator.run_statevector(prep.concat(toffoli)), 3) for prep in preparations]
-    actual = experiments._distributions(preparations, toffoli, NOISELESS, True)
+    actual = experiments._distributions(preparations, toffoli, NOISELESS)
     assert actual.shape == (len(preparations), 27, 8)
     assert np.max(np.abs(actual - expected)) < TOL
 
@@ -104,11 +103,15 @@ def test_non_native_strategies_are_rejected_under_noise(strategy, calibration):
 @pytest.mark.parametrize("calibration", CALIBRATIONS)
 @pytest.mark.parametrize("state", ["GHZ", "W", "UNIFORM"])
 def test_qst_distributions_match_kraus_oracle(state, calibration, apply_readout):
+    # a run without readout error runs under the calibrated model with zero confusion;
+    # the oracle reads the calibrated model and drops its confusion by its own flag
     circuit = prepare_state(state).concat(_toffoli())
     nm = _noise_model(calibration)
     expected = kraus_oracle.setting_distributions(kraus_oracle.run_density(circuit, nm), nm,
                                                   apply_readout)
-    actual = _distributions(state, nm, apply_readout)
+    cfg = ExperimentConfig(mode="NOISE_AWARE", apply_readout=apply_readout,
+                           calibration_path=str(builtin_calibration_path(calibration)))
+    actual = _distributions(state, cfg.noise_model())
     assert np.max(np.abs(actual - expected)) < TOL
 
 
@@ -142,7 +145,7 @@ def test_one_shared_evolution_matches_the_per_circuit_path(inputs, model):
     nm = nm or _noise_model(model)
     preparations = _probe_preparations() if inputs == "PROBES" else [prepare_state(inputs)]
     expected = _per_circuit_distributions(preparations, _toffoli(), nm)
-    actual = experiments._distributions(preparations, _toffoli(), nm, True)
+    actual = experiments._distributions(preparations, _toffoli(), nm)
     assert actual.shape == expected.shape == (len(preparations), 27, 8)
     if nm is NOISELESS:
         assert np.array_equal(actual, expected)
@@ -158,14 +161,14 @@ def test_channel_builders_run_once_per_distinct_noisy_gate(monkeypatch):
             return _build(*args)
         monkeypatch.setattr(simulator, name, counted)
     nm, toffoli, preparations = _noise_model(), _toffoli(), _probe_preparations()
-    experiments._distributions(preparations, toffoli, nm, True)
+    experiments._distributions(preparations, toffoli, nm)
     rotations = [measurement_rotation(setting) for setting in qst_settings(3)]
     noisy = {g for c in preparations + [toffoli] + rotations for g in c.gates
              if g.name is not Gate.RZ}
     # per noisy gate one depolarizing and one relaxation per qubit; one readout relaxation per qubit
     assert len(builds) == sum(1 + len(g.qubits) for g in noisy) + 3 == 21
     # a second table reuses every compiled gate and the readout map, all cached on the model
-    experiments._distributions(preparations, toffoli, nm, True)
+    experiments._distributions(preparations, toffoli, nm)
     assert len(builds) == 21
 
 

@@ -79,3 +79,28 @@ def test_only_sample_distribution_builds_a_random_generator():
         for function, line in _random_uses(ast.parse(path.read_text(), filename=str(path))):
             found.setdefault((path.stem, function), []).append(line)
     assert list(found) == [("simulator", "sample_distribution")]
+
+
+def _dead_definitions(package):
+    """The "module.name" of each top-level def or class in ``package`` that no module but
+    ``__init__`` reads, as a name or an attribute, and that ``__init__`` does not import."""
+    exported = {name for _, name in
+                _imported_names(ast.parse((package / "__init__.py").read_text()))}
+    read, defined = set(), []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        defined += [(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return [f"{module}.{name}" for module, name in defined
+            if name not in read and name not in exported]
+
+
+def test_every_definition_is_read_or_exported():
+    # code that only the tests call is dead weight; a test can build what it needs itself
+    assert _dead_definitions(Path(ccxlab.__file__).parent) == []

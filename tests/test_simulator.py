@@ -8,7 +8,7 @@ import pytest
 from ccxlab.circuits import Circuit, _apply_local
 from ccxlab import simulator
 from ccxlab.errors import CcxlabError, NonNativeGateError
-from ccxlab.gates import ccx, cnot, ecr, gate_matrix, h, rz, sx, x
+from ccxlab.gates import Gate, GateDef, cnot, ecr, gate_matrix, h, rz, sx, x
 from ccxlab.noise import NOISELESS, NoiseModel, QubitCalibration
 from ccxlab.qmath import state_fidelity
 from ccxlab.simulator import run_density, run_statevector, sample_distribution
@@ -59,7 +59,7 @@ def test_native_hadamards_give_uniform_state():
 
 
 def test_non_native_gates_rejected():
-    for gate in (cnot(0, 1), ccx(0, 1, 2), h(0)):
+    for gate in (cnot(0, 1), GateDef(Gate.CCX, (0, 1, 2)), h(0)):
         with pytest.raises(NonNativeGateError):
             run_statevector(Circuit(3, (gate,)))
     with pytest.raises(NonNativeGateError):
@@ -171,7 +171,7 @@ def test_ghz_zzz_binomial_band():
 
 def test_readout_confusion_flip_rate():
     nm = NoiseModel((QubitCalibration(t1_us=100.0, t2_us=100.0, prob_meas1_prep0=0.1),), {}, {})
-    table = simulator.readout_map([Circuit(1)], nm, apply_readout=True)
+    table = simulator.readout_map([Circuit(1)], nm)
     probs = simulator.setting_distributions(run_density(Circuit(1), nm), table)[0]
     counts = sample_distribution(probs, 20000, seed=(5,))
     frac_one = counts[1] / 20000
@@ -203,7 +203,7 @@ def test_empirical_tvd_convergence(rng):
 
 def test_noiseless_readout_map_matches_oracle_on_mixed_states(rng):
     settings = ["XYZ", "YYX", "ZZZ", "XXY"]
-    table = simulator.readout_map([measurement_rotation(s) for s in settings], NOISELESS, True)
+    table = simulator.readout_map([measurement_rotation(s) for s in settings], NOISELESS)
     for _ in range(5):
         rho = random_density_matrix(8, rng)
         expected = [measurement_probabilities(rho, s) for s in settings]
@@ -215,8 +215,7 @@ def test_a_stack_of_states_reads_each_state_bit_for_bit(rng, noisy):
     # seeded counts turn on which probabilities are exactly 0, so a batched read must give
     # each state's distributions to the last bit, not merely to round-off
     nm = _noise_model(p10=0.02, p01=0.03, readout_len=1200.0) if noisy else NOISELESS
-    table = simulator.readout_map([measurement_rotation(s) for s in ("XYZ", "ZZZ", "YXX")],
-                                  nm, True)
+    table = simulator.readout_map([measurement_rotation(s) for s in ("XYZ", "ZZZ", "YXX")], nm)
     preparations = [basis_circuit(b) for b in range(8)] + [ghz_circuit()]
     stack = np.concatenate([run_density(_toffoli_native(), nm, preparations),
                             np.stack([random_density_matrix(8, rng) for _ in range(4)], -1)], -1)

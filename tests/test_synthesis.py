@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccxlab.circuits import Circuit, CouplingGraph, circuit_unitary, path_graph, validate_connectivity
 from ccxlab.errors import DimensionMismatchError, NonPathQubitsError
-from ccxlab.gates import NATIVE_GATES, Gate, GateDef, ccx, cnot, gate_matrix, rz, sx
+from ccxlab.gates import NATIVE_GATES, Gate, GateDef, cnot, gate_matrix, rz, sx
 from ccxlab.synthesis import (
     DecompositionStrategy,
     _ccz_8cnot,
@@ -37,7 +37,7 @@ def test_toffoli_unitary_truth_table():
 
 
 def test_toffoli_matches_gate_matrix():
-    assert np.array_equal(toffoli_unitary((1, 2), 0), gate_matrix(ccx(1, 2, 0)))
+    assert np.array_equal(toffoli_unitary((1, 2), 0), gate_matrix(GateDef(Gate.CCX, (1, 2, 0))))
 
 
 @pytest.mark.parametrize("strategy", list(DecompositionStrategy))

@@ -31,10 +31,8 @@ from ccxlab.tomography import (
     average_gate_fidelity,
     choi_of_unitary,
     measurement_rotation,
-    process_fidelity,
     project_to_cptp,
     qpt_reconstruct,
-    qpt_reconstruct_full,
     qst_reconstruct,
     qst_settings,
     tp_deviation,
@@ -53,6 +51,7 @@ from conftest import (
     random_density_matrix,
     random_state_vector,
     random_unitary,
+    unprojected,
 )
 from measurement_oracle import measurement_probabilities
 
@@ -77,13 +76,6 @@ def _sampled_qpt_data(u, k, shots, master_seed):
 
 def _sampled_toffoli_qpt_data(shots):
     return _sampled_qpt_data(toffoli_unitary((0, 1), 2), 3, shots, master_seed=0)
-
-
-def _unprojected(reconstruct, data, k, monkeypatch):
-    # the linear-inversion estimate that a reconstruction hands to the projection
-    with monkeypatch.context() as m:
-        m.setattr(tomography, "project_to_cptp", lambda choi, d_in: choi)
-        return reconstruct(data, k)
 
 
 def _dykstra_cptp(choi, d_in, tol=1e-14, max_iter=20000):
@@ -329,21 +321,21 @@ def test_qpt_random_unitaries_exact(rng):
     for k in (1, 2):
         u = random_unitary(2 ** k, rng)
         sigma = qpt_reconstruct(_exact_qpt_data(u, k), k)
-        assert process_fidelity(sigma, choi_of_unitary(u)) > 1 - 1e-8
+        assert state_fidelity(sigma, choi_of_unitary(u)) > 1 - 1e-8
 
 
 def test_qpt_toffoli_exact():
     u = toffoli_unitary((0, 1), 2)
     sigma = qpt_reconstruct(_exact_qpt_data(u, 3), 3)
-    assert process_fidelity(sigma, choi_of_unitary(u)) > 1 - 1e-8
+    assert state_fidelity(sigma, choi_of_unitary(u)) > 1 - 1e-8
 
 
-def test_qpt_raw_estimate_is_trace_preserving(rng):
+def test_qpt_raw_estimate_is_trace_preserving(rng, monkeypatch):
     # per-probe linear inversion fixes <I> = 1, so the unprojected Choi is TP
     u = random_unitary(2, rng)
-    recon = qpt_reconstruct_full(_sampled_qpt_data(u, 1, 300, master_seed=1), 1)
-    assert recon.tp_deviation_raw < 1e-10
-    check_density_matrix(recon.choi, eig_tol=1e-6, trace_tol=1e-8)
+    data = _sampled_qpt_data(u, 1, 300, master_seed=1)
+    assert tp_deviation(unprojected(qpt_reconstruct, data, 1, monkeypatch), 2) < 1e-10
+    check_density_matrix(qpt_reconstruct(data, 1), eig_tol=1e-6, trace_tol=1e-8)
 
 
 def test_qpt_sampled_output_is_physical():
@@ -353,20 +345,20 @@ def test_qpt_sampled_output_is_physical():
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_qpt_reconstruct_matches_per_pauli_oracle(rng, k):
+def test_qpt_reconstruct_matches_per_pauli_oracle(rng, k, monkeypatch):
     data = _sampled_qpt_data(random_unitary(2 ** k, rng), k, 300, master_seed=k)
-    recon = qpt_reconstruct_full(data, k)
     deviation, choi = _qpt_oracle(data, k)
-    assert np.max(np.abs(recon.choi - choi)) < 1e-12
-    assert abs(recon.tp_deviation_raw - deviation) < 1e-12
+    assert np.max(np.abs(qpt_reconstruct(data, k) - choi)) < 1e-12
+    raw = unprojected(qpt_reconstruct, data, k, monkeypatch)
+    assert abs(tp_deviation(raw, 2 ** k) - deviation) < 1e-12
 
 
-def test_qpt_reconstruct_matches_per_pauli_oracle_on_sampled_toffoli():
+def test_qpt_reconstruct_matches_per_pauli_oracle_on_sampled_toffoli(monkeypatch):
     data = _sampled_toffoli_qpt_data(1000)
-    recon = qpt_reconstruct_full(data, 3)
     deviation, choi = _qpt_oracle(data, 3)
-    assert np.max(np.abs(recon.choi - choi)) < 1e-12
-    assert abs(recon.tp_deviation_raw - deviation) < 1e-12
+    assert np.max(np.abs(qpt_reconstruct(data, 3) - choi)) < 1e-12
+    raw = unprojected(qpt_reconstruct, data, 3, monkeypatch)
+    assert abs(tp_deviation(raw, 8) - deviation) < 1e-12
 
 
 def test_qpt_missing_cell_is_a_shape_error():
@@ -428,11 +420,11 @@ def test_project_to_cptp_matches_dykstra_oracle_on_sampled_toffoli(estimate, mon
     # the 50-shot QPT estimate, or a 19000-shot QST estimate of the Toffoli's output state
     if estimate == "choi":
         d_in = 8
-        raw = _unprojected(qpt_reconstruct, _sampled_toffoli_qpt_data(50), 3, monkeypatch)
+        raw = unprojected(qpt_reconstruct, _sampled_toffoli_qpt_data(50), 3, monkeypatch)
     else:
         psi = toffoli_unitary((0, 1), 2) @ target_state(StateKind(estimate))
         d_in = 1
-        raw = _unprojected(qst_reconstruct, _sampled_qst_data(psi, 3, 19000), 3, monkeypatch)
+        raw = unprojected(qst_reconstruct, _sampled_qst_data(psi, 3, 19000), 3, monkeypatch)
     oracle = _dykstra_cptp(raw, d_in)
     assert tp_deviation(oracle, d_in) < 1e-12
     assert np.max(np.abs(project_to_cptp(raw, d_in) - oracle)) < 1e-9
@@ -500,7 +492,7 @@ def _toffoli_qpt_table(calibration):
     toffoli = decompose_toffoli(DecompositionStrategy.ECR_NATIVE, (0, 1), 2)
     preparations = [prepare_state(StateKind.PROBE, probe=probe)
                     for probe in itertools.product(PROBE_LABELS, repeat=3)]
-    return experiments._distributions(preparations, toffoli, nm, True)
+    return experiments._distributions(preparations, toffoli, nm)
 
 
 @pytest.mark.parametrize("calibration", [None, "brisbane_median"])
@@ -568,12 +560,12 @@ def test_qst_estimate_with_a_nan_is_rejected_before_eigh(monkeypatch):
 
 def test_process_fidelity_self(rng):
     sigma = choi_of_unitary(random_unitary(8, rng))
-    assert process_fidelity(sigma, sigma) == pytest.approx(1.0, abs=1e-9)
+    assert state_fidelity(sigma, sigma) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_process_fidelity_fully_depolarizing_vs_identity():
     sigma_mixed = np.eye(4, dtype=complex) / 4
-    assert process_fidelity(sigma_mixed, choi_of_unitary(np.eye(2))) == pytest.approx(
+    assert state_fidelity(sigma_mixed, choi_of_unitary(np.eye(2))) == pytest.approx(
         0.25, abs=1e-9)
 
 
@@ -586,7 +578,7 @@ def test_process_fidelity_pure_target_shortcut(rng):
     w, v = np.linalg.eigh(target)
     ket = v[:, -1]
     shortcut = float(np.real(ket.conj() @ sigma @ ket))
-    assert process_fidelity(sigma, target) == pytest.approx(shortcut, abs=1e-8)
+    assert state_fidelity(sigma, target) == pytest.approx(shortcut, abs=1e-8)
 
 
 def test_average_gate_fidelity_formula():
@@ -622,7 +614,7 @@ def test_superop_and_choi_paths_agree(rng):
         u = random_unitary(dim, rng)
         ops = random_cptp_kraus(dim, rng)
         sigma = kraus_to_choi(ops)
-        f_choi = process_fidelity(sigma, choi_of_unitary(u))
+        f_choi = state_fidelity(sigma, choi_of_unitary(u))
         f_superop = process_fidelity_superop(choi_to_superop_pauli(sigma), u)
         assert abs(f_choi - f_superop) < 1e-8
 
