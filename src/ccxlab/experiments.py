@@ -9,20 +9,25 @@ realization once, and reads every measurement setting off one readout map
 into a table of exact outcome distributions, one per (preparation, setting)
 cell. The two modes differ only in the model. Only the sampling differs from
 one repeat to the next: a repeat draws seeded finite-shot counts from that
-table, reconstructs, and scores against the analytic reference. State and
-process tomography differ only in the preparations, estimator and reference
-they hand to that one run, ``_run``.
+table, is reconstructed, and is scored by ``state_fidelity`` against the
+target ket: U|in> for state tomography, ``choi_ket_of_unitary(U)`` for
+process tomography. The two differ only in the preparations, estimator and
+ket they hand to that one run, ``_run``. State tomography reconstructs all
+repeats in one call on their stacked tables; process tomography draws and
+reconstructs one table at a time.
 
 Determinism: repeat r of any run draws every cell of its table, in
 row-major order, from one generator seeded (master_seed, r) by
-``simulator.sample_distribution``. So repeat r does not depend on how many
-repeats run, and state and process tomography share one seed layout. Runs
-are serial.
+``simulator.sample_distribution``. A stacked reconstruction gives each
+entry exactly what a single call gives. So repeat r does not depend on how
+many repeats run, and state and process tomography share one seed layout.
+Runs are serial.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -32,7 +37,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +51,7 @@ from .states import PROBE_LABELS, StateKind, prepare_state, target_state
 from .synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from .tomography import (
     average_gate_fidelity,
-    choi_of_unitary,
+    choi_ket_of_unitary,
     measurement_rotation,
     qpt_reconstruct,
     qst_reconstruct,
@@ -207,19 +212,26 @@ def _frequencies(distributions: np.ndarray, cfg: ExperimentConfig, repeat: int) 
     return sample_distribution(distributions, shots, (cfg.master_seed, repeat)) / shots
 
 
-def _run(cfg: ExperimentConfig, preparations: Sequence[Circuit],
-         estimate: Callable[[np.ndarray], np.ndarray],
-         reference: np.ndarray) -> Tuple[Circuit, List[float]]:
-    """The Toffoli under test and every repeat's fidelity of ``estimate`` against ``reference``.
+@functools.lru_cache(maxsize=None)
+def _toffoli(strategy: DecompositionStrategy) -> Circuit:
+    """The Toffoli under test, synthesized once per strategy and process: a circuit is immutable."""
+    return decompose_toffoli(strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
 
-    Repeat r hands its ``_frequencies`` of the run's ``_distributions`` table,
-    shape (preparations, 27, 8), to ``estimate`` and scores the result, a
-    state or a Choi matrix, with ``state_fidelity``.
+
+def _run(cfg: ExperimentConfig, preparations: Sequence[Circuit],
+         estimate: Callable[[Iterator[np.ndarray]], Iterable[np.ndarray]],
+         reference: np.ndarray) -> Tuple[Circuit, List[float]]:
+    """The Toffoli under test and every repeat's fidelity against the target ket ``reference``.
+
+    ``estimate`` takes the repeats' ``_frequencies`` of the run's
+    ``_distributions`` table, each of shape (preparations, 27, 8), lazily and
+    in repeat order. It returns their estimates, states or Choi matrices, in
+    the same order, and ``state_fidelity`` scores each one.
     """
-    toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
+    toffoli = _toffoli(cfg.strategy)
     distributions = _distributions(preparations, toffoli, cfg.noise_model())
-    return toffoli, [state_fidelity(estimate(_frequencies(distributions, cfg, repeat)), reference)
-                     for repeat in range(cfg.repeats)]
+    tables = (_frequencies(distributions, cfg, repeat) for repeat in range(cfg.repeats))
+    return toffoli, [state_fidelity(rho, reference) for rho in estimate(tables)]
 
 
 def run_qst_experiment(cfg: ExperimentConfig) -> Report:
@@ -227,8 +239,9 @@ def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     start = time.perf_counter()
     preparation = prepare_state(cfg.input_state)
     psi = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET) @ target_state(cfg.input_state)
-    toffoli, fidelities = _run(cfg, [preparation], lambda f: qst_reconstruct(f[0], 3),
-                               np.outer(psi, psi.conj()))
+    toffoli, fidelities = _run(cfg, [preparation],
+                               lambda tables: qst_reconstruct(np.concatenate(tuple(tables)), 3),
+                               psi)
     return _make_report("qst", fidelities, cfg,
                         _gate_count_summary(toffoli, preparation.concat(toffoli)),
                         num_jobs=len(qst_settings(3)), wall=time.perf_counter() - start)
@@ -244,8 +257,9 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     start = time.perf_counter()
     preparations = [prepare_state(StateKind.PROBE, probe=probe)
                     for probe in itertools.product(PROBE_LABELS, repeat=3)]
-    toffoli, fidelities = _run(cfg, preparations, lambda f: qpt_reconstruct(f, 3),
-                               choi_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET)))
+    toffoli, fidelities = _run(
+        cfg, preparations, lambda tables: (qpt_reconstruct(table, 3) for table in tables),
+        choi_ket_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET)))
     # probe preparations vary per job; report the gate under test
     return _make_report("qpt", fidelities, cfg, _gate_count_summary(toffoli, toffoli),
                         num_jobs=len(preparations) * len(qst_settings(3)),

@@ -38,7 +38,8 @@ PAULI_1Q = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a (..., n, n) stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def kron_le(ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -67,14 +68,18 @@ def check_unitary(u: np.ndarray, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
     return u
 
 
-def _psd_eigh(h: np.ndarray, name: str, validate_tol: float) -> tuple:
-    """Ascending eigenpairs of a Hermitian PSD matrix, negatives within tolerance clipped."""
+def _psd_eigh(h: np.ndarray, name: str, validate_tol: float, vectors: bool = True) -> tuple:
+    """Ascending eigenpairs of a Hermitian PSD matrix, negatives within tolerance clipped.
+
+    Without ``vectors`` the eigenvectors are None and only ``eigvalsh`` runs.
+    """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
-    if np.max(np.abs(h - dagger(h))) > validate_tol:
-        raise NotHermitianError(f"{name} requires a Hermitian input")
-    w, v = np.linalg.eigh((h + dagger(h)) / 2)
+    if not np.max(np.abs(h - dagger(h))) <= validate_tol:  # NaN fails too
+        raise NotHermitianError(f"{name} requires a finite Hermitian input")
+    h = (h + dagger(h)) / 2
+    w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     if w[0] < -validate_tol:
         raise NotPSDError(f"{name} requires PSD input; min eigenvalue {w[0]:.3e}")
     return np.clip(w, 0.0, None), v
@@ -96,6 +101,11 @@ RANK_TOL = 1e-12
 def state_fidelity(rho: np.ndarray, lam: np.ndarray) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) lam sqrt(rho)))**2 between density matrices.
 
+    A 1-D ``lam`` is a target ket |psi>, and the fidelity is <psi|rho|psi>:
+    exact, with one ``eigvalsh`` for ``rho``'s checks. A ket must be finite
+    (else ``NotHermitianError``, as for a matrix) and of unit norm (else
+    ``NotPSDError``: |psi|^2 is the nonzero eigenvalue of its projector).
+
     Exact for rank-one arguments. If either matrix is lam_max |psi><psi| up to
     round-off (its eigenvalues after the largest sum to at most ``RANK_TOL``
     of the largest), the fidelity is lam_max <psi|other|psi>, computed without
@@ -105,8 +115,16 @@ def state_fidelity(rho: np.ndarray, lam: np.ndarray) -> float:
     """
     rho = np.asarray(rho, dtype=complex)
     lam = np.asarray(lam, dtype=complex)
-    if rho.shape != lam.shape:
+    if rho.shape != (lam.shape * 2 if lam.ndim == 1 else lam.shape):
         raise DimensionMismatchError(f"dimension mismatch: {rho.shape} vs {lam.shape}")
+    if lam.ndim == 1:
+        if not np.all(np.isfinite(lam)):
+            raise NotHermitianError("state_fidelity requires a finite target ket")
+        norm = np.vdot(lam, lam).real
+        if abs(norm - 1.0) > VALIDATION_TOL:
+            raise NotPSDError(f"state_fidelity requires a unit target ket; |psi|^2 = {norm:.6g}")
+        _psd_eigh(rho, "state_fidelity", VALIDATION_TOL, vectors=False)
+        return min(max(float(np.vdot(lam, rho @ lam).real), 0.0), 1.0)
     w_rho, v_rho = _psd_eigh(rho, "state_fidelity", VALIDATION_TOL)
     w_lam, v_lam = _psd_eigh(lam, "state_fidelity", VALIDATION_TOL)
     for w, v, other in ((w_rho, v_rho, lam), (w_lam, v_lam, rho)):

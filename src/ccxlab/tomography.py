@@ -21,10 +21,16 @@ operator.
 State tomography is the case of zero input qubits: one preparation, whose
 dual ``_probe_dual(0)`` is [[1]], and a Choi matrix of input dimension 1,
 which is a state. So both estimators are one function, ``_reconstruct``:
-linear inversion, the dual, the regroup and one projection,
-``project_to_cptp(choi, d_in)``, whose result at d_in = 1 is the nearest
-density matrix. Linear inversion followed by one such projection is the
-estimator Surawy-Stepney, Kahn, Kueng & Guta analyse (arXiv:2107.01060).
+linear inversion, the dual, the regroup and one projection to the nearest
+CPTP Choi matrix, which at d_in = 1 is the nearest density matrix. Linear
+inversion followed by one such projection is the estimator Surawy-Stepney,
+Kahn, Kueng & Guta analyse (arXiv:2107.01060).
+
+At d_in = 1 the projection is closed-form water-filling, so
+``qst_reconstruct`` also takes a stack of tables, one per repeat, and
+estimates them all with one stacked product and one batched ``eigh``,
+each exactly as its single call would. ``qpt_reconstruct`` takes one table:
+the CPTP projection iterates per Choi matrix.
 
 The per-probe estimates stay unprojected on purpose: projecting them first
 biases the channel estimate like a global depolarization; unbiased probe
@@ -126,9 +132,15 @@ def qst_reconstruct(frequencies: np.ndarray, k: int) -> np.ndarray:
     ``frequencies`` has shape (3^k, 2^k): row j holds the outcome frequencies
     of ``qst_settings(k)[j]``, indexed by basis outcome (bit q = qubit q).
     The linear-inversion estimate is replaced by the Frobenius-nearest
-    density matrix: ``project_to_cptp`` at input dimension 1.
+    density matrix: ``project_to_cptp``'s result at input dimension 1.
+
+    A stack of R such arrays, shape (R, 3^k, 2^k), gives R density matrices,
+    entry r exactly the single call's on ``frequencies[r]``.
     """
-    return _reconstruct(_checked(frequencies, (3 ** k, 2 ** k)), k, _probe_dual(0))
+    frequencies = np.asarray(frequencies, dtype=float)
+    stack = frequencies.shape[:1] if frequencies.ndim == 3 else ()
+    frequencies = _checked(frequencies, stack + (3 ** k, 2 ** k))
+    return _reconstruct(frequencies[..., None, :, :], k, _probe_dual(0))
 
 
 # -- process tomography ---------------------------------------------------------
@@ -142,15 +154,21 @@ def _probe_dual(k: int) -> np.ndarray:
     return dual
 
 
+def choi_ket_of_unitary(u: np.ndarray) -> np.ndarray:
+    """Unit ket (I (x) U)|Omega> / sqrt(dim), Omega = sum_i |ii>, input index major.
+
+    Its projector is ``choi_of_unitary(u)``; ``state_fidelity`` scores a Choi
+    estimate against it directly.
+    """
+    u = check_unitary(np.asarray(u, dtype=complex), tol=1e-10)
+    # block i of the ket is column i of U
+    return u.T.reshape(-1) / math.sqrt(u.shape[0])
+
+
 def choi_of_unitary(u: np.ndarray) -> np.ndarray:
     """Normalized Choi matrix of a unitary channel; rank one, unit trace."""
-    u = check_unitary(np.asarray(u, dtype=complex), tol=1e-10)
-    dim = u.shape[0]
-    # (I (x) U) |Omega> with Omega = sum_i |ii>, input index major
-    ket = np.zeros(dim * dim, dtype=complex)
-    for i in range(dim):
-        ket[i * dim:(i + 1) * dim] = u[:, i]
-    return np.outer(ket, ket.conj()) / dim
+    ket = choi_ket_of_unitary(u)
+    return np.outer(ket, ket.conj())
 
 
 def _partial_trace_out(xi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
@@ -269,7 +287,7 @@ def project_to_cptp(choi: np.ndarray, d_in: int) -> np.ndarray:
     the water-filling level of Smolin, Gambetta & Smith (PRL 108, 070502
     (2012)): with C's eigenvalues w_1 >= w_2 >= ..., Lam is the least of
     (1 - w_1 - ... - w_r) / r over r, reached at the number of eigenvalues
-    that stay positive. One ``eigh`` suffices.
+    that stay positive. One ``eigh`` suffices; see ``_nearest_states``.
 
     At d_in > 1 Lam is found by the semismooth Newton method of Qi & Sun
     (SIAM J. Matrix Anal. Appl. 28, 360 (2006)) with a partial trace in
@@ -294,15 +312,10 @@ def project_to_cptp(choi: np.ndarray, d_in: int) -> np.ndarray:
     """
     choi = np.asarray(choi)
     d_in, d_out = _choi_dims(choi, d_in)
+    if d_in == 1:
+        return _nearest_states(choi)
     n = d_in * d_out
     c = (choi + dagger(choi)) * (d_in / 2)  # Hermitian part of X
-    if d_in == 1:
-        w, v = np.linalg.eigh(c)
-        # the water-filling level, over Python floats: at n <= 64 numpy's per-call cost dominates
-        w = w + min((1.0 - s) / r for r, s in enumerate(itertools.accumulate(w[::-1].tolist()), 1))
-        low = n - np.count_nonzero(w > 0)
-        x = (v[:, low:] * w[low:]) @ dagger(v[:, low:])
-        return (x + dagger(x)) / 2
     eye = np.eye(d_in)
     lam = (eye - _partial_trace_out(c, d_in, d_out)) / d_out  # makes C + Lam (x) I TP
     w, v, dual = _dual(c, lam)
@@ -351,20 +364,40 @@ def qpt_reconstruct(frequencies: np.ndarray, k: int) -> np.ndarray:
     return _reconstruct(_checked(frequencies, (4 ** k, 3 ** k, 2 ** k)), k, _probe_dual(k))
 
 
+def _nearest_states(rho: np.ndarray) -> np.ndarray:
+    """``project_to_cptp`` at d_in = 1 for each matrix of a (..., n, n) stack at once.
+
+    Each matrix takes its own ``eigh`` and products, so its result does not
+    depend on the stack it is in.
+    """
+    if not np.all(np.isfinite(rho)):
+        raise NotHermitianError("a state estimate must have finite entries")
+    w, v = np.linalg.eigh((rho + dagger(rho)) / 2)
+    # (1 - w_1 - ... - w_r) / r over the r largest eigenvalues; the least is the level
+    tails = np.cumsum(w[..., ::-1], axis=-1)
+    w = w + np.min((1.0 - tails) / np.arange(1, w.shape[-1] + 1), axis=-1, keepdims=True)
+    x = (v * np.clip(w, 0.0, None)[..., None, :]) @ dagger(v)
+    return (x + dagger(x)) / 2
+
+
 def _reconstruct(frequencies: np.ndarray, k: int, dual: np.ndarray) -> np.ndarray:
     """The projected Choi estimate from the frequencies of P preparations and their ``dual``.
 
-    ``frequencies`` holds P state-tomography arrays of k qubits, and ``dual``
-    is ``_probe_dual`` of the m input qubits, P = 4^m: m = 0 for a state.
+    ``frequencies`` has shape (..., P, 3^k, 2^k), any leading axes a stack of
+    states, and ``dual`` is ``_probe_dual`` of the m input qubits, P = 4^m:
+    m = 0 for a state.
     """
     d_in, d_out = math.isqrt(dual.shape[1]), 2 ** k
-    # unprojected per-preparation output estimates (see module docstring), one per column
-    outputs = _estimator(k) @ frequencies.reshape(len(dual), -1).T
+    n = d_in * d_out
+    lead = frequencies.shape[:-3]
+    # unprojected per-preparation output estimates (see module docstring), one per column;
+    # a stack takes one product per entry, so entry r is exactly its single call's
+    outputs = _estimator(k) @ np.swapaxes(frequencies.reshape(lead + (len(dual), -1)), -1, -2)
     superop = outputs @ dual  # row-major vec convention
     # superop[(p, q), (m, n)] = E(|m><n|)[p, q] -> Choi block (m, n)
-    xi = superop.reshape(d_out, d_out, d_in, d_in).transpose(2, 0, 3, 1) \
-        .reshape(d_in * d_out, d_in * d_out)
-    return project_to_cptp(xi / d_in, d_in)
+    xi = superop.reshape(-1, d_out, d_out, d_in, d_in).transpose(0, 3, 1, 4, 2) \
+        .reshape(lead + (n, n)) / d_in
+    return project_to_cptp(xi, d_in) if d_in > 1 else _nearest_states(xi)
 
 
 # -- fidelity metrics ------------------------------------------------------------

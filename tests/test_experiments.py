@@ -171,6 +171,36 @@ def test_a_second_noise_free_run_compiles_nothing(monkeypatch, run):
     assert NOISELESS._compiled == compiled and compiled
 
 
+@pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
+@pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
+def test_a_second_run_synthesizes_nothing(monkeypatch, run, mode):
+    # the Toffoli under test is synthesized once per strategy and process, whatever the
+    # kind or mode of the run that first needs it
+    cfg = _config(mode, repeats=1, shots_per_setting=100)
+    run(cfg)
+    calls = Counter()
+
+    def counted(*args, _call=experiments.decompose_toffoli):
+        calls["decompose_toffoli"] += 1
+        return _call(*args)
+
+    monkeypatch.setattr(experiments, "decompose_toffoli", counted)
+    run(cfg)
+    assert calls == Counter()
+
+
+def test_a_qpt_run_draws_each_table_just_before_it_reconstructs(monkeypatch):
+    # the repeats' (64, 27, 8) tables are drawn lazily, so one is held at a time
+    events = []
+    frequencies, reconstruct = experiments._frequencies, experiments.qpt_reconstruct
+    monkeypatch.setattr(experiments, "_frequencies",
+                        lambda *args: events.append("draw") or frequencies(*args))
+    monkeypatch.setattr(experiments, "qpt_reconstruct",
+                        lambda *args: events.append("reconstruct") or reconstruct(*args))
+    run_qpt_experiment(_config(repeats=3, shots_per_setting=100))
+    assert events == ["draw", "reconstruct"] * 3
+
+
 def _captured(monkeypatch, name):
     """The frequencies each repeat hands to ``experiments.<name>``, in call order."""
     seen = []
@@ -192,13 +222,14 @@ def _qst_table(cfg):
 
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
 def test_qst_seed_layout(monkeypatch, mode):
-    # repeat r draws the whole (1, 27, 8) table from one generator seeded (master_seed, r)
+    # repeat r draws the whole (1, 27, 8) table from one generator seeded (master_seed, r);
+    # one estimator call reconstructs the repeats' tables, stacked in repeat order
     seen = _captured(monkeypatch, "qst_reconstruct")
     cfg = _config(mode, "W", repeats=3, shots_per_setting=1000)
     run_qst_experiment(cfg)
     table = _qst_table(cfg)
-    assert len(seen) == 3
-    for r, frequencies in enumerate(seen):
+    assert len(seen) == 1 and seen[0].shape == (3, 27, 8)
+    for r, frequencies in enumerate(seen[0]):
         draws = simulator.sample_distribution(table, 1000, (cfg.master_seed, r))
         assert np.array_equal(frequencies, draws[0] / 1000)
 

@@ -1,7 +1,11 @@
 """Checks on the package source as a whole."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import ccxlab
 
@@ -104,3 +108,42 @@ def _dead_definitions(package):
 def test_every_definition_is_read_or_exported():
     # code that only the tests call is dead weight; a test can build what it needs itself
     assert _dead_definitions(Path(ccxlab.__file__).parent) == []
+
+
+#: the one third-party package ``src/ccxlab`` may import
+_DEPENDENCIES = {"numpy"}
+
+
+def _foreign_imports(tree):
+    """(line, top-level module) of every import that is not the standard library,
+    ``_DEPENDENCIES`` or the package itself (relative or ``ccxlab``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            top = module.split(".")[0]
+            if top not in sys.stdlib_module_names | _DEPENDENCIES | {"ccxlab"}:
+                yield node.lineno, top
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # an installed but undeclared package (scipy, say) would import fine on a dev machine
+    found = [f"{path.name}:{line} {module}"
+             for path in sorted(Path(ccxlab.__file__).parent.glob("*.py"))
+             for line, module in _foreign_imports(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == []
+    probe = "import os\nimport numpy.linalg\nfrom . import qmath\nimport scipy.linalg\n" \
+            "def f():\n    from scipy import optimize\n"
+    assert list(_foreign_imports(ast.parse(probe))) == [(4, "scipy"), (6, "scipy")]
+
+
+def test_numpy_is_the_only_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in dependencies} \
+        == _DEPENDENCIES

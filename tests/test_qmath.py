@@ -117,3 +117,50 @@ def test_pauli_string_matrix_ordering():
     # letters[0] acts on qubit 0 = least significant bit
     zx = pauli_string_matrix("XZ")  # X on qubit 0, Z on qubit 1
     assert np.allclose(zx, np.kron(Z, X))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ket_fidelity_equals_the_matrix_form(rng, k):
+    for rank in (None, 1, 2):
+        rho = random_density_matrix(2 ** k, rng, rank=rank)
+        psi = random_state_vector(2 ** k, rng)
+        assert abs(state_fidelity(rho, psi) - state_fidelity(rho, np.outer(psi, psi.conj()))) \
+            < 1e-12
+
+
+def test_ket_fidelity_takes_one_eigvalsh_and_no_eigh(rng, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    state_fidelity(random_density_matrix(8, rng), random_state_vector(8, rng))
+    assert calls == [(8, 8)]
+
+
+@pytest.mark.parametrize("ket, error", [
+    (np.ones(4) / 2, DimensionMismatchError),
+    (np.ones(16) / 4, DimensionMismatchError),
+    (np.array([1, 0, 0, 0, 0, 0, 0, np.nan]), NotHermitianError),
+    (np.array([1, 0, 0, 0, 0, 0, 0, np.inf]), NotHermitianError),
+    (np.array([1, 0, 0, 0, 0, 0, 1j * np.inf, 0]), NotHermitianError),
+    (np.ones(8), NotPSDError),
+    (np.zeros(8), NotPSDError),
+    (np.full(8, 1 / 8 ** 0.5) * (1 + 1e-5), NotPSDError)])
+def test_ket_fidelity_rejects_a_malformed_ket(ket, error):
+    with pytest.raises(error) as info:
+        state_fidelity(np.eye(8) / 8, ket)
+    assert info.value.exit_code == 4
+
+
+def test_ket_fidelity_checks_rho_like_the_matrix_form():
+    psi = np.array([1.0, 0.0])
+    for rho, error in ((np.array([[1, 1], [0, 0]], dtype=complex), NotHermitianError),
+                       (np.diag([1.5, -0.5]), NotPSDError),
+                       (np.array([[np.nan, 0], [0, 1]]), NotHermitianError),
+                       (np.eye(3) / 3, DimensionMismatchError),
+                       (np.ones(2) / 2, DimensionMismatchError)):
+        with pytest.raises(error):
+            state_fidelity(rho, psi)
+        if rho.shape == (2, 2):
+            with pytest.raises(error):
+                state_fidelity(rho, np.outer(psi, psi))

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from ccxlab.states import (
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from ccxlab.tomography import (
     average_gate_fidelity,
+    choi_ket_of_unitary,
     choi_of_unitary,
     measurement_rotation,
     project_to_cptp,
@@ -281,6 +283,51 @@ def test_state_projection_takes_one_eigh_and_no_newton_step(monkeypatch):
     check_density_matrix(rho)
 
 
+def _sampled_qst_stack(states, k, shots):
+    """One sampled table per state, stacked: repeat r draws from generator (r,)."""
+    return np.stack([sample_distribution(_exact_qst_data(psi, k), shots, (r,)) / shots
+                     for r, psi in enumerate(states)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_stacked_qst_reconstruct_equals_its_single_calls(rng, k):
+    # each repeat keeps its own products and eigh, so no entry depends on the stack
+    stack = _sampled_qst_stack([random_state_vector(2 ** k, rng) for _ in range(5)], k, 300)
+    rhos = qst_reconstruct(stack, k)
+    assert rhos.shape == (5, 2 ** k, 2 ** k)
+    for r in range(5):
+        assert np.array_equal(rhos[r], qst_reconstruct(stack[r], k))
+        check_density_matrix(rhos[r])
+    assert np.array_equal(qst_reconstruct(stack[1:3], k), rhos[1:3])
+
+
+def test_a_stacked_qst_reconstruct_takes_one_batched_eigh(rng, monkeypatch):
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    qst_reconstruct(_sampled_qst_stack([random_state_vector(8, rng)] * 4, 3, 1000), 3)
+    assert calls == [(4, 8, 8)]
+
+
+@pytest.mark.parametrize("repeat", [0, 2, 3])
+def test_a_nan_in_any_repeat_of_a_stack_is_rejected_before_eigh(repeat, monkeypatch):
+    def no_eigh(*args):
+        raise AssertionError("eigh called on a non-finite state estimate")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    stack = np.full((4, 27, 8), 1 / 8)
+    stack[repeat, 11, 5] = np.nan
+    with pytest.raises(NotHermitianError, match="finite"):
+        qst_reconstruct(stack, 3)
+
+
+@pytest.mark.parametrize("shape", [(4, 27, 7), (4, 26, 8), (4, 8, 27), (2, 1, 27, 8), (216,)])
+def test_a_qst_table_of_the_wrong_shape_is_a_dimension_error(shape):
+    with pytest.raises(DimensionMismatchError, match=r"must have shape .*, got "
+                       + re.escape(str(shape))):
+        qst_reconstruct(np.full(shape, 1 / 8), 3)
+
+
 # -- process tomography -------------------------------------------------------------
 
 def test_choi_of_identity_single_qubit():
@@ -297,6 +344,16 @@ def test_choi_unitary_normalization(rng):
         sigma = choi_of_unitary(u)
         assert np.trace(sigma) == pytest.approx(1.0)
         assert np.real(np.trace(sigma @ sigma)) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_the_choi_ket_is_the_unit_ket_of_the_choi_matrix(rng):
+    # oracle: (I (x) U) applied to sum_i |ii>, input index major, then normalized
+    for u in [random_unitary(dim, rng) for dim in (2, 4, 8)] + [toffoli_unitary((0, 1), 2)]:
+        dim = len(u)
+        ket = choi_ket_of_unitary(u)
+        oracle = np.kron(np.eye(dim), u) @ np.eye(dim).reshape(-1) / math.sqrt(dim)
+        assert np.max(np.abs(ket - oracle)) < 1e-15
+        assert np.max(np.abs(np.outer(ket, ket.conj()) - choi_of_unitary(u))) < 1e-15
 
 
 def test_choi_rejects_non_unitary():
