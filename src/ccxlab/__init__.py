@@ -18,7 +18,7 @@ from .noise import (
     scale_noise_model,
     thermal_relaxation_channel,
 )
-from .qmath import matrix_sqrt_psd, state_fidelity
+from .qmath import state_fidelity
 from .simulator import run_density, run_statevector
 from .states import StateKind, prepare_state, target_state
 from .synthesis import (
@@ -33,7 +33,6 @@ from .synthesis import (
 )
 from .tomography import (
     average_gate_fidelity,
-    choi_of_unitary,
     measurement_rotation,
     qpt_reconstruct,
     qst_reconstruct,

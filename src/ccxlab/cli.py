@@ -62,8 +62,7 @@ def _write_or_print(report, args) -> None:
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser, default_shots: int) -> None:
-    p.add_argument("--state", default="GHZ", choices=[k.value for k in StateKind
-                                                      if k.value in ("GHZ", "W", "UNIFORM")])
+    p.add_argument("--state", default="GHZ", choices=[k.value for k in StateKind])
     p.add_argument("--strategy", default="ECR_NATIVE",
                    choices=[s.value for s in DecompositionStrategy])
     p.add_argument("--shots", type=int, default=None,

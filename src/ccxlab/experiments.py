@@ -47,7 +47,7 @@ from .errors import IoError, SchemaError, UsageError
 from .noise import NOISELESS, NoiseModel, scale_noise_model
 from .qmath import state_fidelity
 from .simulator import readout_map, run_density, sample_distribution, setting_distributions
-from .states import PROBE_LABELS, StateKind, prepare_state, target_state
+from .states import PROBE_LABELS, StateKind, prepare_state, probe_circuit, target_state
 from .synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from .tomography import (
     average_gate_fidelity,
@@ -90,9 +90,14 @@ class ExperimentConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", Mode(self.mode))
-        object.__setattr__(self, "input_state", StateKind(self.input_state))
-        object.__setattr__(self, "strategy", DecompositionStrategy(self.strategy))
+        for name, kind in (("mode", Mode), ("input_state", StateKind),
+                           ("strategy", DecompositionStrategy)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, kind(value))
+            except ValueError:
+                raise UsageError(f"{name} must be one of {[k.value for k in kind]}, "
+                                 f"got {value!r}") from None
         for name, least in (("shots_per_setting", 1), ("repeats", 1), ("master_seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
@@ -154,9 +159,8 @@ def _make_report(kind: str, fidelities: Sequence[float], cfg: ExperimentConfig,
     mean = float(np.mean(fids))
     std = float(np.std(fids, ddof=1)) if len(fids) > 1 else 0.0
     cfg_echo = {k: (v.value if isinstance(v, Enum) else v) for k, v in asdict(cfg).items()}
-    hardware = None
-    if kind == "qst" and cfg.input_state.value in HARDWARE_REFERENCE_FIDELITY:
-        hardware = {cfg.input_state.value: HARDWARE_REFERENCE_FIDELITY[cfg.input_state.value]}
+    state = cfg.input_state.value
+    hardware = {state: HARDWARE_REFERENCE_FIDELITY[state]} if kind == "qst" else None
     return Report(
         schema_version=REPORT_SCHEMA_VERSION,
         kind=kind,
@@ -255,8 +259,7 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     settings in ``qst_settings`` order.
     """
     start = time.perf_counter()
-    preparations = [prepare_state(StateKind.PROBE, probe=probe)
-                    for probe in itertools.product(PROBE_LABELS, repeat=3)]
+    preparations = [probe_circuit(probe) for probe in itertools.product(PROBE_LABELS, repeat=3)]
     toffoli, fidelities = _run(
         cfg, preparations, lambda tables: (qpt_reconstruct(table, 3) for table in tables),
         choi_ket_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET)))

@@ -32,7 +32,7 @@ numbers, such as a ``scale_noise_model`` result, starts with an empty cache;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Hashable, Mapping, Tuple, TypeVar
 
 import numpy as np
@@ -202,24 +202,16 @@ def scale_noise_model(nm: NoiseModel, factor: float) -> NoiseModel:
         raise ValueError(f"scale factor must be nonnegative, got {factor}")
 
     def scale_time(t_us: float) -> float:
-        if factor == 0.0:
-            return math.inf
-        return t_us / factor if not math.isinf(t_us) else math.inf
+        return t_us / factor if factor else math.inf
 
     def scale_prob(p: float) -> float:
         return min(p * factor, 1.0)
 
     cal = tuple(
-        QubitCalibration(
-            t1_us=scale_time(c.t1_us),
-            t2_us=scale_time(c.t2_us),
-            frequency_ghz=c.frequency_ghz,
-            anharmonicity_ghz=c.anharmonicity_ghz,
-            prob_meas0_prep1=scale_prob(c.prob_meas0_prep1),
-            prob_meas1_prep0=scale_prob(c.prob_meas1_prep0),
-            readout_error=scale_prob(c.readout_error),
-            readout_length_ns=c.readout_length_ns,
-        )
+        replace(c, t1_us=scale_time(c.t1_us), t2_us=scale_time(c.t2_us),
+                prob_meas0_prep1=scale_prob(c.prob_meas0_prep1),
+                prob_meas1_prep0=scale_prob(c.prob_meas1_prep0),
+                readout_error=scale_prob(c.readout_error))
         for c in nm.qubit_cal
     )
     errors = {name: v * factor for name, v in nm.gate_error.items()}

@@ -1,8 +1,10 @@
 """Dense complex linear algebra for small multi-qubit systems.
 
 Everything is an ordinary ``numpy`` array of complex128. Dimensions stay at
-or below 2**6, so spectral decomposition (``numpy.linalg.eigh``) is the only
-matrix-function mechanism used; there are no iterative solvers.
+or below 2**6. Every target the package scores against is pure, so
+``state_fidelity`` takes the target as a ket and computes the exact
+<psi|rho|psi>, with no matrix square root; its one ``eigvalsh`` only
+validates ``rho``.
 
 Conventions
 -----------
@@ -68,74 +70,28 @@ def check_unitary(u: np.ndarray, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
     return u
 
 
-def _psd_eigh(h: np.ndarray, name: str, validate_tol: float, vectors: bool = True) -> tuple:
-    """Ascending eigenpairs of a Hermitian PSD matrix, negatives within tolerance clipped.
+def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
+    """Fidelity <psi|rho|psi> of a density matrix ``rho`` with a pure target ket ``psi``.
 
-    Without ``vectors`` the eigenvectors are None and only ``eigvalsh`` runs.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
-    if not np.max(np.abs(h - dagger(h))) <= validate_tol:  # NaN fails too
-        raise NotHermitianError(f"{name} requires a finite Hermitian input")
-    h = (h + dagger(h)) / 2
-    w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
-    if w[0] < -validate_tol:
-        raise NotPSDError(f"{name} requires PSD input; min eigenvalue {w[0]:.3e}")
-    return np.clip(w, 0.0, None), v
-
-
-def matrix_sqrt_psd(h: np.ndarray, *, validate_tol: float = VALIDATION_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix via eigendecomposition.
-
-    Eigenvalues below zero (within ``validate_tol``) are clipped to zero.
-    """
-    w, v = _psd_eigh(h, "matrix_sqrt_psd", validate_tol)
-    return (v * np.sqrt(w)) @ dagger(v)
-
-
-#: relative spectral weight treated as round-off by ``state_fidelity``
-RANK_TOL = 1e-12
-
-
-def state_fidelity(rho: np.ndarray, lam: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) lam sqrt(rho)))**2 between density matrices.
-
-    A 1-D ``lam`` is a target ket |psi>, and the fidelity is <psi|rho|psi>:
-    exact, with one ``eigvalsh`` for ``rho``'s checks. A ket must be finite
-    (else ``NotHermitianError``, as for a matrix) and of unit norm (else
-    ``NotPSDError``: |psi|^2 is the nonzero eigenvalue of its projector).
-
-    Exact for rank-one arguments. If either matrix is lam_max |psi><psi| up to
-    round-off (its eigenvalues after the largest sum to at most ``RANK_TOL``
-    of the largest), the fidelity is lam_max <psi|other|psi>, computed without
-    square roots. Otherwise the general formula is used with eigenvalues of
-    the inner matrix below ``RANK_TOL`` times its largest set to zero: the
-    square root would turn each round-off eigenvalue of ~1e-17 into ~3e-9.
+    Exact, with one ``eigvalsh`` for ``rho``'s checks. ``psi`` must be 1-D and
+    match ``rho``'s dimension (else ``DimensionMismatchError``), finite (else
+    ``NotHermitianError``, as for ``rho``) and of unit norm (else ``NotPSDError``:
+    |psi|^2 is the nonzero eigenvalue of its projector). ``rho`` must be finite,
+    Hermitian and PSD within ``VALIDATION_TOL``.
     """
     rho = np.asarray(rho, dtype=complex)
-    lam = np.asarray(lam, dtype=complex)
-    if rho.shape != (lam.shape * 2 if lam.ndim == 1 else lam.shape):
-        raise DimensionMismatchError(f"dimension mismatch: {rho.shape} vs {lam.shape}")
-    if lam.ndim == 1:
-        if not np.all(np.isfinite(lam)):
-            raise NotHermitianError("state_fidelity requires a finite target ket")
-        norm = np.vdot(lam, lam).real
-        if abs(norm - 1.0) > VALIDATION_TOL:
-            raise NotPSDError(f"state_fidelity requires a unit target ket; |psi|^2 = {norm:.6g}")
-        _psd_eigh(rho, "state_fidelity", VALIDATION_TOL, vectors=False)
-        return min(max(float(np.vdot(lam, rho @ lam).real), 0.0), 1.0)
-    w_rho, v_rho = _psd_eigh(rho, "state_fidelity", VALIDATION_TOL)
-    w_lam, v_lam = _psd_eigh(lam, "state_fidelity", VALIDATION_TOL)
-    for w, v, other in ((w_rho, v_rho, lam), (w_lam, v_lam, rho)):
-        if np.sum(w[:-1]) <= RANK_TOL * w[-1]:
-            psi = v[:, -1]
-            f = float(w[-1] * np.real(psi.conj() @ other @ psi))
-            break
-    else:
-        s = (v_rho * np.sqrt(w_rho)) @ dagger(v_rho)
-        inner = s @ lam @ s
-        wi = np.linalg.eigvalsh((inner + dagger(inner)) / 2)
-        wi[wi < RANK_TOL * wi[-1]] = 0.0
-        f = float(np.sum(np.sqrt(wi)) ** 2)
-    return min(max(f, 0.0), 1.0)
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 1 or rho.shape != psi.shape * 2:
+        raise DimensionMismatchError(f"state_fidelity needs a (d, d) rho and a (d,) target ket, "
+                                     f"got {rho.shape} and {psi.shape}")
+    if not np.all(np.isfinite(psi)):
+        raise NotHermitianError("state_fidelity requires a finite target ket")
+    norm = np.vdot(psi, psi).real
+    if abs(norm - 1.0) > VALIDATION_TOL:
+        raise NotPSDError(f"state_fidelity requires a unit target ket; |psi|^2 = {norm:.6g}")
+    if not np.max(np.abs(rho - dagger(rho))) <= VALIDATION_TOL:  # NaN fails too
+        raise NotHermitianError("state_fidelity requires a finite Hermitian input")
+    w_min = np.linalg.eigvalsh((rho + dagger(rho)) / 2)[0]
+    if w_min < -VALIDATION_TOL:
+        raise NotPSDError(f"state_fidelity requires PSD input; min eigenvalue {w_min:.3e}")
+    return min(max(float(np.vdot(psi, rho @ psi).real), 0.0), 1.0)

@@ -1,4 +1,11 @@
-"""Benchmark input states and tomography probe preparations.
+"""The paper's three input states and the tomography probe preparations.
+
+``StateKind`` names the inputs that state tomography scores the Toffoli on:
+GHZ, W and the uniform superposition. ``prepare_state(kind)`` is the native
+circuit preparing one from |0...0> and ``target_state(kind)`` its exact
+ket. Process tomography prepares the products of the per-qubit probes
+``PROBE_LABELS`` with ``probe_circuit(labels)``, whose exact ket is
+``probe_state(labels)``.
 
 Builders write logical circuits (H, S, X, CNOT, and the native RY words of
 the W state) and lower them with ``synthesis.to_native``, so every prepared
@@ -44,8 +51,6 @@ class StateKind(str, Enum):
     GHZ = "GHZ"
     W = "W"
     UNIFORM = "UNIFORM"
-    BASIS = "BASIS"
-    PROBE = "PROBE"
 
 
 # -- analytic targets ----------------------------------------------------------
@@ -66,23 +71,13 @@ def uniform_state() -> np.ndarray:
     return np.full(8, 1 / math.sqrt(8), dtype=complex)
 
 
-def basis_state(index: int, num_qubits: int = 3) -> np.ndarray:
-    v = np.zeros(2 ** num_qubits, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
-def probe_ket(label: str) -> np.ndarray:
-    if label not in _PROBE_KETS:
-        raise InvalidLabelError(f"probe label {label!r} not in {PROBE_LABELS}")
-    return _PROBE_KETS[label].copy()
-
-
 def probe_state(labels: Sequence[str]) -> np.ndarray:
     """Product state of per-qubit probes, labels[0] on qubit 0."""
     out = np.array([1.0 + 0j])
     for lab in reversed(list(labels)):
-        out = np.kron(out, probe_ket(lab))
+        if lab not in _PROBE_KETS:
+            raise InvalidLabelError(f"probe label {lab!r} not in {PROBE_LABELS}")
+        out = np.kron(out, _PROBE_KETS[lab])
     return out
 
 
@@ -120,11 +115,6 @@ def uniform_circuit() -> Circuit:
     return _fix_global_phase(c, uniform_state())
 
 
-def basis_circuit(index: int, num_qubits: int = 3) -> Circuit:
-    gates = tuple(x(q) for q in range(num_qubits) if (index >> q) & 1)
-    return Circuit(num_qubits, gates)
-
-
 @functools.lru_cache(maxsize=None)
 def probe_circuit(labels: Tuple[str, ...]) -> Circuit:
     target = probe_state(labels)  # raises InvalidLabelError on an unknown label
@@ -132,36 +122,19 @@ def probe_circuit(labels: Tuple[str, ...]) -> Circuit:
     return _fix_global_phase(to_native(Circuit(len(labels), gates)), target)
 
 
-#: per kind, the native circuit builder and the exact target vector it prepares;
-#: BASIS entries take the basis index, PROBE entries the per-qubit labels
+#: per kind, the native circuit builder and the exact target vector it prepares
 _STATES = {
     StateKind.GHZ: (ghz_circuit, ghz_state),
     StateKind.W: (w_circuit, w_state),
     StateKind.UNIFORM: (uniform_circuit, uniform_state),
-    StateKind.BASIS: (basis_circuit, basis_state),
-    StateKind.PROBE: (probe_circuit, probe_state),
 }
 
 
-def _state_args(kind: StateKind, basis_index: int, probe: Sequence[str] | None) -> tuple:
-    if kind is StateKind.BASIS:
-        return (basis_index,)
-    if kind is StateKind.PROBE:
-        if probe is None:
-            raise InvalidLabelError("PROBE states need per-qubit labels")
-        return (tuple(probe),)
-    return ()
-
-
-def prepare_state(kind: StateKind | str, *, basis_index: int = 0,
-                  probe: Sequence[str] | None = None) -> Circuit:
+def prepare_state(kind: StateKind | str) -> Circuit:
     """Native circuit preparing ``kind`` from |0...0>."""
-    kind = StateKind(kind)
-    return _STATES[kind][0](*_state_args(kind, basis_index, probe))
+    return _STATES[StateKind(kind)][0]()
 
 
-def target_state(kind: StateKind | str, *, basis_index: int = 0,
-                 probe: Sequence[str] | None = None) -> np.ndarray:
-    """Exact state vector that ``prepare_state`` prepares for the same arguments."""
-    kind = StateKind(kind)
-    return _STATES[kind][1](*_state_args(kind, basis_index, probe))
+def target_state(kind: StateKind | str) -> np.ndarray:
+    """Exact state vector that ``prepare_state(kind)`` prepares."""
+    return _STATES[StateKind(kind)][1]()

@@ -157,18 +157,13 @@ def _probe_dual(k: int) -> np.ndarray:
 def choi_ket_of_unitary(u: np.ndarray) -> np.ndarray:
     """Unit ket (I (x) U)|Omega> / sqrt(dim), Omega = sum_i |ii>, input index major.
 
-    Its projector is ``choi_of_unitary(u)``; ``state_fidelity`` scores a Choi
-    estimate against it directly.
+    Its projector is the normalized Choi matrix of the unitary channel, the
+    target of process tomography; ``state_fidelity`` scores a Choi estimate
+    against the ket directly.
     """
     u = check_unitary(np.asarray(u, dtype=complex), tol=1e-10)
     # block i of the ket is column i of U
     return u.T.reshape(-1) / math.sqrt(u.shape[0])
-
-
-def choi_of_unitary(u: np.ndarray) -> np.ndarray:
-    """Normalized Choi matrix of a unitary channel; rank one, unit trace."""
-    ket = choi_ket_of_unitary(u)
-    return np.outer(ket, ket.conj())
 
 
 def _partial_trace_out(xi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:

@@ -4,8 +4,8 @@ Nothing in ``ccxlab`` uses these. They are independent oracles: the Choi
 matrix of an operator-sum channel built block by block, a channel's action
 read off its Choi matrix or its Kraus operators, and the Pauli transfer
 matrix with the process fidelity computed from it, a second path to the
-fidelity that ``ccxlab.qmath.state_fidelity`` computes between normalized Choi
-matrices. Choi matrices are normalized, block (m, n) holding E(|m><n|) / d.
+fidelity that ``ccxlab.qmath.state_fidelity`` computes between a normalized
+Choi matrix and the Choi ket of a unitary. Choi matrices are normalized, block (m, n) holding E(|m><n|) / d.
 """
 
 import itertools

@@ -1,14 +1,34 @@
-"""Shared seeded random-object helpers, a density-matrix check and the unprojected
-estimate of a reconstruction, for the test suite."""
+"""Shared seeded random-object helpers, computational-basis preparations, a
+density-matrix check and the unprojected estimate of a reconstruction, for the
+test suite."""
 
 import numpy as np
 import pytest
 
 from ccxlab import tomography
+from ccxlab.circuits import Circuit
+from ccxlab.gates import x
 
 
 def _ginibre(dim, rng):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def basis_circuit(index, num_qubits=3):
+    """Native circuit preparing the basis state |index> from |0...0>; bit q is qubit q."""
+    return Circuit(num_qubits, tuple(x(q) for q in range(num_qubits) if (index >> q) & 1))
+
+
+def basis_state(index, num_qubits=3):
+    v = np.zeros(2 ** num_qubits, dtype=complex)
+    v[index] = 1.0
+    return v
+
+
+def choi_of_unitary(u):
+    """The normalized Choi matrix of a unitary channel: the projector on its Choi ket."""
+    ket = tomography.choi_ket_of_unitary(u)
+    return np.outer(ket, ket.conj())
 
 
 def random_state_vector(dim, rng):

@@ -41,6 +41,7 @@ def test_negative_seed_is_a_usage_error(command, capsys):
 @pytest.mark.parametrize("argv", [["simulate", "{dir}"], ["calib-summary", "{dir}"],
                                   ["qst", "--noise", "{dir}", "--repeats", "1"],
                                   ["simulate", "{dir}/missing.txt"],
+                                  ["report", "{dir}/missing.json"], ["report", "{dir}"],
                                   ["synth", "--strategy", "ECR_NATIVE", "--out", "{dir}"]])
 def test_unreadable_or_unwritable_user_file_is_a_schema_error(argv, tmp_path, capsys):
     code, err = _run([arg.format(dir=tmp_path) for arg in argv], capsys)

@@ -14,11 +14,12 @@ import pytest
 from ccxlab import cli, experiments, simulator, states, tomography
 from ccxlab.calibration import builtin_calibration_path
 from ccxlab.circuits import Circuit, serialize_circuit
-from ccxlab.errors import SchemaError, UsageError
+from ccxlab.errors import IoError, SchemaError, UsageError
 from ccxlab.experiments import (
     DEFAULT_CONTROLS,
     DEFAULT_TARGET,
     ExperimentConfig,
+    Mode,
     emit_report,
     load_report,
     run_qpt_experiment,
@@ -27,8 +28,8 @@ from ccxlab.experiments import (
 from ccxlab.gates import sx, x
 from ccxlab.noise import NOISELESS
 from ccxlab.qmath import state_fidelity
-from ccxlab.states import PROBE_LABELS, StateKind, prepare_state, target_state
-from ccxlab.synthesis import decompose_toffoli, toffoli_unitary
+from ccxlab.states import PROBE_LABELS, StateKind, prepare_state, probe_circuit, target_state
+from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from ccxlab.tomography import qst_reconstruct
 
 from conftest import unprojected
@@ -109,16 +110,20 @@ def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, run, circ
                                                           repeats):
     # both modes take the one path: noise-free is a run under NOISELESS. One run_density
     # evolves every preparation once and then the Toffoli once, on the whole stack.
+    # QST builds its input with prepare_state and QPT its probes with probe_circuit
     calls = Counter()
-    for module, name in ((experiments, "prepare_state"), (experiments, "run_density"),
-                         (experiments, "readout_map"), (simulator, "apply_circuit_density")):
-        def counted(*args, _call=getattr(module, name), _name=name, **kwargs):
-            calls[_name] += 1
+    for module, name, key in ((experiments, "prepare_state", "preparation"),
+                              (experiments, "probe_circuit", "preparation"),
+                              (experiments, "run_density", "run_density"),
+                              (experiments, "readout_map", "readout_map"),
+                              (simulator, "apply_circuit_density", "apply_circuit_density")):
+        def counted(*args, _call=getattr(module, name), _key=key, **kwargs):
+            calls[_key] += 1
             return _call(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     report = run(_config(mode, repeats=repeats, shots_per_setting=1000))
     assert len(report.fidelities) == repeats
-    assert calls == {"prepare_state": circuits, "run_density": 1,
+    assert calls == {"preparation": circuits, "run_density": 1,
                      "apply_circuit_density": circuits + 1, "readout_map": 1}
 
 
@@ -144,8 +149,7 @@ def test_a_qpt_run_applies_the_toffoli_once_to_all_preparations(monkeypatch, mod
     cfg = _config(mode, repeats=1, shots_per_setting=100)
     run_qpt_experiment(cfg)
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
-    preparations = [prepare_state(StateKind.PROBE, probe=probe)
-                    for probe in itertools.product(PROBE_LABELS, repeat=3)]
+    preparations = [probe_circuit(probe) for probe in itertools.product(PROBE_LABELS, repeat=3)]
     assert applied["all"] - applied["readout"] == (sum(len(p.gates) for p in preparations)
                                                    + len(toffoli.gates))
 
@@ -241,8 +245,7 @@ def test_qpt_seed_layout(monkeypatch):
     cfg = _config(repeats=2, shots_per_setting=1000)
     run_qpt_experiment(cfg)
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
-    preparations = [prepare_state(StateKind.PROBE, probe=probe)
-                    for probe in itertools.product(PROBE_LABELS, repeat=3)]
+    preparations = [probe_circuit(probe) for probe in itertools.product(PROBE_LABELS, repeat=3)]
     table = experiments._distributions(preparations, toffoli, cfg.noise_model())
     assert len(seen) == 2
     for r, frequencies in enumerate(seen):
@@ -264,7 +267,6 @@ def _per_cell_layout_fidelities(cfg):
     SeedSequence((master_seed, r, j))."""
     table = _qst_table(cfg)[0]
     psi = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET) @ target_state(cfg.input_state)
-    rho_ref = np.outer(psi, psi.conj())
     fidelities = []
     for r in range(cfg.repeats):
         seeds = [np.random.SeedSequence((cfg.master_seed, r, j)).generate_state(1, np.uint64)[0]
@@ -272,7 +274,7 @@ def _per_cell_layout_fidelities(cfg):
         frequencies = [np.random.default_rng(int(seed)).multinomial(cfg.shots_per_setting, p)
                        for seed, p in zip(seeds, table)]
         fidelities.append(state_fidelity(
-            qst_reconstruct(np.array(frequencies) / cfg.shots_per_setting, 3), rho_ref))
+            qst_reconstruct(np.array(frequencies) / cfg.shots_per_setting, 3), psi))
     return fidelities
 
 
@@ -309,6 +311,17 @@ def test_integer_config_fields_reject_other_types(field, value):
     with pytest.raises(UsageError, match=field) as error:
         ExperimentConfig(**{field: value})
     assert error.value.exit_code == 2
+
+
+@pytest.mark.parametrize("field, value, allowed", [
+    ("mode", "FOO", Mode), ("mode", None, Mode), ("strategy", "X", DecompositionStrategy),
+    ("input_state", "PROBE", StateKind), ("input_state", "BASIS", StateKind),
+    ("input_state", "ghz", StateKind)])
+def test_enum_config_fields_reject_other_values(field, value, allowed):
+    with pytest.raises(UsageError, match=field) as error:
+        ExperimentConfig(**{field: value})
+    assert error.value.exit_code == 2
+    assert all(member.value in str(error.value) for member in allowed)
 
 
 def test_integer_config_fields_accept_numpy_integers():
@@ -370,6 +383,17 @@ def report_file(tmp_path):
 def test_report_round_trip(report_file, tmp_path):
     again = emit_report(load_report(report_file), "json", tmp_path / "again.json")
     assert again.read_text() == report_file.read_text()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_report_that_cannot_be_written_or_read_is_an_io_error(report_file, tmp_path, fmt):
+    report = load_report(report_file)
+    with pytest.raises(IoError, match="cannot write report") as info:
+        emit_report(report, fmt, tmp_path / "missing" / f"report.{fmt}")
+    assert info.value.exit_code == 3
+    with pytest.raises(IoError, match="cannot read report") as info:
+        load_report(tmp_path / "missing.json")
+    assert info.value.exit_code == 3
 
 
 @pytest.fixture(scope="module", params=["qst", "qpt"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ccxlab.errors import UnknownGateError
 from ccxlab.gates import (
     Gate,
     GateDef,
@@ -115,3 +116,9 @@ def test_gatedef_validation():
         GateDef(Gate.RZ, (0,))  # missing angle
     with pytest.raises(ValueError):
         GateDef(Gate.X, (0,), (0.5,))  # spurious parameter
+
+
+def test_gatedef_of_an_unknown_gate_name_is_a_usage_error():
+    with pytest.raises(UnknownGateError, match="FOO") as info:
+        GateDef("FOO", (0,))
+    assert info.value.exit_code == 2

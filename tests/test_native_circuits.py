@@ -17,9 +17,11 @@ import math
 
 from ccxlab.circuits import serialize_circuit
 from ccxlab.gates import Gate, GateDef, gate_matrix
-from ccxlab.states import PROBE_LABELS, StateKind, prepare_state
+from ccxlab.states import PROBE_LABELS, StateKind, prepare_state, probe_circuit
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli
 from ccxlab.tomography import measurement_rotation, qst_settings
+
+from conftest import basis_circuit
 
 NATIVE_CIRCUITS_SHA256 = "788678c4f40c869cbee559b5c757e7f6890fea3f13f1e1b2a936eb34bc88d1de"
 
@@ -47,12 +49,10 @@ def native_circuits_digest() -> str:
     for kind in (StateKind.GHZ, StateKind.W, StateKind.UNIFORM):
         add(kind.value, serialize_circuit(prepare_state(kind)).encode())
     for index in range(8):
-        add(f"BASIS {index}",
-            serialize_circuit(prepare_state(StateKind.BASIS, basis_index=index)).encode())
+        add(f"BASIS {index}", serialize_circuit(basis_circuit(index)).encode())
     for k in (1, 3):
         for probe in itertools.product(PROBE_LABELS, repeat=k):
-            add(f"PROBE {probe}",
-                serialize_circuit(prepare_state(StateKind.PROBE, probe=probe)).encode())
+            add(f"PROBE {probe}", serialize_circuit(probe_circuit(probe)).encode())
     for strategy in DecompositionStrategy:
         for controls, target in ROLES:
             circuit = decompose_toffoli(strategy, controls, target)

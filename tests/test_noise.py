@@ -14,7 +14,7 @@ from ccxlab.noise import (
     thermal_relaxation_channel,
 )
 from ccxlab.qmath import dagger, state_fidelity
-from ccxlab.tomography import average_gate_fidelity, choi_of_unitary
+from ccxlab.tomography import average_gate_fidelity, choi_ket_of_unitary
 
 from channel_oracle import kraus_to_choi, superop_to_choi
 from kraus_oracle import KrausChannel, depolarizing_kraus, thermal_relaxation_kraus
@@ -93,7 +93,7 @@ def test_depolarizing_average_fidelity_round_trip():
     for dim, k in ((2, 1), (4, 2)):
         err = 0.00756
         choi = superop_to_choi(depolarizing_channel(err, dim))
-        f_pro = state_fidelity(choi, choi_of_unitary(np.eye(dim)))
+        f_pro = state_fidelity(choi, choi_ket_of_unitary(np.eye(dim)))
         assert average_gate_fidelity(f_pro, k) == pytest.approx(1 - err, abs=1e-10)
 
 

@@ -21,7 +21,7 @@ from ccxlab.errors import NonNativeGateError
 from ccxlab.experiments import ExperimentConfig
 from ccxlab.gates import NATIVE_GATES, Gate, ecr, rz, sx, x
 from ccxlab.noise import NOISELESS, NoiseModel, QubitCalibration, scale_noise_model
-from ccxlab.states import PROBE_LABELS, StateKind, prepare_state
+from ccxlab.states import PROBE_LABELS, StateKind, prepare_state, probe_circuit
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli
 from ccxlab.tomography import measurement_rotation, qst_settings
 
@@ -43,8 +43,7 @@ def _noise_model(calibration="brisbane_median"):
 
 
 def _probe_preparations():
-    return [prepare_state(StateKind.PROBE, probe=p)
-            for p in itertools.product(PROBE_LABELS, repeat=3)]
+    return [probe_circuit(p) for p in itertools.product(PROBE_LABELS, repeat=3)]
 
 
 def _distributions(state, nm, strategy=DecompositionStrategy.ECR_NATIVE):

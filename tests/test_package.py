@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ccxlab
+from ccxlab import errors
 
 
 def test_no_assert_statements_in_package():
@@ -108,6 +109,29 @@ def _dead_definitions(package):
 def test_every_definition_is_read_or_exported():
     # code that only the tests call is dead weight; a test can build what it needs itself
     assert _dead_definitions(Path(ccxlab.__file__).parent) == []
+
+
+def _unnamed_error_classes(sources):
+    """Each ``CcxlabError`` subclass in ``ccxlab.errors`` that none of ``sources`` reads
+    as a name or an attribute."""
+    named = set()
+    for source in sources:
+        tree = ast.parse(source)
+        named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [name for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, errors.CcxlabError)
+            and name not in named]
+
+
+def test_every_error_class_is_named_by_a_test():
+    # a typed error that no test reaches is an untested contract, or a class nothing needs
+    tests = [path.read_text() for path in sorted(Path(__file__).parent.glob("*.py"))
+             if path.name != Path(__file__).name]
+    assert _unnamed_error_classes(tests) == []
+    probe = "import pytest\nfrom ccxlab import errors\npytest.raises(errors.IoError)\n"
+    assert "IoError" not in _unnamed_error_classes([probe])
+    assert "UnknownGateError" in _unnamed_error_classes([probe])
 
 
 #: the one third-party package ``src/ccxlab`` may import

@@ -7,16 +7,16 @@ import pytest
 
 from ccxlab.circuits import Circuit, _apply_local
 from ccxlab import simulator
-from ccxlab.errors import CcxlabError, NonNativeGateError
+from ccxlab.errors import CcxlabError, MissingCalibrationError, NonNativeGateError
 from ccxlab.gates import Gate, GateDef, cnot, ecr, gate_matrix, h, rz, sx, x
 from ccxlab.noise import NOISELESS, NoiseModel, QubitCalibration
 from ccxlab.qmath import state_fidelity
 from ccxlab.simulator import run_density, run_statevector, sample_distribution
-from ccxlab.states import basis_circuit, ghz_circuit, uniform_state
+from ccxlab.states import ghz_circuit, uniform_state
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, native_h
 from ccxlab.tomography import measurement_rotation
 
-from conftest import random_density_matrix, random_state_vector
+from conftest import basis_circuit, random_density_matrix, random_state_vector
 from measurement_oracle import measurement_probabilities
 
 
@@ -54,8 +54,7 @@ def test_native_hadamards_give_uniform_state():
     psi = run_statevector(Circuit(3, gates))
     assert np.max(np.abs(np.abs(psi) - 1 / math.sqrt(8))) < 1e-10
     rho = np.outer(psi, psi.conj())
-    target = np.outer(uniform_state(), uniform_state().conj())
-    assert state_fidelity(rho, target) == pytest.approx(1.0, abs=1e-10)
+    assert state_fidelity(rho, uniform_state()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_non_native_gates_rejected():
@@ -103,14 +102,21 @@ def test_density_at_zero_noise_matches_statevector(rng):
         circ = Circuit(3, tuple(gates))
         psi = run_statevector(circ)
         rho = run_density(circ, NOISELESS)
-        assert state_fidelity(rho, np.outer(psi, psi.conj())) > 1 - 1e-9
+        assert state_fidelity(rho, psi) > 1 - 1e-9
+
+
+def test_a_circuit_wider_than_its_noise_model_is_a_usage_error():
+    nm = NoiseModel((QubitCalibration(t1_us=100.0, t2_us=100.0),) * 2)
+    with pytest.raises(MissingCalibrationError, match="qubit 2") as info:
+        run_density(ghz_circuit(), nm)
+    assert info.value.exit_code == 2
 
 
 def test_noisy_toffoli_on_ghz_degrades():
     circ = ghz_circuit().concat(_toffoli_native())
     rho = run_density(circ, _noise_model())
     psi = run_statevector(circ)
-    fid = state_fidelity(rho, np.outer(psi, psi.conj()))
+    fid = state_fidelity(rho, psi)
     assert fid < 1.0
     assert fid > 0.5
     purity = float(np.real(np.trace(rho @ rho)))

@@ -12,6 +12,7 @@ from ccxlab import experiments, tomography
 from ccxlab.noise import NOISELESS
 from ccxlab.errors import (
     DimensionMismatchError,
+    InvalidPauliStringError,
     KOutOfRangeError,
     NotHermitianError,
     NotUnitaryError,
@@ -23,7 +24,7 @@ from ccxlab.states import (
     PROBE_LABELS,
     StateKind,
     ghz_circuit,
-    prepare_state,
+    probe_circuit,
     probe_state,
     target_state,
 )
@@ -31,7 +32,6 @@ from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, toffoli_u
 from ccxlab.tomography import (
     average_gate_fidelity,
     choi_ket_of_unitary,
-    choi_of_unitary,
     measurement_rotation,
     project_to_cptp,
     qpt_reconstruct,
@@ -49,6 +49,7 @@ from channel_oracle import (
 )
 from conftest import (
     check_density_matrix,
+    choi_of_unitary,
     random_cptp_kraus,
     random_density_matrix,
     random_state_vector,
@@ -175,6 +176,13 @@ def test_settings_k_out_of_range():
         qst_settings(5)
 
 
+@pytest.mark.parametrize("setting", ["XQ", "xyz", "XIZ", ""])
+def test_a_setting_that_is_not_over_xyz_is_a_usage_error(setting):
+    with pytest.raises(InvalidPauliStringError) as info:
+        measurement_rotation(setting)
+    assert info.value.exit_code == 2
+
+
 def test_z_rotation_is_empty():
     assert measurement_rotation("ZZZ").gates == ()
 
@@ -209,21 +217,21 @@ def test_qst_ground_state_exact():
     psi = np.zeros(8, dtype=complex)
     psi[0] = 1.0
     rho = qst_reconstruct(_exact_qst_data(psi, 3), 3)
-    assert state_fidelity(rho, np.outer(psi, psi.conj())) > 1 - 1e-9
+    assert state_fidelity(rho, psi) > 1 - 1e-9
 
 
 def test_qst_toffoli_ghz_output_exact():
     circ = ghz_circuit().concat(decompose_toffoli(DecompositionStrategy.ECR_NATIVE, (0, 1), 2))
     psi = run_statevector(circ)
     rho = qst_reconstruct(_exact_qst_data(psi, 3), 3)
-    assert state_fidelity(rho, np.outer(psi, psi.conj())) > 1 - 1e-9
+    assert state_fidelity(rho, psi) > 1 - 1e-9
 
 
 def test_qst_random_pure_states_exact(rng):
     for _ in range(10):
         psi = random_state_vector(8, rng)
         rho = qst_reconstruct(_exact_qst_data(psi, 3), 3)
-        assert state_fidelity(rho, np.outer(psi, psi.conj())) > 1 - 1e-9
+        assert state_fidelity(rho, psi) > 1 - 1e-9
 
 
 def test_qst_sampled_output_is_physical(rng):
@@ -353,12 +361,12 @@ def test_the_choi_ket_is_the_unit_ket_of_the_choi_matrix(rng):
         ket = choi_ket_of_unitary(u)
         oracle = np.kron(np.eye(dim), u) @ np.eye(dim).reshape(-1) / math.sqrt(dim)
         assert np.max(np.abs(ket - oracle)) < 1e-15
-        assert np.max(np.abs(np.outer(ket, ket.conj()) - choi_of_unitary(u))) < 1e-15
+        assert np.max(np.abs(np.outer(ket, ket.conj()) - kraus_to_choi([u]))) < 1e-15
 
 
 def test_choi_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
-        choi_of_unitary(np.diag([1.0, 0.5]))
+        choi_ket_of_unitary(np.diag([1.0, 0.5]))
 
 
 def test_choi_apply_matches_unitary_action(rng):
@@ -378,13 +386,13 @@ def test_qpt_random_unitaries_exact(rng):
     for k in (1, 2):
         u = random_unitary(2 ** k, rng)
         sigma = qpt_reconstruct(_exact_qpt_data(u, k), k)
-        assert state_fidelity(sigma, choi_of_unitary(u)) > 1 - 1e-8
+        assert state_fidelity(sigma, choi_ket_of_unitary(u)) > 1 - 1e-8
 
 
 def test_qpt_toffoli_exact():
     u = toffoli_unitary((0, 1), 2)
     sigma = qpt_reconstruct(_exact_qpt_data(u, 3), 3)
-    assert state_fidelity(sigma, choi_of_unitary(u)) > 1 - 1e-8
+    assert state_fidelity(sigma, choi_ket_of_unitary(u)) > 1 - 1e-8
 
 
 def test_qpt_raw_estimate_is_trace_preserving(rng, monkeypatch):
@@ -547,8 +555,7 @@ def _toffoli_qpt_table(calibration):
     nm = NOISELESS if calibration is None else \
         ingest_calibration(builtin_calibration_path(calibration)).noise_model(3)
     toffoli = decompose_toffoli(DecompositionStrategy.ECR_NATIVE, (0, 1), 2)
-    preparations = [prepare_state(StateKind.PROBE, probe=probe)
-                    for probe in itertools.product(PROBE_LABELS, repeat=3)]
+    preparations = [probe_circuit(probe) for probe in itertools.product(PROBE_LABELS, repeat=3)]
     return experiments._distributions(preparations, toffoli, nm)
 
 
@@ -616,13 +623,13 @@ def test_qst_estimate_with_a_nan_is_rejected_before_eigh(monkeypatch):
 # -- fidelity metrics ----------------------------------------------------------------
 
 def test_process_fidelity_self(rng):
-    sigma = choi_of_unitary(random_unitary(8, rng))
-    assert state_fidelity(sigma, sigma) == pytest.approx(1.0, abs=1e-9)
+    ket = choi_ket_of_unitary(random_unitary(8, rng))
+    assert state_fidelity(np.outer(ket, ket.conj()), ket) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_process_fidelity_fully_depolarizing_vs_identity():
     sigma_mixed = np.eye(4, dtype=complex) / 4
-    assert state_fidelity(sigma_mixed, choi_of_unitary(np.eye(2))) == pytest.approx(
+    assert state_fidelity(sigma_mixed, choi_ket_of_unitary(np.eye(2))) == pytest.approx(
         0.25, abs=1e-9)
 
 
@@ -631,11 +638,11 @@ def test_process_fidelity_pure_target_shortcut(rng):
     u = random_unitary(4, rng)
     ops = random_cptp_kraus(4, rng)
     sigma = kraus_to_choi(ops)
-    target = choi_of_unitary(u)
+    target = kraus_to_choi([u])
     w, v = np.linalg.eigh(target)
     ket = v[:, -1]
     shortcut = float(np.real(ket.conj() @ sigma @ ket))
-    assert state_fidelity(sigma, target) == pytest.approx(shortcut, abs=1e-8)
+    assert state_fidelity(sigma, choi_ket_of_unitary(u)) == pytest.approx(shortcut, abs=1e-8)
 
 
 def test_average_gate_fidelity_formula():
@@ -671,7 +678,7 @@ def test_superop_and_choi_paths_agree(rng):
         u = random_unitary(dim, rng)
         ops = random_cptp_kraus(dim, rng)
         sigma = kraus_to_choi(ops)
-        f_choi = state_fidelity(sigma, choi_of_unitary(u))
+        f_choi = state_fidelity(sigma, choi_ket_of_unitary(u))
         f_superop = process_fidelity_superop(choi_to_superop_pauli(sigma), u)
         assert abs(f_choi - f_superop) < 1e-8
 
