@@ -2,19 +2,23 @@
 
 A run simulates once, under its noise model: a calibration-derived one when
 noise-aware (with zero readout confusion when readout error is off) and
-``NOISELESS`` when noise-free. It evolves the configured input state (state
-tomography), or each of the 64 probe preparations (process tomography), from
-|0><0|, pushes the stack of prepared states through the chosen Toffoli
-realization once, and reads every measurement setting off one readout map
-into a table of exact outcome distributions, one per (preparation, setting)
-cell. The two modes differ only in the model. Only the sampling differs from
-one repeat to the next: a repeat draws seeded finite-shot counts from that
-table, is reconstructed, and is scored by ``state_fidelity`` against the
-target ket: U|in> for state tomography, ``choi_ket_of_unitary(U)`` for
-process tomography. The two differ only in the preparations, estimator and
-ket they hand to that one run, ``_run``. State tomography reconstructs all
-repeats in one call on their stacked tables; process tomography draws and
-reconstructs one table at a time.
+``NOISELESS`` when noise-free. State tomography evolves its input circuit
+whole, on the three-qubit register, from |0><0|. Process tomography's 64
+probe preparations hold one-qubit gates only, so ``product_states`` builds
+each probe state per qubit: every distinct gate sequence on a wire evolves
+once on that wire, and each probe is the tensor product of its wires. The
+run pushes the stack of prepared states through the chosen Toffoli
+realization once, on the whole register, and reads every measurement setting
+off one readout map, itself built per qubit, into a table of exact outcome
+distributions, one per (preparation, setting) cell. The two modes differ
+only in the model. Only the sampling differs from one repeat to the next: a
+repeat draws seeded finite-shot counts from that table, is reconstructed,
+and is scored by ``state_fidelity`` against the target ket: U|in> for state
+tomography, ``choi_ket_of_unitary(U)`` for process tomography. The two
+differ only in the preparations, estimator and ket they hand to that one
+run, ``_run``. State tomography reconstructs all repeats in one call on
+their stacked tables; process tomography draws and reconstructs one table
+at a time.
 
 Determinism: repeat r of any run draws every cell of its table, in
 row-major order, from one generator seeded (master_seed, r) by
@@ -46,7 +50,13 @@ from .circuits import Circuit
 from .errors import IoError, SchemaError, UsageError
 from .noise import NOISELESS, NoiseModel, scale_noise_model
 from .qmath import state_fidelity
-from .simulator import readout_map, run_density, sample_distribution, setting_distributions
+from .simulator import (
+    product_states,
+    readout_map,
+    run_density,
+    sample_distribution,
+    setting_distributions,
+)
 from .states import PROBE_LABELS, StateKind, prepare_state, probe_circuit, target_state
 from .synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from .tomography import (
@@ -191,14 +201,16 @@ def _gate_count_summary(toffoli: Circuit, full: Circuit) -> Dict[str, int]:
 
 # -- measurement ---------------------------------------------------------------
 
-def _distributions(preparations: Sequence[Circuit], gate: Circuit, nm: NoiseModel) -> np.ndarray:
+def _distributions(preparations: Union[Sequence[Circuit], np.ndarray], gate: Circuit,
+                   nm: NoiseModel) -> np.ndarray:
     """Exact outcome distributions of ``gate`` after each preparation, shape
     (preparations, 27 settings, 8 outcomes), settings in ``qst_settings`` order.
 
-    One ``run_density`` evolves every preparation from |0><0| under ``nm``
-    and then ``gate`` once on their stack. Every setting's distribution
-    (rotation circuit, readout relaxation, readout confusion) is read off
-    one ``readout_map``, cached on ``nm``.
+    One ``run_density`` evolves ``gate`` once, under ``nm``, on the stack of
+    prepared states: the preparation circuits, each evolved from |0><0|, or
+    the (8, 8, P) stack they prepared (``product_states``). Every setting's
+    distribution (rotation circuit, readout relaxation, readout confusion) is
+    read off one ``readout_map``, cached on ``nm``.
     """
     table = readout_map([measurement_rotation(setting) for setting in qst_settings(3)], nm)
     return setting_distributions(run_density(gate, nm, preparations), table)
@@ -222,10 +234,14 @@ def _toffoli(strategy: DecompositionStrategy) -> Circuit:
     return decompose_toffoli(strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
 
 
-def _run(cfg: ExperimentConfig, preparations: Sequence[Circuit],
+def _run(cfg: ExperimentConfig, nm: NoiseModel,
+         preparations: Union[Sequence[Circuit], np.ndarray],
          estimate: Callable[[Iterator[np.ndarray]], Iterable[np.ndarray]],
          reference: np.ndarray) -> Tuple[Circuit, List[float]]:
     """The Toffoli under test and every repeat's fidelity against the target ket ``reference``.
+
+    The Toffoli runs under ``nm``, the run's ``cfg.noise_model()``, after
+    ``preparations`` as ``_distributions`` takes them.
 
     ``estimate`` takes the repeats' ``_frequencies`` of the run's
     ``_distributions`` table, each of shape (preparations, 27, 8), lazily and
@@ -233,7 +249,7 @@ def _run(cfg: ExperimentConfig, preparations: Sequence[Circuit],
     the same order, and ``state_fidelity`` scores each one.
     """
     toffoli = _toffoli(cfg.strategy)
-    distributions = _distributions(preparations, toffoli, cfg.noise_model())
+    distributions = _distributions(preparations, toffoli, nm)
     tables = (_frequencies(distributions, cfg, repeat) for repeat in range(cfg.repeats))
     return toffoli, [state_fidelity(rho, reference) for rho in estimate(tables)]
 
@@ -243,7 +259,7 @@ def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     start = time.perf_counter()
     preparation = prepare_state(cfg.input_state)
     psi = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET) @ target_state(cfg.input_state)
-    toffoli, fidelities = _run(cfg, [preparation],
+    toffoli, fidelities = _run(cfg, cfg.noise_model(), [preparation],
                                lambda tables: qst_reconstruct(np.concatenate(tuple(tables)), 3),
                                psi)
     return _make_report("qst", fidelities, cfg,
@@ -259,9 +275,11 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     settings in ``qst_settings`` order.
     """
     start = time.perf_counter()
+    nm = cfg.noise_model()
     preparations = [probe_circuit(probe) for probe in itertools.product(PROBE_LABELS, repeat=3)]
     toffoli, fidelities = _run(
-        cfg, preparations, lambda tables: (qpt_reconstruct(table, 3) for table in tables),
+        cfg, nm, product_states(preparations, nm),
+        lambda tables: (qpt_reconstruct(table, 3) for table in tables),
         choi_ket_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET)))
     # probe preparations vary per job; report the gate under test
     return _make_report("qpt", fidelities, cfg, _gate_count_summary(toffoli, toffoli),

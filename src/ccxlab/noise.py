@@ -20,13 +20,16 @@ relaxation, no gate error, zero durations and perfect readout, so every
 channel above is the identity and the simulator runs one evolution and one
 measurement map in both modes.
 
-The simulator compiles each distinct gate of a model to one superoperator,
-and each readout map to one matrix, and keeps them in the model's own cache,
-``NoiseModel.compiled``; the placement order is unchanged. The builders
-therefore run once per distinct (gate, wires, parameters) of a model, and
-readout relaxation once per qubit per readout map. A model built from other
-numbers, such as a ``scale_noise_model`` result, starts with an empty cache;
-``NOISELESS`` is one constant, so its cache lives as long as the process.
+The simulator compiles each distinct gate of a model to one local channel,
+the superoperator on the gate's own wires, and each readout map to one
+matrix, and keeps them in the model's own cache, ``NoiseModel.compiled``;
+the placement order is unchanged. One-qubit layers (probe preparations and
+measurement rotations) apply that local channel per qubit; the whole-register
+evolution embeds the same cached matrix. The builders therefore run once per
+distinct (gate, wires, parameters) of a model, and readout relaxation once
+per qubit per readout map. A model built from other numbers, such as a
+``scale_noise_model`` result, starts with an empty cache; ``NOISELESS`` is
+one constant, so its cache lives as long as the process.
 """
 
 from __future__ import annotations
@@ -181,10 +184,6 @@ class NoiseModel:
         if key not in self._compiled:
             self._compiled[key] = build()
         return self._compiled[key]
-
-    def readout_confusions(self) -> Tuple[Tuple[float, float], ...]:
-        """(P(1|0), P(0|1)) per qubit, feeding the confusion matrices."""
-        return tuple((c.prob_meas1_prep0, c.prob_meas0_prep1) for c in self.qubit_cal)
 
 
 #: the model of a noise-free run: T1 = T2 = inf, no gate error, zero gate and

@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -225,27 +225,33 @@ def _jacobian_weights(w: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _tp_jacobian(h: np.ndarray, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Generalized Jacobian of Lam -> Tr_out [C + Lam (x) I]_+ applied to h.
+def _tp_jacobian(v: np.ndarray, weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Generalized Jacobian of Lam -> Tr_out [C + Lam (x) I]_+, as the map that applies it to h.
 
     That is Tr_out V (Omega o V^H (h (x) I) V) V^H for the divided
     differences Omega, computed as Tr_out P + (Tr_out P)^H with P = V_a B and
     B = (Omega_a o V_a^H (h (x) I) V) V^H: V_a is the last r columns of V and
     Omega_a the r rows ``_jacobian_weights`` gives. B takes two r x n x n
     products, where the dense form costs four n x n x n ones, and Tr_out P
-    needs only a d_in x r d_out x d_in one; r = 0 gives 0.
+    needs only a d_in x r d_out x d_in one; r = 0 gives 0. V_a, V_a^H and
+    V^H are formed once per map, not once per product.
     """
     n = v.shape[0]
-    d_in = h.shape[0]
-    d_out = n // d_in
     r = weights.shape[0]
     va = v[:, n - r:]
-    hv = (h @ v.reshape(d_in, -1)).reshape(n, n)  # (h (x) I) V
-    b = (weights * (dagger(va) @ hv)) @ dagger(v)
-    # Tr_out(V_a B)[m, k] = sum over output s and column j of V_a[(m, s), j] B[j, (k, s)]
-    t = va.reshape(d_in, d_out * r) @ \
-        b.reshape(r, d_in, d_out).transpose(2, 0, 1).reshape(d_out * r, d_in)
-    return t + dagger(t)
+    va_h, v_h = dagger(va), dagger(v)
+
+    def apply(h: np.ndarray) -> np.ndarray:
+        d_in = h.shape[0]
+        d_out = n // d_in
+        hv = (h @ v.reshape(d_in, -1)).reshape(n, n)  # (h (x) I) V
+        b = (weights * (va_h @ hv)) @ v_h
+        # Tr_out(V_a B)[m, k] = sum over output s and column j of V_a[(m, s), j] B[j, (k, s)]
+        t = va.reshape(d_in, d_out * r) @ \
+            b.reshape(r, d_in, d_out).transpose(2, 0, 1).reshape(d_out * r, d_in)
+        return t + dagger(t)
+
+    return apply
 
 
 def _conjugate_gradient(apply, b: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -328,8 +334,9 @@ def project_to_cptp(choi: np.ndarray, d_in: int) -> np.ndarray:
         # keeps the system positive definite where the Jacobian is singular;
         # it shrinks with the residual, so convergence stays quadratic
         reg = 1e-3 * min(1.0, norm)
+        jacobian = _tp_jacobian(v, weights)
         step = _conjugate_gradient(
-            lambda h: _tp_jacobian(h, v, weights) + reg * h,
+            lambda h: jacobian(h) + reg * h,
             -grad, max(min(0.1, norm) * norm, 0.1 * CPTP_TP_TOL), 2 * n)
         slope = np.vdot(grad, step).real
         # the dual's round-off, which the Armijo test must not demand to beat

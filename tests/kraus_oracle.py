@@ -155,7 +155,8 @@ def setting_distributions(rho, nm, apply_readout=True):
     batched = rho.ndim == 3
     if not batched:
         rho = rho[:, :, None]
-    confusions = nm.readout_confusions() if apply_readout else None
+    confusions = [(c.prob_meas1_prep0, c.prob_meas0_prep1)
+                  for c in nm.qubit_cal] if apply_readout else None
     table = []
     for setting in qst_settings(n):
         measured = readout_relaxation(evolve(rho, measurement_rotation(setting), nm), nm)

@@ -109,11 +109,13 @@ def test_noise_aware_qpt_fidelities_match_golden_values(sampling, monkeypatch):
 def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, run, circuits, mode,
                                                           repeats):
     # both modes take the one path: noise-free is a run under NOISELESS. One run_density
-    # evolves every preparation once and then the Toffoli once, on the whole stack.
-    # QST builds its input with prepare_state and QPT its probes with probe_circuit
+    # evolves the Toffoli once, on the whole stack of prepared states. QST builds its input
+    # with prepare_state and evolves it whole; QPT builds its probes with probe_circuit and
+    # product_states evolves each distinct gate sequence on a wire once, on that wire alone
     calls = Counter()
     for module, name, key in ((experiments, "prepare_state", "preparation"),
                               (experiments, "probe_circuit", "preparation"),
+                              (experiments, "product_states", "product_states"),
                               (experiments, "run_density", "run_density"),
                               (experiments, "readout_map", "readout_map"),
                               (simulator, "apply_circuit_density", "apply_circuit_density")):
@@ -121,37 +123,46 @@ def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, run, circ
             calls[_key] += 1
             return _call(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
+
+    def per_wire(layer, evolve, _call=simulator._per_wire):
+        def counted(q, gates):
+            if len(layer) == 64:  # the probes; the 27 rotations build the readout map
+                calls["probe wire evolution"] += 1
+            return evolve(q, gates)
+        return _call(layer, counted)
+
+    monkeypatch.setattr(simulator, "_per_wire", per_wire)
     report = run(_config(mode, repeats=repeats, shots_per_setting=1000))
     assert len(report.fidelities) == repeats
-    assert calls == {"preparation": circuits, "run_density": 1,
-                     "apply_circuit_density": circuits + 1, "readout_map": 1}
+    if run is run_qst_experiment:
+        assert calls == {"preparation": circuits, "run_density": 1,
+                         "apply_circuit_density": circuits + 1, "readout_map": 1}
+    else:
+        probes = [probe_circuit(p) for p in itertools.product(PROBE_LABELS, repeat=3)]
+        # qubit 0's sequences start with a global-phase RZ that depends on all three labels
+        sequences = {(q, tuple(g for g in p.gates if g.qubits == (q,)))
+                     for p in probes for q in range(3)}
+        assert len(sequences) == 28
+        assert calls == {"preparation": circuits, "product_states": 1, "probe wire evolution": 28,
+                         "run_density": 1, "apply_circuit_density": 1, "readout_map": 1}
 
 
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
 def test_a_qpt_run_applies_the_toffoli_once_to_all_preparations(monkeypatch, mode):
-    # each preparation's gates act on its own state, then each Toffoli gate acts once on
-    # the stack of all 64, not 64 times over whole circuits. Products the readout map
-    # makes while it is built are not gate applications, so they are set apart.
-    applied = Counter()
+    # each Toffoli gate acts once, as a three-qubit superoperator, on the stack of all 64
+    # probe states; no three-qubit superoperator acts on a single probe, whose gates run
+    # per wire, and the readout map is built per wire as well
+    stacks = []
 
-    def apply(*args, _call=simulator._apply_superop):
-        applied["all"] += 1
-        return _call(*args)
-
-    def readout(*args, _call=experiments.readout_map):
-        before = applied["all"]
-        table = _call(*args)
-        applied["readout"] += applied["all"] - before
-        return table
+    def apply(vecs, *args, _call=simulator._apply_superop):
+        stacks.append(vecs.shape)
+        return _call(vecs, *args)
 
     monkeypatch.setattr(simulator, "_apply_superop", apply)
-    monkeypatch.setattr(experiments, "readout_map", readout)
     cfg = _config(mode, repeats=1, shots_per_setting=100)
     run_qpt_experiment(cfg)
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
-    preparations = [probe_circuit(probe) for probe in itertools.product(PROBE_LABELS, repeat=3)]
-    assert applied["all"] - applied["readout"] == (sum(len(p.gates) for p in preparations)
-                                                   + len(toffoli.gates))
+    assert stacks == [(64, 64)] * len(toffoli.gates)
 
 
 @pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])

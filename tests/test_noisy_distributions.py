@@ -14,10 +14,11 @@ import pytest
 
 import kraus_oracle
 import measurement_oracle
+import readout_oracle
 from ccxlab import cli, experiments, simulator
 from ccxlab.calibration import builtin_calibration_path, ingest_calibration
 from ccxlab.circuits import Circuit, serialize_circuit
-from ccxlab.errors import NonNativeGateError
+from ccxlab.errors import NonNativeGateError, UsageError
 from ccxlab.experiments import ExperimentConfig
 from ccxlab.gates import NATIVE_GATES, Gate, ecr, rz, sx, x
 from ccxlab.noise import NOISELESS, NoiseModel, QubitCalibration, scale_noise_model
@@ -150,6 +151,55 @@ def test_one_shared_evolution_matches_the_per_circuit_path(inputs, model):
         assert np.array_equal(actual, expected)
     else:
         assert np.max(np.abs(actual - expected)) <= 1e-15
+
+
+def _model(name):
+    models = {"NOISELESS": NOISELESS, "uneven": _uneven_noise_model()}
+    return models[name] if name in models else _noise_model(name)
+
+
+@pytest.mark.parametrize("model", ["NOISELESS", *CALIBRATIONS, "uneven"])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_the_per_wire_readout_map_matches_the_gate_by_gate_oracle(num_qubits, model):
+    # every setting's block is the tensor product of its wires' 2 x 4 maps. Noise-free it has
+    # the bits of the dense gate-by-gate construction, under noise its values to round-off
+    nm = _model(model)
+    rotations = [measurement_rotation(s) for s in qst_settings(num_qubits)]
+    actual = simulator.readout_map(rotations, nm)
+    expected = readout_oracle.readout_map(rotations, nm)
+    assert actual.shape == expected.shape == (6 ** num_qubits, 4 ** num_qubits)
+    if nm is NOISELESS:
+        assert np.array_equal(actual, expected)
+    else:
+        assert np.max(np.abs(actual - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("model", ["NOISELESS", *CALIBRATIONS, "uneven"])
+def test_product_probe_states_match_per_probe_dense_evolution(model):
+    # each probe's wires evolve alone and its state is their tensor product. Noise-free it
+    # has the bits of evolving each probe circuit whole; under noise its values to round-off,
+    # and each wire relaxes with its own qubit's calibration, as the Kraus oracle has it
+    nm, probes = _model(model), _probe_preparations()
+    ground = np.zeros((8, 8), dtype=complex)
+    ground[0, 0] = 1.0
+    dense = np.stack([simulator.apply_circuit_density(ground, p, nm) for p in probes], axis=-1)
+    product = simulator.product_states(probes, nm)
+    assert product.shape == dense.shape == (8, 8, 64)
+    if nm is NOISELESS:
+        assert np.array_equal(product, dense)
+    else:
+        assert np.max(np.abs(product - dense)) <= 1e-15
+        kraus = np.stack([kraus_oracle.evolve(ground, p, nm) for p in probes], axis=-1)
+        assert np.max(np.abs(product - kraus)) < TOL
+
+
+@pytest.mark.parametrize("build", [simulator.product_states, simulator.readout_map])
+def test_a_per_qubit_layer_rejects_a_two_qubit_gate(build):
+    # a probe preparation or a measurement rotation that entangles is a typed usage error
+    circuits = [Circuit(3, (sx(1),)), Circuit(3, (sx(0), ecr(1, 2)))]
+    with pytest.raises(UsageError, match="one-qubit gates only") as info:
+        build(circuits, NOISELESS)
+    assert info.value.exit_code == 2
 
 
 def test_channel_builders_run_once_per_distinct_noisy_gate(monkeypatch):

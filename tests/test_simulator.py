@@ -186,11 +186,14 @@ def test_readout_confusion_flip_rate():
 
 
 def test_readout_confusion_matrix_is_columnwise():
-    probs = np.array([1.0, 0.0, 0.0, 0.0])
-    mixed = simulator._confusion_matrix([(0.2, 0.0), (0.0, 0.0)], 2) @ probs
-    # qubit 0 misreads 1 with prob 0.2: outcome index 1 gains that weight
-    assert mixed[1] == pytest.approx(0.2)
-    assert mixed[0] == pytest.approx(0.8)
+    # qubit 0 misreads a true 0 as 1 with prob 0.2: from |00>, outcome index 1 gains that weight
+    nm = NoiseModel((QubitCalibration(t1_us=100.0, t2_us=100.0, prob_meas1_prep0=0.2),
+                     QubitCalibration(t1_us=100.0, t2_us=100.0)), {}, {})
+    table = simulator.readout_map([Circuit(2)], nm)
+    probs = simulator.setting_distributions(run_density(Circuit(2), nm), table)[0]
+    assert probs[1] == pytest.approx(0.2)
+    assert probs[0] == pytest.approx(0.8)
+    assert probs[2] == probs[3] == 0.0
 
 
 def test_empirical_tvd_convergence(rng):

@@ -543,7 +543,7 @@ def test_rank_aware_jacobian_matches_dense_product(rng, k, rank, d_in):
     v = random_unitary(n, rng)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = (g + g.conj().T) / 2
-    fast = tomography._tp_jacobian(h, v, tomography._jacobian_weights(w))
+    fast = tomography._tp_jacobian(v, tomography._jacobian_weights(w))(h)
     if r == 0:
         assert np.array_equal(fast, np.zeros((d, d)))
     assert np.max(np.abs(fast - _dense_tp_jacobian(h, v, w))) < 1e-13
