@@ -27,9 +27,12 @@ the placement order is unchanged. One-qubit layers (probe preparations and
 measurement rotations) apply that local channel per qubit; the whole-register
 evolution embeds the same cached matrix. The builders therefore run once per
 distinct (gate, wires, parameters) of a model, and readout relaxation once
-per qubit per readout map. A model built from other numbers, such as a
-``scale_noise_model`` result, starts with an empty cache; ``NOISELESS`` is
-one constant, so its cache lives as long as the process.
+per qubit per readout map. An experiment run keeps its exact outcome
+table there too (see :mod:`ccxlab.experiments`). A model built from other
+numbers, such as a ``scale_noise_model`` result, starts with an empty cache;
+``NOISELESS`` is one constant, so its cache lives as long as the process:
+its gates, its readout map and at most one table per strategy and input
+(4 strategies x {QPT, GHZ, W, UNIFORM}, under 0.5 MB).
 """
 
 from __future__ import annotations
@@ -178,6 +181,8 @@ class NoiseModel:
     def compiled(self, key: Hashable, build: Callable[[], _T]) -> _T:
         """``build()`` the first time ``key`` is asked for; the stored result after that.
 
+        The simulator stores each gate's channel, its register embeddings and
+        each readout map here, and an experiment run its exact outcome table.
         The cache lives and dies with this instance, so it never outlives the
         numbers it was compiled from.
         """

@@ -18,7 +18,10 @@ ideal unitary, then depolarizing noise on the gate's qubits, then thermal
 relaxation on each of its qubits, the placement order documented in
 :mod:`ccxlab.noise`. That matrix is cached on the ``NoiseModel`` instance,
 keyed by the gate, so each channel builder runs once per distinct gate of a
-model, and both paths below read the one cached matrix.
+model, and both paths below read the one cached matrix. What a model caches:
+each gate's local channel, its embedding into each register size, and each
+readout map, all read-only; :mod:`ccxlab.experiments` adds each run's exact
+outcome table. Nothing here caches a state or a ``run_density`` result.
 
 Per qubit: in this vec convention a layer whose gates and channels each act
 on one qubit is a tensor product of 4 x 4 maps, so it never needs the whole

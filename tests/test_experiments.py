@@ -103,15 +103,31 @@ def test_noise_aware_qpt_fidelities_match_golden_values(sampling, monkeypatch):
     _assert_unprojected_estimates_are_trace_preserving(seen, monkeypatch)
 
 
+@pytest.fixture
+def fresh_noiseless():
+    """``NOISELESS`` with an empty compiled cache for one test; its own cache is back after it.
+
+    A model keeps every exact table it computed, and ``NOISELESS`` lives for the whole
+    process, so a test that counts what a first noise-free run computes starts it empty,
+    whatever ran before.
+    """
+    saved = dict(NOISELESS._compiled)
+    NOISELESS._compiled.clear()
+    yield NOISELESS
+    NOISELESS._compiled.clear()
+    NOISELESS._compiled.update(saved)
+
+
 @pytest.mark.parametrize("repeats", [1, 3])
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
 @pytest.mark.parametrize("run, circuits", [(run_qst_experiment, 1), (run_qpt_experiment, 64)])
-def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, run, circuits, mode,
-                                                          repeats):
-    # both modes take the one path: noise-free is a run under NOISELESS. One run_density
-    # evolves the Toffoli once, on the whole stack of prepared states. QST builds its input
-    # with prepare_state and evolves it whole; QPT builds its probes with probe_circuit and
-    # product_states evolves each distinct gate sequence on a wire once, on that wire alone
+def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, fresh_noiseless, run,
+                                                          circuits, mode, repeats):
+    # both modes take the one path: noise-free is a run under NOISELESS, here with an empty
+    # cache, so this is a first run. One run_density evolves the Toffoli once, on the whole
+    # stack of prepared states. QST builds its input with prepare_state and evolves it whole;
+    # QPT builds its probes with probe_circuit and product_states evolves each distinct gate
+    # sequence on a wire once, on that wire alone
     calls = Counter()
     for module, name, key in ((experiments, "prepare_state", "preparation"),
                               (experiments, "probe_circuit", "preparation"),
@@ -148,10 +164,11 @@ def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, run, circ
 
 
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
-def test_a_qpt_run_applies_the_toffoli_once_to_all_preparations(monkeypatch, mode):
-    # each Toffoli gate acts once, as a three-qubit superoperator, on the stack of all 64
-    # probe states; no three-qubit superoperator acts on a single probe, whose gates run
-    # per wire, and the readout map is built per wire as well
+def test_a_qpt_run_applies_the_toffoli_once_to_all_preparations(monkeypatch, fresh_noiseless,
+                                                                mode):
+    # in a first run, each Toffoli gate acts once, as a three-qubit superoperator, on the
+    # stack of all 64 probe states; no three-qubit superoperator acts on a single probe,
+    # whose gates run per wire, and the readout map is built per wire as well
     stacks = []
 
     def apply(vecs, *args, _call=simulator._apply_superop):
@@ -167,23 +184,72 @@ def test_a_qpt_run_applies_the_toffoli_once_to_all_preparations(monkeypatch, mod
 
 @pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
 def test_a_second_noise_free_run_compiles_nothing(monkeypatch, run):
-    # NOISELESS keeps its compiled gates and readout map, and the rotation and probe
-    # circuits are built once per process, so only the first noise-free run pays for any
-    # of them. A probe build starts with states.probe_state, which runs call nowhere else.
+    # NOISELESS keeps its compiled gates, its readout map and the run's exact table, and the
+    # rotation and probe circuits are built once per process, so only the first noise-free
+    # run pays for any of them: a second one evolves, prepares and reads out nothing. A
+    # probe build starts with states.probe_state, which runs call nowhere else.
     cfg = _config(repeats=1, shots_per_setting=100)
-    run(cfg)
+    first = run(cfg)
     assert cfg.noise_model() is NOISELESS
     compiled = dict(NOISELESS._compiled)
     builds = Counter()
     for module, name in ((simulator, "_gate_superop"), (simulator, "_readout_map"),
-                         (tomography, "to_native"), (states, "probe_state")):
+                         (tomography, "to_native"), (states, "probe_state"),
+                         (experiments, "run_density"), (experiments, "product_states"),
+                         (experiments, "readout_map"), (experiments, "_distributions")):
         def counted(*args, _call=getattr(module, name), _name=name):
             builds[_name] += 1
             return _call(*args)
         monkeypatch.setattr(module, name, counted)
-    run(cfg)
+    assert run(cfg).fidelities == first.fidelities
     assert builds == Counter()
     assert NOISELESS._compiled == compiled and compiled
+
+
+def _counted_tables(monkeypatch):
+    """The tables ``experiments._distributions`` computes, in call order."""
+    tables = []
+
+    def counted(*args, _call=experiments._distributions):
+        tables.append(_call(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(experiments, "_distributions", counted)
+    return tables
+
+
+@pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
+def test_a_model_with_edited_numbers_computes_its_own_table(monkeypatch, run):
+    # the table lives in its model's cache: every noise-aware run builds a fresh model from
+    # the calibration file, so it computes its own table, and one with other numbers scores
+    # its own noise
+    run(_config(repeats=1, shots_per_setting=100))  # NOISELESS holds its table from here on
+    tables = _counted_tables(monkeypatch)
+    fidelities = [run(_config("NOISE_AWARE", exact=True, repeats=1, noise_scale=scale))
+                  .fidelities for scale in (0.5, 0.5, 1.0)]
+    assert len(tables) == 3
+    assert np.array_equal(tables[0], tables[1]) and not np.array_equal(tables[1], tables[2])
+    assert fidelities[0] == fidelities[1] and fidelities[1][0] > fidelities[2][0]
+
+
+@pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
+def test_the_cached_table_is_read_only_and_exact_runs_leave_it_unchanged(
+        monkeypatch, fresh_noiseless, run):
+    # an exact-probability run hands the cached table itself to the estimators (QPT takes it
+    # as is; QST stacks it), so no reader may write into the one array later runs read
+    tables = _counted_tables(monkeypatch)
+    seen = _captured(monkeypatch, "qpt_reconstruct")
+    cfg = _config(exact=True, repeats=2)
+    first = run(cfg)
+    (table,) = tables
+    assert any(value is table for value in NOISELESS._compiled.values())
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 0.5
+    assert all(frequencies is table for frequencies in seen)
+    before = table.copy()
+    assert run(cfg).fidelities == first.fidelities
+    assert len(tables) == 1 and np.array_equal(table, before)
 
 
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])

@@ -585,6 +585,23 @@ def test_projection_conjugate_gradients_stay_under_their_cap(calibration, shots,
         assert max(iterations) < 2 * 8 * 8
 
 
+@pytest.mark.parametrize("calibration, most", [(None, 6), ("brisbane_median", 5)])
+def test_projection_eigendecompositions_on_the_seed_7_tables(calibration, most, monkeypatch):
+    # every Newton iterate moves to the water-filling level, the dual's exact minimum along
+    # Lam + mu I, at no cost: a start from the TP-trace multiplier alone took 8 eigh calls
+    # per projection noise-free and 6 noise-aware on these tables, the two repeats of the
+    # seed-7 QPT goldens in tests/test_experiments.py
+    dual = tomography._dual
+    calls = []
+    monkeypatch.setattr(tomography, "_dual", lambda *args: calls.append(1) or dual(*args))
+    table = _toffoli_qpt_table(calibration)
+    for repeat in range(2):
+        calls.clear()
+        sigma = qpt_reconstruct(sample_distribution(table, 11000, (7, repeat)) / 11000, 3)
+        assert tp_deviation(sigma, 8) <= tomography.CPTP_TP_TOL
+        assert len(calls) <= most
+
+
 @pytest.mark.parametrize("bad, d_in", [
     (np.eye(63), 8), (np.eye(8), 3), (np.eye(16), 0), (np.zeros((0, 0)), 1),
     (np.ones((4, 16)), 4), (np.ones(16), 4), (np.ones((2, 2, 2)), 1)])
