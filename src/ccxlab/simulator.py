@@ -75,6 +75,10 @@ from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
 #: ~25-30 us, at 1 MB per dense gate; 5 qubits ~0.9 ms vs ~38 us.
 _DENSE_SUPEROP_MAX_QUBITS = 3
 
+#: ``sample_distribution`` draws from each distribution rounded to this many decimals: far
+#: above the ~1e-16 round-off of a table, far below the 1/shots resolution of its counts
+_DRAW_DECIMALS = 12
+
 
 def _check_native(c: Circuit) -> None:
     for g in c.gates:
@@ -353,7 +357,17 @@ def sample_distribution(distributions: np.ndarray, shots: int, seed: Tuple[int, 
     Outcomes are on the last axis, indexed by basis state. Every cell draws,
     row-major, from one generator seeded with the tuple ``seed``: the only
     random generator the package builds.
+
+    Each distribution is rounded to ``_DRAW_DECIMALS`` decimals and
+    renormalized before it draws. A multinomial draws no random number for a
+    cell of probability exactly 0, so a round-off zero of ~1e-17 would shift
+    every later draw, and the order of a product's summation (BLAS, CPU,
+    fused gates) moves such bits. Rounded, the same table draws the same
+    counts however it was computed. Only the draw rounds: an exact
+    distribution is used as it was computed.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    return np.random.default_rng(seed).multinomial(shots, distributions)
+    rounded = np.round(distributions, _DRAW_DECIMALS)
+    return np.random.default_rng(seed).multinomial(
+        shots, rounded / rounded.sum(axis=-1, keepdims=True))
