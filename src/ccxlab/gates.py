@@ -66,6 +66,33 @@ GATE_PARAM_COUNT = {name: (1 if name is Gate.RZ else 0) for name in Gate}
 NATIVE_GATES = frozenset({Gate.ECR, Gate.ID, Gate.RZ, Gate.SX, Gate.X})
 
 
+def hash_once(cls):
+    """Class decorator for a frozen dataclass: ``hash()`` computes the dataclass hash of
+    the fields on its first call and then returns the stored value.
+
+    Every cache keyed by a gate or a circuit hashes its key on each lookup, and a
+    circuit's field hash re-hashes all its gates. The value is stored in the instance's
+    ``__dict__``, outside the fields, so ``==``, ``asdict``, ``replace`` and construction
+    never see it, and pickling leaves it out: a string hash differs between processes.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True)
 class GateDef:
     """One gate application: name, wires (role order), and real parameters."""

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +18,25 @@ from ccxlab.circuits import (
 from ccxlab.errors import ParseError, TooManyQubitsError
 from ccxlab.gates import Gate, GateDef, cnot, ecr, h, rz, sx, t, x
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli
+
+
+def test_equal_gates_and_circuits_built_separately_hash_and_compare_equal():
+    # the hash is kept after its first computation, outside the fields, so it never
+    # shows in ==, asdict or replace, and a pickle carries none from another process
+    toffoli = decompose_toffoli(DecompositionStrategy.ECR_NATIVE, (0, 1), 2)
+    copy = Circuit(3, tuple(GateDef(g.name, list(g.qubits), list(g.params))
+                            for g in toffoli.gates))
+    assert copy is not toffoli and copy.gates[0] is not toffoli.gates[0]
+    for _ in range(2):  # computed, then stored
+        assert hash(copy) == hash(toffoli) and copy == toffoli
+        assert all(hash(a) == hash(b) and a == b for a, b in zip(copy.gates, toffoli.gates))
+    assert {toffoli: 1}[copy] == 1 and {toffoli.gates[0]: 1}[copy.gates[0]] == 1
+    gate = rz(0.25, 1)
+    assert dataclasses.asdict(gate) == {"name": Gate.RZ, "qubits": (1,), "params": (0.25,)}
+    moved = dataclasses.replace(gate, qubits=(2,))
+    assert moved == rz(0.25, 2) and hash(moved) == hash(rz(0.25, 2)) and moved != gate
+    assert b"_hash" not in pickle.dumps(toffoli)
+    assert pickle.loads(pickle.dumps(toffoli)) == toffoli
 
 
 def test_empty_circuit_unitary_is_identity():
