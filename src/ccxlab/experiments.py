@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
+from typing import (Callable, Dict, Hashable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
 import numpy as np
@@ -243,7 +243,7 @@ def _toffoli(strategy: DecompositionStrategy) -> Circuit:
 
 def _run(cfg: ExperimentConfig, nm: NoiseModel, preparations: Hashable,
          prepare: Callable[[], Union[Sequence[Circuit], np.ndarray]],
-         estimate: Callable[[Iterator[np.ndarray]], Iterable[np.ndarray]],
+         estimate: Callable[[Iterator[np.ndarray]], np.ndarray],
          reference: np.ndarray) -> Tuple[Circuit, List[float]]:
     """The Toffoli under test and every repeat's fidelity against the target ket ``reference``.
 
@@ -255,9 +255,9 @@ def _run(cfg: ExperimentConfig, nm: NoiseModel, preparations: Hashable,
     run on the same model calls neither ``prepare`` nor ``_distributions``.
 
     ``estimate`` takes the repeats' ``_frequencies`` of that table, each of
-    shape (preparations, 27, 8), lazily and in repeat order. It returns their
-    estimates, states or Choi matrices, in the same order, and
-    ``state_fidelity`` scores each one.
+    shape (preparations, 27, 8), lazily and in repeat order. It returns the
+    (repeats, d, d) stack of their estimates, states or Choi matrices, in the
+    same order, and one ``state_fidelity`` call scores the whole stack.
     """
     toffoli = _toffoli(cfg.strategy)
 
@@ -269,7 +269,7 @@ def _run(cfg: ExperimentConfig, nm: NoiseModel, preparations: Hashable,
     # the strategy names the Toffoli by value; hashing its 44 gates would cost ~11 us a call
     distributions = nm.compiled(("table", cfg.strategy, preparations), build)
     tables = (_frequencies(distributions, cfg, repeat) for repeat in range(cfg.repeats))
-    return toffoli, [state_fidelity(rho, reference) for rho in estimate(tables)]
+    return toffoli, state_fidelity(estimate(tables), reference).tolist()
 
 
 def run_qst_experiment(cfg: ExperimentConfig) -> Report:
@@ -302,7 +302,7 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     # the 64 probes are constant, so one marker names them
     toffoli, fidelities = _run(
         cfg, nm, "qpt", prepare,
-        lambda tables: (qpt_reconstruct(table, 3) for table in tables),
+        lambda tables: np.stack([qpt_reconstruct(table, 3) for table in tables]),
         choi_ket_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET)))
     # probe preparations vary per job; report the gate under test
     return _make_report("qpt", fidelities, cfg, _gate_count_summary(toffoli, toffoli),

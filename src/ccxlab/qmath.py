@@ -3,8 +3,8 @@
 Everything is an ordinary ``numpy`` array of complex128. Dimensions stay at
 or below 2**6. Every target the package scores against is pure, so
 ``state_fidelity`` takes the target as a ket and computes the exact
-<psi|rho|psi>, with no matrix square root; its one ``eigvalsh`` only
-validates ``rho``.
+<psi|rho|psi>, with no matrix square root, for one state or a stack of them;
+its one batched ``eigvalsh`` only validates ``rho``.
 
 Conventions
 -----------
@@ -17,7 +17,7 @@ Tolerances: 1e-10 at construction time, 1e-6 for input validation.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -70,28 +70,33 @@ def check_unitary(u: np.ndarray, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
     return u
 
 
-def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
+def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> Union[float, np.ndarray]:
     """Fidelity <psi|rho|psi> of a density matrix ``rho`` with a pure target ket ``psi``.
 
-    Exact, with one ``eigvalsh`` for ``rho``'s checks. ``psi`` must be 1-D and
-    match ``rho``'s dimension (else ``DimensionMismatchError``), finite (else
-    ``NotHermitianError``, as for ``rho``) and of unit norm (else ``NotPSDError``:
-    |psi|^2 is the nonzero eigenvalue of its projector). ``rho`` must be finite,
-    Hermitian and PSD within ``VALIDATION_TOL``.
+    ``rho`` is one (d, d) state, which gives a float, or an (R, d, d) stack,
+    which gives the (R,) array of each state's fidelity, exactly what a call on
+    that state alone gives: a single state is scored as a stack of one.
+    Exact, with one batched ``eigvalsh`` for the checks. ``psi`` must be 1-D
+    and match ``rho``'s dimension (else ``DimensionMismatchError``), finite
+    (else ``NotHermitianError``, as for ``rho``) and of unit norm (else
+    ``NotPSDError``: |psi|^2 is the nonzero eigenvalue of its projector).
+    Every state must be finite, Hermitian and PSD within ``VALIDATION_TOL``.
     """
     rho = np.asarray(rho, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1 or rho.shape != psi.shape * 2:
-        raise DimensionMismatchError(f"state_fidelity needs a (d, d) rho and a (d,) target ket, "
-                                     f"got {rho.shape} and {psi.shape}")
+    if psi.ndim != 1 or rho.ndim not in (2, 3) or rho.shape[-2:] != psi.shape * 2:
+        raise DimensionMismatchError(f"state_fidelity needs a (d, d) rho or an (R, d, d) stack "
+                                     f"and a (d,) target ket, got {rho.shape} and {psi.shape}")
     if not np.all(np.isfinite(psi)):
         raise NotHermitianError("state_fidelity requires a finite target ket")
     norm = np.vdot(psi, psi).real
     if abs(norm - 1.0) > VALIDATION_TOL:
         raise NotPSDError(f"state_fidelity requires a unit target ket; |psi|^2 = {norm:.6g}")
-    if not np.max(np.abs(rho - dagger(rho))) <= VALIDATION_TOL:  # NaN fails too
+    if not np.max(np.abs(rho - dagger(rho)), initial=0.0) <= VALIDATION_TOL:  # NaN fails too
         raise NotHermitianError("state_fidelity requires a finite Hermitian input")
-    w_min = np.linalg.eigvalsh((rho + dagger(rho)) / 2)[0]
+    w_min = np.min(np.linalg.eigvalsh((rho + dagger(rho)) / 2)[..., 0], initial=np.inf)
     if w_min < -VALIDATION_TOL:
         raise NotPSDError(f"state_fidelity requires PSD input; min eigenvalue {w_min:.3e}")
-    return min(max(float(np.vdot(psi, rho @ psi).real), 0.0), 1.0)
+    # vecdot conjugates psi, as vdot does: each state gets the bits of a call on it alone
+    fidelities = np.clip(np.vecdot(psi, rho @ psi).real, 0.0, 1.0)
+    return fidelities if rho.ndim == 3 else float(fidelities)

@@ -110,3 +110,32 @@ def test_ket_fidelity_checks_rho():
                        (np.ones(2) / 2, DimensionMismatchError)):
         with pytest.raises(error):
             state_fidelity(rho, psi)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_a_stack_scores_each_state_exactly_as_a_call_on_it_alone(rng, k, monkeypatch):
+    stack = np.stack([random_density_matrix(2 ** k, rng, rank=rank) for rank in (None, 1, 2)])
+    psi = random_state_vector(2 ** k, rng)
+    alone = [state_fidelity(rho, psi) for rho in stack]
+    assert all(isinstance(f, float) for f in alone)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    stacked = state_fidelity(stack, psi)
+    assert calls == [stack.shape]
+    assert stacked.shape == (3,) and stacked.tolist() == alone
+    assert state_fidelity(stack[:0], psi).shape == (0,)
+
+
+def test_a_stack_is_checked_as_a_whole():
+    # one bad state anywhere in the stack fails the call, with the single state's error
+    psi = np.array([1.0, 0.0])
+    good = np.eye(2) / 2
+    for bad, error in ((np.array([[1, 1], [0, 0]], dtype=complex), NotHermitianError),
+                       (np.diag([1.5, -0.5]), NotPSDError),
+                       (np.array([[np.nan, 0], [0, 1]]), NotHermitianError)):
+        with pytest.raises(error):
+            state_fidelity(np.stack([good, good, bad]), psi)
+    for shape in ((2, 3, 3), (2, 2, 2, 2)):
+        with pytest.raises(DimensionMismatchError):
+            state_fidelity(np.zeros(shape), psi)
