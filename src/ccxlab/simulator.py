@@ -7,7 +7,9 @@ noise-free run is a run under ``noise.NOISELESS``, whose channels are all
 the identity. ``run_statevector`` stays as the exact pure-state reference
 that the state builders and ``ccxlab simulate`` use. Measurement sampling is
 seeded and deterministic: identical (table, shots, seed) always gives the
-identical counts.
+identical counts. ``sample_distribution`` rounds each distribution to 12
+decimals before it draws, so tables that differ only in round-off, such as
+the same table summed in another order, draw identical counts too.
 
 Density matrices evolve as row-major vec(rho), vec(rho)[i * d + j] =
 rho[i, j], under superoperators in the convention of Wood, Biamonte & Cory
@@ -19,7 +21,7 @@ relaxation on each of its qubits, the placement order documented in
 :mod:`ccxlab.noise`. That matrix is cached on the ``NoiseModel`` instance,
 keyed by the gate, so each channel builder runs once per distinct gate of a
 model, and both paths below read the one cached matrix. What a model caches:
-each gate's local channel, its embedding into each register size, and each
+each gate's local channel, each circuit's compiled blocks (below), and each
 readout map, all read-only; :mod:`ccxlab.experiments` adds each run's exact
 outcome table. Nothing here caches a state or a ``run_density`` result.
 
@@ -41,16 +43,24 @@ Both multiply the wires in from wire 0 up. That is the order in which a
 dense evolution, wire by wire, forms each entry, so noise-free they give its
 bits exactly.
 
-Dense: every other circuit runs on the whole register, gate by gate. That
-covers the Toffoli and state tomography's GHZ, W and UNIFORM inputs. Each
-gate's local channel reaches the register by copying its entries into place,
-cached keyed by (gate, register size). On registers of up to
-``_DENSE_SUPEROP_MAX_QUBITS`` qubits it is the dense 4^n x 4^n matrix and a
-gate is one matrix product; larger registers keep the 4^k x 4^k channel on
-the gate's own k wires and contract it into vec(rho), so memory stays
-O(4^n). A channel is linear, so a stack of states, as the columns of one
-(4^n, batch) array, goes through each gate in one product: ``run_density``
-evolves many prepared states through a shared circuit that way.
+Dense: every other circuit runs on the whole register, in fused blocks, the
+gate fusion of state-vector simulators (Haener & Steiger, arXiv:1704.01127).
+That covers the Toffoli and state tomography's GHZ, W and UNIFORM inputs.
+``_blocks`` gives each gate on two or more wires a block, which the
+one-qubit gates around it on those wires join, and each wire that no such
+gate touches one block of its own. A block's channel is the product of its
+gates' local channels, each wire's run of one-qubit gates composed as 4 x 4
+maps first; the 44 gates of the ECR-native Toffoli make 8 blocks, one per
+ECR. A model compiles each circuit's blocks once, keyed by the circuit, and
+each reaches the register by copying its entries into place. On registers of
+up to ``_DENSE_SUPEROP_MAX_QUBITS`` qubits it is the dense 4^n x 4^n matrix
+and a block is one matrix product; larger registers keep the 4^k x 4^k
+channel on the block's own k <= 2 wires and contract it into vec(rho), so
+memory stays O(4^n). Fusing reorders the products, so a table moves by
+round-off (~2e-16) against gate-by-gate evolution. A channel is linear, so a
+stack of states, as the columns of one (4^n, batch) array, goes through each
+block in one product: ``run_density`` evolves many prepared states through a
+shared circuit that way.
 
 Outcome distributions and counts are arrays indexed by basis state: bit q of
 the index is the outcome of qubit q, the little-endian order of states.
@@ -68,9 +78,9 @@ from .errors import CcxlabError, NonNativeGateError, UsageError
 from .gates import NATIVE_GATES, GateDef, gate_matrix
 from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
 
-#: registers up to this size apply each compiled gate as a dense 4^n x 4^n
-#: superoperator (64 x 64 at three qubits); larger ones contract the gate's
-#: local superoperator into vec(rho) on its own wires. Per gate application
+#: registers up to this size apply each compiled block as a dense 4^n x 4^n
+#: superoperator (64 x 64 at three qubits); larger ones contract the block's
+#: local superoperator into vec(rho) on its own wires. Per block application
 #: (one BLAS thread): 3 qubits ~4 us dense vs ~25 us local; 4 qubits ~18 vs
 #: ~25-30 us, at 1 MB per dense gate; 5 qubits ~0.9 ms vs ~38 us.
 _DENSE_SUPEROP_MAX_QUBITS = 3
@@ -179,9 +189,70 @@ def _local_channel(g: GateDef, nm: NoiseModel) -> np.ndarray:
     return nm.compiled(("channel", g), lambda: _gate_superop(g, nm))
 
 
-def _compiled_gate(g: GateDef, nm: NoiseModel, n: int) -> Tuple[np.ndarray, tuple]:
-    return nm.compiled(("gate", g, n),
-                       lambda: _compile(_local_channel(g, nm), sorted(g.qubits), n))
+@lru_cache(maxsize=64)
+def _blocks(c: Circuit) -> Tuple[Tuple[Tuple[int, ...], Tuple[GateDef, ...]], ...]:
+    """The fused blocks of a native circuit, in the order they apply: (sorted wires, gates).
+
+    Each gate on two or more wires starts a block on those wires. A one-qubit
+    gate joins the latest block on its wire or, before any exists, the next
+    multi-qubit block on that wire. The one-qubit gates of a wire that no
+    multi-qubit gate touches form one block for that wire, after the others,
+    wire 0 first. Every gate falls in exactly one block, and each wire's gates
+    keep their order: a gate only moves past gates on other wires, which
+    commute with it, so the blocks' product is the circuit's.
+    """
+    _check_native(c)
+    blocks = []
+    latest: dict = {}  # wire -> the gate list of the latest block on it
+    waiting: dict = {q: [] for q in range(c.num_qubits)}  # one-qubit gates before any block
+    for g in c.gates:
+        if len(g.qubits) > 1:
+            wires = tuple(sorted(g.qubits))
+            gates = [w for q in wires for w in waiting.pop(q, [])] + [g]
+            blocks.append((wires, gates))
+            latest.update((q, gates) for q in wires)
+        elif g.qubits[0] in latest:
+            latest[g.qubits[0]].append(g)
+        else:
+            waiting[g.qubits[0]].append(g)
+    blocks += [((q,), gates) for q, gates in waiting.items() if gates]
+    return tuple((wires, tuple(gates)) for wires, gates in blocks)
+
+
+def _block_channel(wires: Tuple[int, ...], gates: Sequence[GateDef], nm: NoiseModel) -> np.ndarray:
+    """Superoperator of one block on its sorted ``wires``: the product of its gates' cached
+    ``_local_channel``s. Each run of one-qubit gates on a wire is composed as 4 x 4 maps and
+    embedded once, just before the next multi-qubit gate or at the end."""
+    k = len(wires)
+    superop = None
+    runs: dict = {}  # wire -> the composed channel of its one-qubit gates since the last flush
+
+    def then(channel: np.ndarray, on: Sequence[int]) -> None:
+        nonlocal superop
+        if len(on) < k:
+            channel = _embed(channel, _vec_wires([wires.index(q) for q in on], k), 2 * k)
+        superop = channel if superop is None else channel @ superop
+
+    for g in gates:
+        channel = _local_channel(g, nm)
+        if len(g.qubits) == 1:
+            q = g.qubits[0]
+            runs[q] = channel @ runs[q] if q in runs else channel
+        else:
+            for q, run in runs.items():
+                then(run, [q])
+            runs.clear()
+            then(channel, sorted(g.qubits))
+    for q, run in runs.items():
+        then(run, [q])
+    return superop
+
+
+def _compiled_circuit(c: Circuit, nm: NoiseModel) -> Tuple[Tuple[np.ndarray, tuple], ...]:
+    """Each fused block of ``c``, ``_compile``d for its register: once per circuit and model."""
+    return nm.compiled(("circuit", c), lambda: tuple(
+        _compile(_block_channel(wires, gates, nm), wires, c.num_qubits)
+        for wires, gates in _blocks(c)))
 
 
 @lru_cache(maxsize=16)
@@ -255,15 +326,14 @@ def apply_circuit_density(rho: np.ndarray, c: Circuit, nm: NoiseModel) -> np.nda
 
     Per gate: ideal unitary, then depolarizing noise on the gate's qubits,
     then thermal relaxation on each participating qubit for the gate's
-    duration, applied as the gate's compiled superoperator (cached on ``nm``)
-    to the stack's columns at once.
+    duration. The gates apply in fused blocks (``_blocks``), one compiled
+    superoperator per block, cached on ``nm``, to the stack's columns at once.
     """
-    _check_native(c)
     n = c.num_qubits
     rho = np.asarray(rho, dtype=complex)
     vecs = rho.reshape((4 ** n,) + rho.shape[2:])
-    for g in c.gates:
-        vecs = _apply_superop(vecs, _compiled_gate(g, nm, n), n)
+    for compiled in _compiled_circuit(c, nm):
+        vecs = _apply_superop(vecs, compiled, n)
     return vecs.reshape(rho.shape)
 
 

@@ -38,7 +38,8 @@ def readout_map(rotations, nm):
     for rotation in rotations:
         block = diagonal
         for g in reversed(rotation.gates):
-            superop, wires = simulator._compiled_gate(g, nm, n)
+            superop, wires = simulator._compile(simulator._local_channel(g, nm),
+                                                sorted(g.qubits), n)
             block = simulator._apply_superop(block, (superop.T, wires), n)
         blocks.append(confusion @ block.T)
     return np.concatenate(blocks)

@@ -166,9 +166,10 @@ def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, fresh_noi
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
 def test_a_qpt_run_applies_the_toffoli_once_to_all_preparations(monkeypatch, fresh_noiseless,
                                                                 mode):
-    # in a first run, each Toffoli gate acts once, as a three-qubit superoperator, on the
-    # stack of all 64 probe states; no three-qubit superoperator acts on a single probe,
-    # whose gates run per wire, and the readout map is built per wire as well
+    # in a first run, each fused block of the Toffoli (an ECR with the one-qubit gates around
+    # it) acts once, as a three-qubit superoperator, on the stack of all 64 probe states: 8
+    # products for the 44 gates of ECR_NATIVE. No three-qubit superoperator acts on a single
+    # probe, whose gates run per wire, and the readout map is built per wire as well
     stacks = []
 
     def apply(vecs, *args, _call=simulator._apply_superop):
@@ -179,7 +180,8 @@ def test_a_qpt_run_applies_the_toffoli_once_to_all_preparations(monkeypatch, fre
     cfg = _config(mode, repeats=1, shots_per_setting=100)
     run_qpt_experiment(cfg)
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
-    assert stacks == [(64, 64)] * len(toffoli.gates)
+    assert len(toffoli.gates) == 44 and len(simulator._blocks(toffoli)) == 8
+    assert stacks == [(64, 64)] * 8
 
 
 @pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])

@@ -6,12 +6,16 @@ Noise-aware tables are checked against the Kraus-sum evolution in
 ``measurement_oracle``.
 """
 
+import dataclasses
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import gate_oracle
 import kraus_oracle
 import measurement_oracle
 import readout_oracle
@@ -20,11 +24,13 @@ from ccxlab.calibration import builtin_calibration_path, ingest_calibration
 from ccxlab.circuits import Circuit, serialize_circuit
 from ccxlab.errors import NonNativeGateError, UsageError
 from ccxlab.experiments import ExperimentConfig
-from ccxlab.gates import NATIVE_GATES, Gate, ecr, rz, sx, x
+from ccxlab.gates import NATIVE_GATES, Gate, GateDef, ecr, rz, sx, x
 from ccxlab.noise import NOISELESS, NoiseModel, QubitCalibration, scale_noise_model
 from ccxlab.states import PROBE_LABELS, StateKind, prepare_state, probe_circuit
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli
 from ccxlab.tomography import measurement_rotation, qst_settings
+
+from conftest import random_density_matrix
 
 CALIBRATIONS = ("brisbane_median", "sherbrooke_median")
 TOL = 1e-12
@@ -140,17 +146,19 @@ def test_distributions_match_kraus_oracle_with_uneven_qubits(state):
 @pytest.mark.parametrize("inputs", ["GHZ", "W", "UNIFORM", "PROBES"])
 def test_one_shared_evolution_matches_the_per_circuit_path(inputs, model):
     # the gate under test evolves all preparations as one stack; the per-circuit path
-    # evolves each whole circuit on its own. Noise-free, both give the same bits.
+    # evolves each whole circuit on its own, and fuses its gates into other blocks, so the
+    # two sum in other orders and agree to round-off. Noise-free, both draw the same counts
     nm = {"NOISELESS": NOISELESS, "uneven": _uneven_noise_model()}.get(model)
     nm = nm or _noise_model(model)
     preparations = _probe_preparations() if inputs == "PROBES" else [prepare_state(inputs)]
     expected = _per_circuit_distributions(preparations, _toffoli(), nm)
     actual = experiments._distributions(preparations, _toffoli(), nm)
     assert actual.shape == expected.shape == (len(preparations), 27, 8)
+    assert np.max(np.abs(actual - expected)) <= 1e-15
     if nm is NOISELESS:
-        assert np.array_equal(actual, expected)
-    else:
-        assert np.max(np.abs(actual - expected)) <= 1e-15
+        for seed in ((7, 0), (1, 0)):
+            assert np.array_equal(simulator.sample_distribution(actual, 11000, seed),
+                                  simulator.sample_distribution(expected, 11000, seed))
 
 
 def _model(name):
@@ -219,6 +227,70 @@ def test_channel_builders_run_once_per_distinct_noisy_gate(monkeypatch):
     # a second table reuses every compiled gate and the readout map, all cached on the model
     experiments._distributions(preparations, toffoli, nm)
     assert len(builds) == 21
+
+
+def test_a_second_table_on_the_same_model_compiles_nothing(monkeypatch):
+    # the Toffoli's 8 fused blocks are compiled once per model, next to its gate channels
+    # and readout map: a second table on the model builds none of them, and applies one
+    # product per block to the stack of 64 probe states, prepared per wire as a run does
+    nm, toffoli = _noise_model(), _toffoli()
+    preparations = simulator.product_states(_probe_preparations(), nm)
+    first = experiments._distributions(preparations, toffoli, nm)
+    calls = Counter()
+    for name in ("_gate_superop", "_block_channel", "_compile", "_readout_map",
+                 "_apply_superop"):
+        def counted(*args, _call=getattr(simulator, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(simulator, name, counted)
+    second = experiments._distributions(preparations, toffoli, nm)
+    assert calls == {"_apply_superop": 8}
+    assert np.array_equal(first, second)
+
+
+def _native_gates(n):
+    wire = st.integers(0, n - 1)
+    return st.one_of(
+        st.builds(x, wire), st.builds(sx, wire), st.builds(lambda q: GateDef(Gate.ID, (q,)), wire),
+        st.builds(rz, st.floats(-10, 10, allow_nan=False), wire),
+        st.builds(lambda a, b: ecr(a, (a + b) % n), wire, st.integers(1, n - 1)))
+
+
+@st.composite
+def _native_circuits(draw, sizes):
+    n = draw(st.sampled_from(sizes))
+    return Circuit(n, tuple(draw(st.lists(_native_gates(n), max_size=24))))
+
+
+def _assert_blocks_partition(circuit):
+    blocks = simulator._blocks(circuit)
+    assert sum(len(gates) for _, gates in blocks) == len(circuit.gates)
+    for wires, gates in blocks:
+        multi = [g for g in gates if len(g.qubits) > 1]
+        assert all(set(g.qubits) <= set(wires) for g in gates)
+        assert [tuple(sorted(g.qubits)) for g in multi] == ([wires] if len(wires) > 1 else [])
+    # each wire's gates in circuit order, so every gate falls in exactly one block
+    for q in range(circuit.num_qubits):
+        assert [g for _, gates in blocks for g in gates if q in g.qubits] \
+            == [g for g in circuit.gates if q in g.qubits]
+
+
+@pytest.mark.parametrize("sizes", [(3,), (4, 5)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fused_blocks_match_the_gate_by_gate_oracle(sizes, data):
+    # registers of 4 and 5 qubits take the local-contraction branch; each model is a fresh
+    # copy over the circuit's qubits, so no example leaves its compiled blocks behind
+    circuit = data.draw(_native_circuits(sizes), label="circuit")
+    _assert_blocks_partition(circuit)
+    n = circuit.num_qubits
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    rho = np.stack([random_density_matrix(2 ** n, rng) for _ in range(2)], axis=-1)
+    for model in ("NOISELESS", "brisbane_median", "uneven"):
+        nm = _model(model)
+        nm = dataclasses.replace(nm, qubit_cal=(nm.qubit_cal * 2)[:n])
+        fused = simulator.apply_circuit_density(rho, circuit, nm)
+        assert np.max(np.abs(fused - gate_oracle.evolve(rho, circuit, nm)), initial=0.0) <= 1e-14
 
 
 def test_scaled_models_get_their_own_distributions():
