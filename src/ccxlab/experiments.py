@@ -8,9 +8,10 @@ probe preparations hold one-qubit gates only, so ``product_states`` builds
 each probe state per qubit: every distinct gate sequence on a wire evolves
 once on that wire, and each probe is the tensor product of its wires. The
 run pushes the stack of prepared states through the chosen Toffoli
-realization once, on the whole register, and reads every measurement setting
-off one readout map, itself built per qubit, into a table of exact outcome
-distributions, one per (preparation, setting) cell. The two modes differ
+realization once, on the whole register, one fused block per two-qubit
+gate (8 products for the 44 gates of ``ECR_NATIVE``). It reads every
+measurement setting off one readout map, itself built per qubit, into a
+table of exact outcome distributions, one per (preparation, setting) cell. The two modes differ
 only in the model. That table is a pure function of the model, the strategy
 and the preparations, so the model keeps it, read-only, in
 ``NoiseModel.compiled`` next to its gate channels and readout maps: a
@@ -18,19 +19,22 @@ second run on the same model simulates nothing. Every noise-free run after
 the first is such a run, since ``NOISELESS`` is one constant; a noise-aware
 run builds a fresh model from its calibration file and computes its own
 table. Only the sampling differs from one repeat to the next: a
-repeat draws seeded finite-shot counts from that table, is reconstructed,
-and is scored by ``state_fidelity`` against the target ket: U|in> for state
-tomography, ``choi_ket_of_unitary(U)`` for process tomography. The two
-differ only in the preparations, estimator and ket they hand to that one
-run, ``_run``. State tomography reconstructs all repeats in one call on
-their stacked tables; process tomography draws and reconstructs one table
-at a time.
+repeat draws seeded finite-shot counts from that table and is
+reconstructed, and one ``state_fidelity`` call scores the stack of all
+repeats' estimates against the target ket: U|in> for state tomography,
+``choi_ket_of_unitary(U)`` for process tomography. The two differ only in
+the preparations, estimator and ket they hand to that one run, ``_run``.
+State tomography reconstructs all repeats in one call on their stacked
+tables; process tomography draws and reconstructs one table at a time.
 
 Determinism: repeat r of any run draws every cell of its table, in
 row-major order, from one generator seeded (master_seed, r) by
-``simulator.sample_distribution``. A stacked reconstruction gives each
-entry exactly what a single call gives. So repeat r does not depend on how
-many repeats run, and state and process tomography share one seed layout.
+``simulator.sample_distribution``, which rounds each distribution to 12
+decimals first: a table's round-off, which moves when the order of its
+products does, never reaches the counts. An exact-probability run uses the
+unrounded table. A stacked reconstruction, and a stacked fidelity, gives
+each entry exactly what a single call gives. So repeat r does not depend on
+how many repeats run, and state and process tomography share one seed layout.
 Runs are serial.
 """
 

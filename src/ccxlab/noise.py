@@ -24,15 +24,19 @@ The simulator compiles each distinct gate of a model to one local channel,
 the superoperator on the gate's own wires, and each readout map to one
 matrix, and keeps them in the model's own cache, ``NoiseModel.compiled``;
 the placement order is unchanged. One-qubit layers (probe preparations and
-measurement rotations) apply that local channel per qubit; the whole-register
-evolution embeds the same cached matrix. The builders therefore run once per
-distinct (gate, wires, parameters) of a model, and readout relaxation once
-per qubit per readout map. An experiment run keeps its exact outcome
-table there too (see :mod:`ccxlab.experiments`). A model built from other
-numbers, such as a ``scale_noise_model`` result, starts with an empty cache;
-``NOISELESS`` is one constant, so its cache lives as long as the process:
-its gates, its readout map and at most one table per strategy and input
-(4 strategies x {QPT, GHZ, W, UNIFORM}, under 0.5 MB).
+measurement rotations) apply that local channel per qubit. The
+whole-register evolution fuses each circuit's gates into blocks, one per
+two-qubit gate with the one-qubit gates around it, multiplies the same
+cached channels into one matrix per block, and keeps each circuit's blocks
+there too. The builders therefore run once per distinct (gate, wires,
+parameters) of a model, and readout relaxation once per qubit per readout
+map. An experiment run keeps its exact outcome table there as well (see
+:mod:`ccxlab.experiments`). A model built from other numbers, such as a
+``scale_noise_model`` result, starts with an empty cache; ``NOISELESS`` is
+one constant, so its cache lives as long as the process: its gates, the
+blocks of each circuit it ran (8 x 64 KB for the ECR-native Toffoli), its
+readout map and at most one table per strategy and input (4 strategies x
+{QPT, GHZ, W, UNIFORM}, under 0.5 MB).
 """
 
 from __future__ import annotations
@@ -181,8 +185,8 @@ class NoiseModel:
     def compiled(self, key: Hashable, build: Callable[[], _T]) -> _T:
         """``build()`` the first time ``key`` is asked for; the stored result after that.
 
-        The simulator stores each gate's channel, its register embeddings and
-        each readout map here, and an experiment run its exact outcome table.
+        The simulator stores each gate's channel, each circuit's compiled blocks
+        and each readout map here, and an experiment run its exact outcome table.
         The cache lives and dies with this instance, so it never outlives the
         numbers it was compiled from.
         """

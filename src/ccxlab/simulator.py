@@ -225,7 +225,7 @@ def _block_channel(wires: Tuple[int, ...], gates: Sequence[GateDef], nm: NoiseMo
     embedded once, just before the next multi-qubit gate or at the end."""
     k = len(wires)
     superop = None
-    runs: dict = {}  # wire -> the composed channel of its one-qubit gates since the last flush
+    runs: dict = {}  # wire -> its one-qubit gates since the last multi-qubit gate, composed
 
     def then(channel: np.ndarray, on: Sequence[int]) -> None:
         nonlocal superop
@@ -246,13 +246,6 @@ def _block_channel(wires: Tuple[int, ...], gates: Sequence[GateDef], nm: NoiseMo
     for q, run in runs.items():
         then(run, [q])
     return superop
-
-
-def _compiled_circuit(c: Circuit, nm: NoiseModel) -> Tuple[Tuple[np.ndarray, tuple], ...]:
-    """Each fused block of ``c``, ``_compile``d for its register: once per circuit and model."""
-    return nm.compiled(("circuit", c), lambda: tuple(
-        _compile(_block_channel(wires, gates, nm), wires, c.num_qubits)
-        for wires, gates in _blocks(c)))
 
 
 @lru_cache(maxsize=16)
@@ -326,13 +319,16 @@ def apply_circuit_density(rho: np.ndarray, c: Circuit, nm: NoiseModel) -> np.nda
 
     Per gate: ideal unitary, then depolarizing noise on the gate's qubits,
     then thermal relaxation on each participating qubit for the gate's
-    duration. The gates apply in fused blocks (``_blocks``), one compiled
-    superoperator per block, cached on ``nm``, to the stack's columns at once.
+    duration. The gates apply in fused blocks (``_blocks``), one superoperator
+    per block, compiled once per circuit and cached on ``nm``, to the stack's
+    columns at once.
     """
     n = c.num_qubits
+    blocks = nm.compiled(("circuit", c), lambda: tuple(
+        _compile(_block_channel(wires, gates, nm), wires, n) for wires, gates in _blocks(c)))
     rho = np.asarray(rho, dtype=complex)
     vecs = rho.reshape((4 ** n,) + rho.shape[2:])
-    for compiled in _compiled_circuit(c, nm):
+    for compiled in blocks:
         vecs = _apply_superop(vecs, compiled, n)
     return vecs.reshape(rho.shape)
 
