@@ -11,11 +11,11 @@ run pushes the stack of prepared states through the chosen Toffoli
 realization once, on the whole register, one fused block per two-qubit
 gate (8 products for the 44 gates of ``ECR_NATIVE``). It reads every
 measurement setting off one readout map, itself built per qubit, into a
-table of exact outcome distributions, one per (preparation, setting) cell. The two modes differ
-only in the model. That table is a pure function of the model, the strategy
-and the preparations, so the model keeps it, read-only, in
-``NoiseModel.compiled`` next to its gate channels and readout maps: a
-second run on the same model simulates nothing. Every noise-free run after
+table of exact outcome distributions, one per (preparation, setting) cell.
+The two modes differ only in the model. That table is a pure function of
+the model, the strategy and the preparations, so the model keeps it,
+read-only, in ``NoiseModel.compiled`` next to its gate channels, circuit
+blocks and readout maps: a second run on the same model simulates nothing. Every noise-free run after
 the first is such a run, since ``NOISELESS`` is one constant; a noise-aware
 run builds a fresh model from its calibration file and computes its own
 table. Only the sampling differs from one repeat to the next: a

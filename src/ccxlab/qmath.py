@@ -74,8 +74,8 @@ def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> Union[float, np.ndarray]
     """Fidelity <psi|rho|psi> of a density matrix ``rho`` with a pure target ket ``psi``.
 
     ``rho`` is one (d, d) state, which gives a float, or an (R, d, d) stack,
-    which gives the (R,) array of each state's fidelity, exactly what a call on
-    that state alone gives: a single state is scored as a stack of one.
+    which gives the (R,) array of each state's fidelity: exactly what a call
+    on that state alone gives, so a single state scores as a stack of one.
     Exact, with one batched ``eigvalsh`` for the checks. ``psi`` must be 1-D
     and match ``rho``'s dimension (else ``DimensionMismatchError``), finite
     (else ``NotHermitianError``, as for ``rho``) and of unit norm (else

@@ -82,7 +82,7 @@ from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
 #: superoperator (64 x 64 at three qubits); larger ones contract the block's
 #: local superoperator into vec(rho) on its own wires. Per block application
 #: (one BLAS thread): 3 qubits ~4 us dense vs ~25 us local; 4 qubits ~18 vs
-#: ~25-30 us, at 1 MB per dense gate; 5 qubits ~0.9 ms vs ~38 us.
+#: ~25-30 us, at 1 MB per dense block; 5 qubits ~0.9 ms vs ~38 us.
 _DENSE_SUPEROP_MAX_QUBITS = 3
 
 #: ``sample_distribution`` draws from each distribution rounded to this many decimals: far
