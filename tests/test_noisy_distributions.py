@@ -290,7 +290,7 @@ def test_fused_blocks_match_the_gate_by_gate_oracle(sizes, data):
         nm = _model(model)
         nm = dataclasses.replace(nm, qubit_cal=(nm.qubit_cal * 2)[:n])
         fused = simulator.apply_circuit_density(rho, circuit, nm)
-        assert np.max(np.abs(fused - gate_oracle.evolve(rho, circuit, nm)), initial=0.0) <= 1e-14
+        assert np.max(np.abs(fused - gate_oracle.evolve(rho, circuit, nm))) <= 1e-14
 
 
 def test_scaled_models_get_their_own_distributions():
