@@ -97,6 +97,7 @@ def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> Union[float, np.ndarray]
     w_min = np.min(np.linalg.eigvalsh((rho + dagger(rho)) / 2)[..., 0], initial=np.inf)
     if w_min < -VALIDATION_TOL:
         raise NotPSDError(f"state_fidelity requires PSD input; min eigenvalue {w_min:.3e}")
-    # vecdot conjugates psi, as vdot does: each state gets the bits of a call on it alone
-    fidelities = np.clip(np.vecdot(psi, rho @ psi).real, 0.0, 1.0)
-    return fidelities if rho.ndim == 3 else float(fidelities)
+    # one vdot per state: each state gets the bits of a call on it alone
+    kets = (rho @ psi).reshape(-1, psi.size)
+    fidelities = np.clip([np.vdot(psi, ket).real for ket in kets], 0.0, 1.0)
+    return fidelities if rho.ndim == 3 else float(fidelities[0])

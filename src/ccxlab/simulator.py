@@ -189,7 +189,6 @@ def _local_channel(g: GateDef, nm: NoiseModel) -> np.ndarray:
     return nm.compiled(("channel", g), lambda: _gate_superop(g, nm))
 
 
-@lru_cache(maxsize=64)
 def _blocks(c: Circuit) -> Tuple[Tuple[Tuple[int, ...], Tuple[GateDef, ...]], ...]:
     """The fused blocks of a native circuit, in the order they apply: (sorted wires, gates).
 

@@ -127,6 +127,15 @@ def test_a_stack_scores_each_state_exactly_as_a_call_on_it_alone(rng, k, monkeyp
     assert state_fidelity(stack[:0], psi).shape == (0,)
 
 
+def test_a_stack_scores_without_numpy_2_only_functions(rng, monkeypatch):
+    # pyproject declares numpy>=1.24, which has no vecdot
+    stack = np.stack([random_density_matrix(8, rng) for _ in range(4)])
+    psi = random_state_vector(8, rng)
+    expected = state_fidelity(stack, psi)
+    monkeypatch.delattr(np, "vecdot", raising=False)
+    assert state_fidelity(stack, psi).tolist() == expected.tolist()
+
+
 def test_a_stack_is_checked_as_a_whole():
     # one bad state anywhere in the stack fails the call, with the single state's error
     psi = np.array([1.0, 0.0])
