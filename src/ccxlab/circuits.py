@@ -24,12 +24,11 @@ from typing import FrozenSet, List, Tuple
 import numpy as np
 
 from .errors import ParseError, TooManyQubitsError
-from .gates import GATE_ARITY, GATE_PARAM_COUNT, Gate, GateDef, gate_matrix, hash_once
+from .gates import GATE_ARITY, GATE_PARAM_COUNT, Gate, GateDef, gate_matrix
 
 MAX_QUBITS = 6
 
 
-@hash_once
 @dataclass(frozen=True)
 class Circuit:
     num_qubits: int

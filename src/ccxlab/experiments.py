@@ -3,22 +3,22 @@
 A run simulates once, under its noise model: a calibration-derived one when
 noise-aware (with zero readout confusion when readout error is off) and
 ``NOISELESS`` when noise-free. State tomography evolves its input circuit
-whole, on the three-qubit register, from |0><0|. Process tomography's 64
-probe preparations hold one-qubit gates only, so ``product_states`` builds
-each probe state per qubit: every distinct gate sequence on a wire evolves
-once on that wire, and each probe is the tensor product of its wires. The
-run pushes the stack of prepared states through the chosen Toffoli
-realization once, on the whole register, one fused block per two-qubit
-gate (8 products for the 44 gates of ``ECR_NATIVE``). It reads every
-measurement setting off one readout map, itself built per qubit, into a
-table of exact outcome distributions, one per (preparation, setting) cell.
-The two modes differ only in the model. That table is a pure function of
-the model, the strategy and the preparations, so the model keeps it,
-read-only, in ``NoiseModel.compiled`` next to its gate channels, circuit
-blocks and readout maps: a second run on the same model simulates nothing. Every noise-free run after
-the first is such a run, since ``NOISELESS`` is one constant; a noise-aware
-run builds a fresh model from its calibration file and computes its own
-table. Only the sampling differs from one repeat to the next: a
+whole, on the three-qubit register, from |0><0|, into a stack of one state.
+Process tomography's 64 probes are the products of 4 one-qubit probe
+circuits, so ``product_states`` evolves each of those once per wire and
+forms every product. The run pushes the stack of prepared states through
+the chosen Toffoli realization once, on the whole register, one fused block
+per two-qubit gate (8 products for the 44 gates of ``ECR_NATIVE``). It reads
+every measurement setting off one readout map, itself built per qubit from
+the X, Y and Z rotations, into a table of exact outcome distributions, one
+per (preparation, setting) cell. The two modes differ only in the model.
+That table is a pure function of the model, the strategy and the
+preparations, so the model keeps it, read-only, in ``NoiseModel.compiled``
+next to its gate channels, keyed by the strategy and the input state (or
+"qpt"): a second run on the same model simulates nothing. Every noise-free
+run after the first is such a run, since ``NOISELESS`` is one constant; a
+noise-aware run builds a fresh model from its calibration file and computes
+its own table. Only the sampling differs from one repeat to the next: a
 repeat draws seeded finite-shot counts from that table and is
 reconstructed, and one ``state_fidelity`` call scores the stack of all
 repeats' estimates against the target ket: U|in> for state tomography,
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 import math
 import numbers
@@ -51,8 +50,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import (Callable, Dict, Hashable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -212,18 +210,16 @@ def _gate_count_summary(toffoli: Circuit, full: Circuit) -> Dict[str, int]:
 
 # -- measurement ---------------------------------------------------------------
 
-def _distributions(preparations: Union[Sequence[Circuit], np.ndarray], gate: Circuit,
-                   nm: NoiseModel) -> np.ndarray:
+def _distributions(preparations: np.ndarray, gate: Circuit, nm: NoiseModel) -> np.ndarray:
     """Exact outcome distributions of ``gate`` after each preparation, shape
     (preparations, 27 settings, 8 outcomes), settings in ``qst_settings`` order.
 
-    One ``run_density`` evolves ``gate`` once, under ``nm``, on the stack of
-    prepared states: the preparation circuits, each evolved from |0><0|, or
-    the (8, 8, P) stack they prepared (``product_states``). Every setting's
-    distribution (rotation circuit, readout relaxation, readout confusion) is
-    read off one ``readout_map``, cached on ``nm``.
+    One ``run_density`` evolves ``gate`` once, under ``nm``, on the (8, 8, P)
+    stack of prepared states. Every setting's distribution (rotation circuit,
+    readout relaxation, readout confusion) is read off one ``readout_map`` of
+    the X, Y and Z rotations.
     """
-    table = readout_map([measurement_rotation(setting) for setting in qst_settings(3)], nm)
+    table = readout_map([measurement_rotation(letter) for letter in "XYZ"], 3, nm)
     return setting_distributions(run_density(gate, nm, preparations), table)
 
 
@@ -246,14 +242,14 @@ def _toffoli(strategy: DecompositionStrategy) -> Circuit:
 
 
 def _run(cfg: ExperimentConfig, nm: NoiseModel, preparations: Hashable,
-         prepare: Callable[[], Union[Sequence[Circuit], np.ndarray]],
+         prepare: Callable[[], np.ndarray],
          estimate: Callable[[Iterator[np.ndarray]], np.ndarray],
          reference: np.ndarray) -> Tuple[Circuit, List[float]]:
     """The Toffoli under test and every repeat's fidelity against the target ket ``reference``.
 
-    The Toffoli runs under ``nm``, the run's ``cfg.noise_model()``, after
-    what ``prepare()`` returns, as ``_distributions`` takes it. That table is
-    a pure function of the model, the strategy and the preparations, so
+    The Toffoli runs under ``nm``, the run's ``cfg.noise_model()``, on the
+    (8, 8, P) stack of states ``prepare()`` returns. That table is a pure
+    function of the model, the strategy and the preparations, so
     ``nm.compiled`` keeps it, read-only, under the strategy and
     ``preparations``, a key that names the preparations by value: a second
     run on the same model calls neither ``prepare`` nor ``_distributions``.
@@ -279,9 +275,11 @@ def _run(cfg: ExperimentConfig, nm: NoiseModel, preparations: Hashable,
 def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     """State tomography of the Toffoli output for the configured input state (27 jobs)."""
     start = time.perf_counter()
+    nm = cfg.noise_model()
     preparation = prepare_state(cfg.input_state)
     psi = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET) @ target_state(cfg.input_state)
-    toffoli, fidelities = _run(cfg, cfg.noise_model(), (preparation,), lambda: [preparation],
+    toffoli, fidelities = _run(cfg, nm, cfg.input_state,
+                               lambda: run_density(preparation, nm)[..., None],
                                lambda tables: qst_reconstruct(np.concatenate(tuple(tables)), 3),
                                psi)
     return _make_report("qst", fidelities, cfg,
@@ -299,13 +297,10 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     start = time.perf_counter()
     nm = cfg.noise_model()
 
-    def prepare() -> np.ndarray:
-        probes = itertools.product(PROBE_LABELS, repeat=3)
-        return product_states([probe_circuit(probe) for probe in probes], nm)
-
-    # the 64 probes are constant, so one marker names them
+    # the probes are constant, so one marker names them
     toffoli, fidelities = _run(
-        cfg, nm, "qpt", prepare,
+        cfg, nm, "qpt",
+        lambda: product_states([probe_circuit((label,)) for label in PROBE_LABELS], 3, nm),
         lambda tables: np.stack([qpt_reconstruct(table, 3) for table in tables]),
         choi_ket_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET)))
     # probe preparations vary per job; report the gate under test

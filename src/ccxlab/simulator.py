@@ -20,24 +20,25 @@ ideal unitary, then depolarizing noise on the gate's qubits, then thermal
 relaxation on each of its qubits, the placement order documented in
 :mod:`ccxlab.noise`. That matrix is cached on the ``NoiseModel`` instance,
 keyed by the gate, so each channel builder runs once per distinct gate of a
-model, and both paths below read the one cached matrix. What a model caches:
-each gate's local channel, each circuit's compiled blocks (below), and each
-readout map, all read-only; :mod:`ccxlab.experiments` adds each run's exact
-outcome table. Nothing here caches a state or a ``run_density`` result.
+model, and both paths below read the one cached matrix. The gate channels
+are all a model caches here; :mod:`ccxlab.experiments` adds each run's exact
+outcome table. Blocks, readout maps and states are rebuilt per call.
 
 Per qubit: in this vec convention a layer whose gates and channels each act
 on one qubit is a tensor product of 4 x 4 maps, so it never needs the whole
-register. Two layers are like that:
+register. Two layers are like that, and each takes an alphabet, a list of
+native one-qubit circuits, and a number of wires n. Each letter evolves once
+per wire, moved onto that wire so the wire's own calibration applies, and
+the layer forms every product of one letter per wire, in
+``itertools.product(alphabet, repeat=n)`` order, wire 0 slowest:
 
-* ``product_states`` prepares states with one-qubit gates only, as process
-  tomography's probes are. Each distinct gate sequence on a wire evolves
-  once, on that wire's 2 x 2 state, and each state is the tensor product of
-  its wires' states.
-* ``readout_map`` compiles measurement. Each wire's distinct rotation gives
-  one 2 x 4 map: readout confusion . diagonal . readout relaxation . the
-  rotation's gates. Each setting's 2^n x 4^n block is the tensor product of
-  its wires' maps. The blocks stack into one (settings x 2^n, 4^n) map that
-  ``setting_distributions`` applies to vec(rho), cached on the model.
+* ``product_states`` prepares product states, as process tomography's
+  probes are: each (wire, letter) evolves on that wire's 2 x 2 state.
+* ``readout_map`` compiles measurement. Each (wire, letter) gives one 2 x 4
+  map: readout confusion . diagonal . readout relaxation . the letter's
+  rotation. The settings' 2^n x 4^n blocks stack into one
+  (settings x 2^n, 4^n) map that ``setting_distributions`` applies to
+  vec(rho).
 
 Both multiply the wires in from wire 0 up. That is the order in which a
 dense evolution, wire by wire, forms each entry, so noise-free they give its
@@ -51,16 +52,15 @@ one-qubit gates around it on those wires join, and each wire that no such
 gate touches one block of its own. A block's channel is the product of its
 gates' local channels, each wire's run of one-qubit gates composed as 4 x 4
 maps first; the 44 gates of the ECR-native Toffoli make 8 blocks, one per
-ECR. A model compiles each circuit's blocks once, keyed by the circuit, and
-each reaches the register by copying its entries into place. On registers of
-up to ``_DENSE_SUPEROP_MAX_QUBITS`` qubits it is the dense 4^n x 4^n matrix
-and a block is one matrix product; larger registers keep the 4^k x 4^k
-channel on the block's own k <= 2 wires and contract it into vec(rho), so
-memory stays O(4^n). Fusing reorders the products, so a table moves by
-round-off (~2e-16) against gate-by-gate evolution. A channel is linear, so a
-stack of states, as the columns of one (4^n, batch) array, goes through each
-block in one product: ``run_density`` evolves many prepared states through a
-shared circuit that way.
+ECR. Each block reaches the register by copying its entries into place. On
+registers of up to ``_DENSE_SUPEROP_MAX_QUBITS`` qubits it is the dense
+4^n x 4^n matrix and a block is one matrix product; larger registers keep
+the 4^k x 4^k channel on the block's own k <= 2 wires and contract it into
+vec(rho), so memory stays O(4^n). Fusing reorders the products, so a table
+moves by round-off (~2e-16) against gate-by-gate evolution. A channel is
+linear, so a stack of states, as the columns of one (4^n, batch) array,
+goes through each block in one product: ``run_density`` evolves a stack of
+prepared states through a shared circuit that way.
 
 Outcome distributions and counts are arrays indexed by basis state: bit q of
 the index is the outcome of qubit q, the little-endian order of states.
@@ -69,7 +69,7 @@ the index is the outcome of qubit q, the little-endian order of states.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,7 +151,6 @@ def _compile(superop: np.ndarray, wires: Sequence[int], n: int) -> Tuple[np.ndar
     """
     if n <= _DENSE_SUPEROP_MAX_QUBITS:
         superop, wires = _embed(superop, _vec_wires(wires, n), 2 * n), range(n)
-    superop.setflags(write=False)
     return superop, tuple(wires)
 
 
@@ -247,62 +246,54 @@ def _block_channel(wires: Tuple[int, ...], gates: Sequence[GateDef], nm: NoiseMo
     return superop
 
 
-@lru_cache(maxsize=16)
-def _wire_layout(circuits: Tuple[Circuit, ...]) -> Tuple[Tuple[tuple, np.ndarray], ...]:
-    """Per wire q of native circuits of one-qubit gates: the distinct gate sequences on q, and
-    the index of each circuit's own sequence among them. Built once per tuple of circuits."""
-    for c in circuits:
-        _check_native(c)
-        for g in c.gates:
-            if len(g.qubits) != 1:
-                raise UsageError(f"{g.name.value} on {g.qubits} acts on more than one qubit; "
-                                 "a per-qubit layer takes one-qubit gates only")
-    layout = []
-    for q in range(circuits[0].num_qubits):
-        distinct: dict = {}
-        index = np.array([distinct.setdefault(tuple(g for g in c.gates if g.qubits == (q,)),
-                                              len(distinct)) for c in circuits])
-        index.setflags(write=False)
-        layout.append((tuple(distinct), index))
-    return tuple(layout)
+def _letters_on_wires(alphabet: Sequence[Circuit], n: int,
+                      evolve: Callable[[int, Tuple[GateDef, ...]], np.ndarray]) -> list:
+    """Per wire q < n, the stack over ``alphabet`` of ``evolve(q, gates)``, ``gates`` a
+    letter's gates moved onto q, where q's own calibration applies.
 
-
-def _per_wire(circuits: Sequence[Circuit],
-              evolve: Callable[[int, Tuple[GateDef, ...]], np.ndarray]) -> list:
-    """Per wire q, the stack over ``circuits`` of ``evolve(q, gates)``, ``gates`` a circuit's
-    gates on q; each distinct (q, gates) is evolved once."""
-    return [np.stack([evolve(q, gates) for gates in distinct])[index]
-            for q, (distinct, index) in enumerate(_wire_layout(tuple(circuits)))]
+    Every letter must be a native one-qubit circuit: anything else raises
+    ``UsageError``, a gate outside the native set ``NonNativeGateError``.
+    """
+    if not alphabet or n < 1:
+        raise UsageError("a per-qubit layer needs at least one letter and one wire")
+    for letter in alphabet:
+        if not isinstance(letter, Circuit) or letter.num_qubits != 1:
+            raise UsageError(f"a per-qubit layer takes one-qubit circuits only, got {letter!r}")
+        _check_native(letter)
+    return [np.stack([evolve(q, tuple(GateDef(g.name, (q,), g.params) for g in letter.gates))
+                      for letter in alphabet]) for q in range(n)]
 
 
 def _wire_product(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor product of per-wire factors, ``factors[0]`` on wire 0.
+    """Every tensor product of per-wire factors, one factor from each wire, ``factors[0]`` on
+    wire 0.
 
-    Each factor has a leading batch axis and then one axis of size 2 per
-    index of its wire (row and column of a state; outcome, row and column of
-    a readout map). The result keeps the batch axis and has one axis of size
-    2^n per index, wire 0 its lowest bit. The factors are multiplied in from
-    wire 0 up, the order in which a dense evolution of wire 0's gates, then
-    wire 1's, and so on, forms each entry, so noise-free entries agree with
-    it bit for bit.
+    Each factor has a leading axis over a wire's letters and then one axis of
+    size 2 per index of its wire (row and column of a state; outcome, row and
+    column of a readout map). The result has one leading axis over every
+    choice of letters, in ``itertools.product`` order with wire 0 slowest, and
+    one axis of size 2^n per index, wire 0 its lowest bit. The factors are
+    multiplied in from wire 0 up, the order in which a dense evolution of wire
+    0's gates, then wire 1's, and so on, forms each entry, so noise-free
+    entries agree with it bit for bit.
     """
     out = factors[0]
     for factor in factors[1:]:
-        batch, sizes = out.shape[0], out.shape[1:]
-        high = factor.reshape([batch] + [d for size in factor.shape[1:] for d in (size, 1)])
-        low = out.reshape([batch] + [d for size in sizes for d in (1, size)])
+        batch, sizes = out.shape[0] * factor.shape[0], out.shape[1:]
+        high = factor.reshape([1, -1] + [d for size in factor.shape[1:] for d in (size, 1)])
+        low = out.reshape([-1, 1] + [d for size in sizes for d in (1, size)])
         out = (high * low).reshape([batch] + [2 * size for size in sizes])
     return out
 
 
-def product_states(preparations: Sequence[Circuit], nm: NoiseModel) -> np.ndarray:
-    """The (2^n, 2^n, P) stack of the states ``preparations`` prepare from |0...0> under ``nm``.
+def product_states(alphabet: Sequence[Circuit], n: int, nm: NoiseModel) -> np.ndarray:
+    """The (2^n, 2^n, len(alphabet)^n) stack of the product states an alphabet prepares.
 
-    Every preparation is a native circuit of one-qubit gates, so under the
-    local channels of ``nm`` it prepares a product state: each distinct gate
-    sequence on a wire evolves once, on that wire's 2 x 2 state, and each
-    state is the tensor product of its wires' states. A gate on two qubits
-    raises ``UsageError``.
+    Each letter is a native one-qubit circuit, such as ``probe_circuit((label,))``.
+    It evolves from |0><0| once per wire, on that wire's 2 x 2 state, under the
+    local channels of ``nm``; the stack holds every tensor product of one
+    letter's state per wire, in ``itertools.product(alphabet, repeat=n)``
+    order, wire 0 slowest.
     """
     def evolve(q: int, gates: Tuple[GateDef, ...]) -> np.ndarray:
         vec = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)  # |0><0|
@@ -310,7 +301,7 @@ def product_states(preparations: Sequence[Circuit], nm: NoiseModel) -> np.ndarra
             vec = _local_channel(g, nm) @ vec
         return vec.reshape(2, 2)
 
-    return np.moveaxis(_wire_product(_per_wire(preparations, evolve)), 0, -1)
+    return np.moveaxis(_wire_product(_letters_on_wires(alphabet, n, evolve)), 0, -1)
 
 
 def apply_circuit_density(rho: np.ndarray, c: Circuit, nm: NoiseModel) -> np.ndarray:
@@ -319,63 +310,50 @@ def apply_circuit_density(rho: np.ndarray, c: Circuit, nm: NoiseModel) -> np.nda
     Per gate: ideal unitary, then depolarizing noise on the gate's qubits,
     then thermal relaxation on each participating qubit for the gate's
     duration. The gates apply in fused blocks (``_blocks``), one superoperator
-    per block, compiled once per circuit and cached on ``nm``, to the stack's
-    columns at once.
+    per block built from the gates' cached channels, to the stack's columns at
+    once.
     """
     n = c.num_qubits
-    blocks = nm.compiled(("circuit", c), lambda: tuple(
-        _compile(_block_channel(wires, gates, nm), wires, n) for wires, gates in _blocks(c)))
     rho = np.asarray(rho, dtype=complex)
     vecs = rho.reshape((4 ** n,) + rho.shape[2:])
-    for compiled in blocks:
-        vecs = _apply_superop(vecs, compiled, n)
+    for wires, gates in _blocks(c):
+        vecs = _apply_superop(vecs, _compile(_block_channel(wires, gates, nm), wires, n), n)
     return vecs.reshape(rho.shape)
 
 
 def run_density(c: Circuit, nm: NoiseModel,
-                preparations: Optional[Union[Sequence[Circuit], np.ndarray]] = None) -> np.ndarray:
+                preparations: Optional[np.ndarray] = None) -> np.ndarray:
     """The density matrix of ``c`` run on |0...0> under ``nm``, checked for trace drift and
-    made exactly Hermitian. Given ``preparations``, the (2^n, 2^n, P) stack of ``c`` run
-    after each of them: ``c`` evolves the P prepared states at once. They are circuits, each
-    evolved whole from |0...0>, or the (2^n, 2^n, P) stack of states they prepared, such as
-    ``product_states`` builds."""
-    start = np.zeros((2 ** c.num_qubits,) * 2, dtype=complex)
-    start[0, 0] = 1.0
-    if isinstance(preparations, np.ndarray):
-        start = preparations
-    elif preparations is not None:
-        start = np.stack([apply_circuit_density(start, p, nm) for p in preparations], axis=-1)
-    rho = apply_circuit_density(start, c, nm)
+    made exactly Hermitian. Given ``preparations``, a (2^n, 2^n, P) stack of prepared states
+    such as ``product_states`` builds, the stack of ``c`` run on each of them, evolved at
+    once."""
+    if preparations is None:
+        preparations = np.zeros((2 ** c.num_qubits,) * 2, dtype=complex)
+        preparations[0, 0] = 1.0
+    rho = apply_circuit_density(preparations, c, nm)
     tr = np.trace(rho)
     if not np.max(np.abs(tr - 1.0)) < 1e-8:  # NaN-safe
         raise CcxlabError(f"density trace drifted to {tr}")
     return (rho + rho.swapaxes(0, 1).conj()) / 2
 
 
-def readout_map(rotations: Sequence[Circuit], nm: NoiseModel) -> np.ndarray:
+def readout_map(alphabet: Sequence[Circuit], n: int, nm: NoiseModel) -> np.ndarray:
     """The stacked map from vec(rho) to the outcome distribution of every setting.
 
-    Setting s applies the native circuit ``rotations[s]`` under ``nm``, thermal
-    relaxation of every qubit for its readout length, a Z measurement and the
-    readout confusion of ``nm``: rows readout confusion . diagonal . readout
-    relaxation . rotation, shape (len(rotations) * 2^n, 4^n), built per wire.
-    Each rotation is a circuit of one-qubit gates; a gate on two qubits raises
-    ``UsageError``. A model with
-    zero confusion, such as ``NOISELESS``, reads out perfectly: its confusion
-    matrix is exactly the identity. The map is cached on ``nm`` next to its
-    compiled gates, keyed by the rotations, so a model builds it once per
-    distinct list of rotations (``NOISELESS`` once per process).
+    Each letter is a native one-qubit measurement rotation, such as
+    ``measurement_rotation(letter)``; the settings are every choice of one
+    letter per wire, in ``itertools.product(alphabet, repeat=n)`` order, wire 0
+    slowest. Setting s rotates each wire by its letter under ``nm``, relaxes
+    every qubit for its readout length, measures Z and applies the readout
+    confusion of ``nm``. Per wire and letter that is one 2 x 4 map, readout
+    confusion . diagonal . readout relaxation . rotation, multiplied in from
+    the diagonal: in that order a noise-free map has the bits of the
+    whole-register construction in tests/readout_oracle.py. Each setting's
+    block is the tensor product of its wires' maps; the result has shape
+    (len(alphabet)^n * 2^n, 4^n). A model with zero
+    confusion, such as ``NOISELESS``, reads out perfectly: its confusion
+    matrix is exactly the identity.
     """
-    rotations = tuple(rotations)
-    return nm.compiled(("readout", rotations), lambda: _readout_map(rotations, nm))
-
-
-def _readout_map(rotations: Tuple[Circuit, ...], nm: NoiseModel) -> np.ndarray:
-    # every layer of a readout acts on one qubit, so each wire's distinct rotation gives one
-    # 2 x 4 map, confusion . diagonal . readout relaxation . rotation, and each setting is
-    # their tensor product. The maps are multiplied in from the diagonal: in that order a
-    # noise-free map has the bits of the whole-register construction in tests/readout_oracle.py
-    n = rotations[0].num_qubits
     readouts = []  # per qubit: its confusion, and diagonal . readout relaxation
     for q in range(n):
         cal = nm.calibration(q)
@@ -394,9 +372,7 @@ def _readout_map(rotations: Tuple[Circuit, ...], nm: NoiseModel) -> np.ndarray:
             m = m @ _local_channel(g, nm)
         return (confusion @ m).reshape(2, 2, 2)
 
-    table = _wire_product(_per_wire(rotations, wire_map)).reshape(len(rotations) * 2 ** n, -1)
-    table.setflags(write=False)
-    return table
+    return _wire_product(_letters_on_wires(alphabet, n, wire_map)).reshape(-1, 4 ** n)
 
 
 def setting_distributions(rho: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@
 GHZ, W and the uniform superposition. ``prepare_state(kind)`` is the native
 circuit preparing one from |0...0> and ``target_state(kind)`` its exact
 ket. Process tomography prepares the products of the per-qubit probes
-``PROBE_LABELS`` with ``probe_circuit(labels)``, whose exact ket is
-``probe_state(labels)``.
+``PROBE_LABELS``; ``probe_circuit(labels)`` prepares one such product, whose
+exact ket is ``probe_state(labels)``, and ``probe_circuit((label,))`` one
+probe on one qubit, the letter the simulator's ``product_states`` takes.
 
 Builders write logical circuits (H, S, X, CNOT, and the native RY words of
 the W state) and lower them with ``synthesis.to_native``, so every prepared
@@ -13,8 +14,9 @@ circuit is over the native gate set and runs on either simulator backend
 unchanged. A leading RZ on a wire still in |0> is prepended to cancel the
 global phase accumulated by the RZ/SX rewrites; the produced state then
 matches the target amplitudes exactly, not merely up to phase. That check
-runs a state vector, so each probe circuit, which process tomography needs
-64 of per run, is built once per process; circuits are immutable.
+runs a state vector, so each probe circuit, of which process tomography
+needs 4 (one per label, on one qubit), is built once per process; circuits
+are immutable.
 """
 
 from __future__ import annotations

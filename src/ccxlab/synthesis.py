@@ -58,16 +58,10 @@ class EquivalenceReport:
 
 
 def toffoli_unitary(controls: Sequence[int], target: int, num_qubits: int = 3) -> np.ndarray:
-    """Reference permutation: flip ``target`` iff both controls are set."""
-    controls = tuple(controls)
-    if len(set(controls) | {target}) != 3:
-        raise ValueError("controls and target must be three distinct qubits")
-    dim = 2 ** num_qubits
-    u = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        j = i ^ (1 << target) if all((i >> c) & 1 for c in controls) else i
-        u[j, i] = 1.0
-    return u
+    """Reference permutation: flip ``target`` iff both controls are set, the CCX gate's
+    matrix on the whole register. Roles that are not three distinct qubits of the register
+    raise ``ValueError``."""
+    return circuit_unitary(Circuit(num_qubits, (GateDef(Gate.CCX, (*controls, target)),)))
 
 
 def equivalent_up_to_global_phase(u: np.ndarray, v: np.ndarray,

@@ -1,11 +1,11 @@
 """Shared seeded random-object helpers, computational-basis preparations, a
-density-matrix check and the unprojected estimate of a reconstruction, for the
-test suite."""
+stack of prepared states, a density-matrix check and the unprojected estimate
+of a reconstruction, for the test suite."""
 
 import numpy as np
 import pytest
 
-from ccxlab import tomography
+from ccxlab import simulator, tomography
 from ccxlab.circuits import Circuit
 from ccxlab.gates import x
 
@@ -17,6 +17,14 @@ def _ginibre(dim, rng):
 def basis_circuit(index, num_qubits=3):
     """Native circuit preparing the basis state |index> from |0...0>; bit q is qubit q."""
     return Circuit(num_qubits, tuple(x(q) for q in range(num_qubits) if (index >> q) & 1))
+
+
+def prepared_states(circuits, nm):
+    """The (2^n, 2^n, P) stack of the states ``circuits`` prepare from |0...0> under ``nm``,
+    each circuit evolved whole: the start stack ``run_density`` takes."""
+    ground = np.zeros((2 ** circuits[0].num_qubits,) * 2, dtype=complex)
+    ground[0, 0] = 1.0
+    return np.stack([simulator.apply_circuit_density(ground, c, nm) for c in circuits], axis=-1)
 
 
 def basis_state(index, num_qubits=3):

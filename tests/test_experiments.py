@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import itertools
 import json
 import math
 from collections import Counter
@@ -25,7 +24,7 @@ from ccxlab.experiments import (
     run_qpt_experiment,
     run_qst_experiment,
 )
-from ccxlab.gates import sx, x
+from ccxlab.gates import GateDef, ecr, rz, sx, x
 from ccxlab.noise import NOISELESS
 from ccxlab.qmath import state_fidelity
 from ccxlab.states import PROBE_LABELS, StateKind, prepare_state, probe_circuit, target_state
@@ -125,9 +124,10 @@ def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, fresh_noi
                                                           circuits, mode, repeats):
     # both modes take the one path: noise-free is a run under NOISELESS, here with an empty
     # cache, so this is a first run. One run_density evolves the Toffoli once, on the whole
-    # stack of prepared states. QST builds its input with prepare_state and evolves it whole;
-    # QPT builds its probes with probe_circuit and product_states evolves each distinct gate
-    # sequence on a wire once, on that wire alone
+    # stack of prepared states. QST builds its input with prepare_state and evolves it whole
+    # with one more run_density; QPT builds its 4 one-qubit probe letters with probe_circuit,
+    # and product_states evolves each (wire, letter) once, on that wire alone, into the
+    # 4^3 = 64 probe states
     calls = Counter()
     for module, name, key in ((experiments, "prepare_state", "preparation"),
                               (experiments, "probe_circuit", "preparation"),
@@ -140,26 +140,23 @@ def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, fresh_noi
             return _call(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    def per_wire(layer, evolve, _call=simulator._per_wire):
+    def on_wires(alphabet, n, evolve, _call=simulator._letters_on_wires):
         def counted(q, gates):
-            if len(layer) == 64:  # the probes; the 27 rotations build the readout map
+            if len(alphabet) == len(PROBE_LABELS):  # the probes; 3 rotations build the readout
                 calls["probe wire evolution"] += 1
             return evolve(q, gates)
-        return _call(layer, counted)
+        return _call(alphabet, n, counted)
 
-    monkeypatch.setattr(simulator, "_per_wire", per_wire)
+    monkeypatch.setattr(simulator, "_letters_on_wires", on_wires)
     report = run(_config(mode, repeats=repeats, shots_per_setting=1000))
     assert len(report.fidelities) == repeats
     if run is run_qst_experiment:
-        assert calls == {"preparation": circuits, "run_density": 1,
+        assert calls == {"preparation": circuits, "run_density": circuits + 1,
                          "apply_circuit_density": circuits + 1, "readout_map": 1}
     else:
-        probes = [probe_circuit(p) for p in itertools.product(PROBE_LABELS, repeat=3)]
-        # qubit 0's sequences start with a global-phase RZ that depends on all three labels
-        sequences = {(q, tuple(g for g in p.gates if g.qubits == (q,)))
-                     for p in probes for q in range(3)}
-        assert len(sequences) == 28
-        assert calls == {"preparation": circuits, "product_states": 1, "probe wire evolution": 28,
+        assert len(PROBE_LABELS) ** 3 == circuits
+        assert calls == {"preparation": len(PROBE_LABELS), "product_states": 1,
+                         "probe wire evolution": 12,
                          "run_density": 1, "apply_circuit_density": 1, "readout_map": 1}
 
 
@@ -186,16 +183,16 @@ def test_a_qpt_run_applies_the_toffoli_once_to_all_preparations(monkeypatch, fre
 
 @pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
 def test_a_second_noise_free_run_compiles_nothing(monkeypatch, run):
-    # NOISELESS keeps its compiled gates, its readout map and the run's exact table, and the
-    # rotation and probe circuits are built once per process, so only the first noise-free
-    # run pays for any of them: a second one evolves, prepares and reads out nothing. A
-    # probe build starts with states.probe_state, which runs call nowhere else.
+    # NOISELESS keeps its gate channels and the run's exact table, and the rotation and
+    # probe circuits are built once per process, so only the first noise-free run pays for
+    # any of them: a second one compiles, evolves, prepares and reads out nothing. A probe
+    # build starts with states.probe_state, which runs call nowhere else.
     cfg = _config(repeats=1, shots_per_setting=100)
     first = run(cfg)
     assert cfg.noise_model() is NOISELESS
     compiled = dict(NOISELESS._compiled)
     builds = Counter()
-    for module, name in ((simulator, "_gate_superop"), (simulator, "_readout_map"),
+    for module, name in ((simulator, "_gate_superop"), (simulator, "_block_channel"),
                          (tomography, "to_native"), (states, "probe_state"),
                          (experiments, "run_density"), (experiments, "product_states"),
                          (experiments, "readout_map"), (experiments, "_distributions")):
@@ -206,6 +203,62 @@ def test_a_second_noise_free_run_compiles_nothing(monkeypatch, run):
     assert run(cfg).fidelities == first.fidelities
     assert builds == Counter()
     assert NOISELESS._compiled == compiled and compiled
+
+
+def _assert_caches_only(nm, kinds):
+    """Every key in ``nm``'s compiled cache is a ``kinds`` entry: ("channel", gate) or
+    ("table", strategy, preparations)."""
+    assert nm._compiled
+    for key in nm._compiled:
+        assert key[0] in kinds, key
+        if key[0] == "channel":
+            assert len(key) == 2 and isinstance(key[1], GateDef)
+        else:
+            assert len(key) == 3 and isinstance(key[1], DecompositionStrategy)
+
+
+@pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
+@pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
+def test_a_model_caches_only_gate_channels_and_tables(monkeypatch, fresh_noiseless, run, mode):
+    # the per-model table memo already spares a warm run its blocks and readout map, so a
+    # model keeps nothing else: no circuit's blocks, no readout map, no state
+    models = []
+
+    def captured(cfg, nm, *args, _call=experiments._run):
+        models.append(nm)
+        return _call(cfg, nm, *args)
+
+    monkeypatch.setattr(experiments, "_run", captured)
+    run(_config(mode, repeats=1, shots_per_setting=100))
+    (nm,) = models
+    assert (nm is NOISELESS) == (mode == "NOISE_FREE")
+    _assert_caches_only(nm, ("channel", "table"))
+    assert sum(key[0] == "table" for key in nm._compiled) == 1
+
+
+def test_running_many_circuits_caches_only_their_gate_channels(fresh_noiseless):
+    # NOISELESS lives as long as the process, so what it caches per circuit would grow
+    # without bound over a sweep of distinct circuits; it keeps one channel per distinct gate
+    rng = np.random.default_rng(2024)
+    circuits = set()
+    for _ in range(60):
+        gates = []
+        for _ in range(20):
+            q = int(rng.integers(3))
+            kind = rng.integers(3)
+            if kind == 0:
+                gates.append(rz(float(rng.uniform(-np.pi, np.pi)), q))
+            elif kind == 1:
+                gates.append(sx(q))
+            else:
+                gates.append(ecr(q, (q + 1 + int(rng.integers(2))) % 3))
+        circuit = Circuit(3, tuple(gates))
+        circuits.add(circuit)
+        rho = simulator.run_density(circuit, NOISELESS)
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert len(circuits) >= 50
+    _assert_caches_only(NOISELESS, ("channel",))
+    assert len(NOISELESS._compiled) == len({g for c in circuits for g in c.gates})
 
 
 def _counted_tables(monkeypatch):
@@ -299,8 +352,9 @@ def _captured(monkeypatch, name):
 
 def _qst_table(cfg):
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
-    return experiments._distributions([prepare_state(cfg.input_state)], toffoli,
-                                      cfg.noise_model())
+    nm = cfg.noise_model()
+    prepared = simulator.run_density(prepare_state(cfg.input_state), nm)[..., None]
+    return experiments._distributions(prepared, toffoli, nm)
 
 
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
@@ -324,8 +378,9 @@ def test_qpt_seed_layout(monkeypatch):
     cfg = _config(repeats=2, shots_per_setting=1000)
     run_qpt_experiment(cfg)
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
-    preparations = [probe_circuit(probe) for probe in itertools.product(PROBE_LABELS, repeat=3)]
-    table = experiments._distributions(preparations, toffoli, cfg.noise_model())
+    nm = cfg.noise_model()
+    probes = simulator.product_states([probe_circuit((label,)) for label in PROBE_LABELS], 3, nm)
+    table = experiments._distributions(probes, toffoli, nm)
     assert len(seen) == 2
     for r, frequencies in enumerate(seen):
         draws = simulator.sample_distribution(table, 1000, (cfg.master_seed, r))
@@ -339,10 +394,11 @@ def test_noise_free_counts_do_not_depend_on_how_the_table_was_summed(seed):
     # last bits differ, yet a draw rounds each distribution first and gets the same counts
     toffoli = decompose_toffoli(DecompositionStrategy.ECR_NATIVE, DEFAULT_CONTROLS,
                                 DEFAULT_TARGET)
-    probes = [probe_circuit(probe) for probe in itertools.product(PROBE_LABELS, repeat=3)]
-    rho = simulator.run_density(toffoli, NOISELESS, simulator.product_states(probes, NOISELESS))
-    readout = simulator.readout_map([tomography.measurement_rotation(s)
-                                     for s in tomography.qst_settings(3)], NOISELESS)
+    probes = [probe_circuit((label,)) for label in PROBE_LABELS]
+    rho = simulator.run_density(toffoli, NOISELESS,
+                                simulator.product_states(probes, 3, NOISELESS))
+    readout = simulator.readout_map([tomography.measurement_rotation(letter)
+                                     for letter in "XYZ"], 3, NOISELESS)
     per_state = simulator.setting_distributions(rho, readout)
     product = np.clip(np.real(readout @ rho.reshape(64, 64)), 0.0, None)
     product = np.moveaxis(product.reshape(27, 8, 64), -1, 0)

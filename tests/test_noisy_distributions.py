@@ -30,7 +30,7 @@ from ccxlab.states import PROBE_LABELS, StateKind, prepare_state, probe_circuit
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli
 from ccxlab.tomography import measurement_rotation, qst_settings
 
-from conftest import random_density_matrix
+from conftest import prepared_states, random_density_matrix
 
 CALIBRATIONS = ("brisbane_median", "sherbrooke_median")
 TOL = 1e-12
@@ -53,15 +53,29 @@ def _probe_preparations():
     return [probe_circuit(p) for p in itertools.product(PROBE_LABELS, repeat=3)]
 
 
+#: the one-qubit letters the per-qubit layers take: the probes, and the measurement rotations
+PROBE_ALPHABET = [probe_circuit((label,)) for label in PROBE_LABELS]
+ROTATION_ALPHABET = [measurement_rotation(letter) for letter in "XYZ"]
+
+
+def _letter_products(alphabet, n):
+    """Every product of one letter per wire as a whole n-qubit circuit, wire 0 slowest:
+    what the per-qubit layers build from ``alphabet``, for the dense oracles."""
+    return [Circuit(n, tuple(GateDef(g.name, (q,), g.params)
+                             for q, letter in enumerate(letters) for g in letter.gates))
+            for letters in itertools.product(alphabet, repeat=n)]
+
+
 def _distributions(state, nm, strategy=DecompositionStrategy.ECR_NATIVE):
     """The exact (settings x outcomes) table the experiments feed to tomography."""
-    return experiments._distributions([prepare_state(state)], _toffoli(strategy), nm)[0]
+    return experiments._distributions(prepared_states([prepare_state(state)], nm),
+                                      _toffoli(strategy), nm)[0]
 
 
 def _per_circuit_distributions(preparations, gate, nm):
     """The table as the experiments built it before the preparations shared one
     evolution of ``gate``: one ``run_density`` per whole circuit, kept as an oracle."""
-    table = simulator.readout_map([measurement_rotation(s) for s in qst_settings(3)], nm)
+    table = simulator.readout_map(ROTATION_ALPHABET, 3, nm)
     return np.array([simulator.setting_distributions(
         simulator.run_density(prep.concat(gate), nm), table) for prep in preparations])
 
@@ -81,7 +95,8 @@ def test_qpt_distributions_match_kraus_oracle(strategy, calibration):
     batch = kraus_oracle.evolve(batch, toffoli, nm)
     batch = (batch + batch.conj().transpose(1, 0, 2)) / 2
     expected = kraus_oracle.setting_distributions(batch, nm)
-    actual = experiments._distributions(preps, toffoli, nm).transpose(1, 2, 0)
+    actual = experiments._distributions(prepared_states(preps, nm), toffoli, nm)
+    actual = actual.transpose(1, 2, 0)
     assert actual.shape == expected.shape == (27, 8, 64)
     assert np.max(np.abs(actual - expected)) < TOL
 
@@ -92,7 +107,8 @@ def test_noise_free_distributions_match_statevector_oracle(inputs):
     preparations = _probe_preparations() if inputs == "PROBES" else [prepare_state(inputs)]
     expected = [measurement_oracle.setting_distributions(
         simulator.run_statevector(prep.concat(toffoli)), 3) for prep in preparations]
-    actual = experiments._distributions(preparations, toffoli, NOISELESS)
+    actual = experiments._distributions(prepared_states(preparations, NOISELESS), toffoli,
+                                        NOISELESS)
     assert actual.shape == (len(preparations), 27, 8)
     assert np.max(np.abs(actual - expected)) < TOL
 
@@ -152,7 +168,7 @@ def test_one_shared_evolution_matches_the_per_circuit_path(inputs, model):
     nm = nm or _noise_model(model)
     preparations = _probe_preparations() if inputs == "PROBES" else [prepare_state(inputs)]
     expected = _per_circuit_distributions(preparations, _toffoli(), nm)
-    actual = experiments._distributions(preparations, _toffoli(), nm)
+    actual = experiments._distributions(prepared_states(preparations, nm), _toffoli(), nm)
     assert actual.shape == expected.shape == (len(preparations), 27, 8)
     assert np.max(np.abs(actual - expected)) <= 1e-15
     if nm is NOISELESS:
@@ -169,11 +185,13 @@ def _model(name):
 @pytest.mark.parametrize("model", ["NOISELESS", *CALIBRATIONS, "uneven"])
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])
 def test_the_per_wire_readout_map_matches_the_gate_by_gate_oracle(num_qubits, model):
-    # every setting's block is the tensor product of its wires' 2 x 4 maps. Noise-free it has
-    # the bits of the dense gate-by-gate construction, under noise its values to round-off
+    # every setting's block is the tensor product of its wires' 2 x 4 maps, one per (wire,
+    # letter). Noise-free it has the bits of the dense gate-by-gate construction of every
+    # setting's whole rotation circuit, under noise its values to round-off
     nm = _model(model)
     rotations = [measurement_rotation(s) for s in qst_settings(num_qubits)]
-    actual = simulator.readout_map(rotations, nm)
+    assert _letter_products(ROTATION_ALPHABET, num_qubits) == rotations
+    actual = simulator.readout_map(ROTATION_ALPHABET, num_qubits, nm)
     expected = readout_oracle.readout_map(rotations, nm)
     assert actual.shape == expected.shape == (6 ** num_qubits, 4 ** num_qubits)
     if nm is NOISELESS:
@@ -184,14 +202,15 @@ def test_the_per_wire_readout_map_matches_the_gate_by_gate_oracle(num_qubits, mo
 
 @pytest.mark.parametrize("model", ["NOISELESS", *CALIBRATIONS, "uneven"])
 def test_product_probe_states_match_per_probe_dense_evolution(model):
-    # each probe's wires evolve alone and its state is their tensor product. Noise-free it
-    # has the bits of evolving each probe circuit whole; under noise its values to round-off,
-    # and each wire relaxes with its own qubit's calibration, as the Kraus oracle has it
-    nm, probes = _model(model), _probe_preparations()
+    # each (wire, probe letter) evolves alone and each state is the product of its wires'.
+    # Noise-free it has the bits of evolving each product of letters whole; under noise its
+    # values to round-off, and each wire relaxes with its own qubit's calibration, as the
+    # Kraus oracle has it
+    nm, probes = _model(model), _letter_products(PROBE_ALPHABET, 3)
     ground = np.zeros((8, 8), dtype=complex)
     ground[0, 0] = 1.0
-    dense = np.stack([simulator.apply_circuit_density(ground, p, nm) for p in probes], axis=-1)
-    product = simulator.product_states(probes, nm)
+    dense = prepared_states(probes, nm)
+    product = simulator.product_states(PROBE_ALPHABET, 3, nm)
     assert product.shape == dense.shape == (8, 8, 64)
     if nm is NOISELESS:
         assert np.array_equal(product, dense)
@@ -203,10 +222,15 @@ def test_product_probe_states_match_per_probe_dense_evolution(model):
 
 @pytest.mark.parametrize("build", [simulator.product_states, simulator.readout_map])
 def test_a_per_qubit_layer_rejects_a_two_qubit_gate(build):
-    # a probe preparation or a measurement rotation that entangles is a typed usage error
-    circuits = [Circuit(3, (sx(1),)), Circuit(3, (sx(0), ecr(1, 2)))]
-    with pytest.raises(UsageError, match="one-qubit gates only") as info:
-        build(circuits, NOISELESS)
+    # an alphabet comes from outside the simulator: a letter that is not a one-qubit circuit,
+    # such as a probe preparation or a measurement rotation that entangles, is a typed usage
+    # error, and a letter outside the native gate set is not native
+    for letters in ([Circuit(1, (sx(0),)), Circuit(2, (sx(0), ecr(0, 1)))], ["X"], []):
+        with pytest.raises(UsageError, match="one-qubit circuits only|at least one") as info:
+            build(letters, 3, NOISELESS)
+        assert info.value.exit_code == 2
+    with pytest.raises(NonNativeGateError) as info:
+        build([Circuit(1, (sx(0),)), Circuit(1, (GateDef(Gate.H, (0,)),))], 3, NOISELESS)
     assert info.value.exit_code == 2
 
 
@@ -217,34 +241,38 @@ def test_channel_builders_run_once_per_distinct_noisy_gate(monkeypatch):
             builds.append(args)
             return _build(*args)
         monkeypatch.setattr(simulator, name, counted)
-    nm, toffoli, preparations = _noise_model(), _toffoli(), _probe_preparations()
+    nm, toffoli = _noise_model(), _toffoli()
+    preparations = simulator.product_states(PROBE_ALPHABET, 3, nm)
     experiments._distributions(preparations, toffoli, nm)
     rotations = [measurement_rotation(setting) for setting in qst_settings(3)]
-    noisy = {g for c in preparations + [toffoli] + rotations for g in c.gates
+    noisy = {g for c in _probe_preparations() + [toffoli] + rotations for g in c.gates
              if g.name is not Gate.RZ}
     # per noisy gate one depolarizing and one relaxation per qubit; one readout relaxation per qubit
     assert len(builds) == sum(1 + len(g.qubits) for g in noisy) + 3 == 21
-    # a second table reuses every compiled gate and the readout map, all cached on the model
+    # a second table reuses every gate channel, cached on the model; only its readout map,
+    # built once per table, relaxes each qubit again
     experiments._distributions(preparations, toffoli, nm)
-    assert len(builds) == 21
+    assert len(builds) == 21 + 3
 
 
 def test_a_second_table_on_the_same_model_compiles_nothing(monkeypatch):
-    # the Toffoli's 8 fused blocks are compiled once per model, next to its gate channels
-    # and readout map: a second table on the model builds none of them, and applies one
-    # product per block to the stack of 64 probe states, prepared per wire as a run does
+    # a model caches each gate's channel, so a second table on it builds no gate channel.
+    # It builds the Toffoli's 8 fused blocks and its readout map again from those channels,
+    # once per table, and applies one product per block to the stack of 64 probe states,
+    # prepared per wire as a run does
     nm, toffoli = _noise_model(), _toffoli()
-    preparations = simulator.product_states(_probe_preparations(), nm)
+    preparations = simulator.product_states(PROBE_ALPHABET, 3, nm)
     first = experiments._distributions(preparations, toffoli, nm)
     calls = Counter()
-    for name in ("_gate_superop", "_block_channel", "_compile", "_readout_map",
-                 "_apply_superop"):
-        def counted(*args, _call=getattr(simulator, name), _name=name):
+    for module, name in ((simulator, "_gate_superop"), (simulator, "_block_channel"),
+                         (simulator, "_compile"), (simulator, "_apply_superop"),
+                         (experiments, "readout_map")):
+        def counted(*args, _call=getattr(module, name), _name=name):
             calls[_name] += 1
             return _call(*args)
-        monkeypatch.setattr(simulator, name, counted)
+        monkeypatch.setattr(module, name, counted)
     second = experiments._distributions(preparations, toffoli, nm)
-    assert calls == {"_apply_superop": 8}
+    assert calls == {"_block_channel": 8, "_compile": 8, "_apply_superop": 8, "readout_map": 1}
     assert np.array_equal(first, second)
 
 
@@ -351,7 +379,7 @@ def test_density_evolution_matches_kraus_oracle_on_every_register_size(num_qubit
     assert np.max(np.abs(rho - kraus_oracle.run_density(circuit, nm))) < TOL
     # a stack of prepared states evolves through the circuit as each would on its own
     preparations = [_random_native_circuit(num_qubits, rng, length=5) for _ in range(3)]
-    stack = simulator.run_density(circuit, nm, preparations)
+    stack = simulator.run_density(circuit, nm, prepared_states(preparations, nm))
     assert stack.shape == rho.shape + (3,)
     for i, prep in enumerate(preparations):
         alone = simulator.run_density(prep.concat(circuit), nm)

@@ -14,9 +14,9 @@ from ccxlab.qmath import state_fidelity
 from ccxlab.simulator import run_density, run_statevector, sample_distribution
 from ccxlab.states import ghz_circuit, uniform_state
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, native_h
-from ccxlab.tomography import measurement_rotation
+from ccxlab.tomography import measurement_rotation, qst_settings
 
-from conftest import basis_circuit, random_density_matrix, random_state_vector
+from conftest import basis_circuit, prepared_states, random_density_matrix, random_state_vector
 from measurement_oracle import measurement_probabilities
 
 
@@ -177,7 +177,7 @@ def test_ghz_zzz_binomial_band():
 
 def test_readout_confusion_flip_rate():
     nm = NoiseModel((QubitCalibration(t1_us=100.0, t2_us=100.0, prob_meas1_prep0=0.1),), {}, {})
-    table = simulator.readout_map([Circuit(1)], nm)
+    table = simulator.readout_map([Circuit(1)], 1, nm)
     probs = simulator.setting_distributions(run_density(Circuit(1), nm), table)[0]
     counts = sample_distribution(probs, 20000, seed=(5,))
     frac_one = counts[1] / 20000
@@ -189,7 +189,7 @@ def test_readout_confusion_matrix_is_columnwise():
     # qubit 0 misreads a true 0 as 1 with prob 0.2: from |00>, outcome index 1 gains that weight
     nm = NoiseModel((QubitCalibration(t1_us=100.0, t2_us=100.0, prob_meas1_prep0=0.2),
                      QubitCalibration(t1_us=100.0, t2_us=100.0)), {}, {})
-    table = simulator.readout_map([Circuit(2)], nm)
+    table = simulator.readout_map([Circuit(1)], 2, nm)
     probs = simulator.setting_distributions(run_density(Circuit(2), nm), table)[0]
     assert probs[1] == pytest.approx(0.2)
     assert probs[0] == pytest.approx(0.8)
@@ -211,8 +211,9 @@ def test_empirical_tvd_convergence(rng):
 
 
 def test_noiseless_readout_map_matches_oracle_on_mixed_states(rng):
-    settings = ["XYZ", "YYX", "ZZZ", "XXY"]
-    table = simulator.readout_map([measurement_rotation(s) for s in settings], NOISELESS)
+    settings = qst_settings(3)
+    table = simulator.readout_map([measurement_rotation(letter) for letter in "XYZ"], 3,
+                                  NOISELESS)
     for _ in range(5):
         rho = random_density_matrix(8, rng)
         expected = [measurement_probabilities(rho, s) for s in settings]
@@ -224,12 +225,13 @@ def test_a_stack_of_states_reads_each_state_bit_for_bit(rng, noisy):
     # seeded counts turn on which probabilities are exactly 0, so a batched read must give
     # each state's distributions to the last bit, not merely to round-off
     nm = _noise_model(p10=0.02, p01=0.03, readout_len=1200.0) if noisy else NOISELESS
-    table = simulator.readout_map([measurement_rotation(s) for s in ("XYZ", "ZZZ", "YXX")], nm)
+    table = simulator.readout_map([measurement_rotation(letter) for letter in "XYZ"], 3, nm)
     preparations = [basis_circuit(b) for b in range(8)] + [ghz_circuit()]
-    stack = np.concatenate([run_density(_toffoli_native(), nm, preparations),
+    prepared = prepared_states(preparations, nm)
+    stack = np.concatenate([run_density(_toffoli_native(), nm, prepared),
                             np.stack([random_density_matrix(8, rng) for _ in range(4)], -1)], -1)
     batched = simulator.setting_distributions(stack, table)
-    assert batched.shape == (13, 3, 8)
+    assert batched.shape == (13, 27, 8)
     for i in range(13):
         assert np.array_equal(batched[i], simulator.setting_distributions(stack[..., i], table))
 

@@ -40,6 +40,32 @@ def test_toffoli_matches_gate_matrix():
     assert np.array_equal(toffoli_unitary((1, 2), 0), gate_matrix(GateDef(Gate.CCX, (1, 2, 0))))
 
 
+def _permutation_loop(controls, target, num_qubits):
+    """Oracle: the classical CCX permutation, entry by entry."""
+    dim = 2 ** num_qubits
+    u = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        j = i ^ (1 << target) if all((i >> c) & 1 for c in controls) else i
+        u[j, i] = 1.0
+    return u
+
+
+@pytest.mark.parametrize("controls, target, num_qubits",
+                         [(controls, target, 3) for controls, target in ALL_ROLES]
+                         + [((3, 0), 2, 4)])
+def test_toffoli_unitary_is_the_ccx_permutation_on_the_register(controls, target, num_qubits):
+    # the CCX gate's matrix on the whole register, entry for entry the permutation
+    u = toffoli_unitary(controls, target, num_qubits)
+    assert np.array_equal(u, _permutation_loop(controls, target, num_qubits))
+
+
+@pytest.mark.parametrize("controls, target", [((0, 0), 1), ((0, 1), 1), ((0, 1), 3)])
+def test_toffoli_unitary_rejects_roles_that_are_not_three_qubits_of_the_register(controls,
+                                                                                 target):
+    with pytest.raises(ValueError):
+        toffoli_unitary(controls, target)
+
+
 @pytest.mark.parametrize("strategy", list(DecompositionStrategy))
 @pytest.mark.parametrize("controls,target", ALL_ROLES)
 def test_all_strategies_all_roles(strategy, controls, target):

@@ -8,7 +8,7 @@ import pytest
 
 from ccxlab.calibration import builtin_calibration_path, ingest_calibration
 from ccxlab.circuits import circuit_unitary
-from ccxlab import experiments, tomography
+from ccxlab import experiments, simulator, tomography
 from ccxlab.noise import NOISELESS
 from ccxlab.errors import (
     DimensionMismatchError,
@@ -555,8 +555,8 @@ def _toffoli_qpt_table(calibration):
     nm = NOISELESS if calibration is None else \
         ingest_calibration(builtin_calibration_path(calibration)).noise_model(3)
     toffoli = decompose_toffoli(DecompositionStrategy.ECR_NATIVE, (0, 1), 2)
-    preparations = [probe_circuit(probe) for probe in itertools.product(PROBE_LABELS, repeat=3)]
-    return experiments._distributions(preparations, toffoli, nm)
+    probes = simulator.product_states([probe_circuit((label,)) for label in PROBE_LABELS], 3, nm)
+    return experiments._distributions(probes, toffoli, nm)
 
 
 @pytest.mark.parametrize("calibration", [None, "brisbane_median"])
