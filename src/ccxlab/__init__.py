@@ -19,7 +19,7 @@ from .noise import (
     thermal_relaxation_channel,
 )
 from .qmath import state_fidelity
-from .simulator import run_density, run_statevector
+from .simulator import run_density
 from .states import StateKind, prepare_state, target_state
 from .synthesis import (
     DecompositionStrategy,

@@ -24,7 +24,8 @@ from .experiments import (
     run_qpt_experiment,
     run_qst_experiment,
 )
-from .simulator import run_density, run_statevector, sample_distribution
+from .noise import NOISELESS
+from .simulator import run_density, sample_distribution
 from .states import StateKind
 from .synthesis import DecompositionStrategy, certify_toffoli, decompose_toffoli
 from .version import __version__
@@ -118,19 +119,12 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     text = Path(args.circuit).read_text()
     circuit = parse_circuit(text)
-    if args.noise:
-        table = ingest_calibration(_resolve_noise_path(args.noise))
-        nm = table.noise_model(circuit.num_qubits)
-        rho = run_density(circuit, nm)
-        purity = float(np.real(np.trace(rho @ rho)))
-        probs = np.real(np.diag(rho))
-        out = {"backend": "density", "purity": purity,
-               "populations": [float(p) for p in probs]}
-    else:
-        psi = run_statevector(circuit)
-        out = {"backend": "statevector",
-               "amplitudes": [[float(a.real), float(a.imag)] for a in psi]}
-        probs = np.abs(psi) ** 2
+    nm = (ingest_calibration(_resolve_noise_path(args.noise)).noise_model(circuit.num_qubits)
+          if args.noise else NOISELESS)
+    rho = run_density(circuit, nm)
+    probs = np.real(np.diag(rho))
+    out = {"backend": "density", "purity": float(np.real(np.trace(rho @ rho))),
+           "populations": [float(p) for p in probs]}
     if args.shots:
         n = circuit.num_qubits
         probs = np.clip(probs, 0.0, None)
@@ -212,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the circuit text here")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("simulate", help="run a circuit file on a simulator backend")
+    p = sub.add_parser("simulate", help="run a circuit file through the density simulator")
     p.add_argument("circuit", help="circuit text file")
     p.add_argument("--noise", metavar="CALIBRATION")
     p.add_argument("--shots", type=int, default=0)

@@ -4,10 +4,10 @@ Only the native gate set {ECR, ID, RZ, SX, X} runs; compile everything else
 first (``circuit_unitary`` in :mod:`ccxlab.circuits` handles arbitrary
 catalog gates for oracle math). There is one evolution for every mode: a
 noise-free run is a run under ``noise.NOISELESS``, whose channels are all
-the identity. ``run_statevector`` stays as the exact pure-state reference
-that the state builders and ``ccxlab simulate`` use. Measurement sampling is
-seeded and deterministic: identical (table, shots, seed) always gives the
-identical counts. ``sample_distribution`` rounds each distribution to 12
+the identity. ``run_density`` refuses a circuit wider than
+``circuits.MAX_QUBITS`` before it allocates anything. Measurement sampling
+is seeded and deterministic: identical (table, shots, seed) always gives
+the identical counts. ``sample_distribution`` rounds each distribution to 12
 decimals before it draws, so tables that differ only in round-off, such as
 the same table summed in another order, draw identical counts too.
 
@@ -73,8 +73,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuits import Circuit, _apply_local
-from .errors import CcxlabError, NonNativeGateError, UsageError
+from .circuits import MAX_QUBITS, Circuit, _apply_local
+from .errors import CcxlabError, NonNativeGateError, TooManyQubitsError, UsageError
 from .gates import NATIVE_GATES, GateDef, gate_matrix
 from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
 
@@ -95,21 +95,6 @@ def _check_native(c: Circuit) -> None:
         if g.name not in NATIVE_GATES:
             raise NonNativeGateError(
                 f"gate {g.name.value} is not in the native set; synthesize it first")
-
-
-def run_statevector(c: Circuit) -> np.ndarray:
-    """Exact state of the native circuit applied to |0...0>."""
-    _check_native(c)
-    n = c.num_qubits
-    psi = np.zeros(2 ** n, dtype=complex)
-    psi[0] = 1.0
-    tensor = psi.reshape([2] * n)
-    for g in c.gates:
-        tensor = _apply_local(tensor, gate_matrix(g), sorted(g.qubits), n)
-    psi = tensor.reshape(-1)
-    if not abs(np.linalg.norm(psi) - 1.0) < 1e-10:  # NaN-safe
-        raise CcxlabError("state norm drifted")
-    return psi
 
 
 # -- superoperators ------------------------------------------------------------
@@ -327,6 +312,8 @@ def run_density(c: Circuit, nm: NoiseModel,
     made exactly Hermitian. Given ``preparations``, a (2^n, 2^n, P) stack of prepared states
     such as ``product_states`` builds, the stack of ``c`` run on each of them, evolved at
     once."""
+    if c.num_qubits > MAX_QUBITS:
+        raise TooManyQubitsError(f"density evolution limited to {MAX_QUBITS} qubits")
     if preparations is None:
         preparations = np.zeros((2 ** c.num_qubits,) * 2, dtype=complex)
         preparations[0, 0] = 1.0

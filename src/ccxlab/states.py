@@ -10,18 +10,15 @@ probe on one qubit, the letter the simulator's ``product_states`` takes.
 
 Builders write logical circuits (H, S, X, CNOT, and the native RY words of
 the W state) and lower them with ``synthesis.to_native``, so every prepared
-circuit is over the native gate set and runs on either simulator backend
-unchanged. A leading RZ on a wire still in |0> is prepended to cancel the
-global phase accumulated by the RZ/SX rewrites; the produced state then
-matches the target amplitudes exactly, not merely up to phase. That check
-runs a state vector, so each probe circuit, of which process tomography
-needs 4 (one per label, on one qubit), is built once per process; circuits
-are immutable.
+circuit is over the native gate set. A prepared circuit reaches its target
+up to a global phase, which no density matrix and no fidelity against a
+pure target sees. Each probe circuit is built once per process, saving the
+``to_native`` call that every noise-aware process tomography table build
+would make per probe letter; circuits are immutable.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from enum import Enum
@@ -30,9 +27,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .circuits import Circuit
-from .errors import CcxlabError, InvalidLabelError
-from .gates import cnot, h, rz, s, x
-from .simulator import run_statevector
+from .errors import InvalidLabelError
+from .gates import cnot, h, s, x
 from .synthesis import native_ry, to_native
 
 PI = math.pi
@@ -85,21 +81,8 @@ def probe_state(labels: Sequence[str]) -> np.ndarray:
 
 # -- circuit builders ----------------------------------------------------------
 
-def _fix_global_phase(circuit: Circuit, target: np.ndarray) -> Circuit:
-    """Prepend RZ(2*delta) on qubit 0 (still |0>) to cancel the phase delta."""
-    overlap = np.vdot(target, run_statevector(circuit))
-    if abs(abs(overlap) - 1.0) > 1e-9:
-        raise CcxlabError("state builder does not reach its target state")
-    delta = cmath.phase(overlap)
-    if abs(delta) < 1e-14:
-        return circuit
-    fixed = Circuit(circuit.num_qubits, (rz(2 * delta, 0),) + circuit.gates)
-    return fixed
-
-
 def ghz_circuit() -> Circuit:
-    c = to_native(Circuit(3, (h(0), cnot(0, 1), cnot(1, 2))))
-    return _fix_global_phase(c, ghz_state())
+    return to_native(Circuit(3, (h(0), cnot(0, 1), cnot(1, 2))))
 
 
 def w_circuit() -> Circuit:
@@ -108,20 +91,18 @@ def w_circuit() -> Circuit:
     # rotate qubit 1 by pi/2 only when qubit 2 is |0>: X-conjugated controlled-RY
     gates = (native_ry(theta, 2) + [x(2)] + native_ry(PI / 4, 1) + [cnot(2, 1)]
              + native_ry(-PI / 4, 1) + [cnot(2, 1), x(2), cnot(1, 0), cnot(2, 0), x(0)])
-    c = to_native(Circuit(3, tuple(gates)))
-    return _fix_global_phase(c, w_state())
+    return to_native(Circuit(3, tuple(gates)))
 
 
 def uniform_circuit() -> Circuit:
-    c = to_native(Circuit(3, tuple(h(q) for q in range(3))))
-    return _fix_global_phase(c, uniform_state())
+    return to_native(Circuit(3, tuple(h(q) for q in range(3))))
 
 
 @functools.lru_cache(maxsize=None)
 def probe_circuit(labels: Tuple[str, ...]) -> Circuit:
-    target = probe_state(labels)  # raises InvalidLabelError on an unknown label
+    probe_state(labels)  # raises InvalidLabelError on an unknown label
     gates = tuple(gate(q) for q, lab in enumerate(labels) for gate in _PROBE_GATES[lab])
-    return _fix_global_phase(to_native(Circuit(len(labels), gates)), target)
+    return to_native(Circuit(len(labels), gates))
 
 
 #: per kind, the native circuit builder and the exact target vector it prepares
@@ -138,5 +119,5 @@ def prepare_state(kind: StateKind | str) -> Circuit:
 
 
 def target_state(kind: StateKind | str) -> np.ndarray:
-    """Exact state vector that ``prepare_state(kind)`` prepares."""
+    """Exact state vector that ``prepare_state(kind)`` prepares, up to a global phase."""
     return _STATES[StateKind(kind)][1]()

@@ -31,6 +31,17 @@ def test_simulate_with_negative_shots_is_a_run(tmp_path, capsys, noise):
     assert err.startswith("error[usage]: ")
 
 
+@pytest.mark.parametrize("noise", [[], ["--noise", "builtin:brisbane_median"]])
+@pytest.mark.parametrize("text", ["qubits 7\n", "qubits 1\nH q[0]\n"])
+def test_simulate_of_a_circuit_too_wide_or_not_native_is_a_usage_error(tmp_path, capsys, text,
+                                                                       noise):
+    path = tmp_path / "circuit.txt"
+    path.write_text(text)
+    code, err = _run(["simulate", str(path), *noise], capsys)
+    assert code == 2
+    assert err.startswith("error[usage]: ")
+
+
 @pytest.mark.parametrize("command", [["qst"], ["qpt", "--accept-job-budget"]])
 def test_negative_seed_is_a_usage_error(command, capsys):
     code, err = _run([*command, "--seed", "-1", "--repeats", "1", "--shots", "10"], capsys)

@@ -12,7 +12,7 @@ import pytest
 
 from ccxlab import cli, experiments, simulator, states, tomography
 from ccxlab.calibration import builtin_calibration_path
-from ccxlab.circuits import Circuit, serialize_circuit
+from ccxlab.circuits import Circuit, circuit_unitary, serialize_circuit
 from ccxlab.errors import IoError, SchemaError, UsageError
 from ccxlab.experiments import (
     DEFAULT_CONTROLS,
@@ -526,6 +526,18 @@ def test_cli_simulate_shots_are_seeded(tmp_path, capsys, noise):
     assert sum(json.loads(first)["counts"].values()) == 700
     assert _simulate(tmp_path, capsys, circuit, "--shots", "700", "--seed", "5", *noise) \
         == (0, first)
+
+
+def test_cli_simulate_without_noise_is_a_pure_density_run(tmp_path, capsys):
+    circuit = Circuit(3, (sx(0), sx(1), x(2)))
+    code, out = _simulate(tmp_path, capsys, circuit, "--shots", "700", "--seed", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["backend"] == "density"
+    assert payload["purity"] == pytest.approx(1.0, abs=1e-12)
+    expected = np.abs(circuit_unitary(circuit)[:, 0]) ** 2
+    assert np.max(np.abs(np.array(payload["populations"]) - expected)) < 1e-12
+    assert payload["counts"] == {"100": 187, "101": 165, "110": 185, "111": 163}
 
 
 # -- report files -----------------------------------------------------------------

@@ -23,7 +23,7 @@ from ccxlab.tomography import measurement_rotation, qst_settings
 
 from conftest import basis_circuit
 
-NATIVE_CIRCUITS_SHA256 = "788678c4f40c869cbee559b5c757e7f6890fea3f13f1e1b2a936eb34bc88d1de"
+NATIVE_CIRCUITS_SHA256 = "f5eb1ea8b84b8bb77dde65872d6c3619511e7b3f93e5712049f9e3a728b10ed1"
 
 ROLES = (((0, 1), 2), ((1, 0), 2), ((1, 2), 0), ((0, 2), 1))
 RZ_ANGLES = (0.0, 0.3, math.pi / 2, -math.pi / 4, 2 * math.pi)

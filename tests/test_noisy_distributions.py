@@ -21,7 +21,7 @@ import measurement_oracle
 import readout_oracle
 from ccxlab import cli, experiments, simulator
 from ccxlab.calibration import builtin_calibration_path, ingest_calibration
-from ccxlab.circuits import Circuit, serialize_circuit
+from ccxlab.circuits import Circuit, circuit_unitary, serialize_circuit
 from ccxlab.errors import NonNativeGateError, UsageError
 from ccxlab.experiments import ExperimentConfig
 from ccxlab.gates import NATIVE_GATES, Gate, GateDef, ecr, rz, sx, x
@@ -106,7 +106,7 @@ def test_noise_free_distributions_match_statevector_oracle(inputs):
     toffoli = _toffoli()
     preparations = _probe_preparations() if inputs == "PROBES" else [prepare_state(inputs)]
     expected = [measurement_oracle.setting_distributions(
-        simulator.run_statevector(prep.concat(toffoli)), 3) for prep in preparations]
+        circuit_unitary(prep.concat(toffoli))[:, 0], 3) for prep in preparations]
     actual = experiments._distributions(prepared_states(preparations, NOISELESS), toffoli,
                                         NOISELESS)
     assert actual.shape == (len(preparations), 27, 8)
@@ -384,6 +384,6 @@ def test_density_evolution_matches_kraus_oracle_on_every_register_size(num_qubit
     for i, prep in enumerate(preparations):
         alone = simulator.run_density(prep.concat(circuit), nm)
         assert np.max(np.abs(stack[..., i] - alone)) < TOL
-    psi = simulator.run_statevector(circuit)
+    psi = circuit_unitary(circuit)[:, 0]
     pure = simulator.run_density(circuit, NOISELESS)
     assert np.max(np.abs(pure - np.outer(psi, psi.conj()))) < TOL

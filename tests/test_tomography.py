@@ -19,7 +19,7 @@ from ccxlab.errors import (
     ProjectionNotConvergedError,
 )
 from ccxlab.qmath import kron_le, pauli_string_matrix, state_fidelity
-from ccxlab.simulator import run_statevector, sample_distribution
+from ccxlab.simulator import sample_distribution
 from ccxlab.states import (
     PROBE_LABELS,
     StateKind,
@@ -222,7 +222,7 @@ def test_qst_ground_state_exact():
 
 def test_qst_toffoli_ghz_output_exact():
     circ = ghz_circuit().concat(decompose_toffoli(DecompositionStrategy.ECR_NATIVE, (0, 1), 2))
-    psi = run_statevector(circ)
+    psi = circuit_unitary(circ)[:, 0]
     rho = qst_reconstruct(_exact_qst_data(psi, 3), 3)
     assert state_fidelity(rho, psi) > 1 - 1e-9
 
@@ -235,7 +235,7 @@ def test_qst_random_pure_states_exact(rng):
 
 
 def test_qst_sampled_output_is_physical(rng):
-    psi = run_statevector(ghz_circuit())
+    psi = circuit_unitary(ghz_circuit())[:, 0]
     rho = qst_reconstruct(_sampled_qst_data(psi, 3, 500), 3)
     check_density_matrix(rho)
 
