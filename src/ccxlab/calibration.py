@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from .errors import CoherenceViolation, ErrTooLargeError, SchemaError
+from .errors import CoherenceViolation, ErrTooLargeError, IoError, SchemaError
 from .noise import NoiseModel, QubitCalibration
 
 _QUBIT_FIELDS = {
@@ -107,6 +107,8 @@ def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
         raise SchemaError(f"calibration file not found: {path}")
     try:
         payload = json.loads(path.read_text())
+    except OSError as exc:  # a directory, or a file without read permission
+        raise IoError(f"cannot read calibration {path}: {exc}") from exc
     except ValueError as exc:  # invalid JSON or UTF-8, or an integer literal too long to read
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "qubits" not in payload:

@@ -34,7 +34,7 @@ class CoherenceViolation(SchemaError):
 
 
 class IoError(SchemaError):
-    """Report file could not be written or read."""
+    """A report file could not be written or read, or a calibration file could not be read."""
 
 
 # -- numerical / linear-algebra domain errors (exit code 4) ------------------

@@ -12,36 +12,49 @@ per two-qubit gate (8 products for the 44 gates of ``ECR_NATIVE``). It reads
 every measurement setting off one readout map, itself built per qubit from
 the X, Y and Z rotations, into a table of exact outcome distributions, one
 per (preparation, setting) cell. The two modes differ only in the model.
-That table is a pure function of the model, the strategy and the
-preparations, so the model keeps it, read-only, in ``NoiseModel.compiled``
-next to its gate channels, keyed by the strategy and the input state (or
-"qpt"): a second run on the same model simulates nothing. Every noise-free
-run after the first is such a run, since ``NOISELESS`` is one constant; a
-noise-aware run builds a fresh model from its calibration file and computes
-its own table. Only the sampling differs from one repeat to the next: a
-repeat draws seeded finite-shot counts from that table and is
+Each repeat draws seeded finite-shot counts from that table and is
 reconstructed, and one ``state_fidelity`` call scores the stack of all
-repeats' estimates against the target ket: U|in> for state tomography,
-``choi_ket_of_unitary(U)`` for process tomography. The two differ only in
-the preparations, estimator and ket they hand to that one run, ``_run``.
-State tomography reconstructs all repeats in one call on their stacked
-tables; process tomography draws and reconstructs one table at a time.
+repeats' estimates against the target ket: U|in> for state tomography, the
+Choi ket of U for process tomography. The two differ only in the
+preparations, estimator and ket they hand to that one run, ``_run``. State
+tomography reconstructs all repeats in one call on their stacked tables;
+process tomography draws and reconstructs one table at a time.
+
+What a run computes lives as long as what it depends on:
+
+* Per process: whatever depends on neither the model nor the seed. The
+  Toffoli under test per strategy, the Choi ket of U, the three QST inputs,
+  each a circuit and its target ket U|in>, and the gate counts per
+  (strategy, input or "qpt"). The three inputs are built together, on the
+  first run that needs one, so no later run prepares any. Their arrays are
+  read-only, and every report gets its own copy of the gate counts.
+* Per model: its gate channels and its exact outcome table. The table is a
+  pure function of the model, the strategy and the preparations, so the
+  model keeps it, read-only, in ``NoiseModel.compiled`` next to its gate
+  channels, keyed by the strategy and the input state (or "qpt"): a second
+  run on the same model simulates nothing. Every noise-free run after the
+  first is such a run, since ``NOISELESS`` is one constant; a noise-aware run
+  builds a fresh model from its calibration file and computes its own table.
+* Per run: the draw form of that table, rounded once by ``simulator.draws``
+  and dropped when the run ends; the model's table is not changed.
+* Per repeat: one seeded draw, its reconstruction and its fidelity.
 
 Determinism: repeat r of any run draws every cell of its table, in
 row-major order, from one generator seeded (master_seed, r) by
-``simulator.sample_distribution``, which rounds each distribution to 12
-decimals first: a table's round-off, which moves when the order of its
-products does, never reaches the counts. An exact-probability run uses the
-unrounded table. A stacked reconstruction, and a stacked fidelity, gives
-each entry exactly what a single call gives. So repeat r does not depend on
-how many repeats run, and state and process tomography share one seed layout.
-Runs are serial.
+``simulator.draws``, which rounds each distribution to 12 decimals first: a
+table's round-off, which moves when the order of its products does, never
+reaches the counts. An exact-probability run uses the unrounded table. A
+stacked reconstruction, and a stacked fidelity, gives each entry exactly
+what a single call gives. So repeat r does not depend on how many repeats
+run, and state and process tomography share one seed layout. Runs are
+serial.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -50,7 +63,9 @@ from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import (Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -59,13 +74,7 @@ from .circuits import Circuit
 from .errors import IoError, SchemaError, UsageError
 from .noise import NOISELESS, NoiseModel, scale_noise_model
 from .qmath import state_fidelity
-from .simulator import (
-    product_states,
-    readout_map,
-    run_density,
-    sample_distribution,
-    setting_distributions,
-)
+from .simulator import draws, product_states, readout_map, run_density, setting_distributions
 from .states import PROBE_LABELS, StateKind, prepare_state, probe_circuit, target_state
 from .synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from .tomography import (
@@ -172,12 +181,14 @@ class Report:
 
 
 def _make_report(kind: str, fidelities: Sequence[float], cfg: ExperimentConfig,
-                 gate_counts: Dict[str, int], num_jobs: int, wall: float,
+                 gate_counts: Mapping[str, int], num_jobs: int, wall: float,
                  average_gate_fidelities: Optional[Sequence[float]] = None) -> Report:
     fids = tuple(float(f) for f in fidelities)
     mean = float(np.mean(fids))
     std = float(np.std(fids, ddof=1)) if len(fids) > 1 else 0.0
-    cfg_echo = {k: (v.value if isinstance(v, Enum) else v) for k, v in asdict(cfg).items()}
+    # the fields as they are: asdict would deep-copy each value
+    values = ((f.name, getattr(cfg, f.name)) for f in fields(cfg))
+    cfg_echo = {k: (v.value if isinstance(v, Enum) else v) for k, v in values}
     state = cfg.input_state.value
     hardware = {state: HARDWARE_REFERENCE_FIDELITY[state]} if kind == "qst" else None
     return Report(
@@ -188,7 +199,7 @@ def _make_report(kind: str, fidelities: Sequence[float], cfg: ExperimentConfig,
         std_fidelity=std,
         average_gate_fidelities=(tuple(float(f) for f in average_gate_fidelities)
                                  if average_gate_fidelities is not None else None),
-        gate_counts=gate_counts,
+        gate_counts=dict(gate_counts),
         num_jobs=num_jobs,
         total_measurements=num_jobs * cfg.shots_per_setting,
         config=cfg_echo,
@@ -208,6 +219,47 @@ def _gate_count_summary(toffoli: Circuit, full: Circuit) -> Dict[str, int]:
     }
 
 
+# -- per-process constants -------------------------------------------------------
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@functools.lru_cache(maxsize=None)
+def _toffoli(strategy: DecompositionStrategy) -> Circuit:
+    """The Toffoli under test, synthesized once per strategy and process: a circuit is immutable."""
+    return decompose_toffoli(strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
+
+
+@functools.lru_cache(maxsize=None)
+def _qst_inputs() -> Mapping[StateKind, Tuple[Circuit, np.ndarray]]:
+    """Per input state, its native preparation and its read-only target ket U|in>.
+
+    All three are built together, once per process, on the first run that
+    needs one, so no later run prepares any input.
+    """
+    u = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET)
+    return MappingProxyType({kind: (prepare_state(kind), _read_only(u @ target_state(kind)))
+                             for kind in StateKind})
+
+
+@functools.lru_cache(maxsize=None)
+def _choi_ket() -> np.ndarray:
+    """The read-only Choi ket of U, process tomography's target, once per process."""
+    return _read_only(choi_ket_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET)))
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_counts(strategy: DecompositionStrategy, preparations: Hashable) -> Mapping[str, int]:
+    """The report's gate counts, once per process and read-only: the Toffoli under test after
+    the QST input ``preparations`` or, for "qpt", alone, since probe preparations vary per
+    job. Each report holds its own copy."""
+    toffoli = _toffoli(strategy)
+    full = toffoli if preparations == "qpt" else _qst_inputs()[preparations][0].concat(toffoli)
+    return MappingProxyType(_gate_count_summary(toffoli, full))
+
+
 # -- measurement ---------------------------------------------------------------
 
 def _distributions(preparations: np.ndarray, gate: Circuit, nm: NoiseModel) -> np.ndarray:
@@ -223,29 +275,28 @@ def _distributions(preparations: np.ndarray, gate: Circuit, nm: NoiseModel) -> n
     return setting_distributions(run_density(gate, nm, preparations), table)
 
 
-def _frequencies(distributions: np.ndarray, cfg: ExperimentConfig, repeat: int) -> np.ndarray:
-    """Repeat ``repeat``'s outcome frequencies of every cell of ``distributions``, same shape.
+def _frequencies(distributions: np.ndarray, cfg: ExperimentConfig) -> Iterator[np.ndarray]:
+    """Every repeat's outcome frequencies of each cell of ``distributions``, same shape,
+    lazily and in repeat order.
 
     The distributions themselves when ``cfg.exact_probabilities``; otherwise
-    one ``sample_distribution`` draw of the whole table seeded (master_seed, repeat).
+    repeat r's ``draws`` of the whole table, seeded (master_seed, r), from one
+    rounding of it.
     """
     if cfg.exact_probabilities:
-        return distributions
+        return itertools.repeat(distributions, cfg.repeats)
     shots = cfg.shots_per_setting
-    return sample_distribution(distributions, shots, (cfg.master_seed, repeat)) / shots
-
-
-@functools.lru_cache(maxsize=None)
-def _toffoli(strategy: DecompositionStrategy) -> Circuit:
-    """The Toffoli under test, synthesized once per strategy and process: a circuit is immutable."""
-    return decompose_toffoli(strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
+    seeds = ((cfg.master_seed, repeat) for repeat in range(cfg.repeats))
+    # map, not a generator expression, which would hold each repeat's counts while the
+    # estimator runs on its frequencies
+    return map(lambda counts: counts / shots, draws(distributions, shots, seeds))
 
 
 def _run(cfg: ExperimentConfig, nm: NoiseModel, preparations: Hashable,
          prepare: Callable[[], np.ndarray],
          estimate: Callable[[Iterator[np.ndarray]], np.ndarray],
-         reference: np.ndarray) -> Tuple[Circuit, List[float]]:
-    """The Toffoli under test and every repeat's fidelity against the target ket ``reference``.
+         reference: np.ndarray) -> List[float]:
+    """Every repeat's fidelity of the Toffoli under test against the target ket ``reference``.
 
     The Toffoli runs under ``nm``, the run's ``cfg.noise_model()``, on the
     (8, 8, P) stack of states ``prepare()`` returns. That table is a pure
@@ -259,31 +310,24 @@ def _run(cfg: ExperimentConfig, nm: NoiseModel, preparations: Hashable,
     (repeats, d, d) stack of their estimates, states or Choi matrices, in the
     same order, and one ``state_fidelity`` call scores the whole stack.
     """
-    toffoli = _toffoli(cfg.strategy)
-
     def build() -> np.ndarray:
-        table = _distributions(prepare(), toffoli, nm)
-        table.setflags(write=False)
-        return table
+        return _read_only(_distributions(prepare(), _toffoli(cfg.strategy), nm))
 
     # the strategy names the Toffoli by value; hashing its 44 gates would cost ~11 us a call
     distributions = nm.compiled(("table", cfg.strategy, preparations), build)
-    tables = (_frequencies(distributions, cfg, repeat) for repeat in range(cfg.repeats))
-    return toffoli, state_fidelity(estimate(tables), reference).tolist()
+    return state_fidelity(estimate(_frequencies(distributions, cfg)), reference).tolist()
 
 
 def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     """State tomography of the Toffoli output for the configured input state (27 jobs)."""
     start = time.perf_counter()
     nm = cfg.noise_model()
-    preparation = prepare_state(cfg.input_state)
-    psi = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET) @ target_state(cfg.input_state)
-    toffoli, fidelities = _run(cfg, nm, cfg.input_state,
-                               lambda: run_density(preparation, nm)[..., None],
-                               lambda tables: qst_reconstruct(np.concatenate(tuple(tables)), 3),
-                               psi)
-    return _make_report("qst", fidelities, cfg,
-                        _gate_count_summary(toffoli, preparation.concat(toffoli)),
+    preparation, psi = _qst_inputs()[cfg.input_state]
+    fidelities = _run(cfg, nm, cfg.input_state,
+                      lambda: run_density(preparation, nm)[..., None],
+                      lambda tables: qst_reconstruct(np.concatenate(tuple(tables)), 3),
+                      psi)
+    return _make_report("qst", fidelities, cfg, _gate_counts(cfg.strategy, cfg.input_state),
                         num_jobs=len(qst_settings(3)), wall=time.perf_counter() - start)
 
 
@@ -298,13 +342,12 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     nm = cfg.noise_model()
 
     # the probes are constant, so one marker names them
-    toffoli, fidelities = _run(
+    fidelities = _run(
         cfg, nm, "qpt",
         lambda: product_states([probe_circuit((label,)) for label in PROBE_LABELS], 3, nm),
         lambda tables: np.stack([qpt_reconstruct(table, 3) for table in tables]),
-        choi_ket_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET)))
-    # probe preparations vary per job; report the gate under test
-    return _make_report("qpt", fidelities, cfg, _gate_count_summary(toffoli, toffoli),
+        _choi_ket())
+    return _make_report("qpt", fidelities, cfg, _gate_counts(cfg.strategy, "qpt"),
                         num_jobs=len(PROBE_LABELS) ** 3 * len(qst_settings(3)),
                         wall=time.perf_counter() - start,
                         average_gate_fidelities=[average_gate_fidelity(f, 3) for f in fidelities])

@@ -7,9 +7,11 @@ noise-free run is a run under ``noise.NOISELESS``, whose channels are all
 the identity. ``run_density`` refuses a circuit wider than
 ``circuits.MAX_QUBITS`` before it allocates anything. Measurement sampling
 is seeded and deterministic: identical (table, shots, seed) always gives
-the identical counts. ``sample_distribution`` rounds each distribution to 12
-decimals before it draws, so tables that differ only in round-off, such as
-the same table summed in another order, draw identical counts too.
+the identical counts. ``draws`` rounds each distribution to 12 decimals
+before it draws, so tables that differ only in round-off, such as the same
+table summed in another order, draw identical counts too. It rounds once per
+call, which is once per run: every repeat's seed then draws from that one
+rounded table. ``sample_distribution`` is its one-seed case.
 
 Density matrices evolve as row-major vec(rho), vec(rho)[i * d + j] =
 rho[i, j], under superoperators in the convention of Wood, Biamonte & Cory
@@ -69,7 +71,7 @@ the index is the outcome of qubit q, the little-endian order of states.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,7 +87,7 @@ from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
 #: ~25-30 us, at 1 MB per dense block; 5 qubits ~0.9 ms vs ~38 us.
 _DENSE_SUPEROP_MAX_QUBITS = 3
 
-#: ``sample_distribution`` draws from each distribution rounded to this many decimals: far
+#: ``draws`` samples each distribution rounded to this many decimals: far
 #: above the ~1e-16 round-off of a table, far below the 1/shots resolution of its counts
 _DRAW_DECIMALS = 12
 
@@ -379,23 +381,33 @@ def setting_distributions(rho: np.ndarray, table: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def sample_distribution(distributions: np.ndarray, shots: int, seed: Tuple[int, ...]) -> np.ndarray:
-    """Seeded multinomial counts of ``shots`` draws from each distribution of a table.
+def draws(distributions: np.ndarray, shots: int,
+          seeds: Iterable[Tuple[int, ...]]) -> Iterator[np.ndarray]:
+    """Seeded multinomial counts of ``shots`` draws from each distribution of a table, one
+    table of counts per seed, lazily and in seed order.
 
-    Outcomes are on the last axis, indexed by basis state. Every cell draws,
-    row-major, from one generator seeded with the tuple ``seed``: the only
-    random generator the package builds.
+    Outcomes are on the last axis, indexed by basis state. Each seed's table
+    draws every cell, row-major, from one generator seeded with that tuple:
+    the only random generator the package builds. So a seed's counts do not
+    depend on the seeds drawn before it, and ``sample_distribution``, the
+    one-seed case, gives each of them alone.
 
-    Each distribution is rounded to ``_DRAW_DECIMALS`` decimals and
-    renormalized before it draws. A multinomial draws no random number for a
-    cell of probability exactly 0, so a round-off zero of ~1e-17 would shift
-    every later draw, and the order of a product's summation (BLAS, CPU,
-    fused gates) moves such bits. Rounded, the same table draws the same
-    counts however it was computed. Only the draw rounds: an exact
-    distribution is used as it was computed.
+    The table is rounded to ``_DRAW_DECIMALS`` decimals and renormalized
+    once, when ``draws`` is called, not once per seed. A multinomial draws no
+    random number for a cell of probability exactly 0, so a round-off zero of
+    ~1e-17 would shift every later draw, and the order of a product's
+    summation (BLAS, CPU, fused gates) moves such bits. Rounded, the same
+    table draws the same counts however it was computed. Only the draw
+    rounds: ``distributions`` itself is neither changed nor kept.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
     rounded = np.round(distributions, _DRAW_DECIMALS)
-    return np.random.default_rng(seed).multinomial(
-        shots, rounded / rounded.sum(axis=-1, keepdims=True))
+    rounded = rounded / rounded.sum(axis=-1, keepdims=True)
+    return (np.random.default_rng(seed).multinomial(shots, rounded) for seed in seeds)
+
+
+def sample_distribution(distributions: np.ndarray, shots: int, seed: Tuple[int, ...]) -> np.ndarray:
+    """Seeded multinomial counts of ``shots`` draws from each distribution of a table: the
+    one-seed case of ``draws``, bit for bit."""
+    return next(draws(distributions, shots, (seed,)))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ccxlab import cli
 from ccxlab.calibration import builtin_calibration_path, ingest_calibration
-from ccxlab.errors import CcxlabError, ErrTooLargeError, SchemaError
+from ccxlab.errors import CcxlabError, ErrTooLargeError, IoError, SchemaError
 from ccxlab.noise import scale_noise_model, thermal_relaxation_channel
 
 BRISBANE = builtin_calibration_path("brisbane_median")
@@ -184,3 +184,26 @@ def test_numbers_and_bytes_that_python_cannot_read_are_schema_errors(tmp_path, c
     assert str(path) in str(raised.value)
     assert cli.main(["calib-summary", str(path)]) == 3
     assert capsys.readouterr().err.startswith("error[schema]: ")
+
+
+def _unreadable(path):
+    raise PermissionError(13, "Permission denied", str(path))
+
+
+@pytest.mark.parametrize("kind", ["directory", "unreadable file"])
+def test_a_calibration_path_that_cannot_be_read_is_an_io_error(tmp_path, capsys, monkeypatch,
+                                                              kind):
+    # the library raises its own typed error, not the OSError of the read, as load_report does;
+    # a root process reads a chmod 000 file, so the unreadable file fails its read by stand-in
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = _write(tmp_path)
+        monkeypatch.setattr(Path, "read_text", lambda self, *args, **kwargs: _unreadable(self))
+    with pytest.raises(IoError, match="cannot read calibration") as raised:
+        ingest_calibration(path)
+    assert str(path) in str(raised.value) and isinstance(raised.value.__cause__, OSError)
+    assert raised.value.exit_code == 3
+    assert cli.main(["calib-summary", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[schema]: cannot read calibration ") and str(path) in err

@@ -102,32 +102,41 @@ def test_noise_aware_qpt_fidelities_match_golden_values(sampling, monkeypatch):
     _assert_unprojected_estimates_are_trace_preserving(seen, monkeypatch)
 
 
+def _clear_process_constants():
+    for constant in (experiments._qst_inputs, experiments._choi_ket, experiments._gate_counts):
+        constant.cache_clear()
+
+
 @pytest.fixture
 def fresh_noiseless():
-    """``NOISELESS`` with an empty compiled cache for one test; its own cache is back after it.
+    """``NOISELESS`` with an empty compiled cache for one test, and no per-process constants
+    of ``experiments`` built yet; ``NOISELESS``'s own cache is back after it.
 
-    A model keeps every exact table it computed, and ``NOISELESS`` lives for the whole
-    process, so a test that counts what a first noise-free run computes starts it empty,
-    whatever ran before.
+    A model keeps every exact table it computed, ``NOISELESS`` lives for the whole process,
+    and so do the QST inputs, the target kets and the gate counts, so a test that counts what
+    a first run computes starts them empty, whatever ran before. Cleared constants are
+    simply built again by the next run that needs them.
     """
     saved = dict(NOISELESS._compiled)
     NOISELESS._compiled.clear()
+    _clear_process_constants()
     yield NOISELESS
     NOISELESS._compiled.clear()
     NOISELESS._compiled.update(saved)
+    _clear_process_constants()
 
 
 @pytest.mark.parametrize("repeats", [1, 3])
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
-@pytest.mark.parametrize("run, circuits", [(run_qst_experiment, 1), (run_qpt_experiment, 64)])
+@pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
 def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, fresh_noiseless, run,
-                                                          circuits, mode, repeats):
+                                                          mode, repeats):
     # both modes take the one path: noise-free is a run under NOISELESS, here with an empty
     # cache, so this is a first run. One run_density evolves the Toffoli once, on the whole
-    # stack of prepared states. QST builds its input with prepare_state and evolves it whole
-    # with one more run_density; QPT builds its 4 one-qubit probe letters with probe_circuit,
-    # and product_states evolves each (wire, letter) once, on that wire alone, into the
-    # 4^3 = 64 probe states
+    # stack of prepared states. A first QST run builds all 3 inputs with prepare_state, at
+    # once, and evolves its own whole with one more run_density; QPT builds its 4 one-qubit
+    # probe letters with probe_circuit, and product_states evolves each (wire, letter) once,
+    # on that wire alone, into the 4^3 = 64 probe states
     calls = Counter()
     for module, name, key in ((experiments, "prepare_state", "preparation"),
                               (experiments, "probe_circuit", "preparation"),
@@ -151,13 +160,49 @@ def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, fresh_noi
     report = run(_config(mode, repeats=repeats, shots_per_setting=1000))
     assert len(report.fidelities) == repeats
     if run is run_qst_experiment:
-        assert calls == {"preparation": circuits, "run_density": circuits + 1,
-                         "apply_circuit_density": circuits + 1, "readout_map": 1}
+        assert calls == {"preparation": len(StateKind), "run_density": 2,
+                         "apply_circuit_density": 2, "readout_map": 1}
     else:
-        assert len(PROBE_LABELS) ** 3 == circuits
         assert calls == {"preparation": len(PROBE_LABELS), "product_states": 1,
                          "probe wire evolution": 12,
                          "run_density": 1, "apply_circuit_density": 1, "readout_map": 1}
+
+
+#: what a run builds once per process, as looked up in ``experiments``
+_ONCE_PER_PROCESS_CALLS = ("prepare_state", "target_state", "toffoli_unitary",
+                           "choi_ket_of_unitary", "_gate_count_summary")
+
+
+@pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
+@pytest.mark.parametrize("run, state", [(run_qst_experiment, kind) for kind in StateKind]
+                         + [(run_qpt_experiment, None)])
+def test_a_second_run_builds_no_input_target_ket_or_gate_count(monkeypatch, fresh_noiseless,
+                                                               run, state, mode):
+    # the QST inputs, U|in>, the Choi ket of U and the gate counts depend on neither the model
+    # nor the seed: the first run builds them, and a second one only looks them up. The three
+    # QST inputs are built together, so a first run of another input counts only its gates
+    cfg = _config(mode, state or "GHZ", repeats=2, shots_per_setting=100)
+    first = run(cfg)
+    counts = dict(first.gate_counts)
+    calls = Counter()
+    for name in _ONCE_PER_PROCESS_CALLS:
+        def counted(*args, _call=getattr(experiments, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(experiments, name, counted)
+    first.gate_counts["circuit_depth"] = -1  # a report's counts are its own
+    again = run(dataclasses.replace(cfg, master_seed=8))
+    assert calls == Counter()
+    assert again.gate_counts == counts
+    if state is not None:
+        for other in StateKind:
+            run(dataclasses.replace(cfg, input_state=other))
+        assert calls == {"_gate_count_summary": len(StateKind) - 1}
+    kets = [experiments._choi_ket()] + [ket for _, ket in experiments._qst_inputs().values()]
+    for ket in kets:
+        assert not ket.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ket[0] = 0.0
 
 
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
@@ -326,15 +371,19 @@ def test_a_second_run_synthesizes_nothing(monkeypatch, run, mode):
 
 
 def test_a_qpt_run_draws_each_table_just_before_it_reconstructs(monkeypatch):
-    # the repeats' (64, 27, 8) tables are drawn lazily, so one is held at a time
+    # the table is rounded once per run, by one draws call, and the repeats' (64, 27, 8)
+    # tables are drawn lazily from it, each by its own generator, so one is held at a time
     events = []
-    frequencies, reconstruct = experiments._frequencies, experiments.qpt_reconstruct
-    monkeypatch.setattr(experiments, "_frequencies",
-                        lambda *args: events.append("draw") or frequencies(*args))
+    draws, default_rng = experiments.draws, np.random.default_rng
+    reconstruct = experiments.qpt_reconstruct
+    monkeypatch.setattr(experiments, "draws",
+                        lambda *args: events.append("round") or draws(*args))
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: events.append("draw") or default_rng(seed))
     monkeypatch.setattr(experiments, "qpt_reconstruct",
                         lambda *args: events.append("reconstruct") or reconstruct(*args))
     run_qpt_experiment(_config(repeats=3, shots_per_setting=100))
-    assert events == ["draw", "reconstruct"] * 3
+    assert events == ["round"] + ["draw", "reconstruct"] * 3
 
 
 def _captured(monkeypatch, name):
@@ -357,12 +406,13 @@ def _qst_table(cfg):
     return experiments._distributions(prepared, toffoli, nm)
 
 
+@pytest.mark.parametrize("state", list(StateKind))
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
-def test_qst_seed_layout(monkeypatch, mode):
+def test_qst_seed_layout(monkeypatch, mode, state):
     # repeat r draws the whole (1, 27, 8) table from one generator seeded (master_seed, r);
     # one estimator call reconstructs the repeats' tables, stacked in repeat order
     seen = _captured(monkeypatch, "qst_reconstruct")
-    cfg = _config(mode, "W", repeats=3, shots_per_setting=1000)
+    cfg = _config(mode, state, repeats=3, shots_per_setting=1000)
     run_qst_experiment(cfg)
     table = _qst_table(cfg)
     assert len(seen) == 1 and seen[0].shape == (3, 27, 8)

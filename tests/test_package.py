@@ -77,13 +77,14 @@ def _random_uses(tree):
     return uses
 
 
-def test_only_sample_distribution_builds_a_random_generator():
-    # one way to turn probabilities into counts: every seeded draw goes through it
+def test_only_draws_builds_a_random_generator():
+    # one way to turn probabilities into counts: every seeded draw goes through
+    # simulator.draws, and sample_distribution is its one-seed case
     found = {}
     for path in sorted(Path(ccxlab.__file__).parent.glob("*.py")):
         for function, line in _random_uses(ast.parse(path.read_text(), filename=str(path))):
             found.setdefault((path.stem, function), []).append(line)
-    assert list(found) == [("simulator", "sample_distribution")]
+    assert list(found) == [("simulator", "draws")]
 
 
 def _dead_definitions(package):
