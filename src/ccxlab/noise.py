@@ -65,7 +65,9 @@ def _check_trace_preserving(superop: np.ndarray) -> np.ndarray:
     """``superop``, if it is finite and vec(I)^T S = vec(I)^T (Tr E(rho) = Tr rho) within 1e-8."""
     dim = math.isqrt(superop.shape[0])
     # vec(I) is 1 at the indices i * (dim + 1) and 0 elsewhere
-    dev = np.max(np.abs(superop[::dim + 1].sum(axis=0) - np.eye(dim).reshape(-1)))
+    deviation = superop[::dim + 1].sum(axis=0)
+    deviation[::dim + 1] -= 1.0
+    dev = abs(deviation).max()
     if not (dev <= 1e-8 and np.isfinite(superop).all()):
         raise CcxlabError(f"channel is not trace preserving (dev {dev:.3e})")
     return superop
@@ -88,7 +90,8 @@ def thermal_relaxation_channel(duration_ns: float, t1_us: float, t2_us: float) -
     p_z = (1.0 - math.exp(-t_us * max(rate_phi, 0.0))) / 2.0
     coherence = math.sqrt(1 - gamma) * (1 - 2 * p_z)
     # row-major vec: index 0 is |0><0|, 1 and 2 the coherences, 3 is |1><1|
-    superop = np.diag(np.array([1.0, coherence, coherence, 1.0 - gamma], dtype=complex))
+    superop = np.zeros((4, 4), dtype=complex)
+    superop.flat[::5] = 1.0, coherence, coherence, 1.0 - gamma  # the diagonal
     superop[0, 3] = gamma
     return _check_trace_preserving(superop)
 

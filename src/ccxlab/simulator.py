@@ -371,8 +371,10 @@ def setting_distributions(rho: np.ndarray, table: np.ndarray) -> np.ndarray:
     distribution is clipped at 0 and normalized. Trailing axes of ``rho`` are
     a batch: a (2^n, 2^n, batch) stack gives (batch, settings, 2^n) from one
     matmul that keeps one matrix-vector product per state, so every state
-    reads bit for bit what it reads alone. A matrix-matrix product would move
-    round-off zeros of the table, and seeded counts turn on those.
+    reads bit for bit what it reads alone. A matrix-matrix product would
+    sum in another order, so a stack entry would differ from its single call
+    by round-off. Seeded counts would not move, since ``draws`` rounds the
+    table first, but exact-probability runs read the unrounded table.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]

@@ -7,6 +7,7 @@ from ccxlab.errors import (
     NotPSDError,
 )
 from ccxlab.qmath import (
+    VALIDATION_TOL,
     X,
     Z,
     pauli_string_matrix,
@@ -16,6 +17,7 @@ from ccxlab.qmath import (
 from conftest import (
     random_density_matrix,
     random_state_vector,
+    random_unitary,
 )
 
 
@@ -76,13 +78,58 @@ def test_ket_fidelity_equals_the_matrix_form(rng, k):
             < 1e-12
 
 
-def test_ket_fidelity_takes_one_eigvalsh_and_no_eigh(rng, monkeypatch):
+def _counted_cholesky(monkeypatch):
+    # records the shape of every np.linalg.cholesky call; eigh and eigvalsh may not be called
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m.shape) or cholesky(m))
     monkeypatch.setattr(np.linalg, "eigh", None)
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
-    state_fidelity(random_density_matrix(8, rng), random_state_vector(8, rng))
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    return calls
+
+
+def test_ket_fidelity_takes_one_cholesky_and_no_eigh(rng, monkeypatch):
+    rho, psi = random_density_matrix(8, rng), random_state_vector(8, rng)
+    expected = state_fidelity(rho, psi)
+    calls = _counted_cholesky(monkeypatch)
+    assert state_fidelity(rho, psi) == expected
     assert calls == [(8, 8)]
+    calls.clear()
+    stack = np.stack([random_density_matrix(8, rng, rank=rank) for rank in (None, 1, 2)])
+    state_fidelity(stack, psi)
+    assert calls == [(3, 8, 8)]
+
+
+def _state_with_least_eigenvalue(least, dim, rng):
+    # a Hermitian unit-trace matrix whose least eigenvalue is ``least``
+    spectrum = np.concatenate([[least], rng.uniform(0.5, 1.0, dim - 1)])
+    spectrum[1:] *= (1 - least) / spectrum[1:].sum()
+    u = random_unitary(dim, rng)
+    rho = (u * spectrum) @ u.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+@pytest.mark.parametrize("factorization", ["cholesky", "fails"])
+def test_psd_check_rejects_exactly_below_minus_the_tolerance(rng, factorization, monkeypatch):
+    # with "fails" every factorization raises, so eigvalsh alone decides, as it did alone
+    # before the Cholesky check: the two paths must agree on every state below
+    if factorization == "fails":
+        def no_cholesky(m):
+            raise np.linalg.LinAlgError("forced")
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+    psi = random_state_vector(8, rng)
+    bad = _state_with_least_eigenvalue(-2 * VALIDATION_TOL, 8, rng)
+    with pytest.raises(NotPSDError, match=f"min eigenvalue {-2 * VALIDATION_TOL:.3e}"):
+        state_fidelity(bad, psi)
+    good = [_state_with_least_eigenvalue(-0.5 * VALIDATION_TOL, 8, rng),
+            random_density_matrix(8, rng, rank=1), random_density_matrix(8, rng, rank=2)]
+    for rho in good:
+        assert state_fidelity(rho, psi) == pytest.approx(np.vdot(psi, rho @ psi).real, abs=1e-12)
+    assert state_fidelity(np.stack(good), psi).shape == (3,)
+    for position in range(3):
+        stack = good[:position] + [bad] + good[position:]
+        with pytest.raises(NotPSDError, match=f"min eigenvalue {-2 * VALIDATION_TOL:.3e}"):
+            state_fidelity(np.stack(stack), psi)
 
 
 @pytest.mark.parametrize("ket, error", [
@@ -118,9 +165,7 @@ def test_a_stack_scores_each_state_exactly_as_a_call_on_it_alone(rng, k, monkeyp
     psi = random_state_vector(2 ** k, rng)
     alone = [state_fidelity(rho, psi) for rho in stack]
     assert all(isinstance(f, float) for f in alone)
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    calls = _counted_cholesky(monkeypatch)
     stacked = state_fidelity(stack, psi)
     assert calls == [stack.shape]
     assert stacked.shape == (3,) and stacked.tolist() == alone
