@@ -65,7 +65,9 @@ def _write_or_print(report, args) -> None:
 def _add_experiment_flags(p: argparse.ArgumentParser, default_shots: int) -> None:
     p.add_argument("--state", default="GHZ", choices=[k.value for k in StateKind])
     p.add_argument("--strategy", default="ECR_NATIVE",
-                   choices=[s.value for s in DecompositionStrategy])
+                   choices=[s.value for s in DecompositionStrategy],
+                   help="Toffoli realization; only ECR_NATIVE is over the native gate set, "
+                        "and the others exit 2, with or without --noise")
     p.add_argument("--shots", type=int, default=None,
                    help=f"shots per setting (default {default_shots})")
     p.add_argument("--seed", type=int, default=1, help="master seed")

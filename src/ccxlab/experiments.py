@@ -27,7 +27,9 @@ What a run computes lives as long as what it depends on:
   each a circuit and its target ket U|in>, and the gate counts per
   (strategy, input or "qpt"). The three inputs are built together, on the
   first run that needs one, so no later run prepares any. Their arrays are
-  read-only, and every report gets its own copy of the gate counts.
+  read-only, and every report gets its own copy of the gate counts. The
+  estimators' two inversion maps are per process too: ``tomography`` builds
+  them once, read-only, from ``NOISELESS``.
 * Per model: its gate channels and its exact outcome table. The table is a
   pure function of the model, the strategy and the preparations, so the
   model keeps it, read-only, in ``NoiseModel.compiled`` next to its gate

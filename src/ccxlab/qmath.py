@@ -10,15 +10,13 @@ takes eigenvalues only of a stack that fails it.
 Conventions
 -----------
 * Qubit 0 is the least-significant bit of a basis index (little-endian).
-* ``kron_le(ops)`` takes one single-qubit operator per qubit, qubit 0 first,
-  and returns the full operator under that convention.
 
 Tolerances: 1e-10 at construction time, 1e-6 for input validation.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -34,31 +32,11 @@ VALIDATION_TOL = 1e-6
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-PAULI_1Q = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a (..., n, n) stack."""
     return m.conj().swapaxes(-1, -2)
-
-
-def kron_le(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor product of per-qubit operators, ``ops[0]`` acting on qubit 0.
-
-    Little-endian: the qubit-0 factor is the Kronecker minor (fastest) index.
-    """
-    out = np.eye(1, dtype=complex)
-    for op in reversed(list(ops)):
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
-
-
-def pauli_string_matrix(letters: str) -> np.ndarray:
-    """Matrix of a Pauli string over {I, X, Y, Z}; letters[j] acts on qubit j."""
-    return kron_le([PAULI_1Q[c] for c in letters])
 
 
 def check_unitary(u: np.ndarray, tol: float = CONSTRUCTION_TOL) -> np.ndarray:

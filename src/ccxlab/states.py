@@ -4,9 +4,9 @@
 GHZ, W and the uniform superposition. ``prepare_state(kind)`` is the native
 circuit preparing one from |0...0> and ``target_state(kind)`` its exact
 ket. Process tomography prepares the products of the per-qubit probes
-``PROBE_LABELS``; ``probe_circuit(labels)`` prepares one such product, whose
-exact ket is ``probe_state(labels)``, and ``probe_circuit((label,))`` one
-probe on one qubit, the letter the simulator's ``product_states`` takes.
+``PROBE_LABELS``; ``probe_circuit(labels)`` prepares one such product, and
+``probe_circuit((label,))`` one probe on one qubit, the letter the
+simulator's ``product_states`` takes.
 
 Builders write logical circuits (H, S, X, CNOT, and the native RY words of
 the W state) and lower them with ``synthesis.to_native``, so every prepared
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from enum import Enum
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -35,12 +35,6 @@ PI = math.pi
 
 PROBE_LABELS = ("0", "1", "+", "+i")
 
-_PROBE_KETS = {
-    "0": np.array([1, 0], dtype=complex),
-    "1": np.array([0, 1], dtype=complex),
-    "+": np.array([1, 1], dtype=complex) / math.sqrt(2),
-    "+i": np.array([1, 1j], dtype=complex) / math.sqrt(2),
-}
 #: the logical gates preparing each probe from |0>; |+i> = S H |0>
 _PROBE_GATES = {"0": (), "1": (x,), "+": (h,), "+i": (h, s)}
 
@@ -69,16 +63,6 @@ def uniform_state() -> np.ndarray:
     return np.full(8, 1 / math.sqrt(8), dtype=complex)
 
 
-def probe_state(labels: Sequence[str]) -> np.ndarray:
-    """Product state of per-qubit probes, labels[0] on qubit 0."""
-    out = np.array([1.0 + 0j])
-    for lab in reversed(list(labels)):
-        if lab not in _PROBE_KETS:
-            raise InvalidLabelError(f"probe label {lab!r} not in {PROBE_LABELS}")
-        out = np.kron(out, _PROBE_KETS[lab])
-    return out
-
-
 # -- circuit builders ----------------------------------------------------------
 
 def ghz_circuit() -> Circuit:
@@ -100,7 +84,9 @@ def uniform_circuit() -> Circuit:
 
 @functools.lru_cache(maxsize=None)
 def probe_circuit(labels: Tuple[str, ...]) -> Circuit:
-    probe_state(labels)  # raises InvalidLabelError on an unknown label
+    for lab in labels:
+        if lab not in _PROBE_GATES:
+            raise InvalidLabelError(f"probe label {lab!r} not in {PROBE_LABELS}")
     gates = tuple(gate(q) for q, lab in enumerate(labels) for gate in _PROBE_GATES[lab])
     return to_native(Circuit(len(labels), gates))
 

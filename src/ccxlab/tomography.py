@@ -4,7 +4,13 @@ State tomography measures all 3^k Pauli-basis settings. Its data is a
 (3^k, 2^k) array of outcome frequencies: row j is setting j in
 ``qst_settings`` order, column b is basis outcome b, whose bit q is the
 outcome of qubit q. Linear inversion is one fixed linear map,
-``_estimator(k)``: it takes those rows, stacked, to vec(rho) of
+``_estimator(k)``, that takes those rows, stacked, to vec(rho). It is the
+least-squares inverse (M^H M)^-1 M^H of the map M that the simulator itself
+measures with: ``simulator.readout_map`` of the X, Y and Z rotations under
+``NOISELESS``, whose rows are the settings' outcome projectors. M^H M is
+their frame operator. It maps each Pauli string P to 3^(k - |supp P|) P,
+one term per setting that covers P, so it is diagonal in the Pauli basis
+and positive definite. The inverse therefore gives
 rho = (1/2^k) sum_P <P> P, where <P> is the parity of P's support averaged
 over every setting that covers it (Greenbaum, arXiv:1509.02921).
 
@@ -12,11 +18,12 @@ Process tomography prepares the 4^k products of {|0>, |1>, |+>, |+i>} and
 measures 3^k settings per preparation (12^k circuits). Its data is a
 (4^k, 3^k, 2^k) array, one state-tomography array per probe, probes in
 ``itertools.product(PROBE_LABELS, repeat=k)`` order. So the same map gives
-every *unprojected* output estimate in one product; the constant inverse of
-the probe-state matrix, ``_probe_dual(k)``, turns them into the channel's
-superoperator, which is regrouped into the Choi operator and replaced by the
+every *unprojected* output estimate in one product. ``_probe_dual(k)``, the
+inverse of the matrix of the probe states that ``simulator.product_states``
+prepares under ``NOISELESS``, turns them into the channel's superoperator,
+which is regrouped into the Choi operator and replaced by the
 Frobenius-nearest completely-positive trace-preserving (CPTP) Choi
-operator.
+operator. Both maps are built once per process.
 
 State tomography is the case of zero input qubits: one preparation, whose
 dual ``_probe_dual(0)`` is [[1]], and a Choi matrix of input dimension 1,
@@ -60,12 +67,10 @@ from .errors import (
     ProjectionNotConvergedError,
 )
 from .gates import h, sdg
-from .qmath import (
-    check_unitary,
-    dagger,
-    pauli_string_matrix,
-)
-from .states import PROBE_LABELS, probe_state
+from .noise import NOISELESS
+from .qmath import check_unitary, dagger
+from .simulator import product_states, readout_map
+from .states import PROBE_LABELS, probe_circuit
 from .synthesis import to_native
 
 
@@ -107,21 +112,14 @@ def _checked(frequencies: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 def _estimator(k: int) -> np.ndarray:
     """Linear inversion as a (4^k, 3^k * 2^k) map from stacked frequencies to vec(rho).
 
-    Row-major vec. Row block P of the Pauli-expectation map holds the parity
-    signs of P's support on every setting that covers P, divided by their
-    number; vec(P) / 2^k then assembles the state.
+    Row-major vec. The least-squares inverse (M^H M)^-1 M^H of the noise-free
+    measurement map M, the ``readout_map`` of the X, Y and Z rotations under
+    ``NOISELESS``: the module docstring says why it averages each Pauli's parity.
     """
-    settings = qst_settings(k)
-    outcomes = np.arange(2 ** k)
-    paulis = ["".join(p) for p in itertools.product("IXYZ", repeat=k)]
-    expectation = np.zeros((len(paulis), len(settings), 2 ** k))
-    for i, pstr in enumerate(paulis):
-        support = [q for q in range(k) if pstr[q] != "I"]
-        parity = sum((outcomes >> q) & 1 for q in support) % 2
-        covers = [all(s[q] == pstr[q] for q in support) for s in settings]
-        expectation[i, covers] = (1 - 2 * parity) / sum(covers)
-    vec_paulis = np.stack([pauli_string_matrix(p).reshape(-1) for p in paulis], axis=1)
-    estimator = vec_paulis @ expectation.reshape(len(paulis), -1) / 2 ** k
+    qst_settings(k)  # raises KOutOfRangeError outside 1..4
+    m = readout_map([measurement_rotation(p) for p in "XYZ"], k, NOISELESS)
+    m_h = m.conj().T
+    estimator = np.linalg.solve(m_h @ m, m_h)
     estimator.setflags(write=False)
     return estimator
 
@@ -147,9 +145,13 @@ def qst_reconstruct(frequencies: np.ndarray, k: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _probe_dual(k: int) -> np.ndarray:
-    """Inverse of the matrix whose columns are the vectorized probe states; [[1]] at k = 0."""
-    kets = [probe_state(p) for p in itertools.product(PROBE_LABELS, repeat=k)]
-    dual = np.linalg.inv(np.stack([np.outer(v, v.conj()).reshape(-1) for v in kets], axis=1))
+    """Inverse of the matrix whose columns are the vectorized noise-free probe states, as
+    ``product_states`` prepares them under ``NOISELESS``; [[1]] at k = 0."""
+    if k == 0:
+        dual = np.ones((1, 1), dtype=complex)
+    else:
+        probes = product_states([probe_circuit((label,)) for label in PROBE_LABELS], k, NOISELESS)
+        dual = np.linalg.inv(probes.reshape(4 ** k, 4 ** k))
     dual.setflags(write=False)
     return dual
 

@@ -14,7 +14,9 @@ from typing import Iterable, List
 import numpy as np
 
 from ccxlab.errors import DimensionMismatchError
-from ccxlab.qmath import check_unitary, dagger, pauli_string_matrix
+from ccxlab.qmath import check_unitary, dagger
+
+from product_oracle import pauli_string_matrix
 
 
 def apply_channel(channel, rho: np.ndarray) -> np.ndarray:

@@ -27,8 +27,10 @@ import numpy as np
 
 from ccxlab.circuits import _apply_local
 from ccxlab.gates import Gate, gate_matrix
-from ccxlab.qmath import I2, PAULI_1Q, dagger, kron_le
+from ccxlab.qmath import I2, dagger
 from ccxlab.tomography import measurement_rotation, qst_settings
+
+from product_oracle import PAULI_1Q, kron_le
 
 
 @dataclass(frozen=True)

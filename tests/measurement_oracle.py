@@ -10,8 +10,10 @@ by basis state, bit q of the index being the outcome of qubit q.
 import numpy as np
 
 from ccxlab.gates import gate_matrix, h, sdg
-from ccxlab.qmath import I2, kron_le
+from ccxlab.qmath import I2
 from ccxlab.tomography import qst_settings
+
+from product_oracle import kron_le
 
 _H = gate_matrix(h(0))
 _ROTATION = {"X": _H, "Y": _H @ gate_matrix(sdg(0)), "Z": I2}

@@ -11,7 +11,8 @@ import numpy as np
 
 from ccxlab import simulator
 from ccxlab.noise import thermal_relaxation_channel
-from ccxlab.qmath import kron_le
+
+from product_oracle import kron_le
 
 
 def confusion_matrix(nm, n):

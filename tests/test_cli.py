@@ -90,6 +90,19 @@ def test_noise_scale_that_is_not_finite_and_nonnegative_is_a_usage_error(scale, 
     assert err.startswith("error[usage]: ") and "noise_scale" in err
 
 
+@pytest.mark.parametrize("noise", [[], ["--noise", "builtin:brisbane_median"]])
+@pytest.mark.parametrize("command", [["qst"], ["qpt", "--accept-job-budget"]])
+@pytest.mark.parametrize("strategy", [s.value for s in DecompositionStrategy
+                                      if s is not DecompositionStrategy.ECR_NATIVE])
+def test_tomography_of_a_non_native_strategy_is_a_usage_error(strategy, command, noise, capsys):
+    # only ECR_NATIVE is over the native gate set, and both modes run the one native-only
+    # simulator, so every other strategy fails with or without noise
+    code, err = _run([*command, "--strategy", strategy, "--repeats", "1", "--shots", "10",
+                      *noise], capsys)
+    assert code == 2
+    assert err.startswith("error[usage]: ") and "not in the native set" in err
+
+
 @pytest.mark.parametrize("strategy", [s.value for s in DecompositionStrategy])
 def test_synth_with_each_strategy_exits_zero(strategy, capsys):
     code, err = _run(["synth", "--strategy", strategy], capsys)

@@ -115,8 +115,13 @@ def fresh_noiseless():
     A model keeps every exact table it computed, ``NOISELESS`` lives for the whole process,
     and so do the QST inputs, the target kets and the gate counts, so a test that counts what
     a first run computes starts them empty, whatever ran before. Cleared constants are
-    simply built again by the next run that needs them.
+    simply built again by the next run that needs them. The two inversion maps of
+    ``tomography`` are per-process constants of another kind: built once from ``NOISELESS``
+    by the first run that reconstructs, in any test. They are built here, before the cache
+    is emptied, so that what a test counts is its run's own work, alone or in the suite.
     """
+    tomography._estimator(3)
+    tomography._probe_dual(3)
     saved = dict(NOISELESS._compiled)
     NOISELESS._compiled.clear()
     _clear_process_constants()
@@ -230,15 +235,17 @@ def test_a_qpt_run_applies_the_toffoli_once_to_all_preparations(monkeypatch, fre
 def test_a_second_noise_free_run_compiles_nothing(monkeypatch, run):
     # NOISELESS keeps its gate channels and the run's exact table, and the rotation and
     # probe circuits are built once per process, so only the first noise-free run pays for
-    # any of them: a second one compiles, evolves, prepares and reads out nothing. A probe
-    # build starts with states.probe_state, which runs call nowhere else.
+    # any of them: a second one compiles, evolves, prepares and reads out nothing. Every
+    # input or probe circuit is lowered by states.to_native, and the inversion maps read
+    # tomography's readout_map and product_states, once per process.
     cfg = _config(repeats=1, shots_per_setting=100)
     first = run(cfg)
     assert cfg.noise_model() is NOISELESS
     compiled = dict(NOISELESS._compiled)
     builds = Counter()
     for module, name in ((simulator, "_gate_superop"), (simulator, "_block_channel"),
-                         (tomography, "to_native"), (states, "probe_state"),
+                         (tomography, "to_native"), (states, "to_native"),
+                         (tomography, "readout_map"), (tomography, "product_states"),
                          (experiments, "run_density"), (experiments, "product_states"),
                          (experiments, "readout_map"), (experiments, "_distributions")):
         def counted(*args, _call=getattr(module, name), _name=name):

@@ -113,10 +113,11 @@ def test_noise_free_distributions_match_statevector_oracle(inputs):
     assert np.max(np.abs(actual - expected)) < TOL
 
 
-@pytest.mark.parametrize("calibration", CALIBRATIONS)
+@pytest.mark.parametrize("calibration", (None,) + CALIBRATIONS)
 @pytest.mark.parametrize("strategy", OTHER_STRATEGIES)
-def test_non_native_strategies_are_rejected_under_noise(strategy, calibration):
-    nm = _noise_model(calibration)
+def test_non_native_strategies_are_rejected_in_both_modes(strategy, calibration):
+    # a noise-free run is a run under NOISELESS, on the one native-only evolution path
+    nm = NOISELESS if calibration is None else _noise_model(calibration)
     with pytest.raises(NonNativeGateError):
         _distributions(StateKind.GHZ, nm, strategy=strategy)
 

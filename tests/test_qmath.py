@@ -6,19 +6,14 @@ from ccxlab.errors import (
     NotHermitianError,
     NotPSDError,
 )
-from ccxlab.qmath import (
-    VALIDATION_TOL,
-    X,
-    Z,
-    pauli_string_matrix,
-    state_fidelity,
-)
+from ccxlab.qmath import VALIDATION_TOL, X, state_fidelity
 
 from conftest import (
     random_density_matrix,
     random_state_vector,
     random_unitary,
 )
+from product_oracle import Z, pauli_string_matrix
 
 
 def test_fidelity_identical_pure():

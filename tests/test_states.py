@@ -12,7 +12,6 @@ from ccxlab.states import (
     ghz_circuit,
     prepare_state,
     probe_circuit,
-    probe_state,
     target_state,
     uniform_circuit,
     w_circuit,
@@ -20,6 +19,7 @@ from ccxlab.states import (
 from ccxlab.synthesis import equivalent_up_to_global_phase
 
 from conftest import basis_circuit, basis_state
+from product_oracle import probe_state
 
 
 def _prepares(circuit, expected):
@@ -59,7 +59,7 @@ def test_probe_invalid_label():
     with pytest.raises(InvalidLabelError):
         probe_circuit(("0", "minus", "1"))
     with pytest.raises(InvalidLabelError):
-        probe_state(("-",))
+        probe_circuit(("-",))
 
 
 def test_prepare_state_dispatch():

@@ -18,14 +18,13 @@ from ccxlab.errors import (
     NotUnitaryError,
     ProjectionNotConvergedError,
 )
-from ccxlab.qmath import kron_le, pauli_string_matrix, state_fidelity
+from ccxlab.qmath import state_fidelity
 from ccxlab.simulator import sample_distribution
 from ccxlab.states import (
     PROBE_LABELS,
     StateKind,
     ghz_circuit,
     probe_circuit,
-    probe_state,
     target_state,
 )
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
@@ -57,6 +56,7 @@ from conftest import (
     unprojected,
 )
 from measurement_oracle import measurement_probabilities
+from product_oracle import kron_le, pauli_string_matrix, probe_state
 
 
 def _exact_qst_data(state, k):
@@ -248,7 +248,7 @@ def test_qst_missing_setting_is_a_shape_error():
         qst_reconstruct(data, 1)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_qst_reconstruct_matches_per_pauli_oracle(rng, k):
     rho = random_density_matrix(2 ** k, rng)
     data = _sampled_qst_data(rho, k, 200)
@@ -409,7 +409,7 @@ def test_qpt_sampled_output_is_physical():
     assert tp_deviation(sigma, 8) < 1e-6
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_qpt_reconstruct_matches_per_pauli_oracle(rng, k, monkeypatch):
     data = _sampled_qpt_data(random_unitary(2 ** k, rng), k, 300, master_seed=k)
     deviation, choi = _qpt_oracle(data, k)
