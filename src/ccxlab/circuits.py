@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import FrozenSet, List, Tuple
 
 import numpy as np
@@ -105,28 +106,44 @@ def validate_connectivity(c: Circuit, g: CouplingGraph) -> List[Tuple[int, GateD
 
 # -- dense evaluation ---------------------------------------------------------
 
-def _apply_local(tensor: np.ndarray, local: np.ndarray, wires, n: int) -> np.ndarray:
-    """Contract ``local`` (on sorted wires, little-endian) into a state tensor.
+@lru_cache(maxsize=None)
+def _bit_index(bits: Tuple[int, ...], width: int) -> np.ndarray:
+    """The (2^k, 2^(width-k)) positions, in a flat array of 2^width entries, that an operator
+    on the k ``bits`` touches: row l holds the positions whose ``bits`` spell l, bit j of l on
+    ``bits[j]``, one column per setting of the other bits. Cached per (bits, width): callers
+    pass wire subsets of at most ``MAX_QUBITS`` qubits, or their vec(rho) layout."""
+    index = np.arange(2 ** width)
+    rest = [b for b in range(width) if b not in bits]
 
-    ``tensor`` has one axis per qubit (axis a = qubit n-1-a) plus optional
-    trailing batch axes.
+    def spell(on):
+        return sum(((index >> b) & 1) << j for j, b in enumerate(on))
+
+    at = np.empty((2 ** len(bits), 2 ** len(rest)), dtype=np.intp)
+    at[spell(bits), spell(rest)] = index
+    at.setflags(write=False)
+    return at
+
+
+def _apply_local(flat: np.ndarray, local: np.ndarray, bits, width: int) -> np.ndarray:
+    """``local`` applied on ``bits`` (little-endian) of a flat array of 2^width entries.
+
+    One gather of the entries it touches, one matrix product and one scatter;
+    trailing axes of ``flat`` are a batch.
     """
-    k = len(wires)
-    g = local.reshape([2] * (2 * k))
-    taxes = [n - 1 - q for q in reversed(wires)]
-    out = np.tensordot(g, tensor, axes=(list(range(k, 2 * k)), taxes))
-    return np.moveaxis(out, range(k), taxes)
+    at = _bit_index(tuple(bits), width)
+    out = np.empty_like(flat, dtype=np.result_type(flat, local))
+    out[at] = (local @ flat[at].reshape(len(at), -1)).reshape(at.shape + flat.shape[1:])
+    return out
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (product in application order)."""
     if c.num_qubits > MAX_QUBITS:
         raise TooManyQubitsError(f"dense unitary limited to {MAX_QUBITS} qubits")
-    dim = 2 ** c.num_qubits
-    u = np.eye(dim, dtype=complex).reshape([2] * c.num_qubits + [dim])
+    u = np.eye(2 ** c.num_qubits, dtype=complex)
     for g in c.gates:
         u = _apply_local(u, gate_matrix(g), sorted(g.qubits), c.num_qubits)
-    return u.reshape(dim, dim)
+    return u
 
 
 # -- text serialization -------------------------------------------------------

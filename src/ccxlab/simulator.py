@@ -54,15 +54,14 @@ one-qubit gates around it on those wires join, and each wire that no such
 gate touches one block of its own. A block's channel is the product of its
 gates' local channels, each wire's run of one-qubit gates composed as 4 x 4
 maps first; the 44 gates of the ECR-native Toffoli make 8 blocks, one per
-ECR. Each block reaches the register by copying its entries into place. On
-registers of up to ``_DENSE_SUPEROP_MAX_QUBITS`` qubits it is the dense
-4^n x 4^n matrix and a block is one matrix product; larger registers keep
-the 4^k x 4^k channel on the block's own k <= 2 wires and contract it into
-vec(rho), so memory stays O(4^n). Fusing reorders the products, so a table
-moves by round-off (~2e-16) against gate-by-gate evolution. A channel is
-linear, so a stack of states, as the columns of one (4^n, batch) array,
-goes through each block in one product: ``run_density`` evolves a stack of
-prepared states through a shared circuit that way.
+ECR. Each block's 4^k x 4^k channel, on its own k <= 2 wires, reaches the
+register the same way at every size, with no size switch: one gather of the
+entries of vec(rho) it touches, one matrix product and one scatter
+(``circuits._apply_local``), so memory stays O(4^n). Fusing reorders the
+products, so a table moves by round-off (~2e-16) against gate-by-gate
+evolution. A channel is linear, so a stack of states, the columns of one
+(4^n, batch) array, goes through each block in one product: ``run_density``
+evolves a stack of prepared states through a shared circuit that way.
 
 Outcome distributions and counts are arrays indexed by basis state: bit q of
 the index is the outcome of qubit q, the little-endian order of states.
@@ -79,13 +78,6 @@ from .circuits import MAX_QUBITS, Circuit, _apply_local
 from .errors import CcxlabError, NonNativeGateError, TooManyQubitsError, UsageError
 from .gates import NATIVE_GATES, GateDef, gate_matrix
 from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
-
-#: registers up to this size apply each compiled block as a dense 4^n x 4^n
-#: superoperator (64 x 64 at three qubits); larger ones contract the block's
-#: local superoperator into vec(rho) on its own wires. Per block application
-#: (one BLAS thread): 3 qubits ~4 us dense vs ~25 us local; 4 qubits ~18 vs
-#: ~25-30 us, at 1 MB per dense block; 5 qubits ~0.9 ms vs ~38 us.
-_DENSE_SUPEROP_MAX_QUBITS = 3
 
 #: ``draws`` samples each distribution rounded to this many decimals: far
 #: above the ~1e-16 round-off of a table, far below the 1/shots resolution of its counts
@@ -131,23 +123,11 @@ def _embed(local: np.ndarray, wires: Sequence[int], n: int) -> np.ndarray:
     return full.reshape(2 ** n, 2 ** n)
 
 
-def _compile(superop: np.ndarray, wires: Sequence[int], n: int) -> Tuple[np.ndarray, tuple]:
-    """A local superoperator ready to apply on an n-qubit register, as (matrix, wires).
-
-    Up to ``_DENSE_SUPEROP_MAX_QUBITS`` it is embedded into the whole register.
-    """
-    if n <= _DENSE_SUPEROP_MAX_QUBITS:
-        superop, wires = _embed(superop, _vec_wires(wires, n), 2 * n), range(n)
-    return superop, tuple(wires)
-
-
-def _apply_superop(vecs: np.ndarray, compiled: Tuple[np.ndarray, tuple], n: int) -> np.ndarray:
-    """Apply a compiled superoperator to vec(rho); trailing axes of ``vecs`` are a batch."""
-    superop, wires = compiled
-    if len(wires) == n:
-        return superop @ vecs
-    tensor = vecs.reshape([2] * (2 * n) + list(vecs.shape[1:]))
-    return _apply_local(tensor, superop, _vec_wires(wires, n), 2 * n).reshape(vecs.shape)
+def _apply_superop(vecs: np.ndarray, superop: np.ndarray, wires: Sequence[int],
+                   n: int) -> np.ndarray:
+    """Apply a local superoperator on the sorted ``wires`` of an n-qubit register to vec(rho);
+    trailing axes of ``vecs`` are a batch."""
+    return _apply_local(vecs, superop, _vec_wires(wires, n), 2 * n)
 
 
 def _gate_superop(g: GateDef, nm: NoiseModel) -> np.ndarray:
@@ -304,7 +284,7 @@ def apply_circuit_density(rho: np.ndarray, c: Circuit, nm: NoiseModel) -> np.nda
     rho = np.asarray(rho, dtype=complex)
     vecs = rho.reshape((4 ** n,) + rho.shape[2:])
     for wires, gates in _blocks(c):
-        vecs = _apply_superop(vecs, _compile(_block_channel(wires, gates, nm), wires, n), n)
+        vecs = _apply_superop(vecs, _block_channel(wires, gates, nm), wires, n)
     return vecs.reshape(rho.shape)
 
 

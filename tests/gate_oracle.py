@@ -10,7 +10,8 @@ product is.
 import numpy as np
 
 from ccxlab import simulator
-from ccxlab.circuits import _apply_local
+
+from contraction_oracle import apply_local
 
 
 def evolve(rho, circuit, nm):
@@ -21,6 +22,6 @@ def evolve(rho, circuit, nm):
     tensor = rho.reshape([2] * (2 * n) + list(rho.shape[2:]))
     for g in circuit.gates:
         wires = sorted(g.qubits)
-        tensor = _apply_local(tensor, simulator._local_channel(g, nm),
-                              wires + [n + q for q in wires], 2 * n)
+        tensor = apply_local(tensor, simulator._local_channel(g, nm),
+                             wires + [n + q for q in wires], 2 * n)
     return tensor.reshape(rho.shape)

@@ -25,11 +25,11 @@ from typing import Tuple
 
 import numpy as np
 
-from ccxlab.circuits import _apply_local
 from ccxlab.gates import Gate, gate_matrix
 from ccxlab.qmath import I2, dagger
 from ccxlab.tomography import measurement_rotation, qst_settings
 
+from contraction_oracle import apply_local
 from product_oracle import PAULI_1Q, kron_le
 
 
@@ -84,9 +84,9 @@ def _num_qubits(rho):
 
 def _apply_unitary(rho, local, wires, n):
     tensor = rho.reshape([2] * (2 * n) + list(rho.shape[2:]))
-    tensor = _apply_local(tensor, local, wires, n)             # left factor
+    tensor = apply_local(tensor, local, wires, n)              # left factor
     tensor = np.moveaxis(tensor, range(n), range(n, 2 * n))    # transpose to act on bras
-    tensor = _apply_local(tensor, local.conj(), wires, n)
+    tensor = apply_local(tensor, local.conj(), wires, n)
     tensor = np.moveaxis(tensor, range(n), range(n, 2 * n))
     return tensor.reshape(rho.shape)
 

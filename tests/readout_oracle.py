@@ -3,8 +3,8 @@
 This is how ``simulator.readout_map`` built its table before each wire got
 its own map: the diagonal of vec(rho) evolves, transposed, through the
 readout relaxation of every qubit and then through each setting's rotation
-gates in reverse, each as its compiled superoperator on the n-qubit register,
-and the 2^n x 2^n readout confusion reads the result.
+gates in reverse, each as its transposed local superoperator applied to the
+n-qubit register, and the 2^n x 2^n readout confusion reads the result.
 """
 
 import numpy as np
@@ -32,15 +32,13 @@ def readout_map(rotations, nm):
         cal = nm.calibration(q)
         if cal.readout_length_ns > 0:
             relax = thermal_relaxation_channel(cal.readout_length_ns, cal.t1_us, cal.t2_us)
-            superop, wires = simulator._compile(relax, [q], n)
-            diagonal = simulator._apply_superop(diagonal, (superop.T, wires), n)
+            diagonal = simulator._apply_superop(diagonal, relax.T, [q], n)
     confusion = confusion_matrix(nm, n)
     blocks = []
     for rotation in rotations:
         block = diagonal
         for g in reversed(rotation.gates):
-            superop, wires = simulator._compile(simulator._local_channel(g, nm),
-                                                sorted(g.qubits), n)
-            block = simulator._apply_superop(block, (superop.T, wires), n)
+            block = simulator._apply_superop(block, simulator._local_channel(g, nm).T,
+                                             sorted(g.qubits), n)
         blocks.append(confusion @ block.T)
     return np.concatenate(blocks)

@@ -266,14 +266,13 @@ def test_a_second_table_on_the_same_model_compiles_nothing(monkeypatch):
     first = experiments._distributions(preparations, toffoli, nm)
     calls = Counter()
     for module, name in ((simulator, "_gate_superop"), (simulator, "_block_channel"),
-                         (simulator, "_compile"), (simulator, "_apply_superop"),
-                         (experiments, "readout_map")):
+                         (simulator, "_apply_superop"), (experiments, "readout_map")):
         def counted(*args, _call=getattr(module, name), _name=name):
             calls[_name] += 1
             return _call(*args)
         monkeypatch.setattr(module, name, counted)
     second = experiments._distributions(preparations, toffoli, nm)
-    assert calls == {"_block_channel": 8, "_compile": 8, "_apply_superop": 8, "readout_map": 1}
+    assert calls == {"_block_channel": 8, "_apply_superop": 8, "readout_map": 1}
     assert np.array_equal(first, second)
 
 
@@ -308,7 +307,7 @@ def _assert_blocks_partition(circuit):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_fused_blocks_match_the_gate_by_gate_oracle(sizes, data):
-    # registers of 4 and 5 qubits take the local-contraction branch; each model is a fresh
+    # every register size applies its blocks by the same index gather; each model is a fresh
     # copy over the circuit's qubits, so no example leaves its compiled blocks behind
     circuit = data.draw(_native_circuits(sizes), label="circuit")
     _assert_blocks_partition(circuit)
@@ -371,9 +370,9 @@ def _random_native_circuit(num_qubits, rng, length=30):
     return Circuit(num_qubits, tuple(gates))
 
 
-@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
 def test_density_evolution_matches_kraus_oracle_on_every_register_size(num_qubits, rng):
-    # registers above _DENSE_SUPEROP_MAX_QUBITS contract local superoperators instead
+    # up to MAX_QUBITS, the widest register that ccxlab simulate accepts
     circuit = _random_native_circuit(num_qubits, rng)
     nm = ingest_calibration(builtin_calibration_path("brisbane_median")).noise_model(num_qubits)
     rho = simulator.run_density(circuit, nm)

@@ -17,6 +17,7 @@ from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, native_h
 from ccxlab.tomography import measurement_rotation, qst_settings
 
 from conftest import basis_circuit, prepared_states, random_density_matrix, random_state_vector
+from contraction_oracle import apply_local
 from measurement_oracle import measurement_probabilities
 
 
@@ -251,7 +252,7 @@ def _tensordot_embed(local, wires, n):
     """Oracle: ``local`` on the sorted ``wires`` of n, contracted into the 2^n identity."""
     dim = 2 ** n
     eye = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
-    return _apply_local(eye, local, wires, n).reshape(dim, dim)
+    return apply_local(eye, local, wires, n).reshape(dim, dim)
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])
@@ -263,6 +264,53 @@ def test_embedding_copies_exactly_what_the_tensordot_contraction_gives(num_qubit
             local = rng.normal(size=(2 ** size,) * 2) + 1j * rng.normal(size=(2 ** size,) * 2)
             assert np.array_equal(simulator._embed(local, wires, n),
                                   _tensordot_embed(local, wires, n)), wires
+
+
+def _assert_gather_matches_contraction(local, bits, width, batch, rng, exact):
+    flat = rng.normal(size=(2 ** width,) + batch) + 1j * rng.normal(size=(2 ** width,) + batch)
+    gathered = _apply_local(flat, local, bits, width)
+    contracted = apply_local(flat.reshape([2] * width + list(batch)), local, list(bits),
+                             width).reshape(flat.shape)
+    if exact:
+        assert np.array_equal(gathered, contracted), (bits, width, batch)
+    else:
+        assert np.max(np.abs(gathered - contracted)) <= 1e-15, (bits, width, batch)
+
+
+_BATCHES = [(), (1,), (3,), (2, 3)]
+_PERMUTATIONS = {1: gate_matrix(x(0)), 2: gate_matrix(cnot(0, 1)),
+                 3: gate_matrix(GateDef(Gate.CCX, (0, 1, 2)))}
+_PERMUTATIONS[4] = np.kron(_PERMUTATIONS[3], _PERMUTATIONS[1])
+
+
+def _random_local(k, rng):
+    return rng.normal(size=(2 ** k,) * 2) + 1j * rng.normal(size=(2 ** k,) * 2)
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_the_index_gather_applies_what_the_tensordot_contraction_gives(width, rng):
+    # every subset of 1-4 bits; permutation-valued locals move entries exactly, random ones
+    # agree to round-off
+    for k in range(1, min(4, width) + 1):
+        for bits in itertools.combinations(range(width), k):
+            for batch in _BATCHES:
+                _assert_gather_matches_contraction(_PERMUTATIONS[k], bits, width, batch, rng,
+                                                   exact=True)
+                _assert_gather_matches_contraction(_random_local(k, rng), bits, width, batch,
+                                                   rng, exact=False)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_index_gather_applies_superoperators_on_the_vec_layout(n, rng):
+    # the 2k bits of vec(rho) that a channel on every 1- and 2-wire set of n qubits acts on
+    for k in (1, 2):
+        for wires in itertools.combinations(range(n), k):
+            bits = simulator._vec_wires(wires, n)
+            for batch in _BATCHES:
+                _assert_gather_matches_contraction(_PERMUTATIONS[2 * k], bits, 2 * n, batch,
+                                                   rng, exact=True)
+                _assert_gather_matches_contraction(_random_local(2 * k, rng), bits, 2 * n,
+                                                   batch, rng, exact=False)
 
 
 def test_a_nan_trace_is_a_drift(monkeypatch):
