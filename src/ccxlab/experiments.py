@@ -35,8 +35,12 @@ What a run computes lives as long as what it depends on:
   model keeps it, read-only, in ``NoiseModel.compiled`` next to its gate
   channels, keyed by the strategy and the input state (or "qpt"): a second
   run on the same model simulates nothing. Every noise-free run after the
-  first is such a run, since ``NOISELESS`` is one constant; a noise-aware run
-  builds a fresh model from its calibration file and computes its own table.
+  first is such a run, since ``NOISELESS`` is one constant. A noise-aware run
+  reads its calibration file afresh, then is handed the model interned for
+  those numbers, if one of the 4 most recently used has them: a second run
+  with the same numbers is such a run too, and a file edited between runs
+  gets a new model and computes its own table. A sweep over distinct numbers
+  gets no hits, only bounded memory.
 * Per run: the draw form of that table, rounded once by ``simulator.draws``
   and dropped when the run ends; the model's table is not changed.
 * Per repeat: one seeded draw, its reconstruction and its fidelity.
@@ -147,6 +151,11 @@ class ExperimentConfig:
         """The three-qubit noise model of a noise-aware run; ``NOISELESS`` when noise-free.
 
         Without ``apply_readout`` every qubit of it has zero readout confusion.
+        The calibration file is read and checked on every call, and the model
+        is interned by its numbers: of the 4 most recently used, the one equal
+        to the model built here, with its compiled channels and tables, is
+        returned instead. The file's numbers are the key, not its path, so a
+        file edited between calls gets a new model.
         """
         if self.mode is Mode.NOISE_FREE:
             return NOISELESS
@@ -156,7 +165,7 @@ class ExperimentConfig:
         if not self.apply_readout:
             nm = replace(nm, qubit_cal=tuple(replace(c, prob_meas0_prep1=0.0, prob_meas1_prep0=0.0)
                                              for c in nm.qubit_cal))
-        return nm
+        return _interned(nm)
 
 
 @dataclass(frozen=True)
@@ -226,6 +235,13 @@ def _gate_count_summary(toffoli: Circuit, full: Circuit) -> Dict[str, int]:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+@functools.lru_cache(maxsize=4)
+def _interned(nm: NoiseModel) -> NoiseModel:
+    """The model equal to ``nm`` among the 4 most recently interned, else ``nm`` itself: a
+    model's compiled cache serves every later run with the same numbers."""
+    return nm
 
 
 @functools.lru_cache(maxsize=None)

@@ -30,18 +30,23 @@ wires, parameters) of a model. Blocks and readout maps are rebuilt per use;
 readout relaxation runs once per qubit per readout map. Besides the gate
 channels, the cache holds only each experiment run's exact outcome table
 (see :mod:`ccxlab.experiments`), so a table's blocks and readout map are
-built once per table. A model built from other numbers, such as a
-``scale_noise_model`` result, starts with an empty cache; ``NOISELESS`` is
-one constant, so its cache lives as long as the process: one channel per
-distinct gate it ran (256 entries for a two-qubit gate) and at most one
-table per strategy and input (4 strategies x {QPT, GHZ, W, UNIFORM}, under
-0.5 MB).
+built once per table. A model's numbers are read-only, so its cache never
+outlives them. A newly built model starts with an empty cache, but a model
+equals and hashes like any other with the same numbers, and
+:mod:`ccxlab.experiments` interns the noise-aware run's model by those
+numbers, keeping the 4 most recently used: a run whose calibration, scale
+and readout switch give the same numbers as a recent one gets that one's
+instance, cache and all. ``NOISELESS`` is one constant, so its cache lives
+as long as the process: one channel per distinct gate it ran (256 entries
+for a two-qubit gate) and at most one table per strategy and input
+(4 strategies x {QPT, GHZ, W, UNIFORM}, under 0.5 MB).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable, Dict, Hashable, Mapping, Tuple, TypeVar
 
 import numpy as np
@@ -153,8 +158,9 @@ class NoiseModel:
                                               compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gate_error", dict(self.gate_error))
-        object.__setattr__(self, "gate_duration", dict(self.gate_duration))
+        # read-only copies: a model's numbers are what its compiled cache was built from
+        object.__setattr__(self, "gate_error", MappingProxyType(dict(self.gate_error)))
+        object.__setattr__(self, "gate_duration", MappingProxyType(dict(self.gate_duration)))
         for name, v in self.gate_error.items():
             if not v >= 0.0:  # also NaN, which no bound below would catch
                 raise ValueError(f"gate error {name}={v} is not a nonnegative number")
@@ -168,6 +174,11 @@ class NoiseModel:
                 raise ValueError(f"gate duration {name}={v} is not finite and nonnegative")
         if self.gate_error.get("RZ", 0.0) != 0.0 or self.gate_duration.get("RZ", 0.0) != 0.0:
             raise ValueError("RZ is virtual: zero duration and zero error")
+
+    def __hash__(self) -> int:
+        # over the numbers that equality compares; ``_compiled`` is not one of them
+        return hash((self.qubit_cal, tuple(sorted(self.gate_error.items())),
+                     tuple(sorted(self.gate_duration.items()))))
 
     def calibration(self, qubit: int) -> QubitCalibration:
         if qubit >= len(self.qubit_cal):
@@ -189,8 +200,11 @@ class NoiseModel:
 
         Two kinds of entry live here: the simulator's local channel of each gate,
         keyed ("channel", gate), and an experiment run's exact outcome table,
-        keyed ("table", strategy, preparations). The cache lives and dies with
-        this instance, so it never outlives the numbers it was compiled from.
+        keyed ("table", strategy, preparations). The gate maps are read-only and
+        the calibrations frozen, so the cache never outlives the numbers it was
+        compiled from. It lives as long as this instance, which
+        ``ExperimentConfig.noise_model`` interns by its numbers among the 4 most
+        recently used, so an equal model built later is handed this one.
         """
         if key not in self._compiled:
             self._compiled[key] = build()

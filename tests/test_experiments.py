@@ -6,6 +6,7 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,7 +104,8 @@ def test_noise_aware_qpt_fidelities_match_golden_values(sampling, monkeypatch):
 
 
 def _clear_process_constants():
-    for constant in (experiments._qst_inputs, experiments._choi_ket, experiments._gate_counts):
+    for constant in (experiments._qst_inputs, experiments._choi_ket, experiments._gate_counts,
+                     experiments._interned):
         constant.cache_clear()
 
 
@@ -113,12 +115,13 @@ def fresh_noiseless():
     of ``experiments`` built yet; ``NOISELESS``'s own cache is back after it.
 
     A model keeps every exact table it computed, ``NOISELESS`` lives for the whole process,
-    and so do the QST inputs, the target kets and the gate counts, so a test that counts what
-    a first run computes starts them empty, whatever ran before. Cleared constants are
-    simply built again by the next run that needs them. The two inversion maps of
-    ``tomography`` are per-process constants of another kind: built once from ``NOISELESS``
-    by the first run that reconstructs, in any test. They are built here, before the cache
-    is emptied, so that what a test counts is its run's own work, alone or in the suite.
+    and so do the QST inputs, the target kets, the gate counts and the table of interned
+    noise-aware models, so a test that counts what a first run computes starts them empty,
+    whatever ran before. Cleared constants are simply built again by the next run that needs
+    them. The two inversion maps of ``tomography`` are per-process constants of another
+    kind: built once from ``NOISELESS`` by the first run that reconstructs, in any test. They
+    are built here, before the cache is emptied, so that what a test counts is its run's own
+    work, alone or in the suite.
     """
     tomography._estimator(3)
     tomography._probe_dual(3)
@@ -257,6 +260,81 @@ def test_a_second_noise_free_run_compiles_nothing(monkeypatch, run):
     assert NOISELESS._compiled == compiled and compiled
 
 
+@pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
+def test_a_second_noise_aware_run_compiles_nothing(monkeypatch, run):
+    # a noise-aware run reads its calibration file every time, but is handed the model
+    # interned for those numbers, which keeps its gate channels and the run's exact table:
+    # a second run with the same calibration compiles, evolves and reads out nothing
+    cfg = _config("NOISE_AWARE", repeats=1, shots_per_setting=100)
+    first = run(cfg)
+    nm = cfg.noise_model()
+    assert nm is cfg.noise_model() and nm is not NOISELESS
+    compiled = dict(nm._compiled)
+    builds = Counter()
+    for module, name in ((simulator, "_gate_superop"), (simulator, "_block_channel"),
+                         (tomography, "to_native"), (states, "to_native"),
+                         (tomography, "readout_map"), (tomography, "product_states"),
+                         (experiments, "run_density"), (experiments, "product_states"),
+                         (experiments, "readout_map"), (experiments, "_distributions"),
+                         (experiments, "ingest_calibration")):
+        def counted(*args, _call=getattr(module, name), _name=name):
+            builds[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert run(cfg).fidelities == first.fidelities
+    assert builds == {"ingest_calibration": 1}
+    assert nm._compiled == compiled and compiled
+
+
+@pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
+def test_a_calibration_file_edited_between_runs_gets_a_new_model(monkeypatch, tmp_path,
+                                                                 fresh_noiseless, run):
+    # the model is interned by its numbers, not by the file's path, so a run after the file
+    # changed builds its own model, computes its own table and scores its own noise
+    path = tmp_path / "calibration.json"
+    payload = json.loads(Path(BRISBANE).read_text())
+    path.write_text(json.dumps(payload))
+    cfg = dataclasses.replace(_config("NOISE_AWARE", exact=True, repeats=1),
+                              calibration_path=str(path))
+    tables = _counted_tables(monkeypatch)
+    before = cfg.noise_model()
+    first = run(cfg)
+    payload["qubits"][0]["t1_us"] /= 2
+    path.write_text(json.dumps(payload))
+    after = cfg.noise_model()
+    assert after is not before and after != before
+    second = run(cfg)
+    assert len(tables) == 2 and not np.array_equal(tables[0], tables[1])
+    assert second.fidelities[0] != first.fidelities[0]
+    assert cfg.noise_model() is after
+
+
+def test_the_noise_scale_and_the_readout_switch_get_their_own_models(fresh_noiseless):
+    configs = [_config("NOISE_AWARE", noise_scale=scale, apply_readout=readout)
+               for scale in (0.5, 1.0) for readout in (True, False)]
+    models = [cfg.noise_model() for cfg in configs]
+    assert len({id(nm) for nm in models}) == len(set(models)) == 4
+    assert all(cfg.noise_model() is nm for cfg, nm in zip(configs, models))
+
+
+def test_the_interned_models_are_the_four_most_recently_used(monkeypatch, fresh_noiseless):
+    # the bound keeps a sweep over distinct numbers from growing memory: a fifth model evicts
+    # the least recently used one, whose numbers then build a new model and a new table
+    configs = [_config("NOISE_AWARE", exact=True, repeats=1, noise_scale=scale)
+               for scale in (0.2, 0.4, 0.6, 0.8, 1.0)]
+    tables = _counted_tables(monkeypatch)
+    first = configs[0].noise_model()
+    run_qst_experiment(configs[0])
+    models = [cfg.noise_model() for cfg in configs[1:]]
+    assert all(cfg.noise_model() is nm for cfg, nm in zip(configs[1:], models))
+    again = configs[0].noise_model()
+    assert again is not first and again == first and not again._compiled
+    run_qst_experiment(configs[0])
+    assert len(tables) == 2 and np.array_equal(tables[0], tables[1])
+    assert configs[1].noise_model() is not models[0]  # evicted in its turn
+    assert configs[4].noise_model() is models[3]
+
+
 def _assert_caches_only(nm, kinds):
     """Every key in ``nm``'s compiled cache is a ``kinds`` entry: ("channel", gate) or
     ("table", strategy, preparations)."""
@@ -326,16 +404,17 @@ def _counted_tables(monkeypatch):
 
 
 @pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
-def test_a_model_with_edited_numbers_computes_its_own_table(monkeypatch, run):
-    # the table lives in its model's cache: every noise-aware run builds a fresh model from
-    # the calibration file, so it computes its own table, and one with other numbers scores
-    # its own noise
+def test_a_model_with_edited_numbers_computes_its_own_table(monkeypatch, fresh_noiseless, run):
+    # the table lives in its model's cache, and a noise-aware run is handed the model
+    # interned for its numbers: the second run at scale 0.5 reads the first one's table, and
+    # the run with other numbers computes its own and scores its own noise
     run(_config(repeats=1, shots_per_setting=100))  # NOISELESS holds its table from here on
     tables = _counted_tables(monkeypatch)
-    fidelities = [run(_config("NOISE_AWARE", exact=True, repeats=1, noise_scale=scale))
-                  .fidelities for scale in (0.5, 0.5, 1.0)]
-    assert len(tables) == 3
-    assert np.array_equal(tables[0], tables[1]) and not np.array_equal(tables[1], tables[2])
+    configs = [_config("NOISE_AWARE", exact=True, repeats=1, noise_scale=scale)
+               for scale in (0.5, 0.5, 1.0)]
+    fidelities = [run(cfg).fidelities for cfg in configs]
+    assert len(tables) == 2 and not np.array_equal(tables[0], tables[1])
+    assert configs[0].noise_model() is configs[1].noise_model()
     assert fidelities[0] == fidelities[1] and fidelities[1][0] > fidelities[2][0]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -211,6 +212,32 @@ def test_noise_model_rz_virtual():
     nm = NoiseModel(cal, {"ECR": 0.01}, {})
     assert nm.error_for("RZ") == 0.0
     assert nm.duration_for("ECR") == DEFAULT_GATE_DURATIONS_NS["ECR"]
+
+
+def test_a_models_gate_maps_are_read_only_and_its_numbers_are_its_hash():
+    # equal models may share one compiled cache, so their numbers must not move under it
+    cal = (QubitCalibration(t1_us=100.0, t2_us=80.0),)
+    errors = {"ECR": 0.01, "SX": 0.001}
+    nm = NoiseModel(cal, errors, {"ECR": 500.0})
+    errors["ECR"] = 0.5  # the model holds its own copy
+    assert nm.error_for("ECR") == 0.01
+    for gate_map in (nm.gate_error, nm.gate_duration):
+        with pytest.raises(TypeError):
+            gate_map["ECR"] = 0.02
+        with pytest.raises(TypeError):
+            del gate_map["ECR"]
+    nm.compiled("key", lambda: 1)  # the cache is not one of the numbers
+    same = NoiseModel(cal, {"SX": 0.001, "ECR": 0.01}, {"ECR": 500.0})
+    assert same == nm and hash(same) == hash(nm)
+    assert NoiseModel(cal, {"SX": 0.001, "ECR": 0.02}, {"ECR": 500.0}) != nm
+    scaled = scale_noise_model(nm, 2.0)
+    replaced = dataclasses.replace(nm, qubit_cal=(QubitCalibration(t1_us=50.0, t2_us=40.0),))
+    assert scaled.gate_error["ECR"] == pytest.approx(0.02)
+    assert replaced.gate_error == nm.gate_error and replaced.gate_duration == nm.gate_duration
+    assert replaced != nm and not replaced._compiled
+    for model in (scaled, replaced):
+        with pytest.raises(TypeError):
+            model.gate_error["ECR"] = 0.02
 
 
 def test_scale_noise_model():
