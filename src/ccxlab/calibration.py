@@ -20,7 +20,8 @@ ignored by the noise model, which is name-keyed).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
@@ -30,6 +31,8 @@ import numpy as np
 from .errors import CoherenceViolation, ErrTooLargeError, IoError, SchemaError
 from .noise import NoiseModel, QubitCalibration
 
+#: every column of a qubit record, and whether it is required. ``QubitCalibration`` holds the
+#: ones the simulator reads; frequency, anharmonicity and readout error are the summary's alone
 _QUBIT_FIELDS = {
     "t1_us": True,
     "t2_us": True,
@@ -59,6 +62,8 @@ class CalibrationTable:
     gate_error: Dict[str, float]
     gate_duration: Dict[str, float]
     source: str
+    #: per column of ``_QUBIT_FIELDS``, its value in each qubit record, 0.0 where absent
+    columns: Dict[str, Tuple[float, ...]]
 
     def noise_model(self, num_qubits: int) -> NoiseModel:
         """Noise model over ``num_qubits``; a single record broadcasts."""
@@ -75,8 +80,8 @@ class CalibrationTable:
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-column mean/std/min/quartiles/max across the qubit records."""
         stats: Dict[str, Dict[str, float]] = {}
-        for name in _QUBIT_FIELDS:
-            col = np.array([getattr(q, name) for q in self.qubits], dtype=float)
+        for name, values in self.columns.items():
+            col = np.array(values, dtype=float)
             stats[name] = {
                 "mean": float(np.mean(col)),
                 "std": float(np.std(col, ddof=1)) if len(col) > 1 else 0.0,
@@ -117,20 +122,24 @@ def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
     if not isinstance(raw_qubits, list) or not raw_qubits:
         raise SchemaError(f"{path}: 'qubits' must be a non-empty array")
 
+    simulated = {f.name for f in fields(QubitCalibration)}
     records: List[QubitCalibration] = []
+    rows: List[Dict[str, float]] = []
     for i, entry in enumerate(raw_qubits):
         loc = f"{path}: qubits[{i}]"
         if not isinstance(entry, dict):
             raise SchemaError(f"{loc}: expected an object")
-        kwargs = {}
-        for field, required in _QUBIT_FIELDS.items():
-            if required:
-                kwargs[field] = _require(entry, field, loc)
-            elif field in entry:
-                kwargs[field] = _require(entry, field, loc)
+        row = {field: _require(entry, field, loc) if required or field in entry else 0.0
+               for field, required in _QUBIT_FIELDS.items()}
+        rows.append(row)
         qubit_id = entry.get("id", i)
         try:
-            records.append(QubitCalibration(**kwargs))
+            records.append(QubitCalibration(**{f: v for f, v in row.items() if f in simulated}))
+            for name in ("frequency_ghz", "anharmonicity_ghz"):
+                if not math.isfinite(row[name]):
+                    raise ValueError(f"{name}={row[name]} is not finite")
+            if not 0.0 <= row["readout_error"] <= 1.0:
+                raise ValueError(f"readout_error={row['readout_error']} outside [0, 1]")
         except CoherenceViolation as exc:
             raise CoherenceViolation(f"{loc} (qubit {qubit_id}): {exc}") from exc
         except ValueError as exc:
@@ -151,7 +160,8 @@ def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
         if "duration_ns" in entry:
             gate_duration[name] = _require(entry, "duration_ns", loc)
 
-    table = CalibrationTable(tuple(records), gate_error, gate_duration, str(path))
+    table = CalibrationTable(tuple(records), gate_error, gate_duration, str(path),
+                             {field: tuple(row[field] for row in rows) for field in _QUBIT_FIELDS})
     try:
         table.noise_model(1)  # validate gate maps eagerly
     except (ValueError, ErrTooLargeError) as exc:

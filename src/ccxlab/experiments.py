@@ -81,15 +81,16 @@ from .errors import IoError, SchemaError, UsageError
 from .noise import NOISELESS, NoiseModel, scale_noise_model
 from .qmath import state_fidelity
 from .simulator import draws, product_states, readout_map, run_density, setting_distributions
-from .states import PROBE_LABELS, StateKind, prepare_state, probe_circuit, target_state
+from .states import PROBE_LABELS, StateKind, prepare_state, target_state
 from .synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from .tomography import (
     average_gate_fidelity,
     choi_ket_of_unitary,
-    measurement_rotation,
+    probe_alphabet,
     qpt_reconstruct,
     qst_reconstruct,
     qst_settings,
+    setting_alphabet,
 )
 from .version import __version__
 
@@ -287,9 +288,9 @@ def _distributions(preparations: np.ndarray, gate: Circuit, nm: NoiseModel) -> n
     One ``run_density`` evolves ``gate`` once, under ``nm``, on the (8, 8, P)
     stack of prepared states. Every setting's distribution (rotation circuit,
     readout relaxation, readout confusion) is read off one ``readout_map`` of
-    the X, Y and Z rotations.
+    ``setting_alphabet()``, the map the estimator inverts under ``NOISELESS``.
     """
-    table = readout_map([measurement_rotation(letter) for letter in "XYZ"], 3, nm)
+    table = readout_map(setting_alphabet(), 3, nm)
     return setting_distributions(run_density(gate, nm, preparations), table)
 
 
@@ -362,7 +363,7 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     # the probes are constant, so one marker names them
     fidelities = _run(
         cfg, nm, "qpt",
-        lambda: product_states([probe_circuit((label,)) for label in PROBE_LABELS], 3, nm),
+        lambda: product_states(probe_alphabet(), 3, nm),
         lambda tables: np.stack([qpt_reconstruct(table, 3) for table in tables]),
         _choi_ket())
     return _make_report("qpt", fidelities, cfg, _gate_counts(cfg.strategy, "qpt"),

@@ -26,20 +26,22 @@ cache, ``NoiseModel.compiled``; the placement order is unchanged. The
 one-qubit layers (probe preparations and measurement rotations) apply those
 channels per qubit, and the whole-register evolution multiplies them into
 one matrix per fused block. So the builders run once per distinct (gate,
-wires, parameters) of a model. Blocks and readout maps are rebuilt per use;
-readout relaxation runs once per qubit per readout map. Besides the gate
-channels, the cache holds only each experiment run's exact outcome table
-(see :mod:`ccxlab.experiments`), so a table's blocks and readout map are
-built once per table. A model's numbers are read-only, so its cache never
+wires, parameters) of a model. Blocks and readout maps are rebuilt per
+table; readout relaxation runs once per qubit per readout map. Besides the
+gate channels, the cache holds only each experiment run's exact outcome
+table (see :mod:`ccxlab.experiments`), so a model builds a table's blocks
+and readout map once. A model's numbers are read-only, so its cache never
 outlives them. A newly built model starts with an empty cache, but a model
 equals and hashes like any other with the same numbers, and
 :mod:`ccxlab.experiments` interns the noise-aware run's model by those
 numbers, keeping the 4 most recently used: a run whose calibration, scale
 and readout switch give the same numbers as a recent one gets that one's
-instance, cache and all. ``NOISELESS`` is one constant, so its cache lives
-as long as the process: one channel per distinct gate it ran (256 entries
-for a two-qubit gate) and at most one table per strategy and input
-(4 strategies x {QPT, GHZ, W, UNIFORM}, under 0.5 MB).
+instance, cache and all. No simulation reads a qubit's frequency,
+anharmonicity or readout error, so they are not among a model's numbers.
+``NOISELESS`` is one constant, so its cache lives as long as the process:
+one channel per distinct gate it ran (256 entries for a two-qubit gate) and
+at most one table per strategy and input (4 strategies x {QPT, GHZ, W,
+UNIFORM}, under 0.5 MB).
 """
 
 from __future__ import annotations
@@ -121,29 +123,25 @@ def depolarizing_channel(err: float, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QubitCalibration:
+    """The numbers of one qubit that the simulator reads: relaxation and readout."""
+
     t1_us: float
     t2_us: float
-    frequency_ghz: float = 0.0
-    anharmonicity_ghz: float = 0.0
     prob_meas0_prep1: float = 0.0
     prob_meas1_prep0: float = 0.0
-    readout_error: float = 0.0
     readout_length_ns: float = 0.0
 
     def __post_init__(self):
         if not (self.t1_us > 0 and 0 < self.t2_us <= 2 * self.t1_us):
             raise CoherenceViolation(
                 f"need 0 < T2 <= 2*T1, got T1={self.t1_us} us, T2={self.t2_us} us")
-        for name in ("prob_meas0_prep1", "prob_meas1_prep0", "readout_error"):
+        for name in ("prob_meas0_prep1", "prob_meas1_prep0"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
         if not 0 <= self.readout_length_ns < math.inf:
             raise ValueError(f"readout_length_ns={self.readout_length_ns} is not finite "
                              "and nonnegative")
-        for name in ("frequency_ghz", "anharmonicity_ghz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}={getattr(self, name)} is not finite")
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,7 @@ NOISELESS = NoiseModel((QubitCalibration(t1_us=math.inf, t2_us=math.inf),) * MAX
 
 
 def scale_noise_model(nm: NoiseModel, factor: float) -> NoiseModel:
-    """Scale all error rates and the relaxation rates 1/T1, 1/T2 by ``factor``.
+    """Scale the gate errors, readout confusion and relaxation rates 1/T1, 1/T2 by ``factor``.
 
     ``factor=0`` yields a noiseless model; ``factor>1`` degrades everything.
     """
@@ -234,8 +232,7 @@ def scale_noise_model(nm: NoiseModel, factor: float) -> NoiseModel:
     cal = tuple(
         replace(c, t1_us=scale_time(c.t1_us), t2_us=scale_time(c.t2_us),
                 prob_meas0_prep1=scale_prob(c.prob_meas0_prep1),
-                prob_meas1_prep0=scale_prob(c.prob_meas1_prep0),
-                readout_error=scale_prob(c.readout_error))
+                prob_meas1_prep0=scale_prob(c.prob_meas1_prep0))
         for c in nm.qubit_cal
     )
     errors = {name: v * factor for name, v in nm.gate_error.items()}

@@ -54,14 +54,16 @@ one-qubit gates around it on those wires join, and each wire that no such
 gate touches one block of its own. A block's channel is the product of its
 gates' local channels, each wire's run of one-qubit gates composed as 4 x 4
 maps first; the 44 gates of the ECR-native Toffoli make 8 blocks, one per
-ECR. Each block's 4^k x 4^k channel, on its own k <= 2 wires, reaches the
-register the same way at every size, with no size switch: one gather of the
-entries of vec(rho) it touches, one matrix product and one scatter
-(``circuits._apply_local``), so memory stays O(4^n). Fusing reorders the
-products, so a table moves by round-off (~2e-16) against gate-by-gate
-evolution. A channel is linear, so a stack of states, the columns of one
-(4^n, batch) array, goes through each block in one product: ``run_density``
-evolves a stack of prepared states through a shared circuit that way.
+ECR. One primitive, ``circuits._apply_local``, puts every local map where it
+acts: one gather of the entries it touches, one matrix product and one
+scatter. It applies each gate's relaxation to the gate's channel, each run
+and multi-qubit channel to its block's channel, and each block's 4^k x 4^k
+channel, on its own k <= 2 wires, to the register, the same way at every
+size, so memory stays O(4^n). Fusing reorders the products, so a table moves
+by round-off (~2e-16) against gate-by-gate evolution. A channel is linear,
+so a stack of states, the columns of one (4^n, batch) array, goes through
+each block in one product: ``run_density`` evolves a stack of prepared
+states through a shared circuit that way.
 
 Outcome distributions and counts are arrays indexed by basis state: bit q of
 the index is the outcome of qubit q, the little-endian order of states.
@@ -69,7 +71,6 @@ the index is the outcome of qubit q, the little-endian order of states.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -103,26 +104,6 @@ def _vec_wires(wires: Sequence[int], n: int) -> list:
     return list(wires) + [n + q for q in wires]
 
 
-@lru_cache(maxsize=None)
-def _embedding(wires: Tuple[int, ...], n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(flat positions in the 2^n x 2^n embedding, flat positions in the local map) of each
-    copied entry: (r, c) holds local (r_w, c_w), r_w the bits of r on ``wires``, where r
-    and c agree on every other wire; the rest are 0."""
-    index = np.arange(2 ** n)
-    local = sum(((index >> w) & 1) << j for j, w in enumerate(wires))
-    rest = index & ~sum(1 << w for w in wires)
-    rows, cols = np.nonzero(rest[:, None] == rest[None, :])
-    return rows * 2 ** n + cols, local[rows] * 2 ** len(wires) + local[cols]
-
-
-def _embed(local: np.ndarray, wires: Sequence[int], n: int) -> np.ndarray:
-    """``local`` on the sorted ``wires`` as a full 2^n x 2^n matrix, by copying its entries."""
-    full_at, local_at = _embedding(tuple(wires), n)
-    full = np.zeros(4 ** n, dtype=local.dtype)
-    full[full_at] = local.reshape(-1)[local_at]
-    return full.reshape(2 ** n, 2 ** n)
-
-
 def _apply_superop(vecs: np.ndarray, superop: np.ndarray, wires: Sequence[int],
                    n: int) -> np.ndarray:
     """Apply a local superoperator on the sorted ``wires`` of an n-qubit register to vec(rho);
@@ -145,7 +126,7 @@ def _gate_superop(g: GateDef, nm: NoiseModel) -> np.ndarray:
         for q in g.qubits:
             cal = nm.calibration(q)
             relax = thermal_relaxation_channel(duration, cal.t1_us, cal.t2_us)
-            superop = _embed(relax, _vec_wires([wires.index(q)], k), 2 * k) @ superop
+            superop = _apply_local(superop, relax, _vec_wires([wires.index(q)], k), 2 * k)
     superop.setflags(write=False)
     return superop
 
@@ -187,29 +168,22 @@ def _blocks(c: Circuit) -> Tuple[Tuple[Tuple[int, ...], Tuple[GateDef, ...]], ..
 def _block_channel(wires: Tuple[int, ...], gates: Sequence[GateDef], nm: NoiseModel) -> np.ndarray:
     """Superoperator of one block on its sorted ``wires``: the product of its gates' cached
     ``_local_channel``s. Each run of one-qubit gates on a wire is composed as 4 x 4 maps and
-    embedded once, just before the next multi-qubit gate or at the end."""
+    applied just before the next multi-qubit gate or at the end; each run and multi-qubit
+    channel reaches the block's map by ``circuits._apply_local``, as a block reaches a register."""
     k = len(wires)
-    superop = None
     runs: dict = {}  # wire -> its one-qubit gates since the last multi-qubit gate, composed
-
-    def then(channel: np.ndarray, on: Sequence[int]) -> None:
-        nonlocal superop
-        if len(on) < k:
-            channel = _embed(channel, _vec_wires([wires.index(q) for q in on], k), 2 * k)
-        superop = channel if superop is None else channel @ superop
-
+    steps = []  # (channel, the wires it acts on), in the order they apply
     for g in gates:
         channel = _local_channel(g, nm)
         if len(g.qubits) == 1:
             q = g.qubits[0]
             runs[q] = channel @ runs[q] if q in runs else channel
         else:
-            for q, run in runs.items():
-                then(run, [q])
+            steps += [(run, [q]) for q, run in runs.items()] + [(channel, sorted(g.qubits))]
             runs.clear()
-            then(channel, sorted(g.qubits))
-    for q, run in runs.items():
-        then(run, [q])
+    superop = np.eye(4 ** k, dtype=complex)
+    for channel, on in steps + [(run, [q]) for q, run in runs.items()]:
+        superop = _apply_local(superop, channel, _vec_wires([wires.index(q) for q in on], k), 2 * k)
     return superop
 
 

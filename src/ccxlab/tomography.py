@@ -33,11 +33,11 @@ CPTP Choi matrix, which at d_in = 1 is the nearest density matrix. Linear
 inversion followed by one such projection is the estimator Surawy-Stepney,
 Kahn, Kueng & Guta analyse (arXiv:2107.01060).
 
-At d_in = 1 the projection is closed-form water-filling, so
-``qst_reconstruct`` also takes a stack of tables, one per repeat, and
-estimates them all with one stacked product and one batched ``eigh``,
-each exactly as its single call would. ``qpt_reconstruct`` takes one table:
-the CPTP projection iterates per Choi matrix.
+Both estimators, and ``project_to_cptp``, also take a stack of inputs on a
+leading axis, one per repeat, and give each entry exactly its single call's
+result: linear inversion takes one product per entry. At d_in = 1 the
+projection is closed-form water-filling, so a stack of states takes one
+batched ``eigh``; at d_in > 1 the CPTP projection iterates per Choi matrix.
 
 The per-probe estimates stay unprojected on purpose: projecting them first
 biases the channel estimate like a global depolarization; unbiased probe
@@ -100,8 +100,22 @@ def measurement_rotation(setting: str) -> Circuit:
                                       for gate in MEASUREMENT_BASES[letter])))
 
 
+def setting_alphabet() -> List[Circuit]:
+    """The X, Y and Z rotations, whose ``readout_map`` a run measures with under its model and
+    ``_estimator`` inverts under ``NOISELESS``."""
+    return [measurement_rotation(letter) for letter in "XYZ"]
+
+
+def probe_alphabet() -> List[Circuit]:
+    """The one-qubit probes, whose ``product_states`` a run prepares under its model and
+    ``_probe_dual`` inverts under ``NOISELESS``."""
+    return [probe_circuit((label,)) for label in PROBE_LABELS]
+
+
 def _checked(frequencies: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     frequencies = np.asarray(frequencies, dtype=float)
+    if frequencies.ndim == len(shape) + 1:
+        shape = frequencies.shape[:1] + shape
     if frequencies.shape != shape:
         raise DimensionMismatchError(
             f"frequencies must have shape {shape}, got {frequencies.shape}")
@@ -117,7 +131,7 @@ def _estimator(k: int) -> np.ndarray:
     ``NOISELESS``: the module docstring says why it averages each Pauli's parity.
     """
     qst_settings(k)  # raises KOutOfRangeError outside 1..4
-    m = readout_map([measurement_rotation(p) for p in "XYZ"], k, NOISELESS)
+    m = readout_map(setting_alphabet(), k, NOISELESS)
     m_h = m.conj().T
     estimator = np.linalg.solve(m_h @ m, m_h)
     estimator.setflags(write=False)
@@ -135,9 +149,7 @@ def qst_reconstruct(frequencies: np.ndarray, k: int) -> np.ndarray:
     A stack of R such arrays, shape (R, 3^k, 2^k), gives R density matrices,
     entry r exactly the single call's on ``frequencies[r]``.
     """
-    frequencies = np.asarray(frequencies, dtype=float)
-    stack = frequencies.shape[:1] if frequencies.ndim == 3 else ()
-    frequencies = _checked(frequencies, stack + (3 ** k, 2 ** k))
+    frequencies = _checked(frequencies, (3 ** k, 2 ** k))
     return _reconstruct(frequencies[..., None, :, :], k, _probe_dual(0))
 
 
@@ -150,7 +162,7 @@ def _probe_dual(k: int) -> np.ndarray:
     if k == 0:
         dual = np.ones((1, 1), dtype=complex)
     else:
-        probes = product_states([probe_circuit((label,)) for label in PROBE_LABELS], k, NOISELESS)
+        probes = product_states(probe_alphabet(), k, NOISELESS)
         dual = np.linalg.inv(probes.reshape(4 ** k, 4 ** k))
     dual.setflags(write=False)
     return dual
@@ -169,23 +181,23 @@ def choi_ket_of_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def _partial_trace_out(xi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    return np.einsum("mpnp->mn", xi.reshape(d_in, d_out, d_in, d_out))
+    return np.einsum("...mpnp->...mn", xi.reshape(xi.shape[:-2] + (d_in, d_out, d_in, d_out)))
 
 
 def _choi_dims(choi: np.ndarray, d_in: int) -> Tuple[int, int]:
-    """(d_in, d_out) of a Choi matrix of side d_in * d_out; rejects other shapes and NaN/inf."""
-    shape = choi.shape
-    if choi.ndim != 2 or shape[0] != shape[1] or shape[0] == 0 or d_in < 1 or shape[0] % d_in:
+    """(d_in, d_out) of Choi matrices of side d_in * d_out, stacked or not; rejects NaN/inf."""
+    shape = choi.shape[-2:]
+    if choi.ndim < 2 or shape[0] != shape[1] or shape[0] == 0 or d_in < 1 or shape[0] % d_in:
         raise DimensionMismatchError(
             f"a Choi matrix must be (d_in * d_out) x (d_in * d_out) with d_in = {d_in}, "
-            f"got shape {shape}")
+            f"got shape {choi.shape}")
     if not np.all(np.isfinite(choi)):
         raise NotHermitianError("a Choi matrix must have finite entries")
     return d_in, shape[0] // d_in
 
 
 def tp_deviation(choi: np.ndarray, d_in: int) -> float:
-    """Max-abs deviation of Tr_out(choi * d_in) from the d_in x d_in identity."""
+    """Max-abs deviation of Tr_out(choi * d_in) from the identity, over a stack too."""
     choi = np.asarray(choi)
     d_in, d_out = _choi_dims(choi, d_in)
     return float(np.max(np.abs(_partial_trace_out(choi * d_in, d_in, d_out) - np.eye(d_in))))
@@ -318,7 +330,7 @@ def project_to_cptp(choi: np.ndarray, d_in: int) -> np.ndarray:
     matrix. Lam is a scalar, so C + Lam I keeps C's eigenvectors, and Lam is
     the water-filling level of Smolin, Gambetta & Smith (PRL 108, 070502
     (2012)), ``_water_level`` of C's spectrum at total 1. One ``eigh``
-    suffices; see ``_nearest_states``.
+    suffices.
 
     At d_in > 1 Lam is found by the semismooth Newton method of Qi & Sun
     (SIAM J. Matrix Anal. Appl. 28, 360 (2006)) with a partial trace in
@@ -352,11 +364,26 @@ def project_to_cptp(choi: np.ndarray, d_in: int) -> np.ndarray:
     ``choi`` that is not square, or whose side d_in does not divide, raises
     ``DimensionMismatchError``, and one with a non-finite entry
     ``NotHermitianError``.
+
+    A (R, n, n) stack of Choi estimates gives the stack of their projections,
+    each exactly its single call's: at d_in = 1 the whole stack takes one
+    batched ``eigh``, which keeps one decomposition and product per matrix,
+    and at d_in > 1 each matrix takes its own Newton iteration.
     """
     choi = np.asarray(choi)
     d_in, d_out = _choi_dims(choi, d_in)
     if d_in == 1:
-        return _nearest_states(choi)
+        w, v = np.linalg.eigh((choi + dagger(choi)) / 2)
+        w = w + _water_level(w, 1.0)
+        x = (v * np.clip(w, 0.0, None)[..., None, :]) @ dagger(v)
+        return (x + dagger(x)) / 2
+    n = d_in * d_out
+    return np.stack([_nearest_channel(c, d_in, d_out)
+                     for c in choi.reshape(-1, n, n)]).reshape(choi.shape)
+
+
+def _nearest_channel(choi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """``project_to_cptp`` of one n x n Choi matrix at d_in > 1: the Newton iteration."""
     n = d_in * d_out
     c = (choi + dagger(choi)) * (d_in / 2)  # Hermitian part of X
     eye = np.eye(d_in)
@@ -407,31 +434,20 @@ def qpt_reconstruct(frequencies: np.ndarray, k: int) -> np.ndarray:
     ``frequencies`` has shape (4^k, 3^k, 2^k): probe i in
     ``itertools.product(PROBE_LABELS, repeat=k)`` order, setting j in
     ``qst_settings(k)`` order, basis outcome b (bit q = qubit q).
+
+    A stack of R such arrays, shape (R, 4^k, 3^k, 2^k), gives R Choi matrices,
+    entry r exactly the single call's on ``frequencies[r]``.
     """
     if not 1 <= k <= 3:
         raise KOutOfRangeError(f"k={k} outside 1..3")
     return _reconstruct(_checked(frequencies, (4 ** k, 3 ** k, 2 ** k)), k, _probe_dual(k))
 
 
-def _nearest_states(rho: np.ndarray) -> np.ndarray:
-    """``project_to_cptp`` at d_in = 1 for each matrix of a (..., n, n) stack at once.
-
-    Each matrix takes its own ``eigh`` and products, so its result does not
-    depend on the stack it is in.
-    """
-    if not np.all(np.isfinite(rho)):
-        raise NotHermitianError("a state estimate must have finite entries")
-    w, v = np.linalg.eigh((rho + dagger(rho)) / 2)
-    w = w + _water_level(w, 1.0)
-    x = (v * np.clip(w, 0.0, None)[..., None, :]) @ dagger(v)
-    return (x + dagger(x)) / 2
-
-
 def _reconstruct(frequencies: np.ndarray, k: int, dual: np.ndarray) -> np.ndarray:
     """The projected Choi estimate from the frequencies of P preparations and their ``dual``.
 
     ``frequencies`` has shape (..., P, 3^k, 2^k), any leading axes a stack of
-    states, and ``dual`` is ``_probe_dual`` of the m input qubits, P = 4^m:
+    estimates, and ``dual`` is ``_probe_dual`` of the m input qubits, P = 4^m:
     m = 0 for a state.
     """
     d_in, d_out = math.isqrt(dual.shape[1]), 2 ** k
@@ -444,7 +460,7 @@ def _reconstruct(frequencies: np.ndarray, k: int, dual: np.ndarray) -> np.ndarra
     # superop[(p, q), (m, n)] = E(|m><n|)[p, q] -> Choi block (m, n)
     xi = superop.reshape(-1, d_out, d_out, d_in, d_in).transpose(0, 3, 1, 4, 2) \
         .reshape(lead + (n, n)) / d_in
-    return project_to_cptp(xi, d_in) if d_in > 1 else _nearest_states(xi)
+    return project_to_cptp(xi, d_in)
 
 
 # -- fidelity metrics ------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccxlab import cli
+from ccxlab import cli, experiments
 from ccxlab.calibration import builtin_calibration_path, ingest_calibration
 from ccxlab.errors import CcxlabError, ErrTooLargeError, IoError, SchemaError
 from ccxlab.noise import scale_noise_model, thermal_relaxation_channel
@@ -93,6 +93,44 @@ def test_a_non_finite_calibration_value_is_a_schema_error_naming_the_path(
     assert err.startswith("error[schema]: ") and str(path) in err and named + str(value) in err
 
 
+@pytest.mark.parametrize("name", ["frequency_ghz", "anharmonicity_ghz"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_ingest_rejects_a_non_finite_frequency(tmp_path, name, value):
+    # summary-only columns reach no model, but ingest still checks them
+    path = _with_value(tmp_path, "qubits", name, value)
+    with pytest.raises(SchemaError, match=f"qubits\\[0\\] \\(qubit 0\\): {name}={value} is not"):
+        ingest_calibration(path)
+
+
+@pytest.mark.parametrize("value", [-0.01, 1.5, math.nan])
+def test_ingest_rejects_a_readout_error_outside_the_unit_interval(tmp_path, value):
+    path = _with_value(tmp_path, "qubits", "readout_error", value)
+    with pytest.raises(SchemaError, match=f"qubits\\[0\\] \\(qubit 0\\): readout_error={value} "
+                       "outside"):
+        ingest_calibration(path)
+
+
+def test_ingest_accepts_a_negative_anharmonicity(tmp_path):
+    table = ingest_calibration(_with_value(tmp_path, "qubits", "anharmonicity_ghz", -0.31))
+    assert table.columns["anharmonicity_ghz"] == (-0.31,)
+    assert table.summary()["anharmonicity_ghz"]["min"] == -0.31
+
+
+def test_calibrations_that_differ_only_in_summary_columns_intern_to_one_model(tmp_path):
+    # frequency, anharmonicity and readout error reach no simulation, so they are not part
+    # of the model, of its numbers or of the key it is interned under
+    payload = json.loads(BRISBANE.read_text())
+    payload["qubits"][0].update(frequency_ghz=5.1, anharmonicity_ghz=-0.2, readout_error=0.3)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(payload))
+    tables = [ingest_calibration(path) for path in (BRISBANE, other)]
+    assert tables[0].columns["readout_error"] != tables[1].columns["readout_error"]
+    assert tables[0].noise_model(3) == tables[1].noise_model(3)
+    configs = [experiments.ExperimentConfig(mode="NOISE_AWARE", calibration_path=str(path))
+               for path in (BRISBANE, other)]
+    assert configs[0].noise_model() is configs[1].noise_model()
+
+
 def test_infinite_coherence_times_still_ingest(tmp_path):
     path = _with_value(tmp_path, "qubits", "t1_us", math.inf)
     payload = json.loads(path.read_text())
@@ -158,9 +196,11 @@ def test_a_mutated_calibration_ingests_or_is_a_typed_error_naming_the_path(paylo
             assert str(path) in str(exc)
             return
     # what ingests is finite where the simulator reads it, and builds its channels
+    for name in ("frequency_ghz", "anharmonicity_ghz"):
+        assert all(math.isfinite(v) for v in table.columns[name])
+    assert all(0 <= v <= 1 for v in table.columns["readout_error"])
     for cal in table.qubits:
         assert 0 <= cal.readout_length_ns < math.inf
-        assert math.isfinite(cal.frequency_ghz) and math.isfinite(cal.anharmonicity_ghz)
         for duration in (cal.readout_length_ns, *table.gate_duration.values()):
             try:
                 thermal_relaxation_channel(duration, cal.t1_us, cal.t2_us)

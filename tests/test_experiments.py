@@ -143,11 +143,11 @@ def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, fresh_noi
     # cache, so this is a first run. One run_density evolves the Toffoli once, on the whole
     # stack of prepared states. A first QST run builds all 3 inputs with prepare_state, at
     # once, and evolves its own whole with one more run_density; QPT builds its 4 one-qubit
-    # probe letters with probe_circuit, and product_states evolves each (wire, letter) once,
-    # on that wire alone, into the 4^3 = 64 probe states
+    # probe letters with tomography's probe_alphabet, and product_states evolves each
+    # (wire, letter) once, on that wire alone, into the 4^3 = 64 probe states
     calls = Counter()
     for module, name, key in ((experiments, "prepare_state", "preparation"),
-                              (experiments, "probe_circuit", "preparation"),
+                              (tomography, "probe_circuit", "preparation"),
                               (experiments, "product_states", "product_states"),
                               (experiments, "run_density", "run_density"),
                               (experiments, "readout_map", "readout_map"),

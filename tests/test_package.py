@@ -87,29 +87,44 @@ def test_only_draws_builds_a_random_generator():
     assert list(found) == [("simulator", "draws")]
 
 
+def _read_names(node):
+    """Every name ``node`` reads, as a name or an attribute."""
+    return {child.id if isinstance(child, ast.Name) else child.attr for child in ast.walk(node)
+            if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load)}
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _dead_definitions(package):
     """The "module.name" of each top-level def or class in ``package`` that no module but
-    ``__init__`` reads, as a name or an attribute, and that ``__init__`` does not import."""
+    ``__init__`` reads outside that definition's own body, and that ``__init__`` does not
+    import: a helper that only calls itself is as dead as one nothing calls."""
     exported = {name for _, name in
                 _imported_names(ast.parse((package / "__init__.py").read_text()))}
     read, defined = set(), []
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        read |= {node.id for node in ast.walk(tree)
-                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        read |= {node.attr for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-        defined += [(path.stem, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            own = node.name if isinstance(node, _DEFINITIONS) else None
+            read |= _read_names(node) - {own}
+            if own:
+                defined.append((path.stem, own))
     return [f"{module}.{name}" for module, name in defined
             if name not in read and name not in exported]
 
 
-def test_every_definition_is_read_or_exported():
+def test_every_definition_is_read_or_exported(tmp_path):
     # code that only the tests call is dead weight; a test can build what it needs itself
     assert _dead_definitions(Path(ccxlab.__file__).parent) == []
+    (tmp_path / "__init__.py").write_text("from .a import used\n")
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return helper()\n\n"
+        "def helper():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "class Lonely:\n    def again(self):\n        return Lonely()\n")
+    assert _dead_definitions(tmp_path) == ["a.recursive", "a.Lonely"]
 
 
 def _unnamed_error_classes(sources):

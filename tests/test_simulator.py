@@ -9,10 +9,12 @@ from ccxlab.circuits import Circuit, _apply_local, circuit_unitary
 from ccxlab import simulator
 from ccxlab.errors import CcxlabError, MissingCalibrationError, NonNativeGateError
 from ccxlab.gates import Gate, GateDef, cnot, ecr, gate_matrix, h, rz, sx, x
-from ccxlab.noise import NOISELESS, NoiseModel, QubitCalibration
+from ccxlab.calibration import builtin_calibration_path, ingest_calibration
+from ccxlab.noise import (NOISELESS, NoiseModel, QubitCalibration, depolarizing_channel,
+                          thermal_relaxation_channel)
 from ccxlab.qmath import state_fidelity
 from ccxlab.simulator import run_density, sample_distribution
-from ccxlab.states import ghz_circuit, uniform_state
+from ccxlab.states import StateKind, ghz_circuit, prepare_state, uniform_state
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, native_h
 from ccxlab.tomography import measurement_rotation, qst_settings
 
@@ -255,15 +257,86 @@ def _tensordot_embed(local, wires, n):
     return apply_local(eye, local, wires, n).reshape(dim, dim)
 
 
-@pytest.mark.parametrize("num_qubits", [1, 2, 3])
-def test_embedding_copies_exactly_what_the_tensordot_contraction_gives(num_qubits, rng):
-    # every sorted subset of the 2n wires of vec(rho) on an n-qubit register
-    n = 2 * num_qubits
-    for size in range(1, n + 1):
-        for wires in itertools.combinations(range(n), size):
-            local = rng.normal(size=(2 ** size,) * 2) + 1j * rng.normal(size=(2 ** size,) * 2)
-            assert np.array_equal(simulator._embed(local, wires, n),
-                                  _tensordot_embed(local, wires, n)), wires
+def _embedded(local, on, wires):
+    """Oracle: ``local`` on the qubits ``on`` of a block on ``wires``, as the block's whole
+    superoperator."""
+    k = len(wires)
+    return _tensordot_embed(local, simulator._vec_wires([wires.index(q) for q in on], k), 2 * k)
+
+
+def _embed_and_multiply_gate(g, nm):
+    """Oracle for ``_gate_superop``: U (x) conj(U), then depolarizing, then each qubit's
+    relaxation, embedded and multiplied in."""
+    wires = sorted(g.qubits)
+    u = gate_matrix(g)
+    superop = np.kron(u, u.conj())
+    if nm.error_for(g.name) > 0.0:
+        superop = depolarizing_channel(nm.error_for(g.name), 2 ** len(wires)) @ superop
+    if nm.duration_for(g.name) > 0.0:
+        for q in g.qubits:
+            cal = nm.calibration(q)
+            relax = thermal_relaxation_channel(nm.duration_for(g.name), cal.t1_us, cal.t2_us)
+            superop = _embedded(relax, [q], wires) @ superop
+    return superop
+
+
+def _embed_and_multiply_block(wires, gates, nm):
+    """Oracle for ``_block_channel``: each wire's run of one-qubit channels composed as 4 x 4
+    maps, then every run and multi-qubit channel embedded into the block and multiplied in."""
+    superop, runs = None, {}
+
+    def then(channel, on):
+        nonlocal superop
+        if len(on) < len(wires):
+            channel = _embedded(channel, on, wires)
+        superop = channel if superop is None else channel @ superop
+
+    for g in gates:
+        channel = _embed_and_multiply_gate(g, nm)
+        if len(g.qubits) == 1:
+            q = g.qubits[0]
+            runs[q] = channel @ runs[q] if q in runs else channel
+        else:
+            for q, run in runs.items():
+                then(run, [q])
+            runs.clear()
+            then(channel, sorted(g.qubits))
+    for q, run in runs.items():
+        then(run, [q])
+    return superop
+
+
+def _random_native_circuit(n, rng):
+    """Up to 24 native gates on n wires: X, SX, ID, RZ and, given two wires or more, ECR."""
+    def gate(q):
+        kind = rng.integers(5 if n > 1 else 4)
+        if kind == 3:
+            return rz(float(rng.uniform(-10, 10)), q)
+        if kind == 4:
+            return ecr(q, (q + int(rng.integers(1, n))) % n)
+        return (x, sx, lambda wire: GateDef(Gate.ID, (wire,)))[kind](q)
+
+    return Circuit(n, tuple(gate(int(rng.integers(n))) for _ in range(rng.integers(25))))
+
+
+@pytest.mark.parametrize("model", ["NOISELESS", "brisbane_median"])
+@pytest.mark.parametrize("circuits", ["toffoli", "QST inputs", "random"])
+def test_block_channels_are_bit_for_bit_the_embed_and_multiply_products(circuits, model, rng):
+    # composing by the register gather gives exactly what embedding each channel into the
+    # block and multiplying gave: the embedding only adds terms that are exact zeros
+    chosen = {"toffoli": lambda: [_toffoli_native()],
+              "QST inputs": lambda: [prepare_state(kind) for kind in StateKind],
+              "random": lambda: [_random_native_circuit(n, rng)
+                                 for n in range(1, 6) for _ in range(12)]}[circuits]()
+    for circuit in chosen:
+        n = circuit.num_qubits
+        nm = NOISELESS if model == "NOISELESS" else \
+            ingest_calibration(builtin_calibration_path(model)).noise_model(n)
+        for g in circuit.gates:
+            assert np.array_equal(simulator._gate_superop(g, nm), _embed_and_multiply_gate(g, nm))
+        for wires, gates in simulator._blocks(circuit):
+            assert np.array_equal(simulator._block_channel(wires, gates, nm),
+                                  _embed_and_multiply_block(wires, gates, nm)), (circuit, wires)
 
 
 def _assert_gather_matches_contraction(local, bits, width, batch, rng, exact):

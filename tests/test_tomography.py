@@ -411,11 +411,18 @@ def test_qpt_sampled_output_is_physical():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_qpt_reconstruct_matches_per_pauli_oracle(rng, k, monkeypatch):
-    data = _sampled_qpt_data(random_unitary(2 ** k, rng), k, 300, master_seed=k)
+    u = random_unitary(2 ** k, rng)
+    data = _sampled_qpt_data(u, k, 300, master_seed=k)
     deviation, choi = _qpt_oracle(data, k)
     assert np.max(np.abs(qpt_reconstruct(data, k) - choi)) < 1e-12
     raw = unprojected(qpt_reconstruct, data, k, monkeypatch)
     assert abs(tp_deviation(raw, 2 ** k) - deviation) < 1e-12
+    # a stack of tables, one per repeat, gives each table's single call exactly
+    stack = np.stack([data] + [_sampled_qpt_data(u, k, 300, master_seed=s) for s in (7, 8)])
+    chois = qpt_reconstruct(stack, k)
+    assert chois.shape == (3, 4 ** k, 4 ** k)
+    for r in range(3):
+        assert np.array_equal(chois[r], qpt_reconstruct(stack[r], k))
 
 
 def test_qpt_reconstruct_matches_per_pauli_oracle_on_sampled_toffoli(monkeypatch):
@@ -469,6 +476,7 @@ def test_project_to_cptp_matches_dykstra_oracle(rng, k, d_in):
     bases = ((choi_of_unitary(random_unitary(dim, rng)),
               kraus_to_choi(random_cptp_kraus(dim, rng))) if d_in > 1 else
              (random_density_matrix(dim, rng), random_density_matrix(dim, rng, rank=1)))
+    stack = []
     for scale in (0.01, 0.1):
         for base in bases:
             noise = rng.normal(scale=scale, size=base.shape) \
@@ -478,6 +486,17 @@ def test_project_to_cptp_matches_dykstra_oracle(rng, k, d_in):
                 noisy += (1 - np.trace(noisy)) * np.eye(dim) / dim
             oracle = _dykstra_cptp(noisy, d_in)
             assert np.max(np.abs(project_to_cptp(noisy, d_in) - oracle)) < 1e-9
+            stack.append(noisy)
+    _assert_a_stack_projects_as_its_single_calls(np.stack(stack), d_in)
+
+
+def _assert_a_stack_projects_as_its_single_calls(stack, d_in):
+    projected = project_to_cptp(stack, d_in)
+    assert projected.shape == stack.shape
+    for r, choi in enumerate(stack):
+        assert np.array_equal(projected[r], project_to_cptp(choi, d_in)), r
+    assert np.array_equal(project_to_cptp(stack[1:3], d_in), projected[1:3])
+    assert tp_deviation(projected, d_in) == max(tp_deviation(p, d_in) for p in projected)
 
 
 @pytest.mark.parametrize("estimate", ["choi", "GHZ", "W", "UNIFORM"])
@@ -493,6 +512,11 @@ def test_project_to_cptp_matches_dykstra_oracle_on_sampled_toffoli(estimate, mon
     oracle = _dykstra_cptp(raw, d_in)
     assert tp_deviation(oracle, d_in) < 1e-12
     assert np.max(np.abs(project_to_cptp(raw, d_in) - oracle)) < 1e-9
+    if estimate == "choi":  # two more seeds' estimates, with this one, as a stack
+        u = toffoli_unitary((0, 1), 2)
+        raw = np.stack([raw] + [unprojected(qpt_reconstruct, _sampled_qpt_data(u, 3, 50, seed),
+                                            3, monkeypatch) for seed in (1, 2)])
+        _assert_a_stack_projects_as_its_single_calls(raw, d_in)
 
 
 @pytest.mark.parametrize("shots", [50, 1000, 11000])
@@ -604,7 +628,7 @@ def test_projection_eigendecompositions_on_the_seed_7_tables(calibration, most, 
 
 @pytest.mark.parametrize("bad, d_in", [
     (np.eye(63), 8), (np.eye(8), 3), (np.eye(16), 0), (np.zeros((0, 0)), 1),
-    (np.ones((4, 16)), 4), (np.ones(16), 4), (np.ones((2, 2, 2)), 1)])
+    (np.ones((4, 16)), 4), (np.ones(16), 4), (np.ones((2, 2, 3)), 1), (np.ones((3, 16, 4)), 4)])
 @pytest.mark.parametrize("function", [project_to_cptp, tp_deviation])
 def test_choi_of_wrong_shape_is_a_dimension_error(function, bad, d_in):
     with pytest.raises(DimensionMismatchError, match=r"\(d_in \* d_out\) x \(d_in \* d_out\)"):
