@@ -30,30 +30,33 @@ What a run computes lives as long as what it depends on:
   read-only, and every report gets its own copy of the gate counts. The
   estimators' two inversion maps are per process too: ``tomography`` builds
   them once, read-only, from ``NOISELESS``.
-* Per model: its gate channels and its exact outcome table. The table is a
-  pure function of the model, the strategy and the preparations, so the
-  model keeps it, read-only, in ``NoiseModel.compiled`` next to its gate
-  channels, keyed by the strategy and the input state (or "qpt"): a second
-  run on the same model simulates nothing. Every noise-free run after the
-  first is such a run, since ``NOISELESS`` is one constant. A noise-aware run
+* Per model: its gate channels, its exact outcome table and that table's
+  draw form. The table is a pure function of the model, the strategy and the
+  preparations, so the model keeps it, read-only, in ``NoiseModel.compiled``
+  next to its gate channels, keyed by the strategy and the input state (or
+  "qpt"): a second run on the same model simulates nothing. The first
+  sampled run rounds the table once, by ``simulator.draw_form``, and the
+  model keeps that form, read-only, next to the table: a second sampled run
+  rounds nothing either, and the table itself is not changed. Every
+  noise-free run after the first is such a run, since ``NOISELESS`` is one
+  constant; it keeps at most one table and one draw form per strategy and
+  input for the life of the process, under 1 MB in all. A noise-aware run
   reads its calibration file afresh, then is handed the model interned for
   those numbers, if one of the 4 most recently used has them: a second run
   with the same numbers is such a run too, and a file edited between runs
   gets a new model and computes its own table. A sweep over distinct numbers
   gets no hits, only bounded memory.
-* Per run: the draw form of that table, rounded once by ``simulator.draws``
-  and dropped when the run ends; the model's table is not changed.
 * Per repeat: one seeded draw, its reconstruction and its fidelity.
 
 Determinism: repeat r of any run draws every cell of its table, in
 row-major order, from one generator seeded (master_seed, r) by
-``simulator.draws``, which rounds each distribution to 12 decimals first: a
-table's round-off, which moves when the order of its products does, never
-reaches the counts. An exact-probability run uses the unrounded table. A
-stacked reconstruction, and a stacked fidelity, gives each entry exactly
-what a single call gives. So repeat r does not depend on how many repeats
-run, and state and process tomography share one seed layout. Runs are
-serial.
+``simulator.draws``, from the table's draw form, each distribution rounded
+to 12 decimals: a table's round-off, which moves when the order of its
+products does, never reaches the counts. An exact-probability run uses the
+unrounded table. A stacked reconstruction, and a stacked fidelity, gives
+each entry exactly what a single call gives. So repeat r does not depend on
+how many repeats run, and state and process tomography share one seed
+layout. Runs are serial.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -80,7 +83,8 @@ from .circuits import Circuit
 from .errors import IoError, SchemaError, UsageError
 from .noise import NOISELESS, NoiseModel, scale_noise_model
 from .qmath import state_fidelity
-from .simulator import draws, product_states, readout_map, run_density, setting_distributions
+from .simulator import (draw_form, draws, product_states, readout_map, run_density,
+                        setting_distributions)
 from .states import PROBE_LABELS, StateKind, prepare_state, target_state
 from .synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from .tomography import (
@@ -111,6 +115,10 @@ class Mode(str, Enum):
     NOISE_AWARE = "NOISE_AWARE"
 
 
+#: the config fields that hold an enum member, and their enums; a report echoes their values
+_ENUM_FIELDS = (("mode", Mode), ("input_state", StateKind), ("strategy", DecompositionStrategy))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: Mode = Mode.NOISE_FREE
@@ -125,8 +133,7 @@ class ExperimentConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        for name, kind in (("mode", Mode), ("input_state", StateKind),
-                           ("strategy", DecompositionStrategy)):
+        for name, kind in _ENUM_FIELDS:
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, kind(value))
@@ -192,15 +199,29 @@ class Report:
                 raise ValueError(f"fidelity {f} outside [0, 1]")
 
 
+#: the field names of a config and of a report, in order
+_CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
+_REPORT_FIELDS = tuple(f.name for f in fields(Report))
+
+#: the jobs of one repeat: the 27 settings of state tomography, and those 27 for each of
+#: the 64 probes of process tomography
+_QST_JOBS = len(qst_settings(3))
+_QPT_JOBS = len(PROBE_LABELS) ** 3 * _QST_JOBS
+
+
 def _make_report(kind: str, fidelities: Sequence[float], cfg: ExperimentConfig,
                  gate_counts: Mapping[str, int], num_jobs: int, wall: float,
                  average_gate_fidelities: Optional[Sequence[float]] = None) -> Report:
     fids = tuple(float(f) for f in fidelities)
-    mean = float(np.mean(fids))
-    std = float(np.std(fids, ddof=1)) if len(fids) > 1 else 0.0
-    # the fields as they are: asdict would deep-copy each value
-    values = ((f.name, getattr(cfg, f.name)) for f in fields(cfg))
-    cfg_echo = {k: (v.value if isinstance(v, Enum) else v) for k, v in values}
+    # correctly rounded sums: the mean and sample sd within an ulp of numpy's, for a
+    # tenth of the cost
+    mean = math.fsum(fids) / len(fids)
+    std = math.sqrt(math.fsum([(f - mean) ** 2 for f in fids]) / (len(fids) - 1)) \
+        if len(fids) > 1 else 0.0
+    # the fields as they are, enums by value: asdict would deep-copy each value
+    cfg_echo = {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
+    for name, _ in _ENUM_FIELDS:
+        cfg_echo[name] = cfg_echo[name].value
     state = cfg.input_state.value
     hardware = {state: HARDWARE_REFERENCE_FIDELITY[state]} if kind == "qst" else None
     return Report(
@@ -294,21 +315,27 @@ def _distributions(preparations: np.ndarray, gate: Circuit, nm: NoiseModel) -> n
     return setting_distributions(run_density(gate, nm, preparations), table)
 
 
-def _frequencies(distributions: np.ndarray, cfg: ExperimentConfig) -> Iterator[np.ndarray]:
-    """Every repeat's outcome frequencies of each cell of ``distributions``, same shape,
-    lazily and in repeat order.
+def _tables(distributions: np.ndarray, cfg: ExperimentConfig, nm: NoiseModel,
+            key: Tuple[Hashable, ...]) -> Iterator[np.ndarray]:
+    """Every repeat's table of ``distributions``'s shape, lazily and in repeat order.
 
     The distributions themselves when ``cfg.exact_probabilities``; otherwise
-    repeat r's ``draws`` of the whole table, seeded (master_seed, r), from one
-    rounding of it.
+    repeat r's counts, ``draws`` of the whole table seeded (master_seed, r).
+    They are drawn from the table's ``draw_form``, which ``nm.compiled`` keeps
+    under ("draws",) + ``key``, next to the table: rounded once per model.
+    ``_frequencies`` turns either into outcome frequencies.
     """
     if cfg.exact_probabilities:
         return itertools.repeat(distributions, cfg.repeats)
-    shots = cfg.shots_per_setting
+    form = nm.compiled(("draws",) + key, lambda: draw_form(distributions))
     seeds = ((cfg.master_seed, repeat) for repeat in range(cfg.repeats))
-    # map, not a generator expression, which would hold each repeat's counts while the
-    # estimator runs on its frequencies
-    return map(lambda counts: counts / shots, draws(distributions, shots, seeds))
+    return draws(form, cfg.shots_per_setting, seeds)
+
+
+def _frequencies(tables: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+    """The outcome frequencies of ``_tables``: counts divided by the shots, or the exact
+    distributions themselves."""
+    return tables if cfg.exact_probabilities else tables / cfg.shots_per_setting
 
 
 def _run(cfg: ExperimentConfig, nm: NoiseModel, preparations: Hashable,
@@ -324,17 +351,19 @@ def _run(cfg: ExperimentConfig, nm: NoiseModel, preparations: Hashable,
     ``preparations``, a key that names the preparations by value: a second
     run on the same model calls neither ``prepare`` nor ``_distributions``.
 
-    ``estimate`` takes the repeats' ``_frequencies`` of that table, each of
-    shape (preparations, 27, 8), lazily and in repeat order. It returns the
-    (repeats, d, d) stack of their estimates, states or Choi matrices, in the
-    same order, and one ``state_fidelity`` call scores the whole stack.
+    ``estimate`` takes the repeats' ``_tables`` of that table, each of shape
+    (preparations, 27, 8), lazily and in repeat order, and hands their
+    ``_frequencies`` to the estimator. It returns the (repeats, d, d) stack of
+    their estimates, states or Choi matrices, in the same order, and one
+    ``state_fidelity`` call scores the whole stack.
     """
     def build() -> np.ndarray:
         return _read_only(_distributions(prepare(), _toffoli(cfg.strategy), nm))
 
     # the strategy names the Toffoli by value; hashing its 44 gates would cost ~11 us a call
-    distributions = nm.compiled(("table", cfg.strategy, preparations), build)
-    return state_fidelity(estimate(_frequencies(distributions, cfg)), reference).tolist()
+    key = (cfg.strategy, preparations)
+    distributions = nm.compiled(("table",) + key, build)
+    return state_fidelity(estimate(_tables(distributions, cfg, nm, key)), reference).tolist()
 
 
 def run_qst_experiment(cfg: ExperimentConfig) -> Report:
@@ -344,10 +373,12 @@ def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     preparation, psi = _qst_inputs()[cfg.input_state]
     fidelities = _run(cfg, nm, cfg.input_state,
                       lambda: run_density(preparation, nm)[..., None],
-                      lambda tables: qst_reconstruct(np.concatenate(tuple(tables)), 3),
+                      # the repeats' counts are stacked first, then divided in one go
+                      lambda tables: qst_reconstruct(
+                          _frequencies(np.concatenate(tuple(tables)), cfg), 3),
                       psi)
     return _make_report("qst", fidelities, cfg, _gate_counts(cfg.strategy, cfg.input_state),
-                        num_jobs=len(qst_settings(3)), wall=time.perf_counter() - start)
+                        num_jobs=_QST_JOBS, wall=time.perf_counter() - start)
 
 
 def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
@@ -364,10 +395,11 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     fidelities = _run(
         cfg, nm, "qpt",
         lambda: product_states(probe_alphabet(), 3, nm),
-        lambda tables: np.stack([qpt_reconstruct(table, 3) for table in tables]),
+        lambda tables: np.stack([qpt_reconstruct(_frequencies(table, cfg), 3)
+                                 for table in tables]),
         _choi_ket())
     return _make_report("qpt", fidelities, cfg, _gate_counts(cfg.strategy, "qpt"),
-                        num_jobs=len(PROBE_LABELS) ** 3 * len(qst_settings(3)),
+                        num_jobs=_QPT_JOBS,
                         wall=time.perf_counter() - start,
                         average_gate_fidelities=[average_gate_fidelity(f, 3) for f in fidelities])
 
@@ -375,7 +407,14 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
 # -- report files ------------------------------------------------------------------
 
 def report_to_dict(report: Report) -> dict:
-    return asdict(report)
+    """``dataclasses.asdict(report)`` without its deep copy, at a tenth of its cost.
+
+    Each field's own value, except that a dict field (the gate counts, the
+    config echo, the hardware reference) is copied: the rest are numbers,
+    strings and tuples of floats, which nothing can change.
+    """
+    values = ((name, getattr(report, name)) for name in _REPORT_FIELDS)
+    return {name: dict(v) if isinstance(v, dict) else v for name, v in values}
 
 
 def report_from_dict(payload: dict) -> Report:

@@ -29,8 +29,9 @@ one matrix per fused block. So the builders run once per distinct (gate,
 wires, parameters) of a model. Blocks and readout maps are rebuilt per
 table; readout relaxation runs once per qubit per readout map. Besides the
 gate channels, the cache holds only each experiment run's exact outcome
-table (see :mod:`ccxlab.experiments`), so a model builds a table's blocks
-and readout map once. A model's numbers are read-only, so its cache never
+table and its draw form (see :mod:`ccxlab.experiments`), so a model builds
+a table's blocks and readout map, and rounds the table for drawing, once.
+A model's numbers are read-only, so its cache never
 outlives them. A newly built model starts with an empty cache, but a model
 equals and hashes like any other with the same numbers, and
 :mod:`ccxlab.experiments` interns the noise-aware run's model by those
@@ -40,8 +41,8 @@ instance, cache and all. No simulation reads a qubit's frequency,
 anharmonicity or readout error, so they are not among a model's numbers.
 ``NOISELESS`` is one constant, so its cache lives as long as the process:
 one channel per distinct gate it ran (256 entries for a two-qubit gate) and
-at most one table per strategy and input (4 strategies x {QPT, GHZ, W,
-UNIFORM}, under 0.5 MB).
+at most one table and one draw form per strategy and input (4 strategies x
+{QPT, GHZ, W, UNIFORM}, under 1 MB).
 """
 
 from __future__ import annotations
@@ -196,9 +197,10 @@ class NoiseModel:
     def compiled(self, key: Hashable, build: Callable[[], _T]) -> _T:
         """``build()`` the first time ``key`` is asked for; the stored result after that.
 
-        Two kinds of entry live here: the simulator's local channel of each gate,
-        keyed ("channel", gate), and an experiment run's exact outcome table,
-        keyed ("table", strategy, preparations). The gate maps are read-only and
+        Three kinds of entry live here: the simulator's local channel of each
+        gate, keyed ("channel", gate), an experiment run's exact outcome table,
+        keyed ("table", strategy, preparations), and that table's draw form,
+        keyed ("draws", strategy, preparations). The gate maps are read-only and
         the calibrations frozen, so the cache never outlives the numbers it was
         compiled from. It lives as long as this instance, which
         ``ExperimentConfig.noise_model`` interns by its numbers among the 4 most

@@ -64,8 +64,9 @@ def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> Union[float, np.ndarray]
     The PSD check is one batched Cholesky factorization of the Hermitian
     parts plus ``VALIDATION_TOL`` * I, which succeeds when no eigenvalue is
     below -``VALIDATION_TOL``. Only if it fails does one batched ``eigvalsh``
-    decide: ``NotPSDError`` names the least eigenvalue if that is below
-    -``VALIDATION_TOL``, and the state passes otherwise. So every state is
+    of the same Hermitian parts, computed once, decide: ``NotPSDError`` names
+    the least eigenvalue if that is below -``VALIDATION_TOL``, and the state
+    passes otherwise. So every state is
     accepted or rejected as ``eigvalsh`` alone would, up to round-off at the
     boundary, for a fraction of its cost.
     """
@@ -74,25 +75,29 @@ def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> Union[float, np.ndarray]
     if psi.ndim != 1 or rho.ndim not in (2, 3) or rho.shape[-2:] != psi.shape * 2:
         raise DimensionMismatchError(f"state_fidelity needs a (d, d) rho or an (R, d, d) stack "
                                      f"and a (d,) target ket, got {rho.shape} and {psi.shape}")
-    if not np.all(np.isfinite(psi)):
-        raise NotHermitianError("state_fidelity requires a finite target ket")
     norm = np.vdot(psi, psi).real
-    if abs(norm - 1.0) > VALIDATION_TOL:
+    if not abs(norm - 1.0) <= VALIDATION_TOL:  # a non-finite ket fails too
+        if not np.all(np.isfinite(psi)):
+            raise NotHermitianError("state_fidelity requires a finite target ket")
         raise NotPSDError(f"state_fidelity requires a unit target ket; |psi|^2 = {norm:.6g}")
     rho_h = dagger(rho)
     if not abs(rho - rho_h).max(initial=0.0) <= VALIDATION_TOL:  # NaN fails too
         raise NotHermitianError("state_fidelity requires a finite Hermitian input")
-    # the Hermitian part plus VALIDATION_TOL * I; where it does not factor, eigvalsh decides
-    shifted = (rho + rho_h) / 2
+    # the Hermitian part, once (* 0.5 is / 2 exactly), then a copy plus VALIDATION_TOL * I;
+    # where that does not factor, eigvalsh decides
+    herm = rho + rho_h
+    herm *= 0.5
+    shifted = herm.copy()
     shifted.reshape(-1, psi.size ** 2)[:, ::psi.size + 1] += VALIDATION_TOL
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        w_min = np.linalg.eigvalsh((rho + rho_h) / 2)[..., 0].min()
+        w_min = np.linalg.eigvalsh(herm)[..., 0].min()
         if w_min < -VALIDATION_TOL:
             raise NotPSDError(f"state_fidelity requires PSD input; min eigenvalue {w_min:.3e}") \
                 from None
-    # one vdot per state: each state gets the bits of a call on it alone
-    kets = (rho @ psi).reshape(-1, psi.size)
-    fidelities = np.clip([np.vdot(psi, ket).real for ket in kets], 0.0, 1.0)
+    # one inner product per state, which matmul takes state by state: each state gets the
+    # bits of a call on it alone
+    kets = (rho @ psi).reshape(-1, 1, psi.size)
+    fidelities = np.clip((kets @ psi.conj()).real[:, 0], 0.0, 1.0)
     return fidelities if rho.ndim == 3 else float(fidelities[0])

@@ -7,11 +7,14 @@ noise-free run is a run under ``noise.NOISELESS``, whose channels are all
 the identity. ``run_density`` refuses a circuit wider than
 ``circuits.MAX_QUBITS`` before it allocates anything. Measurement sampling
 is seeded and deterministic: identical (table, shots, seed) always gives
-the identical counts. ``draws`` rounds each distribution to 12 decimals
-before it draws, so tables that differ only in round-off, such as the same
-table summed in another order, draw identical counts too. It rounds once per
-call, which is once per run: every repeat's seed then draws from that one
-rounded table. ``sample_distribution`` is its one-seed case.
+the identical counts. ``draws`` samples a table's ``draw_form``, each
+distribution rounded to 12 decimals, so tables that differ only in
+round-off, such as the same table summed in another order, draw identical
+counts too. The form is rounded once per table, not once per seed: a run
+keeps it with its model's exact table (see :mod:`ccxlab.experiments`), and
+every repeat's seed draws from that one form. ``sample_distribution`` rounds
+a table and draws one seed from it, bit for bit what ``draws`` gives that
+seed.
 
 Density matrices evolve as row-major vec(rho), vec(rho)[i * d + j] =
 rho[i, j], under superoperators in the convention of Wood, Biamonte & Cory
@@ -80,7 +83,7 @@ from .errors import CcxlabError, NonNativeGateError, TooManyQubitsError, UsageEr
 from .gates import NATIVE_GATES, GateDef, gate_matrix
 from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
 
-#: ``draws`` samples each distribution rounded to this many decimals: far
+#: ``draw_form`` rounds each distribution to this many decimals: far
 #: above the ~1e-16 round-off of a table, far below the 1/shots resolution of its counts
 _DRAW_DECIMALS = 12
 
@@ -327,8 +330,8 @@ def setting_distributions(rho: np.ndarray, table: np.ndarray) -> np.ndarray:
     matmul that keeps one matrix-vector product per state, so every state
     reads bit for bit what it reads alone. A matrix-matrix product would
     sum in another order, so a stack entry would differ from its single call
-    by round-off. Seeded counts would not move, since ``draws`` rounds the
-    table first, but exact-probability runs read the unrounded table.
+    by round-off. Seeded counts would not move, since a draw reads the table's
+    ``draw_form``, but exact-probability runs read the unrounded table.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
@@ -337,33 +340,39 @@ def setting_distributions(rho: np.ndarray, table: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def draws(distributions: np.ndarray, shots: int,
-          seeds: Iterable[Tuple[int, ...]]) -> Iterator[np.ndarray]:
-    """Seeded multinomial counts of ``shots`` draws from each distribution of a table, one
-    table of counts per seed, lazily and in seed order.
+def draw_form(distributions: np.ndarray) -> np.ndarray:
+    """The read-only table ``draws`` samples: each distribution of ``distributions``
+    rounded to ``_DRAW_DECIMALS`` decimals and renormalized.
+
+    A multinomial draws no random number for a cell of probability exactly 0,
+    so a round-off zero of ~1e-17 would shift every later draw, and the order
+    of a product's summation (BLAS, CPU, fused gates) moves such bits.
+    Rounded, the same table draws the same counts however it was computed.
+    ``distributions`` itself is not changed.
+    """
+    rounded = np.round(np.asarray(distributions, dtype=float), _DRAW_DECIMALS)
+    rounded /= rounded.sum(axis=-1, keepdims=True)
+    rounded.setflags(write=False)
+    return rounded
+
+
+def draws(form: np.ndarray, shots: int, seeds: Iterable[Tuple[int, ...]]) -> Iterator[np.ndarray]:
+    """Seeded multinomial counts of ``shots`` draws from each distribution of a
+    ``draw_form``, one table of counts per seed, lazily and in seed order.
 
     Outcomes are on the last axis, indexed by basis state. Each seed's table
     draws every cell, row-major, from one generator seeded with that tuple:
     the only random generator the package builds. So a seed's counts do not
-    depend on the seeds drawn before it, and ``sample_distribution``, the
-    one-seed case, gives each of them alone.
-
-    The table is rounded to ``_DRAW_DECIMALS`` decimals and renormalized
-    once, when ``draws`` is called, not once per seed. A multinomial draws no
-    random number for a cell of probability exactly 0, so a round-off zero of
-    ~1e-17 would shift every later draw, and the order of a product's
-    summation (BLAS, CPU, fused gates) moves such bits. Rounded, the same
-    table draws the same counts however it was computed. Only the draw
-    rounds: ``distributions`` itself is neither changed nor kept.
+    depend on the seeds drawn before it, and ``sample_distribution`` gives
+    each of them alone. ``form`` is drawn from as it is: round a table with
+    ``draw_form`` once, then draw any number of seeds from it.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    rounded = np.round(distributions, _DRAW_DECIMALS)
-    rounded = rounded / rounded.sum(axis=-1, keepdims=True)
-    return (np.random.default_rng(seed).multinomial(shots, rounded) for seed in seeds)
+    return (np.random.default_rng(seed).multinomial(shots, form) for seed in seeds)
 
 
 def sample_distribution(distributions: np.ndarray, shots: int, seed: Tuple[int, ...]) -> np.ndarray:
-    """Seeded multinomial counts of ``shots`` draws from each distribution of a table: the
-    one-seed case of ``draws``, bit for bit."""
-    return next(draws(distributions, shots, (seed,)))
+    """Seeded multinomial counts of ``shots`` draws from each distribution of a table: its
+    ``draw_form`` drawn by ``draws`` for the one seed, bit for bit."""
+    return next(draws(draw_form(distributions), shots, (seed,)))

@@ -336,8 +336,8 @@ def test_the_interned_models_are_the_four_most_recently_used(monkeypatch, fresh_
 
 
 def _assert_caches_only(nm, kinds):
-    """Every key in ``nm``'s compiled cache is a ``kinds`` entry: ("channel", gate) or
-    ("table", strategy, preparations)."""
+    """Every key in ``nm``'s compiled cache is a ``kinds`` entry: ("channel", gate),
+    ("table", strategy, preparations) or ("draws", strategy, preparations)."""
     assert nm._compiled
     for key in nm._compiled:
         assert key[0] in kinds, key
@@ -351,7 +351,8 @@ def _assert_caches_only(nm, kinds):
 @pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
 def test_a_model_caches_only_gate_channels_and_tables(monkeypatch, fresh_noiseless, run, mode):
     # the per-model table memo already spares a warm run its blocks and readout map, so a
-    # model keeps nothing else: no circuit's blocks, no readout map, no state
+    # model keeps nothing else: no circuit's blocks, no readout map, no state. A sampled run
+    # adds the table's draw form, so that a warm run rounds nothing
     models = []
 
     def captured(cfg, nm, *args, _call=experiments._run):
@@ -362,8 +363,9 @@ def test_a_model_caches_only_gate_channels_and_tables(monkeypatch, fresh_noisele
     run(_config(mode, repeats=1, shots_per_setting=100))
     (nm,) = models
     assert (nm is NOISELESS) == (mode == "NOISE_FREE")
-    _assert_caches_only(nm, ("channel", "table"))
+    _assert_caches_only(nm, ("channel", "table", "draws"))
     assert sum(key[0] == "table" for key in nm._compiled) == 1
+    assert sum(key[0] == "draws" for key in nm._compiled) == 1
 
 
 def test_running_many_circuits_caches_only_their_gate_channels(fresh_noiseless):
@@ -457,8 +459,9 @@ def test_a_second_run_synthesizes_nothing(monkeypatch, run, mode):
 
 
 def test_a_qpt_run_draws_each_table_just_before_it_reconstructs(monkeypatch):
-    # the table is rounded once per run, by one draws call, and the repeats' (64, 27, 8)
-    # tables are drawn lazily from it, each by its own generator, so one is held at a time
+    # the table's draw form is rounded once per model, the run makes one draws call, and the
+    # repeats' (64, 27, 8) tables are drawn lazily from the form, each by its own generator,
+    # so one is held at a time
     events = []
     draws, default_rng = experiments.draws, np.random.default_rng
     reconstruct = experiments.qpt_reconstruct
@@ -470,6 +473,43 @@ def test_a_qpt_run_draws_each_table_just_before_it_reconstructs(monkeypatch):
                         lambda *args: events.append("reconstruct") or reconstruct(*args))
     run_qpt_experiment(_config(repeats=3, shots_per_setting=100))
     assert events == ["round"] + ["draw", "reconstruct"] * 3
+
+
+@pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
+@pytest.mark.parametrize("run, name", [(run_qst_experiment, "qst_reconstruct"),
+                                       (run_qpt_experiment, "qpt_reconstruct")])
+def test_a_second_sampled_run_on_the_same_model_rounds_nothing(monkeypatch, fresh_noiseless,
+                                                               run, name, mode):
+    # the model keeps its table's draw form, read-only, next to the table: a later sampled
+    # run on the model draws from it and rounds nothing, and repeat r's counts are still
+    # sample_distribution's of the exact table for the seed (1, r)
+    run(_config(mode, repeats=1, shots_per_setting=100))
+    calls = Counter()
+
+    def counted(module, function):
+        def call(*args, _call=getattr(module, function)):
+            calls[function] += 1
+            return _call(*args)
+        monkeypatch.setattr(module, function, call)
+
+    counted(experiments, "draw_form")
+    counted(np, "round")
+    seen = _captured(monkeypatch, name)
+    cfg = dataclasses.replace(_config(mode, repeats=3, shots_per_setting=500), master_seed=1)
+    run(cfg)
+    assert calls == Counter()
+    nm = cfg.noise_model()
+    preparations = "qpt" if run is run_qpt_experiment else cfg.input_state
+    table = nm._compiled[("table", cfg.strategy, preparations)]
+    form = nm._compiled[("draws", cfg.strategy, preparations)]
+    assert not form.flags.writeable
+    qst = run is run_qst_experiment
+    assert len(seen) == (1 if qst else 3)  # state tomography reconstructs one stack
+    frequencies = seen[0] if qst else seen
+    assert len(frequencies) == 3
+    for r in range(3):
+        counts = simulator.sample_distribution(table, 500, (1, r))
+        assert np.array_equal(frequencies[r], (counts[0] if qst else counts) / 500)
 
 
 def _captured(monkeypatch, name):
@@ -741,6 +781,29 @@ def test_cli_report_exit_codes(report_file, capsys):
     report_file.write_text(json.dumps(payload))
     assert cli.main(["report", str(report_file)]) == 3
     assert "schema_version" in capsys.readouterr().err
+
+
+def test_report_to_dict_gives_what_asdict_gives(sampled_report):
+    # dataclasses.asdict is the oracle: the same dict, field by field and type by type, and
+    # byte-identical JSON
+    payload = experiments.report_to_dict(sampled_report)
+    oracle = dataclasses.asdict(sampled_report)
+    assert payload == oracle
+    assert [(k, type(v)) for k, v in payload.items()] == [(k, type(v)) for k, v in oracle.items()]
+    assert json.dumps(payload, indent=2) == json.dumps(oracle, indent=2)
+    assert json.dumps(payload) == json.dumps(oracle)
+
+
+def test_mutating_report_to_dicts_nested_dicts_leaves_the_report_unchanged(sampled_report):
+    before = dataclasses.asdict(sampled_report)
+    payload = experiments.report_to_dict(sampled_report)
+    nested = [value for value in payload.values() if isinstance(value, dict)]
+    assert len(nested) == (3 if sampled_report.kind == "qst" else 2)
+    for value in nested:
+        value["added"] = 1
+        del value[next(iter(value))]
+    assert dataclasses.asdict(sampled_report) == before
+    assert experiments.report_to_dict(sampled_report) == before
 
 
 def test_a_version_1_report_loads_as_the_same_report_at_version_2(sampled_report, tmp_path,

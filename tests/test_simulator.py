@@ -153,15 +153,16 @@ def test_sampling_rejects_nonpositive_shots():
 
 
 def test_drawing_many_seeds_from_one_rounding_gives_each_seed_its_own_counts():
-    # a run rounds its table once and draws every repeat's seed from that rounding; each
-    # seed's counts are bit for bit those of a sample_distribution call on that seed alone.
-    # The table holds exact zeros and round-off zeros of ~1e-17, which the rounding drops
+    # a table is rounded once, by draw_form, and every repeat's seed is drawn from that
+    # rounding; each seed's counts are bit for bit those of a sample_distribution call on
+    # that seed alone. The table holds exact zeros and round-off zeros of ~1e-17, which the
+    # rounding drops
     table = np.random.default_rng(5).dirichlet(np.ones(8), size=(6, 27))
     table[::2, :, 3] = 0.0
     table[1::2, :, 5] = 1e-17
     table /= table.sum(axis=-1, keepdims=True)
     seeds = [(11, r) for r in range(4)]
-    drawn = simulator.draws(table, 19000, iter(seeds))
+    drawn = simulator.draws(simulator.draw_form(table), 19000, iter(seeds))
     assert not isinstance(drawn, (list, tuple, np.ndarray))  # drawn lazily, seed by seed
     drawn = list(drawn)
     assert len(drawn) == len(seeds)

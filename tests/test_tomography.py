@@ -433,6 +433,63 @@ def test_qpt_reconstruct_matches_per_pauli_oracle_on_sampled_toffoli(monkeypatch
     assert abs(tp_deviation(raw, 8) - deviation) < 1e-12
 
 
+def _complex_product_estimate(frequencies, k, dual):
+    """Oracle: the raw estimate from the complex inversion map, the frequencies cast to complex,
+    one column per preparation, then the dual and the regroup into the normalized Choi matrix."""
+    d_in, d_out = math.isqrt(len(dual)), 2 ** k
+    outputs = tomography._estimator(k) @ frequencies.reshape(len(dual), -1).T.astype(complex)
+    superop = outputs @ dual
+    return superop.reshape(d_out, d_out, d_in, d_in).transpose(2, 0, 3, 1) \
+        .reshape(d_in * d_out, d_in * d_out) / d_in
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_real_inversion_product_gives_the_complex_products_estimate(rng, k, monkeypatch):
+    # the estimators apply the real and imaginary parts of the inversion map to the real
+    # frequencies; the complex product sums the same terms in another order
+    tables = [(qst_reconstruct, _sampled_qst_data(random_state_vector(2 ** k, rng), k, 1000), 0),
+              (qpt_reconstruct, _sampled_qpt_data(random_unitary(2 ** k, rng), k, 300, k), k)]
+    if k == 3:
+        tables.append((qpt_reconstruct, _sampled_toffoli_qpt_data(11000), 3))
+    for reconstruct, data, m in tables:
+        raw = unprojected(reconstruct, data, k, monkeypatch)
+        oracle = _complex_product_estimate(data, k, tomography._probe_dual(m))
+        assert raw.shape == oracle.shape
+        assert np.max(np.abs(raw - oracle)) <= 1e-15
+
+
+def test_the_real_inversion_map_is_read_only_and_built_once():
+    parts = tomography._real_estimator(3)
+    assert parts is tomography._real_estimator(3)
+    assert parts.shape == (27 * 8, 2 * 64) and parts.dtype == float
+    with pytest.raises(ValueError, match="read-only"):
+        parts[0, 0] = 1.0
+    assert np.array_equal(parts[:, 0::2], tomography._estimator(3).real.T)
+    assert np.array_equal(parts[:, 1::2], tomography._estimator(3).imag.T)
+
+
+@pytest.mark.parametrize("repeats", [1, 3, 10])
+def test_stacked_repeats_of_the_toffoli_equal_their_single_calls(repeats):
+    # the noise-free Toffoli's GHZ and QPT tables drawn as a run draws its repeats, seeded
+    # (1, r): each entry of a stacked reconstruction, and of a stacked fidelity, is bit for
+    # bit the single call on that repeat alone
+    u = toffoli_unitary((0, 1), 2)
+    ghz = u @ circuit_unitary(ghz_circuit())[:, 0]
+    for reconstruct, table, ket in (
+            (qst_reconstruct, _exact_qst_data(ghz, 3), ghz),
+            (qpt_reconstruct, _exact_qpt_data(u, 3), choi_ket_of_unitary(u))):
+        shots = 19000 if reconstruct is qst_reconstruct else 11000
+        stack = np.stack([sample_distribution(table, shots, (1, r)) / shots
+                          for r in range(repeats)])
+        estimates = reconstruct(stack, 3)
+        fidelities = state_fidelity(estimates, ket)
+        assert len(estimates) == repeats and fidelities.shape == (repeats,)
+        for r in range(repeats):
+            assert np.array_equal(estimates[r], reconstruct(stack[r], 3))
+            assert fidelities[r] == state_fidelity(estimates[r], ket)
+        assert np.all(fidelities > 0.98)
+
+
 def test_qpt_missing_cell_is_a_shape_error():
     data = _exact_qpt_data(np.eye(2), 1)
     with pytest.raises(DimensionMismatchError, match=r"shape \(4, 3, 2\), got \(3, 3, 2\)"):
