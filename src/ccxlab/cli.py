@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import builtin_calibration_path, ingest_calibration
-from .circuits import parse_circuit, path_graph, serialize_circuit, validate_connectivity
+from .circuits import Circuit, parse_circuit, path_graph, serialize_circuit, validate_connectivity
 from .errors import CcxlabError, UsageError
 from .experiments import (
     ExperimentConfig,
@@ -25,7 +25,7 @@ from .experiments import (
     run_qst_experiment,
 )
 from .noise import NOISELESS
-from .simulator import run_density, sample_distribution
+from .simulator import readout_map, run_density, sample_distribution, setting_distributions
 from .states import StateKind
 from .synthesis import DecompositionStrategy, certify_toffoli, decompose_toffoli
 from .version import __version__
@@ -129,8 +129,9 @@ def _cmd_simulate(args) -> int:
            "populations": [float(p) for p in probs]}
     if args.shots:
         n = circuit.num_qubits
-        probs = np.clip(probs, 0.0, None)
-        draws = sample_distribution(probs / probs.sum(), args.shots, (args.seed,))
+        # measured as every run measures: readout relaxation, then readout confusion
+        probs = setting_distributions(rho, readout_map([Circuit(1)], n, nm))[0]
+        draws = sample_distribution(probs, args.shots, (args.seed,))
         # MSB-first bitstrings: the highest qubit leftmost, qubit 0 rightmost
         out["counts"] = {format(i, f"0{n}b"): int(c) for i, c in enumerate(draws) if c > 0}
         out["shots"] = args.shots
@@ -184,6 +185,11 @@ def _cmd_report(args) -> int:
         f"repeats:         {len(report.fidelities)}",
         f"mean fidelity:   {report.mean_fidelity:.5f}",
         f"std fidelity:    {report.std_fidelity:.5f}",
+    ]
+    if report.kind == "qpt" and report.average_gate_fidelities:
+        agf = report.average_gate_fidelities
+        lines.append(f"mean avg gate F: {sum(agf) / len(agf):.5f}")
+    lines += [
         f"jobs x shots:    {report.num_jobs} x {report.config.get('shots_per_setting')}"
         f" = {report.total_measurements}",
         f"tool version:    {report.tool_version}",

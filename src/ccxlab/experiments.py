@@ -30,22 +30,18 @@ What a run computes lives as long as what it depends on:
   read-only, and every report gets its own copy of the gate counts. The
   estimators' two inversion maps are per process too: ``tomography`` builds
   them once, read-only, from ``NOISELESS``.
-* Per model: its gate channels, its exact outcome table and that table's
-  draw form. The table is a pure function of the model, the strategy and the
-  preparations, so the model keeps it, read-only, in ``NoiseModel.compiled``
-  next to its gate channels, keyed by the strategy and the input state (or
-  "qpt"): a second run on the same model simulates nothing. The first
-  sampled run rounds the table once, by ``simulator.draw_form``, and the
-  model keeps that form, read-only, next to the table: a second sampled run
-  rounds nothing either, and the table itself is not changed. Every
-  noise-free run after the first is such a run, since ``NOISELESS`` is one
-  constant; it keeps at most one table and one draw form per strategy and
-  input for the life of the process, under 1 MB in all. A noise-aware run
-  reads its calibration file afresh, then is handed the model interned for
-  those numbers, if one of the 4 most recently used has them: a second run
-  with the same numbers is such a run too, and a file edited between runs
-  gets a new model and computes its own table. A sweep over distinct numbers
-  gets no hits, only bounded memory.
+* Per model: its gate channels, its exact outcome tables and their draw
+  forms. A table is a pure function of the model, the strategy and the
+  preparations, the QST input or "qpt", so ``_table`` is an ``lru_cache``
+  keyed by those three values, as ``simulator._local_channel`` is by gate
+  and model: the entry holds the table and its ``simulator.draw_form``, both
+  read-only, and a second run with equal numbers simulates and rounds
+  nothing. A noise-aware run reads its calibration file afresh and builds a
+  new model, which finds the entries of an earlier one with the same
+  numbers; a file edited between runs gives other numbers and gets its own
+  table. The cache keeps the ``_TABLES`` most recently used entries, so
+  neither ``NOISELESS``, which lives as long as the process, nor a sweep
+  over distinct numbers grows memory without end.
 * Per repeat: one seeded draw, its reconstruction and its fidelity.
 
 Determinism: repeat r of any run draws every cell of its table, in
@@ -159,11 +155,10 @@ class ExperimentConfig:
         """The three-qubit noise model of a noise-aware run; ``NOISELESS`` when noise-free.
 
         Without ``apply_readout`` every qubit of it has zero readout confusion.
-        The calibration file is read and checked on every call, and the model
-        is interned by its numbers: of the 4 most recently used, the one equal
-        to the model built here, with its compiled channels and tables, is
-        returned instead. The file's numbers are the key, not its path, so a
-        file edited between calls gets a new model.
+        The calibration file is read and checked on every call, and each call
+        builds a new model. It equals, and hashes like, any model with the same
+        numbers, and that is what the channel and table caches are keyed by: the
+        file's numbers, not its path, so a file edited between calls misses them.
         """
         if self.mode is Mode.NOISE_FREE:
             return NOISELESS
@@ -173,7 +168,7 @@ class ExperimentConfig:
         if not self.apply_readout:
             nm = replace(nm, qubit_cal=tuple(replace(c, prob_meas0_prep1=0.0, prob_meas1_prep0=0.0)
                                              for c in nm.qubit_cal))
-        return _interned(nm)
+        return nm
 
 
 @dataclass(frozen=True)
@@ -259,13 +254,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@functools.lru_cache(maxsize=4)
-def _interned(nm: NoiseModel) -> NoiseModel:
-    """The model equal to ``nm`` among the 4 most recently interned, else ``nm`` itself: a
-    model's compiled cache serves every later run with the same numbers."""
-    return nm
-
-
 @functools.lru_cache(maxsize=None)
 def _toffoli(strategy: DecompositionStrategy) -> Circuit:
     """The Toffoli under test, synthesized once per strategy and process: a circuit is immutable."""
@@ -315,68 +303,68 @@ def _distributions(preparations: np.ndarray, gate: Circuit, nm: NoiseModel) -> n
     return setting_distributions(run_density(gate, nm, preparations), table)
 
 
-def _tables(distributions: np.ndarray, cfg: ExperimentConfig, nm: NoiseModel,
-            key: Tuple[Hashable, ...]) -> Iterator[np.ndarray]:
-    """Every repeat's table of ``distributions``'s shape, lazily and in repeat order.
+#: exact tables ``_table`` keeps: a model runs 4 inputs (GHZ, W, UNIFORM and "qpt") on the
+#: one native strategy, so 4 calibration models and ``NOISELESS`` need 20; a QPT entry, table
+#: and draw form, is 221 KB
+_TABLES = 20
 
-    The distributions themselves when ``cfg.exact_probabilities``; otherwise
-    repeat r's counts, ``draws`` of the whole table seeded (master_seed, r).
-    They are drawn from the table's ``draw_form``, which ``nm.compiled`` keeps
-    under ("draws",) + ``key``, next to the table: rounded once per model.
-    ``_frequencies`` turns either into outcome frequencies.
+
+@functools.lru_cache(maxsize=_TABLES)
+def _table(nm: NoiseModel, strategy: DecompositionStrategy,
+           preparations: Hashable) -> Tuple[np.ndarray, np.ndarray]:
+    """The exact outcome table of ``strategy``'s Toffoli under ``nm`` and its ``draw_form``,
+    both read-only, of shape (preparations, 27, 8).
+
+    ``preparations`` names the prepared states by value: a ``StateKind``, whose
+    input circuit runs whole on the register, or "qpt", the 64 probe states of
+    ``product_states``. The strategy names the Toffoli, whose 44 gates would
+    cost ~11 us a call to hash.
     """
-    if cfg.exact_probabilities:
-        return itertools.repeat(distributions, cfg.repeats)
-    form = nm.compiled(("draws",) + key, lambda: draw_form(distributions))
-    seeds = ((cfg.master_seed, repeat) for repeat in range(cfg.repeats))
-    return draws(form, cfg.shots_per_setting, seeds)
+    if preparations == "qpt":
+        prepared = product_states(probe_alphabet(), 3, nm)
+    else:
+        prepared = run_density(_qst_inputs()[preparations][0], nm)[..., None]
+    table = _read_only(_distributions(prepared, _toffoli(strategy), nm))
+    return table, draw_form(table)
 
 
 def _frequencies(tables: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    """The outcome frequencies of ``_tables``: counts divided by the shots, or the exact
+    """The outcome frequencies of a run's tables: counts divided by the shots, or the exact
     distributions themselves."""
     return tables if cfg.exact_probabilities else tables / cfg.shots_per_setting
 
 
 def _run(cfg: ExperimentConfig, nm: NoiseModel, preparations: Hashable,
-         prepare: Callable[[], np.ndarray],
          estimate: Callable[[Iterator[np.ndarray]], np.ndarray],
          reference: np.ndarray) -> List[float]:
     """Every repeat's fidelity of the Toffoli under test against the target ket ``reference``.
 
     The Toffoli runs under ``nm``, the run's ``cfg.noise_model()``, on the
-    (8, 8, P) stack of states ``prepare()`` returns. That table is a pure
-    function of the model, the strategy and the preparations, so
-    ``nm.compiled`` keeps it, read-only, under the strategy and
-    ``preparations``, a key that names the preparations by value: a second
-    run on the same model calls neither ``prepare`` nor ``_distributions``.
-
-    ``estimate`` takes the repeats' ``_tables`` of that table, each of shape
-    (preparations, 27, 8), lazily and in repeat order, and hands their
-    ``_frequencies`` to the estimator. It returns the (repeats, d, d) stack of
-    their estimates, states or Choi matrices, in the same order, and one
-    ``state_fidelity`` call scores the whole stack.
+    ``preparations`` that ``_table`` names. Every repeat's table has that
+    table's shape: the exact table itself when ``cfg.exact_probabilities``,
+    otherwise repeat r's counts, ``draws`` of the draw form seeded
+    (master_seed, r). ``estimate`` takes those tables, lazily and in repeat
+    order, and hands their ``_frequencies`` to the estimator. It returns the
+    (repeats, d, d) stack of their estimates, states or Choi matrices, in the
+    same order, and one ``state_fidelity`` call scores the whole stack.
     """
-    def build() -> np.ndarray:
-        return _read_only(_distributions(prepare(), _toffoli(cfg.strategy), nm))
-
-    # the strategy names the Toffoli by value; hashing its 44 gates would cost ~11 us a call
-    key = (cfg.strategy, preparations)
-    distributions = nm.compiled(("table",) + key, build)
-    return state_fidelity(estimate(_tables(distributions, cfg, nm, key)), reference).tolist()
+    table, form = _table(nm, cfg.strategy, preparations)
+    if cfg.exact_probabilities:
+        tables = itertools.repeat(table, cfg.repeats)
+    else:
+        seeds = ((cfg.master_seed, repeat) for repeat in range(cfg.repeats))
+        tables = draws(form, cfg.shots_per_setting, seeds)
+    return state_fidelity(estimate(tables), reference).tolist()
 
 
 def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     """State tomography of the Toffoli output for the configured input state (27 jobs)."""
     start = time.perf_counter()
-    nm = cfg.noise_model()
-    preparation, psi = _qst_inputs()[cfg.input_state]
-    fidelities = _run(cfg, nm, cfg.input_state,
-                      lambda: run_density(preparation, nm)[..., None],
+    fidelities = _run(cfg, cfg.noise_model(), cfg.input_state,
                       # the repeats' counts are stacked first, then divided in one go
                       lambda tables: qst_reconstruct(
                           _frequencies(np.concatenate(tuple(tables)), cfg), 3),
-                      psi)
+                      _qst_inputs()[cfg.input_state][1])
     return _make_report("qst", fidelities, cfg, _gate_counts(cfg.strategy, cfg.input_state),
                         num_jobs=_QST_JOBS, wall=time.perf_counter() - start)
 
@@ -389,12 +377,9 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     settings in ``qst_settings`` order.
     """
     start = time.perf_counter()
-    nm = cfg.noise_model()
-
     # the probes are constant, so one marker names them
     fidelities = _run(
-        cfg, nm, "qpt",
-        lambda: product_states(probe_alphabet(), 3, nm),
+        cfg, cfg.noise_model(), "qpt",
         lambda tables: np.stack([qpt_reconstruct(_frequencies(table, cfg), 3)
                                  for table in tables]),
         _choi_ket())

@@ -21,28 +21,23 @@ channel above is the identity and the simulator runs one evolution and one
 measurement map in both modes.
 
 The simulator compiles each distinct gate of a model to one local channel,
-the superoperator on the gate's own wires, and keeps it in the model's own
-cache, ``NoiseModel.compiled``; the placement order is unchanged. The
-one-qubit layers (probe preparations and measurement rotations) apply those
-channels per qubit, and the whole-register evolution multiplies them into
-one matrix per fused block. So the builders run once per distinct (gate,
-wires, parameters) of a model. Blocks and readout maps are rebuilt per
-table; readout relaxation runs once per qubit per readout map. Besides the
-gate channels, the cache holds only each experiment run's exact outcome
-table and its draw form (see :mod:`ccxlab.experiments`), so a model builds
-a table's blocks and readout map, and rounds the table for drawing, once.
-A model's numbers are read-only, so its cache never
-outlives them. A newly built model starts with an empty cache, but a model
-equals and hashes like any other with the same numbers, and
-:mod:`ccxlab.experiments` interns the noise-aware run's model by those
-numbers, keeping the 4 most recently used: a run whose calibration, scale
-and readout switch give the same numbers as a recent one gets that one's
-instance, cache and all. No simulation reads a qubit's frequency,
+the superoperator on the gate's own wires; the placement order is unchanged.
+The one-qubit layers (probe preparations and measurement rotations) apply
+those channels per qubit, and the whole-register evolution multiplies them
+into one matrix per fused block. Blocks and readout maps are rebuilt per
+table; readout relaxation runs once per qubit per readout map.
+
+A model is a value: its numbers are frozen, its gate maps read-only, and it
+equals and hashes like any other model with the same numbers. So what is
+compiled from a model is a pure function of it, and every memo is a
+``functools.lru_cache`` keyed by the model: the gate channels in
+:mod:`ccxlab.simulator`, keyed by (gate, model), and each run's exact
+outcome table and its draw form in :mod:`ccxlab.experiments`. A model built
+afresh from the same numbers, such as a calibration file read again, finds
+the entries of an earlier equal one. Both caches are bounded, so neither
+``NOISELESS``, which lives as long as the process, nor a sweep over distinct
+numbers grows memory without end. No simulation reads a qubit's frequency,
 anharmonicity or readout error, so they are not among a model's numbers.
-``NOISELESS`` is one constant, so its cache lives as long as the process:
-one channel per distinct gate it ran (256 entries for a two-qubit gate) and
-at most one table and one draw form per strategy and input (4 strategies x
-{QPT, GHZ, W, UNIFORM}, under 1 MB).
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Callable, Dict, Hashable, Mapping, Tuple, TypeVar
+from typing import Mapping, Tuple
 
 import numpy as np
 
@@ -65,9 +60,6 @@ from .gates import GATE_ARITY, Gate
 
 #: fallback durations (ns) when a calibration file does not provide them
 DEFAULT_GATE_DURATIONS_NS = {"ECR": 533.0, "SX": 57.0, "X": 57.0, "RZ": 0.0, "ID": 0.0}
-
-_T = TypeVar("_T")
-
 
 def _check_trace_preserving(superop: np.ndarray) -> np.ndarray:
     """``superop``, if it is finite and vec(I)^T S = vec(I)^T (Tr E(rho) = Tr rho) within 1e-8."""
@@ -152,12 +144,9 @@ class NoiseModel:
     qubit_cal: Tuple[QubitCalibration, ...]
     gate_error: Mapping[str, float] = field(default_factory=dict)
     gate_duration: Mapping[str, float] = field(default_factory=dict)
-    #: what the simulator compiled from this model, filled on first use
-    _compiled: Dict[Hashable, object] = field(default_factory=dict, init=False, repr=False,
-                                              compare=False)
 
     def __post_init__(self):
-        # read-only copies: a model's numbers are what its compiled cache was built from
+        # read-only copies: a model's numbers are its key in every cache compiled from it
         object.__setattr__(self, "gate_error", MappingProxyType(dict(self.gate_error)))
         object.__setattr__(self, "gate_duration", MappingProxyType(dict(self.gate_duration)))
         for name, v in self.gate_error.items():
@@ -175,7 +164,7 @@ class NoiseModel:
             raise ValueError("RZ is virtual: zero duration and zero error")
 
     def __hash__(self) -> int:
-        # over the numbers that equality compares; ``_compiled`` is not one of them
+        # over the numbers that equality compares: the gate maps as sorted items
         return hash((self.qubit_cal, tuple(sorted(self.gate_error.items())),
                      tuple(sorted(self.gate_duration.items()))))
 
@@ -193,22 +182,6 @@ class NoiseModel:
         if name in self.gate_duration:
             return float(self.gate_duration[name])
         return DEFAULT_GATE_DURATIONS_NS.get(name, 0.0)
-
-    def compiled(self, key: Hashable, build: Callable[[], _T]) -> _T:
-        """``build()`` the first time ``key`` is asked for; the stored result after that.
-
-        Three kinds of entry live here: the simulator's local channel of each
-        gate, keyed ("channel", gate), an experiment run's exact outcome table,
-        keyed ("table", strategy, preparations), and that table's draw form,
-        keyed ("draws", strategy, preparations). The gate maps are read-only and
-        the calibrations frozen, so the cache never outlives the numbers it was
-        compiled from. It lives as long as this instance, which
-        ``ExperimentConfig.noise_model`` interns by its numbers among the 4 most
-        recently used, so an equal model built later is handed this one.
-        """
-        if key not in self._compiled:
-            self._compiled[key] = build()
-        return self._compiled[key]
 
 
 #: the model of a noise-free run: T1 = T2 = inf, no gate error, zero gate and

@@ -11,7 +11,7 @@ the identical counts. ``draws`` samples a table's ``draw_form``, each
 distribution rounded to 12 decimals, so tables that differ only in
 round-off, such as the same table summed in another order, draw identical
 counts too. The form is rounded once per table, not once per seed: a run
-keeps it with its model's exact table (see :mod:`ccxlab.experiments`), and
+caches it with its exact table (see :mod:`ccxlab.experiments`), and
 every repeat's seed draws from that one form. ``sample_distribution`` rounds
 a table and draws one seed from it, bit for bit what ``draws`` gives that
 seed.
@@ -23,11 +23,13 @@ to U (x) conj(U); :mod:`ccxlab.noise` builds its channels directly as such
 matrices. Each gate compiles to one local channel on its own wires: the
 ideal unitary, then depolarizing noise on the gate's qubits, then thermal
 relaxation on each of its qubits, the placement order documented in
-:mod:`ccxlab.noise`. That matrix is cached on the ``NoiseModel`` instance,
-keyed by the gate, so each channel builder runs once per distinct gate of a
-model, and both paths below read the one cached matrix. The gate channels
-are all a model caches here; :mod:`ccxlab.experiments` adds each run's exact
-outcome table. Blocks, readout maps and states are rebuilt per call.
+:mod:`ccxlab.noise`. ``_local_channel`` keeps that matrix in an
+``lru_cache`` keyed by (gate, model), the most recently used
+``_CHANNELS`` of them, so each channel builder runs once per distinct gate
+of a model, and both paths below read the one cached matrix. The gate
+channels are all this module caches; :mod:`ccxlab.experiments` caches each
+run's exact outcome table. Blocks, readout maps and states are rebuilt per
+call.
 
 Per qubit: in this vec convention a layer whose gates and channels each act
 on one qubit is a tensor product of 4 x 4 maps, so it never needs the whole
@@ -74,6 +76,7 @@ the index is the outcome of qubit q, the little-endian order of states.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,6 +89,11 @@ from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
 #: ``draw_form`` rounds each distribution to this many decimals: far
 #: above the ~1e-16 round-off of a table, far below the 1/shots resolution of its counts
 _DRAW_DECIMALS = 12
+
+#: gate channels ``_local_channel`` keeps: a model that ran every QST input and QPT holds 26
+#: (``NOISELESS`` too, the inversion maps' included), so 4 calibration models and
+#: ``NOISELESS`` need 130; at most 4 KB each (a two-qubit channel), ~1 MB in all
+_CHANNELS = 256
 
 
 def _check_native(c: Circuit) -> None:
@@ -134,9 +142,10 @@ def _gate_superop(g: GateDef, nm: NoiseModel) -> np.ndarray:
     return superop
 
 
+@functools.lru_cache(maxsize=_CHANNELS)
 def _local_channel(g: GateDef, nm: NoiseModel) -> np.ndarray:
     """``_gate_superop``, compiled once per gate and model: every register size reads it."""
-    return nm.compiled(("channel", g), lambda: _gate_superop(g, nm))
+    return _gate_superop(g, nm)
 
 
 def _blocks(c: Circuit) -> Tuple[Tuple[Tuple[int, ...], Tuple[GateDef, ...]], ...]:

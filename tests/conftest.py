@@ -1,6 +1,6 @@
 """Shared seeded random-object helpers, computational-basis preparations, a
-stack of prepared states, a density-matrix check and the unprojected estimate
-of a reconstruction, for the test suite."""
+stack of prepared states, a density-matrix check, the unprojected estimate
+of a reconstruction and an emptied gate-channel cache, for the test suite."""
 
 import numpy as np
 import pytest
@@ -85,3 +85,17 @@ def unprojected(reconstruct, data, k, monkeypatch):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240517)
+
+
+@pytest.fixture
+def fresh_channels():
+    """An empty gate-channel cache for one test, emptied again after it.
+
+    Channels are cached by (gate, model) for the whole process, and a model
+    equals any other with the same numbers, so a test that patches what a
+    channel is built from, or counts the builds, must neither read a channel
+    built before it nor leave its own behind for later tests.
+    """
+    simulator._local_channel.cache_clear()
+    yield
+    simulator._local_channel.cache_clear()

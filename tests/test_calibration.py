@@ -116,9 +116,10 @@ def test_ingest_accepts_a_negative_anharmonicity(tmp_path):
     assert table.summary()["anharmonicity_ghz"]["min"] == -0.31
 
 
-def test_calibrations_that_differ_only_in_summary_columns_intern_to_one_model(tmp_path):
+def test_calibrations_that_differ_only_in_summary_columns_share_one_table(tmp_path,
+                                                                          monkeypatch):
     # frequency, anharmonicity and readout error reach no simulation, so they are not part
-    # of the model, of its numbers or of the key it is interned under
+    # of the model, of its numbers or of the key its exact table is cached under
     payload = json.loads(BRISBANE.read_text())
     payload["qubits"][0].update(frequency_ghz=5.1, anharmonicity_ghz=-0.2, readout_error=0.3)
     other = tmp_path / "other.json"
@@ -126,9 +127,17 @@ def test_calibrations_that_differ_only_in_summary_columns_intern_to_one_model(tm
     tables = [ingest_calibration(path) for path in (BRISBANE, other)]
     assert tables[0].columns["readout_error"] != tables[1].columns["readout_error"]
     assert tables[0].noise_model(3) == tables[1].noise_model(3)
-    configs = [experiments.ExperimentConfig(mode="NOISE_AWARE", calibration_path=str(path))
+    configs = [experiments.ExperimentConfig(mode="NOISE_AWARE", calibration_path=str(path),
+                                            repeats=1, exact_probabilities=True)
                for path in (BRISBANE, other)]
-    assert configs[0].noise_model() is configs[1].noise_model()
+    assert configs[0].noise_model() == configs[1].noise_model()
+    first = experiments.run_qst_experiment(configs[0])
+    computed = []
+    distributions = experiments._distributions
+    monkeypatch.setattr(experiments, "_distributions",
+                        lambda *args: computed.append(args) or distributions(*args))
+    assert experiments.run_qst_experiment(configs[1]).fidelities == first.fidelities
+    assert computed == []
 
 
 def test_infinite_coherence_times_still_ingest(tmp_path):

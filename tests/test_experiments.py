@@ -25,7 +25,7 @@ from ccxlab.experiments import (
     run_qpt_experiment,
     run_qst_experiment,
 )
-from ccxlab.gates import GateDef, ecr, rz, sx, x
+from ccxlab.gates import ecr, rz, sx, x
 from ccxlab.noise import NOISELESS
 from ccxlab.qmath import state_fidelity
 from ccxlab.states import PROBE_LABELS, StateKind, prepare_state, probe_circuit, target_state
@@ -105,32 +105,27 @@ def test_noise_aware_qpt_fidelities_match_golden_values(sampling, monkeypatch):
 
 def _clear_process_constants():
     for constant in (experiments._qst_inputs, experiments._choi_ket, experiments._gate_counts,
-                     experiments._interned):
+                     experiments._table, simulator._local_channel):
         constant.cache_clear()
 
 
 @pytest.fixture
 def fresh_noiseless():
-    """``NOISELESS`` with an empty compiled cache for one test, and no per-process constants
-    of ``experiments`` built yet; ``NOISELESS``'s own cache is back after it.
+    """``NOISELESS`` with no gate channel or exact table cached for one test, and no
+    per-process constants of ``experiments`` built yet; all of them are emptied again after it.
 
-    A model keeps every exact table it computed, ``NOISELESS`` lives for the whole process,
-    and so do the QST inputs, the target kets, the gate counts and the table of interned
-    noise-aware models, so a test that counts what a first run computes starts them empty,
-    whatever ran before. Cleared constants are simply built again by the next run that needs
-    them. The two inversion maps of ``tomography`` are per-process constants of another
-    kind: built once from ``NOISELESS`` by the first run that reconstructs, in any test. They
-    are built here, before the cache is emptied, so that what a test counts is its run's own
-    work, alone or in the suite.
+    The channel and table caches are keyed by value and live for the whole process, and so
+    do the QST inputs, the target kets and the gate counts, so a test that counts what a
+    first run computes starts them empty, whatever ran before. Cleared entries are simply
+    built again by the next run that needs them. The two inversion maps of ``tomography``
+    are per-process constants of another kind: built once from ``NOISELESS`` by the first
+    run that reconstructs, in any test. They are built here, before the caches are emptied,
+    so that what a test counts is its run's own work, alone or in the suite.
     """
     tomography._estimator(3)
     tomography._probe_dual(3)
-    saved = dict(NOISELESS._compiled)
-    NOISELESS._compiled.clear()
     _clear_process_constants()
     yield NOISELESS
-    NOISELESS._compiled.clear()
-    NOISELESS._compiled.update(saved)
     _clear_process_constants()
 
 
@@ -234,63 +229,66 @@ def test_a_qpt_run_applies_the_toffoli_once_to_all_preparations(monkeypatch, fre
     assert stacks == [(64, 64)] * 8
 
 
-@pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
-def test_a_second_noise_free_run_compiles_nothing(monkeypatch, run):
-    # NOISELESS keeps its gate channels and the run's exact table, and the rotation and
-    # probe circuits are built once per process, so only the first noise-free run pays for
-    # any of them: a second one compiles, evolves, prepares and reads out nothing. Every
-    # input or probe circuit is lowered by states.to_native, and the inversion maps read
-    # tomography's readout_map and product_states, once per process.
-    cfg = _config(repeats=1, shots_per_setting=100)
+#: what a warm run must not call: every step from a gate channel to a table's draw form
+_COMPILE_STEPS = ((simulator, "_gate_superop"), (simulator, "_block_channel"),
+                  (tomography, "to_native"), (states, "to_native"),
+                  (tomography, "readout_map"), (tomography, "product_states"),
+                  (experiments, "run_density"), (experiments, "product_states"),
+                  (experiments, "readout_map"), (experiments, "_distributions"),
+                  (experiments, "draw_form"))
+
+
+def _assert_a_second_run_compiles_nothing(monkeypatch, run, cfg):
+    """Run ``cfg`` twice: the second run calls none of ``_COMPILE_STEPS``, hits the table
+    cache once, misses neither cache and gives the first run's fidelities. Returns the calls
+    the second run made to ``experiments.ingest_calibration``."""
     first = run(cfg)
+    builds = Counter()
+    for module, name in _COMPILE_STEPS + ((experiments, "ingest_calibration"),):
+        def counted(*args, _call=getattr(module, name), _name=name):
+            builds[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(module, name, counted)
+    tables, channels = experiments._table.cache_info(), simulator._local_channel.cache_info()
+    assert run(cfg).fidelities == first.fidelities
+    after = experiments._table.cache_info()
+    assert (after.hits, after.misses) == (tables.hits + 1, tables.misses)
+    assert simulator._local_channel.cache_info() == channels
+    return builds
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
+def test_a_second_noise_free_run_compiles_nothing(monkeypatch, run, exact):
+    # the table cache keeps NOISELESS's exact table and its draw form, the channel cache its
+    # gate channels, and the rotation and probe circuits are built once per process, so only
+    # the first noise-free run pays for any of them: a second one compiles, evolves,
+    # prepares, reads out and rounds nothing. Every input or probe circuit is lowered by
+    # states.to_native, and the inversion maps read tomography's readout_map and
+    # product_states, once per process.
+    cfg = _config(repeats=1, shots_per_setting=100, exact=exact)
     assert cfg.noise_model() is NOISELESS
-    compiled = dict(NOISELESS._compiled)
-    builds = Counter()
-    for module, name in ((simulator, "_gate_superop"), (simulator, "_block_channel"),
-                         (tomography, "to_native"), (states, "to_native"),
-                         (tomography, "readout_map"), (tomography, "product_states"),
-                         (experiments, "run_density"), (experiments, "product_states"),
-                         (experiments, "readout_map"), (experiments, "_distributions")):
-        def counted(*args, _call=getattr(module, name), _name=name):
-            builds[_name] += 1
-            return _call(*args)
-        monkeypatch.setattr(module, name, counted)
-    assert run(cfg).fidelities == first.fidelities
-    assert builds == Counter()
-    assert NOISELESS._compiled == compiled and compiled
+    assert _assert_a_second_run_compiles_nothing(monkeypatch, run, cfg) == Counter()
 
 
+@pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
-def test_a_second_noise_aware_run_compiles_nothing(monkeypatch, run):
-    # a noise-aware run reads its calibration file every time, but is handed the model
-    # interned for those numbers, which keeps its gate channels and the run's exact table:
-    # a second run with the same calibration compiles, evolves and reads out nothing
-    cfg = _config("NOISE_AWARE", repeats=1, shots_per_setting=100)
-    first = run(cfg)
+def test_a_second_noise_aware_run_compiles_nothing(monkeypatch, run, exact):
+    # a noise-aware run reads its calibration file and builds a new model every time, but
+    # that model equals the first run's, and the caches are keyed by its numbers: a second
+    # run with the same calibration compiles, evolves, reads out and rounds nothing
+    cfg = _config("NOISE_AWARE", repeats=1, shots_per_setting=100, exact=exact)
     nm = cfg.noise_model()
-    assert nm is cfg.noise_model() and nm is not NOISELESS
-    compiled = dict(nm._compiled)
-    builds = Counter()
-    for module, name in ((simulator, "_gate_superop"), (simulator, "_block_channel"),
-                         (tomography, "to_native"), (states, "to_native"),
-                         (tomography, "readout_map"), (tomography, "product_states"),
-                         (experiments, "run_density"), (experiments, "product_states"),
-                         (experiments, "readout_map"), (experiments, "_distributions"),
-                         (experiments, "ingest_calibration")):
-        def counted(*args, _call=getattr(module, name), _name=name):
-            builds[_name] += 1
-            return _call(*args)
-        monkeypatch.setattr(module, name, counted)
-    assert run(cfg).fidelities == first.fidelities
+    assert cfg.noise_model() is not nm and cfg.noise_model() == nm and nm != NOISELESS
+    builds = _assert_a_second_run_compiles_nothing(monkeypatch, run, cfg)
     assert builds == {"ingest_calibration": 1}
-    assert nm._compiled == compiled and compiled
 
 
 @pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
 def test_a_calibration_file_edited_between_runs_gets_a_new_model(monkeypatch, tmp_path,
                                                                  fresh_noiseless, run):
-    # the model is interned by its numbers, not by the file's path, so a run after the file
-    # changed builds its own model, computes its own table and scores its own noise
+    # the table cache is keyed by the model's numbers, not by the file's path, so a run after
+    # the file changed builds its own model, computes its own table and scores its own noise
     path = tmp_path / "calibration.json"
     payload = json.loads(Path(BRISBANE).read_text())
     path.write_text(json.dumps(payload))
@@ -306,71 +304,63 @@ def test_a_calibration_file_edited_between_runs_gets_a_new_model(monkeypatch, tm
     second = run(cfg)
     assert len(tables) == 2 and not np.array_equal(tables[0], tables[1])
     assert second.fidelities[0] != first.fidelities[0]
-    assert cfg.noise_model() is after
+    assert cfg.noise_model() == after
 
 
-def test_the_noise_scale_and_the_readout_switch_get_their_own_models(fresh_noiseless):
+def test_the_noise_scale_and_the_readout_switch_get_their_own_models():
     configs = [_config("NOISE_AWARE", noise_scale=scale, apply_readout=readout)
                for scale in (0.5, 1.0) for readout in (True, False)]
     models = [cfg.noise_model() for cfg in configs]
-    assert len({id(nm) for nm in models}) == len(set(models)) == 4
-    assert all(cfg.noise_model() is nm for cfg, nm in zip(configs, models))
+    assert len(set(models)) == 4
+    assert all(cfg.noise_model() == nm for cfg, nm in zip(configs, models))
 
 
-def test_the_interned_models_are_the_four_most_recently_used(monkeypatch, fresh_noiseless):
-    # the bound keeps a sweep over distinct numbers from growing memory: a fifth model evicts
-    # the least recently used one, whose numbers then build a new model and a new table
-    configs = [_config("NOISE_AWARE", exact=True, repeats=1, noise_scale=scale)
-               for scale in (0.2, 0.4, 0.6, 0.8, 1.0)]
+def test_the_table_cache_evicts_the_least_recently_used_entry(monkeypatch, fresh_noiseless):
+    # the bound keeps a sweep over distinct numbers from growing memory: one model more than
+    # the cache holds evicts the least recently used table, which a later run then computes
+    # again, bit for bit, while the most recently used one is still a hit
+    configs = [_config("NOISE_AWARE", exact=True, repeats=1, noise_scale=0.05 * (i + 1))
+               for i in range(experiments._TABLES + 1)]
     tables = _counted_tables(monkeypatch)
-    first = configs[0].noise_model()
+    for cfg in configs:
+        run_qst_experiment(cfg)
+    assert len(tables) == len(configs)
+    assert experiments._table.cache_info().currsize == experiments._TABLES
+    run_qst_experiment(configs[-1])
+    assert len(tables) == len(configs)
     run_qst_experiment(configs[0])
-    models = [cfg.noise_model() for cfg in configs[1:]]
-    assert all(cfg.noise_model() is nm for cfg, nm in zip(configs[1:], models))
-    again = configs[0].noise_model()
-    assert again is not first and again == first and not again._compiled
-    run_qst_experiment(configs[0])
-    assert len(tables) == 2 and np.array_equal(tables[0], tables[1])
-    assert configs[1].noise_model() is not models[0]  # evicted in its turn
-    assert configs[4].noise_model() is models[3]
-
-
-def _assert_caches_only(nm, kinds):
-    """Every key in ``nm``'s compiled cache is a ``kinds`` entry: ("channel", gate),
-    ("table", strategy, preparations) or ("draws", strategy, preparations)."""
-    assert nm._compiled
-    for key in nm._compiled:
-        assert key[0] in kinds, key
-        if key[0] == "channel":
-            assert len(key) == 2 and isinstance(key[1], GateDef)
-        else:
-            assert len(key) == 3 and isinstance(key[1], DecompositionStrategy)
+    assert len(tables) == len(configs) + 1 and np.array_equal(tables[0], tables[-1])
 
 
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
 @pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
-def test_a_model_caches_only_gate_channels_and_tables(monkeypatch, fresh_noiseless, run, mode):
-    # the per-model table memo already spares a warm run its blocks and readout map, so a
-    # model keeps nothing else: no circuit's blocks, no readout map, no state. A sampled run
-    # adds the table's draw form, so that a warm run rounds nothing
-    models = []
+def test_a_run_caches_only_its_gate_channels_and_one_table(monkeypatch, fresh_noiseless, run,
+                                                           mode):
+    # the table cache already spares a warm run its blocks and readout map, so nothing else
+    # is kept: no circuit's blocks, no readout map, no state. A first run adds one table
+    # entry, its table and draw form both read-only, and one channel per distinct gate it
+    # compiled, each compiled once
+    compiled = []
 
-    def captured(cfg, nm, *args, _call=experiments._run):
-        models.append(nm)
-        return _call(cfg, nm, *args)
+    def counted(g, nm, _call=simulator._gate_superop):
+        compiled.append((g, nm))
+        return _call(g, nm)
 
-    monkeypatch.setattr(experiments, "_run", captured)
-    run(_config(mode, repeats=1, shots_per_setting=100))
-    (nm,) = models
-    assert (nm is NOISELESS) == (mode == "NOISE_FREE")
-    _assert_caches_only(nm, ("channel", "table", "draws"))
-    assert sum(key[0] == "table" for key in nm._compiled) == 1
-    assert sum(key[0] == "draws" for key in nm._compiled) == 1
+    monkeypatch.setattr(simulator, "_gate_superop", counted)
+    cfg = _config(mode, repeats=1, shots_per_setting=100)
+    run(cfg)
+    assert experiments._table.cache_info().currsize == 1
+    preparations = "qpt" if run is run_qpt_experiment else cfg.input_state
+    entry = experiments._table(cfg.noise_model(), cfg.strategy, preparations)
+    assert len(entry) == 2 and not any(array.flags.writeable for array in entry)
+    assert len(set(compiled)) == len(compiled) == simulator._local_channel.cache_info().currsize
+    assert all(nm == cfg.noise_model() for _, nm in compiled)
 
 
 def test_running_many_circuits_caches_only_their_gate_channels(fresh_noiseless):
     # NOISELESS lives as long as the process, so what it caches per circuit would grow
-    # without bound over a sweep of distinct circuits; it keeps one channel per distinct gate
+    # without bound over a sweep of distinct circuits; the channel cache compiles each
+    # distinct gate once and keeps at most its bound of them
     rng = np.random.default_rng(2024)
     circuits = set()
     for _ in range(60):
@@ -389,8 +379,26 @@ def test_running_many_circuits_caches_only_their_gate_channels(fresh_noiseless):
         rho = simulator.run_density(circuit, NOISELESS)
         assert abs(np.trace(rho) - 1.0) < 1e-12
     assert len(circuits) >= 50
-    _assert_caches_only(NOISELESS, ("channel",))
-    assert len(NOISELESS._compiled) == len({g for c in circuits for g in c.gates})
+    distinct = len({g for c in circuits for g in c.gates})
+    channels = simulator._local_channel.cache_info()
+    assert channels.misses == distinct
+    assert channels.currsize == min(distinct, simulator._CHANNELS)
+    assert experiments._table.cache_info().currsize == 0
+
+
+def test_a_sweep_of_random_rz_angles_keeps_at_most_the_channel_bound(fresh_noiseless):
+    # 2000 two-qubit circuits, each with two RZ angles of its own: 4002 distinct gates, of
+    # which the cache keeps the most recently used _CHANNELS, and a recent gate is still a hit
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        a, b = rng.uniform(-np.pi, np.pi, size=2)
+        simulator.run_density(Circuit(2, (rz(float(a), 0), sx(0), rz(float(b), 1), ecr(0, 1))),
+                              NOISELESS)
+    channels = simulator._local_channel.cache_info()
+    assert channels.misses == 4002
+    assert channels.currsize == simulator._CHANNELS < channels.misses
+    simulator.run_density(Circuit(2, (sx(0), ecr(0, 1))), NOISELESS)
+    assert simulator._local_channel.cache_info().misses == 4002
 
 
 def _counted_tables(monkeypatch):
@@ -407,16 +415,16 @@ def _counted_tables(monkeypatch):
 
 @pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
 def test_a_model_with_edited_numbers_computes_its_own_table(monkeypatch, fresh_noiseless, run):
-    # the table lives in its model's cache, and a noise-aware run is handed the model
-    # interned for its numbers: the second run at scale 0.5 reads the first one's table, and
-    # the run with other numbers computes its own and scores its own noise
+    # the table cache is keyed by the model's numbers: the second run at scale 0.5 builds a
+    # new, equal model and reads the first one's table, and the run with other numbers
+    # computes its own and scores its own noise
     run(_config(repeats=1, shots_per_setting=100))  # NOISELESS holds its table from here on
     tables = _counted_tables(monkeypatch)
     configs = [_config("NOISE_AWARE", exact=True, repeats=1, noise_scale=scale)
                for scale in (0.5, 0.5, 1.0)]
     fidelities = [run(cfg).fidelities for cfg in configs]
     assert len(tables) == 2 and not np.array_equal(tables[0], tables[1])
-    assert configs[0].noise_model() is configs[1].noise_model()
+    assert configs[0].noise_model() == configs[1].noise_model()
     assert fidelities[0] == fidelities[1] and fidelities[1][0] > fidelities[2][0]
 
 
@@ -430,7 +438,8 @@ def test_the_cached_table_is_read_only_and_exact_runs_leave_it_unchanged(
     cfg = _config(exact=True, repeats=2)
     first = run(cfg)
     (table,) = tables
-    assert any(value is table for value in NOISELESS._compiled.values())
+    preparations = "qpt" if run is run_qpt_experiment else cfg.input_state
+    assert experiments._table(NOISELESS, cfg.strategy, preparations)[0] is table
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0, 0] = 0.5
@@ -480,9 +489,9 @@ def test_a_qpt_run_draws_each_table_just_before_it_reconstructs(monkeypatch):
                                        (run_qpt_experiment, "qpt_reconstruct")])
 def test_a_second_sampled_run_on_the_same_model_rounds_nothing(monkeypatch, fresh_noiseless,
                                                                run, name, mode):
-    # the model keeps its table's draw form, read-only, next to the table: a later sampled
-    # run on the model draws from it and rounds nothing, and repeat r's counts are still
-    # sample_distribution's of the exact table for the seed (1, r)
+    # the table cache keeps the table's draw form, read-only, next to the table: a later
+    # sampled run on the model draws from it and rounds nothing, and repeat r's counts are
+    # still sample_distribution's of the exact table for the seed (1, r)
     run(_config(mode, repeats=1, shots_per_setting=100))
     calls = Counter()
 
@@ -500,8 +509,7 @@ def test_a_second_sampled_run_on_the_same_model_rounds_nothing(monkeypatch, fres
     assert calls == Counter()
     nm = cfg.noise_model()
     preparations = "qpt" if run is run_qpt_experiment else cfg.input_state
-    table = nm._compiled[("table", cfg.strategy, preparations)]
-    form = nm._compiled[("draws", cfg.strategy, preparations)]
+    table, form = experiments._table(nm, cfg.strategy, preparations)
     assert not form.flags.writeable
     qst = run is run_qst_experiment
     assert len(seen) == (1 if qst else 3)  # state tomography reconstructs one stack
@@ -781,6 +789,19 @@ def test_cli_report_exit_codes(report_file, capsys):
     report_file.write_text(json.dumps(payload))
     assert cli.main(["report", str(report_file)]) == 3
     assert "schema_version" in capsys.readouterr().err
+
+
+def test_cli_report_prints_the_mean_average_gate_fidelity_of_qpt_only(sampled_report,
+                                                                       tmp_path, capsys):
+    path = emit_report(sampled_report, "json", tmp_path / "r.json")
+    assert cli.main(["report", str(path)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("mean avg gate F:")]
+    agf = sampled_report.average_gate_fidelities
+    if sampled_report.kind == "qpt":
+        assert lines == [f"mean avg gate F: {sum(agf) / len(agf):.5f}"]
+    else:
+        assert agf is None and lines == []
 
 
 def test_report_to_dict_gives_what_asdict_gives(sampled_report):

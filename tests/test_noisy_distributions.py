@@ -235,7 +235,7 @@ def test_a_per_qubit_layer_rejects_a_two_qubit_gate(build):
     assert info.value.exit_code == 2
 
 
-def test_channel_builders_run_once_per_distinct_noisy_gate(monkeypatch):
+def test_channel_builders_run_once_per_distinct_noisy_gate(monkeypatch, fresh_channels):
     builds = []
     for name in ("depolarizing_channel", "thermal_relaxation_channel"):
         def counted(*args, _build=getattr(simulator, name)):
@@ -250,7 +250,7 @@ def test_channel_builders_run_once_per_distinct_noisy_gate(monkeypatch):
              if g.name is not Gate.RZ}
     # per noisy gate one depolarizing and one relaxation per qubit; one readout relaxation per qubit
     assert len(builds) == sum(1 + len(g.qubits) for g in noisy) + 3 == 21
-    # a second table reuses every gate channel, cached on the model; only its readout map,
+    # a second table reuses every gate channel, cached by gate and model; only its readout map,
     # built once per table, relaxes each qubit again
     experiments._distributions(preparations, toffoli, nm)
     assert len(builds) == 21 + 3
@@ -351,6 +351,26 @@ def test_cli_simulate_with_noise_matches_kraus_oracle(tmp_path, capsys):
     assert out["backend"] == "density"
     expected = np.real(np.diag(kraus_oracle.run_density(circuit, _noise_model())))
     assert np.max(np.abs(np.array(out["populations"]) - expected)) < TOL
+
+
+@pytest.mark.parametrize("circuit", [Circuit(3, (x(0),)), Circuit(2, (sx(0), ecr(0, 1)))])
+def test_cli_simulate_with_noise_samples_through_the_readout(tmp_path, capsys, circuit):
+    # the counts are drawn as every run measures: the oracle's readout relaxation and
+    # confusion, applied to the Kraus-oracle state, then sample_distribution's seeded draw
+    path = tmp_path / "circuit.txt"
+    path.write_text(serialize_circuit(circuit))
+    argv = ["simulate", str(path), "--noise", "builtin:brisbane_median", "--shots", "700",
+            "--seed", "5"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    n = circuit.num_qubits
+    nm = ingest_calibration(builtin_calibration_path("brisbane_median")).noise_model(n)
+    rho = kraus_oracle.run_density(circuit, nm)
+    probs = np.real(readout_oracle.readout_map([Circuit(n)], nm) @ rho.reshape(-1))
+    probs = np.clip(probs, 0.0, None)
+    counts = simulator.sample_distribution(probs / probs.sum(), 700, (5,))
+    assert out["counts"] == {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c}
+    assert sum(out["counts"].values()) == 700
 
 
 def _random_native_circuit(num_qubits, rng, length=30):

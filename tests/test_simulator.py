@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -70,11 +69,11 @@ def _scale_gate_matrices(monkeypatch, factor):
     monkeypatch.setattr(simulator, "gate_matrix", lambda g: factor * gate_matrix(g))
 
 
-def test_density_trace_drift_raises_typed_error(monkeypatch):
+def test_density_trace_drift_raises_typed_error(monkeypatch, fresh_channels):
     _scale_gate_matrices(monkeypatch, 1.01)
-    # a model of its own: the drifted gate must not enter NOISELESS's shared cache
+    # the fixture empties the channel cache after the test, so the drifted gate leaves none
     with pytest.raises(CcxlabError, match="density trace drifted") as info:
-        run_density(Circuit(1, (sx(0),)), dataclasses.replace(NOISELESS))
+        run_density(Circuit(1, (sx(0),)), NOISELESS)
     assert info.value.exit_code == 4
 
 
@@ -387,18 +386,18 @@ def test_the_index_gather_applies_superoperators_on_the_vec_layout(n, rng):
                                                    batch, rng, exact=False)
 
 
-def test_a_nan_trace_is_a_drift(monkeypatch):
-    # a NaN in a compiled map fails the trace check instead of slipping past it
+def test_a_nan_trace_is_a_drift(monkeypatch, fresh_channels):
+    # a NaN in a compiled map fails the trace check instead of slipping past it; the fixture
+    # empties the channel cache before and after, so no channel is reused or left behind
     def nan_gate(g, nm):
         k = len(g.qubits)
         return np.full((4 ** k, 4 ** k), np.nan, dtype=complex)
     monkeypatch.setattr(simulator, "_gate_superop", nan_gate)
-    nm = dataclasses.replace(NOISELESS)  # a fresh cache, so nothing compiled is reused
     with pytest.raises(CcxlabError, match="trace drifted"):
-        run_density(Circuit(1, (sx(0),)), nm)
+        run_density(Circuit(1, (sx(0),)), NOISELESS)
 
 
-def test_a_nan_gate_parameter_is_a_drift():
-    nm = dataclasses.replace(NOISELESS)  # a fresh cache: the NaN channel stays out of NOISELESS
+def test_a_nan_gate_parameter_is_a_drift(fresh_channels):
+    # the fixture empties the channel cache after the test: the NaN channel is not kept
     with pytest.raises(CcxlabError, match="trace drifted"):
-        run_density(Circuit(1, (rz(math.nan, 0), sx(0))), nm)
+        run_density(Circuit(1, (rz(math.nan, 0), sx(0))), NOISELESS)
