@@ -21,6 +21,7 @@ from .experiments import (
     Mode,
     emit_report,
     load_report,
+    report_to_dict,
     run_qpt_experiment,
     run_qst_experiment,
 )
@@ -58,7 +59,6 @@ def _write_or_print(report, args) -> None:
         emit_report(report, args.format, args.out)
         print(f"wrote {args.format} report to {args.out}")
     else:
-        from .experiments import report_to_dict
         print(json.dumps(report_to_dict(report), indent=2))
 
 

@@ -7,8 +7,8 @@ whole, on the three-qubit register, from |0><0|, into a stack of one state.
 Process tomography's 64 probes are the products of 4 one-qubit probe
 circuits, so ``product_states`` evolves each of those once per wire and
 forms every product. The run pushes the stack of prepared states through
-the chosen Toffoli realization once, on the whole register, one fused block
-per two-qubit gate (8 products for the 44 gates of ``ECR_NATIVE``). It reads
+the chosen Toffoli realization once, on the whole register, one product
+per gate (44 for ``ECR_NATIVE``), in circuit order. It reads
 every measurement setting off one readout map, itself built per qubit from
 the X, Y and Z rotations, into a table of exact outcome distributions, one
 per (preparation, setting) cell. The two modes differ only in the model.
@@ -63,6 +63,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
@@ -141,6 +142,8 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise UsageError(f"{name} must be an integer >= {least}, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if isinstance(self.calibration_path, os.PathLike):
+            object.__setattr__(self, "calibration_path", os.fspath(self.calibration_path))
         if self.mode is Mode.NOISE_AWARE and not self.calibration_path:
             raise UsageError("NOISE_AWARE mode requires a calibration path")
         scale = self.noise_scale
@@ -148,8 +151,10 @@ class ExperimentConfig:
                 or not 0 <= scale < math.inf):
             raise UsageError(f"noise_scale must be a finite real >= 0, got {scale!r}")
         object.__setattr__(self, "noise_scale", float(scale))
-        if self.mode is Mode.NOISE_FREE and (self.noise_scale != 1.0 or not self.apply_readout):
-            raise UsageError("noise_scale and apply_readout apply only to NOISE_AWARE runs")
+        if self.mode is Mode.NOISE_FREE and (self.calibration_path is not None
+                                             or self.noise_scale != 1.0 or not self.apply_readout):
+            raise UsageError("calibration_path, noise_scale and apply_readout apply only to "
+                             "NOISE_AWARE runs")
 
     def noise_model(self) -> NoiseModel:
         """The three-qubit noise model of a noise-aware run; ``NOISELESS`` when noise-free.

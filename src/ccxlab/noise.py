@@ -23,9 +23,9 @@ measurement map in both modes.
 The simulator compiles each distinct gate of a model to one local channel,
 the superoperator on the gate's own wires; the placement order is unchanged.
 The one-qubit layers (probe preparations and measurement rotations) apply
-those channels per qubit, and the whole-register evolution multiplies them
-into one matrix per fused block. Blocks and readout maps are rebuilt per
-table; readout relaxation runs once per qubit per readout map.
+those channels per qubit, and the whole-register evolution applies them one
+gate at a time, in circuit order. Readout maps are rebuilt per table;
+readout relaxation runs once per qubit per readout map.
 
 A model is a value: its numbers are frozen, its gate maps read-only, and it
 equals and hashes like any other model with the same numbers. So what is

@@ -28,8 +28,7 @@ relaxation on each of its qubits, the placement order documented in
 ``_CHANNELS`` of them, so each channel builder runs once per distinct gate
 of a model, and both paths below read the one cached matrix. The gate
 channels are all this module caches; :mod:`ccxlab.experiments` caches each
-run's exact outcome table. Blocks, readout maps and states are rebuilt per
-call.
+run's exact outcome table. Readout maps and states are rebuilt per call.
 
 Per qubit: in this vec convention a layer whose gates and channels each act
 on one qubit is a tensor product of 4 x 4 maps, so it never needs the whole
@@ -51,24 +50,18 @@ Both multiply the wires in from wire 0 up. That is the order in which a
 dense evolution, wire by wire, forms each entry, so noise-free they give its
 bits exactly.
 
-Dense: every other circuit runs on the whole register, in fused blocks, the
-gate fusion of state-vector simulators (Haener & Steiger, arXiv:1704.01127).
-That covers the Toffoli and state tomography's GHZ, W and UNIFORM inputs.
-``_blocks`` gives each gate on two or more wires a block, which the
-one-qubit gates around it on those wires join, and each wire that no such
-gate touches one block of its own. A block's channel is the product of its
-gates' local channels, each wire's run of one-qubit gates composed as 4 x 4
-maps first; the 44 gates of the ECR-native Toffoli make 8 blocks, one per
-ECR. One primitive, ``circuits._apply_local``, puts every local map where it
-acts: one gather of the entries it touches, one matrix product and one
-scatter. It applies each gate's relaxation to the gate's channel, each run
-and multi-qubit channel to its block's channel, and each block's 4^k x 4^k
-channel, on its own k <= 2 wires, to the register, the same way at every
-size, so memory stays O(4^n). Fusing reorders the products, so a table moves
-by round-off (~2e-16) against gate-by-gate evolution. A channel is linear,
-so a stack of states, the columns of one (4^n, batch) array, goes through
-each block in one product: ``run_density`` evolves a stack of prepared
-states through a shared circuit that way.
+Dense: every other circuit runs on the whole register, one gate at a time
+in circuit order. That covers the Toffoli and state tomography's GHZ, W and
+UNIFORM inputs. One primitive, ``circuits._apply_local``, puts every local
+map where it acts: one gather of the entries it touches, one matrix product
+and one scatter. It applies each gate's relaxation to the gate's channel,
+and each gate's 4^k x 4^k channel, on its own k <= 2 wires, to the
+register, the same way at every size, so memory stays O(4^n). A channel is
+linear, so a stack of states, the columns of one (4^n, batch) array, goes
+through each gate in one product: ``run_density`` evolves a stack of
+prepared states through a shared circuit that way. Gates are not fused: a
+run evolves once per exact table, which is cached, so on a 3-qubit register
+fusing would save little and would reorder gates across wires.
 
 Outcome distributions and counts are arrays indexed by basis state: bit q of
 the index is the outcome of qubit q, the little-endian order of states.
@@ -148,57 +141,6 @@ def _local_channel(g: GateDef, nm: NoiseModel) -> np.ndarray:
     return _gate_superop(g, nm)
 
 
-def _blocks(c: Circuit) -> Tuple[Tuple[Tuple[int, ...], Tuple[GateDef, ...]], ...]:
-    """The fused blocks of a native circuit, in the order they apply: (sorted wires, gates).
-
-    Each gate on two or more wires starts a block on those wires. A one-qubit
-    gate joins the latest block on its wire or, before any exists, the next
-    multi-qubit block on that wire. The one-qubit gates of a wire that no
-    multi-qubit gate touches form one block for that wire, after the others,
-    wire 0 first. Every gate falls in exactly one block, and each wire's gates
-    keep their order: a gate only moves past gates on other wires, which
-    commute with it, so the blocks' product is the circuit's.
-    """
-    _check_native(c)
-    blocks = []
-    latest: dict = {}  # wire -> the gate list of the latest block on it
-    waiting: dict = {q: [] for q in range(c.num_qubits)}  # one-qubit gates before any block
-    for g in c.gates:
-        if len(g.qubits) > 1:
-            wires = tuple(sorted(g.qubits))
-            gates = [w for q in wires for w in waiting.pop(q, [])] + [g]
-            blocks.append((wires, gates))
-            latest.update((q, gates) for q in wires)
-        elif g.qubits[0] in latest:
-            latest[g.qubits[0]].append(g)
-        else:
-            waiting[g.qubits[0]].append(g)
-    blocks += [((q,), gates) for q, gates in waiting.items() if gates]
-    return tuple((wires, tuple(gates)) for wires, gates in blocks)
-
-
-def _block_channel(wires: Tuple[int, ...], gates: Sequence[GateDef], nm: NoiseModel) -> np.ndarray:
-    """Superoperator of one block on its sorted ``wires``: the product of its gates' cached
-    ``_local_channel``s. Each run of one-qubit gates on a wire is composed as 4 x 4 maps and
-    applied just before the next multi-qubit gate or at the end; each run and multi-qubit
-    channel reaches the block's map by ``circuits._apply_local``, as a block reaches a register."""
-    k = len(wires)
-    runs: dict = {}  # wire -> its one-qubit gates since the last multi-qubit gate, composed
-    steps = []  # (channel, the wires it acts on), in the order they apply
-    for g in gates:
-        channel = _local_channel(g, nm)
-        if len(g.qubits) == 1:
-            q = g.qubits[0]
-            runs[q] = channel @ runs[q] if q in runs else channel
-        else:
-            steps += [(run, [q]) for q, run in runs.items()] + [(channel, sorted(g.qubits))]
-            runs.clear()
-    superop = np.eye(4 ** k, dtype=complex)
-    for channel, on in steps + [(run, [q]) for q, run in runs.items()]:
-        superop = _apply_local(superop, channel, _vec_wires([wires.index(q) for q in on], k), 2 * k)
-    return superop
-
-
 def _letters_on_wires(alphabet: Sequence[Circuit], n: int,
                       evolve: Callable[[int, Tuple[GateDef, ...]], np.ndarray]) -> list:
     """Per wire q < n, the stack over ``alphabet`` of ``evolve(q, gates)``, ``gates`` a
@@ -262,15 +204,15 @@ def apply_circuit_density(rho: np.ndarray, c: Circuit, nm: NoiseModel) -> np.nda
 
     Per gate: ideal unitary, then depolarizing noise on the gate's qubits,
     then thermal relaxation on each participating qubit for the gate's
-    duration. The gates apply in fused blocks (``_blocks``), one superoperator
-    per block built from the gates' cached channels, to the stack's columns at
-    once.
+    duration. Each gate's cached ``_local_channel`` applies in circuit order
+    to the stack's columns at once.
     """
+    _check_native(c)
     n = c.num_qubits
     rho = np.asarray(rho, dtype=complex)
     vecs = rho.reshape((4 ** n,) + rho.shape[2:])
-    for wires, gates in _blocks(c):
-        vecs = _apply_superop(vecs, _block_channel(wires, gates, nm), wires, n)
+    for g in c.gates:
+        vecs = _apply_superop(vecs, _local_channel(g, nm), sorted(g.qubits), n)
     return vecs.reshape(rho.shape)
 
 
@@ -355,7 +297,7 @@ def draw_form(distributions: np.ndarray) -> np.ndarray:
 
     A multinomial draws no random number for a cell of probability exactly 0,
     so a round-off zero of ~1e-17 would shift every later draw, and the order
-    of a product's summation (BLAS, CPU, fused gates) moves such bits.
+    of a product's summation (BLAS, CPU, the grouping of gates) moves such bits.
     Rounded, the same table draws the same counts however it was computed.
     ``distributions`` itself is not changed.
     """

@@ -1,10 +1,9 @@
-"""Density evolution one gate at a time, as an oracle for the fused blocks.
+"""Density evolution one gate at a time, as an oracle for ``simulator.apply_circuit_density``.
 
-This is how ``simulator.apply_circuit_density`` ran a circuit before its
-gates were fused: each gate's cached local channel acts alone, in circuit
-order, contracted into vec(rho) on the gate's own wires. Only the local
-channel is shared with the simulator; no block, embedding or compiled
-product is.
+Each gate's cached local channel acts alone, in circuit order, contracted
+into vec(rho) on the gate's own wires with ``np.tensordot``. Only the local
+channel is shared with the simulator, not its index gather, and the two
+agree bit for bit.
 """
 
 import numpy as np

@@ -211,10 +211,10 @@ def test_a_second_run_builds_no_input_target_ket_or_gate_count(monkeypatch, fres
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
 def test_a_qpt_run_applies_the_toffoli_once_to_all_preparations(monkeypatch, fresh_noiseless,
                                                                 mode):
-    # in a first run, each fused block of the Toffoli (an ECR with the one-qubit gates around
-    # it) acts once, as a three-qubit superoperator, on the stack of all 64 probe states: 8
-    # products for the 44 gates of ECR_NATIVE. No three-qubit superoperator acts on a single
-    # probe, whose gates run per wire, and the readout map is built per wire as well
+    # in a first run, each gate of the Toffoli acts once, through its cached channel, on the
+    # stack of all 64 probe states: 44 products for the 44 gates of ECR_NATIVE. No gate acts
+    # on a single probe's three-qubit state, since the probes' gates run per wire, and the
+    # readout map is built per wire as well
     stacks = []
 
     def apply(vecs, *args, _call=simulator._apply_superop):
@@ -225,12 +225,12 @@ def test_a_qpt_run_applies_the_toffoli_once_to_all_preparations(monkeypatch, fre
     cfg = _config(mode, repeats=1, shots_per_setting=100)
     run_qpt_experiment(cfg)
     toffoli = decompose_toffoli(cfg.strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
-    assert len(toffoli.gates) == 44 and len(simulator._blocks(toffoli)) == 8
-    assert stacks == [(64, 64)] * 8
+    assert len(toffoli.gates) == 44
+    assert stacks == [(64, 64)] * 44
 
 
 #: what a warm run must not call: every step from a gate channel to a table's draw form
-_COMPILE_STEPS = ((simulator, "_gate_superop"), (simulator, "_block_channel"),
+_COMPILE_STEPS = ((simulator, "_gate_superop"), (simulator, "_apply_superop"),
                   (tomography, "to_native"), (states, "to_native"),
                   (tomography, "readout_map"), (tomography, "product_states"),
                   (experiments, "run_density"), (experiments, "product_states"),
@@ -336,10 +336,10 @@ def test_the_table_cache_evicts_the_least_recently_used_entry(monkeypatch, fresh
 @pytest.mark.parametrize("run", [run_qst_experiment, run_qpt_experiment])
 def test_a_run_caches_only_its_gate_channels_and_one_table(monkeypatch, fresh_noiseless, run,
                                                            mode):
-    # the table cache already spares a warm run its blocks and readout map, so nothing else
-    # is kept: no circuit's blocks, no readout map, no state. A first run adds one table
-    # entry, its table and draw form both read-only, and one channel per distinct gate it
-    # compiled, each compiled once
+    # the table cache already spares a warm run its evolution and readout map, so nothing
+    # else is kept: no readout map, no state. A first run adds one table entry, its table
+    # and draw form both read-only, and one channel per distinct gate it compiled, each
+    # compiled once
     compiled = []
 
     def counted(g, nm, _call=simulator._gate_superop):
@@ -682,6 +682,27 @@ def test_noise_scale_must_be_a_finite_nonnegative_real(value):
 def test_noise_scale_accepts_finite_nonnegative_reals(value, expected):
     cfg = ExperimentConfig(mode="NOISE_AWARE", calibration_path=BRISBANE, noise_scale=value)
     assert cfg.noise_scale == expected and type(cfg.noise_scale) is float
+
+
+def test_a_noise_free_config_rejects_a_calibration_path():
+    # a noise-free run never reads the file, so a path it would only echo is a usage error,
+    # as noise_scale and apply_readout are
+    with pytest.raises(UsageError, match="calibration_path") as error:
+        ExperimentConfig(mode="NOISE_FREE", calibration_path=BRISBANE)
+    assert error.value.exit_code == 2
+
+
+def test_a_path_calibration_saves_its_report_and_loads_it_back(tmp_path):
+    # an os.PathLike calibration path is kept as its string, so the report echoes a string
+    # that JSON can hold, and the run is the one a string path gives
+    path = builtin_calibration_path("brisbane_median")
+    cfg = ExperimentConfig(mode="NOISE_AWARE", calibration_path=path, repeats=1,
+                           exact_probabilities=True)
+    assert cfg.calibration_path == str(path) and type(cfg.calibration_path) is str
+    assert cfg == dataclasses.replace(cfg, calibration_path=str(path))
+    report = run_qst_experiment(cfg)
+    assert report.config["calibration_path"] == str(path)
+    assert load_report(emit_report(report, "json", tmp_path / "r.json")) == report
 
 
 # -- ccxlab simulate ----------------------------------------------------------------

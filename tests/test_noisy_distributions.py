@@ -163,8 +163,8 @@ def test_distributions_match_kraus_oracle_with_uneven_qubits(state):
 @pytest.mark.parametrize("inputs", ["GHZ", "W", "UNIFORM", "PROBES"])
 def test_one_shared_evolution_matches_the_per_circuit_path(inputs, model):
     # the gate under test evolves all preparations as one stack; the per-circuit path
-    # evolves each whole circuit on its own, and fuses its gates into other blocks, so the
-    # two sum in other orders and agree to round-off. Noise-free, both draw the same counts
+    # evolves each whole circuit on its own, one state per product, so the two may sum in
+    # other orders and agree to round-off. Noise-free, both draw the same counts
     nm = {"NOISELESS": NOISELESS, "uneven": _uneven_noise_model()}.get(model)
     nm = nm or _noise_model(model)
     preparations = _probe_preparations() if inputs == "PROBES" else [prepare_state(inputs)]
@@ -258,30 +258,33 @@ def test_channel_builders_run_once_per_distinct_noisy_gate(monkeypatch, fresh_ch
 
 def test_a_second_table_on_the_same_model_compiles_nothing(monkeypatch):
     # a model caches each gate's channel, so a second table on it builds no gate channel.
-    # It builds the Toffoli's 8 fused blocks and its readout map again from those channels,
-    # once per table, and applies one product per block to the stack of 64 probe states,
-    # prepared per wire as a run does
+    # It builds only its readout map again from those channels, once per table, and applies
+    # one product per gate of the Toffoli, 44, to the stack of 64 probe states, prepared per
+    # wire as a run does
     nm, toffoli = _noise_model(), _toffoli()
     preparations = simulator.product_states(PROBE_ALPHABET, 3, nm)
     first = experiments._distributions(preparations, toffoli, nm)
     calls = Counter()
-    for module, name in ((simulator, "_gate_superop"), (simulator, "_block_channel"),
-                         (simulator, "_apply_superop"), (experiments, "readout_map")):
+    for module, name in ((simulator, "_gate_superop"), (simulator, "_apply_superop"),
+                         (experiments, "readout_map")):
         def counted(*args, _call=getattr(module, name), _name=name):
             calls[_name] += 1
             return _call(*args)
         monkeypatch.setattr(module, name, counted)
     second = experiments._distributions(preparations, toffoli, nm)
-    assert calls == {"_block_channel": 8, "_apply_superop": 8, "readout_map": 1}
+    assert len(toffoli.gates) == 44
+    assert calls == {"_apply_superop": 44, "readout_map": 1}
     assert np.array_equal(first, second)
 
 
 def _native_gates(n):
     wire = st.integers(0, n - 1)
-    return st.one_of(
-        st.builds(x, wire), st.builds(sx, wire), st.builds(lambda q: GateDef(Gate.ID, (q,)), wire),
-        st.builds(rz, st.floats(-10, 10, allow_nan=False), wire),
-        st.builds(lambda a, b: ecr(a, (a + b) % n), wire, st.integers(1, n - 1)))
+    gates = [st.builds(x, wire), st.builds(sx, wire),
+             st.builds(lambda q: GateDef(Gate.ID, (q,)), wire),
+             st.builds(rz, st.floats(-10, 10, allow_nan=False), wire)]
+    if n > 1:
+        gates.append(st.builds(lambda a, b: ecr(a, (a + b) % n), wire, st.integers(1, n - 1)))
+    return st.one_of(gates)
 
 
 @st.composite
@@ -290,35 +293,21 @@ def _native_circuits(draw, sizes):
     return Circuit(n, tuple(draw(st.lists(_native_gates(n), max_size=24))))
 
 
-def _assert_blocks_partition(circuit):
-    blocks = simulator._blocks(circuit)
-    assert sum(len(gates) for _, gates in blocks) == len(circuit.gates)
-    for wires, gates in blocks:
-        multi = [g for g in gates if len(g.qubits) > 1]
-        assert all(set(g.qubits) <= set(wires) for g in gates)
-        assert [tuple(sorted(g.qubits)) for g in multi] == ([wires] if len(wires) > 1 else [])
-    # each wire's gates in circuit order, so every gate falls in exactly one block
-    for q in range(circuit.num_qubits):
-        assert [g for _, gates in blocks for g in gates if q in g.qubits] \
-            == [g for g in circuit.gates if q in g.qubits]
-
-
-@pytest.mark.parametrize("sizes", [(3,), (4, 5)])
+@pytest.mark.parametrize("sizes", [(1, 2), (3,), (4, 5)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_fused_blocks_match_the_gate_by_gate_oracle(sizes, data):
-    # every register size applies its blocks by the same index gather; each model is a fresh
-    # copy over the circuit's qubits, so no example leaves its compiled blocks behind
+def test_evolution_is_bit_for_bit_the_gate_by_gate_oracle(sizes, data):
+    # every register size applies each gate's channel by the same index gather, in circuit
+    # order; each model is a fresh copy over the circuit's qubits
     circuit = data.draw(_native_circuits(sizes), label="circuit")
-    _assert_blocks_partition(circuit)
     n = circuit.num_qubits
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     rho = np.stack([random_density_matrix(2 ** n, rng) for _ in range(2)], axis=-1)
     for model in ("NOISELESS", "brisbane_median", "uneven"):
         nm = _model(model)
         nm = dataclasses.replace(nm, qubit_cal=(nm.qubit_cal * 2)[:n])
-        fused = simulator.apply_circuit_density(rho, circuit, nm)
-        assert np.max(np.abs(fused - gate_oracle.evolve(rho, circuit, nm))) <= 1e-14
+        assert np.array_equal(simulator.apply_circuit_density(rho, circuit, nm),
+                              gate_oracle.evolve(rho, circuit, nm))
 
 
 def test_scaled_models_get_their_own_distributions():

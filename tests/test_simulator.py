@@ -280,32 +280,6 @@ def _embed_and_multiply_gate(g, nm):
     return superop
 
 
-def _embed_and_multiply_block(wires, gates, nm):
-    """Oracle for ``_block_channel``: each wire's run of one-qubit channels composed as 4 x 4
-    maps, then every run and multi-qubit channel embedded into the block and multiplied in."""
-    superop, runs = None, {}
-
-    def then(channel, on):
-        nonlocal superop
-        if len(on) < len(wires):
-            channel = _embedded(channel, on, wires)
-        superop = channel if superop is None else channel @ superop
-
-    for g in gates:
-        channel = _embed_and_multiply_gate(g, nm)
-        if len(g.qubits) == 1:
-            q = g.qubits[0]
-            runs[q] = channel @ runs[q] if q in runs else channel
-        else:
-            for q, run in runs.items():
-                then(run, [q])
-            runs.clear()
-            then(channel, sorted(g.qubits))
-    for q, run in runs.items():
-        then(run, [q])
-    return superop
-
-
 def _random_native_circuit(n, rng):
     """Up to 24 native gates on n wires: X, SX, ID, RZ and, given two wires or more, ECR."""
     def gate(q):
@@ -321,9 +295,9 @@ def _random_native_circuit(n, rng):
 
 @pytest.mark.parametrize("model", ["NOISELESS", "brisbane_median"])
 @pytest.mark.parametrize("circuits", ["toffoli", "QST inputs", "random"])
-def test_block_channels_are_bit_for_bit_the_embed_and_multiply_products(circuits, model, rng):
-    # composing by the register gather gives exactly what embedding each channel into the
-    # block and multiplying gave: the embedding only adds terms that are exact zeros
+def test_gate_channels_are_bit_for_bit_the_embed_and_multiply_products(circuits, model, rng):
+    # applying each relaxation by the register gather gives exactly what embedding it into
+    # the gate's wires and multiplying gave: the embedding only adds terms that are exact zeros
     chosen = {"toffoli": lambda: [_toffoli_native()],
               "QST inputs": lambda: [prepare_state(kind) for kind in StateKind],
               "random": lambda: [_random_native_circuit(n, rng)
@@ -334,9 +308,6 @@ def test_block_channels_are_bit_for_bit_the_embed_and_multiply_products(circuits
             ingest_calibration(builtin_calibration_path(model)).noise_model(n)
         for g in circuit.gates:
             assert np.array_equal(simulator._gate_superop(g, nm), _embed_and_multiply_gate(g, nm))
-        for wires, gates in simulator._blocks(circuit):
-            assert np.array_equal(simulator._block_channel(wires, gates, nm),
-                                  _embed_and_multiply_block(wires, gates, nm)), (circuit, wires)
 
 
 def _assert_gather_matches_contraction(local, bits, width, batch, rng, exact):
