@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from .errors import CoherenceViolation, ErrTooLargeError, IoError, SchemaError
+from .errors import CcxlabError, SchemaError
 from .noise import NoiseModel, QubitCalibration
 
 #: every column of a qubit record, and whether it is required. ``QubitCalibration`` holds the
@@ -113,7 +113,7 @@ def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
     try:
         payload = json.loads(path.read_text())
     except OSError as exc:  # a directory, or a file without read permission
-        raise IoError(f"cannot read calibration {path}: {exc}") from exc
+        raise SchemaError(f"cannot read calibration {path}: {exc}") from exc
     except ValueError as exc:  # invalid JSON or UTF-8, or an integer literal too long to read
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "qubits" not in payload:
@@ -140,9 +140,7 @@ def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
                     raise ValueError(f"{name}={row[name]} is not finite")
             if not 0.0 <= row["readout_error"] <= 1.0:
                 raise ValueError(f"readout_error={row['readout_error']} outside [0, 1]")
-        except CoherenceViolation as exc:
-            raise CoherenceViolation(f"{loc} (qubit {qubit_id}): {exc}") from exc
-        except ValueError as exc:
+        except (SchemaError, ValueError) as exc:
             raise SchemaError(f"{loc} (qubit {qubit_id}): {exc}") from exc
 
     raw_gates = payload.get("gates", [])
@@ -164,6 +162,6 @@ def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
                              {field: tuple(row[field] for row in rows) for field in _QUBIT_FIELDS})
     try:
         table.noise_model(1)  # validate gate maps eagerly
-    except (ValueError, ErrTooLargeError) as exc:
+    except (ValueError, CcxlabError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     return table

@@ -24,7 +24,7 @@ from typing import FrozenSet, List, Tuple
 
 import numpy as np
 
-from .errors import ParseError, TooManyQubitsError
+from .errors import ParseError, UsageError
 from .gates import GATE_ARITY, GATE_PARAM_COUNT, Gate, GateDef, gate_matrix
 
 MAX_QUBITS = 6
@@ -139,7 +139,7 @@ def _apply_local(flat: np.ndarray, local: np.ndarray, bits, width: int) -> np.nd
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (product in application order)."""
     if c.num_qubits > MAX_QUBITS:
-        raise TooManyQubitsError(f"dense unitary limited to {MAX_QUBITS} qubits")
+        raise UsageError(f"dense unitary limited to {MAX_QUBITS} qubits")
     u = np.eye(2 ** c.num_qubits, dtype=complex)
     for g in c.gates:
         u = _apply_local(u, gate_matrix(g), sorted(g.qubits), c.num_qubits)

@@ -1,7 +1,19 @@
 """Exception taxonomy.
 
 Every error carries a machine-parseable ``category`` and the CLI exit code
-for that category: 2 usage, 3 schema/file, 4 numerical.
+for that category. Errors are raised by category; the message names the
+failing input:
+
+- ``UsageError`` (exit 2): an argument the API or CLI does not accept, such
+  as an unknown gate, a gate outside the native set, too many qubits, qubits
+  off a path, a bad probe label, Pauli setting or k, or a qubit without
+  calibration.
+- ``SchemaError`` (exit 3): a file that fails validation or cannot be read or
+  written, including a T1/T2 pair outside 0 < T2 <= 2*T1.
+- ``ParseError`` (exit 3): a circuit text line that does not parse.
+- ``CcxlabError`` (exit 4): a numerical domain error, such as a matrix that is
+  not Hermitian, PSD or unitary, mismatched shapes, a gate error too large to
+  model, or a projection that hit its step cap.
 """
 
 
@@ -27,71 +39,3 @@ class ParseError(SchemaError):
         super().__init__(f"line {line_number}: {reason}")
         self.line_number = line_number
         self.reason = reason
-
-
-class CoherenceViolation(SchemaError):
-    """T1/T2 outside 0 < T2 <= 2*T1, in a calibration record or a relaxation channel."""
-
-
-class IoError(SchemaError):
-    """A report file could not be written or read, or a calibration file could not be read."""
-
-
-# -- numerical / linear-algebra domain errors (exit code 4) ------------------
-
-class NotHermitianError(CcxlabError):
-    pass
-
-
-class NotPSDError(CcxlabError):
-    pass
-
-
-class NotUnitaryError(CcxlabError):
-    pass
-
-
-class DimensionMismatchError(CcxlabError):
-    pass
-
-
-class ErrTooLargeError(CcxlabError):
-    pass
-
-
-class ProjectionNotConvergedError(CcxlabError):
-    """An iterative projection hit its step cap; the message names the residual."""
-
-
-# -- API misuse (exit code 2 when reached from the CLI) ----------------------
-
-class UnknownGateError(UsageError):
-    pass
-
-
-class TooManyQubitsError(UsageError):
-    pass
-
-
-class NonNativeGateError(UsageError):
-    pass
-
-
-class NonPathQubitsError(UsageError):
-    pass
-
-
-class InvalidLabelError(UsageError):
-    pass
-
-
-class InvalidPauliStringError(UsageError):
-    pass
-
-
-class KOutOfRangeError(UsageError):
-    pass
-
-
-class MissingCalibrationError(UsageError):
-    pass

@@ -77,7 +77,7 @@ import numpy as np
 
 from .calibration import ingest_calibration
 from .circuits import Circuit
-from .errors import IoError, SchemaError, UsageError
+from .errors import SchemaError, UsageError
 from .noise import NOISELESS, NoiseModel, scale_noise_model
 from .qmath import state_fidelity
 from .simulator import (draw_form, draws, product_states, readout_map, run_density,
@@ -445,7 +445,7 @@ def emit_report(report: Report, fmt: str, path: Union[str, Path]) -> Path:
         else:
             raise UsageError(f"unknown report format {fmt!r} (json or csv)")
     except OSError as exc:
-        raise IoError(f"cannot write report to {path}: {exc}") from exc
+        raise SchemaError(f"cannot write report to {path}: {exc}") from exc
     return path
 
 
@@ -454,7 +454,7 @@ def load_report(path: Union[str, Path]) -> Report:
     try:
         payload = json.loads(path.read_text())
     except OSError as exc:
-        raise IoError(f"cannot read report {path}: {exc}") from exc
+        raise SchemaError(f"cannot read report {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     try:

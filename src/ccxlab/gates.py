@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import UnknownGateError
+from .errors import UsageError
 from .qmath import I2, X as _X
 
 _SQ2 = 1 / math.sqrt(2)
@@ -76,7 +76,7 @@ class GateDef:
 
     def __post_init__(self):
         if not isinstance(self.name, Gate):
-            raise UnknownGateError(f"unknown gate {self.name!r}")
+            raise UsageError(f"unknown gate {self.name!r}")
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         arity = GATE_ARITY[self.name]

@@ -50,12 +50,7 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .circuits import MAX_QUBITS
-from .errors import (
-    CcxlabError,
-    CoherenceViolation,
-    ErrTooLargeError,
-    MissingCalibrationError,
-)
+from .errors import CcxlabError, SchemaError, UsageError
 from .gates import GATE_ARITY, Gate
 
 #: fallback durations (ns) when a calibration file does not provide them
@@ -82,7 +77,7 @@ def thermal_relaxation_channel(duration_ns: float, t1_us: float, t2_us: float) -
     if not 0 <= duration_ns < math.inf:
         raise ValueError(f"duration must be finite and nonnegative, got {duration_ns}")
     if not (0 < t2_us <= 2 * t1_us) and not (math.isinf(t1_us) and math.isinf(t2_us)):
-        raise CoherenceViolation(f"need 0 < T2 <= 2*T1, got T1={t1_us}, T2={t2_us}")
+        raise SchemaError(f"need 0 < T2 <= 2*T1, got T1={t1_us}, T2={t2_us}")
     t_us = duration_ns / 1000.0
     gamma = 1.0 - math.exp(-t_us / t1_us) if not math.isinf(t1_us) else 0.0
     rate_phi = (1.0 / t2_us if not math.isinf(t2_us) else 0.0) \
@@ -107,7 +102,7 @@ def depolarizing_channel(err: float, dim: int) -> np.ndarray:
     if not err >= 0:
         raise ValueError(f"error rate must be nonnegative, got {err}")
     if err >= 1 - 1 / dim:
-        raise ErrTooLargeError(f"err {err} >= 1 - 1/dim for dim {dim}")
+        raise CcxlabError(f"err {err} >= 1 - 1/dim for dim {dim}")
     lam = err * dim / (dim - 1)
     superop = (1 - lam) * np.eye(dim * dim, dtype=complex)
     superop[::dim + 1, ::dim + 1] += lam / dim  # vec(I) vec(I)^T: the indices i * (dim + 1)
@@ -126,7 +121,7 @@ class QubitCalibration:
 
     def __post_init__(self):
         if not (self.t1_us > 0 and 0 < self.t2_us <= 2 * self.t1_us):
-            raise CoherenceViolation(
+            raise SchemaError(
                 f"need 0 < T2 <= 2*T1, got T1={self.t1_us} us, T2={self.t2_us} us")
         for name in ("prob_meas0_prep1", "prob_meas1_prep0"):
             v = getattr(self, name)
@@ -155,8 +150,8 @@ class NoiseModel:
             # the depolarizing channel of a k-qubit gate realises errors below 1 - 1/2^k
             bound = 1 - 0.5 ** GATE_ARITY[name] if name in GATE_ARITY else 1.0
             if v >= bound:
-                raise ErrTooLargeError(f"gate error {name}={v} >= {bound}, which no "
-                                       "depolarizing channel on the gate realises")
+                raise CcxlabError(f"gate error {name}={v} >= {bound}, which no "
+                                  "depolarizing channel on the gate realises")
         for name, v in self.gate_duration.items():
             if not 0 <= v < math.inf:
                 raise ValueError(f"gate duration {name}={v} is not finite and nonnegative")
@@ -170,7 +165,7 @@ class NoiseModel:
 
     def calibration(self, qubit: int) -> QubitCalibration:
         if qubit >= len(self.qubit_cal):
-            raise MissingCalibrationError(f"no calibration for qubit {qubit}")
+            raise UsageError(f"no calibration for qubit {qubit}")
         return self.qubit_cal[qubit]
 
     def error_for(self, gate: Gate | str) -> float:

@@ -20,12 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotHermitianError,
-    NotPSDError,
-    NotUnitaryError,
-)
+from .errors import CcxlabError
 
 CONSTRUCTION_TOL = 1e-10
 VALIDATION_TOL = 1e-6
@@ -42,10 +37,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def check_unitary(u: np.ndarray, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise NotUnitaryError(f"expected a square matrix, got shape {u.shape}")
+        raise CcxlabError(f"expected a square matrix, got shape {u.shape}")
     dev = np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0])))
     if dev > tol:
-        raise NotUnitaryError(f"U^dag U deviates from identity by {dev:.3e} (tol {tol:g})")
+        raise CcxlabError(f"U^dag U deviates from identity by {dev:.3e} (tol {tol:g})")
     return u
 
 
@@ -55,16 +50,15 @@ def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> Union[float, np.ndarray]
     ``rho`` is one (d, d) state, which gives a float, or an (R, d, d) stack,
     which gives the (R,) array of each state's fidelity: exactly what a call
     on that state alone gives, so a single state scores as a stack of one.
-    Exact. ``psi`` must be 1-D and match ``rho``'s dimension (else
-    ``DimensionMismatchError``), finite (else ``NotHermitianError``, as for
-    ``rho``) and of unit norm (else ``NotPSDError``: |psi|^2 is the nonzero
-    eigenvalue of its projector). Every state must be finite, Hermitian and
-    PSD within ``VALIDATION_TOL``.
+    Exact. ``psi`` must be 1-D, match ``rho``'s dimension, be finite and be
+    of unit norm. Every state must be finite, Hermitian and PSD within
+    ``VALIDATION_TOL``. Each violation raises ``CcxlabError`` (exit 4), and
+    its message names the failed check.
 
     The PSD check is one batched Cholesky factorization of the Hermitian
     parts plus ``VALIDATION_TOL`` * I, which succeeds when no eigenvalue is
     below -``VALIDATION_TOL``. Only if it fails does one batched ``eigvalsh``
-    of the same Hermitian parts, computed once, decide: ``NotPSDError`` names
+    of the same Hermitian parts, computed once, decide: the error names
     the least eigenvalue if that is below -``VALIDATION_TOL``, and the state
     passes otherwise. So every state is
     accepted or rejected as ``eigvalsh`` alone would, up to round-off at the
@@ -73,16 +67,16 @@ def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> Union[float, np.ndarray]
     rho = np.asarray(rho, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1 or rho.ndim not in (2, 3) or rho.shape[-2:] != psi.shape * 2:
-        raise DimensionMismatchError(f"state_fidelity needs a (d, d) rho or an (R, d, d) stack "
-                                     f"and a (d,) target ket, got {rho.shape} and {psi.shape}")
+        raise CcxlabError(f"state_fidelity needs a (d, d) rho or an (R, d, d) stack "
+                          f"and a (d,) target ket, got {rho.shape} and {psi.shape}")
     norm = np.vdot(psi, psi).real
     if not abs(norm - 1.0) <= VALIDATION_TOL:  # a non-finite ket fails too
         if not np.all(np.isfinite(psi)):
-            raise NotHermitianError("state_fidelity requires a finite target ket")
-        raise NotPSDError(f"state_fidelity requires a unit target ket; |psi|^2 = {norm:.6g}")
+            raise CcxlabError("state_fidelity requires a finite target ket")
+        raise CcxlabError(f"state_fidelity requires a unit target ket; |psi|^2 = {norm:.6g}")
     rho_h = dagger(rho)
     if not abs(rho - rho_h).max(initial=0.0) <= VALIDATION_TOL:  # NaN fails too
-        raise NotHermitianError("state_fidelity requires a finite Hermitian input")
+        raise CcxlabError("state_fidelity requires a finite Hermitian input")
     # the Hermitian part, once (* 0.5 is / 2 exactly), then a copy plus VALIDATION_TOL * I;
     # where that does not factor, eigvalsh decides
     herm = rho + rho_h
@@ -94,7 +88,7 @@ def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> Union[float, np.ndarray]
     except np.linalg.LinAlgError:
         w_min = np.linalg.eigvalsh(herm)[..., 0].min()
         if w_min < -VALIDATION_TOL:
-            raise NotPSDError(f"state_fidelity requires PSD input; min eigenvalue {w_min:.3e}") \
+            raise CcxlabError(f"state_fidelity requires PSD input; min eigenvalue {w_min:.3e}") \
                 from None
     # one inner product per state, which matmul takes state by state: each state gets the
     # bits of a call on it alone

@@ -75,7 +75,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .circuits import MAX_QUBITS, Circuit, _apply_local
-from .errors import CcxlabError, NonNativeGateError, TooManyQubitsError, UsageError
+from .errors import CcxlabError, UsageError
 from .gates import NATIVE_GATES, GateDef, gate_matrix
 from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
 
@@ -92,7 +92,7 @@ _CHANNELS = 256
 def _check_native(c: Circuit) -> None:
     for g in c.gates:
         if g.name not in NATIVE_GATES:
-            raise NonNativeGateError(
+            raise UsageError(
                 f"gate {g.name.value} is not in the native set; synthesize it first")
 
 
@@ -146,8 +146,8 @@ def _letters_on_wires(alphabet: Sequence[Circuit], n: int,
     """Per wire q < n, the stack over ``alphabet`` of ``evolve(q, gates)``, ``gates`` a
     letter's gates moved onto q, where q's own calibration applies.
 
-    Every letter must be a native one-qubit circuit: anything else raises
-    ``UsageError``, a gate outside the native set ``NonNativeGateError``.
+    Every letter must be a native one-qubit circuit, with gates from the
+    native set: anything else raises ``UsageError``.
     """
     if not alphabet or n < 1:
         raise UsageError("a per-qubit layer needs at least one letter and one wire")
@@ -223,7 +223,7 @@ def run_density(c: Circuit, nm: NoiseModel,
     such as ``product_states`` builds, the stack of ``c`` run on each of them, evolved at
     once."""
     if c.num_qubits > MAX_QUBITS:
-        raise TooManyQubitsError(f"density evolution limited to {MAX_QUBITS} qubits")
+        raise UsageError(f"density evolution limited to {MAX_QUBITS} qubits")
     if preparations is None:
         preparations = np.zeros((2 ** c.num_qubits,) * 2, dtype=complex)
         preparations[0, 0] = 1.0

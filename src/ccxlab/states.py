@@ -27,7 +27,7 @@ from typing import Tuple
 import numpy as np
 
 from .circuits import Circuit
-from .errors import InvalidLabelError
+from .errors import UsageError
 from .gates import cnot, h, s, x
 from .synthesis import native_ry, to_native
 
@@ -86,7 +86,7 @@ def uniform_circuit() -> Circuit:
 def probe_circuit(labels: Tuple[str, ...]) -> Circuit:
     for lab in labels:
         if lab not in _PROBE_GATES:
-            raise InvalidLabelError(f"probe label {lab!r} not in {PROBE_LABELS}")
+            raise UsageError(f"probe label {lab!r} not in {PROBE_LABELS}")
     gates = tuple(gate(q) for q, lab in enumerate(labels) for gate in _PROBE_GATES[lab])
     return to_native(Circuit(len(labels), gates))
 

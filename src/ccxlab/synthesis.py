@@ -34,8 +34,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuits import Circuit, CouplingGraph, circuit_unitary
-from .errors import DimensionMismatchError, NonPathQubitsError
+from .circuits import Circuit, CouplingGraph, circuit_unitary, path_graph
+from .errors import CcxlabError, UsageError
 from .gates import Gate, GateDef, cnot, ecr, h, rz, sx, t, tdg, x
 
 PI = math.pi
@@ -70,7 +70,7 @@ def equivalent_up_to_global_phase(u: np.ndarray, v: np.ndarray,
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape:
-        raise DimensionMismatchError(f"shape mismatch {u.shape} vs {v.shape}")
+        raise CcxlabError(f"shape mismatch {u.shape} vs {v.shape}")
     idx = np.unravel_index(np.argmax(np.abs(v)), v.shape)
     ratio = u[idx] / v[idx] if abs(v[idx]) > 0 else 0.0
     if abs(ratio) < 1e-12:
@@ -180,19 +180,14 @@ def _path_order(controls: Sequence[int], target: int,
                 coupling: Optional[CouplingGraph]) -> Tuple[int, int, int]:
     """Order the triple as (end, middle, end) along the coupling path.
 
-    Without an explicit graph the sorted triple is assumed to be a line.
+    Without an explicit graph the qubits lie on the line 0-1-...-max.
     """
     triple = sorted((*controls, target))
-    if coupling is None:
-        if not (triple[1] - triple[0] == 1 and triple[2] - triple[1] == 1):
-            raise NonPathQubitsError(
-                f"qubits {triple} are not consecutive; pass a coupling graph "
-                "if the hardware path differs")
-        return triple[0], triple[1], triple[2]
+    coupling = coupling or path_graph(triple[2] + 1)
     middles = [q for q in triple
                if all(coupling.has_edge(q, other) for other in triple if other != q)]
     if not middles:
-        raise NonPathQubitsError(f"qubits {triple} do not form a path in the coupling graph")
+        raise UsageError(f"qubits {triple} do not form a path in the coupling graph")
     mid = middles[0]
     ends = sorted(q for q in triple if q != mid)
     return ends[0], mid, ends[1]
@@ -275,8 +270,8 @@ def decompose_toffoli(strategy: DecompositionStrategy, controls: Sequence[int],
                       target: int, coupling: Optional[CouplingGraph] = None) -> Circuit:
     """Build the requested Toffoli realization on the given control/target roles.
 
-    Path-constrained strategies raise :class:`NonPathQubitsError` when the
-    triple is not a line (consecutive indices, or a path of ``coupling``).
+    Path-constrained strategies raise :class:`UsageError` when the triple is
+    not a path of ``coupling``, by default the line 0-1-...-max of the triple.
     """
     controls = tuple(controls)
     if len(set(controls) | {target}) != 3:

@@ -67,13 +67,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .circuits import Circuit
-from .errors import (
-    DimensionMismatchError,
-    InvalidPauliStringError,
-    KOutOfRangeError,
-    NotHermitianError,
-    ProjectionNotConvergedError,
-)
+from .errors import CcxlabError, UsageError
 from .gates import h, sdg
 from .noise import NOISELESS
 from .qmath import check_unitary, dagger
@@ -90,7 +84,7 @@ MEASUREMENT_BASES = {"X": (h,), "Y": (sdg, h), "Z": ()}
 def qst_settings(k: int) -> List[str]:
     """All 3^k measurement settings in lexicographic order (X < Y < Z)."""
     if not 1 <= k <= 4:
-        raise KOutOfRangeError(f"k={k} outside 1..4")
+        raise UsageError(f"k={k} outside 1..4")
     return ["".join(p) for p in itertools.product("XYZ", repeat=k)]
 
 
@@ -103,7 +97,7 @@ def measurement_rotation(setting: str) -> Circuit:
     """
     k = len(setting)
     if k == 0 or any(ch not in "XYZ" for ch in setting):
-        raise InvalidPauliStringError(f"setting {setting!r} must be letters over X/Y/Z")
+        raise UsageError(f"setting {setting!r} must be letters over X/Y/Z")
     return to_native(Circuit(k, tuple(gate(q) for q, letter in enumerate(setting)
                                       for gate in MEASUREMENT_BASES[letter])))
 
@@ -125,7 +119,7 @@ def _checked(frequencies: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if frequencies.ndim == len(shape) + 1:
         shape = frequencies.shape[:1] + shape
     if frequencies.shape != shape:
-        raise DimensionMismatchError(
+        raise CcxlabError(
             f"frequencies must have shape {shape}, got {frequencies.shape}")
     return frequencies
 
@@ -138,7 +132,7 @@ def _estimator(k: int) -> np.ndarray:
     measurement map M, the ``readout_map`` of the X, Y and Z rotations under
     ``NOISELESS``: the module docstring says why it averages each Pauli's parity.
     """
-    qst_settings(k)  # raises KOutOfRangeError outside 1..4
+    qst_settings(k)  # raises UsageError outside 1..4
     m = readout_map(setting_alphabet(), k, NOISELESS)
     m_h = m.conj().T
     estimator = np.linalg.solve(m_h @ m, m_h)
@@ -212,11 +206,11 @@ def _choi_dims(choi: np.ndarray, d_in: int) -> Tuple[int, int]:
     """(d_in, d_out) of Choi matrices of side d_in * d_out, stacked or not; rejects NaN/inf."""
     shape = choi.shape[-2:]
     if choi.ndim < 2 or shape[0] != shape[1] or shape[0] == 0 or d_in < 1 or shape[0] % d_in:
-        raise DimensionMismatchError(
+        raise CcxlabError(
             f"a Choi matrix must be (d_in * d_out) x (d_in * d_out) with d_in = {d_in}, "
             f"got shape {choi.shape}")
     if not np.all(np.isfinite(choi)):
-        raise NotHermitianError("a Choi matrix must have finite entries")
+        raise CcxlabError("a Choi matrix must have finite entries")
     return d_in, shape[0] // d_in
 
 
@@ -383,11 +377,10 @@ def project_to_cptp(choi: np.ndarray, d_in: int) -> np.ndarray:
     to the iteration cap.
 
     The result is PSD to round-off and trace preserving to ``CPTP_TP_TOL``
-    (max-abs entry of the residual). ``ProjectionNotConvergedError`` names
-    the residual if ``CPTP_MAX_NEWTON_STEPS`` steps do not reach it. A
-    ``choi`` that is not square, or whose side d_in does not divide, raises
-    ``DimensionMismatchError``, and one with a non-finite entry
-    ``NotHermitianError``.
+    (max-abs entry of the residual). A ``CcxlabError`` (exit 4) names the
+    residual if ``CPTP_MAX_NEWTON_STEPS`` steps do not reach it. A ``choi``
+    that is not square, whose side d_in does not divide, or with a
+    non-finite entry raises ``CcxlabError`` too, naming the fault.
 
     A (R, n, n) stack of Choi estimates gives the stack of their projections,
     each exactly its single call's: at d_in = 1 the whole stack takes one
@@ -447,7 +440,7 @@ def _nearest_channel(choi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
                 break
             t /= 2
         lam, w, v = lam_t, w_t, v_t
-    raise ProjectionNotConvergedError(
+    raise CcxlabError(
         f"CPTP projection stopped after {CPTP_MAX_NEWTON_STEPS} Newton steps "
         f"with TP residual {residual:.3e} (tolerance {CPTP_TP_TOL:g})")
 
@@ -463,7 +456,7 @@ def qpt_reconstruct(frequencies: np.ndarray, k: int) -> np.ndarray:
     entry r exactly the single call's on ``frequencies[r]``.
     """
     if not 1 <= k <= 3:
-        raise KOutOfRangeError(f"k={k} outside 1..3")
+        raise UsageError(f"k={k} outside 1..3")
     return _reconstruct(_checked(frequencies, (4 ** k, 3 ** k, 2 ** k)), k, _probe_dual(k))
 
 

@@ -13,7 +13,7 @@ from typing import Iterable, List
 
 import numpy as np
 
-from ccxlab.errors import DimensionMismatchError
+from ccxlab.errors import CcxlabError
 from ccxlab.qmath import check_unitary, dagger
 
 from product_oracle import pauli_string_matrix
@@ -83,7 +83,7 @@ def process_fidelity_superop(channel_superop: np.ndarray, target_unitary: np.nda
     s_chan = np.asarray(channel_superop, dtype=complex)
     s_tgt = unitary_to_superop_pauli(target_unitary)
     if s_chan.shape != s_tgt.shape:
-        raise DimensionMismatchError(f"superoperator shapes differ: {s_chan.shape} vs {s_tgt.shape}")
+        raise CcxlabError(f"superoperator shapes differ: {s_chan.shape} vs {s_tgt.shape}")
     gamma_sq = s_chan.shape[0]
     return float(np.real(np.trace(dagger(s_tgt) @ s_chan)) / gamma_sq)
 

@@ -1,12 +1,16 @@
 """Shared seeded random-object helpers, computational-basis preparations, a
-stack of prepared states, a density-matrix check, the unprojected estimate
-of a reconstruction and an emptied gate-channel cache, for the test suite."""
+stack of prepared states, a density-matrix check, a numerical-error check,
+the unprojected estimate of a reconstruction and an emptied gate-channel
+cache, for the test suite."""
+
+import contextlib
 
 import numpy as np
 import pytest
 
 from ccxlab import simulator, tomography
 from ccxlab.circuits import Circuit
+from ccxlab.errors import CcxlabError
 from ccxlab.gates import x
 
 
@@ -73,6 +77,15 @@ def check_density_matrix(rho, *, herm_tol=1e-10, eig_tol=1e-9, trace_tol=1e-9):
     assert abs(np.trace(rho) - 1.0) <= trace_tol, np.trace(rho)
     assert np.min(np.linalg.eigvalsh(rho)) >= -eig_tol, np.linalg.eigvalsh(rho)
     return rho
+
+
+@contextlib.contextmanager
+def raises_numerical(match):
+    """``pytest.raises(CcxlabError, match=match)`` that also asserts exit code 4, so a
+    usage error (2) or a schema error (3) with a matching message does not pass."""
+    with pytest.raises(CcxlabError, match=match) as info:
+        yield info
+    assert info.value.exit_code == 4
 
 
 def unprojected(reconstruct, data, k, monkeypatch):

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ccxlab.errors import InvalidLabelError
+from ccxlab.errors import UsageError
 from ccxlab.qmath import I2, X
 from ccxlab.states import PROBE_LABELS
 
@@ -48,6 +48,6 @@ def probe_state(labels: Sequence[str]) -> np.ndarray:
     out = np.array([1.0 + 0j])
     for lab in reversed(list(labels)):
         if lab not in _PROBE_KETS:
-            raise InvalidLabelError(f"probe label {lab!r} not in {PROBE_LABELS}")
+            raise UsageError(f"probe label {lab!r} not in {PROBE_LABELS}")
         out = np.kron(out, _PROBE_KETS[lab])
     return out

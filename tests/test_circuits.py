@@ -14,7 +14,7 @@ from ccxlab.circuits import (
     serialize_circuit,
     validate_connectivity,
 )
-from ccxlab.errors import ParseError, TooManyQubitsError
+from ccxlab.errors import ParseError, UsageError
 from ccxlab.gates import Gate, GateDef, cnot, ecr, h, rz, sx, t, x
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli
 
@@ -58,7 +58,7 @@ def test_unitary_is_homomorphic(rng):
 
 
 def test_too_many_qubits():
-    with pytest.raises(TooManyQubitsError):
+    with pytest.raises(UsageError, match="^dense unitary limited to 6 qubits$"):
         circuit_unitary(Circuit(7, (x(6),)))
 
 

@@ -14,7 +14,7 @@ import pytest
 from ccxlab import cli, experiments, simulator, states, tomography
 from ccxlab.calibration import builtin_calibration_path
 from ccxlab.circuits import Circuit, circuit_unitary, serialize_circuit
-from ccxlab.errors import IoError, SchemaError, UsageError
+from ccxlab.errors import SchemaError, UsageError
 from ccxlab.experiments import (
     DEFAULT_CONTROLS,
     DEFAULT_TARGET,
@@ -761,10 +761,10 @@ def test_report_round_trip(report_file, tmp_path):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_report_that_cannot_be_written_or_read_is_an_io_error(report_file, tmp_path, fmt):
     report = load_report(report_file)
-    with pytest.raises(IoError, match="cannot write report") as info:
+    with pytest.raises(SchemaError, match="cannot write report") as info:
         emit_report(report, fmt, tmp_path / "missing" / f"report.{fmt}")
     assert info.value.exit_code == 3
-    with pytest.raises(IoError, match="cannot read report") as info:
+    with pytest.raises(SchemaError, match="cannot read report") as info:
         load_report(tmp_path / "missing.json")
     assert info.value.exit_code == 3
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ccxlab.errors import UnknownGateError
+from ccxlab.errors import UsageError
 from ccxlab.gates import (
     Gate,
     GateDef,
@@ -119,6 +119,6 @@ def test_gatedef_validation():
 
 
 def test_gatedef_of_an_unknown_gate_name_is_a_usage_error():
-    with pytest.raises(UnknownGateError, match="FOO") as info:
+    with pytest.raises(UsageError, match="^unknown gate 'FOO'$") as info:
         GateDef("FOO", (0,))
     assert info.value.exit_code == 2

@@ -145,9 +145,9 @@ def test_every_error_class_is_named_by_a_test():
     tests = [path.read_text() for path in sorted(Path(__file__).parent.glob("*.py"))
              if path.name != Path(__file__).name]
     assert _unnamed_error_classes(tests) == []
-    probe = "import pytest\nfrom ccxlab import errors\npytest.raises(errors.IoError)\n"
-    assert "IoError" not in _unnamed_error_classes([probe])
-    assert "UnknownGateError" in _unnamed_error_classes([probe])
+    probe = "import pytest\nfrom ccxlab import errors\npytest.raises(errors.SchemaError)\n"
+    assert "SchemaError" not in _unnamed_error_classes([probe])
+    assert "UsageError" in _unnamed_error_classes([probe])
 
 
 #: the one third-party package ``src/ccxlab`` may import

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ccxlab.circuits import circuit_unitary
-from ccxlab.errors import InvalidLabelError
+from ccxlab.errors import UsageError
 from ccxlab.states import (
     PROBE_LABELS,
     StateKind,
@@ -56,9 +56,9 @@ def test_probe_circuits_exact(labels):
 
 
 def test_probe_invalid_label():
-    with pytest.raises(InvalidLabelError):
+    with pytest.raises(UsageError, match=r"^probe label 'minus' not in "):
         probe_circuit(("0", "minus", "1"))
-    with pytest.raises(InvalidLabelError):
+    with pytest.raises(UsageError, match=r"^probe label '-' not in "):
         probe_circuit(("-",))
 
 
