@@ -147,9 +147,6 @@ def _cmd_qst(args) -> int:
 
 
 def _cmd_qpt(args) -> int:
-    if not args.accept_job_budget:
-        raise UsageError("full process tomography runs 12^3 = 1728 circuits per repeat; "
-                         "pass --accept-job-budget to confirm")
     cfg = _experiment_config(args, default_shots=11000)
     report = run_qpt_experiment(cfg)
     _write_or_print(report, args)
@@ -227,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qpt", help="process tomography of the Toffoli gate")
     _add_experiment_flags(p, default_shots=11000)
-    p.add_argument("--accept-job-budget", action="store_true",
-                   help="confirm the 1728-circuit job budget")
     p.set_defaults(func=_cmd_qpt)
 
     p = sub.add_parser("calib-summary", help="validate and summarize a calibration file")

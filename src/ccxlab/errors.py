@@ -1,19 +1,15 @@
-"""Exception taxonomy.
+"""Exception taxonomy: an error's ``category`` and CLI exit code say which kind
+of failure it is, and its message names what failed.
 
-Every error carries a machine-parseable ``category`` and the CLI exit code
-for that category. Errors are raised by category; the message names the
-failing input:
-
-- ``UsageError`` (exit 2): an argument the API or CLI does not accept, such
-  as an unknown gate, a gate outside the native set, too many qubits, qubits
-  off a path, a bad probe label, Pauli setting or k, or a qubit without
-  calibration.
-- ``SchemaError`` (exit 3): a file that fails validation or cannot be read or
-  written, including a T1/T2 pair outside 0 < T2 <= 2*T1.
-- ``ParseError`` (exit 3): a circuit text line that does not parse.
-- ``CcxlabError`` (exit 4): a numerical domain error, such as a matrix that is
-  not Hermitian, PSD or unitary, mismatched shapes, a gate error too large to
-  model, or a projection that hit its step cap.
+- ``UsageError`` (exit 2): an argument the API or CLI does not take, such as an
+  unknown or non-native gate, too many qubits, qubits off a path, a bad probe
+  label, Pauli setting or k, or a qubit without calibration.
+- ``SchemaError`` (exit 3): a file that fails validation (T1/T2 outside
+  0 < T2 <= 2*T1 too) or cannot be read or written. ``ParseError`` is the one
+  for a circuit text line, and carries its number and reason.
+- ``CcxlabError`` itself (exit 4): a numerical domain error, such as a matrix
+  that is not Hermitian, PSD or unitary, mismatched shapes, a gate error too
+  large to model, or a projection that hit its step cap.
 """
 
 

@@ -71,7 +71,7 @@ from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
 from typing import (Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+                    Union, get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -407,7 +407,27 @@ def report_to_dict(report: Report) -> dict:
     return {name: dict(v) if isinstance(v, dict) else v for name, v in values}
 
 
+def _fits(value, hint) -> bool:
+    """Whether a loaded JSON ``value`` has the type ``hint`` of a ``Report`` field."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]
+        return any(_fits(value, arg) for arg in args)
+    if origin is tuple:  # Tuple[X, ...], a JSON array
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_fits(v, args[1]) for v in value.values())
+    if hint is float:
+        return type(value) in (int, float)  # not bool, which JSON's true loads as
+    return hint is object or type(value) is hint
+
+
+#: the one table of each report field's type: the ``Report`` annotations
+_REPORT_TYPES = get_type_hints(Report)
+
+
 def report_from_dict(payload: dict) -> Report:
+    """The ``Report`` of a schema v1 or v2 payload; a field of the wrong JSON type is a
+    ``SchemaError`` that names it."""
     payload = dict(payload)
     version = payload.get("schema_version")
     # an integer, not merely equal to one: True == 1 in Python
@@ -417,6 +437,11 @@ def report_from_dict(payload: dict) -> Report:
     if version == 1:  # keep the fields a report still has: all but the raw TP deviation
         payload = {f.name: payload[f.name] for f in fields(Report)}
         payload["schema_version"] = REPORT_SCHEMA_VERSION
+    for name, value in payload.items():
+        hint = _REPORT_TYPES.get(name, object)
+        if not _fits(value, hint):
+            spelled = str(hint).replace("typing.", "") if get_origin(hint) else hint.__name__
+            raise SchemaError(f"field {name!r} must be {spelled}, got {value!r}")
     payload["fidelities"] = tuple(payload["fidelities"])
     if payload.get("average_gate_fidelities") is not None:
         payload["average_gate_fidelities"] = tuple(payload["average_gate_fidelities"])
@@ -459,5 +484,5 @@ def load_report(path: Union[str, Path]) -> Report:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return report_from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, SchemaError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: not a valid report ({exc})") from exc

@@ -60,9 +60,8 @@ def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> Union[float, np.ndarray]
     below -``VALIDATION_TOL``. Only if it fails does one batched ``eigvalsh``
     of the same Hermitian parts, computed once, decide: the error names
     the least eigenvalue if that is below -``VALIDATION_TOL``, and the state
-    passes otherwise. So every state is
-    accepted or rejected as ``eigvalsh`` alone would, up to round-off at the
-    boundary, for a fraction of its cost.
+    passes otherwise. So every state is accepted or rejected as ``eigvalsh``
+    alone would, up to round-off at the boundary, for a fraction of its cost.
     """
     rho = np.asarray(rho, dtype=complex)
     psi = np.asarray(psi, dtype=complex)

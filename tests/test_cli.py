@@ -1,17 +1,36 @@
 """CLI exit codes: 0 on success; bad arguments print ``error[usage]: ...`` and exit 2,
 bad files ``error[schema]: ...`` and exit 3, never a traceback."""
 
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ccxlab
 from ccxlab import cli
 from ccxlab.circuits import Circuit, serialize_circuit
+from ccxlab.experiments import Report
 from ccxlab.gates import x
 from ccxlab.synthesis import DecompositionStrategy
+from ccxlab.version import __version__
 
 
 def _run(argv, capsys):
     code = cli.main(argv)
     return code, capsys.readouterr().err
+
+
+def test_python_dash_m_ccxlab_runs_the_cli_without_an_install():
+    # only the source tree on the path, as in a checkout without pip install .
+    path = [str(Path(ccxlab.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    done = subprocess.run([sys.executable, "-m", "ccxlab", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"ccxlab {__version__}\n", "")
 
 
 @pytest.mark.parametrize("flags", [["--controls", "0,0"], ["--controls", "a,b"],
@@ -42,7 +61,7 @@ def test_simulate_of_a_circuit_too_wide_or_not_native_is_a_usage_error(tmp_path,
     assert err.startswith("error[usage]: ")
 
 
-@pytest.mark.parametrize("command", [["qst"], ["qpt", "--accept-job-budget"]])
+@pytest.mark.parametrize("command", [["qst"], ["qpt"]])
 def test_negative_seed_is_a_usage_error(command, capsys):
     code, err = _run([*command, "--seed", "-1", "--repeats", "1", "--shots", "10"], capsys)
     assert code == 2
@@ -67,12 +86,6 @@ def test_noise_options_without_noise_are_a_usage_error(flags, capsys):
     assert err.startswith("error[usage]: ") and "NOISE_AWARE" in err
 
 
-def test_qpt_without_job_budget_is_a_usage_error(capsys):
-    code, err = _run(["qpt", "--repeats", "1", "--shots", "10"], capsys)
-    assert code == 2
-    assert err.startswith("error[usage]: ") and "--accept-job-budget" in err
-
-
 @pytest.mark.parametrize("noise", [[], ["--noise", "builtin:brisbane_median"]])
 def test_simulate_with_negative_seed_is_a_usage_error(tmp_path, capsys, noise):
     path = tmp_path / "circuit.txt"
@@ -91,7 +104,7 @@ def test_noise_scale_that_is_not_finite_and_nonnegative_is_a_usage_error(scale, 
 
 
 @pytest.mark.parametrize("noise", [[], ["--noise", "builtin:brisbane_median"]])
-@pytest.mark.parametrize("command", [["qst"], ["qpt", "--accept-job-budget"]])
+@pytest.mark.parametrize("command", [["qst"], ["qpt"]])
 @pytest.mark.parametrize("strategy", [s.value for s in DecompositionStrategy
                                       if s is not DecompositionStrategy.ECR_NATIVE])
 def test_tomography_of_a_non_native_strategy_is_a_usage_error(strategy, command, noise, capsys):
@@ -144,3 +157,30 @@ def test_simulate_with_a_non_finite_gate_parameter_is_a_schema_error(tmp_path, c
     code, err = _run(["simulate", str(path), *shots], capsys)
     assert code == 3
     assert err.startswith("error[schema]: line 2: non-finite parameter")
+
+
+#: one value of the wrong JSON type for each field of a saved report
+_WRONG_TYPES = {
+    "schema_version": "2", "kind": 1, "fidelities": "0.5", "mean_fidelity": "x",
+    "std_fidelity": None, "average_gate_fidelities": ["x"],
+    "gate_counts": {"toffoli_two_qubit": 8.5}, "num_jobs": "27", "total_measurements": 1.5,
+    "config": None, "hardware_reference": {"GHZ": "x"}, "tool_version": 1,
+    "wall_seconds": True, "created_at": None,
+}
+
+
+def test_every_report_field_has_a_wrong_typed_value():
+    assert list(_WRONG_TYPES) == [f.name for f in dataclasses.fields(Report)]
+
+
+@pytest.mark.parametrize("field, value", _WRONG_TYPES.items())
+def test_report_with_a_field_of_the_wrong_type_is_a_schema_error(field, value, tmp_path, capsys):
+    # a wrong-typed value used to reach the report's printing and end in a traceback
+    path = tmp_path / "report.json"
+    assert cli.main(["qst", "--repeats", "1", "--shots", "10", "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    code, err = _run(["report", str(path)], capsys)
+    assert code == 3
+    assert err.startswith("error[schema]: ") and str(path) in err and field in err

@@ -13,6 +13,7 @@ from ccxlab.synthesis import (
     DecompositionStrategy,
     _ccz_8cnot,
     _ccz_9cnot,
+    _path_order,
     certify_toffoli,
     cnot_to_ecr,
     decompose_toffoli,
@@ -182,6 +183,18 @@ def test_coupling_graph_path_detection():
     no_path = CouplingGraph(4, frozenset({(0, 1), (2, 3)}))
     with pytest.raises(UsageError, match=r"^qubits \[0, 1, 3\] do not form a path in the "):
         decompose_toffoli(DecompositionStrategy.LNN_8CNOT, (0, 1), 3, coupling=no_path)
+
+
+def test_without_a_coupling_graph_a_path_is_three_consecutive_qubits():
+    # the default graph, the line 0-1-...-max, orders or refuses all 120 ordered triples of
+    # qubits 0-5 as the rule "the sorted triple is consecutive" does
+    for *controls, target in itertools.permutations(range(6), 3):
+        low, mid, high = sorted((*controls, target))
+        if (mid - low, high - mid) == (1, 1):
+            assert _path_order(controls, target, None) == (low, mid, high)
+        else:
+            with pytest.raises(UsageError, match="do not form a path in the coupling graph"):
+                _path_order(controls, target, None)
 
 
 # -- equivalence reporting ---------------------------------------------------------
