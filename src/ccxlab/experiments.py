@@ -408,8 +408,9 @@ def report_to_dict(report: Report) -> dict:
 
 
 def _json_check(hint) -> Callable[[object], bool]:
-    """Whether a loaded JSON value has the type ``hint`` of a ``Report`` field, built once
-    per field: walking the annotation on every load would cost a report's roundtrip 6x."""
+    """A check of whether a loaded JSON value has the type ``hint`` of a ``Report`` field.
+
+    Built once per field, so a load does not walk the annotations again."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union:  # Optional[X]
         inner = _json_check(args[0])
