@@ -26,7 +26,8 @@ from .experiments import (
     run_qst_experiment,
 )
 from .noise import NOISELESS
-from .simulator import readout_map, run_density, sample_distribution, setting_distributions
+from .simulator import (MAX_SHOTS, readout_map, run_density, sample_distribution,
+                        setting_distributions)
 from .states import StateKind
 from .synthesis import DecompositionStrategy, certify_toffoli, decompose_toffoli
 from .version import __version__
@@ -115,8 +116,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.shots < 0:
-        raise UsageError("--shots must be positive, or 0 to skip sampling")
+    if not 0 <= args.shots <= MAX_SHOTS:
+        raise UsageError(f"--shots must be positive and at most {MAX_SHOTS}, "
+                         "or 0 to skip sampling")
     if args.seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     text = Path(args.circuit).read_text()

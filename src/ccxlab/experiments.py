@@ -80,7 +80,7 @@ from .circuits import Circuit
 from .errors import SchemaError, UsageError
 from .noise import NOISELESS, NoiseModel, scale_noise_model
 from .qmath import state_fidelity
-from .simulator import (draw_form, draws, product_states, readout_map, run_density,
+from .simulator import (MAX_SHOTS, draw_form, draws, product_states, readout_map, run_density,
                         setting_distributions)
 from .states import PROBE_LABELS, StateKind, prepare_state, target_state
 from .synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
@@ -142,6 +142,9 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise UsageError(f"{name} must be an integer >= {least}, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if self.shots_per_setting > MAX_SHOTS:
+            raise UsageError(f"shots_per_setting must be at most {MAX_SHOTS}, "
+                             f"got {self.shots_per_setting}")
         if isinstance(self.calibration_path, os.PathLike):
             object.__setattr__(self, "calibration_path", os.fspath(self.calibration_path))
         if self.mode is Mode.NOISE_AWARE and not self.calibration_path:

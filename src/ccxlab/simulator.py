@@ -83,6 +83,9 @@ from .noise import NoiseModel, depolarizing_channel, thermal_relaxation_channel
 #: above the ~1e-16 round-off of a table, far below the 1/shots resolution of its counts
 _DRAW_DECIMALS = 12
 
+#: the most shots ``draws`` takes: numpy draws multinomial counts as int64
+MAX_SHOTS = int(np.iinfo(np.int64).max)
+
 #: gate channels ``_local_channel`` keeps: a model that ran every QST input and QPT holds 26
 #: (``NOISELESS`` too, the inversion maps' included), so 4 calibration models and
 #: ``NOISELESS`` need 130; at most 4 KB each (a two-qubit channel), ~1 MB in all

@@ -4,7 +4,7 @@ State tomography measures all 3^k Pauli-basis settings. Its data is a
 (3^k, 2^k) array of outcome frequencies: row j is setting j in
 ``qst_settings`` order, column b is basis outcome b, whose bit q is the
 outcome of qubit q. Linear inversion is one fixed linear map,
-``_estimator(k)``, that takes those rows, stacked, to vec(rho). It is the
+``_real_estimator(k)``, that takes those rows, stacked, to vec(rho). It is the
 least-squares inverse (M^H M)^-1 M^H of the map M that the simulator itself
 measures with: ``simulator.readout_map`` of the X, Y and Z rotations under
 ``NOISELESS``, whose rows are the settings' outcome projectors. M^H M is
@@ -23,14 +23,16 @@ inverse of the matrix of the probe states that ``simulator.product_states``
 prepares under ``NOISELESS``, turns them into the channel's superoperator,
 which is regrouped into the Choi operator and replaced by the
 Frobenius-nearest completely-positive trace-preserving (CPTP) Choi
-operator. Both maps are built once per process.
+operator. The inversion map and each dual are built once per process,
+read-only.
 
-The frequencies are real and the map is complex, so ``_real_estimator(k)``
-holds its real and imaginary parts side by side, once per process and
-read-only: one real product per preparation gives the estimate's real and
-imaginary parts, interleaved as a complex array is, with no complex cast of
-the frequencies. It sums in another order than the complex product, so an
-estimate moves by round-off (~1e-16).
+The frequencies are real and the map is complex, so the one cached copy of
+the map is its transpose with each entry's real and imaginary parts side by
+side; ``.view(complex).T`` reads it back as the complex map. One real product
+per preparation gives the estimate's real and imaginary parts, interleaved as
+a complex array is, with no complex cast of the frequencies. It sums in
+another order than a complex product would, so the two estimates differ by
+round-off (~1e-16).
 
 State tomography is the case of zero input qubits: one preparation, whose
 dual ``_probe_dual(0)`` is [[1]], and a Choi matrix of input dimension 1,
@@ -104,7 +106,7 @@ def measurement_rotation(setting: str) -> Circuit:
 
 def setting_alphabet() -> List[Circuit]:
     """The X, Y and Z rotations, whose ``readout_map`` a run measures with under its model and
-    ``_estimator`` inverts under ``NOISELESS``."""
+    ``_real_estimator`` inverts under ``NOISELESS``."""
     return [measurement_rotation(letter) for letter in "XYZ"]
 
 
@@ -125,33 +127,23 @@ def _checked(frequencies: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _estimator(k: int) -> np.ndarray:
-    """Linear inversion as a (4^k, 3^k * 2^k) map from stacked frequencies to vec(rho).
+def _real_estimator(k: int) -> np.ndarray:
+    """Linear inversion as a real (3^k * 2^k, 2 * 4^k) map from stacked frequencies to vec(rho).
 
-    Row-major vec. The least-squares inverse (M^H M)^-1 M^H of the noise-free
-    measurement map M, the ``readout_map`` of the X, Y and Z rotations under
-    ``NOISELESS``: the module docstring says why it averages each Pauli's parity.
+    Row-major vec. It is the least-squares inverse (M^H M)^-1 M^H of the
+    noise-free measurement map M, the ``readout_map`` of the X, Y and Z
+    rotations under ``NOISELESS`` (the module docstring says why it averages
+    each Pauli's parity), transposed, with each complex entry as its real
+    and imaginary parts side by side: ``.view(complex).T`` is that complex
+    map itself. A row of frequencies times it is the row's vec(rho) as
+    interleaved (real, imaginary) pairs, which ``.view(complex)`` reads
+    without a copy: one real product, where the complex map would first
+    cast every frequency to complex and take four real products per entry.
     """
     qst_settings(k)  # raises UsageError outside 1..4
     m = readout_map(setting_alphabet(), k, NOISELESS)
     m_h = m.conj().T
-    estimator = np.linalg.solve(m_h @ m, m_h)
-    estimator.setflags(write=False)
-    return estimator
-
-
-@functools.lru_cache(maxsize=None)
-def _real_estimator(k: int) -> np.ndarray:
-    """``_estimator(k)`` for real frequencies: its (3^k * 2^k, 2 * 4^k) real transpose, each
-    entry's real and imaginary parts side by side.
-
-    A row of frequencies times it is the row's vec(rho) as interleaved
-    (real, imaginary) pairs, which ``.view(complex)`` reads without a copy:
-    one real product, where the complex map would first cast every
-    frequency to complex and take four real products per entry.
-    """
-    estimator = _estimator(k)
-    parts = np.stack([estimator.real.T, estimator.imag.T], axis=-1).reshape(estimator.shape[1], -1)
+    parts = np.ascontiguousarray(np.linalg.solve(m_h @ m, m_h).T).view(float)
     parts.setflags(write=False)
     return parts
 
@@ -228,25 +220,9 @@ CPTP_TP_TOL = 1e-11
 CPTP_MAX_NEWTON_STEPS = 50
 
 
-@functools.lru_cache(maxsize=None)
-def _kron_identity_index(d_in: int, d_out: int) -> np.ndarray:
-    """Flat positions of the entries ((m, p), (n, p)) of a side-d_in d_out matrix.
-
-    They are the nonzero entries of 1 (x) I in row-major order, shaped
-    (d_in, d_out, d_in): Lam (x) I adds Lam[m, n] at [m, p, n] for every p.
-    """
-    ones = np.kron(np.ones((d_in, d_in)), np.eye(d_out))
-    index = np.flatnonzero(ones).reshape(d_in, d_out, d_in)
-    index.setflags(write=False)
-    return index
-
-
 def _dual(c: np.ndarray, lam: np.ndarray) -> tuple:
     """Spectrum of C + Lam (x) I and the dual objective 1/2 ||[.]_+||^2 - Tr Lam."""
-    d_in = lam.shape[0]
-    shifted = c.copy()
-    shifted.reshape(-1)[_kron_identity_index(d_in, c.shape[0] // d_in)] += lam[:, None, :]
-    w, v = np.linalg.eigh(shifted)
+    w, v = np.linalg.eigh(c + np.kron(lam, np.eye(c.shape[0] // lam.shape[0])))
     return w, v, _dual_objective(w, lam)
 
 
@@ -358,11 +334,15 @@ def project_to_cptp(choi: np.ndarray, d_in: int) -> np.ndarray:
     ``_water_level`` at total d_in of the spectrum in hand, so that
     [C + Lam (x) I]_+ has the trace TP asks for. That mu minimizes the dual
     along I, and a scalar shift keeps the eigenvectors, so it costs no
-    ``eigh``. Each step solves the generalized Jacobian system by
-    matrix-free conjugate gradients and is damped by an Armijo line search
-    on the dual. Only the r positive eigenvalues of C + Lam (x) I carry
-    weight in that Jacobian, so each product costs two r x n x n matrix
-    products and no Kronecker product; see ``_tp_jacobian``. On 3-qubit
+    ``eigh``. Only the r positive eigenpairs (w_a, V_a) of C + Lam (x) I
+    enter a step. They give the gradient Tr_out V_a W_a V_a^H - I as one
+    d_in x r d_out x d_in product, and [C + Lam (x) I]_+ = V_a W_a V_a^H
+    itself, an n x r x n product, is formed once, for the result. Each step
+    solves the generalized Jacobian system by matrix-free conjugate gradients
+    and is damped by an Armijo line search on the dual. Only the positive
+    eigenvalues carry weight in that Jacobian too, so each product costs two
+    r x n x n matrix products and no Kronecker product; see
+    ``_tp_jacobian``. On 3-qubit
     Toffoli data at 11000 shots, r stays within 5-7 over the steps
     noise-free and within 29-33 under calibration noise. A projection then
     takes 6 ``eigh`` calls noise-free and 5 under noise (30 seeded tables
@@ -413,11 +393,14 @@ def _nearest_channel(choi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
         lam, w = lam + level * eye, w + level
         dual = _dual_objective(w, lam)
         weights = _jacobian_weights(w)
-        low = n - len(weights)  # x is built from the positive eigenpairs only
-        x = (v[:, low:] * w[low:]) @ dagger(v[:, low:])
-        grad = _partial_trace_out(x, d_in, d_out) - eye
+        # [C + Lam (x) I]_+ is V_a W_a V_a^H over the r positive eigenpairs, and its partial
+        # trace sums over the output index of V_a's rows: one d_in x r d_out x d_in product
+        low = n - len(weights)
+        va, vw = v[:, low:], v[:, low:] * w[low:]
+        grad = vw.reshape(d_in, -1) @ dagger(va.reshape(d_in, -1)) - eye
         residual = float(abs(grad).max())
         if residual <= CPTP_TP_TOL:
+            x = vw @ dagger(va)
             return (x + dagger(x)) / (2 * d_in)
         if steps == CPTP_MAX_NEWTON_STEPS:
             break

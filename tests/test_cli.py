@@ -41,13 +41,18 @@ def test_synth_with_bad_qubits_is_a_run(flags, capsys):
     assert err.startswith("error[usage]: ")
 
 
+#: more shots than numpy draws as int64 counts; 2**63 - 1 shots still run
+TOO_MANY_SHOTS = "10000000000000000000"
+
+
 @pytest.mark.parametrize("noise", [[], ["--noise", "builtin:brisbane_median"]])
-def test_simulate_with_negative_shots_is_a_run(tmp_path, capsys, noise):
+@pytest.mark.parametrize("shots", ["-5", TOO_MANY_SHOTS])
+def test_simulate_with_shots_out_of_range_is_a_usage_error(tmp_path, capsys, shots, noise):
     path = tmp_path / "circuit.txt"
     path.write_text(serialize_circuit(Circuit(3, (x(0),))))
-    code, err = _run(["simulate", str(path), "--shots", "-5", *noise], capsys)
+    code, err = _run(["simulate", str(path), "--shots", shots, *noise], capsys)
     assert code == 2
-    assert err.startswith("error[usage]: ")
+    assert err.startswith("error[usage]: --shots must be positive and at most ")
 
 
 @pytest.mark.parametrize("noise", [[], ["--noise", "builtin:brisbane_median"]])
@@ -62,10 +67,12 @@ def test_simulate_of_a_circuit_too_wide_or_not_native_is_a_usage_error(tmp_path,
 
 
 @pytest.mark.parametrize("command", [["qst"], ["qpt"]])
-def test_negative_seed_is_a_usage_error(command, capsys):
-    code, err = _run([*command, "--seed", "-1", "--repeats", "1", "--shots", "10"], capsys)
+@pytest.mark.parametrize("flags, field", [(["--seed", "-1", "--shots", "10"], "master_seed"),
+                                          (["--shots", TOO_MANY_SHOTS], "shots_per_setting")])
+def test_negative_seed_or_too_many_shots_is_a_usage_error(command, flags, field, capsys):
+    code, err = _run([*command, *flags, "--repeats", "1"], capsys)
     assert code == 2
-    assert err.startswith("error[usage]: ") and "master_seed" in err
+    assert err.startswith(f"error[usage]: {field} must be ")
 
 
 @pytest.mark.parametrize("argv", [["simulate", "{dir}"], ["calib-summary", "{dir}"],

@@ -117,12 +117,12 @@ def fresh_noiseless():
     The channel and table caches are keyed by value and live for the whole process, and so
     do the QST inputs, the target kets and the gate counts, so a test that counts what a
     first run computes starts them empty, whatever ran before. Cleared entries are simply
-    built again by the next run that needs them. The two inversion maps of ``tomography``
-    are per-process constants of another kind: built once from ``NOISELESS`` by the first
-    run that reconstructs, in any test. They are built here, before the caches are emptied,
-    so that what a test counts is its run's own work, alone or in the suite.
+    built again by the next run that needs them. The inversion map and the probe dual of
+    ``tomography`` are per-process constants of another kind: built once from ``NOISELESS``
+    by the first run that reconstructs, in any test. They are built here, before the caches
+    are emptied, so that what a test counts is its run's own work, alone or in the suite.
     """
-    tomography._estimator(3)
+    tomography._real_estimator(3)
     tomography._probe_dual(3)
     _clear_process_constants()
     yield NOISELESS

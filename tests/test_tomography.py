@@ -51,6 +51,7 @@ from conftest import (
 )
 from measurement_oracle import measurement_probabilities
 from product_oracle import kron_le, pauli_string_matrix, probe_state
+import readout_oracle
 
 
 def _exact_qst_data(state, k):
@@ -431,7 +432,8 @@ def _complex_product_estimate(frequencies, k, dual):
     """Oracle: the raw estimate from the complex inversion map, the frequencies cast to complex,
     one column per preparation, then the dual and the regroup into the normalized Choi matrix."""
     d_in, d_out = math.isqrt(len(dual)), 2 ** k
-    outputs = tomography._estimator(k) @ frequencies.reshape(len(dual), -1).T.astype(complex)
+    estimator = tomography._real_estimator(k).view(complex).T
+    outputs = estimator @ frequencies.reshape(len(dual), -1).T.astype(complex)
     superop = outputs @ dual
     return superop.reshape(d_out, d_out, d_in, d_in).transpose(2, 0, 3, 1) \
         .reshape(d_in * d_out, d_in * d_out) / d_in
@@ -452,14 +454,17 @@ def test_the_real_inversion_product_gives_the_complex_products_estimate(rng, k, 
         assert np.max(np.abs(raw - oracle)) <= 1e-15
 
 
-def test_the_real_inversion_map_is_read_only_and_built_once():
-    parts = tomography._real_estimator(3)
-    assert parts is tomography._real_estimator(3)
-    assert parts.shape == (27 * 8, 2 * 64) and parts.dtype == float
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_inversion_map_is_the_least_squares_inverse_read_only_and_built_once(k):
+    # read as complex and transposed, the one cached map is (M^H M)^-1 M^H for the noise-free
+    # measurement map M, here built gate by gate on the whole register and inverted by SVD
+    parts = tomography._real_estimator(k)
+    assert parts is tomography._real_estimator(k)
+    assert parts.shape == (3 ** k * 2 ** k, 2 * 4 ** k) and parts.dtype == float
     with pytest.raises(ValueError, match="read-only"):
         parts[0, 0] = 1.0
-    assert np.array_equal(parts[:, 0::2], tomography._estimator(3).real.T)
-    assert np.array_equal(parts[:, 1::2], tomography._estimator(3).imag.T)
+    m = readout_oracle.readout_map([measurement_rotation(s) for s in qst_settings(k)], NOISELESS)
+    assert np.max(np.abs(parts.view(complex).T - np.linalg.pinv(m))) < 1e-13
 
 
 @pytest.mark.parametrize("repeats", [1, 3, 10])
