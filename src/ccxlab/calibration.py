@@ -150,9 +150,9 @@ def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
     gate_duration: Dict[str, float] = {}
     for i, entry in enumerate(raw_gates):
         loc = f"{path}: gates[{i}]"
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise SchemaError(f"{loc}: expected an object with a 'name'")
-        name = str(entry["name"]).upper()
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise SchemaError(f"{loc}: expected an object with a string 'name'")
+        name = entry["name"].upper()
         if "error" in entry:
             gate_error[name] = _require(entry, "error", loc)
         if "duration_ns" in entry:

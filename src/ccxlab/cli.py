@@ -17,6 +17,7 @@ from .calibration import builtin_calibration_path, ingest_calibration
 from .circuits import Circuit, parse_circuit, path_graph, serialize_circuit, validate_connectivity
 from .errors import CcxlabError, UsageError
 from .experiments import (
+    HARDWARE_REFERENCE_FIDELITY,
     ExperimentConfig,
     Mode,
     emit_report,
@@ -30,6 +31,7 @@ from .simulator import (MAX_SHOTS, readout_map, run_density, sample_distribution
                         setting_distributions)
 from .states import StateKind
 from .synthesis import DecompositionStrategy, certify_toffoli, decompose_toffoli
+from .tomography import average_gate_fidelity
 from .version import __version__
 
 
@@ -104,8 +106,8 @@ def _cmd_synth(args) -> int:
         "target": args.target,
         "equivalent": report.equivalent,
         "max_abs_error": report.max_abs_error,
-        "two_qubit_gates": report.gate_count_2q,
-        "depth": report.depth,
+        "two_qubit_gates": circuit.two_qubit_count(),
+        "depth": circuit.depth(),
         "path_violations": len(violations),
     }
     if args.out:
@@ -185,17 +187,19 @@ def _cmd_report(args) -> int:
         f"mean fidelity:   {report.mean_fidelity:.5f}",
         f"std fidelity:    {report.std_fidelity:.5f}",
     ]
-    if report.kind == "qpt" and report.average_gate_fidelities:
-        agf = report.average_gate_fidelities
+    if report.kind == "qpt":
+        agf = [average_gate_fidelity(f, 3) for f in report.fidelities]
         lines.append(f"mean avg gate F: {sum(agf) / len(agf):.5f}")
     lines += [
         f"jobs x shots:    {report.num_jobs} x {report.config.get('shots_per_setting')}"
         f" = {report.total_measurements}",
         f"tool version:    {report.tool_version}",
     ]
-    if report.hardware_reference:
-        for state, f in report.hardware_reference.items():
-            lines.append(f"hardware ref:    {state} {f:.5f} (published single-run value)")
+    state = report.config.get("input_state")
+    # the echo is not type-checked, and a list would not hash
+    if report.kind == "qst" and isinstance(state, str) and state in HARDWARE_REFERENCE_FIDELITY:
+        lines.append(f"hardware ref:    {state} {HARDWARE_REFERENCE_FIDELITY[state]:.5f} "
+                     "(published single-run value)")
     print("\n".join(lines))
     return 0
 

@@ -95,13 +95,14 @@ from .tomography import (
 )
 from .version import __version__
 
-#: single-run state fidelities published for real-device execution; carried in
-#: reports purely for comparison display, never reproduced here
+#: single-run state fidelities published for real-device execution, per input state;
+#: ``ccxlab report`` prints the one of a QST report's input, and nothing reproduces them
 HARDWARE_REFERENCE_FIDELITY = {"GHZ": 0.56368, "W": 0.63689, "UNIFORM": 0.61161}
 
-#: the report layout this version writes; it also reads layout 1, which carried
-#: the last repeat's raw TP deviation as well
-REPORT_SCHEMA_VERSION = 2
+#: the report layout this version writes. It also reads layouts 1 and 2, which carried
+#: each QPT repeat's average gate fidelity and a QST input's hardware reference as well,
+#: and layout 1 the last repeat's raw TP deviation
+REPORT_SCHEMA_VERSION = 3
 
 DEFAULT_CONTROLS = (0, 1)
 DEFAULT_TARGET = 2
@@ -142,6 +143,11 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise UsageError(f"{name} must be an integer >= {least}, got {value!r}")
             object.__setattr__(self, name, int(value))
+        for name in ("exact_probabilities", "apply_readout"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise UsageError(f"{name} must be a bool, got {value!r}")
+            object.__setattr__(self, name, bool(value))
         if self.shots_per_setting > MAX_SHOTS:
             raise UsageError(f"shots_per_setting must be at most {MAX_SHOTS}, "
                              f"got {self.shots_per_setting}")
@@ -186,17 +192,17 @@ class Report:
     fidelities: Tuple[float, ...]
     mean_fidelity: float
     std_fidelity: float
-    average_gate_fidelities: Optional[Tuple[float, ...]]
     gate_counts: Dict[str, int]
     num_jobs: int
     total_measurements: int
     config: Dict[str, object]
-    hardware_reference: Optional[Dict[str, float]]
     tool_version: str
     wall_seconds: float
     created_at: str
 
     def __post_init__(self):
+        if not self.fidelities:
+            raise ValueError("a report needs at least one fidelity")
         for f in self.fidelities:
             if not 0.0 <= f <= 1.0:
                 raise ValueError(f"fidelity {f} outside [0, 1]")
@@ -213,8 +219,7 @@ _QPT_JOBS = len(PROBE_LABELS) ** 3 * _QST_JOBS
 
 
 def _make_report(kind: str, fidelities: Sequence[float], cfg: ExperimentConfig,
-                 gate_counts: Mapping[str, int], num_jobs: int, wall: float,
-                 average_gate_fidelities: Optional[Sequence[float]] = None) -> Report:
+                 gate_counts: Mapping[str, int], num_jobs: int, wall: float) -> Report:
     fids = tuple(float(f) for f in fidelities)
     # correctly rounded sums: the mean and sample sd within an ulp of numpy's, for a
     # tenth of the cost
@@ -225,21 +230,16 @@ def _make_report(kind: str, fidelities: Sequence[float], cfg: ExperimentConfig,
     cfg_echo = {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
     for name, _ in _ENUM_FIELDS:
         cfg_echo[name] = cfg_echo[name].value
-    state = cfg.input_state.value
-    hardware = {state: HARDWARE_REFERENCE_FIDELITY[state]} if kind == "qst" else None
     return Report(
         schema_version=REPORT_SCHEMA_VERSION,
         kind=kind,
         fidelities=fids,
         mean_fidelity=mean,
         std_fidelity=std,
-        average_gate_fidelities=(tuple(float(f) for f in average_gate_fidelities)
-                                 if average_gate_fidelities is not None else None),
         gate_counts=dict(gate_counts),
         num_jobs=num_jobs,
         total_measurements=num_jobs * cfg.shots_per_setting,
         config=cfg_echo,
-        hardware_reference=hardware,
         tool_version=__version__,
         wall_seconds=wall,
         created_at=datetime.now(timezone.utc).isoformat(),
@@ -392,9 +392,7 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
                                  for table in tables]),
         _choi_ket())
     return _make_report("qpt", fidelities, cfg, _gate_counts(cfg.strategy, "qpt"),
-                        num_jobs=_QPT_JOBS,
-                        wall=time.perf_counter() - start,
-                        average_gate_fidelities=[average_gate_fidelity(f, 3) for f in fidelities])
+                        num_jobs=_QPT_JOBS, wall=time.perf_counter() - start)
 
 
 # -- report files ------------------------------------------------------------------
@@ -403,8 +401,8 @@ def report_to_dict(report: Report) -> dict:
     """``dataclasses.asdict(report)`` without its deep copy, at a tenth of its cost.
 
     Each field's own value, except that a dict field (the gate counts, the
-    config echo, the hardware reference) is copied: the rest are numbers,
-    strings and tuples of floats, which nothing can change.
+    config echo) is copied: the rest are numbers, strings and a tuple of
+    floats, which nothing can change.
     """
     values = ((name, getattr(report, name)) for name in _REPORT_FIELDS)
     return {name: dict(v) if isinstance(v, dict) else v for name, v in values}
@@ -415,9 +413,6 @@ def _json_check(hint) -> Callable[[object], bool]:
 
     Built once per field, so a load does not walk the annotations again."""
     origin, args = get_origin(hint), get_args(hint)
-    if origin is Union:  # Optional[X]
-        inner = _json_check(args[0])
-        return lambda v: v is None or inner(v)
     if origin is tuple:  # Tuple[X, ...], a JSON array
         item = _json_check(args[0])
         return lambda v: type(v) is list and all(map(item, v))
@@ -434,16 +429,21 @@ _REPORT_CHECKS = {name: _json_check(hint) for name, hint in get_type_hints(Repor
 
 
 def report_from_dict(payload: dict) -> Report:
-    """The ``Report`` of a schema v1 or v2 payload; a field of the wrong JSON type is a
-    ``SchemaError`` that names it."""
+    """The ``Report`` of a schema v1, v2 or v3 payload.
+
+    An older layout keeps only the fields a report still has, so it loads equal
+    to the same run's v3 report: what it also carried (average gate fidelities,
+    hardware reference, raw TP deviation) is dropped unread. A missing field, or
+    one of the wrong JSON type, is an error that names it.
+    """
     payload = dict(payload)
     version = payload.get("schema_version")
     # an integer, not merely equal to one: True == 1 in Python
-    if type(version) is not int or version not in (1, REPORT_SCHEMA_VERSION):
+    if type(version) is not int or version not in range(1, REPORT_SCHEMA_VERSION + 1):
         raise ValueError(f"unknown schema_version {version!r} "
-                         f"(expected 1 or {REPORT_SCHEMA_VERSION})")
-    if version == 1:  # keep the fields a report still has: all but the raw TP deviation
-        payload = {f.name: payload[f.name] for f in fields(Report)}
+                         f"(expected 1 to {REPORT_SCHEMA_VERSION})")
+    if version != REPORT_SCHEMA_VERSION:
+        payload = {name: payload[name] for name in _REPORT_FIELDS}
         payload["schema_version"] = REPORT_SCHEMA_VERSION
     for name, check in _REPORT_CHECKS.items():
         if name in payload and not check(payload[name]):
@@ -451,13 +451,12 @@ def report_from_dict(payload: dict) -> Report:
             raise SchemaError(f"field {name!r} must be {Report.__annotations__[name]}, "
                               f"got {payload[name]!r}")
     payload["fidelities"] = tuple(payload["fidelities"])
-    if payload.get("average_gate_fidelities") is not None:
-        payload["average_gate_fidelities"] = tuple(payload["average_gate_fidelities"])
     return Report(**payload)
 
 
 def emit_report(report: Report, fmt: str, path: Union[str, Path]) -> Path:
-    """Write a report as versioned JSON or per-repeat CSV rows."""
+    """Write a report as versioned JSON or per-repeat CSV rows; a QPT report's rows also
+    give each repeat's average gate fidelity."""
     path = Path(path)
     fmt = fmt.lower()
     try:
@@ -466,15 +465,10 @@ def emit_report(report: Report, fmt: str, path: Union[str, Path]) -> Path:
         elif fmt == "csv":
             with path.open("w", newline="") as fh:
                 writer = csv.writer(fh)
-                header = ["repeat", "fidelity"]
-                if report.average_gate_fidelities is not None:
-                    header.append("average_gate_fidelity")
-                writer.writerow(header)
+                qpt = report.kind == "qpt"
+                writer.writerow(["repeat", "fidelity"] + ["average_gate_fidelity"] * qpt)
                 for i, f in enumerate(report.fidelities):
-                    row = [i, repr(f)]
-                    if report.average_gate_fidelities is not None:
-                        row.append(repr(report.average_gate_fidelities[i]))
-                    writer.writerow(row)
+                    writer.writerow([i, repr(f)] + [repr(average_gate_fidelity(f, 3))] * qpt)
         else:
             raise UsageError(f"unknown report format {fmt!r} (json or csv)")
     except OSError as exc:

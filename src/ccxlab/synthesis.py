@@ -53,8 +53,6 @@ class EquivalenceReport:
     equivalent: bool
     phase: complex
     max_abs_error: float
-    gate_count_2q: int = 0
-    depth: int = 0
 
 
 def toffoli_unitary(controls: Sequence[int], target: int, num_qubits: int = 3) -> np.ndarray:
@@ -83,9 +81,7 @@ def equivalent_up_to_global_phase(u: np.ndarray, v: np.ndarray,
 def certify_toffoli(circuit: Circuit, controls: Sequence[int], target: int,
                     tol: float = 1e-10) -> EquivalenceReport:
     ref = toffoli_unitary(controls, target, circuit.num_qubits)
-    rep = equivalent_up_to_global_phase(circuit_unitary(circuit), ref, tol)
-    return EquivalenceReport(rep.equivalent, rep.phase, rep.max_abs_error,
-                             circuit.two_qubit_count(), circuit.depth())
+    return equivalent_up_to_global_phase(circuit_unitary(circuit), ref, tol)
 
 
 # -- native single-qubit building blocks --------------------------------------

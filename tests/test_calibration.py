@@ -35,6 +35,18 @@ def test_a_gate_table_that_is_not_an_array_is_a_schema_error(tmp_path, gates):
     assert str(path) in str(error.value)
 
 
+@pytest.mark.parametrize("name", [None, 5, True, ["ECR"], {"ECR": 1}])
+def test_a_gate_entry_whose_name_is_not_a_string_is_a_schema_error(tmp_path, capsys, name):
+    # a null name used to ingest as gate "NONE", and 5 as gate "5"
+    path = _write(tmp_path, gates=[{"name": "SX", "error": 0.001}, {"name": name, "error": 0.01}])
+    with pytest.raises(SchemaError, match=r"gates\[1\]: expected an object with a string 'name'") \
+            as error:
+        ingest_calibration(path)
+    assert str(path) in str(error.value)
+    assert cli.main(["calib-summary", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error[schema]: ")
+
+
 @pytest.mark.parametrize("name, error", [("ECR", 0.75), ("ECR", 0.9), ("SX", 0.5),
                                          ("X", 0.6), ("ID", 0.5)])
 def test_a_gate_error_no_depolarizing_channel_realises_is_a_schema_error(tmp_path, name, error):

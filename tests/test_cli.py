@@ -15,7 +15,7 @@ from ccxlab import cli
 from ccxlab.circuits import Circuit, serialize_circuit
 from ccxlab.experiments import Report
 from ccxlab.gates import x
-from ccxlab.synthesis import DecompositionStrategy
+from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli
 from ccxlab.version import __version__
 
 
@@ -129,6 +129,16 @@ def test_synth_with_each_strategy_exits_zero(strategy, capsys):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("strategy, two_qubit", [("FULL_6CNOT", 6), ("LNN_8CNOT", 8),
+                                                 ("LNN_9CNOT_RZSX", 9), ("ECR_NATIVE", 8)])
+def test_synth_prints_the_circuits_two_qubit_count_and_depth(strategy, two_qubit, capsys):
+    assert cli.main(["synth", "--strategy", strategy]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    circuit = decompose_toffoli(DecompositionStrategy(strategy), (0, 1), 2)
+    assert (summary["two_qubit_gates"], summary["depth"]) == (two_qubit, circuit.depth())
+    assert summary["equivalent"] is True
+
+
 def test_report_with_unknown_format_exits_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["report", str(tmp_path / "report.json"), "--format", "xml"])
@@ -169,10 +179,9 @@ def test_simulate_with_a_non_finite_gate_parameter_is_a_schema_error(tmp_path, c
 #: one value of the wrong JSON type for each field of a saved report
 _WRONG_TYPES = {
     "schema_version": "2", "kind": 1, "fidelities": "0.5", "mean_fidelity": "x",
-    "std_fidelity": None, "average_gate_fidelities": ["x"],
-    "gate_counts": {"toffoli_two_qubit": 8.5}, "num_jobs": "27", "total_measurements": 1.5,
-    "config": None, "hardware_reference": {"GHZ": "x"}, "tool_version": 1,
-    "wall_seconds": True, "created_at": None,
+    "std_fidelity": None, "gate_counts": {"toffoli_two_qubit": 8.5}, "num_jobs": "27",
+    "total_measurements": 1.5, "config": None, "tool_version": 1, "wall_seconds": True,
+    "created_at": None,
 }
 
 

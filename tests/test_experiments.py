@@ -18,6 +18,7 @@ from ccxlab.errors import SchemaError, UsageError
 from ccxlab.experiments import (
     DEFAULT_CONTROLS,
     DEFAULT_TARGET,
+    HARDWARE_REFERENCE_FIDELITY,
     ExperimentConfig,
     Mode,
     emit_report,
@@ -30,7 +31,7 @@ from ccxlab.noise import NOISELESS
 from ccxlab.qmath import state_fidelity
 from ccxlab.states import PROBE_LABELS, StateKind, prepare_state, probe_circuit, target_state
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
-from ccxlab.tomography import qst_reconstruct
+from ccxlab.tomography import average_gate_fidelity, qst_reconstruct
 
 from conftest import unprojected
 
@@ -670,6 +671,27 @@ def test_integer_config_fields_accept_numpy_integers():
     assert type(cfg.master_seed) is int and type(cfg.repeats) is int
 
 
+@pytest.mark.parametrize("value", ["no", None, 0, 1, np.int64(1), 1.0])
+@pytest.mark.parametrize("field", ["exact_probabilities", "apply_readout"])
+def test_boolean_config_fields_reject_other_types(field, value):
+    # checked before the noise-free check, which a falsy apply_readout would trip
+    with pytest.raises(UsageError, match=f"^{field} must be a bool, got ") as error:
+        ExperimentConfig(**{field: value})
+    assert error.value.exit_code == 2
+
+
+def test_boolean_config_fields_accept_numpy_bools(tmp_path):
+    # stored as Python bools, so the report's config echo saves as JSON
+    cfg = ExperimentConfig(exact_probabilities=np.True_, apply_readout=np.True_, repeats=1)
+    assert type(cfg.exact_probabilities) is bool and type(cfg.apply_readout) is bool
+    report = run_qst_experiment(cfg)
+    assert report.config["exact_probabilities"] is True
+    assert load_report(emit_report(report, "json", tmp_path / "r.json")) == report
+    aware = ExperimentConfig(mode="NOISE_AWARE", calibration_path=BRISBANE,
+                             apply_readout=np.False_)
+    assert aware.apply_readout is False
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, "3", True, None, 1j])
 def test_noise_scale_must_be_a_finite_nonnegative_real(value):
     with pytest.raises(UsageError, match="noise_scale") as error:
@@ -781,20 +803,22 @@ def test_a_json_report_loads_back_equal(sampled_report, tmp_path):
 
 
 def test_csv_rows_reproduce_the_fidelities_exactly(sampled_report, tmp_path):
+    # a QPT row also gives the repeat's average gate fidelity, computed from its fidelity
     path = emit_report(sampled_report, "csv", tmp_path / "r.csv")
     header, *rows = list(csv.reader(path.open(newline="")))
-    agf = sampled_report.average_gate_fidelities
-    assert header == ["repeat", "fidelity"] + (["average_gate_fidelity"] if agf else [])
+    qpt = sampled_report.kind == "qpt"
+    assert header == ["repeat", "fidelity"] + (["average_gate_fidelity"] if qpt else [])
     assert [int(row[0]) for row in rows] == list(range(3))
     assert tuple(float(row[1]) for row in rows) == sampled_report.fidelities
     assert [row[1] for row in rows] == [repr(f) for f in sampled_report.fidelities]
-    if agf is not None:
-        assert tuple(float(row[2]) for row in rows) == agf
+    if qpt:
+        assert [row[2] for row in rows] == [repr(average_gate_fidelity(f, 3))
+                                            for f in sampled_report.fidelities]
     else:
         assert all(len(row) == 2 for row in rows)
 
 
-@pytest.mark.parametrize("version", [0, 3, "1", None, True, 1.0])
+@pytest.mark.parametrize("version", [0, 4, "1", None, True, 1.0])
 def test_load_report_rejects_unknown_schema_version(report_file, version):
     payload = json.loads(report_file.read_text())
     payload["schema_version"] = version
@@ -806,7 +830,7 @@ def test_load_report_rejects_unknown_schema_version(report_file, version):
 def test_cli_report_exit_codes(report_file, capsys):
     assert cli.main(["report", str(report_file)]) == 0
     payload = json.loads(report_file.read_text())
-    payload["schema_version"] = 3
+    payload["schema_version"] = 4
     report_file.write_text(json.dumps(payload))
     assert cli.main(["report", str(report_file)]) == 3
     assert "schema_version" in capsys.readouterr().err
@@ -818,11 +842,11 @@ def test_cli_report_prints_the_mean_average_gate_fidelity_of_qpt_only(sampled_re
     assert cli.main(["report", str(path)]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("mean avg gate F:")]
-    agf = sampled_report.average_gate_fidelities
     if sampled_report.kind == "qpt":
+        agf = [average_gate_fidelity(f, 3) for f in sampled_report.fidelities]
         assert lines == [f"mean avg gate F: {sum(agf) / len(agf):.5f}"]
     else:
-        assert agf is None and lines == []
+        assert lines == []
 
 
 def test_report_to_dict_gives_what_asdict_gives(sampled_report):
@@ -840,7 +864,7 @@ def test_mutating_report_to_dicts_nested_dicts_leaves_the_report_unchanged(sampl
     before = dataclasses.asdict(sampled_report)
     payload = experiments.report_to_dict(sampled_report)
     nested = [value for value in payload.values() if isinstance(value, dict)]
-    assert len(nested) == (3 if sampled_report.kind == "qst" else 2)
+    assert len(nested) == 2
     for value in nested:
         value["added"] = 1
         del value[next(iter(value))]
@@ -848,16 +872,84 @@ def test_mutating_report_to_dicts_nested_dicts_leaves_the_report_unchanged(sampl
     assert experiments.report_to_dict(sampled_report) == before
 
 
-def test_a_version_1_report_loads_as_the_same_report_at_version_2(sampled_report, tmp_path,
-                                                                 capsys):
-    # layout 1 also carried tp_deviation_raw: None for state tomography, and for process
-    # tomography the last repeat's raw TP deviation, round-off by construction
-    payload = experiments.report_to_dict(sampled_report)
-    assert payload["schema_version"] == 2
-    payload["schema_version"] = 1
-    payload["tp_deviation_raw"] = None if sampled_report.kind == "qst" else 7.6e-16
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(payload))
+def _older_layout(report, version):
+    """``report`` as layout 1 or 2 saved it, with the fields that layout had."""
+    qst = report.kind == "qst"
+    payload = experiments.report_to_dict(report)
+    payload["schema_version"] = version
+    payload["average_gate_fidelities"] = \
+        None if qst else [average_gate_fidelity(f, 3) for f in report.fidelities]
+    state = report.config["input_state"]
+    payload["hardware_reference"] = {state: HARDWARE_REFERENCE_FIDELITY[state]} if qst else None
+    if version == 1:
+        # None for state tomography, and for process tomography the last repeat's raw TP
+        # deviation, round-off by construction
+        payload["tp_deviation_raw"] = None if qst else 7.6e-16
+    return payload
+
+
+def _cli_report(path, capsys, *flags):
+    assert cli.main(["report", *map(str, (path, *flags))]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_an_older_layout_loads_as_the_same_report_at_version_3(sampled_report, version,
+                                                               tmp_path, capsys):
+    current = emit_report(sampled_report, "json", tmp_path / "v3.json")
+    assert json.loads(current.read_text())["schema_version"] == 3
+    path = tmp_path / f"v{version}.json"
+    path.write_text(json.dumps(_older_layout(sampled_report, version)))
     assert load_report(path) == sampled_report
-    assert cli.main(["report", str(path)]) == 0
-    assert "mean fidelity" in capsys.readouterr().out
+    assert _cli_report(path, capsys) == _cli_report(current, capsys)
+    _cli_report(path, capsys, "--out", tmp_path / "old.csv")
+    _cli_report(current, capsys, "--out", tmp_path / "new.csv")
+    assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+
+
+def test_a_version_2_qpt_report_with_fewer_stored_gate_fidelities_converts(tmp_path, capsys):
+    # the CSV column is computed from the fidelities; a stored list one short of them was
+    # an IndexError
+    report = run_qpt_experiment(_config(repeats=2, shots_per_setting=300))
+    payload = _older_layout(report, 2)
+    payload["average_gate_fidelities"] = payload["average_gate_fidelities"][:1]
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(payload))
+    _cli_report(path, capsys, "--out", tmp_path / "r.csv")
+    header, *rows = list(csv.reader((tmp_path / "r.csv").open(newline="")))
+    assert header == ["repeat", "fidelity", "average_gate_fidelity"]
+    assert rows == [[str(i), repr(f), repr(average_gate_fidelity(f, 3))]
+                    for i, f in enumerate(report.fidelities)]
+
+
+@pytest.mark.parametrize("state", [s.value for s in StateKind])
+def test_cli_report_prints_the_hardware_reference_of_a_qst_input(state, tmp_path, capsys):
+    report = run_qst_experiment(_config(state=state, exact=True, repeats=1))
+    out = _cli_report(emit_report(report, "json", tmp_path / "r.json"), capsys)
+    assert out.splitlines()[-1] == (f"hardware ref:    {state} "
+                                    f"{HARDWARE_REFERENCE_FIDELITY[state]:.5f} "
+                                    "(published single-run value)")
+
+
+@pytest.mark.parametrize("kind, state", [("qst", "BASIS"), ("qst", ["GHZ"]), ("qst", None),
+                                         ("qpt", "GHZ")])
+def test_cli_report_prints_no_hardware_reference_outside_the_table(report_file, kind, state,
+                                                                   capsys):
+    # a QPT run prepares no input state, and the config echo is not type-checked
+    payload = json.loads(report_file.read_text())
+    payload["kind"] = kind
+    payload["config"]["input_state"] = state
+    report_file.write_text(json.dumps(payload))
+    assert "hardware ref" not in _cli_report(report_file, capsys)
+
+
+def test_a_report_with_no_fidelities_is_a_schema_error(report_file, capsys):
+    # it loaded, and ccxlab report printed "repeats: 0" next to the stored mean fidelity
+    payload = json.loads(report_file.read_text())
+    payload["fidelities"] = []
+    report_file.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError, match="at least one fidelity") as error:
+        load_report(report_file)
+    assert error.value.exit_code == 3
+    assert cli.main(["report", str(report_file)]) == 3
+    assert capsys.readouterr().err.startswith("error[schema]: ")

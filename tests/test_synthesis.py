@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import defaultdict
@@ -198,6 +199,16 @@ def test_without_a_coupling_graph_a_path_is_three_consecutive_qubits():
 
 
 # -- equivalence reporting ---------------------------------------------------------
+
+@pytest.mark.parametrize("strategy", list(DecompositionStrategy))
+def test_certify_toffoli_is_the_equivalence_check_of_the_circuits_unitary(strategy):
+    # the report holds the check alone; the circuit has its own gate counts
+    c = decompose_toffoli(strategy, (0, 1), 2)
+    report = certify_toffoli(c, (0, 1), 2)
+    assert report == equivalent_up_to_global_phase(circuit_unitary(c), toffoli_unitary((0, 1), 2))
+    assert [f.name for f in dataclasses.fields(report)] == ["equivalent", "phase",
+                                                            "max_abs_error"]
+
 
 def test_equivalence_identity_case(rng):
     u = random_unitary(8, rng)
