@@ -180,6 +180,8 @@ def parse_circuit(text: str) -> Circuit:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError(lineno, f"malformed header {line!r}")
             num_qubits = int(parts[1])
+            if num_qubits < 1:
+                raise ParseError(lineno, "a circuit needs at least one qubit")
             continue
         if num_qubits is None:
             raise ParseError(lineno, "gate line before 'qubits N' header")
@@ -208,9 +210,8 @@ def parse_circuit(text: str) -> Circuit:
             gates.append(GateDef(gate_name, qubits, params))
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
+        if max(qubits) >= num_qubits:
+            raise ParseError(lineno, f"gate {name} on {qubits} exceeds {num_qubits}-qubit register")
     if num_qubits is None:
         raise ParseError(0, "missing 'qubits N' header")
-    try:
-        return Circuit(num_qubits, tuple(gates))
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from None
+    return Circuit(num_qubits, tuple(gates))

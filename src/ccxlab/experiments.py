@@ -15,21 +15,22 @@ per (preparation, setting) cell. The two modes differ only in the model.
 Each repeat draws seeded finite-shot counts from that table and is
 reconstructed, and one ``state_fidelity`` call scores the stack of all
 repeats' estimates against the target ket: U|in> for state tomography, the
-Choi ket of U for process tomography. The two differ only in the
-preparations, estimator and ket they hand to that one run, ``_run``. State
-tomography reconstructs all repeats in one call on their stacked tables;
-process tomography draws and reconstructs one table at a time.
+Choi ket of U for process tomography. The two differ only in the kind,
+preparations and estimator they hand to that one run, ``_run``, which times
+it and writes its report. State tomography reconstructs all repeats in one
+call on their stacked tables; process tomography draws and reconstructs one
+table at a time.
 
 What a run computes lives as long as what it depends on:
 
 * Per process: whatever depends on neither the model nor the seed. The
-  Toffoli under test per strategy, the Choi ket of U, the three QST inputs,
-  each a circuit and its target ket U|in>, and the gate counts per
-  (strategy, input or "qpt"). The three inputs are built together, on the
-  first run that needs one, so no later run prepares any. Their arrays are
-  read-only, and every report gets its own copy of the gate counts. The
-  estimators' two inversion maps are per process too: ``tomography`` builds
-  them once, read-only, from ``NOISELESS``.
+  Toffoli under test, synthesized once per strategy, and one read-only
+  record per (strategy, preparations), ``_subject``: the QST input circuit
+  (none for "qpt"), the target ket and the report's gate counts, which
+  each report copies. A first run builds its own input's record only, and
+  a run of an input or kind that has run before builds, prepares and
+  synthesizes nothing. ``tomography`` builds the estimators' two inversion
+  maps once per process too, read-only, from ``NOISELESS``.
 * Per model: its gate channels, its exact outcome tables and their draw
   forms. A table is a pure function of the model, the strategy and the
   preparations, the QST input or "qpt", so ``_table`` is an ``lru_cache``
@@ -70,8 +71,8 @@ from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import (Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple,
-                    Union, get_args, get_origin, get_type_hints)
+from typing import (Callable, Dict, Hashable, Iterator, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union, get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -212,47 +213,33 @@ class Report:
 _CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 _REPORT_FIELDS = tuple(f.name for f in fields(Report))
 
-#: the jobs of one repeat: the 27 settings of state tomography, and those 27 for each of
-#: the 64 probes of process tomography
-_QST_JOBS = len(qst_settings(3))
-_QPT_JOBS = len(PROBE_LABELS) ** 3 * _QST_JOBS
+#: the jobs of one repeat, per kind: the 27 settings of state tomography, and those 27 for
+#: each of the 64 probes of process tomography
+_JOBS = {"qst": len(qst_settings(3)), "qpt": len(PROBE_LABELS) ** 3 * len(qst_settings(3))}
+
+
+def _mean_sd(fids: Sequence[float]) -> Tuple[float, float]:
+    """The mean and sample sd of ``fids``, 0.0 for one value: correctly rounded sums, within
+    an ulp of numpy's, for a tenth of the cost."""
+    mean = math.fsum(fids) / len(fids)
+    return mean, math.sqrt(math.fsum([(f - mean) ** 2 for f in fids]) / (len(fids) - 1)) \
+        if len(fids) > 1 else 0.0
 
 
 def _make_report(kind: str, fidelities: Sequence[float], cfg: ExperimentConfig,
-                 gate_counts: Mapping[str, int], num_jobs: int, wall: float) -> Report:
+                 gate_counts: Mapping[str, int], wall: float) -> Report:
     fids = tuple(float(f) for f in fidelities)
-    # correctly rounded sums: the mean and sample sd within an ulp of numpy's, for a
-    # tenth of the cost
-    mean = math.fsum(fids) / len(fids)
-    std = math.sqrt(math.fsum([(f - mean) ** 2 for f in fids]) / (len(fids) - 1)) \
-        if len(fids) > 1 else 0.0
+    mean, std = _mean_sd(fids)
     # the fields as they are, enums by value: asdict would deep-copy each value
     cfg_echo = {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
     for name, _ in _ENUM_FIELDS:
         cfg_echo[name] = cfg_echo[name].value
-    return Report(
-        schema_version=REPORT_SCHEMA_VERSION,
-        kind=kind,
-        fidelities=fids,
-        mean_fidelity=mean,
-        std_fidelity=std,
-        gate_counts=dict(gate_counts),
-        num_jobs=num_jobs,
-        total_measurements=num_jobs * cfg.shots_per_setting,
-        config=cfg_echo,
-        tool_version=__version__,
-        wall_seconds=wall,
-        created_at=datetime.now(timezone.utc).isoformat(),
-    )
-
-
-def _gate_count_summary(toffoli: Circuit, full: Circuit) -> Dict[str, int]:
-    return {
-        "toffoli_two_qubit": toffoli.two_qubit_count(),
-        "toffoli_depth": toffoli.depth(),
-        "circuit_two_qubit": full.two_qubit_count(),
-        "circuit_depth": full.depth(),
-    }
+    jobs = _JOBS[kind]
+    return Report(schema_version=REPORT_SCHEMA_VERSION, kind=kind, fidelities=fids,
+                  mean_fidelity=mean, std_fidelity=std, gate_counts=dict(gate_counts),
+                  num_jobs=jobs, total_measurements=jobs * cfg.shots_per_setting,
+                  config=cfg_echo, tool_version=__version__, wall_seconds=wall,
+                  created_at=datetime.now(timezone.utc).isoformat())
 
 
 # -- per-process constants -------------------------------------------------------
@@ -268,32 +255,31 @@ def _toffoli(strategy: DecompositionStrategy) -> Circuit:
     return decompose_toffoli(strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
 
 
-@functools.lru_cache(maxsize=None)
-def _qst_inputs() -> Mapping[StateKind, Tuple[Circuit, np.ndarray]]:
-    """Per input state, its native preparation and its read-only target ket U|in>.
+class _Subject(NamedTuple):
+    """A run's input circuit (None for "qpt"), target ket and report gate counts."""
+    circuit: Optional[Circuit]
+    ket: np.ndarray
+    gate_counts: Mapping[str, int]
 
-    All three are built together, once per process, on the first run that
-    needs one, so no later run prepares any input.
+
+@functools.lru_cache(maxsize=None)
+def _subject(strategy: DecompositionStrategy, preparations: Hashable) -> _Subject:
+    """The read-only ``_Subject`` of ``strategy``'s Toffoli on ``preparations``, once per process.
+
+    For a QST input, a ``StateKind``: its native preparation, U|in>, and the
+    counts of the Toffoli after it. For "qpt", whose probes ``product_states``
+    builds: no circuit, the Choi ket of U, and the counts of the Toffoli
+    alone, since the probes vary per job.
     """
-    u = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET)
-    return MappingProxyType({kind: (prepare_state(kind), _read_only(u @ target_state(kind)))
-                             for kind in StateKind})
-
-
-@functools.lru_cache(maxsize=None)
-def _choi_ket() -> np.ndarray:
-    """The read-only Choi ket of U, process tomography's target, once per process."""
-    return _read_only(choi_ket_of_unitary(toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET)))
-
-
-@functools.lru_cache(maxsize=None)
-def _gate_counts(strategy: DecompositionStrategy, preparations: Hashable) -> Mapping[str, int]:
-    """The report's gate counts, once per process and read-only: the Toffoli under test after
-    the QST input ``preparations`` or, for "qpt", alone, since probe preparations vary per
-    job. Each report holds its own copy."""
-    toffoli = _toffoli(strategy)
-    full = toffoli if preparations == "qpt" else _qst_inputs()[preparations][0].concat(toffoli)
-    return MappingProxyType(_gate_count_summary(toffoli, full))
+    u, toffoli = toffoli_unitary(DEFAULT_CONTROLS, DEFAULT_TARGET), _toffoli(strategy)
+    if preparations == "qpt":
+        circuit, ket, full = None, choi_ket_of_unitary(u), toffoli
+    else:
+        circuit = prepare_state(preparations)
+        ket, full = u @ target_state(preparations), circuit.concat(toffoli)
+    return _Subject(circuit, _read_only(ket), MappingProxyType({
+        "toffoli_two_qubit": toffoli.two_qubit_count(), "toffoli_depth": toffoli.depth(),
+        "circuit_two_qubit": full.two_qubit_count(), "circuit_depth": full.depth()}))
 
 
 # -- measurement ---------------------------------------------------------------
@@ -324,14 +310,14 @@ def _table(nm: NoiseModel, strategy: DecompositionStrategy,
     both read-only, of shape (preparations, 27, 8).
 
     ``preparations`` names the prepared states by value: a ``StateKind``, whose
-    input circuit runs whole on the register, or "qpt", the 64 probe states of
-    ``product_states``. The strategy names the Toffoli, whose 44 gates would
-    cost ~11 us a call to hash.
+    input circuit, read from ``_subject``, runs whole on the register, or "qpt",
+    the 64 probe states of ``product_states``. The strategy names the Toffoli,
+    whose 44 gates would cost ~11 us a call to hash.
     """
     if preparations == "qpt":
         prepared = product_states(probe_alphabet(), 3, nm)
     else:
-        prepared = run_density(_qst_inputs()[preparations][0], nm)[..., None]
+        prepared = run_density(_subject(strategy, preparations).circuit, nm)[..., None]
     table = _read_only(_distributions(prepared, _toffoli(strategy), nm))
     return table, draw_form(table)
 
@@ -342,39 +328,35 @@ def _frequencies(tables: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
     return tables if cfg.exact_probabilities else tables / cfg.shots_per_setting
 
 
-def _run(cfg: ExperimentConfig, nm: NoiseModel, preparations: Hashable,
-         estimate: Callable[[Iterator[np.ndarray]], np.ndarray],
-         reference: np.ndarray) -> List[float]:
-    """Every repeat's fidelity of the Toffoli under test against the target ket ``reference``.
+def _run(cfg: ExperimentConfig, kind: str, preparations: Hashable,
+         estimate: Callable[[Iterator[np.ndarray]], np.ndarray]) -> Report:
+    """The timed ``kind`` report of the Toffoli under ``cfg.noise_model()`` on the
+    ``preparations`` that ``_table`` and ``_subject`` name.
 
-    The Toffoli runs under ``nm``, the run's ``cfg.noise_model()``, on the
-    ``preparations`` that ``_table`` names. Every repeat's table has that
-    table's shape: the exact table itself when ``cfg.exact_probabilities``,
-    otherwise repeat r's counts, ``draws`` of the draw form seeded
-    (master_seed, r). ``estimate`` takes those tables, lazily and in repeat
-    order, and hands their ``_frequencies`` to the estimator. It returns the
-    (repeats, d, d) stack of their estimates, states or Choi matrices, in the
-    same order, and one ``state_fidelity`` call scores the whole stack.
+    Every repeat's table is the exact table itself when
+    ``cfg.exact_probabilities``, otherwise repeat r's counts, ``draws`` of the
+    draw form seeded (master_seed, r). ``estimate`` takes those tables, lazily
+    and in repeat order, and hands their ``_frequencies`` to the estimator. It
+    returns the (repeats, d, d) stack of their estimates, states or Choi
+    matrices, and one ``state_fidelity`` call scores it against the target ket.
     """
-    table, form = _table(nm, cfg.strategy, preparations)
+    start = time.perf_counter()
+    subject = _subject(cfg.strategy, preparations)
+    table, form = _table(cfg.noise_model(), cfg.strategy, preparations)
     if cfg.exact_probabilities:
         tables = itertools.repeat(table, cfg.repeats)
     else:
         seeds = ((cfg.master_seed, repeat) for repeat in range(cfg.repeats))
         tables = draws(form, cfg.shots_per_setting, seeds)
-    return state_fidelity(estimate(tables), reference).tolist()
+    fidelities = state_fidelity(estimate(tables), subject.ket).tolist()
+    return _make_report(kind, fidelities, cfg, subject.gate_counts, time.perf_counter() - start)
 
 
 def run_qst_experiment(cfg: ExperimentConfig) -> Report:
     """State tomography of the Toffoli output for the configured input state (27 jobs)."""
-    start = time.perf_counter()
-    fidelities = _run(cfg, cfg.noise_model(), cfg.input_state,
-                      # the repeats' counts are stacked first, then divided in one go
-                      lambda tables: qst_reconstruct(
-                          _frequencies(np.concatenate(tuple(tables)), cfg), 3),
-                      _qst_inputs()[cfg.input_state][1])
-    return _make_report("qst", fidelities, cfg, _gate_counts(cfg.strategy, cfg.input_state),
-                        num_jobs=_QST_JOBS, wall=time.perf_counter() - start)
+    # the repeats' counts are stacked first, then divided in one go
+    return _run(cfg, "qst", cfg.input_state, lambda tables: qst_reconstruct(
+        _frequencies(np.concatenate(tuple(tables)), cfg), 3))
 
 
 def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
@@ -384,15 +366,9 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
     ``itertools.product(PROBE_LABELS, repeat=3)`` order, each with the 27
     settings in ``qst_settings`` order.
     """
-    start = time.perf_counter()
     # the probes are constant, so one marker names them
-    fidelities = _run(
-        cfg, cfg.noise_model(), "qpt",
-        lambda tables: np.stack([qpt_reconstruct(_frequencies(table, cfg), 3)
-                                 for table in tables]),
-        _choi_ket())
-    return _make_report("qpt", fidelities, cfg, _gate_counts(cfg.strategy, "qpt"),
-                        num_jobs=_QPT_JOBS, wall=time.perf_counter() - start)
+    return _run(cfg, "qpt", "qpt", lambda tables: np.stack(
+        [qpt_reconstruct(_frequencies(table, cfg), 3) for table in tables]))
 
 
 # -- report files ------------------------------------------------------------------
@@ -433,8 +409,10 @@ def report_from_dict(payload: dict) -> Report:
 
     An older layout keeps only the fields a report still has, so it loads equal
     to the same run's v3 report: what it also carried (average gate fidelities,
-    hardware reference, raw TP deviation) is dropped unread. A missing field, or
-    one of the wrong JSON type, is an error that names it.
+    hardware reference, raw TP deviation) is dropped unread. A missing field, one
+    of the wrong JSON type, or one that disagrees with the rest (the kind, jobs,
+    shots and total, the mean and sd within 1e-12, a gate count below 0) is an
+    error that names it.
     """
     payload = dict(payload)
     version = payload.get("schema_version")
@@ -451,7 +429,26 @@ def report_from_dict(payload: dict) -> Report:
             raise SchemaError(f"field {name!r} must be {Report.__annotations__[name]}, "
                               f"got {payload[name]!r}")
     payload["fidelities"] = tuple(payload["fidelities"])
-    return Report(**payload)
+    report = Report(**payload)
+    # the values must agree: older code took the mean and sd with numpy, maybe an ulp away
+    mean, std = _mean_sd(report.fidelities)
+    shots, jobs = report.config.get("shots_per_setting"), _JOBS.get(report.kind)
+    shots_ok = type(shots) is int and shots >= 1
+    total = report.num_jobs * shots if shots_ok else None
+    for name, ok, expected in (
+            ("kind", jobs is not None, "'qst' or 'qpt'"),
+            ("num_jobs", report.num_jobs == jobs, f"{jobs}, the {report.kind!r} job count"),
+            ("config.shots_per_setting", shots_ok, "an integer >= 1"),
+            ("total_measurements", report.total_measurements == total, f"jobs x shots, {total}"),
+            ("mean_fidelity", abs(report.mean_fidelity - mean) <= 1e-12,
+             f"the fidelities' mean {mean!r}"),
+            ("std_fidelity", abs(report.std_fidelity - std) <= 1e-12,
+             f"the fidelities' sample sd {std!r}"),
+            ("gate_counts", min(report.gate_counts.values(), default=0) >= 0, "non-negative")):
+        if not ok:
+            value = shots if name == "config.shots_per_setting" else getattr(report, name)
+            raise SchemaError(f"field {name!r} must be {expected}, got {value!r}")
+    return report
 
 
 def emit_report(report: Report, fmt: str, path: Union[str, Path]) -> Path:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -270,3 +271,66 @@ def test_a_calibration_path_that_cannot_be_read_is_an_io_error(tmp_path, capsys,
     assert cli.main(["calib-summary", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error[schema]: cannot read calibration ") and str(path) in err
+
+
+def _records(tmp_path, count, name="records.json"):
+    """A Brisbane file with ``count`` distinct qubit records: record i has T1 and T2 scaled by
+    1 + i/2 and its readout confusion by 1 + i."""
+    payload = json.loads(BRISBANE.read_text())
+    base = payload["qubits"][0]
+    payload["qubits"] = [{**base, "id": i, "t1_us": base["t1_us"] * (1 + i / 2),
+                          "t2_us": base["t2_us"] * (1 + i / 2),
+                          "prob_meas0_prep1": base["prob_meas0_prep1"] * (1 + i),
+                          "prob_meas1_prep0": base["prob_meas1_prep0"] * (1 + i)}
+                         for i in range(count)]
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _first_record(path, tmp_path):
+    payload = json.loads(path.read_text())
+    payload["qubits"] = payload["qubits"][:1]
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps(payload))
+    return first
+
+
+def test_a_three_record_file_models_its_records_in_file_order(tmp_path):
+    table = ingest_calibration(_records(tmp_path, 3))
+    cal = table.noise_model(3).qubit_cal
+    assert cal == table.qubits
+    assert [c.t1_us for c in cal] == [242.989 * (1 + i / 2) for i in range(3)]
+    assert len(set(cal)) == 3
+
+
+def _exact_qst(path):
+    cfg = experiments.ExperimentConfig(mode="NOISE_AWARE", calibration_path=str(path),
+                                       input_state="W", repeats=1, exact_probabilities=True)
+    return experiments.run_qst_experiment(cfg).fidelities
+
+
+def test_an_exact_run_on_three_records_differs_from_one_on_the_first_alone(tmp_path):
+    # a single record broadcasts to every qubit; three records give each qubit its own
+    path = _records(tmp_path, 3)
+    assert _exact_qst(path) != _exact_qst(_first_record(path, tmp_path))
+
+
+def test_a_four_record_file_uses_its_first_three_records(tmp_path):
+    four, three = _records(tmp_path, 4, "four.json"), _records(tmp_path, 3, "three.json")
+    model = ingest_calibration(four).noise_model(3)
+    assert model.qubit_cal == ingest_calibration(four).qubits[:3]
+    assert model == ingest_calibration(three).noise_model(3)
+    assert _exact_qst(four) == _exact_qst(three)
+
+
+def test_two_records_cannot_cover_a_three_qubit_run(tmp_path, capsys):
+    path = _records(tmp_path, 2)
+    message = "2 qubit records cannot cover 3 qubits (only a single record broadcasts)"
+    with pytest.raises(SchemaError, match=re.escape(message)) as error:
+        ingest_calibration(path).noise_model(3)
+    assert (error.value.category, error.value.exit_code) == ("schema", 3)
+    assert str(path) in str(error.value)
+    assert cli.main(["qst", "--noise", str(path), "--repeats", "1", "--shots", "10"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error[schema]: {path}: {message}\n"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccxlab import cli
 from ccxlab.circuits import (
     Circuit,
     CouplingGraph,
@@ -123,6 +124,36 @@ def test_parse_rejects_non_finite_parameters(angle):
 def test_parse_requires_header():
     with pytest.raises(ParseError):
         parse_circuit("X q[0]\n")
+
+
+#: per parse error, a circuit text, the line it names and the reason it gives
+_PARSE_ERRORS = [
+    pytest.param("qubits 2\nECR q[0],q[2]\n", 2, "gate ECR on (0, 2) exceeds 2-qubit register",
+                 id="gate-past-the-register"),
+    pytest.param("qubits 2\nX q[1]\nECR q[0],q[2]\nX q[5]\n", 3,
+                 "gate ECR on (0, 2) exceeds 2-qubit register", id="first-gate-past-the-register"),
+    pytest.param("qubits 0\nX q[0]\n", 1, "a circuit needs at least one qubit", id="no-qubits"),
+    pytest.param("qubits x\n", 1, "malformed header 'qubits x'", id="malformed-header"),
+    pytest.param("qubits 1\nX q0\n", 2, "unrecognized gate line 'X q0'", id="unrecognized-line"),
+    pytest.param("qubits 1\nRZ(a) q[0]\n", 2, "bad parameter list 'a'", id="bad-parameters"),
+    pytest.param("qubits 1\nSX(0.5) q[0]\n", 2, "SX takes 0 parameter(s), got 1",
+                 id="parameter-count"),
+    pytest.param("qubits 2\nECR q[0],q[0]\n", 2, "ECR qubit indices must be distinct: (0, 0)",
+                 id="repeated-qubit"),
+    pytest.param("# only a comment\n", 0, "missing 'qubits N' header", id="missing-header"),
+]
+
+
+@pytest.mark.parametrize("text, line, reason", _PARSE_ERRORS)
+def test_a_parse_error_names_its_line_and_reason(text, line, reason, tmp_path, capsys):
+    with pytest.raises(ParseError) as exc:
+        parse_circuit(text)
+    assert (exc.value.line_number, exc.value.reason) == (line, reason)
+    assert (exc.value.category, exc.value.exit_code) == ("schema", 3)
+    path = tmp_path / "circuit.txt"
+    path.write_text(text)
+    assert cli.main(["simulate", str(path)]) == 3
+    assert capsys.readouterr().err == f"error[schema]: line {line}: {reason}\n"
 
 
 def test_parse_comments_and_blanks():

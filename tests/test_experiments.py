@@ -105,8 +105,7 @@ def test_noise_aware_qpt_fidelities_match_golden_values(sampling, monkeypatch):
 
 
 def _clear_process_constants():
-    for constant in (experiments._qst_inputs, experiments._choi_ket, experiments._gate_counts,
-                     experiments._table, simulator._local_channel):
+    for constant in (experiments._subject, experiments._table, simulator._local_channel):
         constant.cache_clear()
 
 
@@ -116,7 +115,7 @@ def fresh_noiseless():
     per-process constants of ``experiments`` built yet; all of them are emptied again after it.
 
     The channel and table caches are keyed by value and live for the whole process, and so
-    do the QST inputs, the target kets and the gate counts, so a test that counts what a
+    do the records of ``experiments._subject``, so a test that counts what a
     first run computes starts them empty, whatever ran before. Cleared entries are simply
     built again by the next run that needs them. The inversion map and the probe dual of
     ``tomography`` are per-process constants of another kind: built once from ``NOISELESS``
@@ -137,8 +136,8 @@ def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, fresh_noi
                                                           mode, repeats):
     # both modes take the one path: noise-free is a run under NOISELESS, here with an empty
     # cache, so this is a first run. One run_density evolves the Toffoli once, on the whole
-    # stack of prepared states. A first QST run builds all 3 inputs with prepare_state, at
-    # once, and evolves its own whole with one more run_density; QPT builds its 4 one-qubit
+    # stack of prepared states. A first QST run builds its own input alone with
+    # prepare_state, and evolves it whole with one more run_density; QPT builds its 4 one-qubit
     # probe letters with tomography's probe_alphabet, and product_states evolves each
     # (wire, letter) once, on that wire alone, into the 4^3 = 64 probe states
     calls = Counter()
@@ -164,7 +163,7 @@ def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, fresh_noi
     report = run(_config(mode, repeats=repeats, shots_per_setting=1000))
     assert len(report.fidelities) == repeats
     if run is run_qst_experiment:
-        assert calls == {"preparation": len(StateKind), "run_density": 2,
+        assert calls == {"preparation": 1, "run_density": 2,
                          "apply_circuit_density": 2, "readout_map": 1}
     else:
         assert calls == {"preparation": len(PROBE_LABELS), "product_states": 1,
@@ -174,7 +173,7 @@ def test_each_circuit_is_built_and_simulated_once_per_run(monkeypatch, fresh_noi
 
 #: what a run builds once per process, as looked up in ``experiments``
 _ONCE_PER_PROCESS_CALLS = ("prepare_state", "target_state", "toffoli_unitary",
-                           "choi_ket_of_unitary", "_gate_count_summary")
+                           "choi_ket_of_unitary", "decompose_toffoli")
 
 
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
@@ -182,9 +181,10 @@ _ONCE_PER_PROCESS_CALLS = ("prepare_state", "target_state", "toffoli_unitary",
                          + [(run_qpt_experiment, None)])
 def test_a_second_run_builds_no_input_target_ket_or_gate_count(monkeypatch, fresh_noiseless,
                                                                run, state, mode):
-    # the QST inputs, U|in>, the Choi ket of U and the gate counts depend on neither the model
-    # nor the seed: the first run builds them, and a second one only looks them up. The three
-    # QST inputs are built together, so a first run of another input counts only its gates
+    # the QST input, its target ket (U|in>, or the Choi ket of U for QPT) and the gate counts
+    # depend on neither the model nor the seed: the first run of an input or kind builds its
+    # record, and a second one only looks it up. A first run of another input builds that
+    # input's record alone, and synthesizes no Toffoli; a second run of it builds nothing
     cfg = _config(mode, state or "GHZ", repeats=2, shots_per_setting=100)
     first = run(cfg)
     counts = dict(first.gate_counts)
@@ -198,15 +198,21 @@ def test_a_second_run_builds_no_input_target_ket_or_gate_count(monkeypatch, fres
     again = run(dataclasses.replace(cfg, master_seed=8))
     assert calls == Counter()
     assert again.gate_counts == counts
+    subjects = [experiments._subject(cfg.strategy, state or "qpt")]
     if state is not None:
-        for other in StateKind:
+        for other in [kind for kind in StateKind if kind is not state]:
             run(dataclasses.replace(cfg, input_state=other))
-        assert calls == {"_gate_count_summary": len(StateKind) - 1}
-    kets = [experiments._choi_ket()] + [ket for _, ket in experiments._qst_inputs().values()]
-    for ket in kets:
-        assert not ket.flags.writeable
+            assert calls == {"prepare_state": 1, "target_state": 1, "toffoli_unitary": 1}
+            calls.clear()
+            run(dataclasses.replace(cfg, input_state=other, master_seed=8))
+            assert calls == Counter()
+            subjects.append(experiments._subject(cfg.strategy, other))
+    for subject in subjects:
+        assert not subject.ket.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            ket[0] = 0.0
+            subject.ket[0] = 0.0
+        with pytest.raises(TypeError):
+            subject.gate_counts["circuit_depth"] = -1
 
 
 @pytest.mark.parametrize("mode", ["NOISE_FREE", "NOISE_AWARE"])
@@ -714,6 +720,15 @@ def test_a_noise_free_config_rejects_a_calibration_path():
     assert error.value.exit_code == 2
 
 
+@pytest.mark.parametrize("path", [None, ""])
+def test_a_noise_aware_config_needs_a_calibration_path(path):
+    # the CLI cannot reach this: an empty --noise is a noise-free run
+    with pytest.raises(UsageError, match="^NOISE_AWARE mode requires a calibration path$") \
+            as error:
+        ExperimentConfig(mode="NOISE_AWARE", calibration_path=path)
+    assert (error.value.category, error.value.exit_code) == ("usage", 2)
+
+
 def test_a_path_calibration_saves_its_report_and_loads_it_back(tmp_path):
     # an os.PathLike calibration path is kept as its string, so the report echoes a string
     # that JSON can hold, and the run is the one a string path gives
@@ -935,9 +950,12 @@ def test_cli_report_prints_the_hardware_reference_of_a_qst_input(state, tmp_path
                                          ("qpt", "GHZ")])
 def test_cli_report_prints_no_hardware_reference_outside_the_table(report_file, kind, state,
                                                                    capsys):
-    # a QPT run prepares no input state, and the config echo is not type-checked
+    # a QPT run prepares no input state, and the config echo is not type-checked; a QPT
+    # report's jobs are its kind's
     payload = json.loads(report_file.read_text())
     payload["kind"] = kind
+    payload["num_jobs"] = {"qst": 27, "qpt": 1728}[kind]
+    payload["total_measurements"] = payload["num_jobs"] * payload["config"]["shots_per_setting"]
     payload["config"]["input_state"] = state
     report_file.write_text(json.dumps(payload))
     assert "hardware ref" not in _cli_report(report_file, capsys)
@@ -953,3 +971,119 @@ def test_a_report_with_no_fidelities_is_a_schema_error(report_file, capsys):
     assert error.value.exit_code == 3
     assert cli.main(["report", str(report_file)]) == 3
     assert capsys.readouterr().err.startswith("error[schema]: ")
+
+
+def _edited(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("fidelity", [1.5, -0.25])
+def test_a_report_with_a_fidelity_outside_the_unit_interval_is_a_schema_error(
+        report_file, capsys, fidelity):
+    _edited(report_file, lambda payload: payload.update(fidelities=[fidelity],
+                                                        mean_fidelity=fidelity))
+    with pytest.raises(SchemaError, match=rf"fidelity {fidelity} outside \[0, 1\]") as error:
+        load_report(report_file)
+    assert (error.value.category, error.value.exit_code) == ("schema", 3)
+    assert cli.main(["report", str(report_file)]) == 3
+    assert capsys.readouterr().err.startswith(f"error[schema]: {report_file}: not a valid report")
+
+
+def test_a_report_that_is_not_json_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("{ not json")
+    with pytest.raises(SchemaError, match="not valid JSON") as error:
+        load_report(path)
+    assert (error.value.category, error.value.exit_code) == ("schema", 3)
+    assert cli.main(["report", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error[schema]: {path}: not valid JSON")
+
+
+@pytest.mark.parametrize("fmt", ["xml", "", "tsv"])
+def test_an_unknown_report_format_is_a_usage_error(report_file, tmp_path, fmt):
+    # the CLI's --format takes json or csv only, so argparse rejects any other first
+    target = tmp_path / "r.out"
+    with pytest.raises(UsageError, match=rf"^unknown report format {fmt!r} \(json or csv\)$") \
+            as error:
+        emit_report(load_report(report_file), fmt, target)
+    assert (error.value.category, error.value.exit_code) == ("usage", 2)
+    assert not target.exists()
+
+
+@pytest.fixture
+def two_repeat_report(tmp_path):
+    """A saved QST report of two sampled repeats at 200 shots per setting."""
+    report = run_qst_experiment(_config(repeats=2, shots_per_setting=200))
+    assert report.fidelities[0] != report.fidelities[1]
+    return emit_report(report, "json", tmp_path / "report.json")
+
+
+def _config_shots(value):
+    def edit(payload):
+        if value is None:
+            del payload["config"]["shots_per_setting"]
+        else:
+            payload["config"]["shots_per_setting"] = value
+    return edit
+
+
+#: per report field, edits that make its value disagree with the rest of the report
+_DISAGREEING = [
+    ("kind", lambda p: p.update(kind="xyz")),
+    ("kind", lambda p: p.update(kind="QST")),
+    ("num_jobs", lambda p: p.update(num_jobs=-3)),
+    ("num_jobs", lambda p: p.update(num_jobs=1728, total_measurements=1728 * 200)),
+    ("num_jobs", lambda p: p.update(kind="qpt")),
+    ("config.shots_per_setting", _config_shots(0)),
+    ("config.shots_per_setting", _config_shots("200")),
+    ("config.shots_per_setting", _config_shots(200.0)),
+    ("config.shots_per_setting", _config_shots(True)),
+    ("config.shots_per_setting", _config_shots(None)),
+    ("total_measurements", lambda p: p.update(total_measurements=7)),
+    ("total_measurements", lambda p: p.update(total_measurements=27 * 19000)),
+    ("mean_fidelity", lambda p: p.update(mean_fidelity=5.0)),
+    ("mean_fidelity", lambda p: p.update(mean_fidelity=p["mean_fidelity"] + 1e-11)),
+    ("mean_fidelity", lambda p: p.update(mean_fidelity=math.nan)),
+    ("std_fidelity", lambda p: p.update(std_fidelity=-1.0)),
+    ("std_fidelity", lambda p: p.update(std_fidelity=0.0)),
+    ("gate_counts", lambda p: p["gate_counts"].update(circuit_depth=-1)),
+]
+
+
+@pytest.mark.parametrize("field, edit", _DISAGREEING,
+                         ids=[f"{field}-{i}" for i, (field, _) in enumerate(_DISAGREEING)])
+def test_a_report_field_that_disagrees_with_the_rest_is_a_schema_error(two_repeat_report,
+                                                                       capsys, field, edit):
+    # such a report loaded, and ccxlab report printed "kind: xyz", "mean fidelity: 5.00000"
+    # or "jobs x shots: -3 x 200 = 7"
+    _edited(two_repeat_report, edit)
+    with pytest.raises(SchemaError, match=f"field '{field}' must be ") as error:
+        load_report(two_repeat_report)
+    assert (error.value.category, error.value.exit_code) == ("schema", 3)
+    assert cli.main(["report", str(two_repeat_report)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[schema]: {two_repeat_report}: not a valid report "
+                                   f"(field '{field}' must be ")
+
+
+def test_an_edited_report_exits_3_naming_its_first_disagreeing_field(two_repeat_report, capsys):
+    _edited(two_repeat_report, lambda p: p.update(kind="xyz", mean_fidelity=5.0,
+                                                  std_fidelity=-1.0, num_jobs=-3,
+                                                  total_measurements=7))
+    assert cli.main(["report", str(two_repeat_report)]) == 3
+    assert "(field 'kind' must be 'qst' or 'qpt', got 'xyz')" in capsys.readouterr().err
+
+
+def test_a_mean_and_sd_an_ulp_from_the_fidelities_own_still_load(two_repeat_report):
+    # older code took them with numpy, whose pairwise sums may differ from fsum in the last bit
+    report = load_report(two_repeat_report)
+    fids = np.array(report.fidelities)
+    edits = {"mean_fidelity": np.nextafter(np.mean(fids), 2.0),
+             "std_fidelity": np.nextafter(np.std(fids, ddof=1), -1.0)}
+    _edited(two_repeat_report, lambda p: p.update({k: float(v) for k, v in edits.items()}))
+    loaded = load_report(two_repeat_report)
+    assert dataclasses.replace(loaded, **{k: getattr(report, k) for k in edits}) == report

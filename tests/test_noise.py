@@ -233,6 +233,14 @@ def test_a_models_gate_maps_are_read_only_and_its_numbers_are_its_hash():
             model.gate_error["ECR"] = 0.02
 
 
+@pytest.mark.parametrize("factor", [-0.5, -math.inf, math.nan])
+def test_scale_noise_model_rejects_a_factor_that_is_not_nonnegative(factor):
+    # ExperimentConfig and the CLI reject such a --noise-scale first, as a usage error
+    nm = NoiseModel((QubitCalibration(t1_us=100.0, t2_us=80.0),), {"ECR": 0.01}, {})
+    with pytest.raises(ValueError, match=rf"^scale factor must be nonnegative, got {factor}$"):
+        scale_noise_model(nm, factor)
+
+
 def test_scale_noise_model():
     cal = (QubitCalibration(t1_us=100.0, t2_us=80.0, prob_meas1_prep0=0.02),)
     nm = NoiseModel(cal, {"ECR": 0.01}, {})

@@ -248,6 +248,20 @@ def test_cnot_to_ecr_exact(control, target):
     assert circ.count(Gate.ECR) == 1
 
 
+def test_cnot_to_ecr_rejects_a_control_that_is_its_target():
+    # a programming error, not a user input: a ValueError, with no CLI category
+    with pytest.raises(ValueError, match="^control and target must differ$"):
+        cnot_to_ecr(1, 1)
+
+
+@pytest.mark.parametrize("controls, target", [((0, 0), 2), ((0, 1), 1), ((2, 1), 2)])
+@pytest.mark.parametrize("strategy", list(DecompositionStrategy))
+def test_decompose_toffoli_rejects_repeated_roles(strategy, controls, target):
+    # the CLI checks its --controls and --target first, so only the library reaches this
+    with pytest.raises(ValueError, match="^controls and target must be three distinct qubits$"):
+        decompose_toffoli(strategy, controls, target)
+
+
 def test_cnot_to_ecr_action():
     circ = cnot_to_ecr(0, 1)
     u = circuit_unitary(circ)

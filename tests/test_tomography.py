@@ -164,6 +164,14 @@ def test_settings_three_qubits():
     assert settings == sorted(settings)
 
 
+@pytest.mark.parametrize("k", [0, 4])
+def test_qpt_reconstruct_k_out_of_range(k):
+    # checked before the frequencies' shape, which a k of 4 could never match
+    with pytest.raises(UsageError, match=rf"^k={k} outside 1\.\.3$") as error:
+        qpt_reconstruct(np.zeros((4 ** k, 3 ** k, 2 ** k)), k)
+    assert (error.value.category, error.value.exit_code) == ("usage", 2)
+
+
 def test_settings_k_out_of_range():
     with pytest.raises(UsageError, match=r"^k=0 outside 1\.\.4$"):
         qst_settings(0)
