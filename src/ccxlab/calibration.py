@@ -14,7 +14,9 @@ Schema (JSON)::
 A file with a single qubit entry is a median-only summary; the entry is
 broadcast to every qubit of the requested register. Gate entries keyed by
 name apply device-wide (the per-pair ``qubits`` field is accepted and
-ignored by the noise model, which is name-keyed).
+ignored by the noise model, which is name-keyed). So each gate name, read
+upper-cased, appears once: the model keeps one error and duration per name,
+and a repeated name is a ``SchemaError`` that names both entries.
 """
 
 from __future__ import annotations
@@ -148,11 +150,15 @@ def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
         raise SchemaError(f"{path}: 'gates' must be an array")
     gate_error: Dict[str, float] = {}
     gate_duration: Dict[str, float] = {}
+    first: Dict[str, int] = {}  # each name's first entry
     for i, entry in enumerate(raw_gates):
         loc = f"{path}: gates[{i}]"
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise SchemaError(f"{loc}: expected an object with a string 'name'")
         name = entry["name"].upper()
+        if first.setdefault(name, i) != i:
+            raise SchemaError(f"{loc}: {name!r} repeats gates[{first[name]}]; the noise model "
+                              "keeps one error and duration per gate name")
         if "error" in entry:
             gate_error[name] = _require(entry, "error", loc)
         if "duration_ns" in entry:

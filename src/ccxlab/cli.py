@@ -20,6 +20,7 @@ from .experiments import (
     HARDWARE_REFERENCE_FIDELITY,
     ExperimentConfig,
     Mode,
+    _mean_sd,
     emit_report,
     load_report,
     report_to_dict,
@@ -181,23 +182,23 @@ def _cmd_report(args) -> int:
         emit_report(report, args.format, args.out)
         print(f"wrote {args.format} to {args.out}")
         return 0
+    mean, std = _mean_sd(report.fidelities)
+    shots = report.config.shots_per_setting
     lines = [
         f"kind:            {report.kind}",
         f"repeats:         {len(report.fidelities)}",
-        f"mean fidelity:   {report.mean_fidelity:.5f}",
-        f"std fidelity:    {report.std_fidelity:.5f}",
+        f"mean fidelity:   {mean:.5f}",
+        f"std fidelity:    {std:.5f}",
     ]
     if report.kind == "qpt":
         agf = [average_gate_fidelity(f, 3) for f in report.fidelities]
         lines.append(f"mean avg gate F: {sum(agf) / len(agf):.5f}")
     lines += [
-        f"jobs x shots:    {report.num_jobs} x {report.config.get('shots_per_setting')}"
-        f" = {report.total_measurements}",
+        f"jobs x shots:    {report.num_jobs} x {shots} = {report.num_jobs * shots}",
         f"tool version:    {report.tool_version}",
     ]
-    state = report.config.get("input_state")
-    # the echo is not type-checked, and a list would not hash
-    if report.kind == "qst" and isinstance(state, str) and state in HARDWARE_REFERENCE_FIDELITY:
+    state = report.config.input_state.value
+    if report.kind == "qst":
         lines.append(f"hardware ref:    {state} {HARDWARE_REFERENCE_FIDELITY[state]:.5f} "
                      "(published single-run value)")
     print("\n".join(lines))

@@ -21,6 +21,11 @@ it and writes its report. State tomography reconstructs all repeats in one
 call on their stacked tables; process tomography draws and reconstructs one
 table at a time.
 
+A ``Report`` holds what the run was given, its ``ExperimentConfig``, and
+what it measured. The job count, mean, sd and total are derived where they
+are shown. A loaded report rebuilds its config through ``ExperimentConfig``,
+whose validator checks it as it checks a run's.
+
 What a run computes lives as long as what it depends on:
 
 * Per process: whatever depends on neither the model nor the seed. The
@@ -69,6 +74,7 @@ import time
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import (Callable, Dict, Hashable, Iterator, Mapping, NamedTuple, Optional, Sequence,
@@ -100,10 +106,11 @@ from .version import __version__
 #: ``ccxlab report`` prints the one of a QST report's input, and nothing reproduces them
 HARDWARE_REFERENCE_FIDELITY = {"GHZ": 0.56368, "W": 0.63689, "UNIFORM": 0.61161}
 
-#: the report layout this version writes. It also reads layouts 1 and 2, which carried
-#: each QPT repeat's average gate fidelity and a QST input's hardware reference as well,
+#: the report layout this version writes. It also reads layouts 1 to 3, which stored the
+#: fidelities' mean and sd, the job count and the total measurements as well, layouts 1
+#: and 2 each QPT repeat's average gate fidelity and a QST input's hardware reference,
 #: and layout 1 the last repeat's raw TP deviation
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 DEFAULT_CONTROLS = (0, 1)
 DEFAULT_TARGET = 2
@@ -154,6 +161,9 @@ class ExperimentConfig:
                              f"got {self.shots_per_setting}")
         if isinstance(self.calibration_path, os.PathLike):
             object.__setattr__(self, "calibration_path", os.fspath(self.calibration_path))
+        if not isinstance(self.calibration_path, (str, type(None))):
+            raise UsageError("calibration_path must be None, a str or an os.PathLike, "
+                             f"got {self.calibration_path!r}")
         if self.mode is Mode.NOISE_AWARE and not self.calibration_path:
             raise UsageError("NOISE_AWARE mode requires a calibration path")
         scale = self.noise_scale
@@ -188,15 +198,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Report:
+    """What a run was given, its config, and what it measured; nothing derived from them."""
     schema_version: int
     kind: str
     fidelities: Tuple[float, ...]
-    mean_fidelity: float
-    std_fidelity: float
     gate_counts: Dict[str, int]
-    num_jobs: int
-    total_measurements: int
-    config: Dict[str, object]
+    config: ExperimentConfig
     tool_version: str
     wall_seconds: float
     created_at: str
@@ -208,10 +215,14 @@ class Report:
             if not 0.0 <= f <= 1.0:
                 raise ValueError(f"fidelity {f} outside [0, 1]")
 
+    @property
+    def num_jobs(self) -> int:
+        """The jobs of one repeat, those of the report's kind."""
+        return _JOBS[self.kind]
 
-#: the field names of a config and of a report, in order
+
+#: the field names of a config, in order
 _CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
-_REPORT_FIELDS = tuple(f.name for f in fields(Report))
 
 #: the jobs of one repeat, per kind: the 27 settings of state tomography, and those 27 for
 #: each of the 64 probes of process tomography
@@ -219,27 +230,11 @@ _JOBS = {"qst": len(qst_settings(3)), "qpt": len(PROBE_LABELS) ** 3 * len(qst_se
 
 
 def _mean_sd(fids: Sequence[float]) -> Tuple[float, float]:
-    """The mean and sample sd of ``fids``, 0.0 for one value: correctly rounded sums, within
-    an ulp of numpy's, for a tenth of the cost."""
+    """The mean and sample sd of ``fids``, 0.0 for one value, as ``ccxlab report`` prints
+    them: correctly rounded sums, within an ulp of numpy's."""
     mean = math.fsum(fids) / len(fids)
     return mean, math.sqrt(math.fsum([(f - mean) ** 2 for f in fids]) / (len(fids) - 1)) \
         if len(fids) > 1 else 0.0
-
-
-def _make_report(kind: str, fidelities: Sequence[float], cfg: ExperimentConfig,
-                 gate_counts: Mapping[str, int], wall: float) -> Report:
-    fids = tuple(float(f) for f in fidelities)
-    mean, std = _mean_sd(fids)
-    # the fields as they are, enums by value: asdict would deep-copy each value
-    cfg_echo = {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
-    for name, _ in _ENUM_FIELDS:
-        cfg_echo[name] = cfg_echo[name].value
-    jobs = _JOBS[kind]
-    return Report(schema_version=REPORT_SCHEMA_VERSION, kind=kind, fidelities=fids,
-                  mean_fidelity=mean, std_fidelity=std, gate_counts=dict(gate_counts),
-                  num_jobs=jobs, total_measurements=jobs * cfg.shots_per_setting,
-                  config=cfg_echo, tool_version=__version__, wall_seconds=wall,
-                  created_at=datetime.now(timezone.utc).isoformat())
 
 
 # -- per-process constants -------------------------------------------------------
@@ -348,8 +343,11 @@ def _run(cfg: ExperimentConfig, kind: str, preparations: Hashable,
     else:
         seeds = ((cfg.master_seed, repeat) for repeat in range(cfg.repeats))
         tables = draws(form, cfg.shots_per_setting, seeds)
-    fidelities = state_fidelity(estimate(tables), subject.ket).tolist()
-    return _make_report(kind, fidelities, cfg, subject.gate_counts, time.perf_counter() - start)
+    fidelities = tuple(state_fidelity(estimate(tables), subject.ket).tolist())
+    return Report(schema_version=REPORT_SCHEMA_VERSION, kind=kind, fidelities=fidelities,
+                  gate_counts=dict(subject.gate_counts), config=cfg, tool_version=__version__,
+                  wall_seconds=time.perf_counter() - start,
+                  created_at=datetime.now(timezone.utc).isoformat())
 
 
 def run_qst_experiment(cfg: ExperimentConfig) -> Report:
@@ -374,14 +372,15 @@ def run_qpt_experiment(cfg: ExperimentConfig) -> Report:
 # -- report files ------------------------------------------------------------------
 
 def report_to_dict(report: Report) -> dict:
-    """``dataclasses.asdict(report)`` without its deep copy, at a tenth of its cost.
+    """``dataclasses.asdict(report)`` without its deep copy, at a tenth of its cost, the
+    config's enums by value.
 
-    Each field's own value, except that a dict field (the gate counts, the
-    config echo) is copied: the rest are numbers, strings and a tuple of
-    floats, which nothing can change.
+    Each field's own value, off ``vars`` in field order, except that the gate
+    counts are copied and the config becomes a new dict: the rest are numbers,
+    strings and a tuple of floats, which nothing can change.
     """
-    values = ((name, getattr(report, name)) for name in _REPORT_FIELDS)
-    return {name: dict(v) if isinstance(v, dict) else v for name, v in values}
+    echo = {name: v.value if isinstance(v, Enum) else v for name, v in vars(report.config).items()}
+    return dict(vars(report), gate_counts=dict(report.gate_counts), config=echo)
 
 
 def _json_check(hint) -> Callable[[object], bool]:
@@ -397,22 +396,25 @@ def _json_check(hint) -> Callable[[object], bool]:
         return lambda v: type(v) is dict and all(map(item, v.values()))
     if hint is float:
         return lambda v: type(v) in (int, float)  # not bool, which JSON's true loads as
-    return (lambda v: True) if hint is object else (lambda v: type(v) is hint)
+    return lambda v: type(v) is hint
 
 
-#: the one table of each report field's type, the ``Report`` annotations, as checks
+#: the one table of each report field's type, the ``Report`` annotations, as checks, in
+#: field order
 _REPORT_CHECKS = {name: _json_check(hint) for name, hint in get_type_hints(Report).items()}
 
 
 def report_from_dict(payload: dict) -> Report:
-    """The ``Report`` of a schema v1, v2 or v3 payload.
+    """The ``Report`` of a schema v1 to v4 payload, every layout through this one path.
 
-    An older layout keeps only the fields a report still has, so it loads equal
-    to the same run's v3 report: what it also carried (average gate fidelities,
-    hardware reference, raw TP deviation) is dropped unread. A missing field, one
-    of the wrong JSON type, or one that disagrees with the rest (the kind, jobs,
-    shots and total, the mean and sd within 1e-12, a gate count below 0) is an
-    error that names it.
+    A payload keeps only the fields a report has, so an older layout loads
+    equal to the same run's v4 report: what it also stored (the mean and sd,
+    the job count and total, average gate fidelities, hardware reference, raw
+    TP deviation) is dropped unread. The config echo must hold every config
+    field, and ``ExperimentConfig`` rebuilds it, checking each; other keys are
+    dropped too. A missing field, one of the wrong JSON type, or one that
+    disagrees with the rest (the kind, the config, its repeats against the
+    fidelity count, a gate count below 0) is an error that names it.
     """
     payload = dict(payload)
     version = payload.get("schema_version")
@@ -420,33 +422,30 @@ def report_from_dict(payload: dict) -> Report:
     if type(version) is not int or version not in range(1, REPORT_SCHEMA_VERSION + 1):
         raise ValueError(f"unknown schema_version {version!r} "
                          f"(expected 1 to {REPORT_SCHEMA_VERSION})")
-    if version != REPORT_SCHEMA_VERSION:
-        payload = {name: payload[name] for name in _REPORT_FIELDS}
-        payload["schema_version"] = REPORT_SCHEMA_VERSION
+    # a missing field reads as None, which no field's type check passes
+    payload = {name: payload.get(name) for name in _REPORT_CHECKS}
+    payload["schema_version"] = REPORT_SCHEMA_VERSION
+    try:  # every config field, each checked as a run's config is
+        payload["config"] = ExperimentConfig(**{name: payload["config"][name]
+                                                for name in _CONFIG_FIELDS})
+    except KeyError as exc:
+        raise SchemaError(f"field 'config' must be a full config echo, missing {exc}") from None
+    except (TypeError, UsageError) as exc:
+        raise SchemaError(f"field 'config' must be a valid config echo ({exc})") from None
     for name, check in _REPORT_CHECKS.items():
-        if name in payload and not check(payload[name]):
+        if not check(payload[name]):
             # the annotation as written: this module postpones annotations
             raise SchemaError(f"field {name!r} must be {Report.__annotations__[name]}, "
                               f"got {payload[name]!r}")
     payload["fidelities"] = tuple(payload["fidelities"])
     report = Report(**payload)
-    # the values must agree: older code took the mean and sd with numpy, maybe an ulp away
-    mean, std = _mean_sd(report.fidelities)
-    shots, jobs = report.config.get("shots_per_setting"), _JOBS.get(report.kind)
-    shots_ok = type(shots) is int and shots >= 1
-    total = report.num_jobs * shots if shots_ok else None
+    repeats = len(report.fidelities)
     for name, ok, expected in (
-            ("kind", jobs is not None, "'qst' or 'qpt'"),
-            ("num_jobs", report.num_jobs == jobs, f"{jobs}, the {report.kind!r} job count"),
-            ("config.shots_per_setting", shots_ok, "an integer >= 1"),
-            ("total_measurements", report.total_measurements == total, f"jobs x shots, {total}"),
-            ("mean_fidelity", abs(report.mean_fidelity - mean) <= 1e-12,
-             f"the fidelities' mean {mean!r}"),
-            ("std_fidelity", abs(report.std_fidelity - std) <= 1e-12,
-             f"the fidelities' sample sd {std!r}"),
+            ("kind", report.kind in _JOBS, "'qst' or 'qpt'"),
+            ("config.repeats", report.config.repeats == repeats, f"{repeats}, the fidelity count"),
             ("gate_counts", min(report.gate_counts.values(), default=0) >= 0, "non-negative")):
         if not ok:
-            value = shots if name == "config.shots_per_setting" else getattr(report, name)
+            value = attrgetter(name)(report)
             raise SchemaError(f"field {name!r} must be {expected}, got {value!r}")
     return report
 

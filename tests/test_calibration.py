@@ -73,6 +73,32 @@ def test_calib_summary_exit_codes(tmp_path, capsys, gates, code):
     assert err.startswith("error[schema]: ") if code else err == ""
 
 
+def _repeated_gates(tmp_path, first, second):
+    """brisbane_median with two more gate entries, errors 0.3 then 0.01."""
+    gates = json.loads(BRISBANE.read_text())["gates"]
+    return _write(tmp_path, gates=gates + [{"name": first, "error": 0.3},
+                                           {"name": second, "error": 0.01}])
+
+
+@pytest.mark.parametrize("first, second, repeat, of, name", [
+    ("ECR", "ECR", 4, 0, "ECR"), ("SX", "sx", 4, 1, "SX"), ("CX", "cx", 5, 4, "CX"),
+    ("ecr", "X", 4, 0, "ECR")])
+def test_a_repeated_gate_name_is_a_schema_error_naming_both_entries(tmp_path, capsys, first,
+                                                                    second, repeat, of, name):
+    # names are read upper-cased and the model keeps one error per name, so the last entry
+    # used to replace the others: gate_error["ECR"] was 0.01, silently
+    path = _repeated_gates(tmp_path, first, second)
+    message = (f"{path}: gates[{repeat}]: {name!r} repeats gates[{of}]; the noise model keeps "
+               "one error and duration per gate name")
+    with pytest.raises(SchemaError) as error:
+        ingest_calibration(path)
+    assert str(error.value) == message
+    assert (error.value.category, error.value.exit_code) == ("schema", 3)
+    assert cli.main(["calib-summary", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"error[schema]: {message}\n")
+    assert cli.main(["qst", "--noise", str(path), "--repeats", "1", "--shots", "10"]) == 3
+
+
 def test_a_noise_scale_past_the_bound_is_a_typed_error(capsys):
     nm = ingest_calibration(BRISBANE).noise_model(3)
     # ECR 0.00832 * 100 = 0.832 >= 0.75, below the 1.0 a probability allows

@@ -3,17 +3,25 @@ bad files ``error[schema]: ...`` and exit 3, never a traceback."""
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ccxlab
 from ccxlab import cli
+from ccxlab.calibration import BUILTIN_CALIBRATIONS
 from ccxlab.circuits import Circuit, serialize_circuit
-from ccxlab.experiments import Report
+from ccxlab.errors import UsageError
+from ccxlab.experiments import REPORT_SCHEMA_VERSION, Report, emit_report, load_report
+from ccxlab.simulator import MAX_SHOTS
+from ccxlab.states import StateKind
 from ccxlab.gates import x
 from ccxlab.synthesis import DecompositionStrategy, decompose_toffoli
 from ccxlab.version import __version__
@@ -178,10 +186,9 @@ def test_simulate_with_a_non_finite_gate_parameter_is_a_schema_error(tmp_path, c
 
 #: one value of the wrong JSON type for each field of a saved report
 _WRONG_TYPES = {
-    "schema_version": "2", "kind": 1, "fidelities": "0.5", "mean_fidelity": "x",
-    "std_fidelity": None, "gate_counts": {"toffoli_two_qubit": 8.5}, "num_jobs": "27",
-    "total_measurements": 1.5, "config": None, "tool_version": 1, "wall_seconds": True,
-    "created_at": None,
+    "schema_version": "2", "kind": 1, "fidelities": "0.5",
+    "gate_counts": {"toffoli_two_qubit": 8.5}, "config": None, "tool_version": 1,
+    "wall_seconds": True, "created_at": None,
 }
 
 
@@ -189,14 +196,62 @@ def test_every_report_field_has_a_wrong_typed_value():
     assert list(_WRONG_TYPES) == [f.name for f in dataclasses.fields(Report)]
 
 
-@pytest.mark.parametrize("field, value", _WRONG_TYPES.items())
+#: stands for a field deleted from the report
+_MISSING = object()
+
+
+@pytest.mark.parametrize("field, value", [*_WRONG_TYPES.items(),
+                                          *((field, _MISSING) for field in _WRONG_TYPES)])
 def test_report_with_a_field_of_the_wrong_type_is_a_schema_error(field, value, tmp_path, capsys):
-    # a wrong-typed value used to reach the report's printing and end in a traceback
+    # a wrong-typed value used to reach the report's printing and end in a traceback; a
+    # missing field fails its type check as None
     path = tmp_path / "report.json"
     assert cli.main(["qst", "--repeats", "1", "--shots", "10", "--out", str(path)]) == 0
     payload = json.loads(path.read_text())
-    payload[field] = value
+    if value is _MISSING:
+        del payload[field]
+    else:
+        payload[field] = value
     path.write_text(json.dumps(payload))
     code, err = _run(["report", str(path)], capsys)
     assert code == 3
     assert err.startswith("error[schema]: ") and str(path) in err and field in err
+
+
+@st.composite
+def _experiment_argv(draw):
+    """A ``ccxlab qst`` or ``qpt`` command line over every experiment flag; the noise-aware
+    flags only with ``--noise``, since a noise-free run rejects them."""
+    argv = [draw(st.sampled_from(["qst", "qpt"])),
+            f"--state={draw(st.sampled_from([k.value for k in StateKind]))}",
+            f"--strategy={draw(st.sampled_from([s.value for s in DecompositionStrategy]))}",
+            f"--seed={draw(st.integers(-1, 2 ** 70))}", f"--repeats={draw(st.integers(0, 5))}"]
+    shots = draw(st.none() | st.integers(0, MAX_SHOTS + 1))
+    argv += [] if shots is None else [f"--shots={shots}"]
+    argv += ["--exact-probabilities"] * draw(st.booleans())
+    noise = draw(st.none() | st.sampled_from([f"builtin:{name}" for name in BUILTIN_CALIBRATIONS])
+                 | st.text(min_size=1, max_size=8))
+    if noise is not None:
+        argv.append(f"--noise={noise}")
+        scale = draw(st.none() | st.floats(min_value=0.0) | st.sampled_from([-1.0, math.nan]))
+        argv += [] if scale is None else [f"--noise-scale={scale!r}"]
+        argv += ["--no-readout-error"] * draw(st.booleans())
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_experiment_argv(), data=st.data())
+def test_every_config_the_cli_builds_saves_and_loads_back_equal(argv, data):
+    args = cli.build_parser().parse_args(argv)
+    try:
+        cfg = cli._experiment_config(args, default_shots={"qst": 19000, "qpt": 11000}[argv[0]])
+    except UsageError:
+        assume(False)  # not a config: the CLI exits 2
+    fidelities = data.draw(st.lists(st.floats(0.0, 1.0), min_size=cfg.repeats,
+                                    max_size=cfg.repeats))
+    report = Report(schema_version=REPORT_SCHEMA_VERSION, kind=argv[0],
+                    fidelities=tuple(fidelities), gate_counts={"toffoli_depth": 7}, config=cfg,
+                    tool_version=__version__, wall_seconds=data.draw(st.floats(0.0, 1e9)),
+                    created_at="2025-01-01T00:00:00+00:00")
+    with tempfile.TemporaryDirectory() as tmp:
+        assert load_report(emit_report(report, "json", Path(tmp) / "r.json")) == report

@@ -691,7 +691,8 @@ def test_boolean_config_fields_accept_numpy_bools(tmp_path):
     cfg = ExperimentConfig(exact_probabilities=np.True_, apply_readout=np.True_, repeats=1)
     assert type(cfg.exact_probabilities) is bool and type(cfg.apply_readout) is bool
     report = run_qst_experiment(cfg)
-    assert report.config["exact_probabilities"] is True
+    assert report.config is cfg
+    assert experiments.report_to_dict(report)["config"]["exact_probabilities"] is True
     assert load_report(emit_report(report, "json", tmp_path / "r.json")) == report
     aware = ExperimentConfig(mode="NOISE_AWARE", calibration_path=BRISBANE,
                              apply_readout=np.False_)
@@ -729,6 +730,24 @@ def test_a_noise_aware_config_needs_a_calibration_path(path):
     assert (error.value.category, error.value.exit_code) == ("usage", 2)
 
 
+class _BytesPath:
+    """An ``os.PathLike`` whose path is bytes, which no report echo can hold as a string."""
+
+    def __fspath__(self):
+        return b"calibration.json"
+
+
+@pytest.mark.parametrize("mode", ["NOISE_AWARE", "NOISE_FREE"])
+@pytest.mark.parametrize("path", [5, 1.5, b"calibration.json", ["calibration.json"],
+                                  _BytesPath()])
+def test_a_calibration_path_that_is_not_a_path_is_a_usage_error(mode, path):
+    # 5 was accepted, and the noise-aware run then died in Path(5) with a bare TypeError
+    with pytest.raises(UsageError, match="^calibration_path must be None, a str or an "
+                                         "os.PathLike, got ") as error:
+        ExperimentConfig(mode=mode, calibration_path=path)
+    assert (error.value.category, error.value.exit_code) == ("usage", 2)
+
+
 def test_a_path_calibration_saves_its_report_and_loads_it_back(tmp_path):
     # an os.PathLike calibration path is kept as its string, so the report echoes a string
     # that JSON can hold, and the run is the one a string path gives
@@ -738,7 +757,7 @@ def test_a_path_calibration_saves_its_report_and_loads_it_back(tmp_path):
     assert cfg.calibration_path == str(path) and type(cfg.calibration_path) is str
     assert cfg == dataclasses.replace(cfg, calibration_path=str(path))
     report = run_qst_experiment(cfg)
-    assert report.config["calibration_path"] == str(path)
+    assert experiments.report_to_dict(report)["config"]["calibration_path"] == str(path)
     assert load_report(emit_report(report, "json", tmp_path / "r.json")) == report
 
 
@@ -833,7 +852,7 @@ def test_csv_rows_reproduce_the_fidelities_exactly(sampled_report, tmp_path):
         assert all(len(row) == 2 for row in rows)
 
 
-@pytest.mark.parametrize("version", [0, 4, "1", None, True, 1.0])
+@pytest.mark.parametrize("version", [0, 5, "1", None, True, 1.0])
 def test_load_report_rejects_unknown_schema_version(report_file, version):
     payload = json.loads(report_file.read_text())
     payload["schema_version"] = version
@@ -845,7 +864,7 @@ def test_load_report_rejects_unknown_schema_version(report_file, version):
 def test_cli_report_exit_codes(report_file, capsys):
     assert cli.main(["report", str(report_file)]) == 0
     payload = json.loads(report_file.read_text())
-    payload["schema_version"] = 4
+    payload["schema_version"] = 5
     report_file.write_text(json.dumps(payload))
     assert cli.main(["report", str(report_file)]) == 3
     assert "schema_version" in capsys.readouterr().err
@@ -888,13 +907,20 @@ def test_mutating_report_to_dicts_nested_dicts_leaves_the_report_unchanged(sampl
 
 
 def _older_layout(report, version):
-    """``report`` as layout 1 or 2 saved it, with the fields that layout had."""
+    """``report`` as layout 1, 2 or 3 saved it, with the fields that layout had."""
     qst = report.kind == "qst"
     payload = experiments.report_to_dict(report)
     payload["schema_version"] = version
+    # layouts 1 to 3 stored the mean and sd, the job count and the total as well
+    mean, std = experiments._mean_sd(report.fidelities)
+    jobs = {"qst": 27, "qpt": 1728}[report.kind]
+    payload.update(mean_fidelity=mean, std_fidelity=std, num_jobs=jobs,
+                   total_measurements=jobs * report.config.shots_per_setting)
+    if version == 3:
+        return payload
     payload["average_gate_fidelities"] = \
         None if qst else [average_gate_fidelity(f, 3) for f in report.fidelities]
-    state = report.config["input_state"]
+    state = report.config.input_state.value
     payload["hardware_reference"] = {state: HARDWARE_REFERENCE_FIDELITY[state]} if qst else None
     if version == 1:
         # None for state tomography, and for process tomography the last repeat's raw TP
@@ -908,11 +934,11 @@ def _cli_report(path, capsys, *flags):
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_an_older_layout_loads_as_the_same_report_at_version_3(sampled_report, version,
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_an_older_layout_loads_as_the_same_report_at_version_4(sampled_report, version,
                                                                tmp_path, capsys):
-    current = emit_report(sampled_report, "json", tmp_path / "v3.json")
-    assert json.loads(current.read_text())["schema_version"] == 3
+    current = emit_report(sampled_report, "json", tmp_path / "v4.json")
+    assert json.loads(current.read_text())["schema_version"] == 4
     path = tmp_path / f"v{version}.json"
     path.write_text(json.dumps(_older_layout(sampled_report, version)))
     assert load_report(path) == sampled_report
@@ -946,19 +972,14 @@ def test_cli_report_prints_the_hardware_reference_of_a_qst_input(state, tmp_path
                                     "(published single-run value)")
 
 
-@pytest.mark.parametrize("kind, state", [("qst", "BASIS"), ("qst", ["GHZ"]), ("qst", None),
-                                         ("qpt", "GHZ")])
-def test_cli_report_prints_no_hardware_reference_outside_the_table(report_file, kind, state,
-                                                                   capsys):
-    # a QPT run prepares no input state, and the config echo is not type-checked; a QPT
-    # report's jobs are its kind's
-    payload = json.loads(report_file.read_text())
-    payload["kind"] = kind
-    payload["num_jobs"] = {"qst": 27, "qpt": 1728}[kind]
-    payload["total_measurements"] = payload["num_jobs"] * payload["config"]["shots_per_setting"]
-    payload["config"]["input_state"] = state
-    report_file.write_text(json.dumps(payload))
-    assert "hardware ref" not in _cli_report(report_file, capsys)
+@pytest.mark.parametrize("state", [s.value for s in StateKind])
+def test_cli_report_prints_no_hardware_reference_for_qpt(report_file, state, capsys):
+    # a QPT run prepares no input state, whatever its config's input_state says; its jobs and
+    # total are its kind's
+    _edited(report_file, lambda p: (p.update(kind="qpt"), p["config"].update(input_state=state)))
+    out = _cli_report(report_file, capsys)
+    assert "hardware ref" not in out
+    assert "jobs x shots:    1728 x 19000 = 32832000\n" in out
 
 
 def test_a_report_with_no_fidelities_is_a_schema_error(report_file, capsys):
@@ -983,8 +1004,7 @@ def _edited(path, edit):
 @pytest.mark.parametrize("fidelity", [1.5, -0.25])
 def test_a_report_with_a_fidelity_outside_the_unit_interval_is_a_schema_error(
         report_file, capsys, fidelity):
-    _edited(report_file, lambda payload: payload.update(fidelities=[fidelity],
-                                                        mean_fidelity=fidelity))
+    _edited(report_file, lambda payload: payload.update(fidelities=[fidelity]))
     with pytest.raises(SchemaError, match=rf"fidelity {fidelity} outside \[0, 1\]") as error:
         load_report(report_file)
     assert (error.value.category, error.value.exit_code) == ("schema", 3)
@@ -1021,12 +1041,17 @@ def two_repeat_report(tmp_path):
     return emit_report(report, "json", tmp_path / "report.json")
 
 
-def _config_shots(value):
+#: stands for a config field deleted from the echo
+_DELETED = object()
+
+
+def _config_edit(name, value):
+    """An edit of the config echo's ``name`` to ``value``, or its deletion."""
     def edit(payload):
-        if value is None:
-            del payload["config"]["shots_per_setting"]
+        if value is _DELETED:
+            del payload["config"][name]
         else:
-            payload["config"]["shots_per_setting"] = value
+            payload["config"][name] = value
     return edit
 
 
@@ -1034,21 +1059,13 @@ def _config_shots(value):
 _DISAGREEING = [
     ("kind", lambda p: p.update(kind="xyz")),
     ("kind", lambda p: p.update(kind="QST")),
-    ("num_jobs", lambda p: p.update(num_jobs=-3)),
-    ("num_jobs", lambda p: p.update(num_jobs=1728, total_measurements=1728 * 200)),
-    ("num_jobs", lambda p: p.update(kind="qpt")),
-    ("config.shots_per_setting", _config_shots(0)),
-    ("config.shots_per_setting", _config_shots("200")),
-    ("config.shots_per_setting", _config_shots(200.0)),
-    ("config.shots_per_setting", _config_shots(True)),
-    ("config.shots_per_setting", _config_shots(None)),
-    ("total_measurements", lambda p: p.update(total_measurements=7)),
-    ("total_measurements", lambda p: p.update(total_measurements=27 * 19000)),
-    ("mean_fidelity", lambda p: p.update(mean_fidelity=5.0)),
-    ("mean_fidelity", lambda p: p.update(mean_fidelity=p["mean_fidelity"] + 1e-11)),
-    ("mean_fidelity", lambda p: p.update(mean_fidelity=math.nan)),
-    ("std_fidelity", lambda p: p.update(std_fidelity=-1.0)),
-    ("std_fidelity", lambda p: p.update(std_fidelity=0.0)),
+    ("config", _config_edit("shots_per_setting", 0)),
+    ("config", _config_edit("shots_per_setting", "200")),
+    ("config", _config_edit("shots_per_setting", 200.0)),
+    ("config", _config_edit("shots_per_setting", True)),
+    ("config", _config_edit("shots_per_setting", _DELETED)),
+    ("config.repeats", _config_edit("repeats", 7)),
+    ("config.repeats", _config_edit("repeats", 1)),
     ("gate_counts", lambda p: p["gate_counts"].update(circuit_depth=-1)),
 ]
 
@@ -1057,8 +1074,8 @@ _DISAGREEING = [
                          ids=[f"{field}-{i}" for i, (field, _) in enumerate(_DISAGREEING)])
 def test_a_report_field_that_disagrees_with_the_rest_is_a_schema_error(two_repeat_report,
                                                                        capsys, field, edit):
-    # such a report loaded, and ccxlab report printed "kind: xyz", "mean fidelity: 5.00000"
-    # or "jobs x shots: -3 x 200 = 7"
+    # such a report loaded, and ccxlab report printed "kind: xyz" or "repeats: 2" next to an
+    # echo of 7 repeats
     _edited(two_repeat_report, edit)
     with pytest.raises(SchemaError, match=f"field '{field}' must be ") as error:
         load_report(two_repeat_report)
@@ -1071,19 +1088,81 @@ def test_a_report_field_that_disagrees_with_the_rest_is_a_schema_error(two_repea
 
 
 def test_an_edited_report_exits_3_naming_its_first_disagreeing_field(two_repeat_report, capsys):
-    _edited(two_repeat_report, lambda p: p.update(kind="xyz", mean_fidelity=5.0,
-                                                  std_fidelity=-1.0, num_jobs=-3,
-                                                  total_measurements=7))
+    _edited(two_repeat_report, lambda p: (p.update(kind="xyz"), p["config"].update(repeats=7),
+                                          p["gate_counts"].update(circuit_depth=-1)))
     assert cli.main(["report", str(two_repeat_report)]) == 3
     assert "(field 'kind' must be 'qst' or 'qpt', got 'xyz')" in capsys.readouterr().err
 
 
-def test_a_mean_and_sd_an_ulp_from_the_fidelities_own_still_load(two_repeat_report):
-    # older code took them with numpy, whose pairwise sums may differ from fsum in the last bit
+def test_a_report_whose_repeats_differ_from_its_fidelity_count_names_both(two_repeat_report,
+                                                                         capsys):
+    # it loaded, and ccxlab report exited 0 printing "repeats: 2"
+    _edited(two_repeat_report, _config_edit("repeats", 7))
+    assert cli.main(["report", str(two_repeat_report)]) == 3
+    assert capsys.readouterr().err == (
+        f"error[schema]: {two_repeat_report}: not a valid report "
+        "(field 'config.repeats' must be 2, the fidelity count, got 7)\n")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("mode", "XYZ"), ("mode", None), ("input_state", "BASIS"), ("input_state", ["GHZ"]),
+    ("input_state", None), ("input_state", "ghz"), ("strategy", "X"), ("master_seed", -1),
+    ("repeats", 0), ("exact_probabilities", 1), ("noise_scale", 2.0),
+    ("shots_per_setting", _DELETED), ("master_seed", _DELETED)])
+def test_a_config_echo_its_config_rejects_is_a_schema_error_naming_the_field(
+        two_repeat_report, capsys, name, value):
+    # the echo was not checked: an unknown enum value loaded, and ccxlab report exited 0;
+    # now ExperimentConfig checks it as it checks a run's
+    _edited(two_repeat_report, _config_edit(name, value))
+    with pytest.raises(SchemaError, match=r"field 'config' must ") as error:
+        load_report(two_repeat_report)
+    assert name in str(error.value)
+    assert error.value.exit_code == 3
+    assert cli.main(["report", str(two_repeat_report)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[schema]: {two_repeat_report}: not a valid report "
+                                   "(field 'config' must ")
+    assert name in captured.err
+
+
+@pytest.mark.parametrize("config", [[], "GHZ", 5])
+def test_a_config_echo_that_is_not_an_object_is_a_schema_error(two_repeat_report, config):
+    _edited(two_repeat_report, lambda p: p.update(config=config))
+    with pytest.raises(SchemaError, match=r"\(field 'config' must be a valid config echo \("):
+        load_report(two_repeat_report)
+
+
+def test_a_noise_aware_echo_with_a_calibration_path_that_is_not_a_path_exits_3(tmp_path,
+                                                                             capsys):
+    report = run_qst_experiment(_config("NOISE_AWARE", exact=True, repeats=1))
+    path = _edited(emit_report(report, "json", tmp_path / "r.json"),
+                   _config_edit("calibration_path", 5))
+    assert cli.main(["report", str(path)]) == 3
+    assert "calibration_path must be None, a str or an os.PathLike, got 5" \
+        in capsys.readouterr().err
+
+
+def test_a_version_3_report_with_edited_derived_values_prints_its_fidelities_own(
+        two_repeat_report, tmp_path, capsys):
+    # layout 3 stored the mean, sd, jobs and total; they are dropped unread, so an edit to
+    # them changes nothing that loads or prints
     report = load_report(two_repeat_report)
-    fids = np.array(report.fidelities)
-    edits = {"mean_fidelity": np.nextafter(np.mean(fids), 2.0),
-             "std_fidelity": np.nextafter(np.std(fids, ddof=1), -1.0)}
-    _edited(two_repeat_report, lambda p: p.update({k: float(v) for k, v in edits.items()}))
-    loaded = load_report(two_repeat_report)
-    assert dataclasses.replace(loaded, **{k: getattr(report, k) for k in edits}) == report
+    payload = _older_layout(report, 3)
+    payload.update(mean_fidelity=5.0, std_fidelity=-1.0, num_jobs=-3, total_measurements=7)
+    path = tmp_path / "v3.json"
+    path.write_text(json.dumps(payload))
+    assert load_report(path) == report
+    mean, std = experiments._mean_sd(report.fidelities)
+    out = _cli_report(path, capsys)
+    assert out == _cli_report(two_repeat_report, capsys)
+    assert f"mean fidelity:   {mean:.5f}\n" in out and f"std fidelity:    {std:.5f}\n" in out
+    assert "jobs x shots:    27 x 200 = 5400\n" in out
+
+
+def test_a_report_stores_no_derived_value(two_repeat_report):
+    payload = json.loads(two_repeat_report.read_text())
+    assert list(payload) == ["schema_version", "kind", "fidelities", "gate_counts", "config",
+                             "tool_version", "wall_seconds", "created_at"]
+    report = load_report(two_repeat_report)
+    assert isinstance(report.config, ExperimentConfig) and report.num_jobs == 27

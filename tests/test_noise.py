@@ -4,8 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccxlab.calibration import builtin_calibration_path, ingest_calibration
 from ccxlab.errors import CcxlabError, SchemaError
+from ccxlab.gates import Gate, GateDef, gate_matrix
 from ccxlab.noise import (
     DEFAULT_GATE_DURATIONS_NS,
     NoiseModel,
@@ -16,6 +20,7 @@ from ccxlab.noise import (
     thermal_relaxation_channel,
 )
 from ccxlab.qmath import dagger, state_fidelity
+from ccxlab.simulator import _local_channel
 from ccxlab.tomography import average_gate_fidelity, choi_ket_of_unitary
 
 from channel_oracle import kraus_to_choi, superop_to_choi
@@ -251,3 +256,60 @@ def test_scale_noise_model():
     off = scale_noise_model(nm, 0.0)
     assert math.isinf(off.qubit_cal[0].t1_us)
     assert off.gate_error["ECR"] == 0.0
+
+
+# -- modelled gate infidelity ------------------------------------------------------
+
+#: each packaged model's gates, the wires a one- or two-qubit gate acts on
+_PACKAGED_GATES = (("ECR", (0, 1)), ("SX", (0,)), ("X", (0,)), ("ID", (0,)))
+
+
+def _modelled_infidelity(name, wires, nm):
+    """1 - F_avg of the gate's ``_local_channel`` against its ideal unitary, from
+    F_avg = (d F_pro + 1) / (d + 1) and F_pro = Tr(S_U^dag S) / d^2."""
+    g = GateDef(Gate(name), wires)
+    u = gate_matrix(g)
+    ideal = np.kron(u, u.conj())
+    f_pro = np.real(np.trace(dagger(ideal) @ _local_channel(g, nm))) / u.shape[0] ** 2
+    return 1.0 - average_gate_fidelity(float(f_pro), len(wires))
+
+
+def _packaged_model(name):
+    return ingest_calibration(builtin_calibration_path(name)).noise_model(3)
+
+
+@pytest.mark.parametrize("model, gate, expected", [
+    ("brisbane_median", "ECR", 0.011962320485305),
+    ("brisbane_median", "SX", 0.000400466043010),
+    ("brisbane_median", "X", 0.000400466043010),
+    ("brisbane_median", "ID", 0.0),
+    ("sherbrooke_median", "ECR", 0.010572547847155),
+    ("sherbrooke_median", "SX", 0.000371826530024),
+    ("sherbrooke_median", "X", 0.000371826530024),
+    ("sherbrooke_median", "ID", 0.0),
+])
+def test_each_packaged_gates_modelled_infidelity_is_recorded(model, gate, expected):
+    # the depolarizing error is the calibrated one, and relaxation over the gate's duration
+    # comes on top of it: ECR models 0.01196 against brisbane's calibrated 0.00832
+    wires = dict(_PACKAGED_GATES)[gate]
+    assert abs(_modelled_infidelity(gate, wires, _packaged_model(model)) - expected) < 1e-9
+
+
+@pytest.mark.parametrize("model", ["brisbane_median", "sherbrooke_median"])
+@pytest.mark.parametrize("gate, wires", _PACKAGED_GATES)
+def test_without_gate_durations_the_modelled_infidelity_is_the_calibrated_error(model, gate,
+                                                                                 wires):
+    nm = _packaged_model(model)
+    still = dataclasses.replace(nm, gate_duration={name: 0.0 for name in nm.gate_duration})
+    assert abs(_modelled_infidelity(gate, wires, still) - nm.gate_error[gate]) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(ecr=st.floats(0.0, 0.74), sx=st.floats(0.0, 0.49), x=st.floats(0.0, 0.49))
+def test_any_realisable_gate_error_without_duration_is_the_modelled_infidelity(ecr, sx, x):
+    # an absent duration is the default one, so each is set to 0 by name
+    errors = {"ECR": ecr, "SX": sx, "X": x}
+    nm = NoiseModel((QubitCalibration(t1_us=100.0, t2_us=80.0),) * 2, errors,
+                    dict.fromkeys(errors, 0.0))
+    for gate, wires in _PACKAGED_GATES[:3]:
+        assert abs(_modelled_infidelity(gate, wires, nm) - errors[gate]) < 1e-12
