@@ -25,7 +25,7 @@ from typing import FrozenSet, List, Tuple
 import numpy as np
 
 from .errors import ParseError, UsageError
-from .gates import GATE_ARITY, GATE_PARAM_COUNT, Gate, GateDef, gate_matrix
+from .gates import GATE_ARITY, Gate, GateDef, gate_matrix
 
 MAX_QUBITS = 6
 
@@ -202,10 +202,6 @@ def parse_circuit(text: str) -> Circuit:
             if not all(math.isfinite(p) for p in params):
                 raise ParseError(lineno, f"non-finite parameter in {m.group('params')!r}")
         qubits = tuple(int(q) for q in re.findall(r"q\[(\d+)\]", m.group("qubits")))
-        if len(qubits) != GATE_ARITY[gate_name]:
-            raise ParseError(lineno, f"{name} takes {GATE_ARITY[gate_name]} qubit(s), got {len(qubits)}")
-        if len(params) != GATE_PARAM_COUNT[gate_name]:
-            raise ParseError(lineno, f"{name} takes {GATE_PARAM_COUNT[gate_name]} parameter(s), got {len(params)}")
         try:
             gates.append(GateDef(gate_name, qubits, params))
         except ValueError as exc:

@@ -478,7 +478,7 @@ def load_report(path: Union[str, Path]) -> Report:
         payload = json.loads(path.read_text())
     except OSError as exc:
         raise SchemaError(f"cannot read report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or UTF-8
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return report_from_dict(payload)

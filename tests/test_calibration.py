@@ -73,6 +73,14 @@ def test_calib_summary_exit_codes(tmp_path, capsys, gates, code):
     assert err.startswith("error[schema]: ") if code else err == ""
 
 
+@pytest.mark.parametrize("command", [["calib-summary"], ["qst", "--repeats", "1", "--noise"]])
+def test_an_unknown_builtin_calibration_is_a_schema_error(command, capsys):
+    with pytest.raises(SchemaError, match="^unknown builtin calibration 'nowhere'; choose from "):
+        builtin_calibration_path("nowhere")
+    assert cli.main([*command, "builtin:nowhere"]) == 3
+    assert capsys.readouterr().err.startswith("error[schema]: unknown builtin calibration ")
+
+
 def _repeated_gates(tmp_path, first, second):
     """brisbane_median with two more gate entries, errors 0.3 then 0.01."""
     gates = json.loads(BRISBANE.read_text())["gates"]

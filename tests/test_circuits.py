@@ -96,6 +96,19 @@ def test_ccx_always_flagged():
     assert len(validate_connectivity(c, graph)) == 1
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Circuit(0), "a circuit needs at least one qubit", id="no-qubits"),
+    pytest.param(lambda: CouplingGraph(3, frozenset({(1, 1)})), r"self-loop edge \(1,1\)",
+                 id="self-loop"),
+    pytest.param(lambda: CouplingGraph(3, frozenset({(3, 2)})),
+                 r"edge \(2,3\) outside 3-qubit graph", id="edge-off-the-graph"),
+    pytest.param(lambda: validate_connectivity(Circuit(4), path_graph(3)),
+                 "circuit uses 4 qubits, graph has 3", id="circuit-wider-than-graph")])
+def test_a_register_or_edge_out_of_range_is_a_value_error(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 # -- serialization ----------------------------------------------------------------
 
 def test_serialize_rz_format():
@@ -136,10 +149,12 @@ _PARSE_ERRORS = [
     pytest.param("qubits x\n", 1, "malformed header 'qubits x'", id="malformed-header"),
     pytest.param("qubits 1\nX q0\n", 2, "unrecognized gate line 'X q0'", id="unrecognized-line"),
     pytest.param("qubits 1\nRZ(a) q[0]\n", 2, "bad parameter list 'a'", id="bad-parameters"),
-    pytest.param("qubits 1\nSX(0.5) q[0]\n", 2, "SX takes 0 parameter(s), got 1",
+    pytest.param("qubits 1\nSX(0.5) q[0]\n", 2, "SX takes 0 parameter(s), got (0.5,)",
                  id="parameter-count"),
     pytest.param("qubits 2\nECR q[0],q[0]\n", 2, "ECR qubit indices must be distinct: (0, 0)",
                  id="repeated-qubit"),
+    pytest.param("qubits 2\nECR q[0]\n", 2, "ECR takes 2 qubit(s), got (0,)", id="arity"),
+    pytest.param("qubits 1\nqubits 2\n", 2, "duplicate qubits header", id="duplicate-header"),
     pytest.param("# only a comment\n", 0, "missing 'qubits N' header", id="missing-header"),
 ]
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import ccxlab
 from ccxlab import cli
 from ccxlab.calibration import BUILTIN_CALIBRATIONS
-from ccxlab.circuits import Circuit, serialize_circuit
+from ccxlab.circuits import Circuit, parse_circuit, serialize_circuit
 from ccxlab.errors import UsageError
 from ccxlab.experiments import REPORT_SCHEMA_VERSION, Report, emit_report, load_report
 from ccxlab.simulator import MAX_SHOTS
@@ -42,7 +42,7 @@ def test_python_dash_m_ccxlab_runs_the_cli_without_an_install():
 
 
 @pytest.mark.parametrize("flags", [["--controls", "0,0"], ["--controls", "a,b"],
-                                   ["--target", "-1"]])
+                                   ["--target", "-1"], ["--controls", "0,1,3"]])
 def test_synth_with_bad_qubits_is_a_run(flags, capsys):
     code, err = _run(["synth", "--strategy", "ECR_NATIVE", *flags], capsys)
     assert code == 2
@@ -147,6 +147,40 @@ def test_synth_prints_the_circuits_two_qubit_count_and_depth(strategy, two_qubit
     assert summary["equivalent"] is True
 
 
+def test_synth_out_writes_the_circuit_it_certifies(tmp_path, capsys):
+    path = tmp_path / "toffoli.txt"
+    assert cli.main(["synth", "--strategy", "LNN_8CNOT", "--out", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["circuit_file"] == str(path)
+    assert parse_circuit(path.read_text()) == decompose_toffoli(DecompositionStrategy.LNN_8CNOT,
+                                                                (0, 1), 2)
+
+
+@pytest.mark.parametrize("command, shots", [("qst", 19000), ("qpt", 11000)])
+def test_each_tomography_command_defaults_to_its_papers_shot_count(command, shots, capsys):
+    assert cli.build_parser().parse_args([command]).shots == shots
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--help"])
+    assert info.value.code == 0
+    assert f"shots per setting (default {shots})" in capsys.readouterr().out
+
+
+def test_qpt_prints_its_report(capsys):
+    assert cli.main(["qpt", "--repeats", "1", "--shots", "50"]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert (payload["kind"], len(payload["fidelities"]), payload["config"]["shots_per_setting"],
+            err) == ("qpt", 1, 50, "")
+
+
+def test_calib_summary_out_writes_the_summary_it_prints(tmp_path, capsys):
+    assert cli.main(["calib-summary", "builtin:brisbane_median"]) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "summary.json"
+    assert cli.main(["calib-summary", "builtin:brisbane_median", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote summary to {path}\n"
+    assert path.read_text() == printed
+
+
 def test_report_with_unknown_format_exits_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["report", str(tmp_path / "report.json"), "--format", "xml"])
@@ -182,6 +216,15 @@ def test_simulate_with_a_non_finite_gate_parameter_is_a_schema_error(tmp_path, c
     code, err = _run(["simulate", str(path), *shots], capsys)
     assert code == 3
     assert err.startswith("error[schema]: line 2: non-finite parameter")
+
+
+def test_simulate_of_a_circuit_that_is_not_utf8_is_a_schema_error(tmp_path, capsys):
+    # undecodable bytes used to end in a UnicodeDecodeError traceback, exit 1
+    path = tmp_path / "circuit.txt"
+    path.write_bytes(b"qubits 1\nX q[0] # \xff\n")
+    code, err = _run(["simulate", str(path)], capsys)
+    assert code == 3
+    assert err.startswith(f"error[schema]: {path}: not UTF-8 text")
 
 
 #: one value of the wrong JSON type for each field of a saved report
@@ -244,7 +287,7 @@ def _experiment_argv(draw):
 def test_every_config_the_cli_builds_saves_and_loads_back_equal(argv, data):
     args = cli.build_parser().parse_args(argv)
     try:
-        cfg = cli._experiment_config(args, default_shots={"qst": 19000, "qpt": 11000}[argv[0]])
+        cfg = cli._experiment_config(args)
     except UsageError:
         assume(False)  # not a config: the CLI exits 2
     fidelities = data.draw(st.lists(st.floats(0.0, 1.0), min_size=cfg.repeats,

@@ -1022,6 +1022,17 @@ def test_a_report_that_is_not_json_is_a_schema_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error[schema]: {path}: not valid JSON")
 
 
+def test_a_report_that_is_not_utf8_is_a_schema_error(tmp_path, capsys):
+    # undecodable bytes used to end in a UnicodeDecodeError traceback, exit 1
+    path = tmp_path / "report.json"
+    path.write_bytes(b"\xff\xfe\xfa")
+    with pytest.raises(SchemaError, match="not valid JSON") as error:
+        load_report(path)
+    assert (error.value.category, error.value.exit_code) == ("schema", 3)
+    assert cli.main(["report", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error[schema]: {path}: not valid JSON")
+
+
 @pytest.mark.parametrize("fmt", ["xml", "", "tsv"])
 def test_an_unknown_report_format_is_a_usage_error(report_file, tmp_path, fmt):
     # the CLI's --format takes json or csv only, so argparse rejects any other first

@@ -116,6 +116,8 @@ def test_gatedef_validation():
         GateDef(Gate.RZ, (0,))  # missing angle
     with pytest.raises(ValueError):
         GateDef(Gate.X, (0,), (0.5,))  # spurious parameter
+    with pytest.raises(ValueError, match=r"^negative qubit index in \(-1,\)$"):
+        GateDef(Gate.X, (-1,))
 
 
 def test_gatedef_of_an_unknown_gate_name_is_a_usage_error():

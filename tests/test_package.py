@@ -9,6 +9,7 @@ import pytest
 
 import ccxlab
 from ccxlab import errors
+from ccxlab.version import __version__
 
 
 def test_no_assert_statements_in_package():
@@ -187,3 +188,10 @@ def test_numpy_is_the_only_declared_dependency():
     dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
     assert {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in dependencies} \
         == _DEPENDENCIES
+
+
+def test_the_package_version_is_the_declared_version():
+    # reports store ccxlab.version.__version__ as their tool_version
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == __version__

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from ccxlab.qmath import VALIDATION_TOL, X, state_fidelity
+from ccxlab.qmath import VALIDATION_TOL, X, check_unitary, state_fidelity
 
 from conftest import (
     raises_numerical,
@@ -36,6 +38,12 @@ def test_fidelity_maximally_mixed_vs_pure():
 def test_fidelity_dimension_mismatch():
     with raises_numerical(SHAPE):
         state_fidelity(np.eye(2) / 2, np.ones(4) / 2)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,)])
+def test_check_unitary_rejects_a_matrix_that_is_not_square(shape):
+    with raises_numerical(rf"^expected a square matrix, got shape {re.escape(str(shape))}$"):
+        check_unitary(np.zeros(shape))
 
 
 def test_fidelity_self_is_one_on_random_states(rng):

@@ -12,6 +12,7 @@ from ccxlab.errors import UsageError
 from ccxlab.gates import NATIVE_GATES, Gate, GateDef, cnot, gate_matrix, rz, sx
 from ccxlab.synthesis import (
     DecompositionStrategy,
+    EquivalenceReport,
     _ccz_8cnot,
     _ccz_9cnot,
     _path_order,
@@ -231,6 +232,13 @@ def test_equivalence_distinct_operators():
     assert not rep.equivalent
 
 
+@pytest.mark.parametrize("zero", ["u", "v"])
+def test_equivalence_with_a_zero_anchor_is_not_equivalent(zero):
+    # no phase can map a zero entry onto a nonzero one, so the phase stays 1
+    u, v = (np.zeros((2, 2)), np.eye(2)) if zero == "u" else (np.eye(2), np.zeros((2, 2)))
+    assert equivalent_up_to_global_phase(u, v) == EquivalenceReport(False, 1.0 + 0j, 1.0)
+
+
 def test_equivalence_dimension_mismatch():
     with raises_numerical(r"^shape mismatch \(4, 4\) vs \(8, 8\)$"):
         equivalent_up_to_global_phase(np.eye(4), np.eye(8))
@@ -303,6 +311,11 @@ def test_peephole_keeps_two_pi_rotation():
     c = Circuit(1, (rz(2 * math.pi, 0),))
     merged = peephole_merge(c)
     assert len(merged.gates) == 1  # RZ(2*pi) = -I is not the identity
+
+
+def test_peephole_drops_identities():
+    c = Circuit(2, (GateDef(Gate.ID, (0,)), sx(1), GateDef(Gate.ID, (1,)), rz(0.3, 1)))
+    assert peephole_merge(c).gates == (sx(1), rz(0.3, 1))
 
 
 def test_peephole_does_not_merge_across_blockers():

@@ -748,6 +748,12 @@ def test_process_fidelity_pure_target_shortcut(rng):
     assert state_fidelity(sigma, choi_ket_of_unitary(u)) == pytest.approx(shortcut, abs=1e-8)
 
 
+@pytest.mark.parametrize("f_pro", [-0.1, 1.1, math.nan])
+def test_average_gate_fidelity_of_a_process_fidelity_outside_the_unit_interval(f_pro):
+    with pytest.raises(ValueError, match=re.escape(f"process fidelity {f_pro} outside [0, 1]")):
+        average_gate_fidelity(f_pro, 3)
+
+
 def test_average_gate_fidelity_formula():
     assert average_gate_fidelity(1.0, 3) == 1.0
     assert average_gate_fidelity(0.0, 1) == pytest.approx(1 / 3)
