@@ -1,5 +1,9 @@
 """Calibration file ingestion and summary statistics.
 
+A calibration is named by a file path or by ``builtin:<name>``, one of the
+packaged medians in ``BUILTIN_CALIBRATIONS``; ``ingest_calibration`` alone
+resolves that name, so every caller passes the argument as the user gave it.
+
 Schema (JSON)::
 
     {
@@ -109,6 +113,11 @@ def _require(entry: dict, field: str, path: str) -> float:
 
 
 def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
+    """Read and check a calibration file, given as a path or ``builtin:<name>``."""
+    if path == "":
+        raise SchemaError("calibration path is empty")
+    if isinstance(path, str) and path.startswith("builtin:"):
+        path = builtin_calibration_path(path[len("builtin:"):])
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"calibration file not found: {path}")

@@ -3,19 +3,27 @@
 Subcommands: synth, simulate, qst, qpt, calib-summary, report. ``qst`` and
 ``qpt`` are one command over their kind's runner, with the same flags; only
 the default shots per setting differ (19000 and 11000, the paper's counts).
-Exit codes: 0 success, 2 usage, 3 schema/file, 4 numerical.
+Each of their flags that sets an ``ExperimentConfig`` field parses into that
+field's name, and the config gets every value as given: a calibration stays
+the path or ``builtin:<name>`` the user named, and the library checks and
+resolves it. ``--out`` writes the ``--format`` given, or else CSV for a name
+ending in .csv and JSON for any other.
+Exit codes: 0 success, 2 usage, 3 schema/file, 4 numerical, 141 (128 +
+SIGPIPE, as a shell reports it) when stdout's reader has closed the pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import builtin_calibration_path, ingest_calibration
+from .calibration import ingest_calibration
 from .circuits import Circuit, parse_circuit, path_graph, serialize_circuit, validate_connectivity
 from .errors import CcxlabError, SchemaError, UsageError
 from .experiments import (
@@ -38,47 +46,42 @@ from .tomography import average_gate_fidelity
 from .version import __version__
 
 
-def _resolve_noise_path(value: str) -> str:
-    if value.startswith("builtin:"):
-        return str(builtin_calibration_path(value.split(":", 1)[1]))
-    return value
-
-
 def _experiment_config(args) -> ExperimentConfig:
+    """The config of the parsed flags, each named for the field it sets; a run is noise-aware
+    exactly when it names a calibration."""
+    names = {f.name for f in fields(ExperimentConfig)}
     return ExperimentConfig(
-        mode=Mode.NOISE_AWARE if args.noise else Mode.NOISE_FREE,
-        input_state=args.state,
-        strategy=args.strategy,
-        shots_per_setting=args.shots,
-        master_seed=args.seed,
-        calibration_path=_resolve_noise_path(args.noise) if args.noise else None,
-        repeats=args.repeats,
-        exact_probabilities=args.exact_probabilities,
-        apply_readout=not args.no_readout_error,
-        noise_scale=args.noise_scale,
-    )
+        mode=Mode.NOISE_FREE if args.calibration_path is None else Mode.NOISE_AWARE,
+        **{name: value for name, value in vars(args).items() if name in names})
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser, default_shots: int) -> None:
-    p.add_argument("--state", default="GHZ", choices=[k.value for k in StateKind])
+    p.add_argument("--state", dest="input_state", default="GHZ",
+                   choices=[k.value for k in StateKind])
     p.add_argument("--strategy", default="ECR_NATIVE",
                    choices=[s.value for s in DecompositionStrategy],
                    help="Toffoli realization; only ECR_NATIVE is over the native gate set, "
                         "and the others exit 2, with or without --noise")
-    p.add_argument("--shots", type=int, default=default_shots,
-                   help="shots per setting (default %(default)s)")
-    p.add_argument("--seed", type=int, default=1, help="master seed")
+    p.add_argument("--shots", dest="shots_per_setting", metavar="SHOTS", type=int,
+                   default=default_shots, help="shots per setting (default %(default)s)")
+    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=1,
+                   help="master seed")
     p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--noise", metavar="CALIBRATION",
+    p.add_argument("--noise", dest="calibration_path", metavar="CALIBRATION",
                    help="calibration JSON path or builtin:<name>; enables noise-aware mode")
     p.add_argument("--noise-scale", type=float, default=1.0,
                    help="scale all error and relaxation rates by this factor")
     p.add_argument("--exact-probabilities", action="store_true",
                    help="bypass sampling; feed exact outcome distributions")
-    p.add_argument("--no-readout-error", action="store_true",
+    p.add_argument("--no-readout-error", dest="apply_readout", action="store_false",
                    help="noise-aware runs read out with zero readout confusion")
     p.add_argument("--out", help="output file (default: print JSON)")
-    p.add_argument("--format", default="json", choices=["json", "csv"])
+    p.add_argument("--format", choices=["json", "csv"])
+
+
+def _out_format(args) -> str:
+    """``--format`` when given; else CSV for an ``--out`` name ending in .csv, else JSON."""
+    return args.format or ("csv" if args.out.lower().endswith(".csv") else "json")
 
 
 def _cmd_synth(args) -> int:
@@ -122,14 +125,13 @@ def _cmd_simulate(args) -> int:
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{args.circuit}: not UTF-8 text ({exc})") from exc
     circuit = parse_circuit(text)
-    nm = (ingest_calibration(_resolve_noise_path(args.noise)).noise_model(circuit.num_qubits)
-          if args.noise else NOISELESS)
+    n = circuit.num_qubits
+    nm = NOISELESS if args.noise is None else ingest_calibration(args.noise).noise_model(n)
     rho = run_density(circuit, nm)
     probs = np.real(np.diag(rho))
     out = {"backend": "density", "purity": float(np.real(np.trace(rho @ rho))),
            "populations": [float(p) for p in probs]}
     if args.shots:
-        n = circuit.num_qubits
         # measured as every run measures: readout relaxation, then readout confusion
         probs = setting_distributions(rho, readout_map([Circuit(1)], n, nm))[0]
         draws = sample_distribution(probs, args.shots, (args.seed,))
@@ -143,15 +145,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_experiment(args) -> int:
     report = args.run(_experiment_config(args))
     if args.out:
-        emit_report(report, args.format, args.out)
-        print(f"wrote {args.format} report to {args.out}")
+        fmt = _out_format(args)
+        emit_report(report, fmt, args.out)
+        print(f"wrote {fmt} report to {args.out}")
     else:
         print(json.dumps(report_to_dict(report), indent=2))
     return 0
 
 
 def _cmd_calib_summary(args) -> int:
-    table = ingest_calibration(_resolve_noise_path(args.calibration))
+    table = ingest_calibration(args.calibration)
     payload = {
         "source": table.source,
         "num_qubit_records": len(table.qubits),
@@ -171,8 +174,9 @@ def _cmd_calib_summary(args) -> int:
 def _cmd_report(args) -> int:
     report = load_report(args.report)
     if args.out:
-        emit_report(report, args.format, args.out)
-        print(f"wrote {args.format} to {args.out}")
+        fmt = _out_format(args)
+        emit_report(report, fmt, args.out)
+        print(f"wrote {fmt} to {args.out}")
         return 0
     mean, std = _mean_sd(report.fidelities)
     shots = report.config.shots_per_setting
@@ -232,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="inspect or convert a report file")
     p.add_argument("report")
     p.add_argument("--out")
-    p.add_argument("--format", default="csv", choices=["json", "csv"])
+    p.add_argument("--format", choices=["json", "csv"])
     p.set_defaults(func=_cmd_report)
     return parser
 
@@ -241,7 +245,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # stdout's reader is gone, as in `ccxlab qpt | head -1`
+        # the interpreter flushes stdout again at exit; point it at devnull to keep that quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CcxlabError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -179,11 +179,13 @@ class ExperimentConfig:
     def noise_model(self) -> NoiseModel:
         """The three-qubit noise model of a noise-aware run; ``NOISELESS`` when noise-free.
 
-        Without ``apply_readout`` every qubit of it has zero readout confusion.
-        The calibration file is read and checked on every call, and each call
-        builds a new model. It equals, and hashes like, any model with the same
-        numbers, and that is what the channel and table caches are keyed by: the
-        file's numbers, not its path, so a file edited between calls misses them.
+        ``calibration_path`` is a file path or ``builtin:<name>``, handed to
+        ``ingest_calibration`` as given. Without ``apply_readout`` every qubit
+        of it has zero readout confusion. The calibration file is read and
+        checked on every call, and each call builds a new model. It equals, and
+        hashes like, any model with the same numbers, and that is what the
+        channel and table caches are keyed by: the file's numbers, not its
+        path, so a file edited between calls misses them.
         """
         if self.mode is Mode.NOISE_FREE:
             return NOISELESS

@@ -6,9 +6,11 @@ gate's average error rate on the gate's own qubits, then thermal relaxation
 on each participating qubit for the gate's duration. RZ is a virtual frame
 update and acquires no noise. Idle qubits do not relax (no scheduling model).
 Before a measurement every qubit relaxes for its readout length, and the
-readout confusion then acts on the outcome distribution. A model whose
-qubits have zero confusion, P(1|0) = P(0|1) = 0, reads out perfectly: that
-is how a run without readout error is modelled, not a switch in the simulator.
+readout confusion then acts on the outcome distribution. A run without
+readout error is modelled by zero readout confusion, P(1|0) = P(0|1) = 0,
+not by a switch in the simulator. That is not perfect readout: each qubit
+still relaxes for its readout length. Only a model with zero confusion and
+zero readout lengths, such as ``NOISELESS``, reads out perfectly.
 
 The simulator only uses a channel as its row-major superoperator (Wood,
 Biamonte & Cory, arXiv:1111.6950), so each builder below returns that matrix

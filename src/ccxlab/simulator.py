@@ -250,9 +250,10 @@ def readout_map(alphabet: Sequence[Circuit], n: int, nm: NoiseModel) -> np.ndarr
     the diagonal: in that order a noise-free map has the bits of the
     whole-register construction in tests/readout_oracle.py. Each setting's
     block is the tensor product of its wires' maps; the result has shape
-    (len(alphabet)^n * 2^n, 4^n). A model with zero
-    confusion, such as ``NOISELESS``, reads out perfectly: its confusion
-    matrix is exactly the identity.
+    (len(alphabet)^n * 2^n, 4^n). Zero readout confusion makes the confusion
+    matrix exactly the identity, but readout relaxation still acts for each
+    qubit's ``readout_length_ns``; only a model that also has zero readout
+    lengths, such as ``NOISELESS``, reads out perfectly.
     """
     readouts = []  # per qubit: its confusion, and diagonal . readout relaxation
     for q in range(n):

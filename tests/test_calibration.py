@@ -81,6 +81,12 @@ def test_an_unknown_builtin_calibration_is_a_schema_error(command, capsys):
     assert capsys.readouterr().err.startswith("error[schema]: unknown builtin calibration ")
 
 
+def test_ingest_calibration_resolves_a_builtin_name():
+    # the one place a builtin:<name> argument is resolved; the CLI and configs pass it as given
+    assert (ingest_calibration("builtin:sherbrooke_median")
+            == ingest_calibration(builtin_calibration_path("sherbrooke_median")))
+
+
 def _repeated_gates(tmp_path, first, second):
     """brisbane_median with two more gate entries, errors 0.3 then 0.01."""
     gates = json.loads(BRISBANE.read_text())["gates"]

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 import ccxlab
 from ccxlab import cli
-from ccxlab.calibration import BUILTIN_CALIBRATIONS
+from ccxlab.calibration import BUILTIN_CALIBRATIONS, builtin_calibration_path
 from ccxlab.circuits import Circuit, parse_circuit, serialize_circuit
 from ccxlab.errors import UsageError
-from ccxlab.experiments import REPORT_SCHEMA_VERSION, Report, emit_report, load_report
+from ccxlab.experiments import (REPORT_SCHEMA_VERSION, Report, emit_report, load_report,
+                                run_qst_experiment)
 from ccxlab.simulator import MAX_SHOTS
 from ccxlab.states import StateKind
 from ccxlab.gates import x
@@ -32,13 +33,31 @@ def _run(argv, capsys):
     return code, capsys.readouterr().err
 
 
-def test_python_dash_m_ccxlab_runs_the_cli_without_an_install():
-    # only the source tree on the path, as in a checkout without pip install .
+def _source_env():
+    """The environment with only the source tree added to the path, as in a checkout without
+    pip install ."""
     path = [str(Path(ccxlab.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    done = subprocess.run([sys.executable, "-m", "ccxlab", "--version"], env=env,
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+
+def test_python_dash_m_ccxlab_runs_the_cli_without_an_install():
+    done = subprocess.run([sys.executable, "-m", "ccxlab", "--version"], env=_source_env(),
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, f"ccxlab {__version__}\n", "")
+
+
+def test_a_closed_stdout_pipe_ends_the_run_quietly():
+    # as in `ccxlab qpt | head -1`; the BrokenPipeError of stdout used to be reported as a
+    # schema error, exit 3
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "ccxlab", "synth", "--strategy",
+                               "ECR_NATIVE"], env=_source_env(), stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 @pytest.mark.parametrize("flags", [["--controls", "0,0"], ["--controls", "a,b"],
@@ -101,6 +120,56 @@ def test_noise_options_without_noise_are_a_usage_error(flags, capsys):
     assert err.startswith("error[usage]: ") and "NOISE_AWARE" in err
 
 
+@pytest.mark.parametrize("argv, code", [(["qst"], 2), (["qpt"], 2),
+                                        (["simulate", "{dir}/circuit.txt"], 3)],
+                         ids=["qst", "qpt", "simulate"])
+def test_an_empty_noise_argument_is_refused(argv, code, tmp_path, capsys, monkeypatch):
+    # it used to run noise-free, as if --noise were not given: a tomography config refuses a
+    # noise-aware run without a calibration, and ingest_calibration an empty path
+    for name in ("run_qst_experiment", "run_qpt_experiment"):
+        monkeypatch.setattr(cli, name, lambda cfg: pytest.fail("an experiment ran"))
+    (tmp_path / "circuit.txt").write_text(serialize_circuit(Circuit(3, (x(0),))))
+    assert cli.main([arg.format(dir=tmp_path) for arg in argv] + ["--noise", ""]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error[usage]: NOISE_AWARE mode requires a calibration path\n" if code == 2
+                   else "error[schema]: calibration path is empty\n")
+
+
+def test_a_builtin_calibration_is_echoed_as_named_and_runs_as_its_file(tmp_path, capsys):
+    # the report keeps what the user gave, not the packaged file's path on this machine, and
+    # its config runs again wherever the package is installed
+    builtin, resolved = tmp_path / "builtin.json", tmp_path / "resolved.json"
+    for path, noise in ((builtin, "builtin:brisbane_median"),
+                        (resolved, str(builtin_calibration_path("brisbane_median")))):
+        assert cli.main(["qst", "--noise", noise, "--repeats", "2", "--shots", "200",
+                         "--out", str(path)]) == 0
+    report = load_report(builtin)
+    assert report.config.calibration_path == "builtin:brisbane_median"
+    fidelities = [f.hex() for f in report.fidelities]
+    assert [f.hex() for f in load_report(resolved).fidelities] == fidelities
+    assert [f.hex() for f in run_qst_experiment(report.config).fidelities] == fidelities
+
+
+def test_out_writes_the_format_its_name_ends_in_unless_format_is_given(tmp_path, capsys):
+    # the default was JSON for qst and qpt and CSV for report, whatever the file was named
+    path = tmp_path / "r.csv"
+    assert cli.main(["qst", "--repeats", "2", "--shots", "10", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote csv report to {path}\n"
+    assert path.read_text().splitlines()[0] == "repeat,fidelity"
+    report = tmp_path / "r.json"
+    assert cli.main(["qst", "--repeats", "2", "--shots", "10", "--out", str(report)]) == 0
+    for name, flags, fmt in (("copy.json", [], "json"), ("copy", [], "json"),
+                             ("copy.CSV", [], "csv"), ("copy.csv", ["--format", "json"], "json")):
+        capsys.readouterr()
+        assert cli.main(["report", str(report), "--out", str(tmp_path / name), *flags]) == 0
+        assert capsys.readouterr().out == f"wrote {fmt} to {tmp_path / name}\n"
+        if fmt == "json":
+            assert load_report(tmp_path / name) == load_report(report)
+        else:
+            assert (tmp_path / name).read_text().splitlines()[0] == "repeat,fidelity"
+
+
 @pytest.mark.parametrize("noise", [[], ["--noise", "builtin:brisbane_median"]])
 def test_simulate_with_negative_seed_is_a_usage_error(tmp_path, capsys, noise):
     path = tmp_path / "circuit.txt"
@@ -157,7 +226,7 @@ def test_synth_out_writes_the_circuit_it_certifies(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, shots", [("qst", 19000), ("qpt", 11000)])
 def test_each_tomography_command_defaults_to_its_papers_shot_count(command, shots, capsys):
-    assert cli.build_parser().parse_args([command]).shots == shots
+    assert cli.build_parser().parse_args([command]).shots_per_setting == shots
     with pytest.raises(SystemExit) as info:
         cli.main([command, "--help"])
     assert info.value.code == 0

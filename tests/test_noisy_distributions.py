@@ -136,6 +136,13 @@ def test_qst_distributions_match_kraus_oracle(state, calibration, apply_readout)
                            calibration_path=str(builtin_calibration_path(calibration)))
     actual = _distributions(state, cfg.noise_model())
     assert np.max(np.abs(actual - expected)) < TOL
+    if not apply_readout:
+        # zero confusion is not perfect readout: |1> still relaxes for the readout length
+        cal = cfg.noise_model().calibration(0)
+        one = np.diag([0.0, 1.0]).astype(complex)
+        reads_0 = simulator.setting_distributions(
+            one, simulator.readout_map([Circuit(1)], 1, cfg.noise_model()))[0][0]
+        assert abs(reads_0 - (1 - np.exp(-cal.readout_length_ns / 1000 / cal.t1_us))) < TOL
 
 
 def _uneven_noise_model():
