@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: synth, simulate, qst, qpt, calib-summary, report. ``qst`` and
-``qpt`` are one command over their kind's runner, with the same flags; only
-the default shots per setting differ (19000 and 11000, the paper's counts).
+``qpt`` are one command over their kind's runner, with the same flags but
+``--state``, the input that only state tomography prepares; their default
+shots per setting differ too (19000 and 11000, the paper's counts).
 Each of their flags that sets an ``ExperimentConfig`` field parses into that
 field's name, and the config gets every value as given: a calibration stays
 the path or ``builtin:<name>`` the user named, and the library checks and
 resolves it. ``--out`` writes the ``--format`` given, or else CSV for a name
-ending in .csv and JSON for any other.
+ending in .csv and JSON for any other; ``--format`` without ``--out`` is a
+usage error.
 Exit codes: 0 success, 2 usage, 3 schema/file, 4 numerical, 141 (128 +
 SIGPIPE, as a shell reports it) when stdout's reader has closed the pipe.
 """
@@ -56,8 +58,6 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser, default_shots: int) -> None:
-    p.add_argument("--state", dest="input_state", default="GHZ",
-                   choices=[k.value for k in StateKind])
     p.add_argument("--strategy", default="ECR_NATIVE",
                    choices=[s.value for s in DecompositionStrategy],
                    help="Toffoli realization; only ECR_NATIVE is over the native gate set, "
@@ -70,7 +70,8 @@ def _add_experiment_flags(p: argparse.ArgumentParser, default_shots: int) -> Non
     p.add_argument("--noise", dest="calibration_path", metavar="CALIBRATION",
                    help="calibration JSON path or builtin:<name>; enables noise-aware mode")
     p.add_argument("--noise-scale", type=float, default=1.0,
-                   help="scale all error and relaxation rates by this factor")
+                   help="scale the gate errors, readout confusion and relaxation rates "
+                        "by this factor")
     p.add_argument("--exact-probabilities", action="store_true",
                    help="bypass sampling; feed exact outcome distributions")
     p.add_argument("--no-readout-error", dest="apply_readout", action="store_false",
@@ -190,6 +191,8 @@ def _cmd_report(args) -> int:
         agf = [average_gate_fidelity(f, 3) for f in report.fidelities]
         lines.append(f"mean avg gate F: {sum(agf) / len(agf):.5f}")
     lines += [
+        f"jobs:            {report.num_jobs} (exact probabilities, no shots drawn)"
+        if report.config.exact_probabilities else
         f"jobs x shots:    {report.num_jobs} x {shots} = {report.num_jobs * shots}",
         f"tool version:    {report.tool_version}",
     ]
@@ -225,6 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("qst", run_qst_experiment, 19000, "state tomography of the Toffoli output"),
             ("qpt", run_qpt_experiment, 11000, "process tomography of the Toffoli gate")):
         p = sub.add_parser(name, help=help_text)
+        if name == "qst":  # process tomography prepares its own probes
+            p.add_argument("--state", dest="input_state", default="GHZ",
+                           choices=[k.value for k in StateKind])
         _add_experiment_flags(p, default_shots)
         p.set_defaults(func=_cmd_experiment, run=run)
 
@@ -245,6 +251,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "format", None) and not args.out:
+            raise UsageError("--format sets the format of --out; give --out too")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
         return code

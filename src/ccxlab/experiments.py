@@ -85,6 +85,7 @@ import numpy as np
 from .calibration import ingest_calibration
 from .circuits import Circuit
 from .errors import SchemaError, UsageError
+from .gates import NATIVE_GATES
 from .noise import NOISELESS, NoiseModel, scale_noise_model
 from .qmath import state_fidelity
 from .simulator import (MAX_SHOTS, draw_form, draws, product_states, readout_map, run_density,
@@ -248,8 +249,16 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _toffoli(strategy: DecompositionStrategy) -> Circuit:
-    """The Toffoli under test, synthesized once per strategy and process: a circuit is immutable."""
-    return decompose_toffoli(strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
+    """The Toffoli under test, synthesized once per strategy and process: a circuit is immutable.
+
+    The simulator runs native gates only, so a strategy with any other gate
+    is a ``UsageError`` that names it, raised before a run builds its input.
+    """
+    circuit = decompose_toffoli(strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
+    if not {g.name for g in circuit.gates} <= NATIVE_GATES:
+        raise UsageError(f"strategy {strategy.value} synthesizes gates not in the native set; "
+                         f"experiments run only {DecompositionStrategy.ECR_NATIVE.value}")
+    return circuit
 
 
 class _Subject(NamedTuple):

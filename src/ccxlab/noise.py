@@ -20,7 +20,9 @@ in closed form and checks that it preserves the trace. The operator-sum
 Noise-free is not a separate backend: it is ``NOISELESS``, the model with no
 relaxation, no gate error, zero durations and perfect readout, so every
 channel above is the identity and the simulator runs one evolution and one
-measurement map in both modes.
+measurement map in both modes. T1 = T2 = inf is not a special case either:
+the relaxation formula gives the identity there exactly, since t/inf and
+1/inf are exactly 0.
 
 The simulator compiles each distinct gate of a model to one local channel,
 the superoperator on the gate's own wires; the placement order is unchanged.
@@ -75,15 +77,17 @@ def thermal_relaxation_channel(duration_ns: float, t1_us: float, t2_us: float) -
 
     gamma = 1 - exp(-t/T1); pure dephasing at rate 1/T2 - 1/(2 T1) flips the
     phase with probability p_z. The coherences keep sqrt(1 - gamma) (1 - 2 p_z).
+    T = inf needs no case of its own: t/inf is 0 and 1/inf is 0 exactly, so
+    infinite coherence gives the identity from the same formula, bit for bit,
+    as does a zero duration.
     """
     if not 0 <= duration_ns < math.inf:
         raise ValueError(f"duration must be finite and nonnegative, got {duration_ns}")
-    if not (0 < t2_us <= 2 * t1_us) and not (math.isinf(t1_us) and math.isinf(t2_us)):
+    if not 0 < t2_us <= 2 * t1_us:
         raise SchemaError(f"need 0 < T2 <= 2*T1, got T1={t1_us}, T2={t2_us}")
     t_us = duration_ns / 1000.0
-    gamma = 1.0 - math.exp(-t_us / t1_us) if not math.isinf(t1_us) else 0.0
-    rate_phi = (1.0 / t2_us if not math.isinf(t2_us) else 0.0) \
-        - (0.5 / t1_us if not math.isinf(t1_us) else 0.0)
+    gamma = 1.0 - math.exp(-t_us / t1_us)
+    rate_phi = 1.0 / t2_us - 0.5 / t1_us
     p_z = (1.0 - math.exp(-t_us * max(rate_phi, 0.0))) / 2.0
     coherence = math.sqrt(1 - gamma) * (1 - 2 * p_z)
     # row-major vec: index 0 is |0><0|, 1 and 2 the coherences, 3 is |1><1|
@@ -170,15 +174,12 @@ class NoiseModel:
             raise UsageError(f"no calibration for qubit {qubit}")
         return self.qubit_cal[qubit]
 
+    # a Gate is a str equal to, and hashing like, its name, so either looks the maps up
     def error_for(self, gate: Gate | str) -> float:
-        name = gate.value if isinstance(gate, Gate) else gate
-        return float(self.gate_error.get(name, 0.0))
+        return float(self.gate_error.get(gate, 0.0))
 
     def duration_for(self, gate: Gate | str) -> float:
-        name = gate.value if isinstance(gate, Gate) else gate
-        if name in self.gate_duration:
-            return float(self.gate_duration[name])
-        return DEFAULT_GATE_DURATIONS_NS.get(name, 0.0)
+        return float(self.gate_duration.get(gate, DEFAULT_GATE_DURATIONS_NS.get(gate, 0.0)))
 
 
 #: the model of a noise-free run: T1 = T2 = inf, no gate error, zero gate and

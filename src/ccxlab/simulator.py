@@ -253,17 +253,15 @@ def readout_map(alphabet: Sequence[Circuit], n: int, nm: NoiseModel) -> np.ndarr
     (len(alphabet)^n * 2^n, 4^n). Zero readout confusion makes the confusion
     matrix exactly the identity, but readout relaxation still acts for each
     qubit's ``readout_length_ns``; only a model that also has zero readout
-    lengths, such as ``NOISELESS``, reads out perfectly.
+    lengths, such as ``NOISELESS``, reads out perfectly. A zero readout
+    window needs no case of its own: its relaxation is exactly the identity.
     """
     readouts = []  # per qubit: its confusion, and diagonal . readout relaxation
     for q in range(n):
         cal = nm.calibration(q)
         p10, p01 = cal.prob_meas1_prep0, cal.prob_meas0_prep1
-        relaxed = np.zeros((2, 4), dtype=complex)
-        relaxed[0, 0] = relaxed[1, 3] = 1.0  # outcome b reads the diagonal entry |b><b|
-        if cal.readout_length_ns > 0:
-            relaxed = relaxed @ thermal_relaxation_channel(cal.readout_length_ns,
-                                                           cal.t1_us, cal.t2_us)
+        # outcome b reads the diagonal entry |b><b| of the relaxed state: rows 0 and 3 of vec
+        relaxed = thermal_relaxation_channel(cal.readout_length_ns, cal.t1_us, cal.t2_us)[[0, 3]]
         # column-stochastic: columns index the true outcome
         readouts.append((np.array([[1 - p10, p01], [p10, 1 - p01]]), relaxed))
 

@@ -38,8 +38,9 @@ State tomography is the case of zero input qubits: one preparation, whose
 dual ``_probe_dual(0)`` is [[1]], and a Choi matrix of input dimension 1,
 which is a state. So both estimators are one function, ``_reconstruct``:
 linear inversion, the dual, the regroup and one projection to the nearest
-CPTP Choi matrix, which at d_in = 1 is the nearest density matrix; there
-the dual is [[1]] and its product and the regroup are skipped. Linear
+CPTP Choi matrix, which at d_in = 1 is the nearest density matrix. There
+the dual [[1]] multiplies each entry by exactly 1 and the regroup moves no
+entry, so a state's estimate is its linear inversion, bit for bit. Linear
 inversion followed by one such projection is the estimator Surawy-Stepney,
 Kahn, Kueng & Guta analyse (arXiv:2107.01060).
 
@@ -456,8 +457,6 @@ def _reconstruct(frequencies: np.ndarray, k: int, dual: np.ndarray) -> np.ndarra
     # unprojected per-preparation output estimates (see module docstring), one per row;
     # a stack takes one product per entry, so entry r is exactly its single call's
     outputs = (frequencies.reshape(lead + (len(dual), -1)) @ _real_estimator(k)).view(complex)
-    if d_in == 1:  # a state: the dual is [[1]] and its estimate is vec(rho) itself
-        return project_to_cptp(outputs.reshape(lead + (n, n)), 1)
     # row-major vec convention: superop^T[(m, n), (p, q)] = E(|m><n|)[p, q] -> Choi block (m, n)
     superop_t = dual.T @ outputs
     xi = superop_t.reshape(-1, d_in, d_in, d_out, d_out).transpose(0, 1, 3, 2, 4) \

@@ -19,8 +19,8 @@ from ccxlab import cli
 from ccxlab.calibration import BUILTIN_CALIBRATIONS, builtin_calibration_path
 from ccxlab.circuits import Circuit, parse_circuit, serialize_circuit
 from ccxlab.errors import UsageError
-from ccxlab.experiments import (REPORT_SCHEMA_VERSION, Report, emit_report, load_report,
-                                run_qst_experiment)
+from ccxlab.experiments import (REPORT_SCHEMA_VERSION, ExperimentConfig, Report, emit_report,
+                                load_report, run_qst_experiment)
 from ccxlab.simulator import MAX_SHOTS
 from ccxlab.states import StateKind
 from ccxlab.gates import x
@@ -170,6 +170,27 @@ def test_out_writes_the_format_its_name_ends_in_unless_format_is_given(tmp_path,
             assert (tmp_path / name).read_text().splitlines()[0] == "repeat,fidelity"
 
 
+@pytest.mark.parametrize("command", ["qst", "qpt", "report"])
+def test_format_without_out_is_a_usage_error(command, tmp_path, capsys):
+    # --format was ignored without a word: qst and qpt printed JSON, report its text summary
+    argv = ["--repeats", "1", "--shots", "10"]
+    if command == "report":
+        report = run_qst_experiment(ExperimentConfig(repeats=1, exact_probabilities=True))
+        argv = [str(emit_report(report, "json", tmp_path / "r.json"))]
+    code = cli.main([command, *argv, "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error[usage]: ") and "--format" in err and "--out" in err
+
+
+def test_qpt_takes_no_input_state(capsys):
+    # qpt prepares its own probes; it took --state, ignored it, and echoed it in its report
+    with pytest.raises(SystemExit) as info:
+        cli.main(["qpt", "--state", "W", "--repeats", "1", "--shots", "10"])
+    assert info.value.code == 2
+    assert "--state" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("noise", [[], ["--noise", "builtin:brisbane_median"]])
 def test_simulate_with_negative_seed_is_a_usage_error(tmp_path, capsys, noise):
     path = tmp_path / "circuit.txt"
@@ -198,6 +219,7 @@ def test_tomography_of_a_non_native_strategy_is_a_usage_error(strategy, command,
                       *noise], capsys)
     assert code == 2
     assert err.startswith("error[usage]: ") and "not in the native set" in err
+    assert strategy in err
 
 
 @pytest.mark.parametrize("strategy", [s.value for s in DecompositionStrategy])
@@ -332,12 +354,14 @@ def test_report_with_a_field_of_the_wrong_type_is_a_schema_error(field, value, t
 
 @st.composite
 def _experiment_argv(draw):
-    """A ``ccxlab qst`` or ``qpt`` command line over every experiment flag; the noise-aware
-    flags only with ``--noise``, since a noise-free run rejects them."""
-    argv = [draw(st.sampled_from(["qst", "qpt"])),
-            f"--state={draw(st.sampled_from([k.value for k in StateKind]))}",
-            f"--strategy={draw(st.sampled_from([s.value for s in DecompositionStrategy]))}",
-            f"--seed={draw(st.integers(-1, 2 ** 70))}", f"--repeats={draw(st.integers(0, 5))}"]
+    """A ``ccxlab qst`` or ``qpt`` command line over every experiment flag; ``--state`` only
+    for ``qst``, the one command that takes it, and the noise-aware flags only with
+    ``--noise``, since a noise-free run rejects them."""
+    argv = [draw(st.sampled_from(["qst", "qpt"]))]
+    if argv[0] == "qst":
+        argv.append(f"--state={draw(st.sampled_from([k.value for k in StateKind]))}")
+    argv += [f"--strategy={draw(st.sampled_from([s.value for s in DecompositionStrategy]))}",
+             f"--seed={draw(st.integers(-1, 2 ** 70))}", f"--repeats={draw(st.integers(0, 5))}"]
     shots = draw(st.none() | st.integers(0, MAX_SHOTS + 1))
     argv += [] if shots is None else [f"--shots={shots}"]
     argv += ["--exact-probabilities"] * draw(st.booleans())
