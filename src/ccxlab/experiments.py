@@ -85,11 +85,10 @@ import numpy as np
 from .calibration import ingest_calibration
 from .circuits import Circuit
 from .errors import SchemaError, UsageError
-from .gates import NATIVE_GATES
 from .noise import NOISELESS, NoiseModel, scale_noise_model
 from .qmath import state_fidelity
-from .simulator import (MAX_SHOTS, draw_form, draws, product_states, readout_map, run_density,
-                        setting_distributions)
+from .simulator import (MAX_SHOTS, check_native, draw_form, draws, product_states, readout_map,
+                        run_density, setting_distributions)
 from .states import PROBE_LABELS, StateKind, prepare_state, target_state
 from .synthesis import DecompositionStrategy, decompose_toffoli, toffoli_unitary
 from .tomography import (
@@ -255,9 +254,8 @@ def _toffoli(strategy: DecompositionStrategy) -> Circuit:
     is a ``UsageError`` that names it, raised before a run builds its input.
     """
     circuit = decompose_toffoli(strategy, DEFAULT_CONTROLS, DEFAULT_TARGET)
-    if not {g.name for g in circuit.gates} <= NATIVE_GATES:
-        raise UsageError(f"strategy {strategy.value} synthesizes gates not in the native set; "
-                         f"experiments run only {DecompositionStrategy.ECR_NATIVE.value}")
+    check_native(circuit, f"strategy {strategy.value} synthesizes it; experiments run only "
+                          f"{DecompositionStrategy.ECR_NATIVE.value}")
     return circuit
 
 

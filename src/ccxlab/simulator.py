@@ -92,11 +92,11 @@ MAX_SHOTS = int(np.iinfo(np.int64).max)
 _CHANNELS = 256
 
 
-def _check_native(c: Circuit) -> None:
+def check_native(c: Circuit, remedy: str = "synthesize it first") -> None:
+    """Raise a ``UsageError`` naming the first gate of ``c`` outside the native set."""
     for g in c.gates:
         if g.name not in NATIVE_GATES:
-            raise UsageError(
-                f"gate {g.name.value} is not in the native set; synthesize it first")
+            raise UsageError(f"gate {g.name.value} is not in the native set; {remedy}")
 
 
 # -- superoperators ------------------------------------------------------------
@@ -157,7 +157,7 @@ def _letters_on_wires(alphabet: Sequence[Circuit], n: int,
     for letter in alphabet:
         if not isinstance(letter, Circuit) or letter.num_qubits != 1:
             raise UsageError(f"a per-qubit layer takes one-qubit circuits only, got {letter!r}")
-        _check_native(letter)
+        check_native(letter)
     return [np.stack([evolve(q, tuple(GateDef(g.name, (q,), g.params) for g in letter.gates))
                       for letter in alphabet]) for q in range(n)]
 
@@ -210,7 +210,7 @@ def apply_circuit_density(rho: np.ndarray, c: Circuit, nm: NoiseModel) -> np.nda
     duration. Each gate's cached ``_local_channel`` applies in circuit order
     to the stack's columns at once.
     """
-    _check_native(c)
+    check_native(c)
     n = c.num_qubits
     rho = np.asarray(rho, dtype=complex)
     vecs = rho.reshape((4 ** n,) + rho.shape[2:])
@@ -253,15 +253,17 @@ def readout_map(alphabet: Sequence[Circuit], n: int, nm: NoiseModel) -> np.ndarr
     (len(alphabet)^n * 2^n, 4^n). Zero readout confusion makes the confusion
     matrix exactly the identity, but readout relaxation still acts for each
     qubit's ``readout_length_ns``; only a model that also has zero readout
-    lengths, such as ``NOISELESS``, reads out perfectly. A zero readout
-    window needs no case of its own: its relaxation is exactly the identity.
+    lengths, such as ``NOISELESS``, reads out perfectly; a zero readout window
+    takes the identity without building a relaxation channel.
     """
     readouts = []  # per qubit: its confusion, and diagonal . readout relaxation
     for q in range(n):
         cal = nm.calibration(q)
         p10, p01 = cal.prob_meas1_prep0, cal.prob_meas0_prep1
-        # outcome b reads the diagonal entry |b><b| of the relaxed state: rows 0 and 3 of vec
-        relaxed = thermal_relaxation_channel(cal.readout_length_ns, cal.t1_us, cal.t2_us)[[0, 3]]
+        # outcome b reads the diagonal entry |b><b| of the relaxed state: rows 0 and 3 of vec;
+        # a zero window builds no channel, so a noise-free table builds none
+        relaxed = (thermal_relaxation_channel(cal.readout_length_ns, cal.t1_us, cal.t2_us)
+                   if cal.readout_length_ns > 0 else np.eye(4, dtype=complex))[[0, 3]]
         # column-stochastic: columns index the true outcome
         readouts.append((np.array([[1 - p10, p01], [p10, 1 - p01]]), relaxed))
 

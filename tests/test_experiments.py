@@ -980,6 +980,7 @@ def test_cli_report_prints_no_hardware_reference_for_qpt(report_file, state, cap
     out = _cli_report(report_file, capsys)
     assert "hardware ref" not in out
     assert "jobs:            1728 (exact probabilities, no shots drawn)\n" in out
+    assert "jobs x shots" not in out
 
 
 def test_a_report_with_no_fidelities_is_a_schema_error(report_file, capsys):
@@ -1169,14 +1170,6 @@ def test_a_version_3_report_with_edited_derived_values_prints_its_fidelities_own
     assert out == _cli_report(two_repeat_report, capsys)
     assert f"mean fidelity:   {mean:.5f}\n" in out and f"std fidelity:    {std:.5f}\n" in out
     assert "jobs x shots:    27 x 200 = 5400\n" in out
-
-
-def test_cli_report_of_an_exact_run_claims_no_shots(tmp_path, capsys):
-    # an exact-probability run draws no shots; its report printed 27 x 19000 = 513000
-    report = run_qst_experiment(ExperimentConfig(repeats=2, exact_probabilities=True))
-    out = _cli_report(emit_report(report, "json", tmp_path / "r.json"), capsys)
-    assert "jobs:            27 (exact probabilities, no shots drawn)\n" in out
-    assert "jobs x shots" not in out and "19000" not in out
 
 
 def test_a_report_stores_no_derived_value(two_repeat_report):
