@@ -215,14 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--controls", default="0,1", help="comma-separated control qubits")
     p.add_argument("--target", type=int, default=2)
     p.add_argument("--out", help="write the circuit text here")
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(parser=p, func=_cmd_synth)
 
     p = sub.add_parser("simulate", help="run a circuit file through the density simulator")
     p.add_argument("circuit", help="circuit text file")
     p.add_argument("--noise", metavar="CALIBRATION")
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(parser=p, func=_cmd_simulate)
 
     for name, run, default_shots, help_text in (
             ("qst", run_qst_experiment, 19000, "state tomography of the Toffoli output"),
@@ -232,24 +232,25 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--state", dest="input_state", default="GHZ",
                            choices=[k.value for k in StateKind])
         _add_experiment_flags(p, default_shots)
-        p.set_defaults(func=_cmd_experiment, run=run)
+        p.set_defaults(parser=p, func=_cmd_experiment, run=run)
 
     p = sub.add_parser("calib-summary", help="validate and summarize a calibration file")
     p.add_argument("calibration")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_calib_summary)
+    p.set_defaults(parser=p, func=_cmd_calib_summary)
 
     p = sub.add_parser("report", help="inspect or convert a report file")
     p.add_argument("report")
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"])
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(parser=p, func=_cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         if getattr(args, "format", None) and not args.out:
             raise UsageError("--format sets the format of --out; give --out too")

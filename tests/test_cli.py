@@ -191,6 +191,20 @@ def test_qpt_takes_no_input_state(capsys):
     assert "--state" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, unknown", [(["qpt", "--state", "W"], "--state W"),
+                                           (["qst", "--bogus", "1"], "--bogus 1"),
+                                           (["report", "r.json", "extra"], "extra")])
+def test_an_unknown_flag_prints_its_commands_usage(argv, unknown, capsys):
+    # argparse leaves a subcommand's unknown arguments to the top-level parser, whose usage
+    # names neither the command nor its flags
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ccxlab {argv[0]} ")
+    assert f"ccxlab {argv[0]}: error: unrecognized arguments: {unknown}" in err
+
+
 @pytest.mark.parametrize("noise", [[], ["--noise", "builtin:brisbane_median"]])
 def test_simulate_with_negative_seed_is_a_usage_error(tmp_path, capsys, noise):
     path = tmp_path / "circuit.txt"

@@ -672,6 +672,27 @@ def test_projection_conjugate_gradients_stay_under_their_cap(calibration, shots,
         assert max(iterations) < 2 * 8 * 8
 
 
+def _random_hermitian(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("d_out", [1, 2, 8])
+@pytest.mark.parametrize("d_in", [2, 4, 8])
+def test_dual_decomposes_c_plus_lam_kron_identity_exactly(d_in, d_out):
+    # _dual adds Lam on the output diagonals of a copy of C; np.kron is the reference
+    rng = np.random.default_rng(100 * d_in + d_out)
+    for _ in range(3):
+        c = _random_hermitian(rng, d_in * d_out)
+        lam = _random_hermitian(rng, d_in)
+        kept = c.copy()
+        w, v, dual = tomography._dual(c, lam)
+        w_ref, v_ref = np.linalg.eigh(c + np.kron(lam, np.eye(d_out)))
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+        assert dual == tomography._dual_objective(w_ref, lam)
+        assert np.array_equal(c, kept)
+
+
 @pytest.mark.parametrize("calibration, most", [(None, 6), ("brisbane_median", 5)])
 def test_projection_eigendecompositions_on_the_seed_7_tables(calibration, most, monkeypatch):
     # every Newton iterate moves to the water-filling level, the dual's exact minimum along
