@@ -72,16 +72,15 @@ class CalibrationTable:
     columns: Dict[str, Tuple[float, ...]]
 
     def noise_model(self, num_qubits: int) -> NoiseModel:
-        """Noise model over ``num_qubits``; a single record broadcasts."""
-        if len(self.qubits) == 1:
-            cal = tuple([self.qubits[0]] * num_qubits)
-        elif len(self.qubits) >= num_qubits:
-            cal = self.qubits[:num_qubits]
-        else:
+        """Noise model over ``num_qubits``: a single record repeated, or else the first
+        ``num_qubits`` records, both one slice of the records repeated ``num_qubits``
+        times; fewer records than qubits, or none, is a ``SchemaError``."""
+        if len(self.qubits) != 1 and len(self.qubits) < num_qubits:
             raise SchemaError(
                 f"{self.source}: {len(self.qubits)} qubit records cannot cover "
                 f"{num_qubits} qubits (only a single record broadcasts)")
-        return NoiseModel(cal, self.gate_error, self.gate_duration)
+        return NoiseModel((self.qubits * num_qubits)[:num_qubits], self.gate_error,
+                          self.gate_duration)
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-column mean/std/min/quartiles/max across the qubit records."""
@@ -113,25 +112,25 @@ def _require(entry: dict, field: str, path: str) -> float:
 
 
 def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
-    """Read and check a calibration file, given as a path or ``builtin:<name>``."""
+    """Read and check a calibration file, given as a path or ``builtin:<name>``.
+
+    A file that cannot be read, a missing one included, is a ``SchemaError``
+    that names the path, raised from the ``OSError`` of the read.
+    """
     if path == "":
         raise SchemaError("calibration path is empty")
     if isinstance(path, str) and path.startswith("builtin:"):
         path = builtin_calibration_path(path[len("builtin:"):])
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"calibration file not found: {path}")
     try:
         payload = json.loads(path.read_text())
-    except OSError as exc:  # a directory, or a file without read permission
+    except OSError as exc:  # a missing file, a directory, or a file without read permission
         raise SchemaError(f"cannot read calibration {path}: {exc}") from exc
     except ValueError as exc:  # invalid JSON or UTF-8, or an integer literal too long to read
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or "qubits" not in payload:
-        raise SchemaError(f"{path}: top-level object with a 'qubits' array required")
-    raw_qubits = payload["qubits"]
+    raw_qubits = payload.get("qubits") if isinstance(payload, dict) else None
     if not isinstance(raw_qubits, list) or not raw_qubits:
-        raise SchemaError(f"{path}: 'qubits' must be a non-empty array")
+        raise SchemaError(f"{path}: a top-level object with a non-empty 'qubits' array required")
 
     simulated = {f.name for f in fields(QubitCalibration)}
     records: List[QubitCalibration] = []

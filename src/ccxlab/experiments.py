@@ -180,18 +180,18 @@ class ExperimentConfig:
         """The three-qubit noise model of a noise-aware run; ``NOISELESS`` when noise-free.
 
         ``calibration_path`` is a file path or ``builtin:<name>``, handed to
-        ``ingest_calibration`` as given. Without ``apply_readout`` every qubit
-        of it has zero readout confusion. The calibration file is read and
-        checked on every call, and each call builds a new model. It equals, and
-        hashes like, any model with the same numbers, and that is what the
-        channel and table caches are keyed by: the file's numbers, not its
-        path, so a file edited between calls misses them.
+        ``ingest_calibration`` as given. Every noise-aware model is scaled by
+        ``noise_scale``; the default 1 gives a model equal to the file's. Without
+        ``apply_readout`` every qubit of it has zero readout confusion. The
+        calibration file is read and checked on every call, and each call builds
+        a new model. It equals, and hashes like, any model with the same
+        numbers, and that is what the channel and table caches are keyed by: the
+        file's numbers, not its path, so a file edited between calls misses them.
         """
         if self.mode is Mode.NOISE_FREE:
             return NOISELESS
-        nm = ingest_calibration(self.calibration_path).noise_model(3)
-        if self.noise_scale != 1.0:
-            nm = scale_noise_model(nm, self.noise_scale)
+        nm = scale_noise_model(ingest_calibration(self.calibration_path).noise_model(3),
+                               self.noise_scale)
         if not self.apply_readout:
             nm = replace(nm, qubit_cal=tuple(replace(c, prob_meas0_prep1=0.0, prob_meas1_prep0=0.0)
                                              for c in nm.qubit_cal))

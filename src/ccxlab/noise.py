@@ -192,6 +192,9 @@ def scale_noise_model(nm: NoiseModel, factor: float) -> NoiseModel:
     """Scale the gate errors, readout confusion and relaxation rates 1/T1, 1/T2 by ``factor``.
 
     ``factor=0`` yields a noiseless model; ``factor>1`` degrades everything.
+    ``factor=1`` gives a model equal to ``nm``, number for number: each time
+    divided by 1.0 and each probability and error multiplied by it is exact,
+    and no probability exceeds 1 to be clipped.
     """
     if not factor >= 0:
         raise ValueError(f"scale factor must be nonnegative, got {factor}")

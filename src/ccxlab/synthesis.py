@@ -101,9 +101,10 @@ def native_ry(theta: float, q: int) -> List[GateDef]:
 
 
 def cnot_to_ecr(control: int, target: int) -> Circuit:
-    """CNOT on the native set with exactly one ECR; exact, global phase 1."""
-    if control == target:
-        raise ValueError("control and target must differ")
+    """CNOT on the native set with exactly one ECR; exact, global phase 1.
+
+    A control that is its target is the ``ValueError`` of the ECR's ``GateDef``.
+    """
     n = max(control, target) + 1
     return Circuit(n, (x(control), ecr(control, target), sx(target), rz(PI / 2, control)))
 

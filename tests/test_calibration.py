@@ -1,5 +1,6 @@
 """Calibration ingestion: every malformed file is a ``SchemaError`` that names its path."""
 
+import dataclasses
 import json
 import math
 import re
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccxlab import cli, experiments
-from ccxlab.calibration import builtin_calibration_path, ingest_calibration
+from ccxlab.calibration import CalibrationTable, builtin_calibration_path, ingest_calibration
 from ccxlab.errors import CcxlabError, SchemaError
 from ccxlab.noise import scale_noise_model, thermal_relaxation_channel
 
@@ -294,13 +295,15 @@ def _unreadable(path):
     raise PermissionError(13, "Permission denied", str(path))
 
 
-@pytest.mark.parametrize("kind", ["directory", "unreadable file"])
+@pytest.mark.parametrize("kind", ["directory", "unreadable file", "missing file"])
 def test_a_calibration_path_that_cannot_be_read_is_an_io_error(tmp_path, capsys, monkeypatch,
                                                               kind):
     # the library raises its own typed error, not the OSError of the read, as load_report does;
     # a root process reads a chmod 000 file, so the unreadable file fails its read by stand-in
     if kind == "directory":
         path = tmp_path
+    elif kind == "missing file":
+        path = tmp_path / "absent.json"
     else:
         path = _write(tmp_path)
         monkeypatch.setattr(Path, "read_text", lambda self, *args, **kwargs: _unreadable(self))
@@ -362,6 +365,38 @@ def test_a_four_record_file_uses_its_first_three_records(tmp_path):
     assert model.qubit_cal == ingest_calibration(four).qubits[:3]
     assert model == ingest_calibration(three).noise_model(3)
     assert _exact_qst(four) == _exact_qst(three)
+
+
+def test_a_table_with_no_records_covers_no_register():
+    table = CalibrationTable((), {}, {}, "empty.json", {})
+    for num_qubits in (1, 3):
+        with pytest.raises(SchemaError, match=rf"^empty\.json: 0 qubit records cannot cover "
+                                              rf"{num_qubits} qubits"):
+            table.noise_model(num_qubits)
+
+
+def _numbers(nm):
+    """Every number of a model, each as ``float.hex``: the qubit records field by field, then
+    the gate errors and durations by name."""
+    return ([[float(getattr(c, f.name)).hex() for f in dataclasses.fields(c)]
+             for c in nm.qubit_cal],
+            {name: float(v).hex() for name, v in nm.gate_error.items()},
+            {name: float(v).hex() for name, v in nm.gate_duration.items()})
+
+
+@pytest.mark.parametrize("source", ["builtin:brisbane_median", "builtin:sherbrooke_median",
+                                    "three records"])
+def test_scaling_by_one_gives_the_model_it_scales(tmp_path, source):
+    # a noise-aware run scales its model by noise_scale with no special case for 1, so that
+    # scale must give the file's model, number for number, and read the same cache entries
+    path = str(_records(tmp_path, 3)) if source == "three records" else source
+    nm = ingest_calibration(path).noise_model(3)
+    scaled = scale_noise_model(nm, 1.0)
+    assert scaled == nm and _numbers(scaled) == _numbers(nm)
+    if source == "three records":
+        assert len(set(nm.qubit_cal)) == 3
+    run = experiments.ExperimentConfig(mode="NOISE_AWARE", calibration_path=path).noise_model()
+    assert run == nm and hash(run) == hash(nm) and _numbers(run) == _numbers(nm)
 
 
 def test_two_records_cannot_cover_a_three_qubit_run(tmp_path, capsys):

@@ -269,6 +269,13 @@ def test_each_tomography_command_defaults_to_its_papers_shot_count(command, shot
     assert f"shots per setting (default {shots})" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, config", [
+    ("qst", ExperimentConfig()), ("qpt", ExperimentConfig(shots_per_setting=11000))])
+def test_a_tomography_command_without_flags_runs_the_configs_defaults(command, config):
+    # the flags read their defaults off ExperimentConfig; only qpt's shot count is the CLI's own
+    assert cli._experiment_config(cli.build_parser().parse_args([command])) == config
+
+
 def test_qpt_prints_its_report(capsys):
     assert cli.main(["qpt", "--repeats", "1", "--shots", "50"]) == 0
     out, err = capsys.readouterr()

@@ -258,7 +258,7 @@ def test_cnot_to_ecr_exact(control, target):
 
 def test_cnot_to_ecr_rejects_a_control_that_is_its_target():
     # a programming error, not a user input: a ValueError, with no CLI category
-    with pytest.raises(ValueError, match="^control and target must differ$"):
+    with pytest.raises(ValueError, match=r"^ECR qubit indices must be distinct: \(1, 1\)$"):
         cnot_to_ecr(1, 1)
 
 
