@@ -83,18 +83,21 @@ class CalibrationTable:
                           self.gate_duration)
 
     def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-column mean/std/min/quartiles/max across the qubit records."""
+        """Per-column mean/std/min/quartiles/max across the qubit records.
+
+        The quartiles come from one ``np.percentile`` call; min and max do not,
+        since the 0th and 100th percentiles interpolate, so they read -0.0 as 0.0
+        and give NaN beside an infinite T1 or T2 where ``np.min`` does not.
+        """
         stats: Dict[str, Dict[str, float]] = {}
         for name, values in self.columns.items():
             col = np.array(values, dtype=float)
+            q1, q2, q3 = np.percentile(col, [25, 50, 75])
             stats[name] = {
                 "mean": float(np.mean(col)),
                 "std": float(np.std(col, ddof=1)) if len(col) > 1 else 0.0,
-                "min": float(np.min(col)),
-                "25%": float(np.percentile(col, 25)),
-                "50%": float(np.percentile(col, 50)),
-                "75%": float(np.percentile(col, 75)),
-                "max": float(np.max(col)),
+                "min": float(np.min(col)), "25%": float(q1), "50%": float(q2),
+                "75%": float(q3), "max": float(np.max(col)),
             }
         return stats
 
@@ -147,10 +150,10 @@ def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
             records.append(QubitCalibration(**{f: v for f, v in row.items() if f in simulated}))
             for name in ("frequency_ghz", "anharmonicity_ghz"):
                 if not math.isfinite(row[name]):
-                    raise ValueError(f"{name}={row[name]} is not finite")
+                    raise SchemaError(f"{name}={row[name]} is not finite")
             if not 0.0 <= row["readout_error"] <= 1.0:
-                raise ValueError(f"readout_error={row['readout_error']} outside [0, 1]")
-        except (SchemaError, ValueError) as exc:
+                raise SchemaError(f"readout_error={row['readout_error']} outside [0, 1]")
+        except CcxlabError as exc:
             raise SchemaError(f"{loc} (qubit {qubit_id}): {exc}") from exc
 
     raw_gates = payload.get("gates", [])
@@ -176,6 +179,6 @@ def ingest_calibration(path: Union[str, Path]) -> CalibrationTable:
                              {field: tuple(row[field] for row in rows) for field in _QUBIT_FIELDS})
     try:
         table.noise_model(1)  # validate gate maps eagerly
-    except (ValueError, CcxlabError) as exc:
+    except CcxlabError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     return table

@@ -38,10 +38,10 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.num_qubits < 1:
-            raise ValueError("a circuit needs at least one qubit")
+            raise UsageError("a circuit needs at least one qubit")
         for g in self.gates:
             if max(g.qubits) >= self.num_qubits:
-                raise ValueError(f"gate {g.name.value} on {g.qubits} exceeds "
+                raise UsageError(f"gate {g.name.value} on {g.qubits} exceeds "
                                  f"{self.num_qubits}-qubit register")
 
     def concat(self, other: "Circuit") -> "Circuit":
@@ -76,9 +76,9 @@ class CouplingGraph:
         object.__setattr__(self, "edges", norm)
         for a, b in norm:
             if a == b:
-                raise ValueError(f"self-loop edge ({a},{b})")
+                raise UsageError(f"self-loop edge ({a},{b})")
             if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
-                raise ValueError(f"edge ({a},{b}) outside {self.num_qubits}-qubit graph")
+                raise UsageError(f"edge ({a},{b}) outside {self.num_qubits}-qubit graph")
 
     def has_edge(self, a: int, b: int) -> bool:
         return tuple(sorted((a, b))) in self.edges
@@ -94,7 +94,7 @@ def validate_connectivity(c: Circuit, g: CouplingGraph) -> List[Tuple[int, GateD
     CCX is never executable directly and is always flagged.
     """
     if c.num_qubits > g.num_qubits:
-        raise ValueError(f"circuit uses {c.num_qubits} qubits, graph has {g.num_qubits}")
+        raise UsageError(f"circuit uses {c.num_qubits} qubits, graph has {g.num_qubits}")
     violations = []
     for i, gate in enumerate(c.gates):
         if gate.name is Gate.CCX:

@@ -9,8 +9,11 @@ for ``qpt``'s shots per setting: 11000, the paper's QPT count, where the
 config's 19000 is its QST count. The config gets every value as given: a
 calibration stays the path or ``builtin:<name>`` the user named, and the
 library checks and resolves it. ``--out`` writes the ``--format`` given, or
-else CSV for a name ending in .csv and JSON for any other; ``--format``
-without ``--out`` is a usage error.
+else CSV for a name ending in .csv and JSON for any other.
+The CLI checks only what only it knows: the text of ``--controls``,
+``simulate --seed`` (numpy would refuse a negative one with a plain
+``ValueError``) and ``--format`` without ``--out``. Every other bad value
+reaches the library, whose ``UsageError`` names it.
 Exit codes: 0 success, 2 usage, 3 schema/file, 4 numerical, 141 (128 +
 SIGPIPE, as a shell reports it) when stdout's reader has closed the pipe.
 """
@@ -41,8 +44,7 @@ from .experiments import (
     run_qst_experiment,
 )
 from .noise import NOISELESS
-from .simulator import (MAX_SHOTS, readout_map, run_density, sample_distribution,
-                        setting_distributions)
+from .simulator import readout_map, run_density, sample_distribution, setting_distributions
 from .states import StateKind
 from .synthesis import DecompositionStrategy, certify_toffoli, decompose_toffoli
 from .tomography import average_gate_fidelity
@@ -91,10 +93,6 @@ def _cmd_synth(args) -> int:
         controls = tuple(int(q) for q in args.controls.split(","))
     except ValueError:
         raise UsageError(f"--controls takes qubit indices, got {args.controls!r}") from None
-    if len(controls) != 2:
-        raise UsageError("--controls takes exactly two comma-separated qubits")
-    if len({*controls, args.target}) != 3 or min(*controls, args.target) < 0:
-        raise UsageError("--controls and --target must be three distinct non-negative qubits")
     circuit = decompose_toffoli(strategy, controls, args.target)
     report = certify_toffoli(circuit, controls, args.target)
     violations = validate_connectivity(circuit, path_graph(circuit.num_qubits))
@@ -116,9 +114,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if not 0 <= args.shots <= MAX_SHOTS:
-        raise UsageError(f"--shots must be positive and at most {MAX_SHOTS}, "
-                         "or 0 to skip sampling")
     if args.seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     try:
@@ -219,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a circuit file through the density simulator")
     p.add_argument("circuit", help="circuit text file")
     p.add_argument("--noise", metavar="CALIBRATION")
-    p.add_argument("--shots", type=int, default=0)
+    p.add_argument("--shots", type=int, default=0,
+                   help="shots to sample after readout; 0, the default, skips sampling")
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(parser=p, func=_cmd_simulate)
 

@@ -212,10 +212,10 @@ class Report:
 
     def __post_init__(self):
         if not self.fidelities:
-            raise ValueError("a report needs at least one fidelity")
+            raise UsageError("a report needs at least one fidelity")
         for f in self.fidelities:
             if not 0.0 <= f <= 1.0:
-                raise ValueError(f"fidelity {f} outside [0, 1]")
+                raise UsageError(f"fidelity {f} outside [0, 1]")
 
     @property
     def num_jobs(self) -> int:
@@ -429,8 +429,8 @@ def report_from_dict(payload: dict) -> Report:
     version = payload.get("schema_version")
     # an integer, not merely equal to one: True == 1 in Python
     if type(version) is not int or version not in range(1, REPORT_SCHEMA_VERSION + 1):
-        raise ValueError(f"unknown schema_version {version!r} "
-                         f"(expected 1 to {REPORT_SCHEMA_VERSION})")
+        raise SchemaError(f"unknown schema_version {version!r} "
+                          f"(expected 1 to {REPORT_SCHEMA_VERSION})")
     # a missing field reads as None, which no field's type check passes
     payload = {name: payload.get(name) for name in _REPORT_CHECKS}
     payload["schema_version"] = REPORT_SCHEMA_VERSION

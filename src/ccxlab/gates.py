@@ -81,14 +81,14 @@ class GateDef:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         arity = GATE_ARITY[self.name]
         if len(self.qubits) != arity:
-            raise ValueError(f"{self.name.value} takes {arity} qubit(s), got {self.qubits}")
+            raise UsageError(f"{self.name.value} takes {arity} qubit(s), got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.name.value} qubit indices must be distinct: {self.qubits}")
+            raise UsageError(f"{self.name.value} qubit indices must be distinct: {self.qubits}")
         if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits}")
+            raise UsageError(f"negative qubit index in {self.qubits}")
         nparams = GATE_PARAM_COUNT[self.name]
         if len(self.params) != nparams:
-            raise ValueError(f"{self.name.value} takes {nparams} parameter(s), got {self.params}")
+            raise UsageError(f"{self.name.value} takes {nparams} parameter(s), got {self.params}")
 
 
 # readable constructors -------------------------------------------------------

@@ -82,7 +82,7 @@ def thermal_relaxation_channel(duration_ns: float, t1_us: float, t2_us: float) -
     as does a zero duration.
     """
     if not 0 <= duration_ns < math.inf:
-        raise ValueError(f"duration must be finite and nonnegative, got {duration_ns}")
+        raise UsageError(f"duration must be finite and nonnegative, got {duration_ns}")
     if not 0 < t2_us <= 2 * t1_us:
         raise SchemaError(f"need 0 < T2 <= 2*T1, got T1={t1_us}, T2={t2_us}")
     t_us = duration_ns / 1000.0
@@ -104,9 +104,9 @@ def depolarizing_channel(err: float, dim: int) -> np.ndarray:
     so S = (1-lam) I + (lam/dim) vec(I) vec(I)^T.
     """
     if dim < 2 or dim & (dim - 1):
-        raise ValueError(f"dim must be a power of two >= 2, got {dim}")
+        raise UsageError(f"dim must be a power of two >= 2, got {dim}")
     if not err >= 0:
-        raise ValueError(f"error rate must be nonnegative, got {err}")
+        raise UsageError(f"error rate must be nonnegative, got {err}")
     if err >= 1 - 1 / dim:
         raise CcxlabError(f"err {err} >= 1 - 1/dim for dim {dim}")
     lam = err * dim / (dim - 1)
@@ -132,9 +132,9 @@ class QubitCalibration:
         for name in ("prob_meas0_prep1", "prob_meas1_prep0"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
+                raise UsageError(f"{name}={v} outside [0, 1]")
         if not 0 <= self.readout_length_ns < math.inf:
-            raise ValueError(f"readout_length_ns={self.readout_length_ns} is not finite "
+            raise UsageError(f"readout_length_ns={self.readout_length_ns} is not finite "
                              "and nonnegative")
 
 
@@ -152,7 +152,7 @@ class NoiseModel:
         object.__setattr__(self, "gate_duration", MappingProxyType(dict(self.gate_duration)))
         for name, v in self.gate_error.items():
             if not v >= 0.0:  # also NaN, which no bound below would catch
-                raise ValueError(f"gate error {name}={v} is not a nonnegative number")
+                raise UsageError(f"gate error {name}={v} is not a nonnegative number")
             # the depolarizing channel of a k-qubit gate realises errors below 1 - 1/2^k
             bound = 1 - 0.5 ** GATE_ARITY[name] if name in GATE_ARITY else 1.0
             if v >= bound:
@@ -160,9 +160,9 @@ class NoiseModel:
                                   "depolarizing channel on the gate realises")
         for name, v in self.gate_duration.items():
             if not 0 <= v < math.inf:
-                raise ValueError(f"gate duration {name}={v} is not finite and nonnegative")
+                raise UsageError(f"gate duration {name}={v} is not finite and nonnegative")
         if self.gate_error.get("RZ", 0.0) != 0.0 or self.gate_duration.get("RZ", 0.0) != 0.0:
-            raise ValueError("RZ is virtual: zero duration and zero error")
+            raise UsageError("RZ is virtual: zero duration and zero error")
 
     def __hash__(self) -> int:
         # over the numbers that equality compares: the gate maps as sorted items
@@ -197,7 +197,7 @@ def scale_noise_model(nm: NoiseModel, factor: float) -> NoiseModel:
     and no probability exceeds 1 to be clipped.
     """
     if not factor >= 0:
-        raise ValueError(f"scale factor must be nonnegative, got {factor}")
+        raise UsageError(f"scale factor must be nonnegative, got {factor}")
 
     def scale_time(t_us: float) -> float:
         return t_us / factor if factor else math.inf

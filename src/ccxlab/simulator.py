@@ -320,10 +320,11 @@ def draws(form: np.ndarray, shots: int, seeds: Iterable[Tuple[int, ...]]) -> Ite
     the only random generator the package builds. So a seed's counts do not
     depend on the seeds drawn before it, and ``sample_distribution`` gives
     each of them alone. ``form`` is drawn from as it is: round a table with
-    ``draw_form`` once, then draw any number of seeds from it.
+    ``draw_form`` once, then draw any number of seeds from it. ``shots`` outside
+    1..``MAX_SHOTS`` is a ``UsageError``, raised at the call and not at the first draw.
     """
-    if shots <= 0:
-        raise ValueError("shots must be positive")
+    if not 0 < shots <= MAX_SHOTS:
+        raise UsageError(f"shots must be positive and at most {MAX_SHOTS}, got {shots}")
     return (np.random.default_rng(seed).multinomial(shots, form) for seed in seeds)
 
 

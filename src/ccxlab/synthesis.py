@@ -58,7 +58,7 @@ class EquivalenceReport:
 def toffoli_unitary(controls: Sequence[int], target: int, num_qubits: int = 3) -> np.ndarray:
     """Reference permutation: flip ``target`` iff both controls are set, the CCX gate's
     matrix on the whole register. Roles that are not three distinct qubits of the register
-    raise ``ValueError``."""
+    raise ``UsageError``."""
     return circuit_unitary(Circuit(num_qubits, (GateDef(Gate.CCX, (*controls, target)),)))
 
 
@@ -266,10 +266,13 @@ def decompose_toffoli(strategy: DecompositionStrategy, controls: Sequence[int],
                       target: int, coupling: Optional[CouplingGraph] = None) -> Circuit:
     """Build the requested Toffoli realization on the given control/target roles.
 
-    Path-constrained strategies raise :class:`UsageError` when the triple is
-    not a path of ``coupling``, by default the line 0-1-...-max of the triple.
+    Roles that are not two controls and a target on three distinct non-negative
+    qubits raise :class:`UsageError`, for every strategy. Path-constrained
+    strategies also raise it when the triple is not a path of ``coupling``, by
+    default the line 0-1-...-max of the triple.
     """
     controls = tuple(controls)
-    if len(set(controls) | {target}) != 3:
-        raise ValueError("controls and target must be three distinct qubits")
+    if len(controls) != 2 or len({*controls, target}) != 3 or min(*controls, target) < 0:
+        raise UsageError("need two controls and a target on three distinct non-negative "
+                         f"qubits, got controls {controls} and target {target}")
     return _STRATEGY_BUILDERS[DecompositionStrategy(strategy)](controls, target, coupling)

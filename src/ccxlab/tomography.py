@@ -186,7 +186,7 @@ def choi_ket_of_unitary(u: np.ndarray) -> np.ndarray:
     target of process tomography; ``state_fidelity`` scores a Choi estimate
     against the ket directly.
     """
-    u = check_unitary(np.asarray(u, dtype=complex), tol=1e-10)
+    u = check_unitary(u)
     # block i of the ket is column i of U
     return u.T.reshape(-1) / math.sqrt(u.shape[0])
 
@@ -484,6 +484,6 @@ def _reconstruct(frequencies: np.ndarray, k: int, dual: np.ndarray) -> np.ndarra
 def average_gate_fidelity(f_pro: float, k: int) -> float:
     """(Gamma * F_pro + 1) / (Gamma + 1) with Gamma = 2^k."""
     if not 0.0 <= f_pro <= 1.0:
-        raise ValueError(f"process fidelity {f_pro} outside [0, 1]")
+        raise UsageError(f"process fidelity {f_pro} outside [0, 1]")
     gamma = 2 ** k
     return (gamma * f_pro + 1.0) / (gamma + 1.0)

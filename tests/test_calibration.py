@@ -7,6 +7,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +171,29 @@ def test_ingest_accepts_a_negative_anharmonicity(tmp_path):
     table = ingest_calibration(_with_value(tmp_path, "qubits", "anharmonicity_ghz", -0.31))
     assert table.columns["anharmonicity_ghz"] == (-0.31,)
     assert table.summary()["anharmonicity_ghz"]["min"] == -0.31
+
+
+def test_summary_order_statistics_are_those_of_one_numpy_call_each():
+    # min, quartiles and max bit for bit, also for -0.0, which the 0th percentile reads as 0.0, and for infinite
+    # times, where the 0th and 100th percentiles are NaN but min and max are not
+    rng = np.random.default_rng(5)
+    columns = [col for name in ("brisbane_median", "sherbrooke_median")
+               for col in ingest_calibration(f"builtin:{name}").columns.values()]
+    for _ in range(2000):
+        col = rng.normal(rng.normal(0, 100), rng.exponential(10), rng.integers(1, 130))
+        picks = rng.random(col.size)
+        col[picks < 0.05] = -0.0
+        col[picks > 0.97] = rng.choice([math.inf, -math.inf, col[0]])
+        columns.append(tuple(col))
+    with np.errstate(invalid="ignore"):  # the NaN quartiles beside infinite values
+        for col in columns:
+            stats = CalibrationTable((), {}, {}, "columns", {"c": col}).summary()["c"]
+            col = np.array(col)
+            expected = {"min": np.min(col), "25%": np.percentile(col, 25),
+                        "50%": np.percentile(col, 50), "75%": np.percentile(col, 75),
+                        "max": np.max(col)}
+            assert {key: stats[key].hex() for key in expected} \
+                == {key: float(value).hex() for key, value in expected.items()}
 
 
 def test_calibrations_that_differ_only_in_summary_columns_share_one_table(tmp_path,

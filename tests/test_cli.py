@@ -79,7 +79,23 @@ def test_simulate_with_shots_out_of_range_is_a_usage_error(tmp_path, capsys, sho
     path.write_text(serialize_circuit(Circuit(3, (x(0),))))
     code, err = _run(["simulate", str(path), "--shots", shots, *noise], capsys)
     assert code == 2
-    assert err.startswith("error[usage]: --shots must be positive and at most ")
+    assert err.startswith("error[usage]: shots must be positive and at most ")
+
+
+def test_simulate_with_zero_shots_skips_sampling(tmp_path, capsys):
+    path = tmp_path / "circuit.txt"
+    path.write_text(serialize_circuit(Circuit(3, (x(0),))))
+    assert cli.main(["simulate", str(path), "--shots", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert "counts" not in out and "shots" not in out
+
+
+def test_simulate_reports_a_missing_circuit_before_its_shots(tmp_path, capsys):
+    # the shots are checked where they are drawn, after the circuit is read and run
+    path = tmp_path / "missing.txt"
+    code, err = _run(["simulate", str(path), "--shots", "-5"], capsys)
+    assert code == 3
+    assert err.startswith("error[schema]: ") and str(path) in err
 
 
 @pytest.mark.parametrize("noise", [[], ["--noise", "builtin:brisbane_median"]])

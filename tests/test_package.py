@@ -1,6 +1,7 @@
 """Checks on the package source as a whole."""
 
 import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -21,6 +22,28 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _builtin_raises(tree):
+    """(line, name) of every ``raise`` of a built-in exception class, called or not."""
+    for node in ast.walk(tree):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        if isinstance(exc, ast.Name) and isinstance(getattr(builtins, exc.id, None), type) \
+                and issubclass(getattr(builtins, exc.id), BaseException):
+            yield node.lineno, exc.id
+
+
+def test_every_check_in_the_package_raises_a_ccxlab_error():
+    # a CcxlabError has a category and an exit code; a built-in exception reaches a CLI user
+    # as a traceback. __main__ hands main()'s exit code to SystemExit
+    found = [f"{path.name}:{line} {name}"
+             for path in sorted(Path(ccxlab.__file__).parent.glob("*.py"))
+             for line, name in _builtin_raises(ast.parse(path.read_text(), filename=str(path)))
+             if (path.name, name) != ("__main__.py", "SystemExit")]
+    assert found == []
+    probe = "raise ValueError('x')\nraise KeyError\nraise UsageError('y')\nraise\nraise exc\n"
+    assert list(_builtin_raises(ast.parse(probe))) == [(1, "ValueError"), (2, "KeyError")]
 
 
 def _imported_names(tree):

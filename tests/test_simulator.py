@@ -151,6 +151,16 @@ def test_sampling_rejects_nonpositive_shots():
         simulator.draws(np.array([1.0, 0.0]), 0, [])
 
 
+@pytest.mark.parametrize("shots", [-5, simulator.MAX_SHOTS + 1, 10 ** 19])
+def test_draws_refuses_shots_outside_one_to_max_shots_as_a_usage_error(shots):
+    # past the int64 range numpy's multinomial raised an OverflowError at the first draw
+    message = f"^shots must be positive and at most {simulator.MAX_SHOTS}, got {shots}$"
+    with pytest.raises(UsageError, match=message) as error:
+        simulator.draws(np.array([1.0, 0.0]), shots, [])
+    assert (error.value.category, error.value.exit_code) == ("usage", 2)
+    assert list(simulator.draws(np.array([1.0, 0.0]), simulator.MAX_SHOTS, [])) == []
+
+
 def test_drawing_many_seeds_from_one_rounding_gives_each_seed_its_own_counts():
     # a table is rounded once, by draw_form, and every repeat's seed is drawn from that
     # rounding; each seed's counts are bit for bit those of a sample_distribution call on

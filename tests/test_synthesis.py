@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -257,17 +258,22 @@ def test_cnot_to_ecr_exact(control, target):
 
 
 def test_cnot_to_ecr_rejects_a_control_that_is_its_target():
-    # a programming error, not a user input: a ValueError, with no CLI category
+    # a UsageError, and so a ValueError too, that names the gate and its wires
     with pytest.raises(ValueError, match=r"^ECR qubit indices must be distinct: \(1, 1\)$"):
         cnot_to_ecr(1, 1)
 
 
-@pytest.mark.parametrize("controls, target", [((0, 0), 2), ((0, 1), 1), ((2, 1), 2)])
+@pytest.mark.parametrize("controls, target", [((0, 0), 2), ((0, 1), 1), ((2, 1), 2),
+                                              ((0, 1, 1), 2), ((0,), 1), ((0, 1), -1)])
 @pytest.mark.parametrize("strategy", list(DecompositionStrategy))
 def test_decompose_toffoli_rejects_repeated_roles(strategy, controls, target):
-    # the CLI checks its --controls and --target first, so only the library reaches this
-    with pytest.raises(ValueError, match="^controls and target must be three distinct qubits$"):
+    # three controls used to fail as an unpacking error or a "not a path" one, and a negative
+    # target as a "negative qubit index" or "not a path" one, each of its own strategy
+    message = ("need two controls and a target on three distinct non-negative qubits, "
+               f"got controls {controls} and target {target}")
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$") as caught:
         decompose_toffoli(strategy, controls, target)
+    assert (caught.value.category, caught.value.exit_code) == ("usage", 2)
 
 
 def test_cnot_to_ecr_action():

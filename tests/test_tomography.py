@@ -17,6 +17,7 @@ from ccxlab.states import (
     PROBE_LABELS,
     StateKind,
     ghz_circuit,
+    prepare_state,
     probe_circuit,
     target_state,
 )
@@ -644,6 +645,21 @@ def _toffoli_qpt_table(calibration):
     toffoli = decompose_toffoli(DecompositionStrategy.ECR_NATIVE, (0, 1), 2)
     probes = simulator.product_states([probe_circuit((label,)) for label in PROBE_LABELS], 3, nm)
     return experiments._distributions(probes, toffoli, nm)
+
+
+@pytest.mark.parametrize("calibration", [None, "brisbane_median", "sherbrooke_median"])
+def test_the_exact_qpt_estimate_predicts_the_exact_qst_estimate_of_uniform(calibration):
+    # UNIFORM's input |+++> is the probe ("+", "+", "+"), prepared by the same gates, and linear
+    # inversion returns each probe's own measured output. So with every stage noisy, the Choi
+    # estimate applied to |+++><+++| is the QST estimate, through preparation, gate, readout
+    # map, inversion, probe dual and projection alike
+    assert prepare_state(StateKind.UNIFORM) == probe_circuit(("+",) * 3)
+    nm = NOISELESS if calibration is None else ingest_calibration(f"builtin:{calibration}") \
+        .noise_model(3)
+    strategy = DecompositionStrategy.ECR_NATIVE
+    choi = qpt_reconstruct(experiments._table(nm, strategy, "qpt")[0], 3)
+    rho = qst_reconstruct(experiments._table(nm, strategy, StateKind.UNIFORM)[0], 3)[0]
+    assert np.max(np.abs(choi_apply(choi, np.full((8, 8), 1 / 8)) - rho)) < 1e-12
 
 
 @pytest.mark.parametrize("calibration", [None, "brisbane_median"])
