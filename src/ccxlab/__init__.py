@@ -2,10 +2,8 @@
 
 from .circuits import (
     Circuit,
-    CouplingGraph,
     circuit_unitary,
     parse_circuit,
-    path_graph,
     serialize_circuit,
     validate_connectivity,
 )

@@ -87,15 +87,25 @@ class CalibrationTable:
 
         The quartiles come from one ``np.percentile`` call; min and max do not,
         since the 0th and 100th percentiles interpolate, so they read -0.0 as 0.0
-        and give NaN beside an infinite T1 or T2 where ``np.min`` does not.
+        and give NaN beside an infinite T1 or T2 where ``np.min`` does not. Beside
+        an infinity numpy's interpolation b - (b - a)(1 - t) is NaN too; there a
+        quartile on an order statistic is that statistic, and one between two is
+        the infinity it interpolates toward. The std of a column of more than one
+        record that holds an infinity is +inf.
         """
         stats: Dict[str, Dict[str, float]] = {}
         for name, values in self.columns.items():
             col = np.array(values, dtype=float)
-            q1, q2, q3 = np.percentile(col, [25, 50, 75])
+            at = (len(col) - 1) * np.array([0.25, 0.5, 0.75])
+            low, high = np.sort(col)[np.array([np.floor(at), np.ceil(at)], dtype=int)]
+            with np.errstate(invalid="ignore"):
+                quartiles = np.percentile(col, [25, 50, 75])
+            q1, q2, q3 = np.where(np.isnan(quartiles), np.where(low == high, low, low + high),
+                                  quartiles)
+            std = (0.0 if len(col) == 1 else math.inf if np.isinf(col).any()
+                   else np.std(col, ddof=1))
             stats[name] = {
-                "mean": float(np.mean(col)),
-                "std": float(np.std(col, ddof=1)) if len(col) > 1 else 0.0,
+                "mean": float(np.mean(col)), "std": float(std),
                 "min": float(np.min(col)), "25%": float(q1), "50%": float(q2),
                 "75%": float(q3), "max": float(np.max(col)),
             }

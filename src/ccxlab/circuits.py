@@ -1,8 +1,12 @@
-"""Circuit IR, coupling graphs, dense evaluation, and the text format.
+"""Circuit IR, connectivity on the line, dense evaluation, and the text format.
 
 A :class:`Circuit` is an ordered tuple of :class:`~ccxlab.gates.GateDef`
 applications on ``num_qubits`` wires. Basis ordering is little-endian
 everywhere: qubit 0 is the least-significant bit of a basis index.
+
+The register is a line 0-1-...-(n-1), the one layout modelled: a two-qubit
+gate runs only on neighbouring wires (``validate_connectivity``). A three-qubit
+path on any device is this line once its qubits are relabelled.
 
 Text format (UTF-8, one gate per line)::
 
@@ -20,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import FrozenSet, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -64,44 +68,11 @@ class Circuit:
         return max(frontier, default=0)
 
 
-@dataclass(frozen=True)
-class CouplingGraph:
-    """Undirected adjacency of qubit pairs on which 2-qubit gates are legal."""
-
-    num_qubits: int
-    edges: FrozenSet[Tuple[int, int]]
-
-    def __post_init__(self):
-        norm = frozenset(tuple(sorted(e)) for e in self.edges)
-        object.__setattr__(self, "edges", norm)
-        for a, b in norm:
-            if a == b:
-                raise UsageError(f"self-loop edge ({a},{b})")
-            if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
-                raise UsageError(f"edge ({a},{b}) outside {self.num_qubits}-qubit graph")
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return tuple(sorted((a, b))) in self.edges
-
-
-def path_graph(num_qubits: int) -> CouplingGraph:
-    return CouplingGraph(num_qubits, frozenset((i, i + 1) for i in range(num_qubits - 1)))
-
-
-def validate_connectivity(c: Circuit, g: CouplingGraph) -> List[Tuple[int, GateDef]]:
-    """Every multi-qubit gate on a non-edge, as (gate index, gate) pairs.
-
-    CCX is never executable directly and is always flagged.
-    """
-    if c.num_qubits > g.num_qubits:
-        raise UsageError(f"circuit uses {c.num_qubits} qubits, graph has {g.num_qubits}")
-    violations = []
-    for i, gate in enumerate(c.gates):
-        if gate.name is Gate.CCX:
-            violations.append((i, gate))
-        elif GATE_ARITY[gate.name] == 2 and not g.has_edge(*gate.qubits):
-            violations.append((i, gate))
-    return violations
+def validate_connectivity(c: Circuit) -> List[Tuple[int, GateDef]]:
+    """Every gate that the line 0-1-...-(n-1) of ``c``'s register cannot run, as (gate index,
+    gate) pairs: each CCX, and each two-qubit gate whose wires are not neighbours."""
+    return [(i, g) for i, g in enumerate(c.gates)
+            if g.name is Gate.CCX or max(g.qubits) - min(g.qubits) > 1]
 
 
 # -- dense evaluation ---------------------------------------------------------

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import ingest_calibration
-from .circuits import Circuit, parse_circuit, path_graph, serialize_circuit, validate_connectivity
+from .circuits import Circuit, parse_circuit, serialize_circuit, validate_connectivity
 from .errors import CcxlabError, SchemaError, UsageError
 from .experiments import (
     HARDWARE_REFERENCE_FIDELITY,
@@ -95,7 +95,7 @@ def _cmd_synth(args) -> int:
         raise UsageError(f"--controls takes qubit indices, got {args.controls!r}") from None
     circuit = decompose_toffoli(strategy, controls, args.target)
     report = certify_toffoli(circuit, controls, args.target)
-    violations = validate_connectivity(circuit, path_graph(circuit.num_qubits))
+    violations = validate_connectivity(circuit)
     summary = {
         "strategy": strategy.value,
         "controls": list(controls),

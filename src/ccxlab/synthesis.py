@@ -4,11 +4,12 @@ Four builders produce circuits that all realize the doubly-controlled-X
 permutation, certified against the dense reference unitary up to a global
 phase:
 
-* ``FULL_6CNOT`` — the textbook H/T ladder; assumes all-to-all connectivity.
-* ``LNN_8CNOT`` — nearest-neighbor on a path. The doubly-controlled-Z core
-  is a phase polynomial over the seven parities of three bits; a Gray-code
-  CNOT walk visits all seven on path edges and restores the wires in eight
-  CNOTs total.
+* ``FULL_6CNOT`` — the textbook H/T ladder on any three qubits; 2 of its 6
+  CNOTs join the ends of the line.
+* ``LNN_8CNOT`` — nearest-neighbor on three consecutive qubits of the line.
+  The doubly-controlled-Z core is a phase polynomial over the seven parities
+  of three bits; a Gray-code CNOT walk visits all seven on line edges and
+  restores the wires in eight CNOTs total.
 * ``LNN_9CNOT_RZSX`` — nearest-neighbor, single-qubit gates restricted to
   {RZ, SX}. Uses a nine-CNOT walk over the same parities. Exhaustive search
   (``test_nine_cnots_is_the_shortest_odd_parity_walk`` in
@@ -30,11 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .circuits import Circuit, CouplingGraph, circuit_unitary, path_graph
+from .circuits import Circuit, circuit_unitary
 from .errors import CcxlabError, UsageError
 from .gates import Gate, GateDef, cnot, ecr, h, rz, sx, t, tdg, x
 
@@ -173,25 +174,19 @@ def to_native(circuit: Circuit) -> Circuit:
 
 # -- path handling -------------------------------------------------------------
 
-def _path_order(controls: Sequence[int], target: int,
-                coupling: Optional[CouplingGraph]) -> Tuple[int, int, int]:
-    """Order the triple as (end, middle, end) along the coupling path.
-
-    Without an explicit graph the qubits lie on the line 0-1-...-max.
-    """
-    triple = sorted((*controls, target))
-    coupling = coupling or path_graph(triple[2] + 1)
-    mid = next((q for q in triple
-                if all(coupling.has_edge(q, other) for other in triple if other != q)), None)
-    if mid is None:
-        raise UsageError(f"qubits {triple} do not form a path in the coupling graph")
-    low, high = (q for q in triple if q != mid)
+def _path_order(controls: Sequence[int], target: int) -> Tuple[int, int, int]:
+    """The triple sorted as (end, middle, end) along the line, which holds it only when its
+    qubits are consecutive; any other triple raises ``UsageError``."""
+    low, mid, high = sorted((*controls, target))
+    if (mid - low, high - mid) != (1, 1):
+        raise UsageError(f"qubits {[low, mid, high]} do not form a path in the line: "
+                         "a line strategy needs three consecutive qubits")
     return low, mid, high
 
 
 # -- strategy builders ---------------------------------------------------------
 
-def _full_6cnot(controls, tgt, _coupling) -> Circuit:
+def _full_6cnot(controls, tgt) -> Circuit:
     c1, c2 = controls
     n = max(c1, c2, tgt) + 1
     seq = [
@@ -245,9 +240,9 @@ def _ccz_9cnot(p0: int, p1: int, p2: int) -> List[GateDef]:
     ]
 
 
-def _lnn(ccz, controls, target, coupling) -> Circuit:
-    """H on the target around a CCZ core laid on the coupling path."""
-    p0, p1, p2 = _path_order(controls, target, coupling)
+def _lnn(ccz, controls, target) -> Circuit:
+    """H on the target around a CCZ core laid on three consecutive qubits of the line."""
+    p0, p1, p2 = _path_order(controls, target)
     seq = [h(target)] + ccz(p0, p1, p2) + [h(target)]
     return Circuit(max(p0, p1, p2) + 1, tuple(seq))
 
@@ -263,16 +258,16 @@ _STRATEGY_BUILDERS = {
 
 
 def decompose_toffoli(strategy: DecompositionStrategy, controls: Sequence[int],
-                      target: int, coupling: Optional[CouplingGraph] = None) -> Circuit:
+                      target: int) -> Circuit:
     """Build the requested Toffoli realization on the given control/target roles.
 
     Roles that are not two controls and a target on three distinct non-negative
-    qubits raise :class:`UsageError`, for every strategy. Path-constrained
-    strategies also raise it when the triple is not a path of ``coupling``, by
-    default the line 0-1-...-max of the triple.
+    qubits raise :class:`UsageError`, for every strategy. The line strategies
+    also raise it unless the three qubits are consecutive on the line;
+    ``FULL_6CNOT`` takes any three.
     """
     controls = tuple(controls)
     if len(controls) != 2 or len({*controls, target}) != 3 or min(*controls, target) < 0:
         raise UsageError("need two controls and a target on three distinct non-negative "
                          f"qubits, got controls {controls} and target {target}")
-    return _STRATEGY_BUILDERS[DecompositionStrategy(strategy)](controls, target, coupling)
+    return _STRATEGY_BUILDERS[DecompositionStrategy(strategy)](controls, target)

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,9 +174,22 @@ def test_ingest_accepts_a_negative_anharmonicity(tmp_path):
     assert table.summary()["anharmonicity_ghz"]["min"] == -0.31
 
 
+def _quartile_beside_an_infinity(col, percent):
+    """The order statistic at an integer position, else the infinity a quartile interpolates
+    toward, else numpy's interpolation between two finite neighbours."""
+    ordered = sorted(col)
+    at = (len(ordered) - 1) * percent / 100
+    low = math.floor(at)
+    if at == low:
+        return ordered[low]
+    infinite = [v for v in ordered[low:low + 2] if math.isinf(v)]
+    return infinite[0] if infinite else np.percentile(col, percent)
+
+
 def test_summary_order_statistics_are_those_of_one_numpy_call_each():
-    # min, quartiles and max bit for bit, also for -0.0, which the 0th percentile reads as 0.0, and for infinite
-    # times, where the 0th and 100th percentiles are NaN but min and max are not
+    # min, quartiles and max bit for bit, also for -0.0, which the 0th percentile reads as 0.0,
+    # and min and max for infinite times, where the 0th and 100th percentiles are NaN. numpy's
+    # quartiles are NaN beside an infinity as well, so for those columns the rule is the oracle
     rng = np.random.default_rng(5)
     columns = [col for name in ("brisbane_median", "sherbrooke_median")
                for col in ingest_calibration(f"builtin:{name}").columns.values()]
@@ -185,15 +199,38 @@ def test_summary_order_statistics_are_those_of_one_numpy_call_each():
         col[picks < 0.05] = -0.0
         col[picks > 0.97] = rng.choice([math.inf, -math.inf, col[0]])
         columns.append(tuple(col))
-    with np.errstate(invalid="ignore"):  # the NaN quartiles beside infinite values
-        for col in columns:
-            stats = CalibrationTable((), {}, {}, "columns", {"c": col}).summary()["c"]
-            col = np.array(col)
-            expected = {"min": np.min(col), "25%": np.percentile(col, 25),
-                        "50%": np.percentile(col, 50), "75%": np.percentile(col, 75),
-                        "max": np.max(col)}
+    for col in columns:
+        stats = CalibrationTable((), {}, {}, "columns", {"c": col}).summary()["c"]
+        col = np.array(col)
+        infinite = np.isinf(col).any()
+        quartile = _quartile_beside_an_infinity if infinite else np.percentile
+        expected = {"min": np.min(col), "25%": quartile(col, 25), "50%": quartile(col, 50),
+                    "75%": quartile(col, 75), "max": np.max(col)}
+        if infinite:  # by value: an order statistic -0.0 may read as numpy's 0.0
+            assert {key: stats[key] for key in expected} == expected
+        else:
             assert {key: stats[key].hex() for key in expected} \
                 == {key: float(value).hex() for key, value in expected.items()}
+
+
+@pytest.mark.parametrize("t1, quartiles, std", [
+    ([math.inf], [math.inf] * 3, 0.0),
+    ([100.0, math.inf], [math.inf] * 3, math.inf),
+    ([100.0, 300.0, math.inf], [200.0, 300.0, math.inf], math.inf)],
+    ids=["one-record", "two-records", "three-records"])
+def test_summary_beside_an_infinite_t1_reads_order_statistics_and_infinities(
+        tmp_path, capsys, t1, quartiles, std):
+    # numpy interpolates b - (b - a)(1 - t), NaN beside +inf: T1 = 100 and Infinity printed
+    # "std": NaN, "50%": NaN and "75%": NaN, with two RuntimeWarnings
+    path = _write(tmp_path, qubits=[{**json.loads(BRISBANE.read_text())["qubits"][0], "id": i,
+                                     "t1_us": value} for i, value in enumerate(t1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["calib-summary", str(path)]) == 0
+    stats = json.loads(capsys.readouterr().out)["columns"]["t1_us"]
+    assert [stats[key] for key in ("25%", "50%", "75%")] == quartiles
+    assert (stats["mean"], stats["std"], stats["min"], stats["max"]) \
+        == (math.inf, std, min(t1), math.inf)
 
 
 def test_calibrations_that_differ_only_in_summary_columns_share_one_table(tmp_path,

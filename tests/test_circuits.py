@@ -8,10 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ccxlab import cli
 from ccxlab.circuits import (
     Circuit,
-    CouplingGraph,
     circuit_unitary,
     parse_circuit,
-    path_graph,
     serialize_circuit,
     validate_connectivity,
 )
@@ -74,7 +72,7 @@ def test_depth_and_counts():
 
 def test_full_decomposition_violates_path():
     c = decompose_toffoli(DecompositionStrategy.FULL_6CNOT, (0, 1), 2)
-    violations = validate_connectivity(c, path_graph(3))
+    violations = validate_connectivity(c)
     pairs = {tuple(sorted(g.qubits)) for _, g in violations}
     assert (0, 2) in pairs
     assert len(violations) >= 1
@@ -82,28 +80,21 @@ def test_full_decomposition_violates_path():
 
 def test_linear_decomposition_clean_on_path():
     c = decompose_toffoli(DecompositionStrategy.LNN_8CNOT, (0, 1), 2)
-    assert validate_connectivity(c, path_graph(3)) == []
+    assert validate_connectivity(c) == []
 
 
 def test_single_qubit_circuit_never_violates():
     c = Circuit(3, (h(0), x(2), rz(0.1, 1)))
-    assert validate_connectivity(c, CouplingGraph(3, frozenset())) == []
+    assert validate_connectivity(c) == []
 
 
 def test_ccx_always_flagged():
     c = Circuit(3, (GateDef(Gate.CCX, (0, 1, 2)),))
-    graph = CouplingGraph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
-    assert len(validate_connectivity(c, graph)) == 1
+    assert len(validate_connectivity(c)) == 1
 
 
 @pytest.mark.parametrize("build, message", [
-    pytest.param(lambda: Circuit(0), "a circuit needs at least one qubit", id="no-qubits"),
-    pytest.param(lambda: CouplingGraph(3, frozenset({(1, 1)})), r"self-loop edge \(1,1\)",
-                 id="self-loop"),
-    pytest.param(lambda: CouplingGraph(3, frozenset({(3, 2)})),
-                 r"edge \(2,3\) outside 3-qubit graph", id="edge-off-the-graph"),
-    pytest.param(lambda: validate_connectivity(Circuit(4), path_graph(3)),
-                 "circuit uses 4 qubits, graph has 3", id="circuit-wider-than-graph")])
+    pytest.param(lambda: Circuit(0), "a circuit needs at least one qubit", id="no-qubits")])
 def test_a_register_or_edge_out_of_range_is_a_value_error(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccxlab.circuits import Circuit, CouplingGraph, circuit_unitary, path_graph, validate_connectivity
+from ccxlab.circuits import Circuit, circuit_unitary, validate_connectivity
 from ccxlab.errors import UsageError
 from ccxlab.gates import NATIVE_GATES, Gate, GateDef, cnot, gate_matrix, rz, sx
 from ccxlab.synthesis import (
@@ -31,6 +31,8 @@ from ccxlab.synthesis import (
 from conftest import raises_numerical, random_unitary
 
 ALL_ROLES = [((a, b), t) for a, b, t in itertools.permutations(range(3))]
+#: every role order on every consecutive triple of qubits 0-5
+LINE_ROLES = [((a + k, b + k), t + k) for k in range(4) for (a, b), t in ALL_ROLES]
 
 
 def test_toffoli_unitary_truth_table():
@@ -156,9 +158,20 @@ def test_ecr_native_gate_set():
                                       DecompositionStrategy.LNN_9CNOT_RZSX,
                                       DecompositionStrategy.ECR_NATIVE])
 def test_path_strategies_respect_connectivity(strategy):
-    for controls, target in ALL_ROLES:
+    for controls, target in LINE_ROLES:
         c = decompose_toffoli(strategy, controls, target)
-        assert validate_connectivity(c, path_graph(3)) == []
+        assert certify_toffoli(c, controls, target).equivalent
+        assert validate_connectivity(c) == []
+
+
+def test_full_6cnot_violates_the_line_only_with_its_cnots_between_the_outer_qubits():
+    for controls, target in LINE_ROLES:
+        c = decompose_toffoli(DecompositionStrategy.FULL_6CNOT, controls, target)
+        ends = {min(*controls, target), max(*controls, target)}
+        outer = [(i, g) for i, g in enumerate(c.gates)
+                 if g.name is Gate.CNOT and set(g.qubits) == ends]
+        assert len(outer) == 2
+        assert validate_connectivity(c) == outer
 
 
 def test_self_inverse_up_to_phase():
@@ -176,28 +189,17 @@ def test_non_path_triple_rejected():
     decompose_toffoli(DecompositionStrategy.FULL_6CNOT, (0, 1), 3)
 
 
-def test_coupling_graph_path_detection():
-    # star graph: 1 is adjacent to both 0 and 3
-    graph = CouplingGraph(4, frozenset({(0, 1), (1, 3), (1, 2)}))
-    c = decompose_toffoli(DecompositionStrategy.LNN_8CNOT, (0, 3), 1, coupling=graph)
-    rep = certify_toffoli(c, (0, 3), 1)
-    assert rep.equivalent
-    assert validate_connectivity(c, graph) == []
-    no_path = CouplingGraph(4, frozenset({(0, 1), (2, 3)}))
-    with pytest.raises(UsageError, match=r"^qubits \[0, 1, 3\] do not form a path in the "):
-        decompose_toffoli(DecompositionStrategy.LNN_8CNOT, (0, 1), 3, coupling=no_path)
-
-
 def test_without_a_coupling_graph_a_path_is_three_consecutive_qubits():
-    # the default graph, the line 0-1-...-max, orders or refuses all 120 ordered triples of
-    # qubits 0-5 as the rule "the sorted triple is consecutive" does
+    # the line orders or refuses all 120 ordered triples of qubits 0-5 as the rule "the
+    # sorted triple is consecutive" does
     for *controls, target in itertools.permutations(range(6), 3):
         low, mid, high = sorted((*controls, target))
         if (mid - low, high - mid) == (1, 1):
-            assert _path_order(controls, target, None) == (low, mid, high)
+            assert _path_order(controls, target) == (low, mid, high)
         else:
-            with pytest.raises(UsageError, match="do not form a path in the coupling graph"):
-                _path_order(controls, target, None)
+            with pytest.raises(UsageError, match="do not form a path in the line: a line "
+                               "strategy needs three consecutive qubits$"):
+                _path_order(controls, target)
 
 
 # -- equivalence reporting ---------------------------------------------------------
